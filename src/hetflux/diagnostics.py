@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .flux_model import CriticalCurve, FluxModel
-from .interface import interface_flux_profile
 from .riemann import (
     KIND_RAREFACTION,
     SIDE_RIGHT,
@@ -127,16 +126,10 @@ def check_dei(
         raise ConfigError("k_values must be a non-empty 1d sequence")
 
     sch = Scheme(model, mesh, result.cfl.lipschitz)
-    xl = sch.xc_ext[:-1][None, :]
-    xr = sch.xc_ext[1:][None, :]
-    al = sch.al_ext[:-1][None, :]
-    ar = sch.al_ext[1:][None, :]
     kcol = ks[:, None]
 
     # F(k, k) per edge is time independent; difference it once per level.
-    n_edges = sch.xc_ext.size - 1
-    kk = np.broadcast_to(kcol, (ks.size, n_edges))
-    f_kk = interface_flux_profile(model, xl, xr, al, ar, kk, kk)
+    f_kk = sch.edge_fluxes(np.broadcast_to(kcol, (ks.size, mesh.n_cells)))
     d_kk = f_kk[:, 1:] - f_kk[:, :-1]
 
     dx = mesh.dx
@@ -146,12 +139,7 @@ def check_dei(
         u = result.states[n].u
         u1 = result.states[n + 1].u
         dt = result.states[n + 1].time - result.states[n].time
-        ue = np.pad(u, 1, mode="edge")
-        hi = np.maximum(ue[None, :], kcol)
-        lo = np.minimum(ue[None, :], kcol)
-        phi = interface_flux_profile(
-            model, xl, xr, al, ar, hi[:, :-1], hi[:, 1:]
-        ) - interface_flux_profile(model, xl, xr, al, ar, lo[:, :-1], lo[:, 1:])
+        phi = sch.edge_fluxes(np.maximum(u, kcol)) - sch.edge_fluxes(np.minimum(u, kcol))
         du1 = u1[None, :] - kcol
         slack = (
             (np.abs(du1) - np.abs(u[None, :] - kcol)) * dx
@@ -226,16 +214,7 @@ def consistency_rate(
         half = math.ceil((X + 4 * dx + 1e-12) / dx) * dx
         mesh = Mesh.make(-half, half, dx)
         sch = Scheme(model, mesh, lipschitz=1.0)
-        edge_k = np.full(sch.xc_ext.size - 1, k)
-        f_kk = interface_flux_profile(
-            model,
-            sch.xc_ext[:-1],
-            sch.xc_ext[1:],
-            sch.al_ext[:-1],
-            sch.al_ext[1:],
-            edge_k,
-            edge_k,
-        )
+        f_kk = sch.edge_fluxes(np.full(mesh.n_cells, k))
         target = np.asarray(model.h(sch.xc_ext[1:], k), dtype=float)
         devs.append(float(np.max(np.abs(f_kk - target))))
     devs = np.asarray(devs)

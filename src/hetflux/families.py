@@ -33,14 +33,19 @@ def quadratic(coefficient: float = 0.5, shift: float = 0.0, offset: float = 0.0)
     c, s, o = float(coefficient), float(shift), float(offset)
     if c <= 0:
         raise ConfigError(f"quadratic family needs coefficient > 0, got {c}")
+
+    def flux(u):
+        return c * (np.asarray(u, dtype=float) - s) ** 2 + o
+
     return FluxModel(
-        h=lambda x, u: c * (np.asarray(u, dtype=float) - s) ** 2 + o,
+        h=lambda x, u: flux(u),
         du_h=lambda x, u: 2.0 * c * (np.asarray(u, dtype=float) - s),
         dx_h=_zeros_like_broadcast,
         hetero_radius=0.0,
         name="quadratic",
         params={"coefficient": c, "shift": s, "offset": o},
         alpha_hint=lambda x: s * np.ones(np.asarray(x, dtype=float).shape),
+        freeze=lambda xs: flux,
     )
 
 
@@ -78,6 +83,12 @@ def two_state(
     def dx_h(x, u):
         return _zeros_like_broadcast(x, u)
 
+    def freeze(xs):
+        # Per-position triples; the same expression as h, one branch per cell.
+        left = np.asarray(xs, dtype=float) <= 0.0
+        c, s, o = (np.where(left, a, b) for a, b in ((cl, cr), (sl, sr), (ol, orr)))
+        return lambda u: c * (np.asarray(u, dtype=float) - s) ** 2 + o
+
     return FluxModel(
         h=h,
         du_h=du_h,
@@ -90,6 +101,7 @@ def two_state(
             "radius": float(radius),
         },
         alpha_hint=lambda x: np.where(np.asarray(x, dtype=float) <= 0.0, sl, sr),
+        freeze=freeze,
     )
 
 
@@ -124,12 +136,13 @@ def heterogeneous_quadratic(
     def ell(x):
         return lb + la * bump(np.asarray(x, dtype=float) / X)
 
-    def gfun(x):
-        return gb + ga * bump(np.asarray(x, dtype=float) / X)
+    def freeze(xs):
+        b = bump(np.asarray(xs, dtype=float) / X)
+        th, el, g = tb + ta * b, lb + la * b, gb + ga * b
+        return lambda u: th * (np.asarray(u, dtype=float) - el) ** 2 + g
 
     def h(x, u):
-        u = np.asarray(u, dtype=float)
-        return theta(x) * (u - ell(x)) ** 2 + gfun(x)
+        return freeze(x)(u)
 
     def du_h(x, u):
         u = np.asarray(u, dtype=float)
@@ -155,6 +168,7 @@ def heterogeneous_quadratic(
             "radius": X,
         },
         alpha_hint=ell,
+        freeze=freeze,
     )
 
 
@@ -191,9 +205,17 @@ def lwr(
     def rho_prime(x):
         return (r2 - r1) * smoothstep_prime((np.asarray(x, dtype=float) + X) / (2 * X)) / (2 * X)
 
+    def freeze(xs):
+        v, r = vel(xs), rho(xs)
+
+        def flux(u):
+            u = np.asarray(u, dtype=float)
+            return v * u * (1.0 - u / r)
+
+        return flux
+
     def h(x, u):
-        u = np.asarray(u, dtype=float)
-        return vel(x) * u * (1.0 - u / rho(x))
+        return freeze(x)(u)
 
     def du_h(x, u):
         u = np.asarray(u, dtype=float)
@@ -215,4 +237,5 @@ def lwr(
             "radius": X,
         },
         crit_hint=lambda x: rho(x) / 2.0,
+        freeze=freeze,
     )

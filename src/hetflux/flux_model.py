@@ -41,6 +41,8 @@ class FluxModel:
         concave flux via the state substitution (see from_concave).
     alpha_hint: optional analytic critical curve x -> alpha(x); used to seed
         and cross-check root solves, never trusted blindly.
+    freeze: optional xs -> (u -> H(xs, u)) that evaluates the x-dependent
+        coefficients once; None freezes as u -> h(xs, u) (see frozen_flux).
     """
 
     h: Callable
@@ -51,6 +53,7 @@ class FluxModel:
     name: str = "custom"
     params: dict = field(default_factory=dict)
     alpha_hint: Optional[Callable] = None
+    freeze: Optional[Callable] = None
 
     def __post_init__(self):
         if self.hetero_radius < 0:
@@ -76,6 +79,7 @@ class FluxModel:
         name="custom-concave",
         params=None,
         crit_hint=None,
+        freeze=None,
     ):
         """Wrap a concave-in-u flux as a convex model via u -> -u.
 
@@ -97,6 +101,12 @@ class FluxModel:
             def hint(x, _f=crit_hint):
                 return -np.asarray(_f(x), dtype=float)
 
+        freeze_red = None
+        if freeze is not None:
+            def freeze_red(xs, _f=freeze):
+                f = _f(xs)
+                return lambda w: -f(-np.asarray(w, dtype=float))
+
         return cls(
             h=h_red,
             du_h=du_red,
@@ -106,7 +116,20 @@ class FluxModel:
             name=name,
             params=dict(params or {}),
             alpha_hint=hint,
+            freeze=freeze_red,
         )
+
+
+def frozen_flux(model: FluxModel, xs) -> Callable:
+    """u -> H(xs, u) with the flux frozen at the positions xs.
+
+    Uses the model's freeze hook when it has one, so x-dependent coefficients
+    are evaluated here once; the returned callable broadcasts u against xs.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if model.freeze is not None:
+        return model.freeze(xs)
+    return lambda u: np.asarray(model.h(xs, u), dtype=float)
 
 
 def critical_point(model: FluxModel, x: float, hint: Optional[float] = None) -> float:

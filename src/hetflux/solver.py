@@ -2,7 +2,9 @@
 
 Cell j carries the flux frozen at its center, h_j = H(x_j, .); the numerical
 flux between cells j and j+1 is the interface flux of the pair (h_j, h_{j+1})
-evaluated at the adjacent cell averages. The update is the standard
+evaluated at the adjacent cell averages. These per-cell fluxes are frozen
+once per mesh (see frozen_flux), so a step evaluates no x-dependent
+coefficient. The update is the standard
 conservative explicit Euler step
 
     u_j'  =  u_j - (dt/dx) (F_{j+1/2} - F_{j-1/2}),
@@ -23,8 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .flux_model import CriticalCurve, FluxModel, critical_points
-from .interface import interface_flux_profile
+from .flux_model import CriticalCurve, FluxModel, critical_points, frozen_flux
 from .steady import Envelope, envelope
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -80,7 +81,8 @@ class CflPolicy:
 
 
 class Scheme:
-    """Per-mesh tables: ghost-extended centers and critical points.
+    """Per-mesh tables: ghost-extended centers, critical points, and the
+    fluxes of the left and right cell of every edge, frozen at the centers.
 
     Precomputed once; step() is then a handful of vectorized flux evaluations.
     """
@@ -92,17 +94,26 @@ class Scheme:
         xc = mesh.centers()
         self.xc_ext = np.concatenate(([xc[0] - mesh.dx], xc, [xc[-1] + mesh.dx]))
         self.al_ext = critical_points(model, self.xc_ext)
+        self.h_left = frozen_flux(model, self.xc_ext[:-1])
+        self.h_right = frozen_flux(model, self.xc_ext[1:])
+        if model.freeze is not None:
+            # A copy with a replaced h keeps the old hook; require exact agreement.
+            probe = self.al_ext + np.array([[0.0], [1.0]])
+            for f, side in ((self.h_left, slice(None, -1)), (self.h_right, slice(1, None))):
+                u = probe[:, side]
+                if not np.array_equal(f(u), model.h(self.xc_ext[side], u)):
+                    raise ConfigError(f"flux model {model.name!r}: freeze hook disagrees with h")
 
     def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
-        u_ext = np.pad(np.asarray(u, dtype=float), 1, mode="edge")
-        return interface_flux_profile(
-            self.model,
-            self.xc_ext[:-1],
-            self.xc_ext[1:],
-            self.al_ext[:-1],
-            self.al_ext[1:],
-            u_ext[:-1],
-            u_ext[1:],
+        """Interface flux at every edge for cell states u of shape (..., n_cells).
+
+        Ghost cells replicate the boundary cells along the last axis.
+        """
+        u = np.asarray(u, dtype=float)
+        u_ext = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
+        return np.maximum(
+            self.h_left(np.maximum(u_ext[..., :-1], self.al_ext[:-1])),
+            self.h_right(np.minimum(self.al_ext[1:], u_ext[..., 1:])),
         )
 
     def step_arrays(self, u: np.ndarray, dt: float):

@@ -29,7 +29,6 @@ from .flux_model import (
     critical_points,
     legendre_sup,
 )
-from .interface import interface_flux_profile
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,13 +200,7 @@ def envelope(
 
 def steady_residual(state: SteadyState, model: FluxModel, mesh) -> float:
     """Max interface-flux imbalance of the sequence (0 for an exact fixed point)."""
-    u = np.asarray(state.values, dtype=float)
-    xc = mesh.centers()
-    dx = mesh.dx
-    u_ext = np.pad(u, 1, mode="edge")
-    xc_ext = np.concatenate(([xc[0] - dx], xc, [xc[-1] + dx]))
-    al_ext = critical_points(model, xc_ext)
-    F = interface_flux_profile(
-        model, xc_ext[:-1], xc_ext[1:], al_ext[:-1], al_ext[1:], u_ext[:-1], u_ext[1:]
-    )
+    from .solver import Scheme  # solver imports this module
+
+    F = Scheme(model, mesh, lipschitz=1.0).edge_fluxes(state.values)
     return float(np.max(np.abs(np.diff(F))))

@@ -9,14 +9,16 @@ Numbers frozen below:
   1 + 3 t / 8 and the mass-weighted front sits at (mass - 1) / 1.5.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from hetflux.errors import ConfigError, NumericalError
-from hetflux.families import quadratic, two_state
-from hetflux.interface import godunov_flux
+from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
+from hetflux.flux_model import FluxModel
+from hetflux.interface import godunov_flux, interface_flux_profile
 from hetflux.solver import (
     GridState,
     Mesh,
@@ -201,6 +203,73 @@ def test_homogeneous_update_matches_godunov(burgers_model, rng):
         want = u - (dt / mesh.dx) * np.diff(F)
         assert np.max(np.abs(u_new - want)) <= 1e-14
         u = u_new
+
+
+# ---------------------------------------------------------------------------
+# frozen per-cell fluxes
+
+
+def _custom_model():
+    """x-dependent cosh flux with no freeze hook (the default freezing)."""
+    a = lambda x: 1.5 + 0.5 * np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
+    return FluxModel(
+        h=lambda x, u: a(x) * (np.cosh(np.asarray(u, dtype=float) - 0.2) - 1.0),
+        du_h=lambda x, u: a(x) * np.sinh(np.asarray(u, dtype=float) - 0.2),
+        dx_h=lambda x, u: np.where(np.abs(np.asarray(x, dtype=float)) < 1.0, 0.5, 0.0)
+        * (np.cosh(np.asarray(u, dtype=float) - 0.2) - 1.0),
+        hetero_radius=1.0,
+    )
+
+
+MODELS = {
+    "quadratic": quadratic,
+    "two_state": two_state,
+    "heterogeneous_quadratic": heterogeneous_quadratic,
+    "lwr": lwr,
+    "custom": _custom_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_edge_fluxes_match_unfrozen_oracle(name, rng):
+    model = MODELS[name]()
+    mesh = Mesh.make(-2.0, 2.0, 0.05)
+    sch = Scheme(model, mesh, lipschitz=1.0)
+    xl, xr = sch.xc_ext[:-1], sch.xc_ext[1:]
+    al, ar = sch.al_ext[:-1], sch.al_ext[1:]
+    # states on both sides of the critical curve, one row per level as in check_dei
+    U = sch.al_ext[1:-1] + rng.uniform(-1.0, 1.0, (4, mesh.n_cells))
+    ext = np.concatenate((U[:, :1], U, U[:, -1:]), axis=1)
+    want = interface_flux_profile(
+        model, xl[None, :], xr[None, :], al[None, :], ar[None, :], ext[:, :-1], ext[:, 1:]
+    )
+    assert np.array_equal(sch.edge_fluxes(U), want)
+    for row in range(U.shape[0]):
+        want_1d = interface_flux_profile(model, xl, xr, al, ar, ext[row, :-1], ext[row, 1:])
+        assert np.array_equal(sch.edge_fluxes(U[row]), want_1d)
+
+
+@pytest.mark.filterwarnings("ignore:.*influence cone")
+@pytest.mark.parametrize("name", ["quadratic", "two_state", "heterogeneous_quadratic", "lwr"])
+def test_run_matches_default_freeze_bitwise(name):
+    model = MODELS[name]()
+    plain = dataclasses.replace(model, freeze=None)
+    mesh = Mesh.make(-3.0, 3.0, 0.05)
+    datum = datum_bump(-0.5, 0.3, center=-0.3) if name == "lwr" else datum_step(1.0, -0.5)
+    a = run(model, mesh, datum, t_end=0.3)
+    b = run(plain, mesh, datum, t_end=0.3)
+    assert a.n_steps == b.n_steps > 0
+    assert a.final.u.tobytes() == b.final.u.tobytes()
+
+
+def test_stale_freeze_hook_is_rejected():
+    model = heterogeneous_quadratic()
+    mesh = Mesh.make(-2.0, 2.0, 0.05)
+    stale = dataclasses.replace(model, h=heterogeneous_quadratic(g_bump=0.2).h)
+    with pytest.raises(ConfigError, match="freeze hook"):
+        Scheme(stale, mesh, lipschitz=1.0)
+    # a wrapper around the same h (say, a call counter) still agrees exactly
+    Scheme(dataclasses.replace(model, h=lambda x, u: model.h(x, u)), mesh, lipschitz=1.0)
 
 
 # ---------------------------------------------------------------------------
