@@ -62,7 +62,6 @@ from .solver import (
     lipschitz_bound,
     project_initial,
     run,
-    step,
 )
 from .diagnostics import (
     ConsistencyReport,
@@ -94,7 +93,7 @@ __all__ = [
     "Mesh", "GridState", "CflPolicy", "Scheme", "PiecewiseConstantDatum",
     "SmoothDatum", "datum_constant", "datum_step", "datum_bump",
     "datum_from_table", "project_initial", "lipschitz_bound", "cfl_dt",
-    "step", "run", "RunResult",
+    "run", "RunResult",
     "EntropyReport", "ConsistencyReport", "ConvergenceReport", "check_dei",
     "consistency_rate", "convergence_study", "riemann_error",
     "norm_between_grids", "time_variation_sum",

@@ -387,11 +387,11 @@ def _run_pipeline(cfg: ExperimentConfig, record_all: bool = False):
         f"envelope [{lo:.6g}, {hi:.6g}]; relative mass drift "
         f"{result.mass_drift:.3e}; outputs in {outdir}"
     )
-    return result, outdir, outputs, extra, started
+    return result, outdir, outputs, extra, started, curve
 
 
 def cmd_run(args, cfg: ExperimentConfig) -> int:
-    _, outdir, outputs, extra, started = _run_pipeline(cfg)
+    _, outdir, outputs, extra, started, _ = _run_pipeline(cfg)
     _write_manifest(outdir, cfg, "run", extra, outputs + ["manifest.json"], started)
     return EXIT_OK
 
@@ -533,7 +533,7 @@ _CONSISTENCY_DXS = (1.0 / 50, 1.0 / 100, 1.0 / 200, 1.0 / 400)
 
 
 def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
-    result, outdir, outputs, extra, started = _run_pipeline(cfg, record_all=True)
+    result, outdir, outputs, extra, started, curve = _run_pipeline(cfg, record_all=True)
     model = result.model
     precision = cfg.output["precision"]
     checks = []  # (name, metric, value, threshold, ok)
@@ -559,7 +559,6 @@ def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
     ))
 
     if cfg.diagnostics["consistency"] and cfg.flux["family"] in _SMOOTH_HETEROGENEOUS:
-        curve = CriticalCurve.build(model)
         # Crossing level at 90% of the critical band: the transition profiles
         # are flat at their ends, so a crossing too close to a band edge is
         # degenerate and reaches first order only on much finer meshes.

@@ -11,11 +11,13 @@ which turns them convex; such models carry orientation "concave" and callers
 convert states at the input/output boundary with to_internal/to_physical.
 
 All callables are expected to broadcast over numpy arrays in both arguments.
+The inversions of H(x, .) below (critical_point, branch_inverse,
+legendre_transform) run one vectorized root solve over all their points; a
+scalar is handled as a 0-d array and comes back as a float.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -132,72 +134,24 @@ def frozen_flux(model: FluxModel, xs) -> Callable:
     return lambda u: np.asarray(model.h(xs, u), dtype=float)
 
 
-def critical_point(model: FluxModel, x: float, hint: Optional[float] = None) -> float:
-    """Unique minimizer alpha(x) of H(x, .): the root of du_h(x, .).
+def critical_point(model: FluxModel, x):
+    """Unique minimizer alpha(x) of H(x, .), the root of du_h(x, .), elementwise.
 
-    Bracketed bisection from an expanding search; residual |du_h| <= 1e-12.
+    The model's alpha_hint is taken when |du_h| <= 1e-9 there at every x;
+    otherwise the root solve runs, to a residual |du_h| <= 1e-12.
     """
-    x0 = hint
-    if x0 is None and model.alpha_hint is not None:
-        x0 = float(model.alpha_hint(x))
-    if x0 is None:
-        x0 = 0.0
-    return solve_increasing(
-        lambda p: float(model.du_h(x, p)), x0=x0, step=1.0, tol_res=TOL_ROOT
-    )
-
-
-def _bisect_arrays(g, xs_shape, lo0=-1.0, hi0=1.0, iters=100):
-    """Vectorized bisection for g increasing in its argument, elementwise.
-
-    g maps an array of states to an array of residuals. Brackets are expanded
-    geometrically per element, then bisected a fixed number of rounds (enough
-    for ulp-level intervals from any bracket the expansion can produce).
-    """
-    lo = np.full(xs_shape, float(lo0))
-    hi = np.full(xs_shape, float(hi0))
-    step = 1.0
-    glo = g(lo)
-    for _ in range(120):
-        mask = glo > 0.0
-        if not mask.any():
-            break
-        lo = np.where(mask, lo - step, lo)
-        glo = g(lo)
-        step *= 2.0
-    else:
-        raise NumericalError("vectorized root search: lower bracket not found")
-    step = 1.0
-    ghi = g(hi)
-    for _ in range(120):
-        mask = ghi < 0.0
-        if not mask.any():
-            break
-        hi = np.where(mask, hi + step, hi)
-        ghi = g(hi)
-        step *= 2.0
-    else:
-        raise NumericalError("vectorized root search: upper bracket not found")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        neg = g(mid) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def critical_points(model: FluxModel, xs) -> np.ndarray:
-    """Vectorized alpha(x) over an array of positions."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = np.asarray(x, dtype=float)
+    a = None
     if model.alpha_hint is not None:
-        a = np.broadcast_to(
+        hint = np.broadcast_to(
             np.asarray(model.alpha_hint(xs), dtype=float), xs.shape
         ).astype(float)
-        res = np.abs(np.asarray(model.du_h(xs, a), dtype=float))
-        if res.size and float(np.max(res)) <= 1e-9:
-            return a
-        # Hint disagrees with du_h; fall through to the generic solve.
-    return _bisect_arrays(lambda p: np.asarray(model.du_h(xs, p), dtype=float), xs.shape)
+        # A hint that disagrees with du_h is dropped for the generic solve.
+        if np.all(np.abs(np.asarray(model.du_h(xs, hint), dtype=float)) <= 1e-9):
+            a = hint
+    if a is None:
+        a = solve_increasing(lambda p: np.asarray(model.du_h(xs, p), dtype=float), xs.shape)
+    return float(a) if a.ndim == 0 else a
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +177,7 @@ class CriticalCurve:
             # Include the center: bump-built coefficient curves peak there and
             # an even linspace count would skip it.
             xs = np.union1d(np.linspace(-X, X, n_samples), [0.0])
-        alphas = critical_points(model, xs)
+        alphas = critical_point(model, xs)
         return cls(
             model=model,
             xs=xs,
@@ -234,117 +188,97 @@ class CriticalCurve:
 
     def alpha(self, x):
         """Critical point at x (scalar in, scalar out; array in, array out)."""
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return critical_point(self.model, float(x))
-        return critical_points(self.model, x)
+        return critical_point(self.model, x)
 
     def hmin(self, x):
         """Pointwise minimum of H(x, .)."""
         return self.model.h(x, self.alpha(x))
 
 
-def branch_inverse(
-    model: FluxModel,
-    x: float,
-    y: float,
-    side: str,
-    alpha: Optional[float] = None,
-    tol: float = TOL_ROOT,
-) -> float:
-    """Solve H(x, s) = y on one monotone branch.
+def invert_branch(f: Callable, df: Callable, alpha, y, side: str, tol: float = TOL_ROOT):
+    """Solve f(s) = y on one monotone branch of a convex f, elementwise.
 
-    side "plus" returns the solution >= alpha(x), "minus" the one <= alpha(x).
-    y slightly below the minimum (within 1e-10) is clamped to the minimum and
-    alpha(x) is returned; y further below raises NumericalError.
+    f and df broadcast over arrays; alpha holds the minimizers of f and
+    broadcasts against the levels y. side "plus" returns the solution >= alpha,
+    "minus" the one <= alpha. Levels slightly below the minimum (within 1e-10)
+    are clamped to it and return alpha; any level further below raises
+    NumericalError. tol bounds the residual |f(s) - y| relative to the flux
+    scale, as tol * (1 + |y| + |f(alpha)|) per element: f(s) - y is rounded
+    at that scale, so an absolute bound would reject exact roots of large
+    levels.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    a = critical_point(model, x) if alpha is None else float(alpha)
-    hmin = float(model.h(x, a))
-    if y < hmin:
-        if y >= hmin - CLAMP_SLACK:
-            return a
-        raise NumericalError(
-            f"branch_inverse: level y={y:g} below min H(x,.)={float(hmin):g} at x={x:g}"
-        )
-    scale = 1.0 + math.sqrt((y - hmin) / max(1e-30, abs(float(model.du_h(x, a + 1.0)))))
-    if side == "plus":
-        # h - y is increasing on [alpha, inf) and <= 0 at alpha.
-        return solve_increasing(
-            lambda s: float(model.h(x, s)) - y,
-            dg=lambda s: float(model.du_h(x, s)),
-            x0=a,
-            step=scale,
-            tol_res=tol,
-        )
-    # On (-inf, alpha], h is decreasing, so y - h is increasing with
-    # derivative -du_h; the expanding search walks left from alpha.
-    return solve_increasing(
-        lambda s: y - float(model.h(x, s)),
-        dg=lambda s: -float(model.du_h(x, s)),
-        x0=a,
-        step=scale,
-        tol_res=tol,
-    )
-
-
-def branch_inverses(model: FluxModel, xs, y: float, side: str, alphas=None) -> np.ndarray:
-    """Vectorized branch inversion at one flux level over many positions.
-
-    Used by steady-state construction: every cell is solved against the same
-    level, so the flux-level invariant cannot drift along the recursion.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    a = critical_points(model, xs) if alphas is None else np.asarray(alphas, dtype=float)
-    hmin = np.asarray(model.h(xs, a), dtype=float)
+    a = np.asarray(alpha, dtype=float)
+    y = np.asarray(y, dtype=float)
+    hmin = np.asarray(f(a), dtype=float)
     deficit = hmin - y
     if np.any(deficit > CLAMP_SLACK):
-        j = int(np.argmax(deficit))
+        j = np.unravel_index(np.argmax(deficit), deficit.shape)
         raise NumericalError(
-            f"branch_inverses: level y={y:g} below min H={float(hmin[j]):g} "
-            f"at x={float(xs[j]):g}"
+            f"branch inversion: level y={float(np.broadcast_to(y, deficit.shape)[j]):g} "
+            f"below flux minimum {float(np.broadcast_to(hmin, deficit.shape)[j]):g}"
         )
     clamped = deficit > 0.0
-    # Clamped cells target their own minimum, so the bracketed search below
+    # Clamped elements target their own minimum, so the bracketed search below
     # still sees a sign change (y itself sits strictly below their range).
     y_eff = np.maximum(y, hmin)
     if side == "plus":
-        g = lambda s: np.asarray(model.h(xs, np.maximum(s, a)), dtype=float) - y_eff
-    elif side == "minus":
-        g = lambda s: y_eff - np.asarray(model.h(xs, np.minimum(s, a)), dtype=float)
+        g = lambda s: np.asarray(f(np.maximum(s, a)), dtype=float) - y_eff
     else:
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    out = _bisect_arrays(g, xs.shape, lo0=float(np.min(a)) - 1.0, hi0=float(np.max(a)) + 1.0)
+        g = lambda s: y_eff - np.asarray(f(np.minimum(s, a)), dtype=float)
+    out = solve_increasing(
+        g,
+        deficit.shape,
+        lo0=float(np.min(a)) - 1.0,
+        hi0=float(np.max(a)) + 1.0,
+        tol_res=tol * (1.0 + np.abs(y_eff) + np.abs(hmin)),
+    )
     out = np.maximum(out, a) if side == "plus" else np.minimum(out, a)
     out = np.where(clamped, a, out)
-    # One vectorized Newton polish pass; near-critical cells keep the bisected value.
+    # Three vectorized Newton polish passes; near-critical elements keep the
+    # bisected value.
     for _ in range(3):
-        res = np.asarray(model.h(xs, out), dtype=float) - y
-        d = np.asarray(model.du_h(xs, out), dtype=float)
+        res = np.asarray(f(out), dtype=float) - y
+        d = np.asarray(df(out), dtype=float)
         safe = np.abs(d) > 1e-8
         upd = out - np.where(safe, res / np.where(safe, d, 1.0), 0.0)
         upd = np.maximum(upd, a) if side == "plus" else np.minimum(upd, a)
-        better = np.abs(np.asarray(model.h(xs, upd), dtype=float) - y) <= np.abs(res)
+        better = np.abs(np.asarray(f(upd), dtype=float) - y) <= np.abs(res)
         out = np.where(better & ~clamped, upd, out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
-def legendre_transform(model: FluxModel, x: float, v: float) -> float:
-    """L(x, v) = sup_p (p v - H(x, p)), attained where du_h(x, p) = v."""
-    p = solve_increasing(
-        lambda q: float(model.du_h(x, q)) - v,
-        x0=0.0,
-        step=1.0 + abs(v),
-        tol_res=TOL_ROOT,
+def branch_inverse(model: FluxModel, x, y, side: str, alpha=None, tol: float = TOL_ROOT):
+    """Solve H(x, s) = y on one monotone branch, elementwise over x and y.
+
+    side "plus" returns the solution >= alpha(x), "minus" the one <= alpha(x);
+    alpha defaults to critical_point(model, x). Used by steady-state
+    construction with one level over every cell, so the flux-level invariant
+    cannot drift along the recursion. Clamping and errors as in invert_branch.
+    """
+    xs = np.asarray(x, dtype=float)
+    a = critical_point(model, xs) if alpha is None else alpha
+    return invert_branch(
+        lambda s: model.h(xs, s), lambda s: model.du_h(xs, s), a, y, side, tol
     )
-    return p * v - float(model.h(x, p))
 
 
-def _legendre_vec(model: FluxModel, xs: np.ndarray, v: float) -> np.ndarray:
-    ps = _bisect_arrays(
-        lambda p: np.asarray(model.du_h(xs, p), dtype=float) - v, xs.shape
+def legendre_transform(model: FluxModel, x, v):
+    """L(x, v) = sup_p (p v - H(x, p)), attained where du_h(x, p) = v.
+
+    Broadcasts over x and v. The slope equation is solved to a residual of
+    1e-12 * (1 + |v|).
+    """
+    xs = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    ps = solve_increasing(
+        lambda p: np.asarray(model.du_h(xs, p), dtype=float) - v,
+        np.broadcast(xs, v).shape,
+        tol_res=TOL_ROOT * (1.0 + np.abs(v)),
     )
-    return ps * v - np.asarray(model.h(xs, ps), dtype=float)
+    val = ps * v - np.asarray(model.h(xs, ps), dtype=float)
+    return float(val) if val.ndim == 0 else val
 
 
 def legendre_sup(model: FluxModel, lam: float, rtol: float = 1e-10) -> float:
@@ -359,7 +293,8 @@ def legendre_sup(model: FluxModel, lam: float, rtol: float = 1e-10) -> float:
 
     def sup_on(xs):
         return float(
-            np.max(np.maximum(_legendre_vec(model, xs, lam), _legendre_vec(model, xs, -lam)))
+            np.max(np.maximum(legendre_transform(model, xs, lam),
+                              legendre_transform(model, xs, -lam)))
         )
 
     if X == 0.0:

@@ -20,14 +20,13 @@ Sign convention: sign(0) = 0 throughout (Kruzhkov entropy fluxes).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
-from .flux_model import CLAMP_SLACK, FluxModel, critical_point
+from .errors import ConfigError
+from .flux_model import FluxModel, critical_point, invert_branch
 from .rootfind import TOL_ROOT, solve_increasing
 
 # Default state-space tolerance for germ membership checks.
@@ -56,7 +55,7 @@ class FluxSide:
 
     @classmethod
     def from_callables(cls, f, df):
-        alpha = solve_increasing(lambda s: float(df(s)), tol_res=TOL_ROOT)
+        alpha = float(solve_increasing(lambda s: np.asarray(df(s), dtype=float)))
         return cls(f=f, df=df, alpha=alpha, fmin=float(f(alpha)))
 
     @classmethod
@@ -67,32 +66,10 @@ class FluxSide:
         df = lambda s: np.asarray(model.du_h(x, s), dtype=float)
         return cls(f=f, df=df, alpha=a, fmin=float(f(a)))
 
-    def branch(self, y: float, side: str, tol: float = TOL_ROOT) -> float:
-        """Inverse of f on the increasing ("plus") or decreasing ("minus") branch."""
-        if y < self.fmin:
-            if y >= self.fmin - CLAMP_SLACK:
-                return self.alpha
-            raise NumericalError(
-                f"branch: level {y!r} below flux minimum {self.fmin!r}"
-            )
-        step = 1.0 + math.sqrt(max(y - self.fmin, 0.0))
-        if side == "plus":
-            return solve_increasing(
-                lambda s: float(self.f(s)) - y,
-                dg=lambda s: float(self.df(s)),
-                x0=self.alpha,
-                step=step,
-                tol_res=tol,
-            )
-        if side == "minus":
-            return solve_increasing(
-                lambda s: y - float(self.f(s)),
-                dg=lambda s: -float(self.df(s)),
-                x0=self.alpha,
-                step=step,
-                tol_res=tol,
-            )
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    def branch(self, y, side: str, tol: float = TOL_ROOT):
+        """Inverse of f on the increasing ("plus") or decreasing ("minus") branch,
+        with tol as in invert_branch."""
+        return invert_branch(self.f, self.df, self.alpha, y, side, tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ counted as waves.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,11 @@ from .interface import (
     GermClass,
     InterfaceContext,
     classify_germ,
+    godunov_flux,
     interface_flux,
     require_finite,
 )
-from .rootfind import TOL_ROOT, solve_increasing
+from .rootfind import solve_increasing
 
 # Jumps at or below this size are treated as no wave at all.
 ZERO_WAVE = 1e-12
@@ -130,31 +132,18 @@ def solve_classical(flux: FluxSide, u_l: float, u_r: float) -> RiemannSolution:
     """Riemann solution for a single convex flux (no interface)."""
     require_finite(u_l=u_l, u_r=u_r)
     u_l, u_r = float(u_l), float(u_r)
-    waves = tuple(_classical_waves(flux, u_l, u_r, SIDE_LEFT))
-    ctx = InterfaceContext(left=flux, right=flux)
     sol = RiemannSolution(
-        ctx=ctx,
+        ctx=InterfaceContext(left=flux, right=flux),
         u_left=u_l,
         u_right=u_r,
-        waves=waves,
+        waves=tuple(_classical_waves(flux, u_l, u_r, SIDE_LEFT)),
         trace_left=u_l,
         trace_right=u_r,
         case_tag="classical",
-        interface_flux_value=float(
-            np.maximum(flux.f(max(u_l, flux.alpha)), flux.f(min(flux.alpha, u_r)))
-        ),
+        interface_flux_value=float(godunov_flux(flux.f, flux.alpha, u_l, u_r)),
     )
-    tl = sample(sol, 0.0, left_limit=True)
-    tr = sample(sol, 0.0)
-    return RiemannSolution(
-        ctx=ctx,
-        u_left=u_l,
-        u_right=u_r,
-        waves=waves,
-        trace_left=tl,
-        trace_right=tr,
-        case_tag="classical",
-        interface_flux_value=sol.interface_flux_value,
+    return dataclasses.replace(
+        sol, trace_left=sample(sol, 0.0, left_limit=True), trace_right=sample(sol, 0.0)
     )
 
 
@@ -208,15 +197,15 @@ def solve_interface(
     )
 
 
-def _invert_rarefaction(sol: RiemannSolution, w: Wave, xi: float) -> float:
+def _invert_rarefaction(sol: RiemannSolution, w: Wave, xi) -> np.ndarray:
+    """States inside the fan w at the self-similar points xi: f'(s) = xi."""
     flux = sol.ctx.right if w.side == SIDE_RIGHT else sol.ctx.left
-    lo, hi = w.left_state, w.right_state
+    xi = np.asarray(xi, dtype=float)
     return solve_increasing(
-        lambda s: float(flux.df(s)) - xi,
-        x0=0.5 * (lo + hi),
-        step=max(hi - lo, 1e-6),
-        bracket=(lo, hi),
-        tol_res=TOL_ROOT,
+        lambda s: np.asarray(flux.df(s), dtype=float) - xi,
+        xi.shape,
+        lo0=w.left_state,
+        hi0=w.right_state,
     )
 
 
@@ -226,24 +215,24 @@ def sample(sol: RiemannSolution, xi, left_limit: bool = False):
     At exact wave speeds the right limit is returned; left_limit=True flips
     the convention (used for interface traces). Accepts scalars or arrays.
     """
-    arr = np.asarray(xi, dtype=float)
-    if arr.ndim > 0:
-        return np.array([sample(sol, float(z), left_limit) for z in arr.ravel()]).reshape(
-            arr.shape
+    z = np.asarray(xi, dtype=float)
+    flat = z.ravel()
+    # Wave speeds are nondecreasing along the solution and a fan ends where
+    # the next wave starts, so only the last wave a point has passed can hold
+    # that point inside its fan.
+    starts = np.array([w.speed_min for w in sol.waves], dtype=float)
+    states = np.array([sol.u_left] + [w.right_state for w in sol.waves])
+    passed = np.searchsorted(starts, flat, side="left" if left_limit else "right")
+    out = states[passed]
+    for i, w in enumerate(sol.waves):
+        if w.kind != KIND_RAREFACTION:
+            continue
+        inside = (passed == i + 1) & (
+            (flat <= w.speed_max) if left_limit else (flat < w.speed_max)
         )
-    z = float(arr)
-    cur = sol.u_left
-    for w in sol.waves:
-        if (z <= w.speed_min) if left_limit else (z < w.speed_min):
-            return cur
-        if w.kind == KIND_RAREFACTION:
-            inside = (w.speed_min < z <= w.speed_max) if left_limit else (
-                w.speed_min <= z < w.speed_max
-            )
-            if inside:
-                return _invert_rarefaction(sol, w, z)
-        cur = w.right_state
-    return cur
+        if inside.any():
+            out[inside] = _invert_rarefaction(sol, w, flat[inside])
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def wave_census(sol: RiemannSolution) -> dict:

@@ -1,145 +1,86 @@
-"""Scalar root finding for monotone functions.
+"""Root finding for increasing functions, elementwise over arrays.
 
-Everything the package inverts is strictly monotone on the search domain
+Everything the package inverts is strictly increasing on the search domain
 (u-derivatives of convex fluxes, flux branches on either side of the critical
-point), so a bracketed bisection with Newton acceleration is guaranteed to
-converge. Tolerances are on the residual |g(root)|, default 1e-12; the polish
-loop keeps iterating while the residual improves, which in practice lands
-within an ulp of the best representable root. That head-room matters: steady
-states built from these inversions must be machine-precision fixed points of
-the scheme.
+point), so bracketed bisection always converges. solve_increasing is the one
+solver: g maps an array of arguments to an array of residuals, each element
+is bracketed by geometric expansion from a common starting interval and then
+bisected for 100 rounds, enough for ulp-level intervals from any bracket the
+expansion can produce (the loop ends sooner once a round moves no bracket
+end, which changes no result). A scalar problem is a 0-d array.
+
+It raises NumericalError when g is NaN at a bracket end, when some element
+finds no sign change within the expansion budget, and when the final
+residual |g(root)| exceeds tol_res (default 1e-12) at any element. tol_res
+may be an array that broadcasts to the roots, so callers whose g subtracts a
+large level y can allow for rounding at the scale of |y|. The residual check
+matters: steady states built from these inversions must be machine-precision
+fixed points of the scheme.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Optional
+from typing import Callable
+
+import numpy as np
 
 from .errors import NumericalError
 
 TOL_ROOT = 1e-12
-_MAX_EXPAND = 200
-_MAX_BISECT = 110
-_MAX_NEWTON = 12
+_MAX_EXPAND = 120
+_BISECT_ROUNDS = 100
 
 
-def expand_bracket(
-    g: Callable[[float], float],
-    x0: float,
-    step: float = 1.0,
-) -> tuple[float, float, float, float]:
-    """Bracket a sign change of increasing g by geometric expansion from x0.
-
-    Returns (lo, hi, g(lo), g(hi)) with g(lo) <= 0 <= g(hi).
-    """
-    g0 = g(x0)
-    if math.isnan(g0):
-        raise NumericalError(f"root search: g({x0!r}) is NaN")
-    if g0 == 0.0:
-        return x0, x0, 0.0, 0.0
-    step = abs(step) if step != 0.0 else 1.0
-    if g0 < 0.0:
-        lo, glo = x0, g0
-        hi = x0 + step
-        for _ in range(_MAX_EXPAND):
-            ghi = g(hi)
-            if math.isnan(ghi):
-                raise NumericalError(f"root search: g({hi!r}) is NaN")
-            if ghi >= 0.0:
-                return lo, hi, glo, ghi
-            lo, glo = hi, ghi
-            step *= 2.0
-            hi += step
-    else:
-        hi, ghi = x0, g0
-        lo = x0 - step
-        for _ in range(_MAX_EXPAND):
-            glo = g(lo)
-            if math.isnan(glo):
-                raise NumericalError(f"root search: g({lo!r}) is NaN")
-            if glo <= 0.0:
-                return lo, hi, glo, ghi
-            hi, ghi = lo, glo
-            step *= 2.0
-            lo -= step
+def _expand(g: Callable, x: np.ndarray, sign: float, end: str) -> np.ndarray:
+    """Walk x by doubling steps in direction `sign` until sign * g(x) >= 0."""
+    step = 1.0
+    gx = g(x)
+    for _ in range(_MAX_EXPAND):
+        if np.any(np.isnan(gx)):
+            raise NumericalError(f"root search: g is NaN at the {end} bracket end")
+        mask = sign * gx < 0.0
+        if not mask.any():
+            return x
+        x = np.where(mask, x + sign * step, x)
+        gx = g(x)
+        step *= 2.0
     raise NumericalError(
-        "root search: no sign change found (function not coercive on this side?)"
+        f"root search: no sign change found, {end} bracket end not reached "
+        "(function not coercive on this side?)"
     )
 
 
 def solve_increasing(
-    g: Callable[[float], float],
-    dg: Optional[Callable[[float], float]] = None,
-    x0: float = 0.0,
-    step: float = 1.0,
-    tol_res: float = TOL_ROOT,
-    bracket: Optional[tuple[float, float]] = None,
-) -> float:
-    """Root of a strictly increasing scalar function.
+    g: Callable[[np.ndarray], np.ndarray],
+    xs_shape: tuple = (),
+    lo0: float = -1.0,
+    hi0: float = 1.0,
+    tol_res=TOL_ROOT,
+) -> np.ndarray:
+    """Roots of g, increasing in its argument elementwise, as an array of xs_shape.
 
-    Bracketed bisection seeded by an expanding search from x0, accelerated and
-    polished by Newton steps when dg is provided. Raises NumericalError if the
-    final residual exceeds tol_res.
+    Every element starts from the bracket [lo0, hi0]; ends that do not
+    straddle zero move outward by steps 1, 2, 4, ... per element. tol_res is
+    a float or an array broadcasting to xs_shape, the bound on |g(root)|.
     """
-    if bracket is None:
-        lo, hi, glo, ghi = expand_bracket(g, x0, step)
-    else:
-        lo, hi = bracket
-        glo, ghi = g(lo), g(hi)
-        if glo > 0.0 or ghi < 0.0:
-            raise NumericalError("root search: supplied bracket does not straddle zero")
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-
-    x = 0.5 * (lo + hi)
-    best_x, best_res = x, math.inf
-    for _ in range(_MAX_BISECT):
-        gx = g(x)
-        agx = abs(gx)
-        if agx < best_res:
-            best_x, best_res = x, agx
-        if gx == 0.0:
-            return x
-        if gx < 0.0:
-            lo = x
-        else:
-            hi = x
-        if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi), 1.0)):
+    lo = _expand(g, np.full(xs_shape, float(lo0)), -1.0, "lower")
+    hi = _expand(g, np.full(xs_shape, float(hi0)), 1.0, "upper")
+    for _ in range(_BISECT_ROUNDS):
+        mid = 0.5 * (lo + hi)
+        neg = g(mid) < 0.0
+        lo_next, hi_next = np.where(neg, mid, lo), np.where(neg, hi, mid)
+        # A round that moves no bracket end is a fixed point: every later
+        # round would repeat it, so stopping here returns the same bits.
+        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
             break
-        xn = None
-        if dg is not None:
-            d = dg(x)
-            if d > 0.0 and math.isfinite(d):
-                cand = x - gx / d
-                if lo < cand < hi:
-                    xn = cand
-        x = xn if xn is not None else 0.5 * (lo + hi)
-
-    # Newton polish: iterate while the residual strictly improves.
-    if dg is not None:
-        x = best_x
-        for _ in range(_MAX_NEWTON):
-            gx = g(x)
-            agx = abs(gx)
-            if agx < best_res:
-                best_x, best_res = x, agx
-            if gx == 0.0:
-                return x
-            d = dg(x)
-            if not (d > 0.0 and math.isfinite(d)):
-                break
-            xn = x - gx / d
-            if xn == x or not math.isfinite(xn):
-                break
-            x = xn
-        gx = abs(g(x))
-        if gx < best_res:
-            best_x, best_res = x, gx
-
-    if best_res > tol_res:
+        lo, hi = lo_next, hi_next
+    root = 0.5 * (lo + hi)
+    res = np.abs(g(root))
+    tol = np.broadcast_to(np.asarray(tol_res, dtype=float), res.shape)
+    bad = np.flatnonzero(~(res <= tol))
+    if bad.size:
+        j = bad[0]
         raise NumericalError(
-            f"root search: residual {best_res:.3e} exceeds tolerance {tol_res:.3e}"
+            f"root search: residual {res.flat[j]:.3e} exceeds tolerance {tol.flat[j]:.3e}"
         )
-    return best_x
+    return root

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .flux_model import CriticalCurve, FluxModel, critical_points, frozen_flux
+from .flux_model import CriticalCurve, FluxModel, critical_point, frozen_flux
 from .steady import Envelope, envelope
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -84,7 +84,8 @@ class Scheme:
     """Per-mesh tables: ghost-extended centers, critical points, and the
     fluxes of the left and right cell of every edge, frozen at the centers.
 
-    Precomputed once; step() is then a handful of vectorized flux evaluations.
+    Precomputed once; step_arrays() is then a handful of vectorized flux
+    evaluations.
     """
 
     def __init__(self, model: FluxModel, mesh: Mesh, lipschitz: float):
@@ -93,7 +94,7 @@ class Scheme:
         self.lipschitz = float(lipschitz)
         xc = mesh.centers()
         self.xc_ext = np.concatenate(([xc[0] - mesh.dx], xc, [xc[-1] + mesh.dx]))
-        self.al_ext = critical_points(model, self.xc_ext)
+        self.al_ext = critical_point(model, self.xc_ext)
         self.h_left = frozen_flux(model, self.xc_ext[:-1])
         self.h_right = frozen_flux(model, self.xc_ext[1:])
         if model.freeze is not None:
@@ -165,19 +166,6 @@ def cfl_dt(
     if max_dt is not None:
         dt = min(dt, max_dt)
     return CflPolicy(safety=safety, lam=dt / mesh.dx, lipschitz=L)
-
-
-def step(state: GridState, model: FluxModel, mesh: Mesh, dt: float,
-         scheme: Optional[Scheme] = None, lipschitz: Optional[float] = None) -> GridState:
-    """Single explicit update of a grid state (convenience wrapper)."""
-    if scheme is None:
-        if lipschitz is None:
-            lo = float(np.min(state.u))
-            hi = float(np.max(state.u))
-            lipschitz = lipschitz_bound(model, lo, hi)
-        scheme = Scheme(model, mesh, lipschitz)
-    u_new, _, _ = scheme.step_arrays(np.asarray(state.u, dtype=float), dt)
-    return GridState(u=u_new, time=state.time + dt, step_index=state.step_index + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ from .errors import ConfigError
 from .flux_model import (
     CriticalCurve,
     FluxModel,
-    branch_inverses,
-    critical_points,
+    branch_inverse,
     legendre_sup,
 )
 
@@ -91,9 +90,8 @@ def build_steady(
             "level across the whole domain"
         )
     centers = mesh.centers()
-    alphas = critical_points(model, centers)
     side = "plus" if branch == "upper" else "minus"
-    values = branch_inverses(model, centers, level, side, alphas=alphas)
+    values = branch_inverse(model, centers, level, side)
     bound = float(np.max(values)) if branch == "upper" else float(np.min(values))
     return SteadyState(
         values=values,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
-from hetflux.interface import InterfaceContext
+from hetflux.interface import InterfaceContext, germ_pair
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +37,20 @@ def burgers_model():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def germ_pairs():
+    """germ_pair over many (level, class) draws, as a list of pairs in draw
+    order; one vectorized branch solve per class instead of one per draw."""
+
+    def build(ctx, levels, classes):
+        levels = np.asarray(levels, dtype=float)
+        classes = np.asarray(classes)
+        k_l, k_r = np.empty_like(levels), np.empty_like(levels)
+        for which in np.unique(classes):
+            sel = classes == which
+            k_l[sel], k_r[sel] = germ_pair(ctx, levels[sel], str(which))
+        return list(zip(k_l.tolist(), k_r.tolist()))
+
+    return build

@@ -33,7 +33,6 @@ from hetflux.interface import (
     InterfaceContext,
     classify_germ,
     dissipativity_gap,
-    germ_pair,
     interface_flux,
     remainder,
 )
@@ -205,7 +204,7 @@ def test_criterion_07_discrete_entropy_inequalities(golden_runs):
         assert np.all(rep.max_slack_per_k <= bound), (name, rep.summary())
 
 
-def test_criterion_08_germ_algebra(pair_model, hq_model, lwr_model):
+def test_criterion_08_germ_algebra(pair_model, hq_model, lwr_model, germ_pairs):
     rng = np.random.default_rng(20240519)
     contexts = (
         InterfaceContext.from_model(pair_model, -1.0, 1.0),
@@ -218,8 +217,7 @@ def test_criterion_08_germ_algebra(pair_model, hq_model, lwr_model):
 
         # dissipativity over 100 x 100 sampled germ pairs
         levels = floor + rng.uniform(1e-6, 2.0, 100)
-        pool = [germ_pair(ctx, float(lv), branches[i % 3])
-                for i, lv in enumerate(levels)]
+        pool = germ_pairs(ctx, levels, [branches[i % 3] for i in range(levels.size)])
         for u in pool:
             for k in pool:
                 assert dissipativity_gap(ctx, u, k) >= -1e-12
@@ -247,10 +245,12 @@ def test_criterion_08_germ_algebra(pair_model, hq_model, lwr_model):
         # excluded-branch pairs break dissipativity against some germ pair;
         # only members at strictly lower flux level can witness this, so
         # sample one below each excluded level in case the pool has none
-        for z in rng.uniform(1e-3, 2.0, 100):
-            exc = germ_pair(ctx, floor + float(z), "excluded")
+        zs = rng.uniform(1e-3, 2.0, 100)
+        excluded = germ_pairs(ctx, floor + zs, ["excluded"] * zs.size)
+        below = germ_pairs(ctx, floor + 0.5 * zs, ["G1"] * zs.size)
+        for exc, k_below in zip(excluded, below):
             assert not classify_germ(ctx, *exc).is_member
-            witnesses = pool + [germ_pair(ctx, floor + 0.5 * float(z), "G1")]
+            witnesses = pool + [k_below]
             assert any(dissipativity_gap(ctx, exc, k) < -1e-12 for k in witnesses)
 
 
@@ -290,20 +290,20 @@ def test_criterion_10_convex_conjugate_identities(
     # double transform: H(x,u) = u v* - L(x,v*) at v* = dH/du(x,u)
     for model in models:
         span = model.hetero_radius + 1.0
-        for x, u in zip(rng.uniform(-span, span, 500),
-                        rng.uniform(-2.5, 2.5, 500)):
-            v = float(model.du_h(x, u))
-            lt = legendre_transform(model, x, v)
-            assert abs(u * v - lt - float(model.h(x, u))) <= 1e-8
+        x = rng.uniform(-span, span, 500)
+        u = rng.uniform(-2.5, 2.5, 500)
+        v = np.asarray(model.du_h(x, u), dtype=float)
+        lt = legendre_transform(model, x, v)
+        assert np.all(np.abs(u * v - lt - np.asarray(model.h(x, u), dtype=float)) <= 1e-8)
 
     # pairing inequality p v <= H(x,p) + L(x,v) on 10^4 sampled triples
     for model in models:
         span = model.hetero_radius + 1.0
-        for x, p, v in zip(rng.uniform(-span, span, 2500),
-                           rng.uniform(-2.5, 2.5, 2500),
-                           rng.uniform(-4.0, 4.0, 2500)):
-            lt = legendre_transform(model, x, v)
-            assert p * v <= float(model.h(x, p)) + lt + 1e-8
+        x = rng.uniform(-span, span, 2500)
+        p = rng.uniform(-2.5, 2.5, 2500)
+        v = rng.uniform(-4.0, 4.0, 2500)
+        lt = legendre_transform(model, x, v)
+        assert np.all(p * v <= np.asarray(model.h(x, p), dtype=float) + lt + 1e-8)
 
 
 def test_criterion_11_mass_conservation_on_golden_runs(golden_runs):

@@ -19,9 +19,7 @@ from hetflux.flux_model import (
     CriticalCurve,
     FluxModel,
     branch_inverse,
-    branch_inverses,
     critical_point,
-    critical_points,
     legendre_sup,
     legendre_transform,
     validate_assumptions,
@@ -48,11 +46,19 @@ def test_critical_point_follows_the_coefficient_curve(hq_model):
         assert abs(float(hq_model.du_h(x, critical_point(hq_model, x)))) <= 1e-12
 
 
+def _hq_coefficients(x):
+    # theta, ell, g of the default heterogeneous quadratic
+    b = bump(np.asarray(x, dtype=float))
+    return 1.0 + 0.5 * b, 0.3 * b, -0.1 * b
+
+
 def test_critical_points_vectorized_matches_scalar(hq_model):
+    # Array in, array out, against the closed form alpha = ell(x).
     xs = np.linspace(-1.2, 1.2, 17)
-    vec = critical_points(hq_model, xs)
-    for x, a in zip(xs, vec):
-        assert abs(a - critical_point(hq_model, float(x))) < 1e-9
+    vec = critical_point(hq_model, xs)
+    assert vec.shape == xs.shape
+    _, ell, _ = _hq_coefficients(xs)
+    assert np.all(np.abs(vec - ell) < 1e-9)
 
 
 def test_wrong_alpha_hint_falls_back_to_the_root_solve():
@@ -61,7 +67,7 @@ def test_wrong_alpha_hint_falls_back_to_the_root_solve():
         h=base.h, du_h=base.du_h, dx_h=base.dx_h, hetero_radius=0.0,
         alpha_hint=lambda x: np.ones(np.asarray(x, dtype=float).shape),
     )
-    a = critical_points(lying, np.array([0.0]))
+    a = critical_point(lying, np.array([0.0]))
     assert abs(float(a[0])) < 1e-9
 
 
@@ -95,19 +101,18 @@ def test_branch_inverse_golden_values():
 
 def test_branch_round_trip_ordering_and_monotonicity(hq_model, rng):
     curve = CriticalCurve.build(hq_model)
-    for _ in range(200):
-        x = float(rng.uniform(-1.5, 1.5))
-        a = critical_point(hq_model, x)
-        hmin = float(hq_model.h(x, a))
-        y = hmin + float(rng.uniform(0.0, 4.0))
-        sp = branch_inverse(hq_model, x, y, "plus", alpha=a)
-        sm = branch_inverse(hq_model, x, y, "minus", alpha=a)
-        assert sm <= a <= sp
-        assert abs(float(hq_model.h(x, sp)) - y) <= 1e-12
-        assert abs(float(hq_model.h(x, sm)) - y) <= 1e-12
-        y2 = y + 0.5
-        assert branch_inverse(hq_model, x, y2, "plus", alpha=a) >= sp - 1e-12
-        assert branch_inverse(hq_model, x, y2, "minus", alpha=a) <= sm + 1e-12
+    draws = np.array([(rng.uniform(-1.5, 1.5), rng.uniform(0.0, 4.0)) for _ in range(200)])
+    x = draws[:, 0]
+    a = critical_point(hq_model, x)
+    y = np.asarray(hq_model.h(x, a), dtype=float) + draws[:, 1]
+    sp = branch_inverse(hq_model, x, y, "plus", alpha=a)
+    sm = branch_inverse(hq_model, x, y, "minus", alpha=a)
+    assert np.all((sm <= a) & (a <= sp))
+    assert np.all(np.abs(np.asarray(hq_model.h(x, sp), dtype=float) - y) <= 1e-12)
+    assert np.all(np.abs(np.asarray(hq_model.h(x, sm), dtype=float) - y) <= 1e-12)
+    y2 = y + 0.5
+    assert np.all(branch_inverse(hq_model, x, y2, "plus", alpha=a) >= sp - 1e-12)
+    assert np.all(branch_inverse(hq_model, x, y2, "minus", alpha=a) <= sm + 1e-12)
     assert curve.alpha_min <= curve.alpha_max
 
 
@@ -124,25 +129,28 @@ def test_branch_inverse_rejects_bad_side():
 
 
 def test_branch_inverses_matches_scalar_loop(hq_model):
+    # Array in, array out, against the closed form S+/- = ell +- sqrt((y - g) / theta).
     xs = np.linspace(-1.3, 1.3, 41)
-    for side in ("plus", "minus"):
-        vec = branch_inverses(hq_model, xs, 1.5, side)
-        for x, v in zip(xs, vec):
-            assert abs(v - branch_inverse(hq_model, float(x), 1.5, side)) < 1e-10
+    theta, ell, g = _hq_coefficients(xs)
+    root = np.sqrt((1.5 - g) / theta)
+    for side, want in (("plus", ell + root), ("minus", ell - root)):
+        vec = branch_inverse(hq_model, xs, 1.5, side)
+        assert vec.shape == xs.shape
+        assert np.all(np.abs(vec - want) < 1e-10)
 
 
 def test_branch_inverses_clamp_and_error_paths(hq_model):
     xs = np.linspace(-1.5, 1.5, 21)
     # hmin ranges over [-0.1, 0]; a level a hair below 0 clamps the outer cells
     # to alpha instead of failing.
-    vals = branch_inverses(hq_model, xs, -1e-12, "plus")
-    alphas = critical_points(hq_model, xs)
+    vals = branch_inverse(hq_model, xs, -1e-12, "plus")
+    alphas = critical_point(hq_model, xs)
     assert np.all(vals >= alphas - 1e-12)
     resid = np.abs(np.asarray(hq_model.h(xs, vals), dtype=float) - (-1e-12))
     assert float(np.max(resid)) <= 2e-10
     # A level below the running minimum of H is unsolvable somewhere.
     with pytest.raises(NumericalError):
-        branch_inverses(hq_model, xs, -0.05, "minus")
+        branch_inverse(hq_model, xs, -0.05, "minus")
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +192,8 @@ def test_legendre_young_inequality(hq_model, lwr_model, rng):
         xs = rng.uniform(-2.0, 2.0, 400)
         ps = rng.uniform(-3.0, 3.0, 400)
         vs = rng.uniform(-3.0, 3.0, 400)
-        for x, p, v in zip(xs, ps, vs):
-            lhs = p * v
-            rhs = float(model.h(x, p)) + legendre_transform(model, float(x), float(v))
-            assert lhs <= rhs + 1e-9
+        rhs = np.asarray(model.h(xs, ps), dtype=float) + legendre_transform(model, xs, vs)
+        assert np.all(ps * vs <= rhs + 1e-9)
 
 
 def test_legendre_slope_bound_inequality(hq_model, rng):
@@ -202,12 +208,11 @@ def test_legendre_slope_bound_inequality(hq_model, rng):
 
 def test_double_transform_returns_the_flux(hq_model, lwr_model, pair_model):
     # The maximizer of sup_v (u v - L(x, v)) sits at v = du_h(x, u).
+    x, u = np.meshgrid([-1.2, -0.3, 0.0, 0.8], [-2.0, -0.4, 0.1, 1.7])
     for model in (hq_model, lwr_model, pair_model, quadratic(0.5)):
-        for x in (-1.2, -0.3, 0.0, 0.8):
-            for u in (-2.0, -0.4, 0.1, 1.7):
-                v = float(model.du_h(x, u))
-                back = u * v - legendre_transform(model, x, v)
-                assert abs(back - float(model.h(x, u))) < 1e-8
+        v = np.asarray(model.du_h(x, u), dtype=float)
+        back = u * v - legendre_transform(model, x, v)
+        assert np.all(np.abs(back - np.asarray(model.h(x, u), dtype=float)) < 1e-8)
 
 
 # ---------------------------------------------------------------------------

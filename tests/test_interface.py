@@ -156,10 +156,10 @@ def test_homogeneous_reduction_matches_godunov(rng):
 def test_interface_flux_profile_matches_scalar_composition(hq_model, rng):
     xl = np.array([-0.9, -0.5, -0.1, 0.2, 0.6])
     xr = xl + 0.4
-    from hetflux.flux_model import critical_points
+    from hetflux.flux_model import critical_point
 
-    al = critical_points(hq_model, xl)
-    ar = critical_points(hq_model, xr)
+    al = critical_point(hq_model, xl)
+    ar = critical_point(hq_model, xr)
     ul = rng.uniform(-2.0, 2.0, xl.size)
     ur = rng.uniform(-2.0, 2.0, xl.size)
     prof = interface_flux_profile(hq_model, xl, xr, al, ar, ul, ur)
@@ -218,32 +218,31 @@ def test_classify_unsolvable_level_is_not_member():
     assert classify_germ(ctx, 0.1, 0.0) is GermClass.NOT_MEMBER
 
 
-def test_germ_pair_classify_round_trip(pair_ctx, hq_ctx, lwr_ctx, rng):
+def test_germ_pair_classify_round_trip(pair_ctx, hq_ctx, lwr_ctx, rng, germ_pairs):
     for ctx in (pair_ctx, hq_ctx, lwr_ctx):
         floor = _level_floor(ctx)
-        for _ in range(60):
-            level = floor + rng.uniform(0.01, 2.0)
-            for which, want in (
-                ("G1", GermClass.G1),
-                ("G2", GermClass.G2),
-                ("G3", GermClass.G3),
-                ("excluded", GermClass.NOT_MEMBER),
-            ):
-                kl, kr = germ_pair(ctx, level, which)
+        levels = floor + np.array([rng.uniform(0.01, 2.0) for _ in range(60)])
+        for which, want in (
+            ("G1", GermClass.G1),
+            ("G2", GermClass.G2),
+            ("G3", GermClass.G3),
+            ("excluded", GermClass.NOT_MEMBER),
+        ):
+            for kl, kr in germ_pairs(ctx, levels, [which] * levels.size):
                 assert classify_germ(ctx, kl, kr) is want
                 # Rankine-Hugoniot across the interface
                 assert abs(float(ctx.left.f(kl)) - float(ctx.right.f(kr))) < 1e-9
 
 
-def test_remainder_zero_iff_member(pair_ctx, hq_ctx, rng):
+def test_remainder_zero_iff_member(pair_ctx, hq_ctx, rng, germ_pairs):
     for ctx in (pair_ctx, hq_ctx):
         floor = _level_floor(ctx)
         samples = []
         for _ in range(300):
             samples.append(tuple(rng.uniform(-3.0, 3.0, 2)))
-        for _ in range(100):
-            which = ("G1", "G2", "G3")[int(rng.integers(3))]
-            samples.append(germ_pair(ctx, floor + rng.uniform(1e-10, 1.5), which))
+        draws = [(("G1", "G2", "G3")[int(rng.integers(3))], floor + rng.uniform(1e-10, 1.5))
+                 for _ in range(100)]
+        samples += germ_pairs(ctx, [lv for _, lv in draws], [c for c, _ in draws])
         for ul, ur in samples:
             r = float(remainder(ctx, ul, ur))
             if 1e-12 < r < 1e-6:
@@ -263,35 +262,41 @@ def test_dissipativity_goldens(pair_ctx):
     assert dissipativity_gap(pair_ctx, u, u) == 0.0
 
 
-def test_dissipativity_nonnegative_on_germ_pairs(pair_ctx, hq_ctx, lwr_ctx, rng):
+def test_dissipativity_nonnegative_on_germ_pairs(pair_ctx, hq_ctx, lwr_ctx, rng, germ_pairs):
     classes = ("G1", "G2", "G3")
     for ctx in (pair_ctx, hq_ctx, lwr_ctx):
         floor = _level_floor(ctx)
-        for _ in range(300):
-            u = germ_pair(ctx, floor + rng.uniform(1e-6, 2.0), classes[int(rng.integers(3))])
-            k = germ_pair(ctx, floor + rng.uniform(1e-6, 2.0), classes[int(rng.integers(3))])
+        draws = np.array([
+            (floor + rng.uniform(1e-6, 2.0), rng.integers(3),
+             floor + rng.uniform(1e-6, 2.0), rng.integers(3))
+            for _ in range(300)
+        ])
+        us = germ_pairs(ctx, draws[:, 0], [classes[int(c)] for c in draws[:, 1]])
+        ks = germ_pairs(ctx, draws[:, 2], [classes[int(c)] for c in draws[:, 3]])
+        for u, k in zip(us, ks):
             assert dissipativity_gap(ctx, u, k) >= -1e-12
 
 
-def test_excluded_branch_fails_maximality(pair_ctx, hq_ctx, lwr_ctx, rng):
+def test_excluded_branch_fails_maximality(pair_ctx, hq_ctx, lwr_ctx, rng, germ_pairs):
     # hand witness: (-1, sqrt(1/2)) against (0, 0)
     assert abs(dissipativity_gap(pair_ctx, (-1.0, math.sqrt(0.5)), (0.0, 0.0)) + 1.0) < 1e-14
     for ctx in (pair_ctx, hq_ctx, lwr_ctx):
         floor = _level_floor(ctx)
         k0 = germ_pair(ctx, floor + 1e-9, "G1")
-        for _ in range(50):
-            bad = germ_pair(ctx, floor + rng.uniform(0.1, 2.0), "excluded")
+        levels = floor + np.array([rng.uniform(0.1, 2.0) for _ in range(50)])
+        for bad in germ_pairs(ctx, levels, ["excluded"] * levels.size):
             assert dissipativity_gap(ctx, bad, k0) < -1e-10
 
 
-def test_gap_deficit_bounded_by_remainder(pair_ctx, hq_ctx, rng):
+def test_gap_deficit_bounded_by_remainder(pair_ctx, hq_ctx, rng, germ_pairs):
     # For arbitrary data u and a germ pair k: Phi_r - Phi_l <= remainder(u).
     classes = ("G1", "G2", "G3")
     for ctx in (pair_ctx, hq_ctx):
         floor = _level_floor(ctx)
-        for _ in range(400):
-            u = tuple(rng.uniform(-2.5, 2.5, 2))
-            k = germ_pair(ctx, floor + rng.uniform(1e-6, 2.0), classes[int(rng.integers(3))])
+        draws = [(tuple(rng.uniform(-2.5, 2.5, 2)), floor + rng.uniform(1e-6, 2.0),
+                  classes[int(rng.integers(3))]) for _ in range(400)]
+        ks = germ_pairs(ctx, [lv for _, lv, _ in draws], [c for _, _, c in draws])
+        for (u, _, _), k in zip(draws, ks):
             deficit = -dissipativity_gap(ctx, u, k)
             assert deficit <= float(remainder(ctx, *u)) + 1e-9
 

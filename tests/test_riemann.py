@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from hetflux.errors import ConfigError
+from hetflux.families import two_state
 from hetflux.interface import FluxSide, InterfaceContext, classify_germ
 from hetflux.riemann import (
     KIND_RAREFACTION,
@@ -209,6 +210,25 @@ def test_sample_preserves_array_shape(pair_ctx):
     out = sample(sol, xi)
     assert out.shape == xi.shape
     assert np.allclose(out, [[-1.0, -0.5], [0.25, 1.0]], atol=1e-12)
+
+
+def test_sample_array_matches_scalar_limits_at_every_wave_speed():
+    # f_l = u^2/2 | f_r = u^2 + 1/2 with datum (1/2, 1): a left shock 1/2 -> -1
+    # of speed -1/4, the stationary jump -1 -> 0, and a right fan over [0, 2].
+    ctx = InterfaceContext.from_model(two_state(right_offset=0.5), -1.0, 1.0)
+    sol = solve_interface(ctx, 0.5, 1.0)
+    assert wave_census(sol) == {KIND_SHOCK: 1, KIND_RAREFACTION: 1, KIND_STATIONARY_JUMP: 1}
+    xi = np.array([s for w in sol.waves for s in (w.speed_min, w.speed_max)])
+    assert np.allclose(xi, [-0.25, -0.25, 0.0, 0.0, 0.0, 2.0], atol=1e-12)
+    for left_limit, want in (
+        (False, [-1.0, -1.0, 0.0, 0.0, 0.0, 1.0]),
+        (True, [0.5, 0.5, -1.0, -1.0, -1.0, 1.0]),
+    ):
+        got = sample(sol, xi, left_limit=left_limit)
+        assert np.allclose(got, want, atol=1e-12)
+        scalar = [sample(sol, z, left_limit=left_limit) for z in xi]
+        assert all(isinstance(v, float) for v in scalar)
+        assert got.tolist() == scalar
 
 
 def test_solvers_reject_non_finite_data(pair_ctx, burgers_side):

@@ -33,7 +33,6 @@ from hetflux.solver import (
     lipschitz_bound,
     project_initial,
     run,
-    step,
 )
 
 
@@ -165,15 +164,6 @@ def test_step_guards(burgers_model):
     bad[3] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
         scheme.step_arrays(bad, dt=0.01)
-
-
-def test_step_wrapper_advances_clock(burgers_model):
-    mesh = Mesh.make(-1.0, 1.0, 0.1)
-    state = project_initial(datum_step(0.5, -0.5), mesh)
-    out = step(state, burgers_model, mesh, dt=0.01)
-    assert out.time == pytest.approx(0.01)
-    assert out.step_index == 1
-    assert out.u.shape == state.u.shape
 
 
 def test_scheme_is_monotone(hq_model, rng):

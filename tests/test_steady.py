@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 from hetflux.errors import ConfigError
-from hetflux.families import quadratic, two_state
+from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.interface import InterfaceContext, classify_germ
-from hetflux.solver import Mesh, Scheme, cfl_dt
+from hetflux.solver import Mesh, Scheme, cfl_dt, datum_step, run
 from hetflux.steady import (
     SteadyState,
     build_steady,
@@ -52,9 +52,9 @@ def test_upper_steady_holds_one_flux_level(hq_model, hq_mesh):
     xc = hq_mesh.centers()
     levels = np.asarray(hq_model.h(xc, st.values), dtype=float)
     assert np.max(np.abs(levels - st.flux_level)) < 1e-9
-    from hetflux.flux_model import critical_points
+    from hetflux.flux_model import critical_point
 
-    assert np.all(st.values >= critical_points(hq_model, xc) - 1e-12)
+    assert np.all(st.values >= critical_point(hq_model, xc) - 1e-12)
     # constant and equal to the anchor outside the heterogeneity
     outside = np.abs(xc) > 1.0
     assert np.max(np.abs(st.values[outside] - 1.3)) < 1e-10
@@ -177,6 +177,24 @@ def test_envelope_sandwiches_the_datum_range(hq_model, hq_mesh):
     assert np.all(env.lower_state.values < env.upper_state.values)
     for st in (env.lower_state, env.upper_state):
         assert steady_residual(st, hq_model, hq_mesh) < 1e-9
+
+
+@pytest.mark.parametrize("family", [heterogeneous_quadratic, quadratic, two_state, lwr])
+@pytest.mark.parametrize("amp", [10.0, 20.0])
+def test_envelope_of_large_data_builds(family, amp):
+    # Flux levels reach 1e3-4e5 here, so f(s) - level rounds at well above
+    # 1e-12; the branch solves must accept such roots, as run() needs them.
+    model = family()
+    mesh = Mesh.make(-3.0, 3.0, 0.05)
+    res = run(model, mesh, datum_step(amp, -amp), t_end=0.0)
+    assert res.n_steps == 0
+    env = envelope(model, mesh, -amp, amp)
+    assert np.all(env.upper_state.values >= amp)
+    assert np.all(env.lower_state.values <= -amp)
+    assert np.all(env.upper_state.values <= env.upper_bound)
+    assert np.all(env.lower_state.values >= env.lower_bound)
+    for st in (env.lower_state, env.upper_state):
+        assert steady_residual(st, model, mesh) <= 1e-12 * (1.0 + abs(st.flux_level))
 
 
 def test_envelope_anchors_do_not_depend_on_the_mesh(hq_model):
