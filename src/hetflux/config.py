@@ -30,8 +30,6 @@ from . import families
 from .errors import ConfigError
 from .flux_model import FluxModel
 from .solver import (
-    PiecewiseConstantDatum,
-    SmoothDatum,
     datum_bump,
     datum_constant,
     datum_from_table,

@@ -1,18 +1,28 @@
 """Built-in flux families.
 
-Four constructors, each returning a FluxModel:
+Every family is one quadratic form in solver coordinates,
 
-* quadratic: homogeneous c (u - s)^2 + o. Covers the classic u^2/2 and u^2.
-* two_state: one flux for x <= 0, another for x > 0 (both shifted quadratics).
-  The x-dependence is a single jump at the origin, so the model is not smooth
-  in x; it exists to reproduce two-flux interface problems exactly.
-* heterogeneous_quadratic: theta(x) (u - ell(x))^2 + g(x) with C-infinity bump
-  perturbations of the coefficients supported in [-X, X]. The critical curve
-  is ell(x), the pointwise minimum is g(x).
-* lwr: road-traffic flux V(x) u (1 - u / rho(x)), concave in u, with C3
-  smoothstep transitions of speed limit and jam density across [-X, X].
-  Returned in convex form via the standard substitution (orientation
-  "concave"); use to_internal/to_physical at the data boundary.
+    H(x, u) = a(x) (u - b(x))^2 + c(x),   a > 0,
+
+so each declares only its coefficient profiles x -> (a, b, c) and their
+x-derivatives; _quadratic_form derives h, du_h, dx_h, the freeze hook and the
+critical curve alpha = b from them once. The four constructors, each
+returning a FluxModel:
+
+* quadratic: homogeneous c (u - s)^2 + o, so (a, b, c) = (c, s, o). Covers
+  the classic u^2/2 and u^2.
+* two_state: one flux for x <= 0, another for x > 0 (both shifted quadratics),
+  so (a, b, c) jumps from (c_l, s_l, o_l) to (c_r, s_r, o_r) at the origin.
+  The model is not smooth in x (dx_h is zero away from the jump); it exists
+  to reproduce two-flux interface problems exactly.
+* heterogeneous_quadratic: (a, b, c) = (theta(x), ell(x), g(x)), each a base
+  value plus a C-infinity bump perturbation supported in [-X, X]. The
+  critical curve is ell(x), the pointwise minimum is g(x).
+* lwr: road-traffic flux V(x) rho (1 - rho / R(x)), concave in rho, with C3
+  smoothstep transitions of speed limit V and jam density R across [-X, X].
+  In solver coordinates u = -rho (orientation "concave") it is convex, with
+  (a, b, c) = (V / R, -R / 2, -V R / 4); use to_internal/to_physical at the
+  data boundary.
 """
 
 from __future__ import annotations
@@ -24,8 +34,41 @@ from .flux_model import FluxModel
 from .profiles import bump, bump_prime, smoothstep, smoothstep_prime
 
 
-def _zeros_like_broadcast(x, u):
-    return np.zeros(np.broadcast(np.asarray(x), np.asarray(u)).shape)
+def _quadratic_form(coefficients, slopes, **fields) -> FluxModel:
+    """FluxModel of a(x) (u - b(x))^2 + c(x).
+
+    coefficients: x -> (a, b, c); slopes: x -> (a', b', c'), the x-derivatives.
+    Both take a float array and return values that broadcast against it.
+    fields are passed on to FluxModel (hetero_radius, name, params, ...).
+    """
+
+    def freeze(xs):
+        a, b, c = coefficients(np.asarray(xs, dtype=float))
+        return lambda u: a * (np.asarray(u, dtype=float) - b) ** 2 + c
+
+    def h(x, u):
+        return freeze(x)(u)
+
+    def du_h(x, u):
+        a, b, _ = coefficients(np.asarray(x, dtype=float))
+        return 2.0 * a * (np.asarray(u, dtype=float) - b)
+
+    def dx_h(x, u):
+        x = np.asarray(x, dtype=float)
+        a, b, _ = coefficients(x)
+        a1, b1, c1 = slopes(x)
+        w = np.asarray(u, dtype=float) - b
+        return a1 * w**2 - 2.0 * a * w * b1 + c1
+
+    def alpha_hint(x):
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(coefficients(x)[1], x.shape)
+
+    return FluxModel(h=h, du_h=du_h, dx_h=dx_h, alpha_hint=alpha_hint, freeze=freeze, **fields)
+
+
+def _flat(x):
+    return 0.0, 0.0, 0.0
 
 
 def quadratic(coefficient: float = 0.5, shift: float = 0.0, offset: float = 0.0) -> FluxModel:
@@ -33,19 +76,12 @@ def quadratic(coefficient: float = 0.5, shift: float = 0.0, offset: float = 0.0)
     c, s, o = float(coefficient), float(shift), float(offset)
     if c <= 0:
         raise ConfigError(f"quadratic family needs coefficient > 0, got {c}")
-
-    def flux(u):
-        return c * (np.asarray(u, dtype=float) - s) ** 2 + o
-
-    return FluxModel(
-        h=lambda x, u: flux(u),
-        du_h=lambda x, u: 2.0 * c * (np.asarray(u, dtype=float) - s),
-        dx_h=_zeros_like_broadcast,
+    return _quadratic_form(
+        lambda x: (c, s, o),
+        _flat,
         hetero_radius=0.0,
         name="quadratic",
         params={"coefficient": c, "shift": s, "offset": o},
-        alpha_hint=lambda x: s * np.ones(np.asarray(x, dtype=float).shape),
-        freeze=lambda xs: flux,
     )
 
 
@@ -70,29 +106,13 @@ def two_state(
     if radius <= 0:
         raise ConfigError("two_state family needs radius > 0")
 
-    def h(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return np.where(x <= 0.0, cl * (u - sl) ** 2 + ol, cr * (u - sr) ** 2 + orr)
+    def coefficients(x):
+        left = x <= 0.0
+        return tuple(np.where(left, l, r) for l, r in ((cl, cr), (sl, sr), (ol, orr)))
 
-    def du_h(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return np.where(x <= 0.0, 2.0 * cl * (u - sl), 2.0 * cr * (u - sr))
-
-    def dx_h(x, u):
-        return _zeros_like_broadcast(x, u)
-
-    def freeze(xs):
-        # Per-position triples; the same expression as h, one branch per cell.
-        left = np.asarray(xs, dtype=float) <= 0.0
-        c, s, o = (np.where(left, a, b) for a, b in ((cl, cr), (sl, sr), (ol, orr)))
-        return lambda u: c * (np.asarray(u, dtype=float) - s) ** 2 + o
-
-    return FluxModel(
-        h=h,
-        du_h=du_h,
-        dx_h=dx_h,
+    return _quadratic_form(
+        coefficients,
+        _flat,
         hetero_radius=float(radius),
         name="two_state",
         params={
@@ -100,8 +120,6 @@ def two_state(
             "right_coefficient": cr, "right_shift": sr, "right_offset": orr,
             "radius": float(radius),
         },
-        alpha_hint=lambda x: np.where(np.asarray(x, dtype=float) <= 0.0, sl, sr),
-        freeze=freeze,
     )
 
 
@@ -130,35 +148,17 @@ def heterogeneous_quadratic(
     if min(tb, tb + ta) <= 0:
         raise ConfigError("heterogeneous_quadratic needs theta(x) > 0 everywhere")
 
-    def theta(x):
-        return tb + ta * bump(np.asarray(x, dtype=float) / X)
+    def coefficients(x):
+        b = bump(x / X)
+        return tb + ta * b, lb + la * b, gb + ga * b
 
-    def ell(x):
-        return lb + la * bump(np.asarray(x, dtype=float) / X)
-
-    def freeze(xs):
-        b = bump(np.asarray(xs, dtype=float) / X)
-        th, el, g = tb + ta * b, lb + la * b, gb + ga * b
-        return lambda u: th * (np.asarray(u, dtype=float) - el) ** 2 + g
-
-    def h(x, u):
-        return freeze(x)(u)
-
-    def du_h(x, u):
-        u = np.asarray(u, dtype=float)
-        return 2.0 * theta(x) * (u - ell(x))
-
-    def dx_h(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
+    def slopes(x):
         bp = bump_prime(x / X) / X
-        w = u - ell(x)
-        return ta * bp * w**2 - 2.0 * theta(x) * w * (la * bp) + ga * bp
+        return ta * bp, la * bp, ga * bp
 
-    return FluxModel(
-        h=h,
-        du_h=du_h,
-        dx_h=dx_h,
+    return _quadratic_form(
+        coefficients,
+        slopes,
         hetero_radius=X,
         name="heterogeneous_quadratic",
         params={
@@ -167,8 +167,6 @@ def heterogeneous_quadratic(
             "g_base": gb, "g_bump": ga,
             "radius": X,
         },
-        alpha_hint=ell,
-        freeze=freeze,
     )
 
 
@@ -179,11 +177,13 @@ def lwr(
     rho_right: float = 0.8,
     radius: float = 1.0,
 ) -> FluxModel:
-    """Traffic flux V(x) u (1 - u / rho(x)), concave in u.
+    """Traffic flux V(x) rho (1 - rho / R(x)), concave in rho.
 
-    Speed limit and jam density transition from their left to right values
-    across [-radius, radius] through a C3 smoothstep. The returned model is
-    the convex reduction; physical densities map through to_internal.
+    Speed limit V and jam density R transition from their left to right
+    values across [-radius, radius] through a C3 smoothstep. The returned
+    model acts on u = -rho, where the flux is the convex
+    (V / R) (u + R / 2)^2 - V R / 4; physical densities map through
+    to_internal.
     """
     X = float(radius)
     if X <= 0:
@@ -193,49 +193,27 @@ def lwr(
     if min(v1, v2) <= 0 or min(r1, r2) <= 0:
         raise ConfigError("lwr needs positive speeds and densities")
 
-    def vel(x):
-        return v1 + (v2 - v1) * smoothstep((np.asarray(x, dtype=float) + X) / (2 * X))
+    def coefficients(x):
+        s = smoothstep((x + X) / (2 * X))
+        v, r = v1 + (v2 - v1) * s, r1 + (r2 - r1) * s
+        return v / r, -0.5 * r, -0.25 * v * r
 
-    def rho(x):
-        return r1 + (r2 - r1) * smoothstep((np.asarray(x, dtype=float) + X) / (2 * X))
+    def slopes(x):
+        s = smoothstep((x + X) / (2 * X))
+        sp = smoothstep_prime((x + X) / (2 * X)) / (2 * X)
+        v, r = v1 + (v2 - v1) * s, r1 + (r2 - r1) * s
+        dv, dr = (v2 - v1) * sp, (r2 - r1) * sp
+        return (dv * r - v * dr) / r**2, -0.5 * dr, -0.25 * (dv * r + v * dr)
 
-    def vel_prime(x):
-        return (v2 - v1) * smoothstep_prime((np.asarray(x, dtype=float) + X) / (2 * X)) / (2 * X)
-
-    def rho_prime(x):
-        return (r2 - r1) * smoothstep_prime((np.asarray(x, dtype=float) + X) / (2 * X)) / (2 * X)
-
-    def freeze(xs):
-        v, r = vel(xs), rho(xs)
-
-        def flux(u):
-            u = np.asarray(u, dtype=float)
-            return v * u * (1.0 - u / r)
-
-        return flux
-
-    def h(x, u):
-        return freeze(x)(u)
-
-    def du_h(x, u):
-        u = np.asarray(u, dtype=float)
-        return vel(x) * (1.0 - 2.0 * u / rho(x))
-
-    def dx_h(x, u):
-        u = np.asarray(u, dtype=float)
-        return vel_prime(x) * u * (1.0 - u / rho(x)) + vel(x) * u**2 * rho_prime(x) / rho(x) ** 2
-
-    return FluxModel.from_concave(
-        h=h,
-        du_h=du_h,
-        dx_h=dx_h,
+    return _quadratic_form(
+        coefficients,
+        slopes,
         hetero_radius=X,
+        orientation="concave",
         name="lwr",
         params={
             "v_left": v1, "v_right": v2,
             "rho_left": r1, "rho_right": r2,
             "radius": X,
         },
-        crit_hint=lambda x: rho(x) / 2.0,
-        freeze=freeze,
     )

@@ -7,8 +7,9 @@ strictly increasing map onto the real line, so H(x, .) has a unique minimizer
 alpha(x) (the critical point) and two monotone branches on either side of it.
 
 Concave fluxes (road-traffic type) are handled by the substitution u -> -u,
-which turns them convex; such models carry orientation "concave" and callers
-convert states at the input/output boundary with to_internal/to_physical.
+which turns them convex: such a model stores the convex flux of the
+substituted state, carries orientation "concave", and callers convert states
+at the input/output boundary with to_internal/to_physical.
 
 All callables are expected to broadcast over numpy arrays in both arguments.
 The inversions of H(x, .) below (critical_point, branch_inverse,
@@ -39,8 +40,8 @@ class FluxModel:
 
     h, du_h, dx_h: callables (x, u) -> values, numpy-broadcastable.
     hetero_radius: X >= 0; H(x, .) == H(sign(x) X, .) for |x| >= X.
-    orientation: "convex", or "concave" when the model was built from a
-        concave flux via the state substitution (see from_concave).
+    orientation: "convex", or "concave" when h, du_h and dx_h act on the
+        substituted state -u of a concave physical flux (see to_internal).
     alpha_hint: optional analytic critical curve x -> alpha(x); used to seed
         and cross-check root solves, never trusted blindly.
     freeze: optional xs -> (u -> H(xs, u)) that evaluates the x-dependent
@@ -70,56 +71,6 @@ class FluxModel:
     def to_physical(self, u):
         """Inverse of to_internal (its own inverse)."""
         return -np.asarray(u, dtype=float) if self.orientation == "concave" else u
-
-    @classmethod
-    def from_concave(
-        cls,
-        h,
-        du_h,
-        dx_h,
-        hetero_radius,
-        name="custom-concave",
-        params=None,
-        crit_hint=None,
-        freeze=None,
-    ):
-        """Wrap a concave-in-u flux as a convex model via u -> -u.
-
-        The stored callables act on the substituted state; to_internal /
-        to_physical convert at the boundary.
-        """
-
-        def h_red(x, w):
-            return -h(x, -np.asarray(w, dtype=float))
-
-        def du_red(x, w):
-            return du_h(x, -np.asarray(w, dtype=float))
-
-        def dx_red(x, w):
-            return -dx_h(x, -np.asarray(w, dtype=float))
-
-        hint = None
-        if crit_hint is not None:
-            def hint(x, _f=crit_hint):
-                return -np.asarray(_f(x), dtype=float)
-
-        freeze_red = None
-        if freeze is not None:
-            def freeze_red(xs, _f=freeze):
-                f = _f(xs)
-                return lambda w: -f(-np.asarray(w, dtype=float))
-
-        return cls(
-            h=h_red,
-            du_h=du_red,
-            dx_h=dx_red,
-            hetero_radius=hetero_radius,
-            orientation="concave",
-            name=name,
-            params=dict(params or {}),
-            alpha_hint=hint,
-            freeze=freeze_red,
-        )
 
 
 def frozen_flux(model: FluxModel, xs) -> Callable:
@@ -185,14 +136,6 @@ class CriticalCurve:
             alpha_min=float(np.min(alphas)),
             alpha_max=float(np.max(alphas)),
         )
-
-    def alpha(self, x):
-        """Critical point at x (scalar in, scalar out; array in, array out)."""
-        return critical_point(self.model, x)
-
-    def hmin(self, x):
-        """Pointwise minimum of H(x, .)."""
-        return self.model.h(x, self.alpha(x))
 
 
 def invert_branch(f: Callable, df: Callable, alpha, y, side: str, tol: float = TOL_ROOT):

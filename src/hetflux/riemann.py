@@ -30,11 +30,9 @@ from .errors import NumericalError
 from .interface import (
     GERM_TOL,
     FluxSide,
-    GermClass,
     InterfaceContext,
     classify_germ,
     godunov_flux,
-    interface_flux,
     require_finite,
 )
 from .rootfind import solve_increasing
@@ -193,7 +191,7 @@ def solve_interface(
         trace_left=gl,
         trace_right=gr,
         case_tag=tag,
-        interface_flux_value=float(interface_flux(ctx, u_l, u_r)),
+        interface_flux_value=y,
     )
 
 

@@ -75,16 +75,15 @@ def test_critical_curve_extremes(hq_model, pair_model):
     curve = CriticalCurve.build(hq_model)
     assert abs(curve.alpha_min - 0.0) < 1e-9
     assert abs(curve.alpha_max - 0.3) < 1e-9  # bump peak sits on the grid
-    assert abs(float(curve.hmin(0.0)) - (-0.1)) < 1e-9
+    assert abs(float(hq_model.h(0.0, critical_point(hq_model, 0.0))) - (-0.1)) < 1e-9
 
     flat = CriticalCurve.build(pair_model)
     assert abs(flat.alpha_min) < 1e-9 and abs(flat.alpha_max) < 1e-9
 
 
 def test_critical_curve_constant_outside_radius(hq_model):
-    curve = CriticalCurve.build(hq_model)
     for x in (1.0, 2.0, 50.0, -17.0):
-        assert abs(float(curve.alpha(x))) < 1e-9
+        assert abs(float(critical_point(hq_model, x))) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Package surface: the public export list stays in step with the modules."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import hetflux
 
@@ -9,3 +11,30 @@ def test_every_export_resolves_once():
     counts = Counter(hetflux.__all__)
     assert [name for name, n in counts.items() if n > 1] == []
     assert [name for name in hetflux.__all__ if not hasattr(hetflux, name)] == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports (outside __future__) but never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_an_unused_name():
+    # __init__.py re-exports by import, so it is the one module exempt.
+    src = Path(hetflux.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(src.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
