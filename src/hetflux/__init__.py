@@ -25,7 +25,6 @@ from .interface import (
     dissipativity_gap,
     entropy_flux,
     germ_pair,
-    godunov_flux,
     interface_flux,
     remainder,
 )
@@ -66,13 +65,13 @@ from .solver import (
 from .diagnostics import (
     ConsistencyReport,
     ConvergenceReport,
+    EntropyCheck,
     EntropyReport,
-    check_dei,
+    TimeVariation,
     consistency_rate,
     convergence_study,
     norm_between_grids,
     riemann_error,
-    time_variation_sum,
 )
 from .config import ExperimentConfig, make_config, parse_config
 
@@ -84,7 +83,7 @@ __all__ = [
     "validate_assumptions",
     "quadratic", "two_state", "heterogeneous_quadratic", "lwr",
     "FluxSide", "InterfaceContext", "GermClass", "entropy_flux",
-    "godunov_flux", "interface_flux", "remainder", "classify_germ",
+    "interface_flux", "remainder", "classify_germ",
     "germ_pair", "dissipativity_gap",
     "Wave", "RiemannSolution", "solve_classical", "solve_interface",
     "sample", "wave_census",
@@ -94,8 +93,8 @@ __all__ = [
     "SmoothDatum", "datum_constant", "datum_step", "datum_bump",
     "datum_from_table", "project_initial", "lipschitz_bound", "cfl_dt",
     "run", "RunResult",
-    "EntropyReport", "ConsistencyReport", "ConvergenceReport", "check_dei",
-    "consistency_rate", "convergence_study", "riemann_error",
-    "norm_between_grids", "time_variation_sum",
+    "EntropyCheck", "TimeVariation", "EntropyReport", "ConsistencyReport",
+    "ConvergenceReport", "consistency_rate", "convergence_study",
+    "riemann_error", "norm_between_grids",
     "ExperimentConfig", "parse_config", "make_config",
 ]

@@ -40,7 +40,7 @@ from .config import (
     make_config,
     read_raw,
 )
-from .diagnostics import check_dei, consistency_rate, time_variation_sum
+from .diagnostics import EntropyCheck, TimeVariation, consistency_rate
 from .errors import ConfigError, InvariantBreach, NumericalError
 from .flux_model import CriticalCurve, FluxModel, validate_assumptions
 from .interface import InterfaceContext
@@ -312,7 +312,7 @@ def _build_mesh(
 # subcommands
 
 
-def _run_pipeline(cfg: ExperimentConfig, record_all: bool = False):
+def _run_pipeline(cfg: ExperimentConfig, observers=()):
     """Shared run/diagnose pipeline: march, dump snapshots, return the pieces."""
     _require(cfg, "mesh", "initial", "time")
     started = _time.time()
@@ -329,7 +329,7 @@ def _run_pipeline(cfg: ExperimentConfig, record_all: bool = False):
         snapshot_times=(0.0,) + tuple(cfg.time["snapshots"]),
         safety=cfg.time["safety"],
         max_dt=cfg.time["max_dt"],
-        record_all=record_all,
+        observers=observers,
         curve=curve,
     )
     outdir = _resolve_outdir(cfg)
@@ -533,13 +533,17 @@ _CONSISTENCY_DXS = (1.0 / 50, 1.0 / 100, 1.0 / 200, 1.0 / 400)
 
 
 def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
-    result, outdir, outputs, extra, started, curve = _run_pipeline(cfg, record_all=True)
+    diag = cfg.diagnostics
+    entropy = EntropyCheck(n_levels=diag["k_levels"]) if diag["entropy"] else None
+    variation = TimeVariation() if diag["time_variation"] else None
+    result, outdir, outputs, extra, started, curve = _run_pipeline(
+        cfg, [obs for obs in (entropy, variation) if obs is not None])
     model = result.model
     precision = cfg.output["precision"]
     checks = []  # (name, metric, value, threshold, ok)
 
-    if cfg.diagnostics["entropy"]:
-        rep = check_dei(result, n_levels=cfg.diagnostics["k_levels"])
+    if entropy is not None:
+        rep = entropy.report()
         _write_csv(
             os.path.join(outdir, "entropy_per_k.csv"),
             ("k", "max_slack"),
@@ -574,8 +578,8 @@ def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
             ))
             print(rep.summary())
 
-    if cfg.diagnostics["time_variation"]:
-        tv = time_variation_sum(result)
+    if variation is not None:
+        tv = variation.value
         checks.append(("time_variation", "sum (du)^2 dx", tv, math.inf, True))
         print(f"time variation sum: {tv:.6e}")
 

@@ -1,8 +1,11 @@
 """Entropy, consistency, and convergence diagnostics for the scheme.
 
-Everything here is a posteriori: the routines take finished runs (or run
-fresh ones at several resolutions) and measure the quantities the method
-is supposed to control. None of them feed back into time stepping.
+The per-step checks (EntropyCheck, TimeVariation) are run observers: pass
+them in run(..., observers=...) and they see every update as it happens,
+holding state bounded by the mesh, not by the step count. The others take
+a finished state (or run fresh ones at several resolutions). All of them
+measure the quantities the method is supposed to control; none feed back
+into time stepping.
 
 The discrete entropy check is the load-bearing one. For every reference
 level k and every cell j the update must satisfy
@@ -34,12 +37,11 @@ from .solver import (
     _GAUSS_NODES,
     _GAUSS_WEIGHTS,
     Mesh,
-    RunResult,
     Scheme,
     lipschitz_bound,
     run,
 )
-from .steady import envelope_constants
+from .steady import Envelope, envelope_constants
 
 DEFAULT_K_LEVELS = 33
 
@@ -50,7 +52,7 @@ DEFAULT_K_LEVELS = 33
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Worst-case entropy slack of a recorded trajectory.
+    """Worst-case entropy slack over the steps of a run.
 
     `max_slack_per_k[i]` is the largest left-hand side of the cell entropy
     inequality for level `k_values[i]` over all steps and cells; negative
@@ -84,78 +86,73 @@ class EntropyReport:
         )
 
 
-def default_k_levels(result: RunResult, n_levels: int = DEFAULT_K_LEVELS) -> np.ndarray:
+def default_k_levels(
+    envelope: Envelope, u0: np.ndarray, n_levels: int = DEFAULT_K_LEVELS
+) -> np.ndarray:
     """Evenly spaced levels across the invariant region, plus the data extremes."""
-    lo = result.envelope.lower_bound
-    hi = result.envelope.upper_bound
-    ks = np.linspace(lo, hi, n_levels)
-    u0 = result.states[0].u if result.states else result.final.u
+    ks = np.linspace(envelope.lower_bound, envelope.upper_bound, n_levels)
     extra = np.array([float(np.min(u0)), float(np.max(u0))])
     return np.unique(np.concatenate([ks, extra]))
 
 
-def check_dei(
-    result: RunResult,
-    k_values: Optional[Sequence[float]] = None,
-    n_levels: int = DEFAULT_K_LEVELS,
-) -> EntropyReport:
-    """Evaluate the discrete entropy inequality on every step of a run.
+class EntropyCheck:
+    """Run observer evaluating the discrete entropy inequality on every step.
 
-    Needs a run recorded with record_all=True; raises ConfigError otherwise.
-    Vectorized over (level, edge) per step, so cost is a small multiple of
-    re-running the scheme.
+    Pass it in run(..., observers=...), then read report(). Without k_values
+    the levels are default_k_levels(envelope, u0, n_levels). It reuses the
+    run's Scheme and holds O(K N) state; a step evaluates the flux at the N
+    cells only and combines the results with the K levels elementwise.
     """
-    if result.states is None or len(result.states) < 2:
-        raise ConfigError(
-            "entropy check needs the full trajectory; rerun with record_all=True"
-        )
-    mesh = result.mesh
-    model = result.model
-    ks = (
-        np.asarray(k_values, dtype=float)
-        if k_values is not None
-        else default_k_levels(result, n_levels)
-    )
-    if ks.ndim != 1 or ks.size == 0:
-        raise ConfigError("k_values must be a non-empty 1d sequence")
 
-    sch = Scheme(model, mesh, result.cfl.lipschitz)
-    kcol = ks[:, None]
+    def __init__(
+        self, k_values: Optional[Sequence[float]] = None, n_levels: int = DEFAULT_K_LEVELS
+    ):
+        self.k_values = None if k_values is None else np.asarray(k_values, dtype=float)
+        if self.k_values is not None and (self.k_values.ndim != 1 or self.k_values.size == 0):
+            raise ConfigError("k_values must be a non-empty 1d sequence")
+        self.n_levels = n_levels
+        self._n_steps = 0
 
-    # F(k, k) per edge is time independent; difference it once per level.
-    f_kk = sch.edge_fluxes(np.broadcast_to(kcol, (ks.size, mesh.n_cells)))
-    d_kk = f_kk[:, 1:] - f_kk[:, :-1]
+    def start(self, scheme: Scheme, envelope: Envelope, u0: np.ndarray) -> None:
+        ks = self.k_values
+        if ks is None:
+            ks = default_k_levels(envelope, u0, self.n_levels)
+        self._scheme, self._ks = scheme, ks
+        # The k terms of the edge fluxes and F(k, k) are time independent.
+        self._kl, self._kr = scheme.edge_sides(
+            np.broadcast_to(ks[:, None], (ks.size, scheme.mesh.n_cells)))
+        f_kk = np.maximum(self._kl, self._kr)
+        self._d_kk = f_kk[:, 1:] - f_kk[:, :-1]
+        self._max_slack = np.full(ks.size, -np.inf)
+        self._worst = (-math.inf, 0, 0, 0)  # slack, k index, step, cell
+        self._n_steps = 0
 
-    dx = mesh.dx
-    max_slack = np.full(ks.size, -np.inf)
-    worst = (-math.inf, 0, 0, 0)  # slack, k index, step, cell
-    for n in range(len(result.states) - 1):
-        u = result.states[n].u
-        u1 = result.states[n + 1].u
-        dt = result.states[n + 1].time - result.states[n].time
-        phi = sch.edge_fluxes(np.maximum(u, kcol)) - sch.edge_fluxes(np.minimum(u, kcol))
-        du1 = u1[None, :] - kcol
+    def step(self, u: np.ndarray, u_new: np.ndarray, dt: float) -> None:
+        kcol, kl, kr = self._ks[:, None], self._kl, self._kr
+        # h_l rises on [alpha_l, inf) and h_r falls on (-inf, alpha_r], so the
+        # terms of F(max(u, k)) and F(min(u, k)) are maxima/minima of u and k terms.
+        a, b = self._scheme.edge_sides(u)
+        phi = (np.maximum(np.maximum(a, kl), np.minimum(b, kr))
+               - np.maximum(np.minimum(a, kl), np.maximum(b, kr)))
+        du1 = u_new[None, :] - kcol
         slack = (
-            (np.abs(du1) - np.abs(u[None, :] - kcol)) * dx
+            (np.abs(du1) - np.abs(u[None, :] - kcol)) * self._scheme.mesh.dx
             + (phi[:, 1:] - phi[:, :-1]) * dt
-            + np.sign(du1) * d_kk * dt
+            + np.sign(du1) * self._d_kk * dt
         )
-        step_max = slack.max(axis=1)
-        improved = step_max > max_slack
-        max_slack = np.where(improved, step_max, max_slack)
-        flat = int(np.argmax(slack))
-        ik, jc = np.unravel_index(flat, slack.shape)
-        if slack[ik, jc] > worst[0]:
-            worst = (float(slack[ik, jc]), int(ik), n, int(jc))
-    return EntropyReport(
-        k_values=ks,
-        max_slack_per_k=max_slack,
-        worst_slack=worst[0],
-        worst_k=float(ks[worst[1]]),
-        worst_step=worst[2],
-        worst_cell=worst[3],
-        n_steps=len(result.states) - 1,
-    )
+        self._max_slack = np.maximum(self._max_slack, slack.max(axis=1))
+        ik, jc = np.unravel_index(int(np.argmax(slack)), slack.shape)
+        if slack[ik, jc] > self._worst[0]:
+            self._worst = (float(slack[ik, jc]), int(ik), self._n_steps, int(jc))
+        self._n_steps += 1
+
+    def report(self) -> EntropyReport:
+        if self._n_steps == 0:
+            raise ConfigError("entropy check observed no step; run with t_end > 0")
+        slack, ik, step, cell = self._worst
+        return EntropyReport(k_values=self._ks, max_slack_per_k=self._max_slack.copy(),
+                             worst_slack=slack, worst_k=float(self._ks[ik]), worst_step=step,
+                             worst_cell=cell, n_steps=self._n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -500,24 +497,28 @@ def convergence_study(
 # square time-increment functional
 
 
-def time_variation_sum(
-    result: RunResult, window: Optional[tuple[float, float]] = None
-) -> float:
-    """sum over steps and cells of (u^{n+1}_j - u^n_j)^2 dx, optionally windowed.
+class TimeVariation:
+    """Run observer summing (u^{n+1}_j - u^n_j)^2 dx over steps and cells,
+    optionally over the cells whose centers lie in a window.
 
     Boundedness of this functional under refinement is the compactness-side
     stability estimate; it is what the refinement sweep in the test suite
-    monitors.
+    monitors. Read `value` after the run.
     """
-    if result.states is None or len(result.states) < 2:
-        raise ConfigError(
-            "time variation needs the full trajectory; rerun with record_all=True"
-        )
-    stack = np.stack([s.u for s in result.states])
-    diffs = np.diff(stack, axis=0) ** 2
-    if window is not None:
-        mask = (result.mesh.centers() >= window[0]) & (
-            result.mesh.centers() <= window[1]
-        )
-        diffs = diffs[:, mask]
-    return float(diffs.sum() * result.mesh.dx)
+
+    def __init__(self, window: Optional[tuple[float, float]] = None):
+        self.window = window
+        self._sum = self._dx = 0.0
+
+    def start(self, scheme: Scheme, envelope: Envelope, u0: np.ndarray) -> None:
+        self._sum, self._dx, xc = 0.0, scheme.mesh.dx, scheme.mesh.centers()
+        w = self.window
+        self._cells = slice(None) if w is None else (xc >= w[0]) & (xc <= w[1])
+
+    def step(self, u: np.ndarray, u_new: np.ndarray, dt: float) -> None:
+        d = (u_new - u)[self._cells]
+        self._sum += float(np.dot(d, d))
+
+    @property
+    def value(self) -> float:
+        return self._sum * self._dx

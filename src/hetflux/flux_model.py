@@ -113,7 +113,6 @@ class CriticalCurve:
     boundary captures inf/sup alpha exactly up to grid resolution.
     """
 
-    model: FluxModel
     xs: np.ndarray
     alphas: np.ndarray
     alpha_min: float
@@ -130,7 +129,6 @@ class CriticalCurve:
             xs = np.union1d(np.linspace(-X, X, n_samples), [0.0])
         alphas = critical_point(model, xs)
         return cls(
-            model=model,
             xs=xs,
             alphas=alphas,
             alpha_min=float(np.min(alphas)),

@@ -4,9 +4,9 @@ Everything here is expressed through two one-variable convex fluxes f_l, f_r
 (each with its critical point alpha and minimum value), abstracted as the two
 sides of an InterfaceContext. The central objects:
 
-* the Godunov flux of one convex flux, in closed form;
 * the interface flux max{f_l(u_l v alpha_l), f_r(alpha_r ^ u_r)}, the unique
-  monotone flux consistent with the admissible stationary jumps;
+  monotone flux consistent with the admissible stationary jumps; with the
+  same flux on both sides it is that flux's Godunov flux;
 * the admissibility germ: state pairs (k_l, k_r) with f_l(k_l) = f_r(k_r)
   that are admissible as stationary jumps, split into three classes by which
   monotone branches carry the states (the fourth branch combination is the
@@ -100,16 +100,6 @@ def entropy_flux(f: Callable, a, k):
     a = np.asarray(a, dtype=float)
     k = np.asarray(k, dtype=float)
     val = np.sign(a - k) * (np.asarray(f(a)) - np.asarray(f(k)))
-    return float(val) if val.ndim == 0 else val
-
-
-def godunov_flux(f: Callable, alpha: float, a, b):
-    """Godunov numerical flux of a convex flux: max{f(max(a, alpha)), f(min(alpha, b))}."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    val = np.maximum(
-        np.asarray(f(np.maximum(a, alpha))), np.asarray(f(np.minimum(alpha, b)))
-    )
     return float(val) if val.ndim == 0 else val
 
 

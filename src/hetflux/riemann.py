@@ -32,7 +32,7 @@ from .interface import (
     FluxSide,
     InterfaceContext,
     classify_germ,
-    godunov_flux,
+    interface_flux,
     require_finite,
 )
 from .rootfind import solve_increasing
@@ -130,15 +130,16 @@ def solve_classical(flux: FluxSide, u_l: float, u_r: float) -> RiemannSolution:
     """Riemann solution for a single convex flux (no interface)."""
     require_finite(u_l=u_l, u_r=u_r)
     u_l, u_r = float(u_l), float(u_r)
+    ctx = InterfaceContext(left=flux, right=flux)
     sol = RiemannSolution(
-        ctx=InterfaceContext(left=flux, right=flux),
+        ctx=ctx,
         u_left=u_l,
         u_right=u_r,
         waves=tuple(_classical_waves(flux, u_l, u_r, SIDE_LEFT)),
         trace_left=u_l,
         trace_right=u_r,
         case_tag="classical",
-        interface_flux_value=float(godunov_flux(flux.f, flux.alpha, u_l, u_r)),
+        interface_flux_value=float(interface_flux(ctx, u_l, u_r)),
     )
     return dataclasses.replace(
         sol, trace_left=sample(sol, 0.0, left_limit=True), trace_right=sample(sol, 0.0)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -105,17 +105,18 @@ class Scheme:
                 if not np.array_equal(f(u), model.h(self.xc_ext[side], u)):
                     raise ConfigError(f"flux model {model.name!r}: freeze hook disagrees with h")
 
-    def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
-        """Interface flux at every edge for cell states u of shape (..., n_cells).
-
-        Ghost cells replicate the boundary cells along the last axis.
-        """
+    def edge_sides(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The terms h_l(max(u_l, alpha_l)) and h_r(min(alpha_r, u_r)) of the
+        interface flux at every edge, for cell states u of shape (..., n_cells).
+        Ghost cells replicate the boundary cells along the last axis."""
         u = np.asarray(u, dtype=float)
         u_ext = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
-        return np.maximum(
-            self.h_left(np.maximum(u_ext[..., :-1], self.al_ext[:-1])),
-            self.h_right(np.minimum(self.al_ext[1:], u_ext[..., 1:])),
-        )
+        return (self.h_left(np.maximum(u_ext[..., :-1], self.al_ext[:-1])),
+                self.h_right(np.minimum(self.al_ext[1:], u_ext[..., 1:])))
+
+    def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
+        """Interface flux max of the two edge_sides terms at every edge."""
+        return np.maximum(*self.edge_sides(u))
 
     def step_arrays(self, u: np.ndarray, dt: float):
         """One update; returns (u_new, boundary fluxes (F_in, F_out))."""
@@ -275,7 +276,6 @@ class RunResult:
     mesh: Mesh
     model: FluxModel
     snapshots: list
-    states: Optional[list]
     cfl: CflPolicy
     envelope: Envelope
     n_steps: int
@@ -298,24 +298,25 @@ def run(
     t_end: float,
     snapshot_times=(),
     safety: float = 0.9,
-    record_all: bool = False,
+    observers: Sequence = (),
     datum_bounds: Optional[tuple[float, float]] = None,
     max_dt: Optional[float] = None,
     curve: Optional[CriticalCurve] = None,
 ) -> RunResult:
     """March the scheme to t_end with the step size fixed by the envelope.
 
-    Snapshot times are hit exactly by shortening the step. record_all keeps
-    every intermediate state (needed by per-step diagnostics).
+    Snapshot times are hit exactly by shortening the step. Each observer gets
+    obs.start(scheme, envelope, u0) before the first step and obs.step(u,
+    u_new, dt) after each, with the dt used; no one may modify these arrays.
     """
     if t_end < 0:
         raise ConfigError(f"t_end must be >= 0, got {t_end}")
     if curve is None:
         curve = CriticalCurve.build(model)
-    state = project_initial(datum, mesh)
+    u = project_initial(datum, mesh).u
     if datum_bounds is None:
         if isinstance(datum, GridState):
-            datum_bounds = (float(np.min(state.u)), float(np.max(state.u)))
+            datum_bounds = (float(np.min(u)), float(np.max(u)))
         else:
             datum_bounds = datum.bounds(mesh)
     env = envelope(model, mesh, datum_bounds[0], datum_bounds[1], curve=curve)
@@ -340,39 +341,39 @@ def run(
 
     snapshots = []
     if t_end > 0 and any(abs(t) <= 1e-14 * max(1.0, t_end) for t in snapshot_times):
-        snapshots.append(GridState(u=state.u.copy(), time=0.0, step_index=0))
-    states = [GridState(u=state.u.copy(), time=0.0, step_index=0)] if record_all else None
+        snapshots.append(GridState(u=u.copy(), time=0.0, step_index=0))
+    for obs in observers:
+        obs.start(scheme, env, u)
 
-    mass0 = float(np.sum(state.u)) * mesh.dx
+    mass0 = float(np.sum(u)) * mesh.dx
     net_out = 0.0
-    rmin = float(np.min(state.u))
-    rmax = float(np.max(state.u))
+    rmin = float(np.min(u))
+    rmax = float(np.max(u))
     t = 0.0
     n_steps = 0
     tol_t = 1e-12 * max(1.0, t_end)
     for target in events:
         while t < target - tol_t:
             dt = min(dt_nominal, target - t)
-            u_new, f_in, f_out = scheme.step_arrays(state.u, dt)
+            u_new, f_in, f_out = scheme.step_arrays(u, dt)
+            for obs in observers:
+                obs.step(u, u_new, dt)
             net_out += dt * (f_out - f_in)
             t += dt
             n_steps += 1
-            state = GridState(u=u_new, time=t, step_index=n_steps)
-            rmin = min(rmin, float(np.min(u_new)))
-            rmax = max(rmax, float(np.max(u_new)))
-            if record_all:
-                states.append(state)
+            u = u_new
+            rmin = min(rmin, float(np.min(u)))
+            rmax = max(rmax, float(np.max(u)))
         t = target
-        snapshots.append(GridState(u=state.u.copy(), time=target, step_index=n_steps))
+        snapshots.append(GridState(u=u.copy(), time=target, step_index=n_steps))
 
-    mass_final = float(np.sum(state.u)) * mesh.dx
+    mass_final = float(np.sum(u)) * mesh.dx
     scale = max(abs(mass0), abs(mass_final), float(np.sum(np.abs(snapshots[-1].u))) * mesh.dx, 1e-30)
     drift = abs(mass_final - (mass0 - net_out)) / scale
     return RunResult(
         mesh=mesh,
         model=model,
         snapshots=snapshots,
-        states=states,
         cfl=policy,
         envelope=env,
         n_steps=n_steps,

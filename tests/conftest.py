@@ -1,10 +1,31 @@
-"""Shared fixtures: the canonical two-flux interface and the built-in models."""
+"""Shared fixtures: the canonical two-flux interface and the built-in models,
+plus RecordStates, a run observer for tests that need a whole trajectory."""
 
 import numpy as np
 import pytest
 
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.interface import InterfaceContext, germ_pair
+
+
+class RecordStates:
+    """Run observer keeping every step as (u, u_new, dt), by reference.
+
+    run() never modifies the arrays it hands to observers, so no copies are
+    needed. Memory grows with the step count: test use only.
+    """
+
+    def start(self, scheme, envelope, u0):
+        self.u0 = u0
+        self.steps = []
+
+    def step(self, u, u_new, dt):
+        self.steps.append((u, u_new, dt))
+
+    @property
+    def states(self):
+        """Initial state, then the state after every step."""
+        return [self.u0] + [u_new for _, u_new, _ in self.steps]
 
 
 @pytest.fixture(scope="session")

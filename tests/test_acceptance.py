@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from hetflux.config import parse_config
-from hetflux.diagnostics import check_dei, consistency_rate, convergence_study
+from hetflux.diagnostics import EntropyCheck, consistency_rate, convergence_study
 from hetflux.flux_model import CriticalCurve, legendre_transform
 from hetflux.interface import (
     InterfaceContext,
@@ -66,19 +66,22 @@ GOLDEN_CONFIGS = (
 
 @pytest.fixture(scope="module")
 def golden_runs():
-    """Full-trajectory runs of the three golden configs, keyed by name."""
+    """Runs of the three golden configs with the entropy check of every step
+    over 33 levels, keyed by name: (RunResult, EntropyReport)."""
     results = {}
     for name in GOLDEN_CONFIGS:
         cfg = parse_config(os.path.join(CONFIG_DIR, name + ".ini"))
         mesh = Mesh.make(cfg.mesh["x_min"], cfg.mesh["x_max"], cfg.mesh["dx"])
-        results[name] = run(
+        check = EntropyCheck(n_levels=33)
+        res = run(
             cfg.build_model(),
             mesh,
             cfg.build_datum(),
             cfg.time["t_end"],
             safety=cfg.time["safety"],
-            record_all=True,
+            observers=(check,),
         )
+        results[name] = (res, check.report())
     return results
 
 
@@ -197,8 +200,7 @@ def test_criterion_06_consistency_first_order(hq_model, lwr_model):
 
 def test_criterion_07_discrete_entropy_inequalities(golden_runs):
     # max slack <= 1e-10 (1 + |k|) over 33 reference levels per scenario
-    for name, res in golden_runs.items():
-        rep = check_dei(res, n_levels=33)
+    for name, (_, rep) in golden_runs.items():
         assert len(rep.k_values) >= 33
         bound = 1e-10 * (1.0 + np.abs(rep.k_values))
         assert np.all(rep.max_slack_per_k <= bound), (name, rep.summary())
@@ -307,5 +309,5 @@ def test_criterion_10_convex_conjugate_identities(
 
 
 def test_criterion_11_mass_conservation_on_golden_runs(golden_runs):
-    for name, res in golden_runs.items():
+    for name, (res, _) in golden_runs.items():
         assert res.mass_drift <= 1e-10, (name, res.mass_drift)

@@ -14,23 +14,27 @@ Frozen numbers:
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from conftest import RecordStates
 
 from hetflux.diagnostics import (
-    check_dei,
+    EntropyCheck,
+    TimeVariation,
     consistency_rate,
     convergence_study,
     default_k_levels,
     norm_between_grids,
     riemann_error,
-    time_variation_sum,
 )
 from hetflux.errors import ConfigError
 from hetflux.families import quadratic, two_state
+from hetflux.flux_model import FluxModel
 from hetflux.riemann import sample, solve_interface
-from hetflux.solver import GridState, Mesh, datum_step, project_initial, run
+from hetflux.solver import GridState, Mesh, Scheme, datum_step, project_initial, run
 from hetflux.steady import build_steady
 
 
@@ -38,19 +42,11 @@ from hetflux.steady import build_steady
 # entropy inequalities
 
 
-def test_dei_requires_recorded_trajectory(pair_model):
-    mesh = Mesh.make(-1.0, 1.0, 0.1)
-    res = run(pair_model, mesh, datum_step(-1.0, 0.5), t_end=0.1)
-    with pytest.raises(ConfigError, match="record_all"):
-        check_dei(res)
-    with pytest.raises(ConfigError, match="record_all"):
-        time_variation_sum(res)
-
-
 def test_dei_holds_for_homogeneous_godunov(burgers_model):
     mesh = Mesh.make(-2.0, 2.0, 0.02)
-    res = run(burgers_model, mesh, datum_step(1.0, -0.5), t_end=0.3, record_all=True)
-    report = check_dei(res)
+    check = EntropyCheck()
+    res = run(burgers_model, mesh, datum_step(1.0, -0.5), t_end=0.3, observers=(check,))
+    report = check.report()
     assert report.ok(1e-10), report.summary()
     assert "pass" in report.summary()
     assert report.worst_slack == pytest.approx(float(np.max(report.max_slack_per_k)))
@@ -61,34 +57,81 @@ def test_dei_holds_on_steady_trajectory(hq_model):
     mesh = Mesh.make(-2.0, 2.0, 0.02)
     st = build_steady(hq_model, mesh, 1.3, branch="upper")
     datum = GridState(u=st.values.copy(), time=0.0)
-    res = run(hq_model, mesh, datum, t_end=0.05, record_all=True)
-    report = check_dei(res, k_values=np.linspace(-1.0, 2.0, 13))
+    check = EntropyCheck(k_values=np.linspace(-1.0, 2.0, 13))
+    run(hq_model, mesh, datum, t_end=0.05, observers=(check,))
+    report = check.report()
     assert report.worst_normalized <= 1e-12, report.summary()
 
 
 def test_dei_holds_across_the_interface(pair_model):
     mesh = Mesh.make(-2.5, 2.5, 0.025)
-    res = run(pair_model, mesh, datum_step(-1.0, 1.0), t_end=0.25, record_all=True)
-    report = check_dei(res, k_values=[0.0, -1.0, 0.7, 2.0])
+    check = EntropyCheck(k_values=[0.0, -1.0, 0.7, 2.0])
+    run(pair_model, mesh, datum_step(-1.0, 1.0), t_end=0.25, observers=(check,))
+    report = check.report()
     assert report.ok(1e-10), report.summary()
 
 
-def test_dei_validates_levels(pair_model):
-    mesh = Mesh.make(-1.0, 1.0, 0.1)
-    res = run(pair_model, mesh, datum_step(-1.0, 0.5), t_end=0.1, record_all=True)
+def test_dei_validates_levels():
     with pytest.raises(ConfigError, match="non-empty"):
-        check_dei(res, k_values=[])
+        EntropyCheck(k_values=[])
+
+
+def test_dei_report_needs_an_observed_step(pair_model):
+    check = EntropyCheck()
+    with pytest.raises(ConfigError, match="no step"):
+        check.report()
+    mesh = Mesh.make(-1.0, 1.0, 0.1)
+    run(pair_model, mesh, datum_step(-1.0, 0.5), t_end=0.0, observers=(check,))
+    with pytest.raises(ConfigError, match="no step"):
+        check.report()
 
 
 def test_default_k_levels_cover_bounds_and_data(pair_model):
     mesh = Mesh.make(-1.0, 1.0, 0.1)
-    res = run(pair_model, mesh, datum_step(-1.0, 0.5), t_end=0.05, record_all=True)
-    ks = default_k_levels(res, n_levels=9)
+    datum = datum_step(-1.0, 0.5)
+    check = EntropyCheck(n_levels=9)
+    res = run(pair_model, mesh, datum, t_end=0.05, observers=(check,))
+    ks = default_k_levels(res.envelope, project_initial(datum, mesh).u, n_levels=9)
+    assert np.array_equal(check.report().k_values, ks)
     assert ks[0] == pytest.approx(res.envelope.lower_bound)
     assert ks[-1] == pytest.approx(res.envelope.upper_bound)
     for v in (-1.0, 0.5):
         assert np.min(np.abs(ks - v)) < 1e-14
     assert np.all(np.diff(ks) > 0)
+
+
+def test_dei_matches_direct_edge_flux_evaluation(pair_model, hq_model, lwr_model,
+                                                 burgers_model):
+    # EntropyCheck splits F(max(u, k)) and F(min(u, k)) into maxima/minima of
+    # per-step u terms and fixed k terms. Against the edge fluxes evaluated at
+    # max(u, k) and min(u, k) this is exact for the built-in quadratic forms
+    # (rounding keeps them monotone on each branch) and within rounding for a
+    # custom flux.
+    custom = FluxModel(
+        h=lambda x, u: (1.5 + 0.5 * np.tanh(x)) * (np.cosh(u) - 1.0),
+        du_h=lambda x, u: (1.5 + 0.5 * np.tanh(x)) * np.sinh(u),
+        dx_h=lambda x, u: 0.5 / np.cosh(x) ** 2 * (np.cosh(u) - 1.0),
+        hetero_radius=2.0,
+    )
+    cases = ((burgers_model, (1.0, -0.5), 0.0), (pair_model, (-1.0, 1.0), 0.0),
+             (hq_model, (0.2, 1.2), 0.0), (lwr_model, (-0.3, -0.7), 0.0),
+             (custom, (-1.0, 0.5), 1e-15))
+    for model, (left, right), tol in cases:
+        mesh = Mesh.make(-3.0, 3.0, 0.05)
+        rec, check = RecordStates(), EntropyCheck(n_levels=9)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*influence cone.*")
+            res = run(model, mesh, datum_step(left, right), t_end=0.3, observers=(rec, check))
+        rep = check.report()
+        sch, kcol = Scheme(model, mesh, res.cfl.lipschitz), rep.k_values[:, None]
+        d_kk = np.diff(sch.edge_fluxes(np.broadcast_to(kcol, (kcol.size, mesh.n_cells))))
+        want = np.full(kcol.size, -np.inf)
+        for u, u_new, dt in rec.steps:
+            phi = sch.edge_fluxes(np.maximum(u, kcol)) - sch.edge_fluxes(np.minimum(u, kcol))
+            slack = ((np.abs(u_new - kcol) - np.abs(u - kcol)) * mesh.dx
+                     + np.diff(phi) * dt + np.sign(u_new - kcol) * d_kk * dt)
+            want = np.maximum(want, slack.max(axis=1))
+        assert np.all(np.abs(rep.max_slack_per_k - want) <= tol * (1.0 + np.abs(kcol[:, 0])))
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +329,46 @@ def test_convergence_study_validation(pair_model, pair_ctx):
 def test_time_variation_zero_on_steady_data(hq_model):
     mesh = Mesh.make(-2.0, 2.0, 0.02)
     st = build_steady(hq_model, mesh, 1.3, branch="upper")
-    res = run(hq_model, mesh, GridState(u=st.values.copy(), time=0.0), t_end=0.05,
-              record_all=True)
-    assert time_variation_sum(res) < 1e-12
+    tv = TimeVariation()
+    run(hq_model, mesh, GridState(u=st.values.copy(), time=0.0), t_end=0.05, observers=(tv,))
+    assert tv.value < 1e-12
 
 
 def test_time_variation_bounded_under_refinement(pair_model):
     values = []
     for dx in (0.04, 0.02, 0.01):
         mesh = Mesh.make(-2.0, 2.0, dx)
-        res = run(pair_model, mesh, datum_step(-1.0, -1.0), t_end=0.25, record_all=True)
-        values.append(time_variation_sum(res))
+        tv = TimeVariation()
+        run(pair_model, mesh, datum_step(-1.0, -1.0), t_end=0.25, observers=(tv,))
+        values.append(tv.value)
     assert max(values) / min(values) < 2.0
     # windowed sum never exceeds the full-domain sum
     mesh = Mesh.make(-2.0, 2.0, 0.02)
-    res = run(pair_model, mesh, datum_step(-1.0, -1.0), t_end=0.25, record_all=True)
-    assert time_variation_sum(res, window=(-0.5, 0.5)) <= time_variation_sum(res)
+    full, windowed = TimeVariation(), TimeVariation(window=(-0.5, 0.5))
+    run(pair_model, mesh, datum_step(-1.0, -1.0), t_end=0.25, observers=(full, windowed))
+    assert windowed.value <= full.value
+
+
+@pytest.mark.filterwarnings("ignore:window does not contain")
+def test_diagnostic_observers_memory_is_bounded_by_the_mesh():
+    # Both per-step diagnostics hold O(levels x cells) state, so a run 4x as
+    # long peaks at about the same traced memory. A stored trajectory would
+    # grow with the step count (3.4x here when kept and stacked).
+    model = two_state()
+    mesh = Mesh.make(-2.0, 2.0, 0.01)
+
+    def peak(t_end):
+        tracemalloc.start()
+        try:
+            check, tv = EntropyCheck(), TimeVariation()
+            res = run(model, mesh, datum_step(-1.0, 1.0), t_end, observers=(check, tv))
+            assert check.report().ok(1e-10)
+            return res.n_steps, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.01)  # first-call caches out of the measurement
+    n_short, short = peak(0.25)
+    n_long, long = peak(1.0)
+    assert n_long >= 3.9 * n_short
+    assert long <= 1.25 * short, (short, long)

@@ -1,4 +1,4 @@
-"""Interface algebra: Godunov flux, interface flux, remainder, germ classes.
+"""Interface algebra: interface (and same-flux Godunov) flux, remainder, germ classes.
 
 Frozen oracles for the flux pair f_l = u^2/2, f_r = u^2 (alpha = 0 both sides):
 
@@ -28,7 +28,6 @@ from hetflux.interface import (
     dissipativity_gap,
     entropy_flux,
     germ_pair,
-    godunov_flux,
     interface_flux,
     interface_flux_profile,
     remainder,
@@ -39,6 +38,13 @@ SQRT2 = math.sqrt(2.0)
 
 def _level_floor(ctx):
     return max(ctx.left.fmin, ctx.right.fmin)
+
+
+def _same_flux(f, df, alpha):
+    """Context with one convex flux on both sides: its interface flux is the
+    Godunov flux max{f(max(a, alpha)), f(min(alpha, b))}."""
+    side = FluxSide(f=f, df=df, alpha=alpha, fmin=float(f(alpha)))
+    return InterfaceContext(side, side)
 
 
 @pytest.fixture(scope="module")
@@ -66,34 +72,35 @@ def test_entropy_flux_values_and_antisymmetry():
 
 
 def test_godunov_closed_form_values():
-    half = lambda u: np.asarray(u) ** 2 / 2.0
-    square = lambda u: np.asarray(u) ** 2
-    assert godunov_flux(half, 0.0, 1.0, -1.0) == 0.5
-    assert godunov_flux(half, 0.0, -1.0, 1.0) == 0.0
-    assert godunov_flux(square, 0.0, 3.0, 3.0) == 9.0
+    half = _same_flux(lambda u: np.asarray(u) ** 2 / 2.0, lambda u: np.asarray(u), 0.0)
+    square = _same_flux(lambda u: np.asarray(u) ** 2, lambda u: 2.0 * np.asarray(u), 0.0)
+    assert interface_flux(half, 1.0, -1.0) == 0.5
+    assert interface_flux(half, -1.0, 1.0) == 0.0
+    assert interface_flux(square, 3.0, 3.0) == 9.0
 
 
 def test_godunov_matches_exhaustive_minmax(rng):
     # a <= b: minimum of f over [a, b]; a > b: max{f(a), f(b)}.
-    half = lambda u: np.asarray(u) ** 2 / 2.0
+    half = _same_flux(lambda u: np.asarray(u) ** 2 / 2.0, lambda u: np.asarray(u), 0.0)
     for _ in range(300):
         a, b = rng.uniform(-3.0, 3.0, 2)
         if a <= b:
             want = 0.0 if a < 0.0 < b else min(a * a, b * b) / 2.0
         else:
             want = max(a * a, b * b) / 2.0
-        assert abs(godunov_flux(half, 0.0, a, b) - want) < 1e-14
+        assert abs(interface_flux(half, a, b) - want) < 1e-14
 
 
 def test_godunov_monotone_and_consistent(rng):
     f = lambda u: 0.7 * (np.asarray(u) - 0.2) ** 2 - 0.3
+    ctx = _same_flux(f, lambda u: 1.4 * (np.asarray(u) - 0.2), 0.2)
     for _ in range(200):
         a, b, d = rng.uniform(-2.0, 2.0, 3)
         d = abs(d)
-        assert godunov_flux(f, 0.2, a + d, b) >= godunov_flux(f, 0.2, a, b) - 1e-14
-        assert godunov_flux(f, 0.2, a, b + d) <= godunov_flux(f, 0.2, a, b) + 1e-14
+        assert interface_flux(ctx, a + d, b) >= interface_flux(ctx, a, b) - 1e-14
+        assert interface_flux(ctx, a, b + d) <= interface_flux(ctx, a, b) + 1e-14
         k = rng.uniform(-2.0, 2.0)
-        assert abs(godunov_flux(f, 0.2, k, k) - float(f(k))) < 1e-14
+        assert abs(interface_flux(ctx, k, k) - float(f(k))) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +153,11 @@ def test_homogeneous_reduction_matches_godunov(rng):
     m = quadratic(0.5, shift=0.3, offset=-0.2)
     ctx = InterfaceContext.from_model(m, -1.0, 1.0)
     grid = np.linspace(-3.0, 3.0, 51)
-    f = lambda u: np.asarray(m.h(0.0, u), dtype=float)
+    godunov = _same_flux(lambda u: np.asarray(m.h(0.0, u), dtype=float),
+                         lambda u: np.asarray(m.du_h(0.0, u), dtype=float), 0.3)
     for a in grid:
         got = interface_flux(ctx, a, grid)
-        want = godunov_flux(f, 0.3, a, grid)
+        want = interface_flux(godunov, a, grid)
         assert np.max(np.abs(got - want)) <= 1e-14
 
 

@@ -14,11 +14,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import RecordStates
 
+from hetflux.diagnostics import TimeVariation
 from hetflux.errors import ConfigError, NumericalError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.flux_model import FluxModel
-from hetflux.interface import godunov_flux, interface_flux_profile
+from hetflux.interface import FluxSide, InterfaceContext, interface_flux, interface_flux_profile
 from hetflux.solver import (
     GridState,
     Mesh,
@@ -186,10 +188,12 @@ def test_homogeneous_update_matches_godunov(burgers_model, rng):
     scheme = Scheme(burgers_model, mesh, lipschitz=1.0)
     dt = 0.4 * mesh.dx
     f = lambda s: np.asarray(s, dtype=float) ** 2 / 2.0
+    side = FluxSide(f=f, df=lambda s: np.asarray(s, dtype=float), alpha=0.0, fmin=0.0)
+    godunov = InterfaceContext(side, side)
     for _ in range(50):
         u_new, _, _ = scheme.step_arrays(u, dt)
         ext = np.pad(u, 1, mode="edge")
-        F = godunov_flux(f, 0.0, ext[:-1], ext[1:])
+        F = interface_flux(godunov, ext[:-1], ext[1:])
         want = u - (dt / mesh.dx) * np.diff(F)
         assert np.max(np.abs(u_new - want)) <= 1e-14
         u = u_new
@@ -227,7 +231,7 @@ def test_edge_fluxes_match_unfrozen_oracle(name, rng):
     sch = Scheme(model, mesh, lipschitz=1.0)
     xl, xr = sch.xc_ext[:-1], sch.xc_ext[1:]
     al, ar = sch.al_ext[:-1], sch.al_ext[1:]
-    # states on both sides of the critical curve, one row per level as in check_dei
+    # states on both sides of the critical curve, one row per level as in EntropyCheck
     U = sch.al_ext[1:-1] + rng.uniform(-1.0, 1.0, (4, mesh.n_cells))
     ext = np.concatenate((U[:, :1], U, U[:, -1:]), axis=1)
     want = interface_flux_profile(
@@ -301,13 +305,37 @@ def test_run_is_deterministic(hq_model):
 
 def test_run_mass_accounting(pair_model):
     mesh = Mesh.make(-2.0, 2.0, 0.02)
-    res = run(pair_model, mesh, datum_step(-1.0, 1.0), t_end=0.4, record_all=True)
+    rec = RecordStates()
+    res = run(pair_model, mesh, datum_step(-1.0, 1.0), t_end=0.4, observers=(rec,))
     assert res.mass_drift <= 1e-11
-    assert len(res.states) == res.n_steps + 1
+    assert len(rec.states) == res.n_steps + 1
     # balance recomputed from the recorded trajectory
     assert res.mass_final == pytest.approx(
-        float(np.sum(res.states[-1].u)) * mesh.dx, abs=1e-15
+        float(np.sum(rec.states[-1])) * mesh.dx, abs=1e-15
     )
+
+
+def test_run_hands_every_step_to_observers(pair_model):
+    # A snapshot at 0.13 shortens one step, so the dts are not all equal.
+    mesh = Mesh.make(-2.0, 2.0, 0.02)
+    rec = RecordStates()
+    full, windowed = TimeVariation(), TimeVariation(window=(-0.5, 0.5))
+    res = run(pair_model, mesh, datum_step(-1.0, 1.0), t_end=0.4, snapshot_times=(0.13,),
+              observers=(rec, full, windowed))
+    assert len(rec.steps) == res.n_steps
+    prev = rec.u0
+    for u, u_new, _ in rec.steps:
+        assert u is prev
+        prev = u_new
+    assert np.array_equal(prev, res.final.u)
+    dts = [dt for _, _, dt in rec.steps]
+    assert len(set(dts)) > 1
+    assert abs(sum(dts) - 0.4) <= 1e-12
+    # the running sums match the sum over the recorded trajectory
+    sq = np.diff(np.stack(rec.states), axis=0) ** 2
+    cells = (mesh.centers() >= -0.5) & (mesh.centers() <= 0.5)
+    for tv, want in ((full, sq.sum() * mesh.dx), (windowed, sq[:, cells].sum() * mesh.dx)):
+        assert abs(tv.value - want) <= 1e-14 * want
 
 
 def test_run_warns_when_window_misses_influence_cone(hq_model):
