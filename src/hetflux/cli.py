@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import time as _time
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .config import (
 )
 from .diagnostics import EntropyCheck, TimeVariation, consistency_rate
 from .errors import ConfigError, InvariantBreach, NumericalError
-from .flux_model import CriticalCurve, FluxModel, validate_assumptions
+from .flux_model import FluxModel, validate_assumptions
 from .interface import InterfaceContext
 from .riemann import sample, solve_interface, wave_census
 from .solver import (
@@ -281,7 +280,6 @@ def _build_mesh(
     model: FluxModel,
     datum=None,
     t_end: float = 0.0,
-    curve: Optional[CriticalCurve] = None,
 ) -> Mesh:
     """Mesh from config; the window is auto-sized when x_min/x_max are absent.
 
@@ -300,10 +298,8 @@ def _build_mesh(
         probe_half = math.ceil((half0 + 1.0) / dx) * dx
         probe = Mesh.make(-probe_half, probe_half, dx)
         b = datum.bounds(probe)
-        consts = envelope_constants(model, b[0], b[1], curve=curve)
-        margin = lipschitz_bound(
-            model, consts.lower_bound, consts.upper_bound, curve
-        ) * t_end
+        consts = envelope_constants(model, b[0], b[1])
+        margin = lipschitz_bound(model, consts.lower_bound, consts.upper_bound) * t_end
     half = math.ceil((half0 + margin) / dx + 2.0) * dx
     return Mesh.make(-half, half, dx)
 
@@ -317,10 +313,9 @@ def _run_pipeline(cfg: ExperimentConfig, observers=()):
     _require(cfg, "mesh", "initial", "time")
     started = _time.time()
     model = cfg.build_model()
-    curve = CriticalCurve.build(model)
     datum = _to_internal_datum(model, cfg.build_datum())
     t_end = cfg.time["t_end"]
-    mesh = _build_mesh(cfg, model, datum, t_end, curve)
+    mesh = _build_mesh(cfg, model, datum, t_end)
     result = run(
         model,
         mesh,
@@ -330,7 +325,6 @@ def _run_pipeline(cfg: ExperimentConfig, observers=()):
         safety=cfg.time["safety"],
         max_dt=cfg.time["max_dt"],
         observers=observers,
-        curve=curve,
     )
     outdir = _resolve_outdir(cfg)
     precision = cfg.output["precision"]
@@ -387,11 +381,11 @@ def _run_pipeline(cfg: ExperimentConfig, observers=()):
         f"envelope [{lo:.6g}, {hi:.6g}]; relative mass drift "
         f"{result.mass_drift:.3e}; outputs in {outdir}"
     )
-    return result, outdir, outputs, extra, started, curve
+    return result, outdir, outputs, extra, started
 
 
 def cmd_run(args, cfg: ExperimentConfig) -> int:
-    _, outdir, outputs, extra, started, _ = _run_pipeline(cfg)
+    _, outdir, outputs, extra, started = _run_pipeline(cfg)
     _write_manifest(outdir, cfg, "run", extra, outputs + ["manifest.json"], started)
     return EXIT_OK
 
@@ -464,8 +458,7 @@ def cmd_steady(args, cfg: ExperimentConfig) -> int:
     _require(cfg, "mesh")
     started = _time.time()
     model = cfg.build_model()
-    curve = CriticalCurve.build(model)
-    mesh = _build_mesh(cfg, model, curve=curve)
+    mesh = _build_mesh(cfg, model)
     outdir = _resolve_outdir(cfg)
     precision = cfg.output["precision"]
     xs = mesh.centers()
@@ -477,10 +470,7 @@ def cmd_steady(args, cfg: ExperimentConfig) -> int:
         anchor = float(model.to_internal(args.anchor))
         if model.orientation == "concave":
             branch = {"upper": "lower", "lower": "upper"}[branch]
-        state = build_steady(
-            model, mesh, anchor, direction=args.direction, branch=branch,
-            curve=curve,
-        )
+        state = build_steady(model, mesh, anchor, args.direction, branch)
         _write_csv(os.path.join(outdir, "steady.csv"), ("x", "v"),
                    (xs, model.to_physical(state.values)), precision)
         outputs.append("steady.csv")
@@ -497,11 +487,10 @@ def cmd_steady(args, cfg: ExperimentConfig) -> int:
         )
     else:
         if cfg.initial is not None:
-            probe = mesh
-            m, M = _to_internal_datum(model, cfg.build_datum()).bounds(probe)
+            m, M = _to_internal_datum(model, cfg.build_datum()).bounds(mesh)
         else:
             m = M = 0.0
-        env = envelope(model, mesh, m, M, curve=curve)
+        env = envelope(model, mesh, m, M)
         lower_vals, upper_vals = env.lower_state.values, env.upper_state.values
         if model.orientation == "concave":
             lower_vals, upper_vals = -upper_vals, -lower_vals
@@ -536,7 +525,7 @@ def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
     diag = cfg.diagnostics
     entropy = EntropyCheck(n_levels=diag["k_levels"]) if diag["entropy"] else None
     variation = TimeVariation() if diag["time_variation"] else None
-    result, outdir, outputs, extra, started, curve = _run_pipeline(
+    result, outdir, outputs, extra, started = _run_pipeline(
         cfg, [obs for obs in (entropy, variation) if obs is not None])
     model = result.model
     precision = cfg.output["precision"]
@@ -566,11 +555,12 @@ def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
         # Crossing level at 90% of the critical band: the transition profiles
         # are flat at their ends, so a crossing too close to a band edge is
         # degenerate and reaches first order only on much finer meshes.
+        curve = model.curve
         ks = (curve.alpha_min - 1.0,
               curve.alpha_min + 0.9 * (curve.alpha_max - curve.alpha_min),
               curve.alpha_max + 1.0)
         for k in ks:
-            rep = consistency_rate(model, k, dx_values=_CONSISTENCY_DXS, curve=curve)
+            rep = consistency_rate(model, k, dx_values=_CONSISTENCY_DXS)
             ok = rep.exact or rep.slope >= 0.9
             checks.append((
                 "flux_consistency", f"log-log slope at k={k:.6g}",

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .flux_model import CriticalCurve, FluxModel
+from .flux_model import FluxModel
 from .riemann import KIND_RAREFACTION, SIDE_RIGHT, RiemannSolution, _invert_rarefaction
 from .solver import (
     _GAUSS_NODES,
@@ -181,7 +181,6 @@ def consistency_rate(
     model: FluxModel,
     k: float,
     dx_values: Optional[Sequence[float]] = None,
-    curve: Optional[CriticalCurve] = None,
 ) -> ConsistencyReport:
     """Measure max_j |F_{j+1/2}(k, k) - H(x_{j+1}, k)| across a dx sweep.
 
@@ -197,8 +196,6 @@ def consistency_rate(
     dxs = np.asarray(sorted(dx_values, reverse=True), dtype=float)
     if dxs.size == 0 or np.any(dxs <= 0):
         raise ConfigError("dx_values must be positive")
-    if curve is None:
-        curve = CriticalCurve.build(model)
     X = model.hetero_radius
     devs = []
     for dx in dxs:
@@ -209,7 +206,7 @@ def consistency_rate(
         target = np.asarray(model.h(sch.xc_ext[1:], k), dtype=float)
         devs.append(float(np.max(np.abs(f_kk - target))))
     devs = np.asarray(devs)
-    scale = 1.0 + float(np.max(np.abs(model.h(curve.xs, k))))
+    scale = 1.0 + float(np.max(np.abs(model.h(model.curve.xs, k))))
     exact = bool(np.all(devs <= 1e-14 * scale))
     if exact or np.any(devs == 0.0):
         slope = math.inf
@@ -397,7 +394,6 @@ def convergence_study(
     exact: Optional[RiemannSolution] = None,
     safety: float = 0.9,
     datum_bounds: Optional[tuple[float, float]] = None,
-    curve: Optional[CriticalCurve] = None,
     fine_factor: int = 4,
 ) -> ConvergenceReport:
     """L1 convergence of the scheme on a fixed window under mesh refinement.
@@ -423,16 +419,14 @@ def convergence_study(
     dxs = np.asarray(sorted(dx_values, reverse=True), dtype=float)
     if dxs.size < 2:
         raise ConfigError("need at least two mesh sizes")
-    if curve is None:
-        curve = CriticalCurve.build(model)
 
     if datum_bounds is None:
         probe = Mesh.make(*_snapped_interval(window[0], window[1], dxs[-1]), dxs[-1])
         m0, m1 = datum.bounds(probe)
     else:
         m0, m1 = datum_bounds
-    consts = envelope_constants(model, m0, m1, curve=curve)
-    lip = lipschitz_bound(model, consts.lower_bound, consts.upper_bound, curve)
+    consts = envelope_constants(model, m0, m1)
+    lip = lipschitz_bound(model, consts.lower_bound, consts.upper_bound)
     margin = lip * t_end
 
     def run_level(dx: float) -> tuple[np.ndarray, Mesh, int]:
@@ -453,7 +447,6 @@ def convergence_study(
                 t_end,
                 safety=safety,
                 datum_bounds=(m0, m1),
-                curve=curve,
             )
         return res.final.u, mesh, res.n_steps
 

@@ -15,11 +15,18 @@ All callables are expected to broadcast over numpy arrays in both arguments.
 The inversions of H(x, .) below (critical_point, branch_inverse,
 legendre_transform) run one vectorized root solve over all their points; a
 scalar is handled as a 0-d array and comes back as a float.
+
+What depends on the flux alone is computed once per model instance, on
+first use: the critical curve (FluxModel.curve), the Legendre bound
+sup L(x, +-1) (FluxModel.legendre_sup_1), and alpha at the cell centers of
+the last mesh asked for (ghost_alphas). A dataclasses.replace copy starts
+with none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +53,9 @@ class FluxModel:
         and cross-check root solves, never trusted blindly.
     freeze: optional xs -> (u -> H(xs, u)) that evaluates the x-dependent
         coefficients once; None freezes as u -> h(xs, u) (see frozen_flux).
+
+    The model is immutable, so `curve` and `legendre_sup_1` are cached in
+    the instance on first access; a dataclasses.replace copy recomputes them.
     """
 
     h: Callable
@@ -63,6 +73,16 @@ class FluxModel:
             raise ValueError("hetero_radius must be >= 0")
         if self.orientation not in ("convex", "concave"):
             raise ValueError(f"unknown orientation {self.orientation!r}")
+
+    @cached_property
+    def curve(self) -> CriticalCurve:
+        """The sampled critical curve, CriticalCurve.build(self)."""
+        return CriticalCurve.build(self)
+
+    @cached_property
+    def legendre_sup_1(self) -> float:
+        """legendre_sup(self, 1.0), the slope-1 bound of the envelope."""
+        return legendre_sup(self, 1.0)
 
     def to_internal(self, u):
         """Map a physical state to solver coordinates (negation iff concave)."""
@@ -119,21 +139,38 @@ class CriticalCurve:
     alpha_max: float
 
     @classmethod
-    def build(cls, model: FluxModel, n_samples: int = ALPHA_GRID_SAMPLES):
+    def build(cls, model: FluxModel):
         X = model.hetero_radius
         if X == 0.0:
             xs = np.array([0.0])
         else:
             # Include the center: bump-built coefficient curves peak there and
             # an even linspace count would skip it.
-            xs = np.union1d(np.linspace(-X, X, n_samples), [0.0])
+            xs = np.union1d(np.linspace(-X, X, ALPHA_GRID_SAMPLES), [0.0])
         alphas = critical_point(model, xs)
+        # Shared by every caller of model.curve.
+        xs.flags.writeable = alphas.flags.writeable = False
         return cls(
             xs=xs,
             alphas=alphas,
             alpha_min=float(np.min(alphas)),
             alpha_max=float(np.max(alphas)),
         )
+
+
+def ghost_alphas(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only centers of mesh with one ghost cell per side, and alpha at
+    them. The model keeps them for the last mesh asked about, so the steady
+    states and the Scheme of a run share one solve."""
+    memo = model.__dict__.get("_ghost_alphas")
+    if memo is None or memo[0] != mesh:
+        xc = mesh.centers()
+        xc_ext = np.concatenate(([xc[0] - mesh.dx], xc, [xc[-1] + mesh.dx]))
+        al_ext = critical_point(model, xc_ext)
+        xc_ext.flags.writeable = al_ext.flags.writeable = False
+        # Written like a cached_property: the frozen dataclass has a __dict__.
+        memo = model.__dict__["_ghost_alphas"] = (mesh, xc_ext, al_ext)
+    return memo[1], memo[2]
 
 
 def invert_branch(f: Callable, df: Callable, alpha, y, side: str, tol: float = TOL_ROOT):

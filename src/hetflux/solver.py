@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .flux_model import CriticalCurve, FluxModel, critical_point, frozen_flux
+from .flux_model import FluxModel, frozen_flux, ghost_alphas
 from .steady import Envelope, envelope
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -81,8 +81,9 @@ class CflPolicy:
 
 
 class Scheme:
-    """Per-mesh tables: ghost-extended centers, critical points, and the
-    fluxes of the left and right cell of every edge, frozen at the centers.
+    """Per-mesh tables: ghost-extended centers and critical points (shared
+    with the model, see ghost_alphas), and the fluxes of the left and right
+    cell of every edge, frozen at the centers.
 
     Precomputed once; step_arrays() is then a handful of vectorized flux
     evaluations.
@@ -92,9 +93,7 @@ class Scheme:
         self.model = model
         self.mesh = mesh
         self.lipschitz = float(lipschitz)
-        xc = mesh.centers()
-        self.xc_ext = np.concatenate(([xc[0] - mesh.dx], xc, [xc[-1] + mesh.dx]))
-        self.al_ext = critical_point(model, self.xc_ext)
+        self.xc_ext, self.al_ext = ghost_alphas(model, mesh)
         self.h_left = frozen_flux(model, self.xc_ext[:-1])
         self.h_right = frozen_flux(model, self.xc_ext[1:])
         if model.freeze is not None:
@@ -131,15 +130,13 @@ class Scheme:
         return u - lam * np.diff(F), float(F[0]), float(F[-1])
 
 
-def lipschitz_bound(model: FluxModel, lo: float, hi: float, curve: Optional[CriticalCurve] = None) -> float:
+def lipschitz_bound(model: FluxModel, lo: float, hi: float) -> float:
     """sup |du_h| over all x and states in [lo, hi].
 
     du_h(x, .) is increasing, so the sup in u sits at the interval endpoints;
     the sup in x is over the heterogeneity samples (flux frozen outside).
     """
-    if curve is None:
-        curve = CriticalCurve.build(model)
-    xs = curve.xs
+    xs = model.curve.xs
     a = np.abs(np.asarray(model.du_h(xs, float(lo)), dtype=float))
     b = np.abs(np.asarray(model.du_h(xs, float(hi)), dtype=float))
     return float(max(np.max(a), np.max(b)))
@@ -150,13 +147,12 @@ def cfl_dt(
     mesh: Mesh,
     bounds: tuple[float, float],
     safety: float = 0.9,
-    curve: Optional[CriticalCurve] = None,
     max_dt: Optional[float] = None,
 ) -> CflPolicy:
     """Largest safe step: dt = safety * dx / (2 L) for L over `bounds`."""
     if not (0 < safety <= 1):
         raise ConfigError(f"safety factor must lie in (0, 1], got {safety}")
-    L = lipschitz_bound(model, bounds[0], bounds[1], curve=curve)
+    L = lipschitz_bound(model, bounds[0], bounds[1])
     if L <= 1e-300:
         if max_dt is None:
             raise NumericalError(
@@ -301,7 +297,6 @@ def run(
     observers: Sequence = (),
     datum_bounds: Optional[tuple[float, float]] = None,
     max_dt: Optional[float] = None,
-    curve: Optional[CriticalCurve] = None,
 ) -> RunResult:
     """March the scheme to t_end with the step size fixed by the envelope.
 
@@ -311,18 +306,15 @@ def run(
     """
     if t_end < 0:
         raise ConfigError(f"t_end must be >= 0, got {t_end}")
-    if curve is None:
-        curve = CriticalCurve.build(model)
     u = project_initial(datum, mesh).u
     if datum_bounds is None:
         if isinstance(datum, GridState):
             datum_bounds = (float(np.min(u)), float(np.max(u)))
         else:
             datum_bounds = datum.bounds(mesh)
-    env = envelope(model, mesh, datum_bounds[0], datum_bounds[1], curve=curve)
+    env = envelope(model, mesh, datum_bounds[0], datum_bounds[1])
     policy = cfl_dt(
-        model, mesh, (env.lower_bound, env.upper_bound),
-        safety=safety, curve=curve, max_dt=max_dt,
+        model, mesh, (env.lower_bound, env.upper_bound), safety=safety, max_dt=max_dt
     )
     X = model.hetero_radius
     influence = policy.lipschitz * t_end

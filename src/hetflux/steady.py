@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .flux_model import (
-    CriticalCurve,
-    FluxModel,
-    branch_inverse,
-    legendre_sup,
-)
+from .flux_model import FluxModel, branch_inverse, ghost_alphas
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +47,6 @@ def build_steady(
     anchor: float,
     direction: str = "from_left",
     branch: str = "upper",
-    curve: CriticalCurve | None = None,
 ) -> SteadyState:
     """Steady sequence anchored at the constant `anchor` on one exterior side.
 
@@ -64,8 +58,7 @@ def build_steady(
         raise ConfigError(f"direction must be from_left/from_right, got {direction!r}")
     if branch not in ("upper", "lower"):
         raise ConfigError(f"branch must be upper/lower, got {branch!r}")
-    if curve is None:
-        curve = CriticalCurve.build(model)
+    curve = model.curve
     anchor = float(anchor)
     slack = 1e-12 * (1.0 + abs(curve.alpha_max) + abs(curve.alpha_min))
     if branch == "upper" and anchor < curve.alpha_max - slack:
@@ -89,9 +82,9 @@ def build_steady(
             f"largest critical flux {hmin_max:g}; no steady state holds that "
             "level across the whole domain"
         )
-    centers = mesh.centers()
+    xc_ext, al_ext = ghost_alphas(model, mesh)
     side = "plus" if branch == "upper" else "minus"
-    values = branch_inverse(model, centers, level, side)
+    values = branch_inverse(model, xc_ext[1:-1], level, side, alpha=al_ext[1:-1])
     bound = float(np.max(values)) if branch == "upper" else float(np.min(values))
     return SteadyState(
         values=values,
@@ -135,7 +128,6 @@ def envelope_constants(
     model: FluxModel,
     m: float,
     M: float,
-    curve: CriticalCurve | None = None,
 ) -> EnvelopeConstants:
     """Certified state bounds for data in [m, M], before any mesh is chosen.
 
@@ -146,12 +138,11 @@ def envelope_constants(
     """
     if not (m <= M):
         raise ConfigError(f"datum bounds out of order: m={m}, M={M}")
-    if curve is None:
-        curve = CriticalCurve.build(model)
+    curve = model.curve
     m = min(float(m), curve.alpha_min)
     M = max(float(M), curve.alpha_max)
     xs = curve.xs
-    s1 = legendre_sup(model, 1.0)
+    s1 = model.legendre_sup_1
     upper_anchor = float(np.max(np.asarray(model.h(xs, M), dtype=float))) + s1
     lower_anchor = -float(np.max(np.asarray(model.h(xs, m), dtype=float))) - s1
     X = model.hetero_radius
@@ -171,18 +162,11 @@ def envelope(
     mesh,
     m: float,
     M: float,
-    curve: CriticalCurve | None = None,
 ) -> Envelope:
     """Lower/upper steady states enclosing all data in [m, M], plus constants."""
-    if curve is None:
-        curve = CriticalCurve.build(model)
-    c = envelope_constants(model, m, M, curve=curve)
-    upper_state = build_steady(
-        model, mesh, c.upper_anchor, direction="from_left", branch="upper", curve=curve
-    )
-    lower_state = build_steady(
-        model, mesh, c.lower_anchor, direction="from_left", branch="lower", curve=curve
-    )
+    c = envelope_constants(model, m, M)
+    upper_state = build_steady(model, mesh, c.upper_anchor, "from_left", "upper")
+    lower_state = build_steady(model, mesh, c.lower_anchor, "from_left", "lower")
     return Envelope(
         m=c.m,
         M=c.M,

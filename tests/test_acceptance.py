@@ -28,7 +28,7 @@ import pytest
 
 from hetflux.config import parse_config
 from hetflux.diagnostics import EntropyCheck, consistency_rate, convergence_study
-from hetflux.flux_model import CriticalCurve, legendre_transform
+from hetflux.flux_model import legendre_transform
 from hetflux.interface import (
     InterfaceContext,
     classify_germ,
@@ -189,12 +189,12 @@ def test_criterion_06_consistency_first_order(hq_model, lwr_model):
     # construction (see the negative control in test_diagnostics).
     dxs = (1.0 / 50, 1.0 / 100, 1.0 / 200, 1.0 / 400)
     for model in (hq_model, lwr_model):
-        curve = CriticalCurve.build(model)
+        curve = model.curve
         ks = (curve.alpha_min - 1.0,
               curve.alpha_min + 0.9 * (curve.alpha_max - curve.alpha_min),
               curve.alpha_max + 1.0)
         for k in ks:
-            rep = consistency_rate(model, k, dx_values=dxs, curve=curve)
+            rep = consistency_rate(model, k, dx_values=dxs)
             assert rep.exact or rep.slope >= 0.9, (model.name, k, rep.summary())
 
 

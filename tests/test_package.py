@@ -1,6 +1,7 @@
 """Package surface: the public export list stays in step with the modules."""
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -11,6 +12,21 @@ def test_every_export_resolves_once():
     counts = Counter(hetflux.__all__)
     assert [name for name, n in counts.items() if n > 1] == []
     assert [name for name in hetflux.__all__ if not hasattr(hetflux, name)] == []
+    # Model-only setup lives on the model (FluxModel.curve), not in signatures.
+    callables = {}
+    for name in hetflux.__all__:
+        obj = getattr(hetflux, name)
+        if inspect.isclass(obj):
+            if issubclass(obj, Exception):
+                continue
+            for attr, raw in vars(obj).items():
+                if inspect.isfunction(raw) or isinstance(raw, classmethod):
+                    callables[f"{name}.{attr}"] = getattr(obj, attr)
+        if callable(obj):
+            callables[name] = obj
+    takes_curve = [name for name, fn in callables.items()
+                   if "curve" in inspect.signature(fn).parameters]
+    assert takes_curve == []
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from conftest import RecordStates
 
+import hetflux.flux_model as fm
 from hetflux.diagnostics import TimeVariation
 from hetflux.errors import ConfigError, NumericalError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
@@ -366,3 +367,58 @@ def test_run_accepts_grid_state_datum(pair_model):
     res = run(pair_model, mesh, datum, t_end=0.05)
     assert res.final.u.shape == (mesh.n_cells,)
     assert res.envelope.M >= 0.5
+
+
+def test_model_setup_is_computed_once_per_model(monkeypatch):
+    # Hint-free custom flux, so every critical point is a root solve.
+    a = lambda x: 1.5 + 0.5 * np.clip(x, -1.0, 1.0)
+    model = FluxModel(
+        h=lambda x, u: a(x) * (np.cosh(u) - 1.0),
+        du_h=lambda x, u: a(x) * np.sinh(u),
+        dx_h=lambda x, u: np.where(np.abs(x) < 1.0, 0.5, 0.0) * (np.cosh(u) - 1.0),
+        hetero_radius=1.0,
+    )
+    mesh = Mesh.make(-3.0, 3.0, 0.05)
+    calls = {"build": 0, "sup": 0}
+    sizes = []
+    build, sup, crit = fm.CriticalCurve.build.__func__, fm.legendre_sup, fm.critical_point
+
+    def counted_build(cls, m):
+        calls["build"] += 1
+        return build(cls, m)
+
+    def counted_sup(m, lam, *args, **kwargs):
+        calls["sup"] += 1
+        return sup(m, lam, *args, **kwargs)
+
+    def counted_crit(m, x):
+        sizes.append(np.size(x))
+        return crit(m, x)
+
+    monkeypatch.setattr(fm.CriticalCurve, "build", classmethod(counted_build))
+    monkeypatch.setattr(fm, "legendre_sup", counted_sup)
+    monkeypatch.setattr(fm, "critical_point", counted_crit)
+    mesh_solves = []
+    for _ in range(2):
+        del sizes[:]
+        res = run(model, mesh, datum_step(-0.5, 0.8), t_end=0.2)
+        mesh_solves.append(sum(n in (mesh.n_cells, mesh.n_cells + 2) for n in sizes))
+    assert calls == {"build": 1, "sup": 1}
+    # One solve on the mesh in the first run; the second reuses it.
+    assert mesh_solves == [1, 0]
+    assert np.array_equal(res.final.u, run(dataclasses.replace(model), mesh,
+                                           datum_step(-0.5, 0.8), t_end=0.2).final.u)
+
+    # A copy with another flux starts with an empty cache.
+    shifted = dataclasses.replace(
+        model,
+        h=lambda x, u: model.h(x, u - 0.5),
+        du_h=lambda x, u: model.du_h(x, u - 0.5),
+    )
+    assert not np.array_equal(shifted.curve.alphas, model.curve.alphas)
+    ref = build(fm.CriticalCurve, shifted)
+    assert np.array_equal(shifted.curve.xs, ref.xs)
+    assert np.array_equal(shifted.curve.alphas, ref.alphas)
+    assert (shifted.curve.alpha_min, shifted.curve.alpha_max) == (ref.alpha_min, ref.alpha_max)
+    assert shifted.legendre_sup_1 == sup(shifted, 1.0)
+    assert shifted.legendre_sup_1 != model.legendre_sup_1
