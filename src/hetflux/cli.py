@@ -198,11 +198,12 @@ def _fmt(value: float, precision: int) -> str:
 
 
 def _write_csv(path: str, header: tuple[str, ...], columns, precision: int) -> None:
-    cols = [np.asarray(c, dtype=float) for c in columns]
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    n_rows, n_cols = table.shape
+    # One %-format over all values, each as _fmt renders it.
+    row = ",".join([f"%.{precision - 1}e"] * n_cols) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v, precision) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + row * n_rows % tuple(table.ravel().tolist()))
 
 
 def _write_text(path: str, text: str) -> None:

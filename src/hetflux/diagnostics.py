@@ -100,8 +100,17 @@ class EntropyCheck:
 
     Pass it in run(..., observers=...), then read report(). Without k_values
     the levels are default_k_levels(envelope, u0, n_levels). It reuses the
-    run's Scheme and holds O(K N) state; a step evaluates the flux at the N
-    cells only and combines the results with the K levels elementwise.
+    run's Scheme; a step evaluates the flux at the N cells only and combines
+    the results with the K levels elementwise.
+
+    start allocates all O(K N) state once: the fixed k terms and five work
+    arrays, three of shape (K, N+1) for the entropy flux phi and two of shape
+    (K, N) for |u_new - k| and |u - k|, the latter overwritten by the slack.
+    step writes every level-by-cell intermediate into them, so it allocates
+    only O(K) besides the O(N) edge terms of u and numpy's fixed-size
+    iteration buffer. The |u_new - k| of one step serves as the |u - k| of
+    the next when u is the previous u_new, as run() hands it; start resets
+    that carry.
     """
 
     def __init__(
@@ -118,32 +127,59 @@ class EntropyCheck:
         if ks is None:
             ks = default_k_levels(envelope, u0, self.n_levels)
         self._scheme, self._ks = scheme, ks
+        n_k, n = ks.size, scheme.mesh.n_cells
         # The k terms of the edge fluxes and F(k, k) are time independent.
-        self._kl, self._kr = scheme.edge_sides(
-            np.broadcast_to(ks[:, None], (ks.size, scheme.mesh.n_cells)))
+        self._kl, self._kr = scheme.edge_sides(np.broadcast_to(ks[:, None], (n_k, n)))
         f_kk = np.maximum(self._kl, self._kr)
         self._d_kk = f_kk[:, 1:] - f_kk[:, :-1]
-        self._max_slack = np.full(ks.size, -np.inf)
+        self._phi_work = np.empty((3, n_k, n + 1))
+        # Once phi is formed, the leading K*N entries of the last phi array
+        # hold u_new - k as a (K, N) array.
+        self._du = self._phi_work[2].reshape(-1)[: n_k * n].reshape(n_k, n)
+        self._abs_new, self._abs_old = np.empty((2, n_k, n))
+        self._carried = None  # the u_new whose |u_new - k| is in _abs_old
+        self._max_slack = np.full(n_k, -np.inf)
         self._worst = (-math.inf, 0, 0, 0)  # slack, k index, step, cell
         self._n_steps = 0
 
     def step(self, u: np.ndarray, u_new: np.ndarray, dt: float) -> None:
         kcol, kl, kr = self._ks[:, None], self._kl, self._kr
+        p, q, r = self._phi_work
+        du, new, old = self._du, self._abs_new, self._abs_old
         # h_l rises on [alpha_l, inf) and h_r falls on (-inf, alpha_r], so the
-        # terms of F(max(u, k)) and F(min(u, k)) are maxima/minima of u and k terms.
+        # terms of F(max(u, k)) and F(min(u, k)) are maxima/minima of u and k terms:
+        # phi = max(max(a, kl), min(b, kr)) - max(min(a, kl), max(b, kr)).
         a, b = self._scheme.edge_sides(u)
-        phi = (np.maximum(np.maximum(a, kl), np.minimum(b, kr))
-               - np.maximum(np.minimum(a, kl), np.maximum(b, kr)))
-        du1 = u_new[None, :] - kcol
-        slack = (
-            (np.abs(du1) - np.abs(u[None, :] - kcol)) * self._scheme.mesh.dx
-            + (phi[:, 1:] - phi[:, :-1]) * dt
-            + np.sign(du1) * self._d_kk * dt
-        )
-        self._max_slack = np.maximum(self._max_slack, slack.max(axis=1))
-        ik, jc = np.unravel_index(int(np.argmax(slack)), slack.shape)
-        if slack[ik, jc] > self._worst[0]:
-            self._worst = (float(slack[ik, jc]), int(ik), self._n_steps, int(jc))
+        np.maximum(np.maximum(a, kl, out=p), np.minimum(b, kr, out=q), out=p)
+        np.maximum(np.minimum(a, kl, out=q), np.maximum(b, kr, out=r), out=q)
+        np.subtract(p, q, out=p)
+        # slack = (|u_new - k| - |u - k|) dx + (phi_{j+1/2} - phi_{j-1/2}) dt
+        #         + sign(u_new - k) d_kk dt
+        # u - k as rows of u minus k: the same arithmetic, but numpy then
+        # buffers one broadcast operand instead of two.
+        du[...] = u_new
+        np.abs(np.subtract(du, kcol, out=du), out=new)
+        if u is not self._carried:
+            old[...] = u
+            np.abs(np.subtract(old, kcol, out=old), out=old)
+        slack = np.subtract(new, old, out=old)
+        slack *= self._scheme.mesh.dx
+        # One flat difference of phi, which numpy runs unbuffered; the entries
+        # straddling two levels land in the last column of q, which is not read.
+        dphi = np.subtract(p.reshape(-1)[1:], p.reshape(-1)[:-1], out=q.reshape(-1)[:-1])
+        dphi *= dt
+        slack += q[:, :-1]
+        np.multiply(np.sign(du, out=du), self._d_kk, out=du)
+        slack += np.multiply(du, dt, out=du)
+        self._abs_new, self._abs_old, self._carried = slack, new, u_new
+        # The first row reaching the overall max holds argmax(slack) in row-major
+        # order; a NaN row max propagates to max_slack and never beats the worst.
+        row_max = slack.max(axis=1)
+        np.maximum(self._max_slack, row_max, out=self._max_slack)
+        ik = int(np.argmax(row_max))
+        if row_max[ik] > self._worst[0]:
+            jc = int(np.argmax(slack[ik]))
+            self._worst = (float(slack[ik, jc]), ik, self._n_steps, jc)
         self._n_steps += 1
 
     def report(self) -> EntropyReport:

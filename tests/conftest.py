@@ -1,9 +1,11 @@
 """Shared fixtures: the canonical two-flux interface and the built-in models,
-plus RecordStates, a run observer for tests that need a whole trajectory."""
+plus RecordStates, a run observer for tests that need a whole trajectory, and
+ReferenceEntropyCheck, the entropy slack written over fresh temporaries."""
 
 import numpy as np
 import pytest
 
+from hetflux.diagnostics import EntropyCheck
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.interface import InterfaceContext, germ_pair
 
@@ -26,6 +28,40 @@ class RecordStates:
     def states(self):
         """Initial state, then the state after every step."""
         return [self.u0] + [u_new for _, u_new, _ in self.steps]
+
+
+class ReferenceEntropyCheck(EntropyCheck):
+    """EntropyCheck with the slack of a step as one expression over fresh
+    (K, N) temporaries, located by argmax over the whole array. EntropyCheck
+    evaluates the same operations in the same order in preallocated buffers,
+    so both must agree bit for bit."""
+
+    def step(self, u, u_new, dt):
+        kcol, kl, kr = self._ks[:, None], self._kl, self._kr
+        a, b = self._scheme.edge_sides(u)
+        phi = (np.maximum(np.maximum(a, kl), np.minimum(b, kr))
+               - np.maximum(np.minimum(a, kl), np.maximum(b, kr)))
+        du1 = u_new[None, :] - kcol
+        slack = (
+            (np.abs(du1) - np.abs(u[None, :] - kcol)) * self._scheme.mesh.dx
+            + (phi[:, 1:] - phi[:, :-1]) * dt
+            + np.sign(du1) * self._d_kk * dt
+        )
+        self._max_slack = np.maximum(self._max_slack, slack.max(axis=1))
+        ik, jc = np.unravel_index(int(np.argmax(slack)), slack.shape)
+        if slack[ik, jc] > self._worst[0]:
+            self._worst = (float(slack[ik, jc]), int(ik), self._n_steps, int(jc))
+        self._n_steps += 1
+
+
+def assert_same_entropy_report(got, want):
+    """Equal bit for bit, a NaN slack matching a NaN slack."""
+    for name in ("k_values", "max_slack_per_k"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.array_equal(g, w, equal_nan=True), name
+        assert g[~np.isnan(g)].tobytes() == w[~np.isnan(w)].tobytes(), name
+    fields = ("worst_slack", "worst_k", "worst_step", "worst_cell", "n_steps")
+    assert [repr(getattr(got, f)) for f in fields] == [repr(getattr(want, f)) for f in fields]
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import RecordStates
+from conftest import ReferenceEntropyCheck, RecordStates, assert_same_entropy_report
 
 from hetflux.diagnostics import (
     EntropyCheck,
@@ -100,6 +100,16 @@ def test_default_k_levels_cover_bounds_and_data(pair_model):
     assert np.all(np.diff(ks) > 0)
 
 
+def _cosh_model():
+    """(1.5 + tanh(x) / 2)(cosh u - 1): a custom flux given by callables only."""
+    return FluxModel(
+        h=lambda x, u: (1.5 + 0.5 * np.tanh(x)) * (np.cosh(u) - 1.0),
+        du_h=lambda x, u: (1.5 + 0.5 * np.tanh(x)) * np.sinh(u),
+        dx_h=lambda x, u: 0.5 / np.cosh(x) ** 2 * (np.cosh(u) - 1.0),
+        hetero_radius=2.0,
+    )
+
+
 def test_dei_matches_direct_edge_flux_evaluation(pair_model, hq_model, lwr_model,
                                                  burgers_model):
     # EntropyCheck splits F(max(u, k)) and F(min(u, k)) into maxima/minima of
@@ -107,15 +117,9 @@ def test_dei_matches_direct_edge_flux_evaluation(pair_model, hq_model, lwr_model
     # max(u, k) and min(u, k) this is exact for the built-in quadratic forms
     # (rounding keeps them monotone on each branch) and within rounding for a
     # custom flux.
-    custom = FluxModel(
-        h=lambda x, u: (1.5 + 0.5 * np.tanh(x)) * (np.cosh(u) - 1.0),
-        du_h=lambda x, u: (1.5 + 0.5 * np.tanh(x)) * np.sinh(u),
-        dx_h=lambda x, u: 0.5 / np.cosh(x) ** 2 * (np.cosh(u) - 1.0),
-        hetero_radius=2.0,
-    )
     cases = ((burgers_model, (1.0, -0.5), 0.0), (pair_model, (-1.0, 1.0), 0.0),
              (hq_model, (0.2, 1.2), 0.0), (lwr_model, (-0.3, -0.7), 0.0),
-             (custom, (-1.0, 0.5), 1e-15))
+             (_cosh_model(), (-1.0, 0.5), 1e-15))
     for model, (left, right), tol in cases:
         mesh = Mesh.make(-3.0, 3.0, 0.05)
         rec, check = RecordStates(), EntropyCheck(n_levels=9)
@@ -132,6 +136,89 @@ def test_dei_matches_direct_edge_flux_evaluation(pair_model, hq_model, lwr_model
                      + np.diff(phi) * dt + np.sign(u_new - kcol) * d_kk * dt)
             want = np.maximum(want, slack.max(axis=1))
         assert np.all(np.abs(rep.max_slack_per_k - want) <= tol * (1.0 + np.abs(kcol[:, 0])))
+
+
+def test_entropy_check_matches_reference_bitwise(pair_model, hq_model, lwr_model,
+                                                 burgers_model):
+    # EntropyCheck runs the reference expression in preallocated buffers and
+    # carries |u_new - k| into the next step; neither may change a bit.
+    cases = ((burgers_model, (1.0, -0.5)), (pair_model, (-1.0, 1.0)), (hq_model, (0.2, 1.2)),
+             (lwr_model, (-0.3, -0.7)), (_cosh_model(), (-1.0, 0.5)))
+    for model, (left, right) in cases:
+        ref, check = ReferenceEntropyCheck(), EntropyCheck()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*influence cone.*")
+            run(model, Mesh.make(-3.0, 3.0, 0.05), datum_step(left, right), t_end=0.3,
+                observers=(ref, check))
+        assert_same_entropy_report(check.report(), ref.report())
+
+
+def _recorded_steps(model, mesh, datum, t_end):
+    """(scheme, envelope, u0, [(u, u_new, dt), ...]) of one run."""
+    rec = RecordStates()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*influence cone.*")
+        res = run(model, mesh, datum, t_end, observers=(rec,))
+    return Scheme(model, mesh, res.cfl.lipschitz), res.envelope, rec.u0, rec.steps
+
+
+def _observe(checks, start, steps):
+    for check in checks:
+        check.start(*start)
+        for step in steps:
+            check.step(*step)
+
+
+def test_entropy_check_recomputes_when_u_is_not_the_previous_u_new(hq_model):
+    sch, env, u0, steps = _recorded_steps(hq_model, Mesh.make(-3.0, 3.0, 0.05),
+                                          datum_step(0.2, 1.2), 0.3)
+    # Skipped steps, a copy of u, then a step whose u is the previous u_new.
+    u3, u3_new, dt3 = steps[3]
+    mixed = [steps[0], steps[2], (u3.copy(), u3_new, dt3), steps[4], steps[7]]
+    check, ref = EntropyCheck(), ReferenceEntropyCheck()
+    _observe((check, ref), (sch, env, u0), mixed)
+    assert_same_entropy_report(check.report(), ref.report())
+    # A restart drops the carry although u is the last u_new seen.
+    _observe((check, ref), (sch, env, steps[7][1]), steps[8:12])
+    assert_same_entropy_report(check.report(), ref.report())
+
+
+def test_entropy_check_propagates_nan_like_the_reference(pair_model):
+    sch, env, u0, steps = _recorded_steps(pair_model, Mesh.make(-2.0, 2.0, 0.05),
+                                          datum_step(-1.0, 1.0), 0.2)
+    u, u_new, dt = steps[1]
+    bad = u_new.copy()
+    bad[17] = np.nan
+    check, ref = EntropyCheck(), ReferenceEntropyCheck()
+    _observe((check, ref), (sch, env, u0), [steps[0], (u, bad, dt), (bad, steps[2][1], dt)])
+    got = check.report()
+    assert np.all(np.isnan(got.max_slack_per_k))
+    assert_same_entropy_report(got, ref.report())
+
+
+def test_entropy_check_step_allocates_less_than_one_level_cell_array():
+    mesh = Mesh.make(-2.0, 2.0, 0.01)
+    sch, env, u0, steps = _recorded_steps(two_state(), mesh, datum_step(-1.0, 1.0), 0.05)
+    check = EntropyCheck(k_values=np.linspace(-1.5, 1.5, 35))
+    check.start(sch, env, u0)
+    check.step(*steps[0])
+    tracemalloc.start()
+    try:
+        check.step(*steps[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_cells == 400
+    assert peak < 35 * mesh.n_cells * 8, peak
+
+
+def test_entropy_check_reused_across_runs_matches_a_fresh_one(pair_model):
+    mesh = Mesh.make(-2.5, 2.5, 0.025)
+    reused = EntropyCheck()
+    run(pair_model, mesh, datum_step(-1.0, 1.0), t_end=0.25, observers=(reused,))
+    fresh = EntropyCheck()
+    run(pair_model, mesh, datum_step(0.8, -0.4), t_end=0.2, observers=(reused, fresh))
+    assert_same_entropy_report(reused.report(), fresh.report())
 
 
 # ---------------------------------------------------------------------------
