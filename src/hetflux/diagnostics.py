@@ -103,14 +103,15 @@ class EntropyCheck:
     run's Scheme; a step evaluates the flux at the N cells only and combines
     the results with the K levels elementwise.
 
-    start allocates all O(K N) state once: the fixed k terms and five work
-    arrays, three of shape (K, N+1) for the entropy flux phi and two of shape
-    (K, N) for |u_new - k| and |u - k|, the latter overwritten by the slack.
-    step writes every level-by-cell intermediate into them, so it allocates
-    only O(K) besides the O(N) edge terms of u and numpy's fixed-size
-    iteration buffer. The |u_new - k| of one step serves as the |u - k| of
-    the next when u is the previous u_new, as run() hands it; start resets
-    that carry.
+    start allocates all O(K N) state once: the fixed k terms, two (N+1)
+    arrays for the edge terms of u (its own, not the Scheme's step buffers)
+    and five work arrays, three of shape (K, N+1) for the entropy flux phi
+    and two of shape (K, N) for |u_new - k| and |u - k|, the latter
+    overwritten by the slack. step writes every intermediate into them, so
+    it allocates only O(K) and numpy's fixed-size iteration buffer (plus the
+    edge terms when the model's freeze hook ignores out=). The |u_new - k|
+    of one step serves as the |u - k| of the next when u is the previous
+    u_new, as run() hands it; start resets that carry.
     """
 
     def __init__(
@@ -132,6 +133,7 @@ class EntropyCheck:
         self._kl, self._kr = scheme.edge_sides(np.broadcast_to(ks[:, None], (n_k, n)))
         f_kk = np.maximum(self._kl, self._kr)
         self._d_kk = f_kk[:, 1:] - f_kk[:, :-1]
+        self._sides = np.empty((2, n + 1))
         self._phi_work = np.empty((3, n_k, n + 1))
         # Once phi is formed, the leading K*N entries of the last phi array
         # hold u_new - k as a (K, N) array.
@@ -149,7 +151,7 @@ class EntropyCheck:
         # h_l rises on [alpha_l, inf) and h_r falls on (-inf, alpha_r], so the
         # terms of F(max(u, k)) and F(min(u, k)) are maxima/minima of u and k terms:
         # phi = max(max(a, kl), min(b, kr)) - max(min(a, kl), max(b, kr)).
-        a, b = self._scheme.edge_sides(u)
+        a, b = self._scheme.edge_sides(u, out=self._sides)
         np.maximum(np.maximum(a, kl, out=p), np.minimum(b, kr, out=q), out=p)
         np.maximum(np.minimum(a, kl, out=q), np.maximum(b, kr, out=r), out=q)
         np.subtract(p, q, out=p)

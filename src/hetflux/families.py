@@ -6,8 +6,10 @@ Every family is one quadratic form in solver coordinates,
 
 so each declares only its coefficient profiles x -> (a, b, c) and their
 x-derivatives; _quadratic_form derives h, du_h, dx_h, the freeze hook and the
-critical curve alpha = b from them once. The four constructors, each
-returning a FluxModel:
+critical curve alpha = b from them once. The frozen flux forms
+a (u - b)^2 + c in place, in the caller's out= buffer or in one it
+allocates, so the step kernel allocates nothing for it. The four
+constructors, each returning a FluxModel:
 
 * quadratic: homogeneous c (u - s)^2 + o, so (a, b, c) = (c, s, o). Covers
   the classic u^2/2 and u^2.
@@ -44,7 +46,15 @@ def _quadratic_form(coefficients, slopes, **fields) -> FluxModel:
 
     def freeze(xs):
         a, b, c = coefficients(np.asarray(xs, dtype=float))
-        return lambda u: a * (np.asarray(u, dtype=float) - b) ** 2 + c
+
+        def frozen(u, out=None):
+            if out is None:
+                out = np.empty(np.broadcast(u, a, b, c).shape)
+            np.square(np.subtract(u, b, out=out), out=out)
+            np.multiply(a, out, out=out)
+            return np.add(out, c, out=out)
+
+        return frozen
 
     def h(x, u):
         return freeze(x)(u)

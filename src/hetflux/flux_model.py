@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .rootfind import TOL_ROOT, solve_increasing
 
 # Inversions h(x, .) = y tolerate y this far below the minimum before failing;
@@ -51,8 +51,9 @@ class FluxModel:
         substituted state -u of a concave physical flux (see to_internal).
     alpha_hint: optional analytic critical curve x -> alpha(x); used to seed
         and cross-check root solves, never trusted blindly.
-    freeze: optional xs -> (u -> H(xs, u)) that evaluates the x-dependent
-        coefficients once; None freezes as u -> h(xs, u) (see frozen_flux).
+    freeze: optional xs -> f, with f(u, out=None) = H(xs, u), that evaluates
+        the x-dependent coefficients once; None freezes as h(xs, u) (see
+        frozen_flux).
 
     The model is immutable, so `curve` and `legendre_sup_1` are cached in
     the instance on first access; a dataclasses.replace copy recomputes them.
@@ -94,15 +95,33 @@ class FluxModel:
 
 
 def frozen_flux(model: FluxModel, xs) -> Callable:
-    """u -> H(xs, u) with the flux frozen at the positions xs.
+    """f(u, out=None) = H(xs, u), the flux frozen at the positions xs.
 
     Uses the model's freeze hook when it has one, so x-dependent coefficients
-    are evaluated here once; the returned callable broadcasts u against xs.
+    are evaluated here once; f broadcasts u against xs. Given an array out
+    (which may be u itself), a hook may write the result there and return
+    it, with the same bits as f(u). The default freezing, u -> h(xs, u),
+    ignores out, so callers must use the array f returns.
+
+    A dataclasses.replace copy with a new h keeps the old hook, so the hook
+    is compared with h at xs for u = 0 and 1, with and without out; any
+    difference, or a hook whose f takes no out=, raises ConfigError.
     """
     xs = np.asarray(xs, dtype=float)
-    if model.freeze is not None:
-        return model.freeze(xs)
-    return lambda u: np.asarray(model.h(xs, u), dtype=float)
+    if model.freeze is None:
+        return lambda u, out=None: np.asarray(model.h(xs, u), dtype=float)
+    f = model.freeze(xs)
+    probe = np.stack((np.zeros(xs.shape), np.ones(xs.shape)))
+    want = model.h(xs, probe)
+    try:
+        into_out = f(probe, out=np.empty_like(probe))
+    except TypeError as exc:
+        raise ConfigError(
+            f"flux model {model.name!r}: freeze hook must return f(u, out=None) ({exc})"
+        ) from exc
+    if not (np.array_equal(f(probe), want) and np.array_equal(into_out, want)):
+        raise ConfigError(f"flux model {model.name!r}: freeze hook disagrees with h")
+    return f
 
 
 def critical_point(model: FluxModel, x):
@@ -233,12 +252,13 @@ def branch_inverse(model: FluxModel, x, y, side: str, alpha=None, tol: float = T
     side "plus" returns the solution >= alpha(x), "minus" the one <= alpha(x);
     alpha defaults to critical_point(model, x). Used by steady-state
     construction with one level over every cell, so the flux-level invariant
-    cannot drift along the recursion. Clamping and errors as in invert_branch.
+    cannot drift along the recursion. The flux is frozen at x once for all
+    rounds of the solve. Clamping and errors as in invert_branch.
     """
     xs = np.asarray(x, dtype=float)
     a = critical_point(model, xs) if alpha is None else alpha
     return invert_branch(
-        lambda s: model.h(xs, s), lambda s: model.du_h(xs, s), a, y, side, tol
+        frozen_flux(model, xs), lambda s: model.du_h(xs, s), a, y, side, tol
     )
 
 
@@ -270,10 +290,9 @@ def legendre_sup(model: FluxModel, lam: float, rtol: float = 1e-10) -> float:
     X = model.hetero_radius
 
     def sup_on(xs):
-        return float(
-            np.max(np.maximum(legendre_transform(model, xs, lam),
-                              legendre_transform(model, xs, -lam)))
-        )
+        # One solve for both slopes: row 0 is +lam, row 1 is -lam.
+        both = legendre_transform(model, xs, np.array([[lam], [-lam]]))
+        return float(np.max(np.maximum(both[0], both[1])))
 
     if X == 0.0:
         return sup_on(np.array([0.0]))

@@ -71,7 +71,7 @@ def solve_increasing(
         lo_next, hi_next = np.where(neg, mid, lo), np.where(neg, hi, mid)
         # A round that moves no bracket end is a fixed point: every later
         # round would repeat it, so stopping here returns the same bits.
-        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+        if not ((lo_next != lo).any() or (hi_next != hi).any()):
             break
         lo, hi = lo_next, hi_next
     root = 0.5 * (lo + hi)

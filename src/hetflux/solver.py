@@ -4,8 +4,8 @@ Cell j carries the flux frozen at its center, h_j = H(x_j, .); the numerical
 flux between cells j and j+1 is the interface flux of the pair (h_j, h_{j+1})
 evaluated at the adjacent cell averages. These per-cell fluxes are frozen
 once per mesh (see frozen_flux), so a step evaluates no x-dependent
-coefficient. The update is the standard
-conservative explicit Euler step
+coefficient, and a step writes its edge terms into buffers the Scheme owns.
+The update is the standard conservative explicit Euler step
 
     u_j'  =  u_j - (dt/dx) (F_{j+1/2} - F_{j-1/2}),
 
@@ -18,6 +18,7 @@ heterogeneity can reach them.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -85,8 +86,13 @@ class Scheme:
     with the model, see ghost_alphas), and the fluxes of the left and right
     cell of every edge, frozen at the centers.
 
-    Precomputed once; step_arrays() is then a handful of vectorized flux
-    evaluations.
+    Precomputed once, with the step's work buffers: two (N+1) edge-term
+    arrays and one (N) flux difference. step_arrays() is then a handful of
+    vectorized flux evaluations in those buffers; the frozen fluxes are
+    called with out= (see frozen_flux) and the array they return is used,
+    so with a hook that honours out= a step allocates only the new state.
+    last_range holds the (min, max) of the state the last step started
+    from.
     """
 
     def __init__(self, model: FluxModel, mesh: Mesh, lipschitz: float):
@@ -96,38 +102,62 @@ class Scheme:
         self.xc_ext, self.al_ext = ghost_alphas(model, mesh)
         self.h_left = frozen_flux(model, self.xc_ext[:-1])
         self.h_right = frozen_flux(model, self.xc_ext[1:])
-        if model.freeze is not None:
-            # A copy with a replaced h keeps the old hook; require exact agreement.
-            probe = self.al_ext + np.array([[0.0], [1.0]])
-            for f, side in ((self.h_left, slice(None, -1)), (self.h_right, slice(1, None))):
-                u = probe[:, side]
-                if not np.array_equal(f(u), model.h(self.xc_ext[side], u)):
-                    raise ConfigError(f"flux model {model.name!r}: freeze hook disagrees with h")
+        n = mesh.n_cells
+        self._sides = np.empty((2, n + 1))
+        self._dflux = np.empty(n)
+        self.last_range = (math.nan, math.nan)
 
-    def edge_sides(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def edge_sides(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """The terms h_l(max(u_l, alpha_l)) and h_r(min(alpha_r, u_r)) of the
         interface flux at every edge, for cell states u of shape (..., n_cells).
-        Ghost cells replicate the boundary cells along the last axis."""
+        Ghost cells replicate the boundary cells along the last axis.
+
+        out: optional pair of (..., n_cells + 1) arrays for the two terms.
+        The clamped states are written there and the frozen fluxes are
+        evaluated in place; the returned arrays are the terms (a hook that
+        ignores out returns new ones)."""
         u = np.asarray(u, dtype=float)
-        u_ext = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
-        return (self.h_left(np.maximum(u_ext[..., :-1], self.al_ext[:-1])),
-                self.h_right(np.minimum(self.al_ext[1:], u_ext[..., 1:])))
+        if out is None:
+            out = np.empty((2,) + u.shape[:-1] + (u.shape[-1] + 1,))
+        left, right = out
+        al = self.al_ext
+        # With ghosts, the left states are u_0, u_0, ..., u_{N-1} and the
+        # right states u_0, ..., u_{N-1}, u_{N-1}.
+        np.maximum(u[..., :1], al[0], out=left[..., :1])
+        np.maximum(u, al[1:-1], out=left[..., 1:])
+        np.minimum(al[1:-1], u, out=right[..., :-1])
+        np.minimum(al[-1], u[..., -1:], out=right[..., -1:])
+        return self.h_left(left, out=left), self.h_right(right, out=right)
 
     def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
         """Interface flux max of the two edge_sides terms at every edge."""
         return np.maximum(*self.edge_sides(u))
 
     def step_arrays(self, u: np.ndarray, dt: float):
-        """One update; returns (u_new, boundary fluxes (F_in, F_out))."""
-        if not np.all(np.isfinite(u)):
-            raise NumericalError("non-finite state entering step")
+        """One update; returns (u_new, boundary fluxes (F_in, F_out)).
+
+        u_new is a new array; u is not modified. Sets last_range to the
+        (min, max) of u."""
+        self.last_range = _finite_range(u, "entering step")
         lam = dt / self.mesh.dx
         if 2.0 * lam * self.lipschitz > 1.0 + 1e-9:
             raise NumericalError(
                 f"step size violates 2 (dt/dx) L <= 1: dt={dt}, L={self.lipschitz}"
             )
-        F = self.edge_fluxes(u)
-        return u - lam * np.diff(F), float(F[0]), float(F[-1])
+        F = np.maximum(*self.edge_sides(u, out=self._sides), out=self._sides[0])
+        dF = np.subtract(F[1:], F[:-1], out=self._dflux)
+        dF *= lam
+        return np.subtract(u, dF), float(F[0]), float(F[-1])
+
+
+def _finite_range(u: np.ndarray, where: str) -> tuple[float, float]:
+    """(min, max) of u; raises NumericalError if u holds a NaN or an infinity.
+
+    NaN propagates through min and max, so one pass checks both."""
+    lo, hi = float(np.min(u)), float(np.max(u))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericalError(f"non-finite state {where}")
+    return lo, hi
 
 
 def lipschitz_bound(model: FluxModel, lo: float, hi: float) -> float:
@@ -303,6 +333,7 @@ def run(
     Snapshot times are hit exactly by shortening the step. Each observer gets
     obs.start(scheme, envelope, u0) before the first step and obs.step(u,
     u_new, dt) after each, with the dt used; no one may modify these arrays.
+    A NaN or infinite state raises NumericalError.
     """
     if t_end < 0:
         raise ConfigError(f"t_end must be >= 0, got {t_end}")
@@ -339,8 +370,7 @@ def run(
 
     mass0 = float(np.sum(u)) * mesh.dx
     net_out = 0.0
-    rmin = float(np.min(u))
-    rmax = float(np.max(u))
+    rmin, rmax = math.inf, -math.inf
     t = 0.0
     n_steps = 0
     tol_t = 1e-12 * max(1.0, t_end)
@@ -348,16 +378,18 @@ def run(
         while t < target - tol_t:
             dt = min(dt_nominal, target - t)
             u_new, f_in, f_out = scheme.step_arrays(u, dt)
+            rmin, rmax = min(rmin, scheme.last_range[0]), max(rmax, scheme.last_range[1])
             for obs in observers:
                 obs.step(u, u_new, dt)
             net_out += dt * (f_out - f_in)
             t += dt
             n_steps += 1
             u = u_new
-            rmin = min(rmin, float(np.min(u)))
-            rmax = max(rmax, float(np.max(u)))
         t = target
         snapshots.append(GridState(u=u.copy(), time=target, step_index=n_steps))
+    # Every state but the last was checked and measured by the step it entered.
+    lo, hi = _finite_range(u, "at the end of the run")
+    rmin, rmax = min(rmin, lo), max(rmax, hi)
 
     mass_final = float(np.sum(u)) * mesh.dx
     scale = max(abs(mass0), abs(mass_final), float(np.sum(np.abs(snapshots[-1].u))) * mesh.dx, 1e-30)

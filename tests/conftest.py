@@ -1,6 +1,8 @@
 """Shared fixtures: the canonical two-flux interface and the built-in models,
 plus RecordStates, a run observer for tests that need a whole trajectory, and
-ReferenceEntropyCheck, the entropy slack written over fresh temporaries."""
+references written over fresh temporaries: reference_edge_sides and
+reference_step for the Scheme's step kernel, ReferenceEntropyCheck for the
+entropy slack."""
 
 import numpy as np
 import pytest
@@ -30,6 +32,23 @@ class RecordStates:
         return [self.u0] + [u_new for _, u_new, _ in self.steps]
 
 
+def reference_edge_sides(scheme, u):
+    """Scheme.edge_sides as one allocating expression over ghost-extended u."""
+    u = np.asarray(u, dtype=float)
+    u_ext = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
+    return (scheme.h_left(np.maximum(u_ext[..., :-1], scheme.al_ext[:-1])),
+            scheme.h_right(np.minimum(scheme.al_ext[1:], u_ext[..., 1:])))
+
+
+def reference_step(scheme, u, dt):
+    """Scheme.step_arrays over fresh temporaries, without its guards. The
+    Scheme evaluates the same operations in the same order in its buffers,
+    so both must agree bit for bit."""
+    F = np.maximum(*reference_edge_sides(scheme, u))
+    lam = dt / scheme.mesh.dx
+    return u - lam * np.diff(F), float(F[0]), float(F[-1])
+
+
 class ReferenceEntropyCheck(EntropyCheck):
     """EntropyCheck with the slack of a step as one expression over fresh
     (K, N) temporaries, located by argmax over the whole array. EntropyCheck
@@ -38,7 +57,7 @@ class ReferenceEntropyCheck(EntropyCheck):
 
     def step(self, u, u_new, dt):
         kcol, kl, kr = self._ks[:, None], self._kl, self._kr
-        a, b = self._scheme.edge_sides(u)
+        a, b = reference_edge_sides(self._scheme, u)
         phi = (np.maximum(np.maximum(a, kl), np.minimum(b, kr))
                - np.maximum(np.minimum(a, kl), np.maximum(b, kr)))
         du1 = u_new[None, :] - kcol

@@ -223,3 +223,18 @@ def test_family_params_round_trip():
             np.asarray(model.h(xs[:, None], us[None, :]), dtype=float),
             np.asarray(rebuilt.h(xs[:, None], us[None, :]), dtype=float),
         )
+
+
+@pytest.mark.parametrize("family", [quadratic, two_state, heterogeneous_quadratic, lwr])
+def test_freeze_hook_fills_out_with_the_same_bits(family, rng):
+    xs = np.linspace(-2.0, 2.0, 81)
+    f = family().freeze(xs)
+    u = rng.uniform(-2.0, 2.0, (3, xs.size))
+    want = f(u)
+    buf = np.full_like(u, np.nan)
+    assert f(u, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    # out may be u itself, as in the step kernel
+    v = u.copy()
+    assert f(v, out=v) is v
+    assert v.tobytes() == want.tobytes()

@@ -11,10 +11,11 @@ Numbers frozen below:
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import RecordStates
+from conftest import RecordStates, reference_edge_sides, reference_step
 
 import hetflux.flux_model as fm
 from hetflux.diagnostics import TimeVariation
@@ -265,6 +266,140 @@ def test_stale_freeze_hook_is_rejected():
         Scheme(stale, mesh, lipschitz=1.0)
     # a wrapper around the same h (say, a call counter) still agrees exactly
     Scheme(dataclasses.replace(model, h=lambda x, u: model.h(x, u)), mesh, lipschitz=1.0)
+
+
+def test_stale_freeze_hook_is_rejected_by_steady_state_solves():
+    # branch_inverse freezes the flux, so a stale hook must not reach it silently
+    model = heterogeneous_quadratic()
+    stale = dataclasses.replace(model, h=heterogeneous_quadratic(g_bump=0.2).h)
+    xs = np.linspace(-2.0, 2.0, 41)
+    with pytest.raises(ConfigError, match="freeze hook"):
+        fm.branch_inverse(stale, xs, 1.0, "plus")
+    assert np.all(fm.branch_inverse(model, xs, 1.0, "plus") >= model.alpha_hint(xs))
+
+
+def test_freeze_hook_out_path_is_checked():
+    model = heterogeneous_quadratic()
+
+    def sloppy(xs):
+        f = model.freeze(xs)
+        return lambda u, out=None: f(u) if out is None else 1.5 * f(u, out=out)
+
+    with pytest.raises(ConfigError, match="freeze hook"):
+        Scheme(dataclasses.replace(model, freeze=sloppy), Mesh.make(-2.0, 2.0, 0.05), 1.0)
+
+
+def test_freeze_hook_without_out_is_a_config_error():
+    model = heterogeneous_quadratic()
+
+    def no_out(xs):
+        f = model.freeze(xs)
+        return lambda u: f(u)
+
+    stale = dataclasses.replace(model, freeze=no_out)
+    with pytest.raises(ConfigError, match="out=None"):
+        Scheme(stale, Mesh.make(-2.0, 2.0, 0.05), 1.0)
+    with pytest.raises(ConfigError, match="out=None"):
+        fm.branch_inverse(stale, np.array([0.0]), np.array([1.0]), "plus")
+
+
+# ---------------------------------------------------------------------------
+# step kernel in the Scheme's buffers
+
+KERNEL_MODELS = {
+    **MODELS,
+    "heterogeneous_quadratic/freeze=None":
+        lambda: dataclasses.replace(heterogeneous_quadratic(), freeze=None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_edge_sides_match_allocating_reference_bitwise(name, rng):
+    model = KERNEL_MODELS[name]()
+    mesh = Mesh.make(-2.0, 2.0, 0.05)
+    sch = Scheme(model, mesh, lipschitz=1.0)
+    # one row per level, as EntropyCheck passes them, and a single state
+    U = sch.al_ext[1:-1] + rng.uniform(-1.0, 1.0, (5, mesh.n_cells))
+    for u in (U, U[2]):
+        want = reference_edge_sides(sch, u)
+        buf = np.full((2,) + u.shape[:-1] + (mesh.n_cells + 1,), np.nan)
+        for got in (sch.edge_sides(u), sch.edge_sides(u, out=buf)):
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_step_arrays_match_allocating_reference_bitwise(name, rng):
+    model = KERNEL_MODELS[name]()
+    mesh = Mesh.make(-2.0, 2.0, 0.05)
+    sch = Scheme(model, mesh, lipschitz=1.0)
+    u = sch.al_ext[1:-1] + rng.uniform(-1.0, 1.0, mesh.n_cells)
+    kept = [(u, u.tobytes())]
+    for dt in [0.45 * mesh.dx] * 12 + [0.1 * mesh.dx]:
+        u_new, f_in, f_out = sch.step_arrays(u, dt)
+        want, w_in, w_out = reference_step(sch, u, dt)
+        assert u_new.tobytes() == want.tobytes()
+        assert (f_in, f_out) == (w_in, w_out)
+        assert sch.last_range == (float(np.min(u)), float(np.max(u)))
+        kept.append((u_new, u_new.tobytes()))
+        u = u_new
+    # No step touches a state it was given or returned: observers keep them.
+    assert all(a.tobytes() == b for a, b in kept)
+
+
+@pytest.mark.parametrize("family", [quadratic, two_state, heterogeneous_quadratic, lwr])
+def test_step_allocates_only_the_new_state(family, rng):
+    model = family()
+    mesh = Mesh.make(-2.0, 2.0, 0.001)
+    sch = Scheme(model, mesh, lipschitz=1.0)
+    u = sch.al_ext[1:-1] + rng.uniform(-1.0, 1.0, mesh.n_cells)
+    dt = 0.45 * mesh.dx
+    u = sch.step_arrays(u, dt)[0]  # warm-up
+    tracemalloc.start()
+    try:
+        sch.step_arrays(u, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_cells == 4000
+    assert peak < 1.5 * u.nbytes, peak
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_step_rejects_infinities(burgers_model, value):
+    scheme = Scheme(burgers_model, Mesh.make(-1.0, 1.0, 0.1), lipschitz=1.0)
+    bad = np.zeros(scheme.mesh.n_cells)
+    bad[7] = value
+    with pytest.raises(NumericalError, match="non-finite state entering step"):
+        scheme.step_arrays(bad, dt=0.01)
+
+
+@pytest.mark.parametrize("poison_after", ["third step", "next to last step"])
+def test_nan_partway_through_a_run_raises(poison_after):
+    base = quadratic()
+    mesh = Mesh.make(-1.0, 1.0, 0.05)
+    datum = datum_step(1.0, -0.5)
+    n = run(base, mesh, datum, t_end=0.3).n_steps
+    poisoned = [False]
+
+    def h(x, u):
+        v = base.h(x, u)
+        return np.where(poisoned[0], np.nan, v)
+
+    class Poison:
+        def start(self, scheme, envelope, u0):
+            self.k = 0
+
+        def step(self, u, u_new, dt):
+            self.k += 1
+            poisoned[0] = self.k == (3 if poison_after == "third step" else n - 1)
+
+    model = dataclasses.replace(base, h=h, freeze=None)
+    assert run(model, mesh, datum, t_end=0.3).n_steps == n > 4
+    # The step after the poisoned one produces NaN; the state it leaves is
+    # rejected by the next step, or at the end of the run.
+    where = "entering step" if poison_after == "third step" else "at the end of the run"
+    with pytest.raises(NumericalError, match=f"non-finite state {where}"):
+        run(model, mesh, datum, t_end=0.3, observers=(Poison(),))
 
 
 # ---------------------------------------------------------------------------
