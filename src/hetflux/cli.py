@@ -21,6 +21,7 @@ nowhere else.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -106,7 +107,10 @@ def _flag_specs() -> list[tuple[str, str, str]]:
 _SPECS = _flag_specs()
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = _Parser(
         prog="hetflux",
         description="Finite-volume solver for conservation laws with "
@@ -197,13 +201,20 @@ def _fmt(value: float, precision: int) -> str:
     return f"{float(value):.{precision - 1}e}"
 
 
-def _write_csv(path: str, header: tuple[str, ...], columns, precision: int) -> None:
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    n_rows, n_cols = table.shape
-    # One %-format over all values, each as _fmt renders it.
-    row = ",".join([f"%.{precision - 1}e"] * n_cols) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + row * n_rows % tuple(table.ravel().tolist()))
+def _csv_template(header: tuple[str, str], first, precision: int) -> str:
+    """A two-column CSV file as text: the header, the first column formatted
+    as _fmt renders it, and the second column left as one %-field per row.
+    `template % tuple(second)` completes it, so files that share a first
+    column format it once."""
+    field = f"%.{precision - 1}e"
+    rows = [field % x + "," + field + "\n" for x in np.asarray(first, dtype=float).tolist()]
+    return ",".join(header) + "\n" + "".join(rows)
+
+
+def _write_csv(path: str, header: tuple[str, str], columns, precision: int) -> None:
+    first, second = columns
+    _write_text(path, _csv_template(header, first, precision)
+                % tuple(np.asarray(second, dtype=float).tolist()))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -328,18 +339,14 @@ def _run_pipeline(cfg: ExperimentConfig, observers=()):
         observers=observers,
     )
     outdir = _resolve_outdir(cfg)
-    precision = cfg.output["precision"]
-    xs = mesh.centers()
+    # Every snapshot shares the x column: format it once.
+    template = _csv_template(("x", "u"), mesh.centers(), cfg.output["precision"])
     outputs = []
     labels = []
     for i, snap in enumerate(result.snapshots):
         fname = f"snapshot_{i:03d}.csv"
-        _write_csv(
-            os.path.join(outdir, fname),
-            ("x", "u"),
-            (xs, model.to_physical(snap.u)),
-            precision,
-        )
+        u = np.asarray(model.to_physical(snap.u), dtype=float)
+        _write_text(os.path.join(outdir, fname), template % tuple(u.tolist()))
         outputs.append(fname)
         labels.append((fname, f"t={snap.time:.6g}"))
     _write_text(
@@ -360,6 +367,9 @@ def _run_pipeline(cfg: ExperimentConfig, observers=()):
             "lambda": result.cfl.dt(mesh.dx) / mesh.dx,
             "lipschitz": result.cfl.lipschitz,
             "safety": result.cfl.safety,
+            "bound": result.cfl.bound,
+            "bracket": None if result.bracket is None else list(_physical_pair(
+                model, result.bracket[0].bound, result.bracket[1].bound)),
         },
         "envelope": {"lower": lo, "upper": hi},
         "run": {

@@ -100,18 +100,30 @@ class EntropyCheck:
 
     Pass it in run(..., observers=...), then read report(). Without k_values
     the levels are default_k_levels(envelope, u0, n_levels). It reuses the
-    run's Scheme; a step evaluates the flux at the N cells only and combines
-    the results with the K levels elementwise.
+    run's Scheme: when u is the state the Scheme's last step started from
+    (as run() hands it over), its edge terms, edge flux and range come from
+    that step (Scheme.last_edges, last_range); otherwise they are evaluated
+    here, at the N cells only. They are combined with the K levels
+    elementwise.
 
-    start allocates all O(K N) state once: the fixed k terms, two (N+1)
-    arrays for the edge terms of u (its own, not the Scheme's step buffers)
-    and five work arrays, three of shape (K, N+1) for the entropy flux phi
-    and two of shape (K, N) for |u_new - k| and |u - k|, the latter
-    overwritten by the slack. step writes every intermediate into them, so
-    it allocates only O(K) and numpy's fixed-size iteration buffer (plus the
-    edge terms when the model's freeze hook ignores out=). The |u_new - k|
-    of one step serves as the |u - k| of the next when u is the previous
-    u_new, as run() hands it; start resets that carry.
+    At a level k <= min u every cell has max(u, k) = u and min(u, k) = k, so
+    the entropy flux is phi = F(u) - F(k, k); at k >= max u it is
+    F(k, k) - F(u). These are the values the lattice maxima/minima select.
+    Likewise, below min u_new (above max u_new) |u_new - k| is u_new - k
+    (k - u_new) and sign(u_new - k) d_kk dt is d_kk dt (its negation). So for
+    sorted levels only the rows inside the range of u (of u_new) run the
+    lattice (the abs and sign), with the same bits.
+
+    start allocates all O(K N) state once: the fixed k terms, F(k, k) and
+    d_kk dt, two (N+1) arrays for the edge terms of u and one for its edge
+    flux (its own, not the Scheme's step buffers) and five work arrays,
+    three of shape (K, N+1) for phi and two of shape (K, N) for
+    |u_new - k| and |u - k|, the latter overwritten by the slack. step
+    writes every intermediate into them, so it allocates only O(K) and
+    numpy's fixed-size iteration buffer (plus the edge terms when the
+    model's freeze hook ignores out=). The |u_new - k| of one step serves
+    as the |u - k| of the next when u is the previous u_new, as run() hands
+    it; start resets that carry.
     """
 
     def __init__(
@@ -128,12 +140,15 @@ class EntropyCheck:
         if ks is None:
             ks = default_k_levels(envelope, u0, self.n_levels)
         self._scheme, self._ks = scheme, ks
+        self._sorted = bool(np.all(ks[:-1] <= ks[1:]))
         n_k, n = ks.size, scheme.mesh.n_cells
         # The k terms of the edge fluxes and F(k, k) are time independent.
         self._kl, self._kr = scheme.edge_sides(np.broadcast_to(ks[:, None], (n_k, n)))
-        f_kk = np.maximum(self._kl, self._kr)
-        self._d_kk = f_kk[:, 1:] - f_kk[:, :-1]
+        self._f_kk = np.maximum(self._kl, self._kr)
+        self._d_kk = self._f_kk[:, 1:] - self._f_kk[:, :-1]
+        self._d_kk_dt, self._dt = np.empty((n_k, n)), None  # d_kk * _dt
         self._sides = np.empty((2, n + 1))
+        self._flux = np.empty(n + 1)
         self._phi_work = np.empty((3, n_k, n + 1))
         # Once phi is formed, the leading K*N entries of the last phi array
         # hold u_new - k as a (K, N) array.
@@ -144,23 +159,53 @@ class EntropyCheck:
         self._worst = (-math.inf, 0, 0, 0)  # slack, k index, step, cell
         self._n_steps = 0
 
+    def _edges(self, u: np.ndarray):
+        """(a, b, F, min u, max u): the edge terms and edge flux of u, and its range."""
+        sch = self._scheme
+        if sch.last_edges is not None and sch.last_edges[0] is u:
+            return sch.last_edges[1:] + sch.last_range
+        a, b = sch.edge_sides(u, out=self._sides)
+        return a, b, np.maximum(a, b, out=self._flux), float(u.min()), float(u.max())
+
+    def _outside(self, lo: float, hi: float, strict: bool) -> tuple[int, int]:
+        """(i0, i1): the level rows [0, i0) at or below lo and [i1, K) at or
+        above hi, or strictly below and above; none for unsorted levels or a
+        NaN range."""
+        ks = self._ks
+        if not (self._sorted and lo <= hi):
+            return 0, ks.size
+        if strict:
+            return int(ks.searchsorted(lo, "left")), int(ks.searchsorted(hi, "right"))
+        i0 = int(ks.searchsorted(lo, "right"))
+        return i0, max(i0, int(ks.searchsorted(hi, "left")))
+
     def step(self, u: np.ndarray, u_new: np.ndarray, dt: float) -> None:
-        kcol, kl, kr = self._ks[:, None], self._kl, self._kr
+        kcol, f_kk = self._ks[:, None], self._f_kk
         p, q, r = self._phi_work
         du, new, old = self._du, self._abs_new, self._abs_old
-        # h_l rises on [alpha_l, inf) and h_r falls on (-inf, alpha_r], so the
-        # terms of F(max(u, k)) and F(min(u, k)) are maxima/minima of u and k terms:
+        a, b, F, lo, hi = self._edges(u)
+        i0, i1 = self._outside(lo, hi, strict=False)
+        np.subtract(F, f_kk[:i0], out=p[:i0])
+        np.subtract(f_kk[i1:], F, out=p[i1:])
+        # Between the extremes of u: h_l rises on [alpha_l, inf) and h_r falls
+        # on (-inf, alpha_r], so the terms of F(max(u, k)) and F(min(u, k))
+        # are maxima/minima of u and k terms:
         # phi = max(max(a, kl), min(b, kr)) - max(min(a, kl), max(b, kr)).
-        a, b = self._scheme.edge_sides(u, out=self._sides)
-        np.maximum(np.maximum(a, kl, out=p), np.minimum(b, kr, out=q), out=p)
-        np.maximum(np.minimum(a, kl, out=q), np.maximum(b, kr, out=r), out=q)
-        np.subtract(p, q, out=p)
+        kl, kr = self._kl[i0:i1], self._kr[i0:i1]
+        pm, qm, rm = p[i0:i1], q[i0:i1], r[i0:i1]
+        np.maximum(np.maximum(a, kl, out=pm), np.minimum(b, kr, out=qm), out=pm)
+        np.maximum(np.minimum(a, kl, out=qm), np.maximum(b, kr, out=rm), out=qm)
+        np.subtract(pm, qm, out=pm)
         # slack = (|u_new - k| - |u - k|) dx + (phi_{j+1/2} - phi_{j-1/2}) dt
         #         + sign(u_new - k) d_kk dt
         # u - k as rows of u minus k: the same arithmetic, but numpy then
         # buffers one broadcast operand instead of two.
+        j0, j1 = self._outside(float(u_new.min()), float(u_new.max()), strict=True)
         du[...] = u_new
-        np.abs(np.subtract(du, kcol, out=du), out=new)
+        np.subtract(du[:j0], kcol[:j0], out=new[:j0])
+        np.subtract(kcol[j1:], du[j1:], out=new[j1:])
+        dm = du[j0:j1]
+        np.abs(np.subtract(dm, kcol[j0:j1], out=dm), out=new[j0:j1])
         if u is not self._carried:
             old[...] = u
             np.abs(np.subtract(old, kcol, out=old), out=old)
@@ -171,8 +216,13 @@ class EntropyCheck:
         dphi = np.subtract(p.reshape(-1)[1:], p.reshape(-1)[:-1], out=q.reshape(-1)[:-1])
         dphi *= dt
         slack += q[:, :-1]
-        np.multiply(np.sign(du, out=du), self._d_kk, out=du)
-        slack += np.multiply(du, dt, out=du)
+        if dt != self._dt:
+            self._dt = dt
+            np.multiply(self._d_kk, dt, out=self._d_kk_dt)
+        slack[:j0] += self._d_kk_dt[:j0]
+        slack[j1:] -= self._d_kk_dt[j1:]
+        np.multiply(np.sign(dm, out=dm), self._d_kk[j0:j1], out=dm)
+        slack[j0:j1] += np.multiply(dm, dt, out=dm)
         self._abs_new, self._abs_old, self._carried = slack, new, u_new
         # The first row reaching the overall max holds argmax(slack) in row-major
         # order; a NaN row max propagates to max_slack and never beats the worst.

@@ -8,7 +8,8 @@ so each declares only its coefficient profiles x -> (a, b, c) and their
 x-derivatives; _quadratic_form derives h, du_h, dx_h, the freeze hook and the
 critical curve alpha = b from them once. The frozen flux forms
 a (u - b)^2 + c in place, in the caller's out= buffer or in one it
-allocates, so the step kernel allocates nothing for it. The four
+allocates, so the step kernel allocates nothing for it; its du slope
+2 a (u - b) uses the same frozen coefficients. The four
 constructors, each returning a FluxModel:
 
 * quadratic: homogeneous c (u - s)^2 + o, so (a, b, c) = (c, s, o). Covers
@@ -54,14 +55,14 @@ def _quadratic_form(coefficients, slopes, **fields) -> FluxModel:
             np.multiply(a, out, out=out)
             return np.add(out, c, out=out)
 
+        frozen.du = lambda u: 2.0 * a * (np.asarray(u, dtype=float) - b)
         return frozen
 
     def h(x, u):
         return freeze(x)(u)
 
     def du_h(x, u):
-        a, b, _ = coefficients(np.asarray(x, dtype=float))
-        return 2.0 * a * (np.asarray(u, dtype=float) - b)
+        return freeze(x).du(u)
 
     def dx_h(x, u):
         x = np.asarray(x, dtype=float)

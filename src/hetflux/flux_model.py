@@ -26,7 +26,7 @@ with none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,22 +95,37 @@ class FluxModel:
 
 
 def frozen_flux(model: FluxModel, xs) -> Callable:
-    """f(u, out=None) = H(xs, u), the flux frozen at the positions xs.
+    """f(u, out=None) = H(xs, u), the flux frozen at the positions xs, with
+    its slope f.du(u) = du_h(xs, u).
 
     Uses the model's freeze hook when it has one, so x-dependent coefficients
     are evaluated here once; f broadcasts u against xs. Given an array out
     (which may be u itself), a hook may write the result there and return
     it, with the same bits as f(u). The default freezing, u -> h(xs, u),
-    ignores out, so callers must use the array f returns.
+    ignores out, so callers must use the array f returns. A hook may give f
+    its own du; otherwise f.du calls du_h at xs.
 
     A dataclasses.replace copy with a new h keeps the old hook, so the hook
-    is compared with h at xs for u = 0 and 1, with and without out; any
-    difference, or a hook whose f takes no out=, raises ConfigError.
+    is compared with h (and its du with du_h) at xs for u = 0 and 1, with
+    and without out; any difference, or a hook whose f takes no out=, raises
+    ConfigError.
     """
     xs = np.asarray(xs, dtype=float)
+
+    def du(u):
+        return np.asarray(model.du_h(xs, u), dtype=float)
+
     if model.freeze is None:
-        return lambda u, out=None: np.asarray(model.h(xs, u), dtype=float)
+
+        def f(u, out=None):
+            return np.asarray(model.h(xs, u), dtype=float)
+
+        f.du = du
+        return f
     f = model.freeze(xs)
+    if not hasattr(f, "du"):
+        f = partial(f)  # a callable that takes the du attribute
+        f.du = du
     probe = np.stack((np.zeros(xs.shape), np.ones(xs.shape)))
     want = model.h(xs, probe)
     try:
@@ -119,7 +134,8 @@ def frozen_flux(model: FluxModel, xs) -> Callable:
         raise ConfigError(
             f"flux model {model.name!r}: freeze hook must return f(u, out=None) ({exc})"
         ) from exc
-    if not (np.array_equal(f(probe), want) and np.array_equal(into_out, want)):
+    if not (np.array_equal(f(probe), want) and np.array_equal(into_out, want)
+            and np.array_equal(f.du(probe), du(probe))):
         raise ConfigError(f"flux model {model.name!r}: freeze hook disagrees with h")
     return f
 
@@ -140,7 +156,7 @@ def critical_point(model: FluxModel, x):
         if np.all(np.abs(np.asarray(model.du_h(xs, hint), dtype=float)) <= 1e-9):
             a = hint
     if a is None:
-        a = solve_increasing(lambda p: np.asarray(model.du_h(xs, p), dtype=float), xs.shape)
+        a = solve_increasing(frozen_flux(model, xs).du, xs.shape)
     return float(a) if a.ndim == 0 else a
 
 
@@ -197,12 +213,12 @@ def invert_branch(f: Callable, df: Callable, alpha, y, side: str, tol: float = T
 
     f and df broadcast over arrays; alpha holds the minimizers of f and
     broadcasts against the levels y. side "plus" returns the solution >= alpha,
-    "minus" the one <= alpha. Levels slightly below the minimum (within 1e-10)
-    are clamped to it and return alpha; any level further below raises
-    NumericalError. tol bounds the residual |f(s) - y| relative to the flux
-    scale, as tol * (1 + |y| + |f(alpha)|) per element: f(s) - y is rounded
-    at that scale, so an absolute bound would reject exact roots of large
-    levels.
+    "minus" the one <= alpha. A level at the minimum returns alpha exactly,
+    and levels slightly below it (within 1e-10) are clamped to it and return
+    alpha too; any level further below raises NumericalError. tol bounds the
+    residual |f(s) - y| relative to the flux scale, as
+    tol * (1 + |y| + |f(alpha)|) per element: f(s) - y is rounded at that
+    scale, so an absolute bound would reject exact roots of large levels.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
@@ -216,9 +232,9 @@ def invert_branch(f: Callable, df: Callable, alpha, y, side: str, tol: float = T
             f"branch inversion: level y={float(np.broadcast_to(y, deficit.shape)[j]):g} "
             f"below flux minimum {float(np.broadcast_to(hmin, deficit.shape)[j]):g}"
         )
-    clamped = deficit > 0.0
+    clamped = deficit >= 0.0
     # Clamped elements target their own minimum, so the bracketed search below
-    # still sees a sign change (y itself sits strictly below their range).
+    # still sees a sign change (y itself sits at or below their range).
     y_eff = np.maximum(y, hmin)
     if side == "plus":
         g = lambda s: np.asarray(f(np.maximum(s, a)), dtype=float) - y_eff
@@ -257,9 +273,8 @@ def branch_inverse(model: FluxModel, x, y, side: str, alpha=None, tol: float = T
     """
     xs = np.asarray(x, dtype=float)
     a = critical_point(model, xs) if alpha is None else alpha
-    return invert_branch(
-        frozen_flux(model, xs), lambda s: model.du_h(xs, s), a, y, side, tol
-    )
+    f = frozen_flux(model, xs)
+    return invert_branch(f, f.du, a, y, side, tol)
 
 
 def legendre_transform(model: FluxModel, x, v):
@@ -270,12 +285,13 @@ def legendre_transform(model: FluxModel, x, v):
     """
     xs = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
+    f = frozen_flux(model, xs)
     ps = solve_increasing(
-        lambda p: np.asarray(model.du_h(xs, p), dtype=float) - v,
+        lambda p: f.du(p) - v,
         np.broadcast(xs, v).shape,
         tol_res=TOL_ROOT * (1.0 + np.abs(v)),
     )
-    val = ps * v - np.asarray(model.h(xs, ps), dtype=float)
+    val = ps * v - f(ps)
     return float(val) if val.ndim == 0 else val
 
 

@@ -10,26 +10,34 @@ The update is the standard conservative explicit Euler step
     u_j'  =  u_j - (dt/dx) (F_{j+1/2} - F_{j-1/2}),
 
 monotone under the step-size condition 2 (dt/dx) L <= 1, where L bounds
-|du_h| over the invariant region. Ghost cells replicate the boundary cell
-(zero-order extrapolation), which is exact while the solution stays constant
-near the window edges; the runner warns when the influence cone of the
-heterogeneity can reach them.
+|du_h| over the invariant region: run() takes it over the bracket, the
+nearest pair of steady states around the data, and checks every state
+against it. Ghost cells replicate the boundary cell (zero-order
+extrapolation), which is exact while the solution stays constant near the
+window edges; the runner warns when the influence cone of the heterogeneity
+can reach them.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, InvariantBreach, NumericalError
 from .flux_model import FluxModel, frozen_flux, ghost_alphas
-from .steady import Envelope, envelope
+from .steady import Envelope, SteadyState, bracket, envelope
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
+
+# Wave speeds up to this count as none (the step would be unbounded).
+_NO_SPEED = 1e-300
+# States may pass the range that set L by this many ulps of its ends: the
+# bracket states are fixed points up to rounding.
+_CONTAIN_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,7 @@ class CflPolicy:
     safety: float
     lam: float  # dt / dx
     lipschitz: float  # L
+    bound: str = "envelope"  # the state range L was taken over: "bracket" or "envelope"
 
     def dt(self, dx: float) -> float:
         return self.lam * dx
@@ -87,12 +96,14 @@ class Scheme:
     cell of every edge, frozen at the centers.
 
     Precomputed once, with the step's work buffers: two (N+1) edge-term
-    arrays and one (N) flux difference. step_arrays() is then a handful of
-    vectorized flux evaluations in those buffers; the frozen fluxes are
-    called with out= (see frozen_flux) and the array they return is used,
-    so with a hook that honours out= a step allocates only the new state.
-    last_range holds the (min, max) of the state the last step started
-    from.
+    arrays, the (N+1) edge flux and one (N) flux difference. step_arrays()
+    is then a handful of vectorized flux evaluations in those buffers; the
+    frozen fluxes are called with out= (see frozen_flux) and the array they
+    return is used, so with a hook that honours out= a step allocates only
+    the new state. last_range holds the (min, max) of the state u the last
+    step started from, and last_edges (u, a, b, F) that u with its two edge
+    terms and edge flux, valid until the next step (EntropyCheck reuses
+    them).
     """
 
     def __init__(self, model: FluxModel, mesh: Mesh, lipschitz: float):
@@ -104,8 +115,10 @@ class Scheme:
         self.h_right = frozen_flux(model, self.xc_ext[1:])
         n = mesh.n_cells
         self._sides = np.empty((2, n + 1))
+        self._flux = np.empty(n + 1)
         self._dflux = np.empty(n)
         self.last_range = (math.nan, math.nan)
+        self.last_edges = None
 
     def edge_sides(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """The terms h_l(max(u_l, alpha_l)) and h_r(min(alpha_r, u_r)) of the
@@ -136,15 +149,17 @@ class Scheme:
     def step_arrays(self, u: np.ndarray, dt: float):
         """One update; returns (u_new, boundary fluxes (F_in, F_out)).
 
-        u_new is a new array; u is not modified. Sets last_range to the
-        (min, max) of u."""
+        u_new is a new array; u is not modified. Sets last_range and
+        last_edges for u."""
         self.last_range = _finite_range(u, "entering step")
         lam = dt / self.mesh.dx
         if 2.0 * lam * self.lipschitz > 1.0 + 1e-9:
             raise NumericalError(
                 f"step size violates 2 (dt/dx) L <= 1: dt={dt}, L={self.lipschitz}"
             )
-        F = np.maximum(*self.edge_sides(u, out=self._sides), out=self._sides[0])
+        a, b = self.edge_sides(u, out=self._sides)
+        F = np.maximum(a, b, out=self._flux)
+        self.last_edges = (u, a, b, F)
         dF = np.subtract(F[1:], F[:-1], out=self._dflux)
         dF *= lam
         return np.subtract(u, dF), float(F[0]), float(F[-1])
@@ -154,9 +169,20 @@ def _finite_range(u: np.ndarray, where: str) -> tuple[float, float]:
     """(min, max) of u; raises NumericalError if u holds a NaN or an infinity.
 
     NaN propagates through min and max, so one pass checks both."""
-    lo, hi = float(np.min(u)), float(np.max(u))
+    lo, hi = float(u.min()), float(u.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericalError(f"non-finite state {where}")
+    return lo, hi
+
+
+def _contained(state_range, contain, within: str, where: str) -> tuple[float, float]:
+    """state_range, after checking it lies in contain; raises InvariantBreach."""
+    lo, hi = state_range
+    if lo < contain[0] or hi > contain[1]:
+        raise InvariantBreach(
+            f"state range [{lo:.17g}, {hi:.17g}] {where} leaves the {within} "
+            f"[{contain[0]:.17g}, {contain[1]:.17g}]"
+        )
     return lo, hi
 
 
@@ -183,7 +209,7 @@ def cfl_dt(
     if not (0 < safety <= 1):
         raise ConfigError(f"safety factor must lie in (0, 1], got {safety}")
     L = lipschitz_bound(model, bounds[0], bounds[1])
-    if L <= 1e-300:
+    if L <= _NO_SPEED:
         if max_dt is None:
             raise NumericalError(
                 "flux carries no wave speeds on the state range; supply max_dt"
@@ -304,6 +330,7 @@ class RunResult:
     snapshots: list
     cfl: CflPolicy
     envelope: Envelope
+    bracket: Optional[tuple[SteadyState, SteadyState]]  # (lower, upper), see run
     n_steps: int
     running_min: float
     running_max: float
@@ -328,7 +355,19 @@ def run(
     datum_bounds: Optional[tuple[float, float]] = None,
     max_dt: Optional[float] = None,
 ) -> RunResult:
-    """March the scheme to t_end with the step size fixed by the envelope.
+    """March the scheme to t_end with the step size fixed by the bracket.
+
+    The bracket is the pair of steady states nearest to the projected data
+    u0 that sandwich it (steady.bracket). Constant-level states are fixed
+    points of the scheme and the scheme is monotone under the CFL bound, so
+    by comparison (Crandall-Majda) u never leaves [min lower, max upper], and
+    L is taken over that range. The Legendre envelope, wider, is the
+    fallback: when the bracket carries no wave speed (constant data at
+    alpha), and when a boundary cell lies inside (-X, X), where its ghost
+    carries another flux and the bracket states need not be fixed points.
+    Every state is checked against the range L came from (the envelope
+    constants when there is no bracket), to a few ulps, and InvariantBreach
+    is raised when it leaves.
 
     Snapshot times are hit exactly by shortening the step. Each observer gets
     obs.start(scheme, envelope, u0) before the first step and obs.step(u,
@@ -344,10 +383,19 @@ def run(
         else:
             datum_bounds = datum.bounds(mesh)
     env = envelope(model, mesh, datum_bounds[0], datum_bounds[1])
-    policy = cfl_dt(
-        model, mesh, (env.lower_bound, env.upper_bound), safety=safety, max_dt=max_dt
-    )
     X = model.hetero_radius
+    xc = mesh.centers()
+    if X == 0.0 or (xc[0] <= -X and xc[-1] >= X):
+        brk = bracket(model, mesh, u)
+        within, contain = "bracket", (brk[0].bound, brk[1].bound)
+    else:
+        brk, within, contain = None, "envelope", (env.lower_bound, env.upper_bound)
+    if brk is not None and lipschitz_bound(model, *contain) > _NO_SPEED:
+        policy = replace(cfl_dt(model, mesh, contain, safety, max_dt), bound="bracket")
+    else:
+        policy = cfl_dt(model, mesh, (env.lower_bound, env.upper_bound), safety, max_dt)
+    slack = _CONTAIN_ULPS * np.finfo(float).eps * (1.0 + max(map(abs, contain)))
+    contain = (contain[0] - slack, contain[1] + slack)
     influence = policy.lipschitz * t_end
     if mesh.x_min > -X - influence or mesh.x_max < X + influence:
         warnings.warn(
@@ -378,7 +426,8 @@ def run(
         while t < target - tol_t:
             dt = min(dt_nominal, target - t)
             u_new, f_in, f_out = scheme.step_arrays(u, dt)
-            rmin, rmax = min(rmin, scheme.last_range[0]), max(rmax, scheme.last_range[1])
+            lo, hi = _contained(scheme.last_range, contain, within, "entering step")
+            rmin, rmax = min(rmin, lo), max(rmax, hi)
             for obs in observers:
                 obs.step(u, u_new, dt)
             net_out += dt * (f_out - f_in)
@@ -388,7 +437,8 @@ def run(
         t = target
         snapshots.append(GridState(u=u.copy(), time=target, step_index=n_steps))
     # Every state but the last was checked and measured by the step it entered.
-    lo, hi = _finite_range(u, "at the end of the run")
+    lo, hi = _contained(_finite_range(u, "at the end of the run"), contain, within,
+                        "at the end of the run")
     rmin, rmax = min(rmin, lo), max(rmax, hi)
 
     mass_final = float(np.sum(u)) * mesh.dx
@@ -400,6 +450,7 @@ def run(
         snapshots=snapshots,
         cfl=policy,
         envelope=env,
+        bracket=brk,
         n_steps=n_steps,
         running_min=rmin,
         running_max=rmax,

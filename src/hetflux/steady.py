@@ -12,17 +12,23 @@ sequence an exact fixed point of the scheme.
 The envelope takes datum bounds [m, M], widens them to contain the critical
 range, and builds a lower and an upper steady state sandwiching every datum,
 plus outer constants (u_lower, u_upper) bounding those states in turn. By the
-comparison principle the scheme then never leaves [u_lower, u_upper].
+comparison principle the scheme then never leaves [u_lower, u_upper]. The
+constants are computed at once, the two states on first access.
+
+The bracket of given cell states is the tightest such pair for those states
+alone, with the least flux levels that sandwich them; run() takes its CFL
+step from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .flux_model import FluxModel, branch_inverse, ghost_alphas
+from .flux_model import FluxModel, branch_inverse, frozen_flux, ghost_alphas, invert_branch
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +78,10 @@ def build_steady(
     X = model.hetero_radius
     anchor_x = -X if direction == "from_left" else X
     level = float(model.h(anchor_x, anchor))
-    # Feasibility: one flux level must be invertible at every position. The
-    # critical-curve grid carries the running minimum of H, so a level below
-    # its maximum means the anchored throughput exceeds some bottleneck.
-    hmin_max = float(np.max(np.asarray(model.h(curve.xs, curve.alphas), dtype=float)))
+    # Feasibility: one flux level must be invertible at every position, so a
+    # level below the largest minimum means the anchored throughput exceeds
+    # some bottleneck.
+    hmin_max = _largest_minimum(model)
     if level < hmin_max - 1e-10 * (1.0 + abs(hmin_max)):
         raise ConfigError(
             f"anchor {anchor:g} carries flux level {level:g}, below the "
@@ -96,19 +102,39 @@ def build_steady(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Envelope:
-    """Invariant-region data for datum bounds [m, M] (possibly widened)."""
+def _largest_minimum(model: FluxModel) -> float:
+    """max_x H(x, alpha(x)), the lowest level every position can carry, over
+    the critical-curve grid."""
+    curve = model.curve
+    return float(np.max(np.asarray(model.h(curve.xs, curve.alphas), dtype=float)))
 
-    m: float
-    M: float
-    lower_state: SteadyState
-    upper_state: SteadyState
-    lower_bound: float  # certified constant below the lower state
-    upper_bound: float  # certified constant above the upper state
-    legendre_sup_1: float
-    lower_anchor: float
-    upper_anchor: float
+
+def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
+    """The greatest lower and the least upper steady state around cell states u.
+
+    The upper level is y+ = max(max_j H(x_j, max(u_j, alpha_j)), max_x
+    H(x, alpha(x))), and y- is the same with min(u_j, alpha_j); the states
+    are the branch inverses of these levels at the cell centers, on the upper
+    and the lower branch. Each cell then has lower_j <= min(u_j, alpha_j) and
+    max(u_j, alpha_j) <= upper_j (up to the root solve's rounding), and no
+    steady state of either branch with a level nearer to the data sandwiches
+    u. Both are fixed points of the scheme while the boundary cells carry
+    the flux of their ghosts; anchor is the value of the first cell, the
+    left exterior constant when that cell lies outside [-X, X].
+    """
+    xc_ext, al_ext = ghost_alphas(model, mesh)
+    xc, al = xc_ext[1:-1], al_ext[1:-1]
+    f = frozen_flux(model, xc)
+    floor = _largest_minimum(model)
+    states = []
+    for branch, side, clamp, extreme in (("lower", "minus", np.minimum, np.min),
+                                         ("upper", "plus", np.maximum, np.max)):
+        level = max(float(np.max(f(clamp(u, al)))), floor)
+        values = invert_branch(f, f.du, al, level, side)
+        states.append(SteadyState(values=values, flux_level=level, orientation=branch,
+                                  anchor=float(values[0]), direction="from_left",
+                                  bound=float(extreme(values))))
+    return states[0], states[1]
 
 
 @dataclass(frozen=True)
@@ -120,8 +146,26 @@ class EnvelopeConstants:
     legendre_sup_1: float
     lower_anchor: float
     upper_anchor: float
-    lower_bound: float
-    upper_bound: float
+    lower_bound: float  # certified constant below the lower state
+    upper_bound: float  # certified constant above the upper state
+
+
+@dataclass(frozen=True, eq=False)
+class Envelope(EnvelopeConstants):
+    """Invariant-region data for datum bounds [m, M] (possibly widened) on a
+    mesh: the constants, and the two steady states between them. Each state
+    is built on first access and then kept; a run reads none of them."""
+
+    model: FluxModel
+    mesh: object
+
+    @cached_property
+    def lower_state(self) -> SteadyState:
+        return build_steady(self.model, self.mesh, self.lower_anchor, "from_left", "lower")
+
+    @cached_property
+    def upper_state(self) -> SteadyState:
+        return build_steady(self.model, self.mesh, self.upper_anchor, "from_left", "upper")
 
 
 def envelope_constants(
@@ -163,21 +207,10 @@ def envelope(
     m: float,
     M: float,
 ) -> Envelope:
-    """Lower/upper steady states enclosing all data in [m, M], plus constants."""
-    c = envelope_constants(model, m, M)
-    upper_state = build_steady(model, mesh, c.upper_anchor, "from_left", "upper")
-    lower_state = build_steady(model, mesh, c.lower_anchor, "from_left", "lower")
-    return Envelope(
-        m=c.m,
-        M=c.M,
-        lower_state=lower_state,
-        upper_state=upper_state,
-        lower_bound=c.lower_bound,
-        upper_bound=c.upper_bound,
-        legendre_sup_1=c.legendre_sup_1,
-        lower_anchor=c.lower_anchor,
-        upper_anchor=c.upper_anchor,
-    )
+    """Lower/upper steady states enclosing all data in [m, M], plus constants.
+
+    The constants are computed here, each state on its first access."""
+    return Envelope(**vars(envelope_constants(model, m, M)), model=model, mesh=mesh)
 
 
 def steady_residual(state: SteadyState, model: FluxModel, mesh) -> float:

@@ -24,7 +24,7 @@ from hetflux.config import make_config, parse_config
 from hetflux.errors import ConfigError, NumericalError
 from hetflux.interface import InterfaceContext
 from hetflux.riemann import sample, solve_interface
-from hetflux.solver import PiecewiseConstantDatum, SmoothDatum
+from hetflux.solver import PiecewiseConstantDatum, Scheme, SmoothDatum
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -340,6 +340,44 @@ def test_cli_run_writes_outputs(tmp_path, monkeypatch):
         assert lines[0] == "x,u"
         assert len(lines) == 81
     assert "plot" in (outdir / "plot.gp").read_text()
+
+
+def test_cli_run_manifest_records_the_cfl_bound(tmp_path, monkeypatch):
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    assert main(RUN_ARGS) == 0
+    outdir = tmp_path / "case_a"
+    cfl = json.loads((outdir / "manifest.json").read_text())["cfl"]
+    # u0 = -1 on u^2/2 | u^2: the levels are f_r(-1) = 1 below and the
+    # minimum 0 above, so the bracket is [-sqrt 2, 0] and L = 2 sqrt 2.
+    assert cfl["bound"] == "bracket"
+    assert cfl["bracket"] == pytest.approx([-math.sqrt(2.0), 0.0], abs=1e-12)
+    assert cfl["lipschitz"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
+    # Every snapshot shares the x column and prints both at 17 digits.
+    columns = []
+    for i in range(3):
+        rows = (outdir / f"snapshot_{i:03d}.csv").read_text().splitlines()[1:]
+        values = [tuple(float(v) for v in row.split(",")) for row in rows]
+        assert rows == ["%.16e,%.16e" % xu for xu in values]
+        columns.append([x for x, _ in values])
+    assert columns[0] == columns[1] == columns[2]
+
+
+def test_cli_run_exits_4_when_a_state_leaves_the_bracket(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    step = Scheme.step_arrays
+
+    def leaky(self, u, dt):
+        u_new, f_in, f_out = step(self, u, dt)
+        u_new[3] += 2.0  # from -1 to 1, above the upper state 0
+        return u_new, f_in, f_out
+
+    monkeypatch.setattr(Scheme, "step_arrays", leaky)
+    assert main(RUN_ARGS) == 4
+    assert "leaves the bracket" in capsys.readouterr().err
+
+
+def test_cli_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_cli_run_is_deterministic(tmp_path, monkeypatch):

@@ -140,17 +140,63 @@ def test_dei_matches_direct_edge_flux_evaluation(pair_model, hq_model, lwr_model
 
 def test_entropy_check_matches_reference_bitwise(pair_model, hq_model, lwr_model,
                                                  burgers_model):
-    # EntropyCheck runs the reference expression in preallocated buffers and
-    # carries |u_new - k| into the next step; neither may change a bit.
+    # EntropyCheck runs the reference expression in preallocated buffers,
+    # carries |u_new - k| into the next step, reuses the step's edge terms and
+    # writes the rows outside the range of u (of u_new) without the lattice;
+    # none of it may change a bit. Levels sit exactly at the extremes of
+    # every state of the run, beyond them and between, sorted and not.
     cases = ((burgers_model, (1.0, -0.5)), (pair_model, (-1.0, 1.0)), (hq_model, (0.2, 1.2)),
              (lwr_model, (-0.3, -0.7)), (_cosh_model(), (-1.0, 0.5)))
     for model, (left, right) in cases:
-        ref, check = ReferenceEntropyCheck(), EntropyCheck()
+        mesh, datum = Mesh.make(-3.0, 3.0, 0.05), datum_step(left, right)
+        rec = RecordStates()
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*influence cone.*")
-            run(model, Mesh.make(-3.0, 3.0, 0.05), datum_step(left, right), t_end=0.3,
-                observers=(ref, check))
-        assert_same_entropy_report(check.report(), ref.report())
+            run(model, mesh, datum, t_end=0.3, observers=(rec,))
+        ends = np.array([(np.min(v), np.max(v)) for v in rec.states])
+        at_ends = np.unique(np.concatenate(
+            [ends.ravel(), [ends.min() - 1.0, ends.mean(), ends.max() + 1.0]]))
+        pairs = [(ReferenceEntropyCheck(k_values=ks), EntropyCheck(k_values=ks))
+                 for ks in (None, at_ends, at_ends[::-1])]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*influence cone.*")
+            run(model, mesh, datum, t_end=0.3, observers=[c for p in pairs for c in p])
+        for ref, check in pairs:
+            assert_same_entropy_report(check.report(), ref.report())
+
+
+def test_entropy_check_levels_at_the_extremes_of_u_new_take_no_sign_term(hq_model):
+    # A level equal to min u_new (max u_new) has sign(u_new - k) = 0 in that
+    # cell, so its d_kk term drops out there. The dip (bump) sits where the
+    # flux difference of u peaks (bottoms out), so that cell sets the row max.
+    mesh = Mesh.make(-2.0, 2.0, 0.1)
+    sch = Scheme(hq_model, mesh, lipschitz=1.0)
+    u = np.full(mesh.n_cells, 0.5)
+    dF = np.diff(sch.edge_fluxes(u))
+    lo_cell, hi_cell = int(np.argmax(dF)), int(np.argmin(dF))
+    assert dF[lo_cell] > 0.0 > dF[hi_cell]
+    u_new = u.copy()
+    u_new[lo_cell] -= 1e-12
+    u_new[hi_cell] += 1e-12
+    ks = [u_new[lo_cell], u_new[hi_cell]]
+    check, ref = EntropyCheck(k_values=ks), ReferenceEntropyCheck(k_values=ks)
+    _observe((check, ref), (sch, None, u), [(u, u_new, 0.01)])
+    assert_same_entropy_report(check.report(), ref.report())
+
+
+def test_entropy_check_reuses_the_edge_terms_of_the_step(monkeypatch, hq_model):
+    calls = [0]
+    edge_sides = Scheme.edge_sides
+
+    def counted(self, u, out=None):
+        calls[0] += 1
+        return edge_sides(self, u, out=out)
+
+    monkeypatch.setattr(Scheme, "edge_sides", counted)
+    res = run(hq_model, Mesh.make(-3.0, 3.0, 0.05), datum_step(0.2, 1.2), t_end=0.3,
+              observers=(EntropyCheck(),))
+    # One call per step, made by the step, and one for the levels at start.
+    assert calls[0] == res.n_steps + 1
 
 
 def _recorded_steps(model, mesh, datum, t_end):

@@ -12,14 +12,16 @@ Numbers frozen below:
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from conftest import RecordStates, reference_edge_sides, reference_step
 
 import hetflux.flux_model as fm
+import hetflux.steady as steady
 from hetflux.diagnostics import TimeVariation
-from hetflux.errors import ConfigError, NumericalError
+from hetflux.errors import ConfigError, InvariantBreach, NumericalError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.flux_model import FluxModel
 from hetflux.interface import FluxSide, InterfaceContext, interface_flux, interface_flux_profile
@@ -557,3 +559,155 @@ def test_model_setup_is_computed_once_per_model(monkeypatch):
     assert (shifted.curve.alpha_min, shifted.curve.alpha_max) == (ref.alpha_min, ref.alpha_max)
     assert shifted.legendre_sup_1 == sup(shifted, 1.0)
     assert shifted.legendre_sup_1 != model.legendre_sup_1
+
+
+# ---------------------------------------------------------------------------
+# the bracket: the CFL step and the containment check
+
+BRACKET_DATA = {
+    "quadratic": datum_step(1.0, -0.5),
+    "two_state": datum_step(-1.0, 1.0),
+    "heterogeneous_quadratic": datum_bump(0.2, 1.0, center=-0.3),
+    "lwr": PiecewiseConstantDatum(breakpoints=(-1.0, 0.5), values=(-0.3, -0.7, -0.5)),
+    "custom": datum_step(-0.5, 0.8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_bracket_states_are_fixed_points_sandwiching_the_data(name):
+    model, datum = MODELS[name](), BRACKET_DATA[name]
+    mesh = Mesh.make(-4.0, 4.0, 0.02)
+    u0 = project_initial(datum, mesh).u
+    lower, upper = steady.bracket(model, mesh, u0)
+    xc, al = mesh.centers(), fm.ghost_alphas(model, mesh)[1][1:-1]
+    floor = float(np.max(model.h(model.curve.xs, model.curve.alphas)))
+    # the levels are the least the data and the critical curve allow
+    assert upper.flux_level == max(float(np.max(model.h(xc, np.maximum(u0, al)))), floor)
+    assert lower.flux_level == max(float(np.max(model.h(xc, np.minimum(u0, al)))), floor)
+    for st in (lower, upper):
+        assert steady.steady_residual(st, model, mesh) <= 1e-12 * (1.0 + abs(st.flux_level))
+    tol = 1e-12 * (1.0 + np.abs(u0))
+    assert np.all(lower.values <= np.minimum(u0, al) + tol)
+    assert np.all(np.maximum(u0, al) <= upper.values + tol)
+    assert (lower.bound, upper.bound) == (np.min(lower.values), np.max(upper.values))
+
+    res = run(model, mesh, datum, t_end=0.5)
+    assert res.cfl.bound == "bracket"
+    assert [s.values.tobytes() for s in res.bracket] == [lower.values.tobytes(),
+                                                         upper.values.tobytes()]
+    assert res.cfl.lipschitz == lipschitz_bound(model, lower.bound, upper.bound)
+    # The envelope comes from the datum values; the projected averages may
+    # pass them by rounding (1.000000000000023 for a value 1.0 here).
+    env = res.envelope
+    L_env = lipschitz_bound(model, env.lower_bound, env.upper_bound)
+    assert res.cfl.lipschitz <= L_env * (1.0 + 1e-12)
+    assert lower.bound <= res.running_min and res.running_max <= upper.bound
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_a_state_leaving_the_bracket_is_an_invariant_breach(monkeypatch, last):
+    model, mesh, datum = quadratic(), Mesh.make(-2.0, 2.0, 0.05), datum_step(1.0, -0.5)
+    n = run(model, mesh, datum, t_end=0.3).n_steps
+    step, calls = Scheme.step_arrays, [0]
+
+    def leaky(self, u, dt):
+        u_new, f_in, f_out = step(self, u, dt)
+        calls[0] += 1
+        if calls[0] == (n if last else 3):
+            u_new[mesh.n_cells // 2] = 1.0 + 1e-9  # just above the upper state, 1
+        return u_new, f_in, f_out
+
+    monkeypatch.setattr(Scheme, "step_arrays", leaky)
+    where = "at the end of the run" if last else "entering step"
+    with pytest.raises(InvariantBreach, match=f"{where} leaves the bracket"):
+        run(model, mesh, datum, t_end=0.3)
+
+
+def test_constant_data_at_alpha_takes_the_envelope_step(burgers_model):
+    # The bracket is [alpha, alpha] = [0, 0], where the flux has no wave speed.
+    mesh = Mesh.make(-1.0, 1.0, 0.1)
+    res = run(burgers_model, mesh, datum_constant(0.0), t_end=0.5)
+    assert [s.bound for s in res.bracket] == [0.0, 0.0]
+    assert res.cfl.bound == "envelope"
+    env = res.envelope
+    assert res.cfl.lipschitz == lipschitz_bound(burgers_model, env.lower_bound, env.upper_bound)
+    assert res.n_steps > 0 and np.all(res.final.u == 0.0)
+
+
+def test_window_inside_the_heterogeneity_takes_the_envelope_step(hq_model):
+    # The boundary cells lie inside (-X, X), so their ghosts carry other
+    # fluxes and the bracket states need not be fixed points there.
+    mesh = Mesh.make(-1.0, 1.0, 0.05)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*influence cone.*")
+        res = run(hq_model, mesh, datum_step(0.2, 1.2), t_end=0.1)
+    env = res.envelope
+    assert res.bracket is None and res.cfl.bound == "envelope"
+    assert res.cfl.lipschitz == lipschitz_bound(hq_model, env.lower_bound, env.upper_bound)
+    assert env.lower_bound <= res.running_min and res.running_max <= env.upper_bound
+
+
+def test_run_builds_the_envelope_states_only_on_demand(monkeypatch, hq_model):
+    built = []
+    build = steady.build_steady
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(steady, "build_steady", counted)
+    mesh = Mesh.make(-3.0, 3.0, 0.05)
+    datum = datum_bump(0.1, 0.8, center=-0.2, width=0.6)
+    env = run(hq_model, mesh, datum, t_end=0.2).envelope
+    assert built == []
+    want = {"lower": build(hq_model, mesh, env.lower_anchor, "from_left", "lower"),
+            "upper": build(hq_model, mesh, env.upper_anchor, "from_left", "upper")}
+    direct = steady.envelope(hq_model, mesh, *datum.bounds(mesh))
+    for got in (env, direct):
+        for branch, st in want.items():
+            state = getattr(got, f"{branch}_state")
+            assert state.values.tobytes() == st.values.tobytes()
+            assert (state.flux_level, state.bound) == (st.flux_level, st.bound)
+            assert getattr(got, f"{branch}_state") is state  # built once, then kept
+    assert len(built) == 4
+
+
+# ---------------------------------------------------------------------------
+# the frozen slope f.du
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_frozen_slope_matches_du_h_bitwise(name, rng):
+    model = KERNEL_MODELS[name]()
+    xs = np.linspace(-2.0, 2.0, 41)
+    U = rng.uniform(-2.0, 2.0, (3, xs.size))
+    f = fm.frozen_flux(model, xs)
+    assert f.du(U).tobytes() == np.asarray(model.du_h(xs, U), dtype=float).tobytes()
+
+
+def test_freeze_hook_slope_is_checked():
+    model = heterogeneous_quadratic()
+
+    def steep(xs):
+        f = model.freeze(xs)
+        du = f.du
+        f.du = lambda u: 2.0 * du(u)
+        return f
+
+    with pytest.raises(ConfigError, match="freeze hook"):
+        Scheme(dataclasses.replace(model, freeze=steep), Mesh.make(-2.0, 2.0, 0.05), 1.0)
+
+
+def test_legendre_transform_evaluates_du_h_only_to_check_the_hook():
+    model = heterogeneous_quadratic()
+    calls = [0]
+
+    def du_h(x, u):
+        calls[0] += 1
+        return model.du_h(x, u)
+
+    counted = dataclasses.replace(model, du_h=du_h)
+    xs = np.linspace(-1.0, 1.0, 101)
+    got = fm.legendre_transform(counted, xs, np.array([[1.0], [-1.0]]))
+    assert calls[0] == 1  # the hook check; the solve rounds use the frozen slope
+    assert got.tobytes() == fm.legendre_transform(model, xs, np.array([[1.0], [-1.0]])).tobytes()
