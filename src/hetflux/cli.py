@@ -21,6 +21,7 @@ nowhere else.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -543,7 +544,11 @@ def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
     checks = []  # (name, metric, value, threshold, ok)
 
     if entropy is not None:
+        # The levels are in solver coordinates; report them in physical ones.
         rep = entropy.report()
+        rep = dataclasses.replace(
+            rep, k_values=np.asarray(model.to_physical(rep.k_values), dtype=float),
+            worst_k=float(model.to_physical(rep.worst_k)))
         _write_csv(
             os.path.join(outdir, "entropy_per_k.csv"),
             ("k", "max_slack"),

@@ -208,17 +208,17 @@ def ghost_alphas(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray]:
     return memo[1], memo[2]
 
 
-def invert_branch(f: Callable, df: Callable, alpha, y, side: str, tol: float = TOL_ROOT):
+def invert_branch(f: Callable, df: Callable, alpha, y, side: str):
     """Solve f(s) = y on one monotone branch of a convex f, elementwise.
 
     f and df broadcast over arrays; alpha holds the minimizers of f and
     broadcasts against the levels y. side "plus" returns the solution >= alpha,
     "minus" the one <= alpha. A level at the minimum returns alpha exactly,
     and levels slightly below it (within 1e-10) are clamped to it and return
-    alpha too; any level further below raises NumericalError. tol bounds the
-    residual |f(s) - y| relative to the flux scale, as
-    tol * (1 + |y| + |f(alpha)|) per element: f(s) - y is rounded at that
-    scale, so an absolute bound would reject exact roots of large levels.
+    alpha too; any level further below raises NumericalError. The residual
+    |f(s) - y| is bounded relative to the flux scale, as
+    TOL_ROOT * (1 + |y| + |f(alpha)|) per element: f(s) - y is rounded at
+    that scale, so an absolute bound would reject exact roots of large levels.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
@@ -245,7 +245,7 @@ def invert_branch(f: Callable, df: Callable, alpha, y, side: str, tol: float = T
         deficit.shape,
         lo0=float(np.min(a)) - 1.0,
         hi0=float(np.max(a)) + 1.0,
-        tol_res=tol * (1.0 + np.abs(y_eff) + np.abs(hmin)),
+        tol_res=TOL_ROOT * (1.0 + np.abs(y_eff) + np.abs(hmin)),
     )
     out = np.maximum(out, a) if side == "plus" else np.minimum(out, a)
     out = np.where(clamped, a, out)
@@ -262,7 +262,7 @@ def invert_branch(f: Callable, df: Callable, alpha, y, side: str, tol: float = T
     return float(out) if out.ndim == 0 else out
 
 
-def branch_inverse(model: FluxModel, x, y, side: str, alpha=None, tol: float = TOL_ROOT):
+def branch_inverse(model: FluxModel, x, y, side: str, alpha=None):
     """Solve H(x, s) = y on one monotone branch, elementwise over x and y.
 
     side "plus" returns the solution >= alpha(x), "minus" the one <= alpha(x);
@@ -274,7 +274,7 @@ def branch_inverse(model: FluxModel, x, y, side: str, alpha=None, tol: float = T
     xs = np.asarray(x, dtype=float)
     a = critical_point(model, xs) if alpha is None else alpha
     f = frozen_flux(model, xs)
-    return invert_branch(f, f.du, a, y, side, tol)
+    return invert_branch(f, f.du, a, y, side)
 
 
 def legendre_transform(model: FluxModel, x, v):

@@ -14,6 +14,12 @@ sides of an InterfaceContext. The central objects:
 * the remainder |f_int - f_l(u_l)| + |f_int - f_r(u_r)|, which vanishes
   exactly on germ pairs and dominates the entropy-flux imbalance otherwise.
 
+Every function is elementwise: states broadcast against each other and
+against the context, and a context built from arrays of positions holds
+arrays alpha and fmin, one interface per element (say, every edge of a
+mesh). Scalar inputs give a float (a GermClass from classify_germ), array
+inputs an array (an object array of GermClass members).
+
 Sign convention: sign(0) = 0 throughout (Kruzhkov entropy fluxes).
 """
 
@@ -27,9 +33,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .flux_model import FluxModel, critical_point, invert_branch
-from .rootfind import TOL_ROOT, solve_increasing
 
-# Default state-space tolerance for germ membership checks.
+# State-space tolerance of germ membership checks.
 GERM_TOL = 1e-9
 
 
@@ -44,32 +49,41 @@ class GermClass(enum.Enum):
         return self is not GermClass.NOT_MEMBER
 
 
+# classify_germ's tags by code: its tests in order, 0 when none passes.
+_TAGS = np.array([GermClass.NOT_MEMBER, GermClass.G1, GermClass.G2, GermClass.G3])
+
+
+def _scalar_or_array(val):
+    val = np.asarray(val)
+    return float(val) if val.ndim == 0 else val
+
+
 @dataclass(frozen=True, eq=False)
 class FluxSide:
-    """One side of the interface: a convex scalar flux with its minimizer."""
+    """One side of the interface: a convex scalar flux with its minimizer.
 
-    f: Callable[[float], float]
-    df: Callable[[float], float]
-    alpha: float
-    fmin: float
+    f and df broadcast over states; alpha and fmin are floats, or arrays
+    with one element per interface."""
 
-    @classmethod
-    def from_callables(cls, f, df):
-        alpha = float(solve_increasing(lambda s: np.asarray(df(s), dtype=float)))
-        return cls(f=f, df=df, alpha=alpha, fmin=float(f(alpha)))
+    f: Callable
+    df: Callable
+    alpha: float | np.ndarray
+    fmin: float | np.ndarray
 
     @classmethod
-    def from_model(cls, model: FluxModel, x: float):
+    def from_model(cls, model: FluxModel, x):
+        """The flux H(x, .) at a position x, or at each of an array of them."""
+        x = np.asarray(x, dtype=float)
         a = critical_point(model, x)
-        # keep the callables array-safe: interface_flux broadcasts through them
+        # h itself, not frozen_flux: this is the oracle of the Scheme's fluxes.
         f = lambda s: np.asarray(model.h(x, s), dtype=float)
         df = lambda s: np.asarray(model.du_h(x, s), dtype=float)
-        return cls(f=f, df=df, alpha=a, fmin=float(f(a)))
+        return cls(f=f, df=df, alpha=a, fmin=_scalar_or_array(f(a)))
 
-    def branch(self, y, side: str, tol: float = TOL_ROOT):
-        """Inverse of f on the increasing ("plus") or decreasing ("minus") branch,
-        with tol as in invert_branch."""
-        return invert_branch(self.f, self.df, self.alpha, y, side, tol)
+    def branch(self, y, side: str):
+        """Inverse of f on the increasing ("plus") or decreasing ("minus")
+        branch, elementwise as in invert_branch."""
+        return invert_branch(self.f, self.df, self.alpha, y, side)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +94,8 @@ class InterfaceContext:
     right: FluxSide
 
     @classmethod
-    def from_model(cls, model: FluxModel, x_left: float, x_right: float):
+    def from_model(cls, model: FluxModel, x_left, x_right):
+        """Interfaces between H(x_left, .) and H(x_right, .), elementwise."""
         return cls(
             left=FluxSide.from_model(model, x_left),
             right=FluxSide.from_model(model, x_right),
@@ -99,8 +114,7 @@ def entropy_flux(f: Callable, a, k):
     """Kruzhkov entropy flux sign(a - k) (f(a) - f(k)), with sign(0) = 0."""
     a = np.asarray(a, dtype=float)
     k = np.asarray(k, dtype=float)
-    val = np.sign(a - k) * (np.asarray(f(a)) - np.asarray(f(k)))
-    return float(val) if val.ndim == 0 else val
+    return _scalar_or_array(np.sign(a - k) * (np.asarray(f(a)) - np.asarray(f(k))))
 
 
 def interface_flux(ctx: InterfaceContext, u_l, u_r):
@@ -108,71 +122,55 @@ def interface_flux(ctx: InterfaceContext, u_l, u_r):
     require_finite(u_l=u_l, u_r=u_r)
     u_l = np.asarray(u_l, dtype=float)
     u_r = np.asarray(u_r, dtype=float)
-    val = np.maximum(
+    return _scalar_or_array(np.maximum(
         np.asarray(ctx.left.f(np.maximum(u_l, ctx.left.alpha))),
         np.asarray(ctx.right.f(np.minimum(ctx.right.alpha, u_r))),
-    )
-    return float(val) if val.ndim == 0 else val
+    ))
 
 
 def remainder(ctx: InterfaceContext, u_l, u_r):
     """|f_int - f_l(u_l)| + |f_int - f_r(u_r)|; zero exactly on germ pairs."""
     fint = interface_flux(ctx, u_l, u_r)
-    val = np.abs(fint - np.asarray(ctx.left.f(np.asarray(u_l, dtype=float)))) + np.abs(
-        fint - np.asarray(ctx.right.f(np.asarray(u_r, dtype=float)))
-    )
-    return float(val) if np.asarray(val).ndim == 0 else val
-
-
-def interface_flux_profile(model, x_left, x_right, alpha_left, alpha_right, u_left, u_right):
-    """Vectorized interface flux across many edges at once.
-
-    Every argument is an array over edges: positions and critical points of
-    the adjacent cells, then the adjacent states. Same composition as
-    interface_flux, with each cell's flux frozen at its center.
-    """
-    return np.maximum(
-        np.asarray(model.h(x_left, np.maximum(u_left, alpha_left)), dtype=float),
-        np.asarray(model.h(x_right, np.minimum(alpha_right, u_right)), dtype=float),
+    return _scalar_or_array(
+        np.abs(fint - np.asarray(ctx.left.f(np.asarray(u_l, dtype=float))))
+        + np.abs(fint - np.asarray(ctx.right.f(np.asarray(u_r, dtype=float))))
     )
 
 
-def classify_germ(
-    ctx: InterfaceContext, k_l: float, k_r: float, tol: float = GERM_TOL
-) -> GermClass:
-    """Membership tag of a candidate stationary jump (k_l, k_r).
+def classify_germ(ctx: InterfaceContext, k_l, k_r):
+    """Membership tag of a candidate stationary jump (k_l, k_r), elementwise.
 
     Root-free formulation: flux equality f_l(k_l) = f_r(k_r) plus an
     admissible branch combination,
       G1: k_l >= alpha_l and k_r >= alpha_r (both increasing branches)
       G2: k_l <= alpha_l and k_r <= alpha_r (both decreasing branches)
       G3: k_l >  alpha_l and k_r <  alpha_r (crossing jump)
-    The fourth combination (k_l < alpha_l with k_r above alpha_r) is the
-    excluded, entropy-violating branch and classifies as NOT_MEMBER.
+    tested in this order. The fourth combination (k_l < alpha_l with k_r
+    above alpha_r) is the excluded, entropy-violating branch and classifies
+    as NOT_MEMBER.
 
     Equivalent to matching k_r against the branch inverses S_r^+/-(f_l(k_l)),
     but the side comparisons stay well conditioned near the critical points,
     where the inverses degenerate like a square root of the flux level.
-    `tol` applies to the side tests in state units and to flux equality
-    relative to the flux magnitudes.
+    GERM_TOL applies to the side tests in state units and to flux equality
+    relative to the flux magnitudes. Returns a GermClass for scalar inputs,
+    an object array of them otherwise.
     """
     require_finite(k_l=k_l, k_r=k_r)
-    al, ar = ctx.left.alpha, ctx.right.alpha
-    y_l = float(ctx.left.f(k_l))
-    y_r = float(ctx.right.f(k_r))
-    if abs(y_l - y_r) > tol * (1.0 + abs(y_l) + abs(y_r)):
-        return GermClass.NOT_MEMBER
-    if k_l >= al - tol and k_r >= ar - tol:
-        return GermClass.G1
-    if k_l <= al + tol and k_r <= ar + tol:
-        return GermClass.G2
-    if k_l > al and k_r < ar:
-        return GermClass.G3
-    return GermClass.NOT_MEMBER
+    k_l, k_r = np.asarray(k_l, dtype=float), np.asarray(k_r, dtype=float)
+    al, ar, tol = ctx.left.alpha, ctx.right.alpha, GERM_TOL
+    y_l, y_r = np.asarray(ctx.left.f(k_l)), np.asarray(ctx.right.f(k_r))
+    code = np.select([
+        np.abs(y_l - y_r) > tol * (1.0 + np.abs(y_l) + np.abs(y_r)),
+        (k_l >= al - tol) & (k_r >= ar - tol),
+        (k_l <= al + tol) & (k_r <= ar + tol),
+        (k_l > al) & (k_r < ar),
+    ], [0, 1, 2, 3])
+    return _TAGS[code]
 
 
-def germ_pair(ctx: InterfaceContext, level: float, which: str) -> tuple[float, float]:
-    """Construct a germ pair (or the excluded fourth branch) at a flux level.
+def germ_pair(ctx: InterfaceContext, level, which: str):
+    """Construct germ pairs (or the excluded fourth branch) at flux levels.
 
     `level` must be >= both flux minima. which in {"G1", "G2", "G3",
     "excluded"}; "excluded" returns the inadmissible branch combination used
@@ -190,10 +188,9 @@ def germ_pair(ctx: InterfaceContext, level: float, which: str) -> tuple[float, f
     raise ValueError(f"unknown germ branch {which!r}")
 
 
-def dissipativity_gap(
-    ctx: InterfaceContext, u: tuple[float, float], k: tuple[float, float]
-) -> float:
-    """Phi_l(u_l, k_l) - Phi_r(u_r, k_r) for two stationary jumps.
+def dissipativity_gap(ctx: InterfaceContext, u, k):
+    """Phi_l(u_l, k_l) - Phi_r(u_r, k_r) for stationary jumps u = (u_l, u_r)
+    and k = (k_l, k_r), elementwise.
 
     Nonnegative whenever both pairs are germ members (the L1-dissipativity
     inequality); callers are expected to have classified the pairs.
@@ -201,6 +198,6 @@ def dissipativity_gap(
     u_l, u_r = u
     k_l, k_r = k
     require_finite(u_l=u_l, u_r=u_r, k_l=k_l, k_r=k_r)
-    return float(
+    return _scalar_or_array(
         entropy_flux(ctx.left.f, u_l, k_l) - entropy_flux(ctx.right.f, u_r, k_r)
     )

@@ -27,14 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .interface import (
-    GERM_TOL,
-    FluxSide,
-    InterfaceContext,
-    classify_germ,
-    interface_flux,
-    require_finite,
-)
+from .interface import FluxSide, InterfaceContext, classify_germ, interface_flux, require_finite
 from .rootfind import solve_increasing
 
 # Jumps at or below this size are treated as no wave at all.
@@ -139,16 +132,14 @@ def solve_classical(flux: FluxSide, u_l: float, u_r: float) -> RiemannSolution:
         trace_left=u_l,
         trace_right=u_r,
         case_tag="classical",
-        interface_flux_value=float(interface_flux(ctx, u_l, u_r)),
+        interface_flux_value=interface_flux(ctx, u_l, u_r),
     )
     return dataclasses.replace(
         sol, trace_left=sample(sol, 0.0, left_limit=True), trace_right=sample(sol, 0.0)
     )
 
 
-def solve_interface(
-    ctx: InterfaceContext, u_l: float, u_r: float, germ_tol: float = GERM_TOL
-) -> RiemannSolution:
+def solve_interface(ctx: InterfaceContext, u_l: float, u_r: float) -> RiemannSolution:
     """Riemann solution across the flux discontinuity with datum (u_l, u_r)."""
     require_finite(u_l=u_l, u_r=u_r)
     u_l, u_r = float(u_l), float(u_r)
@@ -177,7 +168,7 @@ def solve_interface(
     )
     waves = tuple(left_waves + mid + right_waves)
 
-    if classify_germ(ctx, u_l, u_r, tol=germ_tol).is_member:
+    if classify_germ(ctx, u_l, u_r).is_member:
         tag = "germ"
     elif u_l <= al:
         tag = "I" if u_r <= ar else "II"

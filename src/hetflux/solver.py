@@ -243,18 +243,6 @@ class PiecewiseConstantDatum:
         idx = np.searchsorted(np.asarray(self.breakpoints), x, side="right")
         return np.asarray(self.values, dtype=float)[idx]
 
-    def antiderivative(self, x):
-        """Exact primitive of the datum, zero at the first breakpoint."""
-        b = np.asarray(self.breakpoints, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        bases = np.concatenate(([0.0], np.cumsum(v[1:-1] * np.diff(b)))) if len(b) > 1 else np.array([0.0])
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(b, x, side="right")
-        anchor = b[np.clip(idx - 1, 0, len(b) - 1)]
-        anchor = np.where(idx == 0, b[0], anchor)
-        base = np.where(idx == 0, 0.0, bases[np.clip(idx - 1, 0, len(bases) - 1)])
-        return base + v[idx] * (x - anchor)
-
     def bounds(self, mesh: Optional[Mesh] = None) -> tuple[float, float]:
         return (float(min(self.values)), float(max(self.values)))
 
@@ -307,10 +295,19 @@ def project_initial(datum, mesh: Mesh) -> GridState:
             raise ConfigError("grid state does not match the mesh")
         return GridState(u=np.array(datum.u, dtype=float), time=datum.time, step_index=datum.step_index)
     if isinstance(datum, PiecewiseConstantDatum):
+        # Each cell takes the value at its left edge, and each breakpoint
+        # strictly inside a cell adds its jump times the share of the cell
+        # right of it: a cell no breakpoint cuts gets its piece's value
+        # exactly, and the clip keeps rounding within the data's range.
         edges = mesh.edges()
-        prim = datum.antiderivative(edges)
-        u = np.diff(prim) / mesh.dx
-        return GridState(u=u, time=0.0)
+        b = np.asarray(datum.breakpoints, dtype=float)
+        v = np.asarray(datum.values, dtype=float)
+        u = datum(edges[:-1])
+        cell = np.searchsorted(edges, b, side="right") - 1
+        cut = (cell >= 0) & (cell < mesh.n_cells) & (edges[np.clip(cell, 0, mesh.n_cells)] < b)
+        cell, i = cell[cut], np.flatnonzero(cut)
+        np.add.at(u, cell, (v[i + 1] - v[i]) * (edges[cell + 1] - b[i]) / mesh.dx)
+        return GridState(u=np.clip(u, v.min(), v.max(), out=u), time=0.0)
     if not callable(datum):
         raise ConfigError(f"cannot project datum of type {type(datum).__name__}")
     xg = mesh.centers()[:, None] + 0.5 * mesh.dx * _GAUSS_NODES[None, :]

@@ -30,6 +30,7 @@ from hetflux.config import parse_config
 from hetflux.diagnostics import EntropyCheck, consistency_rate, convergence_study
 from hetflux.flux_model import legendre_transform
 from hetflux.interface import (
+    GermClass,
     InterfaceContext,
     classify_germ,
     dissipativity_gap,
@@ -219,10 +220,10 @@ def test_criterion_08_germ_algebra(pair_model, hq_model, lwr_model, germ_pairs):
 
         # dissipativity over 100 x 100 sampled germ pairs
         levels = floor + rng.uniform(1e-6, 2.0, 100)
-        pool = germ_pairs(ctx, levels, [branches[i % 3] for i in range(levels.size)])
-        for u in pool:
-            for k in pool:
-                assert dissipativity_gap(ctx, u, k) >= -1e-12
+        pool = np.array(
+            germ_pairs(ctx, levels, [branches[i % 3] for i in range(levels.size)])).T
+        u, k = pool[:, :, None], pool[:, None, :]
+        assert np.all(dissipativity_gap(ctx, u, k) >= -1e-12)
 
         # remainder-zero iff membership on 10^4 randomized pairs; the
         # constructed pool covers the zero side exactly
@@ -230,30 +231,24 @@ def test_criterion_08_germ_algebra(pair_model, hq_model, lwr_model, germ_pairs):
         u_ls = rng.uniform(al - 2.5, al + 2.5, 10_000)
         u_rs = rng.uniform(ar - 2.5, ar + 2.5, 10_000)
         rs = remainder(ctx, u_ls, u_rs)
-        gray = 0
-        for u_l, u_r, r in zip(u_ls, u_rs, rs):
-            member = classify_germ(ctx, float(u_l), float(u_r)).is_member
-            if r <= 1e-12:
-                assert member
-            elif r >= 1e-6:
-                assert not member
-            else:
-                gray += 1  # borderline roundoff band, must stay rare
-        assert gray <= 10
-        for k_l, k_r in pool:
-            assert remainder(ctx, k_l, k_r) <= 1e-12
-            assert classify_germ(ctx, k_l, k_r).is_member
+        member = classify_germ(ctx, u_ls, u_rs) != GermClass.NOT_MEMBER
+        assert np.all(member[rs <= 1e-12])
+        assert not np.any(member[rs >= 1e-6])
+        # borderline roundoff band, must stay rare
+        assert np.count_nonzero((rs > 1e-12) & (rs < 1e-6)) <= 10
+        assert np.all(remainder(ctx, *pool) <= 1e-12)
+        assert np.all(classify_germ(ctx, *pool) != GermClass.NOT_MEMBER)
 
         # excluded-branch pairs break dissipativity against some germ pair;
         # only members at strictly lower flux level can witness this, so
         # sample one below each excluded level in case the pool has none
         zs = rng.uniform(1e-3, 2.0, 100)
-        excluded = germ_pairs(ctx, floor + zs, ["excluded"] * zs.size)
-        below = germ_pairs(ctx, floor + 0.5 * zs, ["G1"] * zs.size)
-        for exc, k_below in zip(excluded, below):
-            assert not classify_germ(ctx, *exc).is_member
-            witnesses = pool + [k_below]
-            assert any(dissipativity_gap(ctx, exc, k) < -1e-12 for k in witnesses)
+        excluded = np.array(germ_pairs(ctx, floor + zs, ["excluded"] * zs.size)).T
+        below = np.array(germ_pairs(ctx, floor + 0.5 * zs, ["G1"] * zs.size)).T
+        assert np.all(classify_germ(ctx, *excluded) == GermClass.NOT_MEMBER)
+        # one row per excluded pair, against the pool, or its own pair below
+        by_pool = np.any(dissipativity_gap(ctx, excluded[:, :, None], k) < -1e-12, axis=1)
+        assert np.all(by_pool | (dissipativity_gap(ctx, excluded, below) < -1e-12))
 
 
 def test_criterion_09_homogeneous_reduction(burgers_model):

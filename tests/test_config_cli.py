@@ -499,6 +499,25 @@ def test_cli_diagnose_passes_on_pair_flux(tmp_path, monkeypatch):
     assert manifest["diagnostics"]["failures"] == 0
 
 
+def test_cli_diagnose_reports_traffic_levels_as_densities(tmp_path, monkeypatch, capsys):
+    # lwr is solved for u = -rho; its entropy levels must come out as densities.
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    assert main([
+        "diagnose", "-c", os.path.join(CONFIG_DIR, "demo_lwr_slowdown.ini"),
+        "--mesh-dx=0.05", "--diagnostics-consistency=false", "--output-directory=lwr",
+    ]) == 0
+    outdir = tmp_path / "lwr"
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    lo, hi = manifest["envelope"]["lower"], manifest["envelope"]["upper"]
+    rows = (outdir / "entropy_per_k.csv").read_text().splitlines()[1:]
+    ks = [float(row.split(",")[0]) for row in rows]
+    assert all(lo <= k <= hi for k in ks), (lo, hi, min(ks), max(ks))
+    # the data's own densities 0.3 and 0.7 are levels, as in default_k_levels
+    assert 0.3 in ks and 0.7 in ks
+    worst_k = float(re.search(r"at k=(\S+),", capsys.readouterr().out).group(1))
+    assert lo <= worst_k <= hi
+
+
 def test_cli_precision_flag_controls_digits(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
     assert main([

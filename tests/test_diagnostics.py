@@ -31,7 +31,7 @@ from hetflux.diagnostics import (
     riemann_error,
 )
 from hetflux.errors import ConfigError
-from hetflux.families import quadratic, two_state
+from hetflux.families import two_state
 from hetflux.flux_model import FluxModel
 from hetflux.riemann import sample, solve_interface
 from hetflux.solver import GridState, Mesh, Scheme, datum_step, project_initial, run

@@ -20,7 +20,9 @@ import pytest
 
 from hetflux.errors import ConfigError, NumericalError
 from hetflux.families import quadratic, two_state
+from hetflux.flux_model import FluxModel
 from hetflux.interface import (
+    GERM_TOL,
     FluxSide,
     GermClass,
     InterfaceContext,
@@ -29,7 +31,6 @@ from hetflux.interface import (
     entropy_flux,
     germ_pair,
     interface_flux,
-    interface_flux_profile,
     remainder,
 )
 
@@ -161,19 +162,78 @@ def test_homogeneous_reduction_matches_godunov(rng):
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
-def test_interface_flux_profile_matches_scalar_composition(hq_model, rng):
+def test_interface_flux_over_many_edges_matches_scalar_composition(hq_model, rng):
+    # One context over five edges gives the flux of each edge's own context.
     xl = np.array([-0.9, -0.5, -0.1, 0.2, 0.6])
     xr = xl + 0.4
-    from hetflux.flux_model import critical_point
-
-    al = critical_point(hq_model, xl)
-    ar = critical_point(hq_model, xr)
     ul = rng.uniform(-2.0, 2.0, xl.size)
     ur = rng.uniform(-2.0, 2.0, xl.size)
-    prof = interface_flux_profile(hq_model, xl, xr, al, ar, ul, ur)
+    prof = interface_flux(InterfaceContext.from_model(hq_model, xl, xr), ul, ur)
     for j in range(xl.size):
         ctx = InterfaceContext.from_model(hq_model, float(xl[j]), float(xr[j]))
-        assert abs(prof[j] - interface_flux(ctx, float(ul[j]), float(ur[j]))) < 1e-12
+        assert prof[j] == interface_flux(ctx, float(ul[j]), float(ur[j]))
+
+
+def _cosh_model():
+    """x-dependent cosh flux without an alpha hint: alpha comes from the root solve."""
+    a = lambda x: 1.5 + 0.5 * np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
+    s = lambda x: 0.3 * np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
+    return FluxModel(
+        h=lambda x, u: a(x) * (np.cosh(np.asarray(u, dtype=float) - s(x)) - 1.0),
+        du_h=lambda x, u: a(x) * np.sinh(np.asarray(u, dtype=float) - s(x)),
+        dx_h=lambda x, u: np.where(np.abs(np.asarray(x, dtype=float)) < 1.0, 1.0, 0.0) * (
+            0.5 * (np.cosh(np.asarray(u, dtype=float) - s(x)) - 1.0)
+            - 0.3 * a(x) * np.sinh(np.asarray(u, dtype=float) - s(x))),
+        hetero_radius=1.0,
+    )
+
+
+def test_germ_algebra_over_array_contexts_matches_scalar_calls_bitwise(hq_model, lwr_model, rng):
+    # Rows are draws, columns are the interfaces of one array context. The
+    # draws hold germ pairs of every class, the pairs at the critical points
+    # and at the lowest level shifted by 0 and +-GERM_TOL on each side (the
+    # edges of classify_germ's side tests), and random states.
+    steps = (0.0, GERM_TOL, -GERM_TOL)
+    for model in (hq_model, lwr_model, _cosh_model()):
+        xl = rng.uniform(-1.5, 1.5, 4)
+        xr = xl + rng.uniform(0.05, 0.8, 4)
+        ctx = InterfaceContext.from_model(model, xl, xr)
+        al, ar = ctx.left.alpha, ctx.right.alpha
+        assert al.shape == ar.shape == ctx.left.fmin.shape == ctx.right.fmin.shape == (4,)
+        floor = np.maximum(ctx.left.fmin, ctx.right.fmin)
+        levels = floor + rng.uniform(1e-3, 1.5, (3, 4))
+        rows = [germ_pair(ctx, levels, which) for which in ("G1", "G2", "G3", "excluded")]
+        low_l, low_r = germ_pair(ctx, floor, "G1")
+        rows += [([a + dl], [b + dr]) for a, b in ((al, ar), (low_l, low_r))
+                 for dl in steps for dr in steps]
+        rows.append((al + rng.uniform(-2.0, 2.0, (4, 4)), ar + rng.uniform(-2.0, 2.0, (4, 4))))
+        k_l, k_r = (np.concatenate([r[side] for r in rows]) for side in (0, 1))
+        v_l, v_r = k_l[::-1], k_r[::-1]
+        got = {
+            interface_flux: interface_flux(ctx, k_l, k_r),
+            remainder: remainder(ctx, k_l, k_r),
+            entropy_flux: entropy_flux(ctx.right.f, k_r, v_r),
+            dissipativity_gap: dissipativity_gap(ctx, (k_l, k_r), (v_l, v_r)),
+            classify_germ: classify_germ(ctx, k_l, k_r),
+        }
+        assert set(got[classify_germ].ravel()) == set(GermClass)
+        for j in range(xl.size):
+            one = InterfaceContext.from_model(model, float(xl[j]), float(xr[j]))
+            for side, many in ((one.left, ctx.left), (one.right, ctx.right)):
+                assert type(side.alpha) is float and side.alpha == many.alpha[j]
+                assert type(side.fmin) is float and side.fmin == many.fmin[j]
+            for i in range(k_l.shape[0]):
+                ul, ur, vl, vr = (float(z[i, j]) for z in (k_l, k_r, v_l, v_r))
+                want = {
+                    interface_flux: interface_flux(one, ul, ur),
+                    remainder: remainder(one, ul, ur),
+                    entropy_flux: entropy_flux(one.right.f, ur, vr),
+                    dissipativity_gap: dissipativity_gap(one, (ul, ur), (vl, vr)),
+                }
+                for fn, value in want.items():
+                    assert type(value) is float, fn.__name__
+                    assert np.float64(value).tobytes() == got[fn][i, j].tobytes(), fn.__name__
+                assert classify_germ(one, ul, ur) is got[classify_germ][i, j]
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +296,10 @@ def test_germ_pair_classify_round_trip(pair_ctx, hq_ctx, lwr_ctx, rng, germ_pair
             ("G3", GermClass.G3),
             ("excluded", GermClass.NOT_MEMBER),
         ):
-            for kl, kr in germ_pairs(ctx, levels, [which] * levels.size):
-                assert classify_germ(ctx, kl, kr) is want
-                # Rankine-Hugoniot across the interface
-                assert abs(float(ctx.left.f(kl)) - float(ctx.right.f(kr))) < 1e-9
+            kl, kr = np.array(germ_pairs(ctx, levels, [which] * levels.size)).T
+            assert np.all(classify_germ(ctx, kl, kr) == want)
+            # Rankine-Hugoniot across the interface
+            assert np.all(np.abs(ctx.left.f(kl) - ctx.right.f(kr)) < 1e-9)
 
 
 def test_remainder_zero_iff_member(pair_ctx, hq_ctx, rng, germ_pairs):
@@ -251,12 +311,11 @@ def test_remainder_zero_iff_member(pair_ctx, hq_ctx, rng, germ_pairs):
         draws = [(("G1", "G2", "G3")[int(rng.integers(3))], floor + rng.uniform(1e-10, 1.5))
                  for _ in range(100)]
         samples += germ_pairs(ctx, [lv for _, lv in draws], [c for c, _ in draws])
-        for ul, ur in samples:
-            r = float(remainder(ctx, ul, ur))
-            if 1e-12 < r < 1e-6:
-                continue  # gray zone between the two tolerances
-            member = classify_germ(ctx, ul, ur).is_member
-            assert member == (r <= 1e-12), (ul, ur, r, member)
+        ul, ur = np.array(samples).T
+        r = remainder(ctx, ul, ur)
+        member = classify_germ(ctx, ul, ur) != GermClass.NOT_MEMBER
+        decided = ~((1e-12 < r) & (r < 1e-6))  # outside the gray zone between the tolerances
+        assert np.array_equal(member[decided], r[decided] <= 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +340,7 @@ def test_dissipativity_nonnegative_on_germ_pairs(pair_ctx, hq_ctx, lwr_ctx, rng,
         ])
         us = germ_pairs(ctx, draws[:, 0], [classes[int(c)] for c in draws[:, 1]])
         ks = germ_pairs(ctx, draws[:, 2], [classes[int(c)] for c in draws[:, 3]])
-        for u, k in zip(us, ks):
-            assert dissipativity_gap(ctx, u, k) >= -1e-12
+        assert np.all(dissipativity_gap(ctx, np.array(us).T, np.array(ks).T) >= -1e-12)
 
 
 def test_excluded_branch_fails_maximality(pair_ctx, hq_ctx, lwr_ctx, rng, germ_pairs):
@@ -292,8 +350,8 @@ def test_excluded_branch_fails_maximality(pair_ctx, hq_ctx, lwr_ctx, rng, germ_p
         floor = _level_floor(ctx)
         k0 = germ_pair(ctx, floor + 1e-9, "G1")
         levels = floor + np.array([rng.uniform(0.1, 2.0) for _ in range(50)])
-        for bad in germ_pairs(ctx, levels, ["excluded"] * levels.size):
-            assert dissipativity_gap(ctx, bad, k0) < -1e-10
+        bad = np.array(germ_pairs(ctx, levels, ["excluded"] * levels.size)).T
+        assert np.all(dissipativity_gap(ctx, bad, k0) < -1e-10)
 
 
 def test_gap_deficit_bounded_by_remainder(pair_ctx, hq_ctx, rng, germ_pairs):
@@ -304,9 +362,9 @@ def test_gap_deficit_bounded_by_remainder(pair_ctx, hq_ctx, rng, germ_pairs):
         draws = [(tuple(rng.uniform(-2.5, 2.5, 2)), floor + rng.uniform(1e-6, 2.0),
                   classes[int(rng.integers(3))]) for _ in range(400)]
         ks = germ_pairs(ctx, [lv for _, lv, _ in draws], [c for _, _, c in draws])
-        for (u, _, _), k in zip(draws, ks):
-            deficit = -dissipativity_gap(ctx, u, k)
-            assert deficit <= float(remainder(ctx, *u)) + 1e-9
+        u = np.array([u for u, _, _ in draws]).T
+        deficit = -dissipativity_gap(ctx, u, np.array(ks).T)
+        assert np.all(deficit <= remainder(ctx, *u) + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +403,3 @@ def test_flux_side_branch_clamp_and_errors(pair_ctx):
 def test_germ_pair_rejects_unknown_branch(pair_ctx):
     with pytest.raises(ValueError, match="germ branch"):
         germ_pair(pair_ctx, 1.0, "G4")
-
-
-def test_flux_side_from_callables_locates_minimum():
-    side = FluxSide.from_callables(
-        f=lambda s: (s - 0.7) ** 2 + 0.1, df=lambda s: 2.0 * (s - 0.7)
-    )
-    assert abs(side.alpha - 0.7) < 1e-10
-    assert abs(side.fmin - 0.1) < 1e-12

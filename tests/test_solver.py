@@ -10,7 +10,6 @@ Numbers frozen below:
 """
 
 import dataclasses
-import math
 import tracemalloc
 import warnings
 
@@ -24,7 +23,7 @@ from hetflux.diagnostics import TimeVariation
 from hetflux.errors import ConfigError, InvariantBreach, NumericalError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.flux_model import FluxModel
-from hetflux.interface import FluxSide, InterfaceContext, interface_flux, interface_flux_profile
+from hetflux.interface import FluxSide, InterfaceContext, interface_flux
 from hetflux.solver import (
     GridState,
     Mesh,
@@ -82,6 +81,25 @@ def test_multi_piece_datum_projection():
     want = [2.0, 2.0, (0.25 * 2.0 + 0.25 * -1.0) / 0.5, -1.0, (0.25 * -1.0 + 0.25 * 0.5) / 0.5, 0.5]
     assert state.u == pytest.approx(want, abs=1e-15)
     assert datum.bounds() == (-1.0, 2.0)
+
+
+def test_piecewise_projection_is_exact_on_uncut_cells_and_stays_in_range(rng):
+    # A cell no breakpoint cuts takes its piece's value, bit for bit; a cut
+    # cell is the exact average and no cell leaves [min value, max value].
+    mesh = Mesh.make(-4.0, 4.0, 0.02)
+    edges, centers = mesh.edges(), mesh.centers()
+    data = [datum_step(1.0, -0.5), datum_step(1.0, -0.5, location=0.3), datum_constant(0.7)]
+    for _ in range(20):
+        breaks = np.sort(rng.uniform(-4.5, 4.5, 3))
+        data.append(PiecewiseConstantDatum(tuple(breaks), tuple(rng.uniform(-2.0, 2.0, 4))))
+    for datum in data:
+        u = project_initial(datum, mesh).u
+        b, v = np.asarray(datum.breakpoints), np.asarray(datum.values)
+        cut = ((edges[:-1, None] < b) & (b < edges[1:, None])).any(axis=1)
+        assert np.array_equal(u[~cut], datum(centers)[~cut]), datum
+        assert v.min() <= u.min() and u.max() <= v.max(), datum
+        ends = np.clip(np.concatenate(([mesh.x_min], b, [mesh.x_max])), mesh.x_min, mesh.x_max)
+        assert abs(np.sum(u) * mesh.dx - np.sum(v * np.diff(ends))) <= 1e-12, datum
 
 
 def test_gauss_projection_is_exact_for_polynomials():
@@ -234,16 +252,14 @@ def test_edge_fluxes_match_unfrozen_oracle(name, rng):
     mesh = Mesh.make(-2.0, 2.0, 0.05)
     sch = Scheme(model, mesh, lipschitz=1.0)
     xl, xr = sch.xc_ext[:-1], sch.xc_ext[1:]
-    al, ar = sch.al_ext[:-1], sch.al_ext[1:]
+    # one interface per edge, its fluxes evaluated through h, not frozen
+    edges = InterfaceContext.from_model(model, xl, xr)
     # states on both sides of the critical curve, one row per level as in EntropyCheck
     U = sch.al_ext[1:-1] + rng.uniform(-1.0, 1.0, (4, mesh.n_cells))
     ext = np.concatenate((U[:, :1], U, U[:, -1:]), axis=1)
-    want = interface_flux_profile(
-        model, xl[None, :], xr[None, :], al[None, :], ar[None, :], ext[:, :-1], ext[:, 1:]
-    )
-    assert np.array_equal(sch.edge_fluxes(U), want)
+    assert np.array_equal(sch.edge_fluxes(U), interface_flux(edges, ext[:, :-1], ext[:, 1:]))
     for row in range(U.shape[0]):
-        want_1d = interface_flux_profile(model, xl, xr, al, ar, ext[row, :-1], ext[row, 1:])
+        want_1d = interface_flux(edges, ext[row, :-1], ext[row, 1:])
         assert np.array_equal(sch.edge_fluxes(U[row]), want_1d)
 
 

@@ -24,7 +24,7 @@ import pytest
 
 from hetflux.errors import ConfigError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
-from hetflux.interface import InterfaceContext, classify_germ
+from hetflux.interface import GermClass, InterfaceContext, classify_germ
 from hetflux.solver import Mesh, Scheme, cfl_dt, datum_step, run
 from hetflux.steady import (
     SteadyState,
@@ -74,13 +74,15 @@ def test_steady_is_one_step_fixed_point(hq_model, hq_mesh):
 
 
 def test_adjacent_steady_cells_are_germ_pairs(hq_model, hq_mesh):
-    st = build_steady(hq_model, hq_mesh, -0.4, branch="lower")
     xc = hq_mesh.centers()
-    # spot-check edges across the bump, where alpha varies fastest
-    for j in range(95, 106):
-        ctx = InterfaceContext.from_model(hq_model, float(xc[j]), float(xc[j + 1]))
-        tag = classify_germ(ctx, float(st.values[j]), float(st.values[j + 1]))
-        assert tag.is_member, (j, st.values[j], st.values[j + 1])
+    edges = InterfaceContext.from_model(hq_model, xc[:-1], xc[1:])
+    # every edge of both branches, one row each, across the bump where alpha
+    # varies fastest too
+    u = np.stack([build_steady(hq_model, hq_mesh, -0.4, branch="lower").values,
+                  build_steady(hq_model, hq_mesh, 1.3, branch="upper").values])
+    tags = classify_germ(edges, u[:, :-1], u[:, 1:])
+    assert tags.shape == (2, hq_mesh.n_cells - 1)
+    assert np.argwhere(tags == GermClass.NOT_MEMBER).tolist() == []
 
 
 def test_two_state_branch_values():
