@@ -99,31 +99,32 @@ class EntropyCheck:
     """Run observer evaluating the discrete entropy inequality on every step.
 
     Pass it in run(..., observers=...), then read report(). Without k_values
-    the levels are default_k_levels(envelope, u0, n_levels). It reuses the
-    run's Scheme: when u is the state the Scheme's last step started from
-    (as run() hands it over), its edge terms, edge flux and range come from
-    that step (Scheme.last_edges, last_range); otherwise they are evaluated
-    here, at the N cells only. They are combined with the K levels
-    elementwise.
+    the levels are default_k_levels(envelope, u0, n_levels); they run
+    sorted, and report() gives them in the caller's order. When u is the
+    state the run's Scheme last stepped from (as run() hands it over), the
+    edge terms, edge flux and range of u come from that step
+    (Scheme.last_edges, last_range); otherwise they are evaluated here.
 
     At a level k <= min u every cell has max(u, k) = u and min(u, k) = k, so
-    the entropy flux is phi = F(u) - F(k, k); at k >= max u it is
-    F(k, k) - F(u). These are the values the lattice maxima/minima select.
-    Likewise, below min u_new (above max u_new) |u_new - k| is u_new - k
-    (k - u_new) and sign(u_new - k) d_kk dt is d_kk dt (its negation). So for
-    sorted levels only the rows inside the range of u (of u_new) run the
-    lattice (the abs and sign), with the same bits.
+    phi = F(u) - F(k, k); at k >= max u it is F(k, k) - F(u). Likewise,
+    below min u_new (above max u_new) |u_new - k| is u_new - k (k - u_new)
+    and sign(u_new - k) d_kk dt is d_kk dt (its negation). So only the rows
+    inside the range of u (of u_new) run the lattice (the abs and sign),
+    with the same bits.
 
-    start allocates all O(K N) state once: the fixed k terms, F(k, k) and
-    d_kk dt, two (N+1) arrays for the edge terms of u and one for its edge
-    flux (its own, not the Scheme's step buffers) and five work arrays,
-    three of shape (K, N+1) for phi and two of shape (K, N) for
-    |u_new - k| and |u - k|, the latter overwritten by the slack. step
-    writes every intermediate into them, so it allocates only O(K) and
-    numpy's fixed-size iteration buffer (plus the edge terms when the
-    model's freeze hook ignores out=). The |u_new - k| of one step serves
-    as the |u - k| of the next when u is the previous u_new, as run() hands
-    it; start resets that carry.
+    Repeated slack: a cell's slack depends only on its 3-cell stencil of u,
+    its u_new and dt. When u is the u_new of the last step seen, dt is
+    unchanged and the Scheme's last step took u to u_new, a cell outside its
+    last_window kept its stencil and u_new = u, so its slack repeats last
+    step's value bit for bit, and a repeated value never strictly beats the
+    running worst. So only the window is evaluated, with the same
+    max_slack_per_k and worst (k, step, cell). The first step, a new dt and
+    a step after a NaN slack evaluate every cell.
+
+    start allocates all O(K N) state once: the k terms, F(k, k), d_kk dt,
+    work arrays and the carried |u - k|, kept in place since a window
+    overwrites only its columns. So step allocates only O(K) and numpy's
+    fixed-size iteration buffers (plus edge terms the freeze hook makes).
     """
 
     def __init__(
@@ -139,40 +140,41 @@ class EntropyCheck:
         ks = self.k_values
         if ks is None:
             ks = default_k_levels(envelope, u0, self.n_levels)
-        self._scheme, self._ks = scheme, ks
-        self._sorted = bool(np.all(ks[:-1] <= ks[1:]))
+        self._order = np.argsort(ks, kind="stable")
+        self._scheme, self._given, self._ks = scheme, ks, ks[self._order]
         n_k, n = ks.size, scheme.mesh.n_cells
         # The k terms of the edge fluxes and F(k, k) are time independent.
-        self._kl, self._kr = scheme.edge_sides(np.broadcast_to(ks[:, None], (n_k, n)))
+        self._kl, self._kr = scheme.edge_sides(np.broadcast_to(self._ks[:, None], (n_k, n)))
         self._f_kk = np.maximum(self._kl, self._kr)
         self._d_kk = self._f_kk[:, 1:] - self._f_kk[:, :-1]
         self._d_kk_dt, self._dt = np.empty((n_k, n)), None  # d_kk * _dt
-        self._sides = np.empty((2, n + 1))
-        self._flux = np.empty(n + 1)
-        self._phi_work = np.empty((3, n_k, n + 1))
-        # Once phi is formed, the leading K*N entries of the last phi array
-        # hold u_new - k as a (K, N) array.
-        self._du = self._phi_work[2].reshape(-1)[: n_k * n].reshape(n_k, n)
-        self._abs_new, self._abs_old = np.empty((2, n_k, n))
+        self._sides, self._flux = np.empty((2, n + 1)), np.empty(n + 1)
+        # Flat, so that step takes compact (K, window) arrays from them.
+        self._phi_work, self._abs_new = np.empty(3 * n_k * (n + 1)), np.empty(n_k * n)
+        self._abs_old = np.empty((n_k, n))
         self._carried = None  # the u_new whose |u_new - k| is in _abs_old
+        self._clean = True  # no NaN slack in the last step
         self._max_slack = np.full(n_k, -np.inf)
-        self._worst = (-math.inf, 0, 0, 0)  # slack, k index, step, cell
+        self._worst = (-math.inf, 0, 0, 0)  # slack, caller's k index, step, cell
         self._n_steps = 0
 
-    def _edges(self, u: np.ndarray):
-        """(a, b, F, min u, max u): the edge terms and edge flux of u, and its range."""
+    def _edges(self, u: np.ndarray, u_new: np.ndarray, dt: float):
+        """(a, b, F, (min u, max u), (c0, c1)): the edge terms and edge flux of
+        u, its range, and the cells whose slack can differ from last step's."""
         sch = self._scheme
-        if sch.last_edges is not None and sch.last_edges[0] is u:
-            return sch.last_edges[1:] + sch.last_range
-        a, b = sch.edge_sides(u, out=self._sides)
-        return a, b, np.maximum(a, b, out=self._flux), float(u.min()), float(u.max())
+        last = sch.last_edges
+        if last is None or last[0] is not u:
+            a, b = sch.edge_sides(u, out=self._sides)
+            return a, b, np.maximum(a, b, out=self._flux), (u.min(), u.max()), (0, u.size)
+        banded = (u is self._carried and dt == self._dt and self._clean
+                  and sch.band[0] is u_new)
+        return last[1], last[2], last[3], sch.last_range, sch.last_window if banded else (0, u.size)
 
     def _outside(self, lo: float, hi: float, strict: bool) -> tuple[int, int]:
         """(i0, i1): the level rows [0, i0) at or below lo and [i1, K) at or
-        above hi, or strictly below and above; none for unsorted levels or a
-        NaN range."""
+        above hi, or strictly below and above; none for a NaN range."""
         ks = self._ks
-        if not (self._sorted and lo <= hi):
+        if not lo <= hi:
             return 0, ks.size
         if strict:
             return int(ks.searchsorted(lo, "left")), int(ks.searchsorted(hi, "right"))
@@ -180,10 +182,14 @@ class EntropyCheck:
         return i0, max(i0, int(ks.searchsorted(hi, "left")))
 
     def step(self, u: np.ndarray, u_new: np.ndarray, dt: float) -> None:
-        kcol, f_kk = self._ks[:, None], self._f_kk
-        p, q, r = self._phi_work
-        du, new, old = self._du, self._abs_new, self._abs_old
-        a, b, F, lo, hi = self._edges(u)
+        a, b, F, (lo, hi), (c0, c1) = self._edges(u, u_new, dt)
+        # Cells [c0, c1) and their edges [c0, c1]; compact work arrays over
+        # them. Once phi is formed, the head of its last array holds u_new - k.
+        w, e, kcol, m = slice(c0, c1), slice(c0, c1 + 1), self._ks[:, None], c1 - c0
+        p, q, r = self._phi_work[: 3 * kcol.size * (m + 1)].reshape(3, kcol.size, m + 1)
+        du = r.reshape(-1)[: kcol.size * m].reshape(kcol.size, m)
+        new, old = self._abs_new[: kcol.size * m].reshape(kcol.size, m), self._abs_old[:, w]
+        a, b, F, f_kk = a[e], b[e], F[e], self._f_kk[:, e]
         i0, i1 = self._outside(lo, hi, strict=False)
         np.subtract(F, f_kk[:i0], out=p[:i0])
         np.subtract(f_kk[i1:], F, out=p[i1:])
@@ -191,7 +197,7 @@ class EntropyCheck:
         # on (-inf, alpha_r], so the terms of F(max(u, k)) and F(min(u, k))
         # are maxima/minima of u and k terms:
         # phi = max(max(a, kl), min(b, kr)) - max(min(a, kl), max(b, kr)).
-        kl, kr = self._kl[i0:i1], self._kr[i0:i1]
+        kl, kr = self._kl[i0:i1, e], self._kr[i0:i1, e]
         pm, qm, rm = p[i0:i1], q[i0:i1], r[i0:i1]
         np.maximum(np.maximum(a, kl, out=pm), np.minimum(b, kr, out=qm), out=pm)
         np.maximum(np.minimum(a, kl, out=qm), np.maximum(b, kr, out=rm), out=qm)
@@ -200,15 +206,17 @@ class EntropyCheck:
         #         + sign(u_new - k) d_kk dt
         # u - k as rows of u minus k: the same arithmetic, but numpy then
         # buffers one broadcast operand instead of two.
-        j0, j1 = self._outside(float(u_new.min()), float(u_new.max()), strict=True)
-        du[...] = u_new
+        un = u_new[w]
+        j0, j1 = self._outside(float(un.min()), float(un.max()), strict=True)
+        du[...] = un
         np.subtract(du[:j0], kcol[:j0], out=new[:j0])
         np.subtract(kcol[j1:], du[j1:], out=new[j1:])
         dm = du[j0:j1]
         np.abs(np.subtract(dm, kcol[j0:j1], out=dm), out=new[j0:j1])
         if u is not self._carried:
-            old[...] = u
-            np.abs(np.subtract(old, kcol, out=old), out=old)
+            carry = self._abs_old
+            carry[...] = u
+            np.abs(np.subtract(carry, kcol, out=carry), out=carry)
         slack = np.subtract(new, old, out=old)
         slack *= self._scheme.mesh.dx
         # One flat difference of phi, which numpy runs unbuffered; the entries
@@ -219,27 +227,33 @@ class EntropyCheck:
         if dt != self._dt:
             self._dt = dt
             np.multiply(self._d_kk, dt, out=self._d_kk_dt)
-        slack[:j0] += self._d_kk_dt[:j0]
-        slack[j1:] -= self._d_kk_dt[j1:]
-        np.multiply(np.sign(dm, out=dm), self._d_kk[j0:j1], out=dm)
+        slack[:j0] += self._d_kk_dt[:j0, w]
+        slack[j1:] -= self._d_kk_dt[j1:, w]
+        np.multiply(np.sign(dm, out=dm), self._d_kk[j0:j1, w], out=dm)
         slack[j0:j1] += np.multiply(dm, dt, out=dm)
-        self._abs_new, self._abs_old, self._carried = slack, new, u_new
-        # The first row reaching the overall max holds argmax(slack) in row-major
-        # order; a NaN row max propagates to max_slack and never beats the worst.
+        # The first row reaching the overall max, in the caller's order, holds
+        # the row-major argmax of the slack; a NaN row max propagates to
+        # max_slack and never beats the worst.
         row_max = slack.max(axis=1)
         np.maximum(self._max_slack, row_max, out=self._max_slack)
         ik = int(np.argmax(row_max))
-        if row_max[ik] > self._worst[0]:
+        top = float(row_max[ik])
+        if top > self._worst[0]:
+            tied = np.flatnonzero(row_max == top)
+            ik = int(tied[np.argmin(self._order[tied])])
             jc = int(np.argmax(slack[ik]))
-            self._worst = (float(slack[ik, jc]), ik, self._n_steps, jc)
+            self._worst = (float(slack[ik, jc]), int(self._order[ik]), self._n_steps, c0 + jc)
+        old[...] = new  # the carry: |u_new - k| is the next step's |u - k|
+        self._carried, self._clean = u_new, not math.isnan(top)
         self._n_steps += 1
 
     def report(self) -> EntropyReport:
         if self._n_steps == 0:
             raise ConfigError("entropy check observed no step; run with t_end > 0")
         slack, ik, step, cell = self._worst
-        return EntropyReport(k_values=self._ks, max_slack_per_k=self._max_slack.copy(),
-                             worst_slack=slack, worst_k=float(self._ks[ik]), worst_step=step,
+        return EntropyReport(k_values=self._given,
+                             max_slack_per_k=self._max_slack[np.argsort(self._order)],
+                             worst_slack=slack, worst_k=float(self._given[ik]), worst_step=step,
                              worst_cell=cell, n_steps=self._n_steps)
 
 

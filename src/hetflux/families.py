@@ -9,7 +9,8 @@ x-derivatives; _quadratic_form derives h, du_h, dx_h, the freeze hook and the
 critical curve alpha = b from them once. The frozen flux forms
 a (u - b)^2 + c in place, in the caller's out= buffer or in one it
 allocates, so the step kernel allocates nothing for it; its du slope
-2 a (u - b) uses the same frozen coefficients. The four
+2 a (u - b) uses the same frozen coefficients, and at(index) slices them,
+so the step kernel evaluates any range of cells of one frozen table. The four
 constructors, each returning a FluxModel:
 
 * quadratic: homogeneous c (u - s)^2 + o, so (a, b, c) = (c, s, o). Covers
@@ -46,17 +47,7 @@ def _quadratic_form(coefficients, slopes, **fields) -> FluxModel:
     """
 
     def freeze(xs):
-        a, b, c = coefficients(np.asarray(xs, dtype=float))
-
-        def frozen(u, out=None):
-            if out is None:
-                out = np.empty(np.broadcast(u, a, b, c).shape)
-            np.square(np.subtract(u, b, out=out), out=out)
-            np.multiply(a, out, out=out)
-            return np.add(out, c, out=out)
-
-        frozen.du = lambda u: 2.0 * a * (np.asarray(u, dtype=float) - b)
-        return frozen
+        return _frozen_form(*coefficients(np.asarray(xs, dtype=float)))
 
     def h(x, u):
         return freeze(x)(u)
@@ -76,6 +67,23 @@ def _quadratic_form(coefficients, slopes, **fields) -> FluxModel:
         return np.broadcast_to(coefficients(x)[1], x.shape)
 
     return FluxModel(h=h, du_h=du_h, dx_h=dx_h, alpha_hint=alpha_hint, freeze=freeze, **fields)
+
+
+def _frozen_form(a, b, c):
+    """a (u - b)^2 + c with frozen coefficients; at(index) slices them."""
+
+    def frozen(u, out=None):
+        if out is None:
+            out = np.empty(np.broadcast(u, a, b, c).shape)
+        np.square(np.subtract(u, b, out=out), out=out)
+        np.multiply(a, out, out=out)
+        return np.add(out, c, out=out)
+
+    frozen.du = lambda u: 2.0 * a * (np.asarray(u, dtype=float) - b)
+    # A coefficient constant in x is a scalar and stays one.
+    frozen.at = lambda i: _frozen_form(*[z[i] if isinstance(z, np.ndarray) else z
+                                         for z in (a, b, c)])
+    return frozen
 
 
 def _flat(x):

@@ -52,8 +52,8 @@ class FluxModel:
     alpha_hint: optional analytic critical curve x -> alpha(x); used to seed
         and cross-check root solves, never trusted blindly.
     freeze: optional xs -> f, with f(u, out=None) = H(xs, u), that evaluates
-        the x-dependent coefficients once; None freezes as h(xs, u) (see
-        frozen_flux).
+        the x-dependent coefficients once, and optionally f.at(index), f
+        frozen at xs[index]; None freezes as h(xs, u) (see frozen_flux).
 
     The model is immutable, so `curve` and `legendre_sup_1` are cached in
     the instance on first access; a dataclasses.replace copy recomputes them.
@@ -103,7 +103,10 @@ def frozen_flux(model: FluxModel, xs) -> Callable:
     (which may be u itself), a hook may write the result there and return
     it, with the same bits as f(u). The default freezing, u -> h(xs, u),
     ignores out, so callers must use the array f returns. A hook may give f
-    its own du; otherwise f.du calls du_h at xs.
+    its own du; otherwise f.du calls du_h at xs. f.at(index), when f has it,
+    is the flux frozen at xs[index] with the same bits, for any numpy index
+    (say, a range of columns): the default freezing slices xs, the built-in
+    hook its coefficients, and a hook without it is evaluated on all of xs.
 
     A dataclasses.replace copy with a new h keeps the old hook, so the hook
     is compared with h (and its du with du_h) at xs for u = 0 and 1, with
@@ -121,6 +124,7 @@ def frozen_flux(model: FluxModel, xs) -> Callable:
             return np.asarray(model.h(xs, u), dtype=float)
 
         f.du = du
+        f.at = lambda index: frozen_flux(model, xs[index])
         return f
     f = model.freeze(xs)
     if not hasattr(f, "du"):

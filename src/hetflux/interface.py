@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .flux_model import FluxModel, critical_point, invert_branch
+from .flux_model import FluxModel, critical_point, frozen_flux, invert_branch
 
 # State-space tolerance of germ membership checks.
 GERM_TOL = 1e-9
@@ -63,12 +63,14 @@ class FluxSide:
     """One side of the interface: a convex scalar flux with its minimizer.
 
     f and df broadcast over states; alpha and fmin are floats, or arrays
-    with one element per interface."""
+    with one element per interface. branch solves on frozen, f frozen at the
+    position (frozen_flux, with its slope .du), when it is given."""
 
     f: Callable
     df: Callable
     alpha: float | np.ndarray
     fmin: float | np.ndarray
+    frozen: Optional[Callable] = None
 
     @classmethod
     def from_model(cls, model: FluxModel, x):
@@ -78,12 +80,14 @@ class FluxSide:
         # h itself, not frozen_flux: this is the oracle of the Scheme's fluxes.
         f = lambda s: np.asarray(model.h(x, s), dtype=float)
         df = lambda s: np.asarray(model.du_h(x, s), dtype=float)
-        return cls(f=f, df=df, alpha=a, fmin=_scalar_or_array(f(a)))
+        return cls(f=f, df=df, alpha=a, fmin=_scalar_or_array(f(a)),
+                   frozen=frozen_flux(model, x))
 
     def branch(self, y, side: str):
         """Inverse of f on the increasing ("plus") or decreasing ("minus")
         branch, elementwise as in invert_branch."""
-        return invert_branch(self.f, self.df, self.alpha, y, side)
+        f, df = (self.f, self.df) if self.frozen is None else (self.frozen, self.frozen.du)
+        return invert_branch(f, df, self.alpha, y, side)
 
 
 @dataclass(frozen=True, eq=False)

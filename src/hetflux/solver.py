@@ -16,6 +16,12 @@ against it. Ghost cells replicate the boundary cell (zero-order
 extrapolation), which is exact while the solution stays constant near the
 window edges; the runner warns when the influence cone of the heterogeneity
 can reach them.
+
+A step touches only the cells that can change: the 3-point update moves
+information at most one cell per step, and a cell whose two edge fluxes
+did not change has F_{j+1/2} - F_{j-1/2} = +0.0, so u_j' = u_j bit for
+bit. The Scheme keeps the span of cells that changed, and the next step
+evaluates only the edges next to it (the band rule, see Scheme).
 """
 
 from __future__ import annotations
@@ -91,19 +97,24 @@ class CflPolicy:
 
 
 class Scheme:
-    """Per-mesh tables: ghost-extended centers and critical points (shared
-    with the model, see ghost_alphas), and the fluxes of the left and right
-    cell of every edge, frozen at the centers.
+    """Per-mesh tables and the step kernel.
 
-    Precomputed once, with the step's work buffers: two (N+1) edge-term
-    arrays, the (N+1) edge flux and one (N) flux difference. step_arrays()
-    is then a handful of vectorized flux evaluations in those buffers; the
-    frozen fluxes are called with out= (see frozen_flux) and the array they
-    return is used, so with a hook that honours out= a step allocates only
-    the new state. last_range holds the (min, max) of the state u the last
-    step started from, and last_edges (u, a, b, F) that u with its two edge
-    terms and edge flux, valid until the next step (EntropyCheck reuses
-    them).
+    The flux is frozen once at the N+2 ghost-extended centers (ghost_alphas);
+    h_pair is that table over the (N+1, 2) edges, the left cell's flux and
+    the right one's, so one call evaluates both sides of a range of edges
+    (its at, see frozen_flux). A hook without at is frozen over the edges,
+    and its steps evaluate every edge. step_arrays() allocates only the new
+    state. last_range holds the (min, max) of the state u the last step
+    started from, and last_edges (u, a, b, F) that u with its two edge terms
+    and edge flux at every edge, valid until the next step.
+
+    Band rule: band holds the state u_new the last step returned and the
+    span [lo, hi) of its cells with nonzero dF. A step handed that very
+    array evaluates only the edges [lo, hi], recomputes dF on the cells
+    [lo - 1, hi + 1) (last_window) and trims the span to their nonzero dF.
+    Every other edge keeps its terms and flux in the buffers, F[0] and
+    F[-1] included, and every other cell dF = +0.0. Any other state takes a
+    full step: the window is every cell.
     """
 
     def __init__(self, model: FluxModel, mesh: Mesh, lipschitz: float):
@@ -111,36 +122,40 @@ class Scheme:
         self.mesh = mesh
         self.lipschitz = float(lipschitz)
         self.xc_ext, self.al_ext = ghost_alphas(model, mesh)
-        self.h_left = frozen_flux(model, self.xc_ext[:-1])
-        self.h_right = frozen_flux(model, self.xc_ext[1:])
         n = mesh.n_cells
-        self._sides = np.empty((2, n + 1))
-        self._flux = np.empty(n + 1)
-        self._dflux = np.empty(n)
+        pairs = np.arange(n + 1)[:, None] + np.arange(2)  # edge e joins cells e-1, e
+        h = frozen_flux(model, self.xc_ext)
+        self.h_pair = h.at(pairs) if hasattr(h, "at") else frozen_flux(model, self.xc_ext[pairs])
+        self._u_ext, self._sides = np.empty(n + 2), np.empty((n + 1, 2))
+        self._flux, self._dflux, self._moved = np.empty(n + 1), np.zeros(n), np.empty(n, bool)
+        self.band = (None, 0, n)
+        self.last_window = (0, n)
         self.last_range = (math.nan, math.nan)
         self.last_edges = None
 
-    def edge_sides(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """The terms h_l(max(u_l, alpha_l)) and h_r(min(alpha_r, u_r)) of the
-        interface flux at every edge, for cell states u of shape (..., n_cells).
-        Ghost cells replicate the boundary cells along the last axis.
+    def _edge_terms(self, ue: np.ndarray, out: np.ndarray, e0: int, e1: int) -> np.ndarray:
+        """The terms h_l(max(u_l, alpha_l)), h_r(min(alpha_r, u_r)) of the
+        interface flux at the edges [e0, e1) of ghost-extended states ue,
+        evaluated in out (..., e1 - e0, 2); returns them (new ones when the
+        frozen flux ignores out)."""
+        al = self.al_ext
+        np.maximum(ue[..., e0:e1], al[e0:e1], out=out[..., 0])
+        np.minimum(al[e0 + 1:e1 + 1], ue[..., e0 + 1:e1 + 1], out=out[..., 1])
+        h = self.h_pair
+        if e1 - e0 < al.size - 1:
+            h = h.at(slice(e0, e1))
+        return h(out, out=out)
 
-        out: optional pair of (..., n_cells + 1) arrays for the two terms.
-        The clamped states are written there and the frozen fluxes are
-        evaluated in place; the returned arrays are the terms (a hook that
-        ignores out returns new ones)."""
+    def edge_sides(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """The two terms of the interface flux at every edge, for cell states
+        u of shape (..., n_cells), into the optional (2, ..., n_cells + 1)
+        array out. Ghost cells replicate the boundary cells."""
         u = np.asarray(u, dtype=float)
         if out is None:
             out = np.empty((2,) + u.shape[:-1] + (u.shape[-1] + 1,))
-        left, right = out
-        al = self.al_ext
-        # With ghosts, the left states are u_0, u_0, ..., u_{N-1} and the
-        # right states u_0, ..., u_{N-1}, u_{N-1}.
-        np.maximum(u[..., :1], al[0], out=left[..., :1])
-        np.maximum(u, al[1:-1], out=left[..., 1:])
-        np.minimum(al[1:-1], u, out=right[..., :-1])
-        np.minimum(al[-1], u[..., -1:], out=right[..., -1:])
-        return self.h_left(left, out=left), self.h_right(right, out=right)
+        ue = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
+        terms = self._edge_terms(ue, np.moveaxis(out, 0, -1), 0, u.shape[-1] + 1)
+        return terms[..., 0], terms[..., 1]
 
     def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
         """Interface flux max of the two edge_sides terms at every edge."""
@@ -149,20 +164,35 @@ class Scheme:
     def step_arrays(self, u: np.ndarray, dt: float):
         """One update; returns (u_new, boundary fluxes (F_in, F_out)).
 
-        u_new is a new array; u is not modified. Sets last_range and
-        last_edges for u."""
+        u_new is a new array; u is not modified. Sets last_range,
+        last_edges and last_window for u, and band for u_new (see Scheme)."""
         self.last_range = _finite_range(u, "entering step")
         lam = dt / self.mesh.dx
         if 2.0 * lam * self.lipschitz > 1.0 + 1e-9:
             raise NumericalError(
                 f"step size violates 2 (dt/dx) L <= 1: dt={dt}, L={self.lipschitz}"
             )
-        a, b = self.edge_sides(u, out=self._sides)
-        F = np.maximum(a, b, out=self._flux)
-        self.last_edges = (u, a, b, F)
-        dF = np.subtract(F[1:], F[:-1], out=self._dflux)
+        n = self.mesh.n_cells
+        last, lo, hi = self.band
+        if u is not last or not hasattr(self.h_pair, "at"):
+            lo, hi = 0, n
+        c0, c1 = max(lo - 1, 0), min(hi + 1, n)
+        ue, S, F = self._u_ext, self._sides[lo:hi + 1], self._flux
+        ue[c0 + 1:c1 + 1] = u[c0:c1]
+        ue[0], ue[-1] = u[0], u[-1]
+        terms = self._edge_terms(ue, S, lo, hi + 1)
+        if terms is not S:
+            S[...] = terms
+        np.maximum(S[:, 0], S[:, 1], out=F[lo:hi + 1])
+        dF = np.subtract(F[c0 + 1:c1 + 1], F[c0:c1], out=self._dflux[c0:c1])
         dF *= lam
-        return np.subtract(u, dF), float(F[0]), float(F[-1])
+        moved = np.not_equal(dF, 0.0, out=self._moved[c0:c1])
+        first, end = c0 + int(moved.argmax()), c1 - int(moved[::-1].argmax())
+        u_new = np.subtract(u, self._dflux)
+        self.band = (u_new, first, end) if moved[first - c0] else (u_new, c0, c0)
+        self.last_edges = (u, self._sides[:, 0], self._sides[:, 1], F)
+        self.last_window = (c0, c1)
+        return u_new, float(F[0]), float(F[-1])
 
 
 def _finite_range(u: np.ndarray, where: str) -> tuple[float, float]:

@@ -1,14 +1,15 @@
 """Shared fixtures: the canonical two-flux interface and the built-in models,
-plus RecordStates, a run observer for tests that need a whole trajectory, and
-references written over fresh temporaries: reference_edge_sides and
-reference_step for the Scheme's step kernel, ReferenceEntropyCheck for the
-entropy slack."""
+plus RecordStates, a run observer for tests that need a whole trajectory,
+cosh_model, a custom flux given by callables only, and references written
+over fresh temporaries: reference_edge_sides and reference_step for the
+Scheme's step kernel, ReferenceEntropyCheck for the entropy slack."""
 
 import numpy as np
 import pytest
 
 from hetflux.diagnostics import EntropyCheck
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
+from hetflux.flux_model import FluxModel, frozen_flux
 from hetflux.interface import InterfaceContext, germ_pair
 
 
@@ -33,11 +34,14 @@ class RecordStates:
 
 
 def reference_edge_sides(scheme, u):
-    """Scheme.edge_sides as one allocating expression over ghost-extended u."""
+    """Scheme.edge_sides as one allocating expression over ghost-extended u,
+    with the left and right cell fluxes frozen apart from the Scheme's table."""
     u = np.asarray(u, dtype=float)
     u_ext = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
-    return (scheme.h_left(np.maximum(u_ext[..., :-1], scheme.al_ext[:-1])),
-            scheme.h_right(np.minimum(scheme.al_ext[1:], u_ext[..., 1:])))
+    h_left, h_right = (frozen_flux(scheme.model, xc)
+                       for xc in (scheme.xc_ext[:-1], scheme.xc_ext[1:]))
+    return (h_left(np.maximum(u_ext[..., :-1], scheme.al_ext[:-1])),
+            h_right(np.minimum(scheme.al_ext[1:], u_ext[..., 1:])))
 
 
 def reference_step(scheme, u, dt):
@@ -51,9 +55,18 @@ def reference_step(scheme, u, dt):
 
 class ReferenceEntropyCheck(EntropyCheck):
     """EntropyCheck with the slack of a step as one expression over fresh
-    (K, N) temporaries, located by argmax over the whole array. EntropyCheck
-    evaluates the same operations in the same order in preallocated buffers,
-    so both must agree bit for bit."""
+    (K, N) temporaries at every cell, the levels in the caller's order,
+    located by argmax over the whole array. EntropyCheck evaluates the same
+    operations in the same order in preallocated buffers, so both must
+    agree bit for bit."""
+
+    def start(self, scheme, envelope, u0):
+        super().start(scheme, envelope, u0)
+        ks = self._ks = self._given
+        self._order = np.arange(ks.size)
+        k_sides = reference_edge_sides(scheme, np.broadcast_to(ks[:, None], self._d_kk.shape))
+        self._kl, self._kr = k_sides
+        self._d_kk = np.diff(np.maximum(*k_sides))
 
     def step(self, u, u_new, dt):
         kcol, kl, kr = self._ks[:, None], self._kl, self._kr
@@ -81,6 +94,16 @@ def assert_same_entropy_report(got, want):
         assert g[~np.isnan(g)].tobytes() == w[~np.isnan(w)].tobytes(), name
     fields = ("worst_slack", "worst_k", "worst_step", "worst_cell", "n_steps")
     assert [repr(getattr(got, f)) for f in fields] == [repr(getattr(want, f)) for f in fields]
+
+
+def cosh_model():
+    """(1.5 + tanh(x) / 2)(cosh u - 1): a custom flux given by callables only."""
+    return FluxModel(
+        h=lambda x, u: (1.5 + 0.5 * np.tanh(x)) * (np.cosh(u) - 1.0),
+        du_h=lambda x, u: (1.5 + 0.5 * np.tanh(x)) * np.sinh(u),
+        dx_h=lambda x, u: 0.5 / np.cosh(x) ** 2 * (np.cosh(u) - 1.0),
+        hetero_radius=2.0,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,12 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import ReferenceEntropyCheck, RecordStates, assert_same_entropy_report
+from conftest import (
+    ReferenceEntropyCheck,
+    RecordStates,
+    assert_same_entropy_report,
+    cosh_model,
+)
 
 from hetflux.diagnostics import (
     EntropyCheck,
@@ -31,10 +36,18 @@ from hetflux.diagnostics import (
     riemann_error,
 )
 from hetflux.errors import ConfigError
-from hetflux.families import two_state
-from hetflux.flux_model import FluxModel
+from hetflux.families import heterogeneous_quadratic, two_state
 from hetflux.riemann import sample, solve_interface
-from hetflux.solver import GridState, Mesh, Scheme, datum_step, project_initial, run
+from hetflux.solver import (
+    GridState,
+    Mesh,
+    PiecewiseConstantDatum,
+    Scheme,
+    datum_constant,
+    datum_step,
+    project_initial,
+    run,
+)
 from hetflux.steady import build_steady
 
 
@@ -100,16 +113,6 @@ def test_default_k_levels_cover_bounds_and_data(pair_model):
     assert np.all(np.diff(ks) > 0)
 
 
-def _cosh_model():
-    """(1.5 + tanh(x) / 2)(cosh u - 1): a custom flux given by callables only."""
-    return FluxModel(
-        h=lambda x, u: (1.5 + 0.5 * np.tanh(x)) * (np.cosh(u) - 1.0),
-        du_h=lambda x, u: (1.5 + 0.5 * np.tanh(x)) * np.sinh(u),
-        dx_h=lambda x, u: 0.5 / np.cosh(x) ** 2 * (np.cosh(u) - 1.0),
-        hetero_radius=2.0,
-    )
-
-
 def test_dei_matches_direct_edge_flux_evaluation(pair_model, hq_model, lwr_model,
                                                  burgers_model):
     # EntropyCheck splits F(max(u, k)) and F(min(u, k)) into maxima/minima of
@@ -119,7 +122,7 @@ def test_dei_matches_direct_edge_flux_evaluation(pair_model, hq_model, lwr_model
     # custom flux.
     cases = ((burgers_model, (1.0, -0.5), 0.0), (pair_model, (-1.0, 1.0), 0.0),
              (hq_model, (0.2, 1.2), 0.0), (lwr_model, (-0.3, -0.7), 0.0),
-             (_cosh_model(), (-1.0, 0.5), 1e-15))
+             (cosh_model(), (-1.0, 0.5), 1e-15))
     for model, (left, right), tol in cases:
         mesh = Mesh.make(-3.0, 3.0, 0.05)
         rec, check = RecordStates(), EntropyCheck(n_levels=9)
@@ -146,7 +149,7 @@ def test_entropy_check_matches_reference_bitwise(pair_model, hq_model, lwr_model
     # none of it may change a bit. Levels sit exactly at the extremes of
     # every state of the run, beyond them and between, sorted and not.
     cases = ((burgers_model, (1.0, -0.5)), (pair_model, (-1.0, 1.0)), (hq_model, (0.2, 1.2)),
-             (lwr_model, (-0.3, -0.7)), (_cosh_model(), (-1.0, 0.5)))
+             (lwr_model, (-0.3, -0.7)), (cosh_model(), (-1.0, 0.5)))
     for model, (left, right) in cases:
         mesh, datum = Mesh.make(-3.0, 3.0, 0.05), datum_step(left, right)
         rec = RecordStates()
@@ -193,10 +196,12 @@ def test_entropy_check_reuses_the_edge_terms_of_the_step(monkeypatch, hq_model):
         return edge_sides(self, u, out=out)
 
     monkeypatch.setattr(Scheme, "edge_sides", counted)
-    res = run(hq_model, Mesh.make(-3.0, 3.0, 0.05), datum_step(0.2, 1.2), t_end=0.3,
-              observers=(EntropyCheck(),))
-    # One call per step, made by the step, and one for the levels at start.
-    assert calls[0] == res.n_steps + 1
+    mesh, datum = Mesh.make(-3.0, 3.0, 0.05), datum_step(0.2, 1.2)
+    # The steps evaluate their edges in the Scheme's own buffers, without it.
+    assert run(hq_model, mesh, datum, t_end=0.3).n_steps > 0 and calls[0] == 0
+    run(hq_model, mesh, datum, t_end=0.3, observers=(EntropyCheck(),))
+    # One call, for the levels at start: no step evaluates an edge again.
+    assert calls[0] == 1
 
 
 def _recorded_steps(model, mesh, datum, t_end):
@@ -265,6 +270,58 @@ def test_entropy_check_reused_across_runs_matches_a_fresh_one(pair_model):
     fresh = EntropyCheck()
     run(pair_model, mesh, datum_step(0.8, -0.4), t_end=0.2, observers=(reused, fresh))
     assert_same_entropy_report(reused.report(), fresh.report())
+
+
+def test_entropy_check_reports_the_first_tied_level_in_the_callers_order(burgers_model):
+    # A constant state of a homogeneous flux is a fixed point: every slack is
+    # +0.0, so at the first step all levels tie and the worst is the first
+    # level as given, though the check runs the levels sorted.
+    ks = [0.7, -0.2, 0.3, 1.0, -0.2]
+    check, ref = EntropyCheck(k_values=ks), ReferenceEntropyCheck(k_values=ks)
+    run(burgers_model, Mesh.make(-1.0, 1.0, 0.05), datum_constant(0.5), t_end=0.1,
+        observers=(check, ref))
+    rep = check.report()
+    assert_same_entropy_report(rep, ref.report())
+    assert (rep.worst_slack, rep.worst_k, rep.worst_step, rep.worst_cell) == (0.0, 0.7, 0, 0)
+    assert rep.k_values.tolist() == ks
+
+
+def test_entropy_check_evaluates_only_the_window_of_the_step(monkeypatch, hq_model):
+    windows = []
+    edges = EntropyCheck._edges
+
+    def spy(self, u, u_new, dt):
+        got = edges(self, u, u_new, dt)
+        windows.append((got[-1], self._scheme.last_window))
+        return got
+
+    monkeypatch.setattr(EntropyCheck, "_edges", spy)
+    mesh = Mesh.make(-3.0, 3.0, 0.02)
+    res = run(hq_model, mesh, datum_step(0.2, 1.2), t_end=0.3, snapshot_times=(0.1,),
+              observers=(EntropyCheck(),))
+    full = (0, mesh.n_cells)
+    # Full at the first step and at the two steps around the snapshot, when
+    # dt changes; every other step takes the Scheme's window.
+    assert [w for w, kernel in windows if w != kernel] == [full] * 3
+    assert len(windows) == res.n_steps and sum(w != full for w, _ in windows) > res.n_steps // 2
+
+
+def test_entropy_check_matches_the_reference_with_nan_slack_in_quiet_cells():
+    # u = ell is an exact steady state of theta(x) (u - ell)^2, quiet after
+    # the first step; at k = 1.2e154 F(k, k) overflows only where theta > 1,
+    # so that level's slack is NaN in those quiet cells at every step. The
+    # full evaluation then never records a worst; a window that left the NaN
+    # out would.
+    model = heterogeneous_quadratic(theta_bump=0.5, ell_bump=0.0, g_bump=0.0)
+    ks = [0.5, 1.2e154]
+    check, ref = EntropyCheck(k_values=ks), ReferenceEntropyCheck(k_values=ks)
+    datum = PiecewiseConstantDatum(breakpoints=(-2.5,), values=(1.0, 0.0))
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.filterwarnings("ignore", message=".*influence cone.*")
+        run(model, Mesh.make(-3.0, 3.0, 0.05), datum, t_end=0.3, observers=(check, ref))
+    rep = check.report()
+    assert np.isnan(rep.max_slack_per_k[1]) and rep.worst_slack == -math.inf
+    assert_same_entropy_report(rep, ref.report())
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,18 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import RecordStates, reference_edge_sides, reference_step
+from conftest import (
+    ReferenceEntropyCheck,
+    RecordStates,
+    assert_same_entropy_report,
+    cosh_model,
+    reference_edge_sides,
+    reference_step,
+)
 
 import hetflux.flux_model as fm
 import hetflux.steady as steady
-from hetflux.diagnostics import TimeVariation
+from hetflux.diagnostics import EntropyCheck, TimeVariation
 from hetflux.errors import ConfigError, InvariantBreach, NumericalError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.flux_model import FluxModel
@@ -380,6 +387,122 @@ def test_step_allocates_only_the_new_state(family, rng):
         tracemalloc.stop()
     assert mesh.n_cells == 4000
     assert peak < 1.5 * u.nbytes, peak
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_frozen_flux_at_an_index_matches_the_full_table_bitwise(name, rng):
+    f = fm.frozen_flux(KERNEL_MODELS[name](), np.linspace(-2.0, 2.0, 81))
+    u = rng.uniform(-1.5, 1.5, 81)
+    # a range of columns, and the (edge, side) table of the Scheme
+    for index in (slice(10, 50), np.arange(80)[:, None] + np.arange(2)):
+        assert f.at(index)(u[index]).tobytes() == f(u)[index].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# active band: a step evaluates only the cells that can change
+
+BAND_MODELS = {
+    "quadratic": (quadratic, (1.0, -0.5)),
+    "two_state": (two_state, (-1.0, 1.0)),
+    "heterogeneous_quadratic": (heterogeneous_quadratic, (0.2, 1.2)),
+    "heterogeneous_quadratic/freeze=None":
+        (KERNEL_MODELS["heterogeneous_quadratic/freeze=None"], (0.2, 1.2)),
+    "lwr": (lwr, (-0.7, -0.3)),
+    "custom": (_custom_model, (-1.0, 0.5)),
+    "cosh": (cosh_model, (-1.0, 0.5)),  # varies at every x: no cell is quiet
+}
+
+
+def _without_at(model):
+    """model with a freeze hook that cannot be evaluated on a range of
+    cells (the f(u, out=None) contract alone): its Scheme evaluates every
+    cell of every step."""
+
+    def freeze(xs):
+        f = fm.frozen_flux(model, xs)
+        return lambda u, out=None: f(u, out=out)
+
+    return dataclasses.replace(model, freeze=freeze)
+
+
+class Windows:
+    """Run observer recording the window of cells each step recomputed."""
+
+    def start(self, scheme, envelope, u0):
+        self.scheme, self.windows = scheme, []
+
+    def step(self, u, u_new, dt):
+        self.windows.append(self.scheme.last_window)
+
+
+class BandAgainstFull(Windows):
+    """Windows, checking each step's outputs against the allocating
+    reference kernel, which evaluates every cell."""
+
+    def step(self, u, u_new, dt):
+        sch = self.scheme
+        want, f_in, f_out = reference_step(sch, u, dt)
+        assert u_new.tobytes() == want.tobytes()
+        assert sch.last_range == (float(np.min(u)), float(np.max(u)))
+        _, a, b, F = sch.last_edges
+        assert [z.tobytes() for z in (a, b)] == [z.tobytes() for z in reference_edge_sides(sch, u)]
+        assert (F.tobytes(), float(F[0]), float(F[-1])) == (np.maximum(a, b).tobytes(), f_in, f_out)
+        super().step(u, u_new, dt)
+
+
+@pytest.mark.filterwarnings("ignore:.*influence cone")
+@pytest.mark.parametrize("name", sorted(BAND_MODELS))
+def test_banded_steps_match_full_evaluation_bitwise(name):
+    family, (left, right) = BAND_MODELS[name]
+    model, mesh = family(), Mesh.make(-3.0, 3.0, 0.05)
+    n = mesh.n_cells
+    # A jump two cells from the right end: its waves reach the ghost edge
+    # while the left of the window stays quiet.
+    datum = datum_step(left, right, location=2.9)
+    ks = np.array([right, 0.7, left, -0.4, 1.1])  # unsorted, at the data too
+    results = []
+    for m in (model, _without_at(model)):
+        band, checks = BandAgainstFull(), (EntropyCheck(), EntropyCheck(k_values=ks))
+        refs = (ReferenceEntropyCheck(), ReferenceEntropyCheck(k_values=ks))
+        res = run(m, mesh, datum, t_end=0.3, snapshot_times=(0.05, 0.1234),
+                  observers=(band, *checks, *refs))
+        for check, ref in zip(checks, refs):
+            assert_same_entropy_report(check.report(), ref.report())
+        results.append((res, band.windows, [c.report() for c in checks]))
+    (res, windows, reports), (full, full_windows, full_reports) = results
+    assert set(full_windows) == {(0, n)}
+    if name != "cosh":
+        partial = [w for w in windows if w != (0, n)]
+        assert len(partial) > res.n_steps // 2
+        assert any(c1 == n for _, c1 in partial)  # a band at the ghost edge
+    assert res.final.u.tobytes() == full.final.u.tobytes()
+    fields = ("n_steps", "boundary_net_outflow", "mass_drift", "running_min", "running_max")
+    assert [repr(getattr(res, f)) for f in fields] == [repr(getattr(full, f)) for f in fields]
+    for got, want in zip(reports, full_reports):
+        assert_same_entropy_report(got, want)
+
+
+def test_nan_inside_the_band_raises(hq_model):
+    mesh = Mesh.make(-3.0, 3.0, 0.05)
+    sch = Scheme(hq_model, mesh, lipschitz=2.0)
+    u = project_initial(datum_step(0.2, 1.2, location=2.0), mesh).u
+    for _ in range(4):
+        u = sch.step_arrays(u, 0.2 * mesh.dx)[0]
+    last, lo, hi = sch.band
+    assert last is u and 0 < lo < hi < mesh.n_cells
+    u[(lo + hi) // 2] = np.nan  # in place: the next step still takes the band
+    with pytest.raises(NumericalError, match="non-finite state entering step"):
+        sch.step_arrays(u, 0.2 * mesh.dx)
+
+
+def test_band_keeps_quiet_cells_out_of_the_step():
+    # A shock on 4000 cells: the steps must evaluate a few cells each, not
+    # fall back to the whole mesh.
+    mesh, band = Mesh.make(-4.0, 4.0, 0.002), Windows()
+    res = run(quadratic(), mesh, datum_step(1.0, -0.5), t_end=0.5, observers=(band,))
+    assert mesh.n_cells == 4000 and res.n_steps == len(band.windows) > 100
+    share = np.mean([c1 - c0 for c0, c1 in band.windows]) / mesh.n_cells
+    assert share <= 0.05, share
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
