@@ -122,9 +122,10 @@ class EntropyCheck:
     a step after a NaN slack evaluate every cell.
 
     start allocates all O(K N) state once: the k terms, F(k, k), d_kk dt,
-    work arrays and the carried |u - k|, kept in place since a window
-    overwrites only its columns. So step allocates only O(K) and numpy's
-    fixed-size iteration buffers (plus edge terms the freeze hook makes).
+    work arrays, edge terms (frozen_flux fills them in place) and the
+    carried |u - k|, kept since a window overwrites only its columns. So
+    step allocates only O(K), numpy's fixed-size iteration buffers and the
+    temporaries of a flux with no freeze hook that fills out.
     """
 
     def __init__(
@@ -496,7 +497,6 @@ def convergence_study(
     exact: Optional[RiemannSolution] = None,
     safety: float = 0.9,
     datum_bounds: Optional[tuple[float, float]] = None,
-    fine_factor: int = 4,
 ) -> ConvergenceReport:
     """L1 convergence of the scheme on a fixed window under mesh refinement.
 
@@ -509,8 +509,7 @@ def convergence_study(
     reference='exact' compares against a supplied Riemann solution, which
     is only meaningful when the model's heterogeneity is the two-flux jump
     the solution was built for. reference='fine_grid' runs one extra level
-    `fine_factor` times finer than the finest requested and measures
-    against it.
+    4 times finer than the finest requested and measures against it.
     """
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
@@ -562,14 +561,14 @@ def convergence_study(
         )
         ref_name = "exact_riemann"
     else:
-        u_ref, mesh_ref, _ = run_level(dxs[-1] / fine_factor)
+        u_ref, mesh_ref, _ = run_level(dxs[-1] / 4)
         errors = np.array(
             [
                 norm_between_grids(u, mesh, u_ref, mesh_ref, window)
                 for u, mesh, _ in levels
             ]
         )
-        ref_name = f"fine_grid(dx={dxs[-1] / fine_factor:.4g})"
+        ref_name = f"fine_grid(dx={dxs[-1] / 4:.4g})"
     with np.errstate(divide="ignore"):
         orders = np.log(errors[:-1] / errors[1:]) / np.log(dxs[:-1] / dxs[1:])
     if np.any(errors <= 0):

@@ -26,7 +26,7 @@ with none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,8 +52,8 @@ class FluxModel:
     alpha_hint: optional analytic critical curve x -> alpha(x); used to seed
         and cross-check root solves, never trusted blindly.
     freeze: optional xs -> f, with f(u, out=None) = H(xs, u), that evaluates
-        the x-dependent coefficients once, and optionally f.at(index), f
-        frozen at xs[index]; None freezes as h(xs, u) (see frozen_flux).
+        the x-dependent coefficients once; frozen_flux completes what f
+        lacks of its contract. None freezes as h(xs, u).
 
     The model is immutable, so `curve` and `legendre_sup_1` are cached in
     the instance on first access; a dataclasses.replace copy recomputes them.
@@ -96,40 +96,26 @@ class FluxModel:
 
 def frozen_flux(model: FluxModel, xs) -> Callable:
     """f(u, out=None) = H(xs, u), the flux frozen at the positions xs, with
-    its slope f.du(u) = du_h(xs, u).
+    its slope f.du(u) = du_h(xs, u) and f.at(index), the flux frozen at
+    xs[index], for any numpy index (say, a range of columns).
 
-    Uses the model's freeze hook when it has one, so x-dependent coefficients
-    are evaluated here once; f broadcasts u against xs. Given an array out
-    (which may be u itself), a hook may write the result there and return
-    it, with the same bits as f(u). The default freezing, u -> h(xs, u),
-    ignores out, so callers must use the array f returns. A hook may give f
-    its own du; otherwise f.du calls du_h at xs. f.at(index), when f has it,
-    is the flux frozen at xs[index] with the same bits, for any numpy index
-    (say, a range of columns): the default freezing slices xs, the built-in
-    hook its coefficients, and a hook without it is evaluated on all of xs.
+    The one contract: f broadcasts u against xs; given an array out (which
+    may be u itself), f writes the result there and returns out; f.du and
+    f.at are always there, with the same bits as f, and every f.at(index)
+    keeps the contract. A freeze hook evaluates the x-dependent coefficients
+    once; the default freezing is u -> h(xs, u). f wraps the hook, at every
+    level of at, and gives it what it lacks: a result not written into out
+    is copied there, du calls du_h at xs, and at freezes again, unchecked,
+    at xs[index] (positions in the checked xs): a costly freezing wants an at.
 
-    A dataclasses.replace copy with a new h keeps the old hook, so the hook
-    is compared with h (and its du with du_h) at xs for u = 0 and 1, with
-    and without out; any difference, or a hook whose f takes no out=, raises
-    ConfigError.
+    A dataclasses.replace copy with a new h keeps the old hook, so f is
+    checked against h (f.du against du_h) at xs for u = 0 and 1, with and
+    without out: a difference, or a hook taking no out=, raises ConfigError.
     """
     xs = np.asarray(xs, dtype=float)
-
-    def du(u):
-        return np.asarray(model.du_h(xs, u), dtype=float)
-
+    f = _completed(model, xs, _freeze(model, xs))
     if model.freeze is None:
-
-        def f(u, out=None):
-            return np.asarray(model.h(xs, u), dtype=float)
-
-        f.du = du
-        f.at = lambda index: frozen_flux(model, xs[index])
         return f
-    f = model.freeze(xs)
-    if not hasattr(f, "du"):
-        f = partial(f)  # a callable that takes the du attribute
-        f.du = du
     probe = np.stack((np.zeros(xs.shape), np.ones(xs.shape)))
     want = model.h(xs, probe)
     try:
@@ -139,8 +125,29 @@ def frozen_flux(model: FluxModel, xs) -> Callable:
             f"flux model {model.name!r}: freeze hook must return f(u, out=None) ({exc})"
         ) from exc
     if not (np.array_equal(f(probe), want) and np.array_equal(into_out, want)
-            and np.array_equal(f.du(probe), du(probe))):
+            and np.array_equal(f.du(probe), model.du_h(xs, probe))):
         raise ConfigError(f"flux model {model.name!r}: freeze hook disagrees with h")
+    return f
+
+
+def _freeze(model: FluxModel, xs: np.ndarray) -> Callable:
+    """The model's freeze hook at xs, or the default freezing u -> h(xs, u)."""
+    return (lambda u, out=None: model.h(xs, u)) if model.freeze is None else model.freeze(xs)
+
+
+def _completed(model: FluxModel, xs: np.ndarray, hook: Callable) -> Callable:
+    """hook, the flux frozen at xs, under the frozen_flux contract."""
+
+    def f(u, out=None):
+        val = hook(u, out=out)
+        if out is None or val is out:
+            return np.asarray(val, dtype=float)
+        out[...] = val
+        return out
+
+    f.du = getattr(hook, "du", None) or (lambda u: np.asarray(model.du_h(xs, u), dtype=float))
+    at = getattr(hook, "at", None) or (lambda index: _freeze(model, xs[index]))
+    f.at = lambda index: _completed(model, xs[index], at(index))
     return f
 
 
@@ -299,12 +306,12 @@ def legendre_transform(model: FluxModel, x, v):
     return float(val) if val.ndim == 0 else val
 
 
-def legendre_sup(model: FluxModel, lam: float, rtol: float = 1e-10) -> float:
+def legendre_sup(model: FluxModel, lam: float) -> float:
     """sup over x and |v| <= lam of L(x, v).
 
     L(x, .) is convex (a sup of affine functions), so the v-sup sits at the
     endpoints +-lam. The x-sup is over [-X, X] (the flux is frozen outside);
-    the grid is refined until the value is stable.
+    the grid is refined until the value is stable to 1e-10 * (1 + |value|).
     """
     lam = abs(float(lam))
     X = model.hetero_radius
@@ -321,7 +328,7 @@ def legendre_sup(model: FluxModel, lam: float, rtol: float = 1e-10) -> float:
     for _ in range(5):
         n = 2 * n - 1
         cur = sup_on(np.linspace(-X, X, n))
-        if abs(cur - prev) <= rtol * (1.0 + abs(cur)):
+        if abs(cur - prev) <= 1e-10 * (1.0 + abs(cur)):
             return max(cur, prev)
         prev = cur
     return prev
@@ -338,9 +345,6 @@ class Violation:
 @dataclass
 class ValidationReport:
     violations: list
-    n_x: int
-    n_u: int
-    fd_step: float
 
     @property
     def ok(self) -> bool:
@@ -359,26 +363,18 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_assumptions(
-    model: FluxModel,
-    state_window=(-3.0, 3.0),
-    n_x: int = 41,
-    n_u: int = 33,
-    fd_step: float = 1e-5,
-    tol_fd: float = 1e-6,
-    tol_exact: float = 1e-12,
-    max_records: int = 200,
-) -> ValidationReport:
+def validate_assumptions(model: FluxModel) -> ValidationReport:
     """Report-only spot check of the structural assumptions.
 
     Checks, on a sampled grid: strict monotonicity of du_h in u (convexity),
     agreement of du_h / dx_h with centered differences of h, and that the flux
     is literally frozen outside the heterogeneity radius. Never raises.
     """
+    n_x, n_u, d, tol_fd, tol_exact, max_records = 41, 33, 1e-5, 1e-6, 1e-12, 200
     X = model.hetero_radius
     span = max(X, 0.5)
     xs = np.linspace(-X - 0.5, X + 0.5, n_x) if X > 0 else np.linspace(-0.5, 0.5, n_x)
-    us = np.linspace(float(state_window[0]), float(state_window[1]), n_u)
+    us = np.linspace(-3.0, 3.0, n_u)
     XX = xs[:, None]
     UU = us[None, :]
     violations: list[Violation] = []
@@ -401,7 +397,6 @@ def validate_assumptions(
         record("convexity", xs[i], us[j], diffs[i, j])
 
     # Derivative consistency, centered differences in u and in x.
-    d = fd_step
     FDU = (np.asarray(model.h(XX, UU + d), dtype=float) - np.asarray(model.h(XX, UU - d), dtype=float)) / (2 * d)
     err = np.abs(np.broadcast_to(FDU, (n_x, n_u)) - DU)
     bad = np.argwhere(err > tol_fd * (1.0 + np.abs(DU)))
@@ -427,4 +422,4 @@ def validate_assumptions(
             for j in np.flatnonzero(dxv > tol_exact * (1.0 + np.abs(ref))):
                 record("heterogeneity-compactness", xo, us[j], dxv[j])
 
-    return ValidationReport(violations=violations, n_x=n_x, n_u=n_u, fd_step=fd_step)
+    return ValidationReport(violations=violations)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -63,31 +63,23 @@ class FluxSide:
     """One side of the interface: a convex scalar flux with its minimizer.
 
     f and df broadcast over states; alpha and fmin are floats, or arrays
-    with one element per interface. branch solves on frozen, f frozen at the
-    position (frozen_flux, with its slope .du), when it is given."""
+    with one element per interface."""
 
     f: Callable
     df: Callable
     alpha: float | np.ndarray
     fmin: float | np.ndarray
-    frozen: Optional[Callable] = None
 
     @classmethod
     def from_model(cls, model: FluxModel, x):
-        """The flux H(x, .) at a position x, or at each of an array of them."""
-        x = np.asarray(x, dtype=float)
-        a = critical_point(model, x)
-        # h itself, not frozen_flux: this is the oracle of the Scheme's fluxes.
-        f = lambda s: np.asarray(model.h(x, s), dtype=float)
-        df = lambda s: np.asarray(model.du_h(x, s), dtype=float)
-        return cls(f=f, df=df, alpha=a, fmin=_scalar_or_array(f(a)),
-                   frozen=frozen_flux(model, x))
+        """H(x, .) frozen at a position x, or at each of an array of them."""
+        a, f = critical_point(model, x), frozen_flux(model, x)
+        return cls(f=f, df=f.du, alpha=a, fmin=_scalar_or_array(f(a)))
 
     def branch(self, y, side: str):
         """Inverse of f on the increasing ("plus") or decreasing ("minus")
         branch, elementwise as in invert_branch."""
-        f, df = (self.f, self.df) if self.frozen is None else (self.frozen, self.frozen.du)
-        return invert_branch(f, df, self.alpha, y, side)
+        return invert_branch(self.f, self.df, self.alpha, y, side)
 
 
 @dataclass(frozen=True, eq=False)

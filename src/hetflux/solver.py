@@ -102,11 +102,11 @@ class Scheme:
     The flux is frozen once at the N+2 ghost-extended centers (ghost_alphas);
     h_pair is that table over the (N+1, 2) edges, the left cell's flux and
     the right one's, so one call evaluates both sides of a range of edges
-    (its at, see frozen_flux). A hook without at is frozen over the edges,
-    and its steps evaluate every edge. step_arrays() allocates only the new
-    state. last_range holds the (min, max) of the state u the last step
-    started from, and last_edges (u, a, b, F) that u with its two edge terms
-    and edge flux at every edge, valid until the next step.
+    (its at, see frozen_flux, kept for the last range: most steps repeat
+    it). step_arrays() allocates only the new state. last_range holds the
+    (min, max) of the state u the last step started from, and last_edges
+    (u, a, b, F) that u with its two edge terms and edge flux at every edge,
+    valid until the next step.
 
     Band rule: band holds the state u_new the last step returned and the
     span [lo, hi) of its cells with nonzero dF. A step handed that very
@@ -124,8 +124,8 @@ class Scheme:
         self.xc_ext, self.al_ext = ghost_alphas(model, mesh)
         n = mesh.n_cells
         pairs = np.arange(n + 1)[:, None] + np.arange(2)  # edge e joins cells e-1, e
-        h = frozen_flux(model, self.xc_ext)
-        self.h_pair = h.at(pairs) if hasattr(h, "at") else frozen_flux(model, self.xc_ext[pairs])
+        self.h_pair = frozen_flux(model, self.xc_ext).at(pairs)
+        self._window_flux = ((0, n + 1), self.h_pair)  # the last range of edges, its h_pair
         self._u_ext, self._sides = np.empty(n + 2), np.empty((n + 1, 2))
         self._flux, self._dflux, self._moved = np.empty(n + 1), np.zeros(n), np.empty(n, bool)
         self.band = (None, 0, n)
@@ -133,18 +133,16 @@ class Scheme:
         self.last_range = (math.nan, math.nan)
         self.last_edges = None
 
-    def _edge_terms(self, ue: np.ndarray, out: np.ndarray, e0: int, e1: int) -> np.ndarray:
+    def _edge_terms(self, ue: np.ndarray, out: np.ndarray, e0: int, e1: int) -> None:
         """The terms h_l(max(u_l, alpha_l)), h_r(min(alpha_r, u_r)) of the
         interface flux at the edges [e0, e1) of ghost-extended states ue,
-        evaluated in out (..., e1 - e0, 2); returns them (new ones when the
-        frozen flux ignores out)."""
+        evaluated in out (..., e1 - e0, 2)."""
         al = self.al_ext
         np.maximum(ue[..., e0:e1], al[e0:e1], out=out[..., 0])
         np.minimum(al[e0 + 1:e1 + 1], ue[..., e0 + 1:e1 + 1], out=out[..., 1])
-        h = self.h_pair
-        if e1 - e0 < al.size - 1:
-            h = h.at(slice(e0, e1))
-        return h(out, out=out)
+        if self._window_flux[0] != (e0, e1):
+            self._window_flux = ((e0, e1), self.h_pair.at(slice(e0, e1)))
+        self._window_flux[1](out, out=out)
 
     def edge_sides(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """The two terms of the interface flux at every edge, for cell states
@@ -154,8 +152,8 @@ class Scheme:
         if out is None:
             out = np.empty((2,) + u.shape[:-1] + (u.shape[-1] + 1,))
         ue = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
-        terms = self._edge_terms(ue, np.moveaxis(out, 0, -1), 0, u.shape[-1] + 1)
-        return terms[..., 0], terms[..., 1]
+        self._edge_terms(ue, np.moveaxis(out, 0, -1), 0, u.shape[-1] + 1)
+        return out[0], out[1]
 
     def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
         """Interface flux max of the two edge_sides terms at every edge."""
@@ -174,15 +172,13 @@ class Scheme:
             )
         n = self.mesh.n_cells
         last, lo, hi = self.band
-        if u is not last or not hasattr(self.h_pair, "at"):
+        if u is not last:
             lo, hi = 0, n
         c0, c1 = max(lo - 1, 0), min(hi + 1, n)
         ue, S, F = self._u_ext, self._sides[lo:hi + 1], self._flux
         ue[c0 + 1:c1 + 1] = u[c0:c1]
         ue[0], ue[-1] = u[0], u[-1]
-        terms = self._edge_terms(ue, S, lo, hi + 1)
-        if terms is not S:
-            S[...] = terms
+        self._edge_terms(ue, S, lo, hi + 1)
         np.maximum(S[:, 0], S[:, 1], out=F[lo:hi + 1])
         dF = np.subtract(F[c0 + 1:c1 + 1], F[c0:c1], out=self._dflux[c0:c1])
         dF *= lam

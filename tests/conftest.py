@@ -1,16 +1,19 @@
 """Shared fixtures: the canonical two-flux interface and the built-in models,
 plus RecordStates, a run observer for tests that need a whole trajectory,
-cosh_model, a custom flux given by callables only, and references written
-over fresh temporaries: reference_edge_sides and reference_step for the
-Scheme's step kernel, ReferenceEntropyCheck for the entropy slack."""
+cosh_model, a custom flux given by callables only, mirror, the reflected
+model, unfrozen_side, a FluxSide through h, and references written over fresh temporaries: reference_edge_sides
+and reference_step for the Scheme's step kernel, ReferenceEntropyCheck for
+the entropy slack."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from hetflux.diagnostics import EntropyCheck
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
-from hetflux.flux_model import FluxModel, frozen_flux
-from hetflux.interface import InterfaceContext, germ_pair
+from hetflux.flux_model import FluxModel, critical_point, frozen_flux
+from hetflux.interface import FluxSide, InterfaceContext, germ_pair
 
 
 class RecordStates:
@@ -106,16 +109,47 @@ def cosh_model():
     )
 
 
+def mirror(model):
+    """The reflected model G(x, w) = H(-x, -w), given by callables only
+    (freeze=None): w(t, x) = -u(t, -x) solves w_t + G(x, w)_x = 0 when u
+    solves the law of H. G is convex in w, again heterogeneous only on
+    [-X, X], and its critical curve is -alpha(-x)."""
+    h, du_h, dx_h, hint = model.h, model.du_h, model.dx_h, model.alpha_hint
+    neg = np.negative
+    return dataclasses.replace(
+        model,
+        h=lambda x, w: h(neg(x), neg(w)),
+        du_h=lambda x, w: neg(du_h(neg(x), neg(w))),
+        dx_h=lambda x, w: neg(dx_h(neg(x), neg(w))),
+        alpha_hint=None if hint is None else (lambda x: neg(hint(neg(x)))),
+        freeze=None,
+        name=f"mirror({model.name})",
+    )
+
+
 @pytest.fixture(scope="session")
 def pair_model():
     """Flux u^2/2 for x <= 0, u^2 for x > 0 (the worked two-flux example)."""
     return two_state(left_coefficient=0.5, right_coefficient=1.0, radius=0.5)
 
 
+def unfrozen_side(model, x):
+    """The flux H(x, .) at the positions x through h and du_h, not
+    frozen_flux (as FluxSide.from_model is): an oracle independent of the
+    model's freeze hook."""
+    x = np.asarray(x, dtype=float)
+    a = critical_point(model, x)
+    f = lambda s: np.asarray(model.h(x, s), dtype=float)
+    df = lambda s: np.asarray(model.du_h(x, s), dtype=float)
+    return FluxSide(f=f, df=df, alpha=a, fmin=f(a)[()])
+
+
 @pytest.fixture(scope="session")
 def pair_ctx(pair_model):
-    """Interface context (f_l = u^2/2, f_r = u^2) sampled outside the radius."""
-    return InterfaceContext.from_model(pair_model, -1.0, 1.0)
+    """Interface context (f_l = u^2/2, f_r = u^2) sampled outside the radius,
+    built from h: the exact solutions the scheme is measured against do not
+    share its freeze hook."""
+    return InterfaceContext(unfrozen_side(pair_model, -1.0), unfrozen_side(pair_model, 1.0))
 
 
 @pytest.fixture(scope="session")

@@ -493,7 +493,6 @@ def test_convergence_against_fine_grid(hq_model):
         window=(-0.5, 0.5),
         dx_values=[0.05, 0.025],
         reference="fine_grid",
-        fine_factor=4,
     )
     assert report.errors[1] < report.errors[0]
     assert report.reference.startswith("fine_grid")

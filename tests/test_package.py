@@ -1,5 +1,6 @@
 """Package surface: the public export list stays in step with the modules,
-and no module of the package or of the tests imports a name it never reads."""
+no module of the package or of the tests imports a name it never reads, and
+only flux_model asks what a freeze hook can do."""
 
 import ast
 import inspect
@@ -56,3 +57,17 @@ def test_no_module_imports_an_unused_name():
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def test_only_flux_model_asks_what_an_object_offers():
+    # frozen_flux completes every freeze hook, so no other module needs a
+    # hasattr fork on what a frozen flux (or anything else) can do.
+    src = Path(hetflux.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py")) if path.name != "flux_model.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "hasattr"
+    ]
+    assert calls == []

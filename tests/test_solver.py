@@ -20,8 +20,10 @@ from conftest import (
     RecordStates,
     assert_same_entropy_report,
     cosh_model,
+    mirror,
     reference_edge_sides,
     reference_step,
+    unfrozen_side,
 )
 
 import hetflux.flux_model as fm
@@ -244,6 +246,24 @@ def _custom_model():
     )
 
 
+def _bare_hook(model):
+    """model behind a freeze hook with no du or at, that ignores out:
+    frozen_flux completes all three."""
+    return dataclasses.replace(model, freeze=lambda xs: lambda u, out=None: model.h(xs, u))
+
+
+def _bare_at(model):
+    """model behind the built-in hook, which fills out and has du and at,
+    but with an at that gives a bare hook: frozen_flux completes that too."""
+
+    def freeze(xs):
+        f = model.freeze(xs)
+        f.at = lambda index: lambda u, out=None: model.h(xs[index], u)
+        return f
+
+    return dataclasses.replace(model, freeze=freeze)
+
+
 MODELS = {
     "quadratic": quadratic,
     "two_state": two_state,
@@ -260,7 +280,7 @@ def test_edge_fluxes_match_unfrozen_oracle(name, rng):
     sch = Scheme(model, mesh, lipschitz=1.0)
     xl, xr = sch.xc_ext[:-1], sch.xc_ext[1:]
     # one interface per edge, its fluxes evaluated through h, not frozen
-    edges = InterfaceContext.from_model(model, xl, xr)
+    edges = InterfaceContext(unfrozen_side(model, xl), unfrozen_side(model, xr))
     # states on both sides of the critical curve, one row per level as in EntropyCheck
     U = sch.al_ext[1:-1] + rng.uniform(-1.0, 1.0, (4, mesh.n_cells))
     ext = np.concatenate((U[:, :1], U, U[:, -1:]), axis=1)
@@ -273,14 +293,15 @@ def test_edge_fluxes_match_unfrozen_oracle(name, rng):
 @pytest.mark.filterwarnings("ignore:.*influence cone")
 @pytest.mark.parametrize("name", ["quadratic", "two_state", "heterogeneous_quadratic", "lwr"])
 def test_run_matches_default_freeze_bitwise(name):
+    # and a bare hook, which frozen_flux gives out, du and at
     model = MODELS[name]()
-    plain = dataclasses.replace(model, freeze=None)
     mesh = Mesh.make(-3.0, 3.0, 0.05)
     datum = datum_bump(-0.5, 0.3, center=-0.3) if name == "lwr" else datum_step(1.0, -0.5)
     a = run(model, mesh, datum, t_end=0.3)
-    b = run(plain, mesh, datum, t_end=0.3)
-    assert a.n_steps == b.n_steps > 0
-    assert a.final.u.tobytes() == b.final.u.tobytes()
+    for other in (dataclasses.replace(model, freeze=None), _bare_hook(model)):
+        b = run(other, mesh, datum, t_end=0.3)
+        assert a.n_steps == b.n_steps > 0
+        assert a.final.u.tobytes() == b.final.u.tobytes()
 
 
 def test_stale_freeze_hook_is_rejected():
@@ -328,6 +349,25 @@ def test_freeze_hook_without_out_is_a_config_error():
         fm.branch_inverse(stale, np.array([0.0]), np.array([1.0]), "plus")
 
 
+def test_frozen_flux_keeps_the_at_of_a_hook_that_ignores_out():
+    # A hook's own at is used at every level, even where frozen_flux has to
+    # copy into out: the model is frozen once, never again at an index.
+    base, frozen = heterogeneous_quadratic(), []
+
+    def freeze(xs):
+        frozen.append(xs.shape)
+        g = base.freeze(xs)
+        f = lambda u, out=None: g(u)
+        f.at = g.at
+        return f
+
+    xs, u = np.linspace(-2.0, 2.0, 81), np.linspace(-1.5, 1.5, 81)
+    g = fm.frozen_flux(dataclasses.replace(base, freeze=freeze), xs).at(slice(10, 50))
+    h, buf = g.at(slice(2, 5)), np.full(3, np.nan)
+    assert h(u[12:15], out=buf) is buf and buf.tobytes() == base.h(xs, u)[12:15].tobytes()
+    assert frozen == [(81,)]
+
+
 # ---------------------------------------------------------------------------
 # step kernel in the Scheme's buffers
 
@@ -335,6 +375,8 @@ KERNEL_MODELS = {
     **MODELS,
     "heterogeneous_quadratic/freeze=None":
         lambda: dataclasses.replace(heterogeneous_quadratic(), freeze=None),
+    "heterogeneous_quadratic/bare hook": lambda: _bare_hook(heterogeneous_quadratic()),
+    "heterogeneous_quadratic/bare at": lambda: _bare_at(heterogeneous_quadratic()),
 }
 
 
@@ -389,13 +431,25 @@ def test_step_allocates_only_the_new_state(family, rng):
     assert peak < 1.5 * u.nbytes, peak
 
 
+def _compose(index, inner):
+    """The index of xs[index][inner]."""
+    return np.arange(81)[index][inner]
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
 def test_frozen_flux_at_an_index_matches_the_full_table_bitwise(name, rng):
     f = fm.frozen_flux(KERNEL_MODELS[name](), np.linspace(-2.0, 2.0, 81))
     u = rng.uniform(-1.5, 1.5, 81)
     # a range of columns, and the (edge, side) table of the Scheme
     for index in (slice(10, 50), np.arange(80)[:, None] + np.arange(2)):
-        assert f.at(index)(u[index]).tobytes() == f(u)[index].tobytes()
+        g = f.at(index)
+        assert g(u[index]).tobytes() == f(u)[index].tobytes()
+        # the one contract: every f fills out, and carries du and at, and
+        # so does the f of an at of an at (the Scheme's banded steps)
+        for h, sub in ((g, index), (g.at(slice(1, 4)), _compose(index, slice(1, 4)))):
+            buf = np.full(u[sub].shape, np.nan)
+            assert h(u[sub], out=buf) is buf and buf.tobytes() == f(u)[sub].tobytes()
+            assert h.du(u[sub]).tobytes() == f.du(u)[sub].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -407,22 +461,14 @@ BAND_MODELS = {
     "heterogeneous_quadratic": (heterogeneous_quadratic, (0.2, 1.2)),
     "heterogeneous_quadratic/freeze=None":
         (KERNEL_MODELS["heterogeneous_quadratic/freeze=None"], (0.2, 1.2)),
+    "heterogeneous_quadratic/bare hook":
+        (KERNEL_MODELS["heterogeneous_quadratic/bare hook"], (0.2, 1.2)),
+    "heterogeneous_quadratic/bare at":
+        (KERNEL_MODELS["heterogeneous_quadratic/bare at"], (0.2, 1.2)),
     "lwr": (lwr, (-0.7, -0.3)),
     "custom": (_custom_model, (-1.0, 0.5)),
     "cosh": (cosh_model, (-1.0, 0.5)),  # varies at every x: no cell is quiet
 }
-
-
-def _without_at(model):
-    """model with a freeze hook that cannot be evaluated on a range of
-    cells (the f(u, out=None) contract alone): its Scheme evaluates every
-    cell of every step."""
-
-    def freeze(xs):
-        f = fm.frozen_flux(model, xs)
-        return lambda u, out=None: f(u, out=out)
-
-    return dataclasses.replace(model, freeze=freeze)
 
 
 class Windows:
@@ -450,6 +496,17 @@ class BandAgainstFull(Windows):
         super().step(u, u_new, dt)
 
 
+class FullEvaluation:
+    """Run observer that drops the Scheme's band after each step, so the
+    next step and the EntropyChecks after it evaluate every cell."""
+
+    def start(self, scheme, envelope, u0):
+        self.scheme = scheme
+
+    def step(self, u, u_new, dt):
+        self.scheme.band = (None, 0, self.scheme.mesh.n_cells)
+
+
 @pytest.mark.filterwarnings("ignore:.*influence cone")
 @pytest.mark.parametrize("name", sorted(BAND_MODELS))
 def test_banded_steps_match_full_evaluation_bitwise(name):
@@ -461,11 +518,11 @@ def test_banded_steps_match_full_evaluation_bitwise(name):
     datum = datum_step(left, right, location=2.9)
     ks = np.array([right, 0.7, left, -0.4, 1.1])  # unsorted, at the data too
     results = []
-    for m in (model, _without_at(model)):
+    for full_eval in ((), (FullEvaluation(),)):
         band, checks = BandAgainstFull(), (EntropyCheck(), EntropyCheck(k_values=ks))
         refs = (ReferenceEntropyCheck(), ReferenceEntropyCheck(k_values=ks))
-        res = run(m, mesh, datum, t_end=0.3, snapshot_times=(0.05, 0.1234),
-                  observers=(band, *checks, *refs))
+        res = run(model, mesh, datum, t_end=0.3, snapshot_times=(0.05, 0.1234),
+                  observers=(band, *full_eval, *checks, *refs))
         for check, ref in zip(checks, refs):
             assert_same_entropy_report(check.report(), ref.report())
         results.append((res, band.windows, [c.report() for c in checks]))
@@ -480,6 +537,34 @@ def test_banded_steps_match_full_evaluation_bitwise(name):
     assert [repr(getattr(res, f)) for f in fields] == [repr(getattr(full, f)) for f in fields]
     for got, want in zip(reports, full_reports):
         assert_same_entropy_report(got, want)
+
+
+@pytest.mark.filterwarnings("ignore:.*influence cone")
+@pytest.mark.parametrize("name", ["quadratic", "two_state", "heterogeneous_quadratic", "lwr", "cosh"])
+def test_scheme_commutes_with_the_reflection(name):
+    # w(t, x) = -u(t, -x) solves the law of mirror(model); the interface
+    # flux maps onto itself, so the scheme commutes with the reflection up
+    # to rounding (at most 4.9e-15 measured here, on lwr).
+    family, (left, right) = BAND_MODELS[name]
+    model, mesh = family(), Mesh.make(-3.0, 3.0, 0.02)
+    u0 = project_initial(datum_step(left, right, location=-0.5), mesh).u
+    res = run(model, mesh, GridState(u=u0, time=0.0), t_end=0.5)
+    ref = run(mirror(model), mesh, GridState(u=-u0[::-1], time=0.0), t_end=0.5)
+    assert res.n_steps == ref.n_steps > 0
+    assert np.max(np.abs(res.final.u + ref.final.u[::-1])) <= 1e-11
+
+
+def test_a_banded_step_evaluates_the_flux_of_its_own_edges(hq_model, rng):
+    # Windows of one width at other places, and one repeated: the flux the
+    # Scheme keeps for the last range of edges must follow the range itself.
+    mesh = Mesh.make(-3.0, 3.0, 0.05)
+    sch = Scheme(hq_model, mesh, lipschitz=1.0)
+    u = sch.al_ext[1:-1] + rng.uniform(-1.0, 1.0, mesh.n_cells)
+    want = np.maximum(*reference_edge_sides(sch, u))
+    for lo in (30, 50, 50, 70):
+        sch.band = (u, lo, lo + 10)
+        sch.step_arrays(u, 0.1 * mesh.dx)
+        assert sch.last_edges[3][lo:lo + 11].tobytes() == want[lo:lo + 11].tobytes()
 
 
 def test_nan_inside_the_band_raises(hq_model):
