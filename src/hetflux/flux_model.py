@@ -46,7 +46,8 @@ class FluxModel:
     """Heterogeneous convex flux H(x, u) with derivatives.
 
     h, du_h, dx_h: callables (x, u) -> values, numpy-broadcastable.
-    hetero_radius: X >= 0; H(x, .) == H(sign(x) X, .) for |x| >= X.
+    hetero_radius: X >= 0; H(x, .) == H(sign(x) X, .) for |x| >= X, so the
+        setup's root solves over a mesh run once per exterior side.
     orientation: "convex", or "concave" when h, du_h and dx_h act on the
         substituted state -u of a concave physical flux (see to_internal).
     alpha_hint: optional analytic critical curve x -> alpha(x); used to seed
@@ -173,7 +174,8 @@ def critical_point(model: FluxModel, x):
 
 @dataclass(frozen=True, eq=False)
 class CriticalCurve:
-    """Sampled critical curve alpha(x) with its extremes over the line.
+    """Sampled critical curve alpha(x), its extremes over the line, and the
+    floor max_x H(x, alpha(x)), the lowest flux level every position carries.
 
     alpha is constant for |x| >= hetero_radius, so sampling [-X, X] plus the
     boundary captures inf/sup alpha exactly up to grid resolution.
@@ -183,6 +185,7 @@ class CriticalCurve:
     alphas: np.ndarray
     alpha_min: float
     alpha_max: float
+    floor: float
 
     @classmethod
     def build(cls, model: FluxModel):
@@ -201,6 +204,7 @@ class CriticalCurve:
             alphas=alphas,
             alpha_min=float(np.min(alphas)),
             alpha_max=float(np.max(alphas)),
+            floor=float(np.max(np.asarray(model.h(xs, alphas), dtype=float))),
         )
 
 
@@ -212,11 +216,25 @@ def ghost_alphas(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray]:
     if memo is None or memo[0] != mesh:
         xc = mesh.centers()
         xc_ext = np.concatenate(([xc[0] - mesh.dx], xc, [xc[-1] + mesh.dx]))
-        al_ext = critical_point(model, xc_ext)
+        span, spread = distinct_span(model, xc_ext)
+        al_ext = spread(critical_point(model, xc_ext[span]))
         xc_ext.flags.writeable = al_ext.flags.writeable = False
         # Written like a cached_property: the frozen dataclass has a __dict__.
         memo = model.__dict__["_ghost_alphas"] = (mesh, xc_ext, al_ext)
     return memo[1], memo[2]
+
+
+def distinct_span(model: FluxModel, xs: np.ndarray) -> tuple[slice, Callable]:
+    """(span, spread): the slice of the sorted positions xs whose fluxes can
+    differ, every x in (-X, X) and the nearest x with |x| >= X on each side,
+    which carries the flux of the rest of its side; and spread(v), which
+    replicates values at xs[span] onto the rest, as the ghost cells do. An
+    elementwise solve on the span, spread, has the bits of one at all of xs."""
+    X = model.hetero_radius
+    a = max(int(np.searchsorted(xs, -X, side="right")) - 1, 0)
+    b = int(np.searchsorted(xs, X, side="left")) + 1
+    shift = np.arange(len(xs)) - a
+    return slice(a, b), lambda v: v.take(shift, mode="clip")
 
 
 def invert_branch(f: Callable, df: Callable, alpha, y, side: str):

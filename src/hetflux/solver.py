@@ -232,9 +232,13 @@ def cfl_dt(
     max_dt: Optional[float] = None,
 ) -> CflPolicy:
     """Largest safe step: dt = safety * dx / (2 L) for L over `bounds`."""
+    return _cfl_policy(lipschitz_bound(model, bounds[0], bounds[1]), mesh, safety, max_dt)
+
+
+def _cfl_policy(L: float, mesh: Mesh, safety: float, max_dt: Optional[float]) -> CflPolicy:
+    """cfl_dt for a given L."""
     if not (0 < safety <= 1):
         raise ConfigError(f"safety factor must lie in (0, 1], got {safety}")
-    L = lipschitz_bound(model, bounds[0], bounds[1])
     if L <= _NO_SPEED:
         if max_dt is None:
             raise NumericalError(
@@ -413,8 +417,9 @@ def run(
         within, contain = "bracket", (brk[0].bound, brk[1].bound)
     else:
         brk, within, contain = None, "envelope", (env.lower_bound, env.upper_bound)
-    if brk is not None and lipschitz_bound(model, *contain) > _NO_SPEED:
-        policy = replace(cfl_dt(model, mesh, contain, safety, max_dt), bound="bracket")
+    L = lipschitz_bound(model, *contain) if brk is not None else 0.0
+    if L > _NO_SPEED:
+        policy = replace(_cfl_policy(L, mesh, safety, max_dt), bound="bracket")
     else:
         policy = cfl_dt(model, mesh, (env.lower_bound, env.upper_bound), safety, max_dt)
     slack = _CONTAIN_ULPS * np.finfo(float).eps * (1.0 + max(map(abs, contain)))

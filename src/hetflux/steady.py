@@ -28,7 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .flux_model import FluxModel, branch_inverse, frozen_flux, ghost_alphas, invert_branch
+from .flux_model import (FluxModel, branch_inverse, distinct_span, frozen_flux, ghost_alphas,
+                         invert_branch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,16 +82,16 @@ def build_steady(
     # Feasibility: one flux level must be invertible at every position, so a
     # level below the largest minimum means the anchored throughput exceeds
     # some bottleneck.
-    hmin_max = _largest_minimum(model)
-    if level < hmin_max - 1e-10 * (1.0 + abs(hmin_max)):
+    if level < curve.floor - 1e-10 * (1.0 + abs(curve.floor)):
         raise ConfigError(
             f"anchor {anchor:g} carries flux level {level:g}, below the "
-            f"largest critical flux {hmin_max:g}; no steady state holds that "
+            f"largest critical flux {curve.floor:g}; no steady state holds that "
             "level across the whole domain"
         )
-    xc_ext, al_ext = ghost_alphas(model, mesh)
+    xc, al = (v[1:-1] for v in ghost_alphas(model, mesh))
+    span, spread = distinct_span(model, xc)
     side = "plus" if branch == "upper" else "minus"
-    values = branch_inverse(model, xc_ext[1:-1], level, side, alpha=al_ext[1:-1])
+    values = spread(branch_inverse(model, xc[span], level, side, alpha=al[span]))
     bound = float(np.max(values)) if branch == "upper" else float(np.min(values))
     return SteadyState(
         values=values,
@@ -102,35 +103,29 @@ def build_steady(
     )
 
 
-def _largest_minimum(model: FluxModel) -> float:
-    """max_x H(x, alpha(x)), the lowest level every position can carry, over
-    the critical-curve grid."""
-    curve = model.curve
-    return float(np.max(np.asarray(model.h(curve.xs, curve.alphas), dtype=float)))
-
-
 def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
     """The greatest lower and the least upper steady state around cell states u.
 
     The upper level is y+ = max(max_j H(x_j, max(u_j, alpha_j)), max_x
     H(x, alpha(x))), and y- is the same with min(u_j, alpha_j); the states
-    are the branch inverses of these levels at the cell centers, on the upper
-    and the lower branch. Each cell then has lower_j <= min(u_j, alpha_j) and
-    max(u_j, alpha_j) <= upper_j (up to the root solve's rounding), and no
-    steady state of either branch with a level nearer to the data sandwiches
-    u. Both are fixed points of the scheme while the boundary cells carry
-    the flux of their ghosts; anchor is the value of the first cell, the
-    left exterior constant when that cell lies outside [-X, X].
+    are the branch inverses of these levels at the cell centers (solved on
+    distinct_span), on the upper and the lower branch. Each cell then has
+    lower_j <= min(u_j, alpha_j) and max(u_j, alpha_j) <= upper_j (up to the
+    root solve's rounding), and no steady state of either branch with a level
+    nearer to the data sandwiches u. Both are fixed points of the scheme
+    while the boundary cells carry the flux of their ghosts; anchor is the
+    value of the first cell, the left exterior constant when that cell lies
+    outside [-X, X].
     """
-    xc_ext, al_ext = ghost_alphas(model, mesh)
-    xc, al = xc_ext[1:-1], al_ext[1:-1]
+    xc, al = (v[1:-1] for v in ghost_alphas(model, mesh))
+    span, spread = distinct_span(model, xc)
     f = frozen_flux(model, xc)
-    floor = _largest_minimum(model)
+    fs = f.at(span)
     states = []
     for branch, side, clamp, extreme in (("lower", "minus", np.minimum, np.min),
                                          ("upper", "plus", np.maximum, np.max)):
-        level = max(float(np.max(f(clamp(u, al)))), floor)
-        values = invert_branch(f, f.du, al, level, side)
+        level = max(float(np.max(f(clamp(u, al)))), model.curve.floor)
+        values = spread(invert_branch(fs, fs.du, al[span], level, side))
         states.append(SteadyState(values=values, flux_level=level, orientation=branch,
                                   anchor=float(values[0]), direction="from_left",
                                   bound=float(extreme(values))))

@@ -27,6 +27,7 @@ from conftest import (
 )
 
 import hetflux.flux_model as fm
+import hetflux.solver as solver
 import hetflux.steady as steady
 from hetflux.diagnostics import EntropyCheck, TimeVariation
 from hetflux.errors import ConfigError, InvariantBreach, NumericalError
@@ -740,9 +741,10 @@ def test_model_setup_is_computed_once_per_model(monkeypatch):
         hetero_radius=1.0,
     )
     mesh = Mesh.make(-3.0, 3.0, 0.05)
-    calls = {"build": 0, "sup": 0}
+    calls = {"build": 0, "sup": 0, "lipschitz": 0}
     sizes = []
     build, sup, crit = fm.CriticalCurve.build.__func__, fm.legendre_sup, fm.critical_point
+    lip = solver.lipschitz_bound
 
     def counted_build(cls, m):
         calls["build"] += 1
@@ -756,6 +758,11 @@ def test_model_setup_is_computed_once_per_model(monkeypatch):
         sizes.append(np.size(x))
         return crit(m, x)
 
+    def counted_lip(m, lo, hi):
+        calls["lipschitz"] += 1
+        return lip(m, lo, hi)
+
+    monkeypatch.setattr(solver, "lipschitz_bound", counted_lip)
     monkeypatch.setattr(fm.CriticalCurve, "build", classmethod(counted_build))
     monkeypatch.setattr(fm, "legendre_sup", counted_sup)
     monkeypatch.setattr(fm, "critical_point", counted_crit)
@@ -763,10 +770,12 @@ def test_model_setup_is_computed_once_per_model(monkeypatch):
     for _ in range(2):
         del sizes[:]
         res = run(model, mesh, datum_step(-0.5, 0.8), t_end=0.2)
-        mesh_solves.append(sum(n in (mesh.n_cells, mesh.n_cells + 2) for n in sizes))
-    assert calls == {"build": 1, "sup": 1}
-    # One solve on the mesh in the first run; the second reuses it.
-    assert mesh_solves == [1, 0]
+        mesh_solves.append([n for n in sizes if n != fm.ALPHA_GRID_SAMPLES + 1])
+    # The bracket's L is taken once per run.
+    assert calls == {"build": 1, "sup": 1, "lipschitz": 2}
+    # One solve on the mesh in the first run, at the centers in (-1, 1) and
+    # one per exterior side; the second reuses it.
+    assert mesh_solves == [[int(np.sum(np.abs(mesh.centers()) < 1.0)) + 2], []]
     assert np.array_equal(res.final.u, run(dataclasses.replace(model), mesh,
                                            datum_step(-0.5, 0.8), t_end=0.2).final.u)
 
@@ -894,6 +903,89 @@ def test_run_builds_the_envelope_states_only_on_demand(monkeypatch, hq_model):
             assert (state.flux_level, state.bound) == (st.flux_level, st.bound)
             assert getattr(got, f"{branch}_state") is state  # built once, then kept
     assert len(built) == 4
+
+
+# ---------------------------------------------------------------------------
+# compact heterogeneity: the setup solves once per distinct flux
+
+
+def _glued_pair():
+    """Hint-free glued pair: u^2/2 + u^4/12 for x <= 0, cosh u - 1 for x > 0,
+    with X = 0.5; the root solves see every position."""
+    left = lambda u: 0.5 * u**2 + u**4 / 12.0
+    return FluxModel(
+        h=lambda x, u: np.where(np.asarray(x) <= 0.0, left(np.asarray(u, dtype=float)),
+                                np.cosh(u) - 1.0),
+        du_h=lambda x, u: np.where(np.asarray(x) <= 0.0, u + np.asarray(u, dtype=float)**3 / 3.0,
+                                   np.sinh(u)),
+        dx_h=lambda x, u: np.zeros(np.broadcast(np.asarray(x), np.asarray(u)).shape),
+        hetero_radius=0.5,
+    )
+
+
+# Windows in units of X (of 1 when X = 0), given as (x_min, x_max, dx):
+# "at -X" puts a cell center exactly at -X, the left exterior's
+# representative; every bound is exact in binary.
+SPAN_MESHES = {
+    "far past X": lambda X, s: (-5.0 * s, 5.0 * s, s / 20.0),
+    "inside": lambda X, s: (-0.75 * s, 0.5 * s, s / 32.0),
+    "one-sided": lambda X, s: (0.25 * s, 4.0 * s, s / 16.0),
+    "left exterior": lambda X, s: (-4.0 * s, -X - s, s / 16.0),
+    "at -X": lambda X, s: (-X - s / 16.0, -X + 39.0 * s / 16.0, s / 8.0),
+}
+SPAN_MODELS = {**MODELS, "glued": _glued_pair}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(SPAN_MESHES))
+@pytest.mark.parametrize("name", sorted(SPAN_MODELS))
+def test_compact_solves_match_solves_at_every_cell_bitwise(name, mesh_name, rng):
+    model = SPAN_MODELS[name]()
+    X = model.hetero_radius
+    mesh = Mesh.make(*SPAN_MESHES[mesh_name](X, X or 1.0))
+    xc = mesh.centers()
+    assert mesh_name != "at -X" or xc[0] == -X
+    xc_ext = np.concatenate(([xc[0] - mesh.dx], xc, [xc[-1] + mesh.dx]))
+    al_ext = fm.critical_point(model, xc_ext)
+    al, f = al_ext[1:-1], fm.frozen_flux(model, xc)
+    assert fm.ghost_alphas(model, mesh)[1].tobytes() == al_ext.tobytes()
+
+    curve = model.curve
+    for _ in range(3):
+        u = rng.uniform(curve.alpha_min - 1.0, curve.alpha_max + 1.0, mesh.n_cells)
+        for st, side, clamp in zip(steady.bracket(model, mesh, u), ("minus", "plus"),
+                                   (np.minimum, np.maximum)):
+            level = max(float(np.max(f(clamp(u, al)))), curve.floor)
+            want = fm.invert_branch(f, f.du, al, level, side)
+            assert st.flux_level == level
+            assert st.values.tobytes() == want.tobytes()
+            assert st.anchor == want[0]
+            assert st.bound == (np.min(want) if side == "minus" else np.max(want))
+
+    env = steady.envelope_constants(model, curve.alpha_min - 1.0, curve.alpha_max + 1.0)
+    for branch, anchor in (("lower", env.lower_anchor), ("upper", env.upper_anchor)):
+        for direction, anchor_x in (("from_left", -X), ("from_right", X)):
+            st = steady.build_steady(model, mesh, anchor, direction, branch)
+            level = float(model.h(anchor_x, anchor))
+            want = fm.branch_inverse(model, xc, level, "plus" if branch == "upper" else "minus",
+                                     alpha=al)
+            assert st.flux_level == level
+            assert st.values.tobytes() == want.tobytes()
+
+
+def test_translation_by_whole_cells_shifts_the_solution_bitwise():
+    # A homogeneous flux (X = 0): the span is the two cells around 0, and
+    # every cell is exterior. Its scheme commutes with a shift by whole cells.
+    model, mesh, shift = quadratic(), Mesh.make(-4.0, 4.0, 0.02), 50
+    u0 = np.full(mesh.n_cells, -0.25)
+    u0[100:160] = np.linspace(1.0, 0.1, 60)
+    u0[160:170] = -0.75
+    span, _ = fm.distinct_span(model, mesh.centers())
+    assert len(range(mesh.n_cells)[span]) == 2
+    res = run(model, mesh, GridState(u=u0, time=0.0), t_end=0.8)
+    moved = run(model, mesh, GridState(u=np.roll(u0, shift), time=0.0), t_end=0.8)
+    assert moved.n_steps == res.n_steps > 0
+    assert moved.final.u.tobytes() == np.roll(res.final.u, shift).tobytes()
+    assert res.final.u[0] == res.final.u[-1] == -0.25  # the waves stay inside
 
 
 # ---------------------------------------------------------------------------
