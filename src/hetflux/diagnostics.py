@@ -102,15 +102,13 @@ class EntropyCheck:
     the levels are default_k_levels(envelope, u0, n_levels); they run
     sorted, and report() gives them in the caller's order. When u is the
     state the run's Scheme last stepped from (as run() hands it over), the
-    edge terms, edge flux and range of u come from that step
-    (Scheme.last_edges, last_range); otherwise they are evaluated here.
+    edge terms come from that step (Scheme.last_edges); otherwise they are
+    evaluated here.
 
-    At a level k <= min u every cell has max(u, k) = u and min(u, k) = k, so
-    phi = F(u) - F(k, k); at k >= max u it is F(k, k) - F(u). Likewise,
-    below min u_new (above max u_new) |u_new - k| is u_new - k (k - u_new)
-    and sign(u_new - k) d_kk dt is d_kk dt (its negation). So only the rows
-    inside the range of u (of u_new) run the lattice (the abs and sign),
-    with the same bits.
+    Every level takes the one lattice formula: phi from maxima/minima of
+    the u and k edge terms, |u_new - k| and sign(u_new - k) d_kk. At a
+    level outside the range of u (of u_new) it gives the plain differences
+    F(u) - F(k, k) and +-(u_new - k) with the same bits.
 
     Repeated slack: a cell's slack depends only on its 3-cell stencil of u,
     its u_new and dt. When u is the u_new of the last step seen, dt is
@@ -121,11 +119,15 @@ class EntropyCheck:
     max_slack_per_k and worst (k, step, cell). The first step, a new dt and
     a step after a NaN slack evaluate every cell.
 
-    start allocates all O(K N) state once: the k terms, F(k, k), d_kk dt,
-    work arrays, edge terms (frozen_flux fills them in place) and the
-    carried |u - k|, kept since a window overwrites only its columns. So
-    step allocates only O(K), numpy's fixed-size iteration buffers and the
-    temporaries of a flux with no freeze hook that fills out.
+    Layout: every (cells x levels) table is cell-major, C-contiguous, so the
+    window [c0, c1) of a step is one contiguous block of rows. start
+    allocates all of them once: the k edge terms, d_kk, four work arrays
+    and the carried |u - k|, kept since a window overwrites only its rows.
+    A step copies u's terms and states along the levels into the work
+    arrays, so no operand of a (cells x levels) operation is broadcast or
+    strided and numpy runs every one without iteration buffers: step
+    allocates only O(K) and the temporaries of a flux with no freeze hook
+    that fills out.
     """
 
     def __init__(
@@ -144,108 +146,82 @@ class EntropyCheck:
         self._order = np.argsort(ks, kind="stable")
         self._scheme, self._given, self._ks = scheme, ks, ks[self._order]
         n_k, n = ks.size, scheme.mesh.n_cells
-        # The k terms of the edge fluxes and F(k, k) are time independent.
-        self._kl, self._kr = scheme.edge_sides(np.broadcast_to(self._ks[:, None], (n_k, n)))
-        self._f_kk = np.maximum(self._kl, self._kr)
-        self._d_kk = self._f_kk[:, 1:] - self._f_kk[:, :-1]
-        self._d_kk_dt, self._dt = np.empty((n_k, n)), None  # d_kk * _dt
-        self._sides, self._flux = np.empty((2, n + 1)), np.empty(n + 1)
-        # Flat, so that step takes compact (K, window) arrays from them.
-        self._phi_work, self._abs_new = np.empty(3 * n_k * (n + 1)), np.empty(n_k * n)
-        self._abs_old = np.empty((n_k, n))
-        self._carried = None  # the u_new whose |u_new - k| is in _abs_old
+        # The k edge terms and d_kk, the difference of F(k, k), are time
+        # independent. Each level-major temporary is freed once transposed.
+        k_sides = scheme.edge_sides(np.broadcast_to(self._ks[:, None], (n_k, n)))
+        self._kl, self._kr = (np.ascontiguousarray(side.T) for side in k_sides)
+        del k_sides
+        f_kk = np.maximum(self._kl, self._kr)
+        self._d_kk = np.subtract(f_kk[1:], f_kk[:-1])
+        del f_kk
+        self._work, self._abs_old = np.empty((4, n + 1, n_k)), np.empty((n, n_k))
+        self._sides = np.empty((2, n + 1))
+        self._carried, self._dt = None, None  # the last u_new (|u_new - k| in _abs_old) and dt
         self._clean = True  # no NaN slack in the last step
         self._max_slack = np.full(n_k, -np.inf)
         self._worst = (-math.inf, 0, 0, 0)  # slack, caller's k index, step, cell
         self._n_steps = 0
 
     def _edges(self, u: np.ndarray, u_new: np.ndarray, dt: float):
-        """(a, b, F, (min u, max u), (c0, c1)): the edge terms and edge flux of
-        u, its range, and the cells whose slack can differ from last step's."""
+        """(a, b, (c0, c1)): the edge terms of u and the cells whose slack can
+        differ from last step's."""
         sch = self._scheme
         last = sch.last_edges
         if last is None or last[0] is not u:
-            a, b = sch.edge_sides(u, out=self._sides)
-            return a, b, np.maximum(a, b, out=self._flux), (u.min(), u.max()), (0, u.size)
+            return (*sch.edge_sides(u, out=self._sides), (0, u.size))
         banded = (u is self._carried and dt == self._dt and self._clean
                   and sch.band[0] is u_new)
-        return last[1], last[2], last[3], sch.last_range, sch.last_window if banded else (0, u.size)
+        return last[1], last[2], sch.last_window if banded else (0, u.size)
 
-    def _outside(self, lo: float, hi: float, strict: bool) -> tuple[int, int]:
-        """(i0, i1): the level rows [0, i0) at or below lo and [i1, K) at or
-        above hi, or strictly below and above; none for a NaN range."""
-        ks = self._ks
-        if not lo <= hi:
-            return 0, ks.size
-        if strict:
-            return int(ks.searchsorted(lo, "left")), int(ks.searchsorted(hi, "right"))
-        i0 = int(ks.searchsorted(lo, "right"))
-        return i0, max(i0, int(ks.searchsorted(hi, "left")))
+    def _minus_k(self, x: np.ndarray, out: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """x - k into out, a row per cell of x and a column per level. x is
+        copied along the levels into out and the levels along the cells into
+        ks, a work array of out's shape, so the subtraction broadcasts none."""
+        np.copyto(out, x[:, None])
+        np.copyto(ks, self._ks)
+        return np.subtract(out, ks, out=out)
 
     def step(self, u: np.ndarray, u_new: np.ndarray, dt: float) -> None:
-        a, b, F, (lo, hi), (c0, c1) = self._edges(u, u_new, dt)
-        # Cells [c0, c1) and their edges [c0, c1]; compact work arrays over
-        # them. Once phi is formed, the head of its last array holds u_new - k.
-        w, e, kcol, m = slice(c0, c1), slice(c0, c1 + 1), self._ks[:, None], c1 - c0
-        p, q, r = self._phi_work[: 3 * kcol.size * (m + 1)].reshape(3, kcol.size, m + 1)
-        du = r.reshape(-1)[: kcol.size * m].reshape(kcol.size, m)
-        new, old = self._abs_new[: kcol.size * m].reshape(kcol.size, m), self._abs_old[:, w]
-        a, b, F, f_kk = a[e], b[e], F[e], self._f_kk[:, e]
-        i0, i1 = self._outside(lo, hi, strict=False)
-        np.subtract(F, f_kk[:i0], out=p[:i0])
-        np.subtract(f_kk[i1:], F, out=p[i1:])
-        # Between the extremes of u: h_l rises on [alpha_l, inf) and h_r falls
-        # on (-inf, alpha_r], so the terms of F(max(u, k)) and F(min(u, k))
-        # are maxima/minima of u and k terms:
-        # phi = max(max(a, kl), min(b, kr)) - max(min(a, kl), max(b, kr)).
-        kl, kr = self._kl[i0:i1, e], self._kr[i0:i1, e]
-        pm, qm, rm = p[i0:i1], q[i0:i1], r[i0:i1]
-        np.maximum(np.maximum(a, kl, out=pm), np.minimum(b, kr, out=qm), out=pm)
-        np.maximum(np.minimum(a, kl, out=qm), np.maximum(b, kr, out=rm), out=qm)
-        np.subtract(pm, qm, out=pm)
+        a, b, (c0, c1) = self._edges(u, u_new, dt)
+        # Cells [c0, c1) and their edges [c0, c1], rows of the work arrays.
+        m, e = c1 - c0, slice(c0, c1 + 1)
+        p, q, r, s = (work[: m + 1] for work in self._work)
+        kl, kr = self._kl[e], self._kr[e]
+        # h_l rises on [alpha_l, inf) and h_r falls on (-inf, alpha_r], so the
+        # terms of F(max(u, k)) and F(min(u, k)) are maxima/minima of u and k
+        # terms: phi = max(max(a, kl), min(b, kr)) - max(min(a, kl), max(b, kr)).
+        np.copyto(r, a[e, None])
+        np.copyto(s, b[e, None])
+        np.maximum(np.maximum(r, kl, out=p), np.minimum(s, kr, out=q), out=p)
+        np.maximum(np.minimum(r, kl, out=q), np.maximum(s, kr, out=r), out=q)
+        np.subtract(p, q, out=p)
         # slack = (|u_new - k| - |u - k|) dx + (phi_{j+1/2} - phi_{j-1/2}) dt
         #         + sign(u_new - k) d_kk dt
-        # u - k as rows of u minus k: the same arithmetic, but numpy then
-        # buffers one broadcast operand instead of two.
-        un = u_new[w]
-        j0, j1 = self._outside(float(un.min()), float(un.max()), strict=True)
-        du[...] = un
-        np.subtract(du[:j0], kcol[:j0], out=new[:j0])
-        np.subtract(kcol[j1:], du[j1:], out=new[j1:])
-        dm = du[j0:j1]
-        np.abs(np.subtract(dm, kcol[j0:j1], out=dm), out=new[j0:j1])
-        if u is not self._carried:
-            carry = self._abs_old
-            carry[...] = u
-            np.abs(np.subtract(carry, kcol, out=carry), out=carry)
+        if u is not self._carried:  # a full window: m = n
+            np.abs(self._minus_k(u, self._abs_old, q[:m]), out=self._abs_old)
+        du = self._minus_k(u_new[c0:c1], r[:m], q[:m])
+        new, old = np.abs(du, out=s[:m]), self._abs_old[c0:c1]
         slack = np.subtract(new, old, out=old)
         slack *= self._scheme.mesh.dx
-        # One flat difference of phi, which numpy runs unbuffered; the entries
-        # straddling two levels land in the last column of q, which is not read.
-        dphi = np.subtract(p.reshape(-1)[1:], p.reshape(-1)[:-1], out=q.reshape(-1)[:-1])
+        dphi = np.subtract(p[1:], p[:-1], out=q[:m])
         dphi *= dt
-        slack += q[:, :-1]
-        if dt != self._dt:
-            self._dt = dt
-            np.multiply(self._d_kk, dt, out=self._d_kk_dt)
-        slack[:j0] += self._d_kk_dt[:j0, w]
-        slack[j1:] -= self._d_kk_dt[j1:, w]
-        np.multiply(np.sign(dm, out=dm), self._d_kk[j0:j1, w], out=dm)
-        slack[j0:j1] += np.multiply(dm, dt, out=dm)
-        # The first row reaching the overall max, in the caller's order, holds
-        # the row-major argmax of the slack; a NaN row max propagates to
-        # max_slack and never beats the worst.
-        row_max = slack.max(axis=1)
-        np.maximum(self._max_slack, row_max, out=self._max_slack)
-        ik = int(np.argmax(row_max))
-        top = float(row_max[ik])
+        slack += dphi
+        np.multiply(np.sign(du, out=du), self._d_kk[c0:c1], out=du)
+        slack += np.multiply(du, dt, out=du)
+        # The first level reaching the overall max, in the caller's order,
+        # holds the row-major argmax of the (levels x cells) slack; a NaN
+        # level max propagates to max_slack and never beats the worst.
+        level_max = slack.max(axis=0)
+        np.maximum(self._max_slack, level_max, out=self._max_slack)
+        ik = int(np.argmax(level_max))
+        top = float(level_max[ik])
         if top > self._worst[0]:
-            tied = np.flatnonzero(row_max == top)
+            tied = np.flatnonzero(level_max == top)
             ik = int(tied[np.argmin(self._order[tied])])
-            jc = int(np.argmax(slack[ik]))
-            self._worst = (float(slack[ik, jc]), int(self._order[ik]), self._n_steps, c0 + jc)
+            jc = int(np.argmax(slack[:, ik]))
+            self._worst = (float(slack[jc, ik]), int(self._order[ik]), self._n_steps, c0 + jc)
         old[...] = new  # the carry: |u_new - k| is the next step's |u - k|
-        self._carried, self._clean = u_new, not math.isnan(top)
+        self._carried, self._dt, self._clean = u_new, dt, not math.isnan(top)
         self._n_steps += 1
 
     def report(self) -> EntropyReport:

@@ -67,7 +67,8 @@ class ReferenceEntropyCheck(EntropyCheck):
         super().start(scheme, envelope, u0)
         ks = self._ks = self._given
         self._order = np.arange(ks.size)
-        k_sides = reference_edge_sides(scheme, np.broadcast_to(ks[:, None], self._d_kk.shape))
+        shape = (ks.size, scheme.mesh.n_cells)  # (K, N), whatever EntropyCheck's layout
+        k_sides = reference_edge_sides(scheme, np.broadcast_to(ks[:, None], shape))
         self._kl, self._kr = k_sides
         self._d_kk = np.diff(np.maximum(*k_sides))
 

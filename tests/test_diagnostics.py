@@ -116,10 +116,10 @@ def test_default_k_levels_cover_bounds_and_data(pair_model):
 def test_dei_matches_direct_edge_flux_evaluation(pair_model, hq_model, lwr_model,
                                                  burgers_model):
     # EntropyCheck splits F(max(u, k)) and F(min(u, k)) into maxima/minima of
-    # per-step u terms and fixed k terms. Against the edge fluxes evaluated at
-    # max(u, k) and min(u, k) this is exact for the built-in quadratic forms
-    # (rounding keeps them monotone on each branch) and within rounding for a
-    # custom flux.
+    # per-step u terms and fixed k terms, at every level. Against the edge
+    # fluxes evaluated at max(u, k) and min(u, k) this is exact for the
+    # built-in quadratic forms (rounding keeps them monotone on each branch)
+    # and within rounding for a custom flux.
     cases = ((burgers_model, (1.0, -0.5), 0.0), (pair_model, (-1.0, 1.0), 0.0),
              (hq_model, (0.2, 1.2), 0.0), (lwr_model, (-0.3, -0.7), 0.0),
              (cosh_model(), (-1.0, 0.5), 1e-15))
@@ -143,11 +143,11 @@ def test_dei_matches_direct_edge_flux_evaluation(pair_model, hq_model, lwr_model
 
 def test_entropy_check_matches_reference_bitwise(pair_model, hq_model, lwr_model,
                                                  burgers_model):
-    # EntropyCheck runs the reference expression in preallocated buffers,
-    # carries |u_new - k| into the next step, reuses the step's edge terms and
-    # writes the rows outside the range of u (of u_new) without the lattice;
-    # none of it may change a bit. Levels sit exactly at the extremes of
-    # every state of the run, beyond them and between, sorted and not.
+    # EntropyCheck runs the reference expression in preallocated cell-major
+    # buffers, carries |u_new - k| into the next step and reuses the step's
+    # edge terms; none of it may change a bit. Levels sit exactly at the
+    # extremes of every state of the run, beyond them and between, sorted
+    # and not.
     cases = ((burgers_model, (1.0, -0.5)), (pair_model, (-1.0, 1.0)), (hq_model, (0.2, 1.2)),
              (lwr_model, (-0.3, -0.7)), (cosh_model(), (-1.0, 0.5)))
     for model, (left, right) in cases:
@@ -261,6 +261,33 @@ def test_entropy_check_step_allocates_less_than_one_level_cell_array():
         tracemalloc.stop()
     assert mesh.n_cells == 400
     assert peak < 35 * mesh.n_cells * 8, peak
+
+
+def test_entropy_check_banded_step_memory_follows_its_window():
+    # The window of a banded step is a block of rows of the work arrays, so
+    # no operand needs numpy's iteration buffers: a step traces less than
+    # one levels x (window + 1) array, though the mesh has 4000 cells.
+    check, peaks = EntropyCheck(k_values=np.linspace(-1.5, 1.5, 35)), []
+
+    class Traced:
+        def start(self, scheme, envelope, u0):
+            self.scheme = scheme
+            check.start(scheme, envelope, u0)
+
+        def step(self, u, u_new, dt):
+            tracemalloc.start()
+            try:
+                check.step(u, u_new, dt)
+                peaks.append((tracemalloc.get_traced_memory()[1], self.scheme.last_window))
+            finally:
+                tracemalloc.stop()
+
+    mesh = Mesh.make(-4.0, 4.0, 0.002)
+    res = run(two_state(), mesh, datum_step(-1.0, 1.0), t_end=0.025, observers=(Traced(),))
+    assert mesh.n_cells == 4000 and res.n_steps > 60
+    for peak, (c0, c1) in (peaks[i] for i in (20, 40, 60)):
+        assert 40 <= c1 - c0 <= 90
+        assert peak < 35 * (c1 - c0 + 1) * 8, (peak, c1 - c0)
 
 
 def test_entropy_check_reused_across_runs_matches_a_fresh_one(pair_model):
