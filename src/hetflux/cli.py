@@ -33,14 +33,7 @@ import time as _time
 import numpy as np
 
 from . import __version__
-from .config import (
-    FAMILY_BUILDERS,
-    INITIAL_PARAMS,
-    ExperimentConfig,
-    _family_params,
-    make_config,
-    read_raw,
-)
+from .config import ExperimentConfig, config_keys, make_config, read_raw
 from .diagnostics import EntropyCheck, TimeVariation, consistency_rate
 from .errors import ConfigError, InvariantBreach, NumericalError
 from .flux_model import FluxModel, validate_assumptions
@@ -62,6 +55,7 @@ EXIT_NUMERICAL = 3
 EXIT_BREACH = 4
 
 ENV_OUTPUT_ROOT = "HETFLUX_OUTPUT_ROOT"
+MAX_AUTO_CELLS = 10**6  # the largest window _build_mesh sizes by itself
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,40 +66,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _flag_specs() -> list[tuple[str, str, str]]:
-    """(flag, section, key) for every config key, in stable order."""
-    specs: list[tuple[str, str, str]] = []
-
-    def add(section: str, key: str):
-        flag = f"--{section}-{key}".replace("_", "-")
-        specs.append((flag, section, key))
-
-    add("flux", "family")
-    seen = {"family"}
-    for family in FAMILY_BUILDERS:
-        for key in _family_params(family):
-            if key not in seen:
-                seen.add(key)
-                add("flux", key)
-    for key in ("dx", "x_min", "x_max"):
-        add("mesh", key)
-    add("initial", "kind")
-    seen = {"kind"}
-    for kind in INITIAL_PARAMS:
-        for key in INITIAL_PARAMS[kind]:
-            if key not in seen:
-                seen.add(key)
-                add("initial", key)
-    for key in ("t_end", "snapshots", "safety", "max_dt"):
-        add("time", key)
-    for key in ("directory", "precision"):
-        add("output", key)
-    for key in ("entropy", "k_levels", "consistency", "time_variation"):
-        add("diagnostics", key)
-    return specs
-
-
-_SPECS = _flag_specs()
+# (flag, section, key) for every config key, in the order of config_keys()
+_SPECS = [(f"--{section}-{key}".replace("_", "-"), section, key)
+          for section, key in config_keys()]
 
 
 @functools.cache
@@ -308,12 +271,21 @@ def _build_mesh(
     half0 = max(model.hetero_radius, support, 1.0)
     margin = 0.0
     if t_end > 0 and datum is not None:
-        probe_half = math.ceil((half0 + 1.0) / dx) * dx
-        probe = Mesh.make(-probe_half, probe_half, dx)
-        b = datum.bounds(probe)
+        b = datum.bounds(_auto_window((half0 + 1.0) / dx, dx))
         consts = envelope_constants(model, b[0], b[1])
         margin = lipschitz_bound(model, consts.lower_bound, consts.upper_bound) * t_end
-    half = math.ceil((half0 + margin) / dx + 2.0) * dx
+    return _auto_window((half0 + margin) / dx + 2.0, dx)
+
+
+def _auto_window(half_cells: float, dx: float) -> Mesh:
+    """The mesh on [-h, h], h = ceil(half_cells) * dx; one of more than
+    MAX_AUTO_CELLS cells is refused before anything is allocated."""
+    if not half_cells <= MAX_AUTO_CELLS // 2:
+        raise ConfigError(
+            f"the automatic window needs {2 * half_cells:.3g} cells, more than "
+            f"{MAX_AUTO_CELLS}; set mesh.x_min and mesh.x_max"
+        )
+    half = math.ceil(half_cells) * dx
     return Mesh.make(-half, half, dx)
 
 

@@ -1,6 +1,7 @@
 """Declarative experiment configuration: INI parsing, validation, echo.
 
-One config file describes one experiment. Sections:
+One config file describes one experiment. SECTIONS states every section,
+key and default; parsing, the echo and every command-line flag read it:
 
     [flux]        family = quadratic | two_state | heterogeneous_quadratic | lwr
                   plus that family's numeric parameters
@@ -10,33 +11,34 @@ One config file describes one experiment. Sections:
     [output]      directory, precision
     [diagnostics] entropy, k_levels, consistency, time_variation
 
-Unknown sections or keys are hard errors, as are out-of-range values; the
-error message names the offending "section.key". Defaults for flux families
-come from the family constructors themselves, so the CLI and the library
-cannot drift apart.
+[flux] and [initial] are selector sections: family and kind name a builder,
+whose signature gives the other keys and their defaults, so the CLI and the
+library cannot drift apart. A value parses as the type of its default: bool,
+int, tuple of floats, text, and a finite float otherwise. The text keys
+without a default are the selectors and initial.path. Unknown sections or
+keys are hard errors, as are out-of-range values; the error message names
+the offending "section.key".
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import inspect
 import io
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import families
 from .errors import ConfigError
 from .flux_model import FluxModel
-from .solver import (
-    datum_bump,
-    datum_constant,
-    datum_from_table,
-    datum_step,
-)
+from .solver import datum_bump, datum_constant, datum_from_table, datum_step
 
-_REQUIRED = object()
+_REQUIRED = object()  # a key without a default, parsed as a number
+_REQUIRED_TEXT = object()  # a key without a default, kept as text
 
 
 def _read_initial_table(path: str):
@@ -52,104 +54,114 @@ def _read_initial_table(path: str):
     return table
 
 
+def _datum_file(path: str):
+    """The datum interpolating the first two columns (x, u) of a CSV file."""
+    table = _read_initial_table(path)
+    cx, cu = table.dtype.names[:2]
+    return datum_from_table(np.atleast_1d(table[cx]), np.atleast_1d(table[cu]))
+
+
 FAMILY_BUILDERS: dict[str, Callable[..., FluxModel]] = {
-    "quadratic": families.quadratic,
-    "two_state": families.two_state,
-    "heterogeneous_quadratic": families.heterogeneous_quadratic,
-    "lwr": families.lwr,
+    "quadratic": families.quadratic, "two_state": families.two_state,
+    "heterogeneous_quadratic": families.heterogeneous_quadratic, "lwr": families.lwr}
+
+DATUM_BUILDERS: dict[str, Callable] = {
+    "constant": datum_constant, "step": datum_step, "bump": datum_bump, "file": _datum_file}
+
+
+@functools.cache
+def _builder_keys(builder: Callable) -> dict[str, Any]:
+    """Key -> default of a builder's parameters; one without a default is
+    required, as text when annotated str."""
+    return {
+        k: p.default if p.default is not p.empty
+        else _REQUIRED_TEXT if p.annotation in (str, "str") else _REQUIRED
+        for k, p in inspect.signature(builder).parameters.items()
+    }
+
+
+class _Selector(NamedTuple):
+    """A section whose `key` names one of `builders`; the builder's parameters
+    are the section's other keys."""
+
+    key: str
+    builders: dict[str, Callable]
+
+    def schema(self, choice: str) -> dict[str, Any]:
+        # unwrapped, a functools.wraps wrapper (the benchmark tracer's) shares the table
+        return {self.key: _REQUIRED_TEXT, **_builder_keys(inspect.unwrap(self.builders[choice]))}
+
+    def build(self, resolved: dict[str, Any]):
+        params = {k: v for k, v in resolved.items() if k != self.key}
+        return self.builders[resolved[self.key]](**params)
+
+
+SECTIONS: dict[str, Any] = {
+    "flux": _Selector("family", FAMILY_BUILDERS),
+    "mesh": {"dx": _REQUIRED, "x_min": None, "x_max": None},
+    "initial": _Selector("kind", DATUM_BUILDERS),
+    "time": {"t_end": _REQUIRED, "snapshots": (), "safety": 0.9, "max_dt": None},
+    "output": {"directory": "out", "precision": 17},
+    "diagnostics": {"entropy": True, "k_levels": 33, "consistency": True,
+                    "time_variation": True},
 }
 
 
-def _family_params(name: str) -> dict[str, Any]:
-    sig = inspect.signature(FAMILY_BUILDERS[name])
-    return {k: p.default for k, p in sig.parameters.items()}
-
-
-INITIAL_PARAMS: dict[str, dict[str, Any]] = {
-    "constant": {"value": _REQUIRED},
-    "step": {"left": _REQUIRED, "right": _REQUIRED, "location": 0.0},
-    "bump": {"base": _REQUIRED, "amplitude": _REQUIRED, "center": 0.0, "width": 1.0},
-    "file": {"path": _REQUIRED},
-}
-
-_STRING_KEYS = {("flux", "family"), ("initial", "kind"), ("initial", "path"),
-                ("output", "directory")}
-_BOOL_KEYS = {("diagnostics", "entropy"), ("diagnostics", "consistency"),
-              ("diagnostics", "time_variation")}
-_INT_KEYS = {("output", "precision"), ("diagnostics", "k_levels")}
-_LIST_KEYS = {("time", "snapshots")}
-
-KNOWN_SECTIONS = ("flux", "mesh", "initial", "time", "output", "diagnostics")
+def config_keys() -> list[tuple[str, str]]:
+    """(section, key) for every key of SECTIONS, in a stable order: a selector
+    section lists its selector, then the keys of its builders in turn."""
+    keys: dict[tuple[str, str], None] = {}
+    for section, spec in SECTIONS.items():
+        schemas = [spec] if isinstance(spec, dict) else map(spec.schema, spec.builders)
+        for schema in schemas:
+            keys.update(dict.fromkeys((section, key) for key in schema))
+    return list(keys)
 
 
 def _section_schema(section: str, raw: dict[str, str]) -> dict[str, Any]:
-    """Key -> default (or _REQUIRED) for a section, resolving dynamic keys."""
-    if section == "flux":
-        family = raw.get("family")
-        if family is None:
-            raise ConfigError("flux.family is required")
-        if family not in FAMILY_BUILDERS:
-            raise ConfigError(
-                f"flux.family: unknown family {family!r}; "
-                f"choose from {sorted(FAMILY_BUILDERS)}"
-            )
-        schema = {"family": _REQUIRED}
-        schema.update(_family_params(family))
-        return schema
-    if section == "mesh":
-        return {"dx": _REQUIRED, "x_min": None, "x_max": None}
-    if section == "initial":
-        kind = raw.get("kind")
-        if kind is None:
-            raise ConfigError("initial.kind is required")
-        if kind not in INITIAL_PARAMS:
-            raise ConfigError(
-                f"initial.kind: unknown kind {kind!r}; "
-                f"choose from {sorted(INITIAL_PARAMS)}"
-            )
-        schema = {"kind": _REQUIRED}
-        schema.update(INITIAL_PARAMS[kind])
-        return schema
-    if section == "time":
-        return {"t_end": _REQUIRED, "snapshots": (), "safety": 0.9, "max_dt": None}
-    if section == "output":
-        return {"directory": "out", "precision": 17}
-    if section == "diagnostics":
-        return {"entropy": True, "k_levels": 33, "consistency": True,
-                "time_variation": True}
-    raise ConfigError(f"unknown section [{section}]")
+    """Key -> default (or a required marker) for a section, resolving its selector."""
+    spec = SECTIONS[section]
+    if isinstance(spec, dict):
+        return spec
+    choice = raw.get(spec.key)
+    if choice is None:
+        raise ConfigError(f"{section}.{spec.key} is required")
+    if choice not in spec.builders:
+        raise ConfigError(
+            f"{section}.{spec.key}: unknown {spec.key} {choice!r}; "
+            f"choose from {sorted(spec.builders)}"
+        )
+    return spec.schema(choice)
 
 
-def _parse_bool(section: str, key: str, text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{section}.{key}: expected a boolean, got {text!r}")
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
-def _parse_value(section: str, key: str, text: str) -> Any:
+def _parse_value(section: str, key: str, text: str, default: Any) -> Any:
+    """text parsed as the type of the key's default."""
     text = text.strip()
-    if (section, key) in _STRING_KEYS:
+    kind = str if default is _REQUIRED_TEXT else type(default)
+    if kind is str:
         return text
-    if (section, key) in _BOOL_KEYS:
-        return _parse_bool(section, key, text)
-    if (section, key) in _INT_KEYS:
+    if kind is bool:
+        if text.lower() not in _BOOLS:
+            raise ConfigError(f"{section}.{key}: expected a boolean, got {text!r}")
+        return _BOOLS[text.lower()]
+    if kind is int:
         try:
             return int(text)
         except ValueError as exc:
             raise ConfigError(f"{section}.{key}: expected an integer, got {text!r}") from exc
-    if (section, key) in _LIST_KEYS:
-        parts = [p for chunk in text.split(",") for p in chunk.split()]
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key}: expected numbers, got {text!r}") from exc
+    parts = [p for chunk in text.split(",") for p in chunk.split()] if kind is tuple else [text]
     try:
-        return float(text)
+        numbers = tuple(float(p) for p in parts)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: expected a number, got {text!r}") from exc
+        expected = "numbers" if kind is tuple else "a number"
+        raise ConfigError(f"{section}.{key}: expected {expected}, got {text!r}") from exc
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got {text!r}")
+    return numbers if kind is tuple else numbers[0]
 
 
 @dataclass(frozen=True)
@@ -165,23 +177,12 @@ class ExperimentConfig:
     source: str = field(default="", compare=False)
 
     def build_model(self) -> FluxModel:
-        params = {k: v for k, v in self.flux.items() if k != "family"}
-        return FAMILY_BUILDERS[self.flux["family"]](**params)
+        return SECTIONS["flux"].build(self.flux)
 
     def build_datum(self):
         if self.initial is None:
             raise ConfigError("missing [initial] section")
-        kind = self.initial["kind"]
-        p = self.initial
-        if kind == "constant":
-            return datum_constant(p["value"])
-        if kind == "step":
-            return datum_step(p["left"], p["right"], p["location"])
-        if kind == "bump":
-            return datum_bump(p["base"], p["amplitude"], p["center"], p["width"])
-        table = _read_initial_table(p["path"])
-        cx, cu = table.dtype.names[:2]
-        return datum_from_table(np.atleast_1d(table[cx]), np.atleast_1d(table[cu]))
+        return SECTIONS["initial"].build(self.initial)
 
     def datum_support_radius(self) -> float:
         """How far from the origin the initial datum is non-constant."""
@@ -201,15 +202,8 @@ class ExperimentConfig:
     def echo(self) -> str:
         """Deterministic INI text of the resolved configuration."""
         out = io.StringIO()
-        sections = [
-            ("flux", self.flux),
-            ("mesh", self.mesh),
-            ("initial", self.initial),
-            ("time", self.time),
-            ("output", self.output),
-            ("diagnostics", self.diagnostics),
-        ]
-        for name, sec in sections:
+        for name in SECTIONS:
+            sec = getattr(self, name)
             if sec is None:
                 continue
             out.write(f"[{name}]\n")
@@ -233,8 +227,8 @@ def _validate_section(section: str, raw: dict[str, str]) -> dict[str, Any]:
     resolved: dict[str, Any] = {}
     for key, default in schema.items():
         if key in raw:
-            resolved[key] = _parse_value(section, key, raw[key])
-        elif default is _REQUIRED:
+            resolved[key] = _parse_value(section, key, raw[key], default)
+        elif default is _REQUIRED or default is _REQUIRED_TEXT:
             raise ConfigError(f"{section}.{key} is required")
         else:
             resolved[key] = default
@@ -273,27 +267,19 @@ def make_config(
 ) -> ExperimentConfig:
     """Validate raw string sections into an ExperimentConfig."""
     for section in raw_sections:
-        if section not in KNOWN_SECTIONS:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
     if "flux" not in raw_sections:
         raise ConfigError("missing [flux] section")
-    resolved: dict[str, Any] = {}
-    for section in ("flux", "mesh", "initial", "time"):
-        if section in raw_sections:
-            resolved[section] = _validate_section(section, raw_sections[section])
+    # An absent section resolves to None when it has a required key, as every
+    # selector section does, and to its defaults otherwise.
+    resolved = {}
+    for section, spec in SECTIONS.items():
+        if section in raw_sections or isinstance(spec, dict) and _REQUIRED not in spec.values():
+            resolved[section] = _validate_section(section, raw_sections.get(section, {}))
         else:
             resolved[section] = None
-    for section in ("output", "diagnostics"):
-        resolved[section] = _validate_section(section, raw_sections.get(section, {}))
-    cfg = ExperimentConfig(
-        flux=resolved["flux"],
-        mesh=resolved["mesh"],
-        initial=resolved["initial"],
-        time=resolved["time"],
-        output=resolved["output"],
-        diagnostics=resolved["diagnostics"],
-        source=source,
-    )
+    cfg = ExperimentConfig(**resolved, source=source)
     _check_ranges(cfg)
     cfg.build_model()  # family parameter validation happens in the constructor
     return cfg

@@ -28,24 +28,30 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .flux_model import (FluxModel, branch_inverse, distinct_span, frozen_flux, ghost_alphas,
-                         invert_branch)
+from .flux_model import FluxModel, distinct_span, frozen_flux, ghost_alphas, invert_branch
 
 
 @dataclass(frozen=True, eq=False)
 class SteadyState:
     """Cellwise steady sequence on a mesh (interior cells only).
 
-    The anchor constant extends to ghost cells implicitly: the solver pads
-    by edge replication and the sequence is constant outside [-X, X].
+    It is constant outside [-X, X], so the solver's edge-replicated ghost
+    cells continue it.
     """
 
     values: np.ndarray
     flux_level: float
-    orientation: str  # "upper" (values >= alpha) or "lower"
-    anchor: float
-    direction: str  # "from_left" or "from_right"
-    bound: float  # max of values (upper) or min (lower)
+    bound: float  # max of values (upper branch) or min (lower)
+
+
+def _steady(fs, alpha, spread, level: float, branch: str) -> SteadyState:
+    """The steady state of one flux level on one branch: the branch inverse
+    of the level under fs, the flux frozen on distinct_span, with minimizers
+    alpha there, spread to every cell."""
+    upper = branch == "upper"
+    values = spread(invert_branch(fs, fs.du, alpha, level, "plus" if upper else "minus"))
+    return SteadyState(values=values, flux_level=level,
+                       bound=float(np.max(values) if upper else np.min(values)))
 
 
 def build_steady(
@@ -90,17 +96,7 @@ def build_steady(
         )
     xc, al = (v[1:-1] for v in ghost_alphas(model, mesh))
     span, spread = distinct_span(model, xc)
-    side = "plus" if branch == "upper" else "minus"
-    values = spread(branch_inverse(model, xc[span], level, side, alpha=al[span]))
-    bound = float(np.max(values)) if branch == "upper" else float(np.min(values))
-    return SteadyState(
-        values=values,
-        flux_level=level,
-        orientation=branch,
-        anchor=anchor,
-        direction=direction,
-        bound=bound,
-    )
+    return _steady(frozen_flux(model, xc[span]), al[span], spread, level, branch)
 
 
 def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
@@ -113,23 +109,15 @@ def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
     lower_j <= min(u_j, alpha_j) and max(u_j, alpha_j) <= upper_j (up to the
     root solve's rounding), and no steady state of either branch with a level
     nearer to the data sandwiches u. Both are fixed points of the scheme
-    while the boundary cells carry the flux of their ghosts; anchor is the
-    value of the first cell, the left exterior constant when that cell lies
-    outside [-X, X].
+    while the boundary cells carry the flux of their ghosts.
     """
     xc, al = (v[1:-1] for v in ghost_alphas(model, mesh))
     span, spread = distinct_span(model, xc)
     f = frozen_flux(model, xc)
     fs = f.at(span)
-    states = []
-    for branch, side, clamp, extreme in (("lower", "minus", np.minimum, np.min),
-                                         ("upper", "plus", np.maximum, np.max)):
-        level = max(float(np.max(f(clamp(u, al)))), model.curve.floor)
-        values = spread(invert_branch(fs, fs.du, al[span], level, side))
-        states.append(SteadyState(values=values, flux_level=level, orientation=branch,
-                                  anchor=float(values[0]), direction="from_left",
-                                  bound=float(extreme(values))))
-    return states[0], states[1]
+    return tuple(_steady(fs, al[span], spread,
+                         max(float(np.max(f(clamp(u, al)))), model.curve.floor), branch)
+                 for branch, clamp in (("lower", np.minimum), ("upper", np.maximum)))
 
 
 @dataclass(frozen=True)

@@ -986,7 +986,6 @@ def test_compact_solves_match_solves_at_every_cell_bitwise(name, mesh_name, rng)
             want = fm.invert_branch(f, f.du, al, level, side)
             assert st.flux_level == level
             assert st.values.tobytes() == want.tobytes()
-            assert st.anchor == want[0]
             assert st.bound == (np.min(want) if side == "minus" else np.max(want))
 
     env = steady.envelope_constants(model, curve.alpha_min - 1.0, curve.alpha_max + 1.0)

@@ -212,9 +212,6 @@ def test_constant_across_the_bump_is_not_steady(hq_model, hq_mesh):
     fake = SteadyState(
         values=np.full(hq_mesh.n_cells, 0.15),
         flux_level=float("nan"),
-        orientation="upper",
-        anchor=0.15,
-        direction="from_left",
         bound=0.15,
     )
     # 0.15 crosses the critical curve (max alpha = 0.3), so fluxes cannot match
