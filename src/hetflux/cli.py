@@ -619,8 +619,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
-        return HANDLERS[args.command](args, cfg)
+        # Overflow and NaN surface as the errors below, each as one line;
+        # numpy's floating-point warnings would only precede them on stderr.
+        with np.errstate(all="ignore"):
+            cfg = _load_config(args)
+            return HANDLERS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"hetflux: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -54,11 +54,15 @@ def _read_initial_table(path: str):
     return table
 
 
-def _datum_file(path: str):
-    """The datum interpolating the first two columns (x, u) of a CSV file."""
-    table = _read_initial_table(path)
+def _datum_table(table):
+    """The datum interpolating the first two columns (x, u) of a table."""
     cx, cu = table.dtype.names[:2]
     return datum_from_table(np.atleast_1d(table[cx]), np.atleast_1d(table[cu]))
+
+
+def _datum_file(path: str):
+    """The datum interpolating the first two columns (x, u) of a CSV file."""
+    return _datum_table(_read_initial_table(path))
 
 
 FAMILY_BUILDERS: dict[str, Callable[..., FluxModel]] = {
@@ -179,9 +183,17 @@ class ExperimentConfig:
     def build_model(self) -> FluxModel:
         return SECTIONS["flux"].build(self.flux)
 
+    @functools.cached_property
+    def _initial_table(self):
+        """The CSV table of a file datum, read once for the datum and its
+        support radius."""
+        return _read_initial_table(self.initial["path"])
+
     def build_datum(self):
         if self.initial is None:
             raise ConfigError("missing [initial] section")
+        if self.initial["kind"] == "file":
+            return _datum_table(self._initial_table)
         return SECTIONS["initial"].build(self.initial)
 
     def datum_support_radius(self) -> float:
@@ -196,7 +208,7 @@ class ExperimentConfig:
             return abs(p["location"])
         if kind == "bump":
             return abs(p["center"]) + p["width"]
-        table = _read_initial_table(p["path"])
+        table = self._initial_table
         return float(np.max(np.abs(np.atleast_1d(table[table.dtype.names[0]]))))
 
     def echo(self) -> str:

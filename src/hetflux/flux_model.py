@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .rootfind import TOL_ROOT, solve_increasing
+from .rootfind import TOL_ROOT, check_residual, solve_increasing
 
 # Inversions h(x, .) = y tolerate y this far below the minimum before failing;
 # such y are clamped to the minimum and the critical point is returned.
@@ -54,7 +54,10 @@ class FluxModel:
         and cross-check root solves, never trusted blindly.
     freeze: optional xs -> f, with f(u, out=None) = H(xs, u), that evaluates
         the x-dependent coefficients once; frozen_flux completes what f
-        lacks of its contract. None freezes as h(xs, u).
+        lacks of its contract. None freezes as h(xs, u). An f without
+        f.at(index) is frozen again, by a new call of the hook on the
+        band's edges, at every step whose band differs from the last one's
+        (see solver.Scheme): a costly hook wants an at that slices.
 
     The model is immutable, so `curve` and `legendre_sup_1` are cached in
     the instance on first access; a dataclasses.replace copy recomputes them.
@@ -244,10 +247,24 @@ def invert_branch(f: Callable, df: Callable, alpha, y, side: str):
     broadcasts against the levels y. side "plus" returns the solution >= alpha,
     "minus" the one <= alpha. A level at the minimum returns alpha exactly,
     and levels slightly below it (within 1e-10) are clamped to it and return
-    alpha too; any level further below raises NumericalError. The residual
-    |f(s) - y| is bounded relative to the flux scale, as
-    TOL_ROOT * (1 + |y| + |f(alpha)|) per element: f(s) - y is rounded at
-    that scale, so an absolute bound would reject exact roots of large levels.
+    alpha too; any level further below raises NumericalError.
+
+    The solve runs along the branch, in x = s on the plus side and x = -s on
+    the minus side, so that x grows away from alpha, on
+    phi(x) = sqrt(f(s) - f(alpha)) - sqrt(y - f(alpha)), with each element's
+    bracket seeded at its own alpha end, x = +-alpha, where phi <= 0. This is
+    the branch coordinate r = |s - alpha| shifted by +-alpha, so the solver's
+    stop rule counts ulps of s, the precision the result can have (in r it
+    would ask for ulps of r, which s = alpha +- r cannot resolve when
+    r << |alpha|). Near the minimum f - y has a near-double root, where
+    interpolation fails and the solver (see rootfind) bisects; phi has a
+    simple root there (linear in r for a quadratic f), so a level 1e-218
+    above the minimum takes as few evaluations as any other.
+
+    The residual |f(s) - y| is checked on f, not phi, and bounded relative to
+    the flux scale, as TOL_ROOT * (1 + |y| + |f(alpha)|) per element: f(s) - y
+    is rounded at that scale, so an absolute bound would reject exact roots of
+    large levels. Three Newton passes on f - y then polish the result.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
@@ -262,24 +279,19 @@ def invert_branch(f: Callable, df: Callable, alpha, y, side: str):
             f"below flux minimum {float(np.broadcast_to(hmin, deficit.shape)[j]):g}"
         )
     clamped = deficit >= 0.0
-    # Clamped elements target their own minimum, so the bracketed search below
-    # still sees a sign change (y itself sits at or below their range).
+    # Clamped elements target their own minimum, where phi is 0 at the seed.
     y_eff = np.maximum(y, hmin)
-    if side == "plus":
-        g = lambda s: np.asarray(f(np.maximum(s, a)), dtype=float) - y_eff
-    else:
-        g = lambda s: y_eff - np.asarray(f(np.minimum(s, a)), dtype=float)
-    out = solve_increasing(
-        g,
-        deficit.shape,
-        lo0=float(np.min(a)) - 1.0,
-        hi0=float(np.max(a)) + 1.0,
-        tol_res=TOL_ROOT * (1.0 + np.abs(y_eff) + np.abs(hmin)),
-    )
-    out = np.maximum(out, a) if side == "plus" else np.minimum(out, a)
+    sign = 1.0 if side == "plus" else -1.0
+    start = sign * a
+    depth = np.sqrt(y_eff - hmin)
+    # f(s) rounds below f(alpha) near alpha; phi is flat there.
+    phi = lambda x: np.sqrt(np.maximum(np.asarray(f(sign * x), dtype=float) - hmin, 0.0)) - depth
+    out = sign * solve_increasing(phi, deficit.shape, lo0=start, hi0=start + 1.0, tol_res=np.inf)
+    check_residual(np.abs(np.asarray(f(out), dtype=float) - y_eff),
+                   TOL_ROOT * (1.0 + np.abs(y_eff) + np.abs(hmin)))
     out = np.where(clamped, a, out)
     # Three vectorized Newton polish passes; near-critical elements keep the
-    # bisected value.
+    # solved value.
     for _ in range(3):
         res = np.asarray(f(out), dtype=float) - y
         d = np.asarray(df(out), dtype=float)

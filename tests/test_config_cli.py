@@ -14,6 +14,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -530,3 +532,38 @@ def test_cli_precision_flag_controls_digits(tmp_path, monkeypatch):
     for line in lines[1:]:
         for field in line.split(","):
             assert cell.match(field), field
+
+
+def test_cli_overflow_prints_one_error_line_and_no_numpy_warning(tmp_path):
+    # The flux overflows at u = 1e200 while the window is sized; the run is
+    # refused with exit 2, and numpy's RuntimeWarning must not reach stderr.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src), ENV_OUTPUT_ROOT: str(tmp_path)}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hetflux", "run", "--flux-family", "quadratic",
+         "--mesh-dx", "0.1", "--initial-kind", "step", "--initial-left", "1e200",
+         "--initial-right", "1", "--time-t-end", "0.05"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hetflux: "), proc.stderr
+
+
+def test_cli_run_reads_a_file_datum_once(tmp_path, monkeypatch):
+    path = tmp_path / "profile.csv"
+    path.write_text("x,u\n-1.0,0.5\n0.0,1.5\n2.0,0.25\n", encoding="utf-8")
+    reads = []
+    genfromtxt = np.genfromtxt
+
+    def counting(*args, **kwargs):
+        reads.append(args[0])
+        return genfromtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "genfromtxt", counting)
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    assert main(["run", "--flux-family=quadratic", "--mesh-dx=0.1",
+                 "--initial-kind=file", f"--initial-path={path}",
+                 "--time-t-end=0.1"]) == 0
+    assert reads == [str(path)]

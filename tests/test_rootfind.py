@@ -1,4 +1,4 @@
-"""Root finder: elementwise bracketing and bisection, residual guarantees.
+"""Root finder: elementwise bracketing and refinement, residual guarantees.
 
 Each failure case runs on a scalar (0-d) problem and on a 3-element array in
 which a single bad element must make the whole call raise.
@@ -7,7 +7,9 @@ which a single bad element must make the whole call raise.
 import numpy as np
 import pytest
 
+from hetflux import flux_model
 from hetflux.errors import NumericalError
+from hetflux.flux_model import invert_branch
 from hetflux.rootfind import TOL_ROOT, solve_increasing
 
 
@@ -94,3 +96,68 @@ def test_residual_tolerance_applies_per_element():
     assert np.all(np.abs(roots - [1.0, 0.0, -2.0]) < 1e-6)
     with pytest.raises(NumericalError, match="exceeds tolerance 5.000e-01"):
         solve_increasing(_one_bad(_jump), (3,), tol_res=np.array([1.5, 0.5, 1.5]))
+
+
+def _counted(g):
+    """g with a count of its calls in counted.calls."""
+    def counted(x):
+        counted.calls += 1
+        return g(x)
+    counted.calls = 0
+    return counted
+
+
+def test_each_root_has_the_bits_it_has_when_solved_alone():
+    # Roots that converge at different rounds: an exact hit, a far root that
+    # needs expansion, tiny, large and negative ones, and an x with an exact
+    # zero of g at a bracket end.
+    c = np.array([0.0, 8.0, -900.0, 1e-30, 2.0, 700.0, 0.3, -1e-3, 1.0])
+    batch = solve_increasing(lambda x: x * x * x - c, c.shape)
+    for i, ci in enumerate(c):
+        alone = solve_increasing(lambda x: x * x * x - ci)
+        assert batch[i].tobytes() == alone.tobytes(), (ci, batch[i], alone)
+
+
+def test_branch_inversions_have_the_bits_they_have_when_solved_alone():
+    alpha = np.array([0.0, 0.3, -1.7, 4.5e-218, 0.0, 0.3])
+    gap = np.array([1e-25, 1e-218, 0.7, 1e-218, 0.0, -1e-12])
+    f = lambda s: 1.5 * (s - alpha) ** 2 - 0.2
+    df = lambda s: 3.0 * (s - alpha)
+    for side in ("plus", "minus"):
+        batch = invert_branch(f, df, alpha, -0.2 + gap, side)
+        for i in range(alpha.size):
+            fi = lambda s, a=alpha[i]: 1.5 * (s - a) ** 2 - 0.2
+            dfi = lambda s, a=alpha[i]: 3.0 * (s - a)
+            alone = invert_branch(fi, dfi, alpha[i], -0.2 + gap[i], side)
+            assert np.float64(batch[i]).tobytes() == np.float64(alone).tobytes()
+
+
+@pytest.mark.parametrize("gap", [1e-25, 1e-218])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_branch_inversion_just_above_the_minimum_takes_few_evaluations(monkeypatch, gap, side):
+    # f - y has a near-double root here: bisection on it takes 50 or more
+    # evaluations, the square-root coordinate takes a handful.
+    calls = []
+
+    def counting_solve(g, *args, **kwargs):
+        g = _counted(g)
+        try:
+            return solve_increasing(g, *args, **kwargs)
+        finally:
+            calls.append(g.calls)
+
+    monkeypatch.setattr(flux_model, "solve_increasing", counting_solve)
+    alpha = np.array([0.0, 0.3, -1.7, 4.5e-218])
+    f = lambda s: 0.5 * (s - alpha) ** 2
+    out = invert_branch(f, lambda s: s - alpha, alpha, gap, side)
+    assert calls and max(calls) <= 12, calls
+    sign = 1.0 if side == "plus" else -1.0
+    assert np.all(sign * (out - alpha) >= 0.0)
+    assert np.all(np.abs(f(out) - gap) <= TOL_ROOT)
+
+
+def test_smooth_simple_root_takes_few_evaluations():
+    g = _counted(lambda x: x**3 - 8.0)
+    root = solve_increasing(g, lo0=0.0, hi0=3.0)
+    assert abs(root - 2.0) < 1e-15
+    assert g.calls <= 15
