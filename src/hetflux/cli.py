@@ -8,14 +8,17 @@ Exit codes: 0 success, 1 usage error, 2 configuration/validation error,
 3 numerical failure, 4 invariant breach.
 
 Outputs land in [output].directory, resolved against $HETFLUX_OUTPUT_ROOT
-when that is set and the directory is relative. Every output directory gets
-the resolved config echo, a manifest.json (config hash, tool version,
-timing, run constants), and a gnuplot script consuming the CSVs. CSV values
-carry 17 significant digits by default so they round-trip exactly.
+when that is set and the directory is relative. One recorder per command
+(_Outputs) writes every file; it makes the directory on its first write, so
+a command that fails before writing leaves none. Every output directory
+gets the resolved config echo, a manifest.json (config hash, tool version,
+timing, run constants, and exactly the files written), and a gnuplot script
+consuming the CSVs. CSV values carry 17 significant digits by default so
+they round-trip exactly.
 
 For the concave (traffic) family all file and flag values are in physical
-units; the sign flip into the internal convex formulation happens here and
-nowhere else.
+units. Inputs are flipped into the internal convex formulation here, and
+every value written or printed comes back through _physical.
 """
 
 from __future__ import annotations
@@ -152,15 +155,6 @@ def _require(cfg: ExperimentConfig, *sections: str) -> None:
             raise ConfigError(f"missing [{s}] section (required by this command)")
 
 
-def _resolve_outdir(cfg: ExperimentConfig) -> str:
-    directory = cfg.output["directory"]
-    root = os.environ.get(ENV_OUTPUT_ROOT, "")
-    if root and not os.path.isabs(directory):
-        directory = os.path.join(root, directory)
-    os.makedirs(directory, exist_ok=True)
-    return directory
-
-
 def _fmt(value: float, precision: int) -> str:
     return f"{float(value):.{precision - 1}e}"
 
@@ -175,61 +169,64 @@ def _csv_template(header: tuple[str, str], first, precision: int) -> str:
     return ",".join(header) + "\n" + "".join(rows)
 
 
-def _write_csv(path: str, header: tuple[str, str], columns, precision: int) -> None:
-    first, second = columns
-    _write_text(path, _csv_template(header, first, precision)
-                % tuple(np.asarray(second, dtype=float).tolist()))
+class _Outputs:
+    """The files of one command. The output directory, [output].directory
+    resolved against $HETFLUX_OUTPUT_ROOT when that is set and the directory
+    is relative, is made on the first write; the manifest lists exactly the
+    files written."""
 
+    def __init__(self, cfg: ExperimentConfig, command: str):
+        self.cfg, self.command = cfg, command
+        self.started = _time.time()
+        self.precision = cfg.output["precision"]
+        self.directory = cfg.output["directory"]
+        root = os.environ.get(ENV_OUTPUT_ROOT, "")
+        if root and not os.path.isabs(self.directory):
+            self.directory = os.path.join(root, self.directory)
+        self.written: list[str] = []
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    def text(self, name: str, text: str) -> None:
+        os.makedirs(self.directory, exist_ok=True)
+        with open(os.path.join(self.directory, name), "w", encoding="utf-8",
+                  newline="\n") as fh:
+            fh.write(text)
+        self.written.append(name)
 
+    def csv(self, name: str, header: tuple[str, str], first, second) -> None:
+        self.text(name, _csv_template(header, first, self.precision)
+                  % tuple(np.asarray(second, dtype=float).tolist()))
 
-def _write_manifest(
-    outdir: str,
-    cfg: ExperimentConfig,
-    command: str,
-    extra: dict,
-    outputs: list[str],
-    started: float,
-) -> None:
-    echo = cfg.echo()
-    _write_text(os.path.join(outdir, "config.resolved.ini"), echo)
-    manifest = {
-        "tool": "hetflux",
-        "version": __version__,
-        "command": command,
-        "config_source": cfg.source,
-        "config_sha256": hashlib.sha256(echo.encode("utf-8")).hexdigest(),
-        "outputs": sorted(outputs + ["config.resolved.ini"]),
-        "runtime_seconds": round(_time.time() - started, 6),
-    }
-    manifest.update(extra)
-    with open(
-        os.path.join(outdir, "manifest.json"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    def plot(self, title: str, files_titles, style: str, png: str) -> None:
+        """plot.gp, a gnuplot script drawing the CSVs files_titles names."""
+        parts = [f"'{fname}' using 1:2 skip 1 with {style} title '{label}'"
+                 for fname, label in files_titles]
+        self.text("plot.gp", "\n".join([
+            "# gnuplot script generated by hetflux; run: gnuplot plot.gp",
+            "set datafile separator ','",
+            f"set title '{title}'",
+            "set xlabel 'x'",
+            "set ylabel 'u'",
+            "set key top right",
+            "set term pngcairo size 960,640",
+            f"set output '{png}'",
+            "plot " + ", \\\n     ".join(parts),
+        ]) + "\n")
 
-
-def _plot_script(title: str, files_titles, style: str, png: str) -> str:
-    lines = [
-        "# gnuplot script generated by hetflux; run: gnuplot plot.gp",
-        "set datafile separator ','",
-        f"set title '{title}'",
-        "set xlabel 'x'",
-        "set ylabel 'u'",
-        "set key top right",
-        "set term pngcairo size 960,640",
-        f"set output '{png}'",
-    ]
-    parts = [
-        f"'{fname}' using 1:2 skip 1 with {style} title '{label}'"
-        for fname, label in files_titles
-    ]
-    lines.append("plot " + ", \\\n     ".join(parts))
-    return "\n".join(lines) + "\n"
+    def manifest(self, extra: dict) -> None:
+        """The config echo and manifest.json, the last two files."""
+        echo = self.cfg.echo()
+        self.text("config.resolved.ini", echo)
+        manifest = {
+            "tool": "hetflux",
+            "version": __version__,
+            "command": self.command,
+            "config_source": self.cfg.source,
+            "config_sha256": hashlib.sha256(echo.encode("utf-8")).hexdigest(),
+            "outputs": sorted(self.written + ["manifest.json"]),
+            "runtime_seconds": round(_time.time() - self.started, 6),
+            **extra,
+        }
+        self.text("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _to_internal_datum(model: FluxModel, datum):
@@ -244,11 +241,15 @@ def _to_internal_datum(model: FluxModel, datum):
     return SmoothDatum(fn=lambda x: -datum(x))
 
 
-def _physical_pair(model: FluxModel, lo: float, hi: float) -> tuple[float, float]:
-    """Map an internal (lo, hi) interval to physical units, preserving order."""
-    if model.orientation == "concave":
-        return (-hi, -lo)
-    return (lo, hi)
+def _physical(model: FluxModel, *values):
+    """Solver values (states, masses, flux levels) in physical units, as
+    floats or float arrays. Two values are an interval (lo, hi) and come
+    back lower end first."""
+    out = [float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+           for v in map(model.to_physical, values)]
+    if len(out) == 2 and np.any(out[1] < out[0]):
+        out.reverse()
+    return out[0] if len(out) == 1 else tuple(out)
 
 
 def _build_mesh(
@@ -293,10 +294,10 @@ def _auto_window(half_cells: float, dx: float) -> Mesh:
 # subcommands
 
 
-def _run_pipeline(cfg: ExperimentConfig, observers=()):
-    """Shared run/diagnose pipeline: march, dump snapshots, return the pieces."""
+def _run_pipeline(cfg: ExperimentConfig, out: _Outputs, observers=()):
+    """Shared run/diagnose pipeline: march, dump snapshots, return the result
+    and the manifest's run sections."""
     _require(cfg, "mesh", "initial", "time")
-    started = _time.time()
     model = cfg.build_model()
     datum = _to_internal_datum(model, cfg.build_datum())
     t_end = cfg.time["t_end"]
@@ -311,25 +312,16 @@ def _run_pipeline(cfg: ExperimentConfig, observers=()):
         max_dt=cfg.time["max_dt"],
         observers=observers,
     )
-    outdir = _resolve_outdir(cfg)
     # Every snapshot shares the x column: format it once.
-    template = _csv_template(("x", "u"), mesh.centers(), cfg.output["precision"])
-    outputs = []
+    template = _csv_template(("x", "u"), mesh.centers(), out.precision)
     labels = []
     for i, snap in enumerate(result.snapshots):
         fname = f"snapshot_{i:03d}.csv"
-        u = np.asarray(model.to_physical(snap.u), dtype=float)
-        _write_text(os.path.join(outdir, fname), template % tuple(u.tolist()))
-        outputs.append(fname)
+        out.text(fname, template % tuple(_physical(model, snap.u).tolist()))
         labels.append((fname, f"t={snap.time:.6g}"))
-    _write_text(
-        os.path.join(outdir, "plot.gp"),
-        _plot_script(f"{model.name}: solution snapshots", labels, "steps",
-                     "snapshots.png"),
-    )
-    outputs.append("plot.gp")
-    lo, hi = _physical_pair(model, result.envelope.lower_bound,
-                            result.envelope.upper_bound)
+    out.plot(f"{model.name}: solution snapshots", labels, "steps", "snapshots.png")
+    lo, hi = _physical(model, result.envelope.lower_bound, result.envelope.upper_bound)
+    state_min, state_max = _physical(model, result.running_min, result.running_max)
     extra = {
         "mesh": {
             "dx": mesh.dx, "x_min": mesh.x_min, "x_max": mesh.x_max,
@@ -341,7 +333,7 @@ def _run_pipeline(cfg: ExperimentConfig, observers=()):
             "lipschitz": result.cfl.lipschitz,
             "safety": result.cfl.safety,
             "bound": result.cfl.bound,
-            "bracket": None if result.bracket is None else list(_physical_pair(
+            "bracket": None if result.bracket is None else list(_physical(
                 model, result.bracket[0].bound, result.bracket[1].bound)),
         },
         "envelope": {"lower": lo, "upper": hi},
@@ -349,33 +341,29 @@ def _run_pipeline(cfg: ExperimentConfig, observers=()):
             "t_end": t_end,
             "n_steps": result.n_steps,
             "snapshot_times": [s.time for s in result.snapshots],
-            "mass_initial": result.mass_initial
-            if model.orientation == "convex" else -result.mass_initial,
-            "mass_final": result.mass_final
-            if model.orientation == "convex" else -result.mass_final,
+            "mass_initial": _physical(model, result.mass_initial),
+            "mass_final": _physical(model, result.mass_final),
             "relative_mass_drift": result.mass_drift,
-            "state_min": _physical_pair(model, result.running_min,
-                                        result.running_max)[0],
-            "state_max": _physical_pair(model, result.running_min,
-                                        result.running_max)[1],
+            "state_min": state_min,
+            "state_max": state_max,
         },
     }
     print(
         f"run: {result.n_steps} steps to t={t_end:g} on {mesh.n_cells} cells; "
         f"envelope [{lo:.6g}, {hi:.6g}]; relative mass drift "
-        f"{result.mass_drift:.3e}; outputs in {outdir}"
+        f"{result.mass_drift:.3e}; outputs in {out.directory}"
     )
-    return result, outdir, outputs, extra, started
+    return result, extra
 
 
 def cmd_run(args, cfg: ExperimentConfig) -> int:
-    _, outdir, outputs, extra, started = _run_pipeline(cfg)
-    _write_manifest(outdir, cfg, "run", extra, outputs + ["manifest.json"], started)
+    out = _Outputs(cfg, "run")
+    out.manifest(_run_pipeline(cfg, out)[1])
     return EXIT_OK
 
 
 def cmd_riemann(args, cfg: ExperimentConfig) -> int:
-    started = _time.time()
+    out = _Outputs(cfg, "riemann")
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
     if not args.xi_min < args.xi_max:
@@ -387,24 +375,14 @@ def cmd_riemann(args, cfg: ExperimentConfig) -> int:
     u_r = float(model.to_internal(args.right))
     sol = solve_interface(ctx, u_l, u_r)
     xi = np.linspace(args.xi_min, args.xi_max, args.samples)
-    u = model.to_physical(sample(sol, xi))
-    outdir = _resolve_outdir(cfg)
-    precision = cfg.output["precision"]
-    _write_csv(os.path.join(outdir, "riemann.csv"), ("xi", "u"), (xi, u), precision)
-    _write_text(
-        os.path.join(outdir, "plot.gp"),
-        _plot_script(
-            f"{model.name}: Riemann solution ({args.left:g} | {args.right:g})",
-            [("riemann.csv", "u(x/t)")], "lines", "riemann.png",
-        ),
-    )
-    tl = float(model.to_physical(sol.trace_left))
-    tr = float(model.to_physical(sol.trace_right))
-    f_int = sol.interface_flux_value
-    if model.orientation == "concave":
-        f_int = -f_int
+    out.csv("riemann.csv", ("xi", "u"), xi, _physical(model, sample(sol, xi)))
+    out.plot(f"{model.name}: Riemann solution ({args.left:g} | {args.right:g})",
+             [("riemann.csv", "u(x/t)")], "lines", "riemann.png")
+    tl = _physical(model, sol.trace_left)
+    tr = _physical(model, sol.trace_right)
+    f_int = _physical(model, sol.interface_flux_value)
     census = wave_census(sol)
-    extra = {
+    out.manifest({
         "riemann": {
             "u_left": args.left,
             "u_right": args.right,
@@ -418,56 +396,44 @@ def cmd_riemann(args, cfg: ExperimentConfig) -> int:
                     "side": w.side,
                     "speed_min": w.speed_min,
                     "speed_max": w.speed_max,
-                    "left_state": float(model.to_physical(w.left_state)),
-                    "right_state": float(model.to_physical(w.right_state)),
+                    "left_state": _physical(model, w.left_state),
+                    "right_state": _physical(model, w.right_state),
                 }
                 for w in sol.waves
             ],
         }
-    }
-    _write_manifest(
-        outdir, cfg, "riemann",
-        extra, ["riemann.csv", "plot.gp", "manifest.json"], started,
-    )
+    })
     print(
         f"riemann: case {sol.case_tag}; traces ({tl:.12g}, {tr:.12g}); "
         f"interface flux {f_int:.12g}; waves "
         + ", ".join(f"{k}={v}" for k, v in sorted(census.items()))
-        + f"; outputs in {outdir}"
+        + f"; outputs in {out.directory}"
     )
     return EXIT_OK
 
 
 def cmd_steady(args, cfg: ExperimentConfig) -> int:
     _require(cfg, "mesh")
-    started = _time.time()
+    out = _Outputs(cfg, "steady")
     model = cfg.build_model()
     mesh = _build_mesh(cfg, model)
-    outdir = _resolve_outdir(cfg)
-    precision = cfg.output["precision"]
     xs = mesh.centers()
-    outputs = []
     extra: dict = {"mesh": {"dx": mesh.dx, "x_min": mesh.x_min,
                             "x_max": mesh.x_max, "n_cells": mesh.n_cells}}
     if args.anchor is not None:
         branch = args.branch
-        anchor = float(model.to_internal(args.anchor))
         if model.orientation == "concave":
             branch = {"upper": "lower", "lower": "upper"}[branch]
-        state = build_steady(model, mesh, anchor, args.direction, branch)
-        _write_csv(os.path.join(outdir, "steady.csv"), ("x", "v"),
-                   (xs, model.to_physical(state.values)), precision)
-        outputs.append("steady.csv")
+        state = build_steady(model, mesh, float(model.to_internal(args.anchor)),
+                             args.direction, branch)
+        out.csv("steady.csv", ("x", "v"), xs, _physical(model, state.values))
         labels = [("steady.csv", f"{args.branch} branch")]
-        extra["steady"] = {
-            "anchor": args.anchor, "branch": args.branch,
-            "direction": args.direction,
-            "flux_level": state.flux_level
-            if model.orientation == "convex" else -state.flux_level,
-        }
+        level = _physical(model, state.flux_level)
+        extra["steady"] = {"anchor": args.anchor, "branch": args.branch,
+                           "direction": args.direction, "flux_level": level}
         print(
             f"steady: {args.branch} branch anchored at {args.anchor:g}, "
-            f"flux level {extra['steady']['flux_level']:.12g}; outputs in {outdir}"
+            f"flux level {level:.12g}; outputs in {out.directory}"
         )
     else:
         if cfg.initial is not None:
@@ -475,29 +441,18 @@ def cmd_steady(args, cfg: ExperimentConfig) -> int:
         else:
             m = M = 0.0
         env = envelope(model, mesh, m, M)
-        lower_vals, upper_vals = env.lower_state.values, env.upper_state.values
-        if model.orientation == "concave":
-            lower_vals, upper_vals = -upper_vals, -lower_vals
-        _write_csv(os.path.join(outdir, "steady_lower.csv"), ("x", "v"),
-                   (xs, lower_vals), precision)
-        _write_csv(os.path.join(outdir, "steady_upper.csv"), ("x", "v"),
-                   (xs, upper_vals), precision)
-        outputs += ["steady_lower.csv", "steady_upper.csv"]
+        lower, upper = _physical(model, env.lower_state.values, env.upper_state.values)
+        out.csv("steady_lower.csv", ("x", "v"), xs, lower)
+        out.csv("steady_upper.csv", ("x", "v"), xs, upper)
         labels = [("steady_lower.csv", "lower steady state"),
                   ("steady_upper.csv", "upper steady state")]
-        lo, hi = _physical_pair(model, env.lower_bound, env.upper_bound)
-        extra["envelope"] = {
-            "data_min": _physical_pair(model, env.m, env.M)[0],
-            "data_max": _physical_pair(model, env.m, env.M)[1],
-            "lower": lo,
-            "upper": hi,
-        }
-        print(f"steady: envelope bounds ({lo:.12g}, {hi:.12g}); outputs in {outdir}")
-    _write_text(os.path.join(outdir, "plot.gp"),
-                _plot_script(f"{model.name}: steady states", labels, "steps",
-                             "steady.png"))
-    _write_manifest(outdir, cfg, "steady", extra,
-                    outputs + ["plot.gp", "manifest.json"], started)
+        lo, hi = _physical(model, env.lower_bound, env.upper_bound)
+        data_min, data_max = _physical(model, env.m, env.M)
+        extra["envelope"] = {"data_min": data_min, "data_max": data_max,
+                             "lower": lo, "upper": hi}
+        print(f"steady: envelope bounds ({lo:.12g}, {hi:.12g}); outputs in {out.directory}")
+    out.plot(f"{model.name}: steady states", labels, "steps", "steady.png")
+    out.manifest(extra)
     return EXIT_OK
 
 
@@ -506,28 +461,21 @@ _CONSISTENCY_DXS = (1.0 / 50, 1.0 / 100, 1.0 / 200, 1.0 / 400)
 
 
 def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
+    out = _Outputs(cfg, "diagnose")
     diag = cfg.diagnostics
     entropy = EntropyCheck(n_levels=diag["k_levels"]) if diag["entropy"] else None
     variation = TimeVariation() if diag["time_variation"] else None
-    result, outdir, outputs, extra, started = _run_pipeline(
-        cfg, [obs for obs in (entropy, variation) if obs is not None])
+    result, extra = _run_pipeline(
+        cfg, out, [obs for obs in (entropy, variation) if obs is not None])
     model = result.model
-    precision = cfg.output["precision"]
     checks = []  # (name, metric, value, threshold, ok)
 
     if entropy is not None:
         # The levels are in solver coordinates; report them in physical ones.
         rep = entropy.report()
-        rep = dataclasses.replace(
-            rep, k_values=np.asarray(model.to_physical(rep.k_values), dtype=float),
-            worst_k=float(model.to_physical(rep.worst_k)))
-        _write_csv(
-            os.path.join(outdir, "entropy_per_k.csv"),
-            ("k", "max_slack"),
-            (rep.k_values, rep.max_slack_per_k),
-            precision,
-        )
-        outputs.append("entropy_per_k.csv")
+        rep = dataclasses.replace(rep, k_values=_physical(model, rep.k_values),
+                                  worst_k=_physical(model, rep.worst_k))
+        out.csv("entropy_per_k.csv", ("k", "max_slack"), rep.k_values, rep.max_slack_per_k)
         checks.append((
             "entropy_inequality", "max slack / (1+|k|)",
             rep.worst_normalized, 1e-10, rep.ok(1e-10),
@@ -564,13 +512,11 @@ def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
     report_lines = ["check,metric,value,threshold,status"]
     for name, metric, value, threshold, ok in checks:
         report_lines.append(
-            f"{name},{metric},{_fmt(value, precision)},"
-            f"{'inf' if math.isinf(threshold) else _fmt(threshold, precision)},"
+            f"{name},{metric},{_fmt(value, out.precision)},"
+            f"{'inf' if math.isinf(threshold) else _fmt(threshold, out.precision)},"
             f"{'pass' if ok else 'fail'}"
         )
-    _write_text(os.path.join(outdir, "diagnostics.csv"),
-                "\n".join(report_lines) + "\n")
-    outputs.append("diagnostics.csv")
+    out.text("diagnostics.csv", "\n".join(report_lines) + "\n")
 
     failures = [c for c in checks if not c[4]]
     extra["diagnostics"] = {
@@ -582,11 +528,10 @@ def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
         ],
         "failures": len(failures),
     }
-    _write_manifest(outdir, cfg, "diagnose", extra,
-                    outputs + ["manifest.json"], started)
+    out.manifest(extra)
     print(
         f"diagnose: {len(checks) - len(failures)}/{len(checks)} checks passed; "
-        f"report in {outdir}/diagnostics.csv"
+        f"report in {out.directory}/diagnostics.csv"
     )
     if failures:
         raise InvariantBreach(

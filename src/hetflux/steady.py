@@ -65,7 +65,8 @@ def build_steady(
 
     Preconditions: anchor >= sup alpha for the upper branch, <= inf alpha for
     the lower. Root failures (flux level below some cell's minimum) propagate
-    as NumericalError.
+    as NumericalError. The ConfigErrors give their numbers in physical units
+    (FluxModel.to_physical), so they name no internal branch or direction.
     """
     if direction not in ("from_left", "from_right"):
         raise ConfigError(f"direction must be from_left/from_right, got {direction!r}")
@@ -74,14 +75,12 @@ def build_steady(
     curve = model.curve
     anchor = float(anchor)
     slack = 1e-12 * (1.0 + abs(curve.alpha_max) + abs(curve.alpha_min))
-    if branch == "upper" and anchor < curve.alpha_max - slack:
-        raise ConfigError(
-            f"upper-branch anchor {anchor} below sup alpha = {curve.alpha_max}"
-        )
-    if branch == "lower" and anchor > curve.alpha_min + slack:
-        raise ConfigError(
-            f"lower-branch anchor {anchor} above inf alpha = {curve.alpha_min}"
-        )
+    edge = curve.alpha_max if branch == "upper" else curve.alpha_min
+    if (anchor < edge - slack) if branch == "upper" else (anchor > edge + slack):
+        lo, hi, a, e = (float(model.to_physical(v))
+                        for v in (curve.alpha_min, curve.alpha_max, anchor, edge))
+        raise ConfigError(f"anchor {a} lies off the requested branch, which ends at "
+                          f"the critical state {e} (critical range {sorted((lo, hi))})")
     X = model.hetero_radius
     anchor_x = -X if direction == "from_left" else X
     level = float(model.h(anchor_x, anchor))
@@ -89,10 +88,11 @@ def build_steady(
     # level below the largest minimum means the anchored throughput exceeds
     # some bottleneck.
     if level < curve.floor - 1e-10 * (1.0 + abs(curve.floor)):
+        a, y, floor = (float(model.to_physical(v)) for v in (anchor, level, curve.floor))
         raise ConfigError(
-            f"anchor {anchor:g} carries flux level {level:g}, below the "
-            f"largest critical flux {curve.floor:g}; no steady state holds that "
-            "level across the whole domain"
+            f"anchor {a:g} carries flux level {y:g}, past the critical flux {floor:g} "
+            "of the tightest bottleneck; no steady state holds that level across "
+            "the whole domain"
         )
     xc, al = (v[1:-1] for v in ghost_alphas(model, mesh))
     span, spread = distinct_span(model, xc)

@@ -5,8 +5,10 @@ subcommand, mostly valid and bounded so that every run stays small, with
 one fault in some cases: a key of another family or kind, a non-finite or
 non-numeric value, a value out of range, or data whose automatic window is
 far too large. Whatever the flags, the CLI must exit 0, 2, 3 or 4; a failure
-prints exactly one "hetflux:" line to stderr and never raises; and a second
-run writes the same bytes, apart from the manifest's runtime_seconds.
+prints exactly one "hetflux:" line to stderr and never raises; a run that
+exits 2 or 3 writes nothing; every directory holding a manifest.json holds
+exactly the files its outputs list; and a second run writes the same bytes,
+apart from the manifest's runtime_seconds.
 """
 
 import contextlib
@@ -144,9 +146,15 @@ def test_seeded_cli_fuzz(tmp_path, monkeypatch):
     codes = []
     for i in range(N_CASES):
         argv, fault = _case(rng, i, csv_paths)
-        first = _call(argv, str(tmp_path / f"first{i:02d}"))
-        rc, _, err, _ = first
+        root = tmp_path / f"first{i:02d}"
+        first = _call(argv, str(root))
+        rc, _, err, files = first
         assert rc in (0, 2, 3, 4), (argv, first[1:3])
+        if rc in (2, 3):
+            assert not root.exists(), (argv, err)
+        for name, data in files.items():
+            if os.path.basename(name) == "manifest.json":
+                assert sorted(os.listdir(root / os.path.dirname(name))) == data["outputs"], argv
         lines = err.splitlines()
         if rc == 0:
             assert err == "", (argv, err)

@@ -520,6 +520,63 @@ def test_cli_diagnose_reports_traffic_levels_as_densities(tmp_path, monkeypatch,
     assert lo <= worst_k <= hi
 
 
+def test_cli_traffic_outputs_are_in_physical_units(tmp_path, monkeypatch):
+    # lwr is solved for u = -rho; states come out as densities, fluxes as
+    # nonnegative traffic flows, and intervals lower end first.
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    base = ["--flux-family=lwr", "--mesh-dx=0.1"]
+    assert main(["riemann", *base, "--left=0.3", "--right=0.7", "--output-directory=r"]) == 0
+    rie = json.loads((tmp_path / "r" / "manifest.json").read_text())["riemann"]
+    assert 0 <= rie["trace_left"] <= 1 and 0 <= rie["trace_right"] <= 1
+    assert rie["interface_flux"] == pytest.approx(0.04375, abs=1e-12)
+    assert all(0 <= w[side] <= 1 for w in rie["waves"]
+               for side in ("left_state", "right_state"))
+    assert main(["steady", *base, "--anchor=0.05", "--branch=lower",
+                 "--output-directory=a"]) == 0
+    assert json.loads((tmp_path / "a" / "manifest.json").read_text())[
+        "steady"]["flux_level"] == pytest.approx(0.0475, abs=1e-12)
+    v = np.genfromtxt(tmp_path / "a" / "steady.csv", delimiter=",", names=True)["v"]
+    assert 0.05 - 1e-12 <= np.min(v) and np.max(v) <= 0.4
+    assert main(["steady", *base, "--initial-kind=step", "--initial-left=0.3",
+                 "--initial-right=0.7", "--output-directory=e"]) == 0
+    lower, upper = (np.genfromtxt(tmp_path / "e" / f"steady_{side}.csv", delimiter=",",
+                                  names=True)["v"] for side in ("lower", "upper"))
+    assert np.all(lower <= upper)
+    env = json.loads((tmp_path / "e" / "manifest.json").read_text())["envelope"]
+    assert env["lower"] <= env["data_min"] == 0.3 < env["data_max"] == 0.7 <= env["upper"]
+    assert main(["run", "-c", os.path.join(CONFIG_DIR, "demo_lwr_slowdown.ini"),
+                 "--mesh-dx=0.05", "--output-directory=run"]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    run = manifest["run"]
+    assert 0 < run["mass_initial"] and 0 < run["mass_final"]
+    assert 0.3 == run["state_min"] < run["state_max"] <= 0.7 + 0.2
+    lo, hi = manifest["cfl"]["bracket"]
+    assert manifest["envelope"]["lower"] <= lo < hi <= manifest["envelope"]["upper"]
+
+
+def test_cli_failed_steady_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    # The output directory is made on the first write: a command refused
+    # before it writes anything leaves none behind.
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    assert main(["steady", "--flux-family=quadratic", "--mesh-dx=0.1", "--anchor=-5",
+                 "--branch=upper", "--output-directory=s1"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "s1").exists()
+
+
+@pytest.mark.parametrize("anchor, number", [("0.9", "0.9"), ("0.2", "0.16")])
+def test_cli_steady_traffic_errors_are_in_densities(tmp_path, monkeypatch, capsys,
+                                                    anchor, number):
+    # The anchor, critical states and flux levels of a refused traffic anchor
+    # are densities and flows, and the message names no internal branch.
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    assert main(["steady", "--flux-family=lwr", "--mesh-dx=0.1", f"--anchor={anchor}",
+                 "--branch=lower"]) == 2
+    err = capsys.readouterr().err
+    assert f" {number}" in err and "upper-branch" not in err
+    assert not re.search(r"-\d", err), err
+
+
 def test_cli_precision_flag_controls_digits(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
     assert main([

@@ -1,6 +1,7 @@
 """Package surface: the public export list stays in step with the modules,
 no module of the package or of the tests imports a name it never reads, and
-only flux_model asks what a freeze hook can do."""
+only flux_model asks what a freeze hook can do, and only the CLI's recorder
+touches the output directory."""
 
 import ast
 import inspect
@@ -71,3 +72,27 @@ def test_only_flux_model_asks_what_an_object_offers():
         and node.func.id == "hasattr"
     ]
     assert calls == []
+
+
+def test_only_the_cli_recorder_touches_the_output_directory():
+    # cli._Outputs resolves the output root, makes the directory and writes
+    # every file, so the manifest it writes lists all of them.
+    tree = ast.parse((Path(hetflux.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+
+    def touches(node):
+        """What of the output directory node touches, or None."""
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("open", "os.makedirs"):
+            return ast.unparse(node.func)
+        if (isinstance(node, ast.Name) and node.id == "ENV_OUTPUT_ROOT"
+                and isinstance(node.ctx, ast.Load)):
+            return node.id
+        return None
+
+    recorder = {id(node) for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) and cls.name == "_Outputs"
+                for node in ast.walk(cls)}
+    found = [(what, node.lineno, id(node) in recorder)
+             for node in ast.walk(tree) if (what := touches(node))]
+    assert {what for what, _, inside in found if inside} == {
+        "open", "os.makedirs", "ENV_OUTPUT_ROOT"}
+    assert [(what, line) for what, line, inside in found if not inside] == []

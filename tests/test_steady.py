@@ -115,17 +115,21 @@ def test_homogeneous_steady_is_constant(burgers_model):
 
 
 def test_build_steady_rejects_bad_anchors_and_args(hq_model, lwr_model, hq_mesh):
-    with pytest.raises(ConfigError, match="below sup alpha"):
+    with pytest.raises(ConfigError, match=r"anchor 0\.1 lies off the requested "
+                       r"branch, which ends at the critical state 0\.3 \(critical "
+                       r"range \[0\.0, 0\.3\]\)"):
         build_steady(hq_model, hq_mesh, 0.1, branch="upper")
-    with pytest.raises(ConfigError, match="above inf alpha"):
+    with pytest.raises(ConfigError, match="branch, which ends at the critical state 0.0 "):
         build_steady(hq_model, hq_mesh, 0.1, branch="lower")
     with pytest.raises(ConfigError, match="direction"):
         build_steady(hq_model, hq_mesh, 1.0, direction="sideways")
     with pytest.raises(ConfigError, match="branch"):
         build_steady(hq_model, hq_mesh, 1.0, branch="middle")
     # lwr: anchoring -1/2 on the left carries flux -1/4, but the right
-    # bottleneck only passes -1/10
-    with pytest.raises(ConfigError, match="largest critical flux"):
+    # bottleneck only passes -1/10; the message gives the physical density
+    # 1/2 and flux 1/4
+    with pytest.raises(ConfigError, match=r"anchor 0\.5 carries flux level 0\.25, "
+                       r"past the critical flux 0\.1 of the tightest bottleneck"):
         build_steady(lwr_model, hq_mesh, -0.5, direction="from_left", branch="lower")
 
 
