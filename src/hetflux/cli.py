@@ -17,8 +17,10 @@ consuming the CSVs. CSV values carry 17 significant digits by default so
 they round-trip exactly.
 
 For the concave (traffic) family all file and flag values are in physical
-units. Inputs are flipped into the internal convex formulation here, and
-every value written or printed comes back through _physical.
+units. Inputs are flipped into the internal convex formulation here, the
+datum by datum.map(model.to_internal), and every value written or printed
+comes back through _physical. The CLI asks no datum of its kind: the auto
+window reads datum.support and the envelope datum.bounds (see solver).
 """
 
 from __future__ import annotations
@@ -42,13 +44,7 @@ from .errors import ConfigError, InvariantBreach, NumericalError
 from .flux_model import FluxModel, validate_assumptions
 from .interface import InterfaceContext
 from .riemann import sample, solve_interface, wave_census
-from .solver import (
-    Mesh,
-    PiecewiseConstantDatum,
-    SmoothDatum,
-    lipschitz_bound,
-    run,
-)
+from .solver import Mesh, lipschitz_bound, run
 from .steady import build_steady, envelope, envelope_constants
 
 EXIT_OK = 0
@@ -229,18 +225,6 @@ class _Outputs:
         self.text("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _to_internal_datum(model: FluxModel, datum):
-    """Flip a physical-units datum into the internal convex orientation."""
-    if model.orientation == "convex":
-        return datum
-    if isinstance(datum, PiecewiseConstantDatum):
-        return PiecewiseConstantDatum(
-            breakpoints=datum.breakpoints,
-            values=tuple(-float(v) for v in datum.values),
-        )
-    return SmoothDatum(fn=lambda x: -datum(x))
-
-
 def _physical(model: FluxModel, *values):
     """Solver values (states, masses, flux levels) in physical units, as
     floats or float arrays. Two values are an interval (lo, hi) and come
@@ -252,24 +236,19 @@ def _physical(model: FluxModel, *values):
     return out[0] if len(out) == 1 else tuple(out)
 
 
-def _build_mesh(
-    cfg: ExperimentConfig,
-    model: FluxModel,
-    datum=None,
-    t_end: float = 0.0,
-) -> Mesh:
+def _build_mesh(cfg: ExperimentConfig, model: FluxModel, datum=None, t_end: float = 0.0) -> Mesh:
     """Mesh from config; the window is auto-sized when x_min/x_max are absent.
 
     Auto window = heterogeneity radius + datum support + influence cone
     L * t_end, padded by two cells and snapped to a multiple of dx, so
     boundary replication cannot reach anything the run is asked to report.
+    A datum of unknown (infinite) support gets no auto window.
     """
     mcfg = cfg.mesh
     dx = mcfg["dx"]
     if mcfg["x_min"] is not None:
         return Mesh.make(mcfg["x_min"], mcfg["x_max"], dx)
-    support = cfg.datum_support_radius()
-    half0 = max(model.hetero_radius, support, 1.0)
+    half0 = max(model.hetero_radius, 0.0 if datum is None else datum.support, 1.0)
     margin = 0.0
     if t_end > 0 and datum is not None:
         b = datum.bounds(_auto_window((half0 + 1.0) / dx, dx))
@@ -299,7 +278,7 @@ def _run_pipeline(cfg: ExperimentConfig, out: _Outputs, observers=()):
     and the manifest's run sections."""
     _require(cfg, "mesh", "initial", "time")
     model = cfg.build_model()
-    datum = _to_internal_datum(model, cfg.build_datum())
+    datum = cfg.build_datum().map(model.to_internal)
     t_end = cfg.time["t_end"]
     mesh = _build_mesh(cfg, model, datum, t_end)
     result = run(
@@ -416,7 +395,11 @@ def cmd_steady(args, cfg: ExperimentConfig) -> int:
     _require(cfg, "mesh")
     out = _Outputs(cfg, "steady")
     model = cfg.build_model()
-    mesh = _build_mesh(cfg, model)
+    # [initial] is read only where it counts: for an auto window or envelope mode.
+    datum = None
+    if cfg.initial is not None and (cfg.mesh["x_min"] is None or args.anchor is None):
+        datum = cfg.build_datum().map(model.to_internal)
+    mesh = _build_mesh(cfg, model, datum)
     xs = mesh.centers()
     extra: dict = {"mesh": {"dx": mesh.dx, "x_min": mesh.x_min,
                             "x_max": mesh.x_max, "n_cells": mesh.n_cells}}
@@ -436,11 +419,7 @@ def cmd_steady(args, cfg: ExperimentConfig) -> int:
             f"flux level {level:.12g}; outputs in {out.directory}"
         )
     else:
-        if cfg.initial is not None:
-            m, M = _to_internal_datum(model, cfg.build_datum()).bounds(mesh)
-        else:
-            m = M = 0.0
-        env = envelope(model, mesh, m, M)
+        env = envelope(model, mesh, *(datum.bounds(mesh) if datum is not None else (0.0, 0.0)))
         lower, upper = _physical(model, env.lower_state.values, env.upper_state.values)
         out.csv("steady_lower.csv", ("x", "v"), xs, lower)
         out.csv("steady_upper.csv", ("x", "v"), xs, upper)

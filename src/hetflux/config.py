@@ -17,7 +17,8 @@ library cannot drift apart. A value parses as the type of its default: bool,
 int, tuple of floats, text, and a finite float otherwise. The text keys
 without a default are the selectors and initial.path. Unknown sections or
 keys are hard errors, as are out-of-range values; the error message names
-the offending "section.key".
+the offending "section.key". A built datum carries its own support and
+bounds (see solver), so nothing here knows a datum kind's parameters.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ _REQUIRED = object()  # a key without a default, parsed as a number
 _REQUIRED_TEXT = object()  # a key without a default, kept as text
 
 
-def _read_initial_table(path: str):
+def _datum_file(path: str):
+    """The datum interpolating the first two columns (x, u) of a CSV file."""
     try:
         table = np.genfromtxt(path, delimiter=",", names=True)
     except OSError as exc:
@@ -51,18 +53,8 @@ def _read_initial_table(path: str):
             f"initial.path: {path!r} must be a CSV with a header row "
             "and at least two columns (x, u)"
         )
-    return table
-
-
-def _datum_table(table):
-    """The datum interpolating the first two columns (x, u) of a table."""
     cx, cu = table.dtype.names[:2]
     return datum_from_table(np.atleast_1d(table[cx]), np.atleast_1d(table[cu]))
-
-
-def _datum_file(path: str):
-    """The datum interpolating the first two columns (x, u) of a CSV file."""
-    return _datum_table(_read_initial_table(path))
 
 
 FAMILY_BUILDERS: dict[str, Callable[..., FluxModel]] = {
@@ -183,33 +175,11 @@ class ExperimentConfig:
     def build_model(self) -> FluxModel:
         return SECTIONS["flux"].build(self.flux)
 
-    @functools.cached_property
-    def _initial_table(self):
-        """The CSV table of a file datum, read once for the datum and its
-        support radius."""
-        return _read_initial_table(self.initial["path"])
-
     def build_datum(self):
+        """The initial datum, in physical units."""
         if self.initial is None:
             raise ConfigError("missing [initial] section")
-        if self.initial["kind"] == "file":
-            return _datum_table(self._initial_table)
         return SECTIONS["initial"].build(self.initial)
-
-    def datum_support_radius(self) -> float:
-        """How far from the origin the initial datum is non-constant."""
-        if self.initial is None:
-            return 0.0
-        kind = self.initial["kind"]
-        p = self.initial
-        if kind == "constant":
-            return 0.0
-        if kind == "step":
-            return abs(p["location"])
-        if kind == "bump":
-            return abs(p["center"]) + p["width"]
-        table = self._initial_table
-        return float(np.max(np.abs(np.atleast_1d(table[table.dtype.names[0]]))))
 
     def echo(self) -> str:
         """Deterministic INI text of the resolved configuration."""

@@ -44,6 +44,10 @@ from .solver import (
 from .steady import Envelope, envelope_constants
 
 DEFAULT_K_LEVELS = 33
+# consistency_rate: successive rates this close count as settled, and the
+# finest dx of a sweep is halved at most this often to get there.
+_SETTLED = 0.05
+_MAX_HALVINGS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +103,10 @@ class EntropyCheck:
     """Run observer evaluating the discrete entropy inequality on every step.
 
     Pass it in run(..., observers=...), then read report(). Without k_values
-    the levels are default_k_levels(envelope, u0, n_levels); they run
-    sorted, and report() gives them in the caller's order. When u is the
-    state the run's Scheme last stepped from (as run() hands it over), the
-    edge terms come from that step (Scheme.last_edges); otherwise they are
-    evaluated here.
+    the levels are default_k_levels(envelope, u0, n_levels); they run and
+    are reported in the caller's order. When u is the state the run's
+    Scheme last stepped from (as run() hands it over), the edge terms come
+    from that step (Scheme.last_edges); otherwise they are evaluated here.
 
     Every level takes the one lattice formula: phi from maxima/minima of
     the u and k edge terms, |u_new - k| and sign(u_new - k) d_kk. At a
@@ -143,8 +146,7 @@ class EntropyCheck:
         ks = self.k_values
         if ks is None:
             ks = default_k_levels(envelope, u0, self.n_levels)
-        self._order = np.argsort(ks, kind="stable")
-        self._scheme, self._given, self._ks = scheme, ks, ks[self._order]
+        self._scheme, self._ks = scheme, ks
         n_k, n = ks.size, scheme.mesh.n_cells
         # The k edge terms and d_kk, the difference of F(k, k), are time
         # independent. Each level-major temporary is freed once transposed.
@@ -159,7 +161,7 @@ class EntropyCheck:
         self._carried, self._dt = None, None  # the last u_new (|u_new - k| in _abs_old) and dt
         self._clean = True  # no NaN slack in the last step
         self._max_slack = np.full(n_k, -np.inf)
-        self._worst = (-math.inf, 0, 0, 0)  # slack, caller's k index, step, cell
+        self._worst = (-math.inf, 0, 0, 0)  # slack, k index, step, cell
         self._n_steps = 0
 
     def _edges(self, u: np.ndarray, u_new: np.ndarray, dt: float):
@@ -208,18 +210,16 @@ class EntropyCheck:
         slack += dphi
         np.multiply(np.sign(du, out=du), self._d_kk[c0:c1], out=du)
         slack += np.multiply(du, dt, out=du)
-        # The first level reaching the overall max, in the caller's order,
-        # holds the row-major argmax of the (levels x cells) slack; a NaN
-        # level max propagates to max_slack and never beats the worst.
+        # The first level reaching the overall max holds the row-major
+        # argmax of the (levels x cells) slack; a NaN level max propagates
+        # to max_slack and never beats the worst.
         level_max = slack.max(axis=0)
         np.maximum(self._max_slack, level_max, out=self._max_slack)
         ik = int(np.argmax(level_max))
         top = float(level_max[ik])
         if top > self._worst[0]:
-            tied = np.flatnonzero(level_max == top)
-            ik = int(tied[np.argmin(self._order[tied])])
             jc = int(np.argmax(slack[:, ik]))
-            self._worst = (float(slack[jc, ik]), int(self._order[ik]), self._n_steps, c0 + jc)
+            self._worst = (float(slack[jc, ik]), ik, self._n_steps, c0 + jc)
         old[...] = new  # the carry: |u_new - k| is the next step's |u - k|
         self._carried, self._dt, self._clean = u_new, dt, not math.isnan(top)
         self._n_steps += 1
@@ -228,9 +228,8 @@ class EntropyCheck:
         if self._n_steps == 0:
             raise ConfigError("entropy check observed no step; run with t_end > 0")
         slack, ik, step, cell = self._worst
-        return EntropyReport(k_values=self._given,
-                             max_slack_per_k=self._max_slack[np.argsort(self._order)],
-                             worst_slack=slack, worst_k=float(self._given[ik]), worst_step=step,
+        return EntropyReport(k_values=self._ks, max_slack_per_k=self._max_slack.copy(),
+                             worst_slack=slack, worst_k=float(self._ks[ik]), worst_step=step,
                              worst_cell=cell, n_steps=self._n_steps)
 
 
@@ -265,34 +264,43 @@ def consistency_rate(
 
     The deviation vanishes identically where the flux is frozen in x, so the
     max is taken over meshes covering the heterogeneous window. For smooth
-    heterogeneity the deviation is first order in dx; the fitted log-log
-    slope quantifies that. `exact` is set when every deviation sits at
+    heterogeneity the deviation is first order in dx. The slope is the rate
+    log(d_i / d_{i-1}) / log(dx_i / dx_{i-1}) of the finest pair; while it
+    differs from the rate of the pair before by more than _SETTLED, the
+    sweep is still pre-asymptotic and the finest dx is halved again, at
+    most _MAX_HALVINGS times. `exact` is set when every deviation sits at
     rounding level, which is the homogeneous (X = 0) signature.
     """
     k = float(k)
     if dx_values is None:
         dx_values = [0.1 / 2**i for i in range(5)]
-    dxs = np.asarray(sorted(dx_values, reverse=True), dtype=float)
-    if dxs.size == 0 or np.any(dxs <= 0):
+    dxs = sorted({float(dx) for dx in dx_values}, reverse=True)
+    if not dxs or dxs[-1] <= 0:
         raise ConfigError("dx_values must be positive")
     X = model.hetero_radius
-    devs = []
-    for dx in dxs:
+
+    def deviation(dx: float) -> float:
         half = math.ceil((X + 4 * dx + 1e-12) / dx) * dx
         mesh = Mesh.make(-half, half, dx)
         sch = Scheme(model, mesh, lipschitz=1.0)
         f_kk = sch.edge_fluxes(np.full(mesh.n_cells, k))
         target = np.asarray(model.h(sch.xc_ext[1:], k), dtype=float)
-        devs.append(float(np.max(np.abs(f_kk - target))))
-    devs = np.asarray(devs)
+        return float(np.max(np.abs(f_kk - target)))
+
+    devs = [deviation(dx) for dx in dxs]
     scale = 1.0 + float(np.max(np.abs(model.h(model.curve.xs, k))))
-    exact = bool(np.all(devs <= 1e-14 * scale))
-    if exact or np.any(devs == 0.0):
-        slope = math.inf
-    else:
-        slope = float(np.polyfit(np.log(dxs), np.log(devs), 1)[0])
+    exact = all(d <= 1e-14 * scale for d in devs)
+    for halving in range(_MAX_HALVINGS + 1):
+        if exact or 0.0 in devs:
+            break
+        rates = np.diff(np.log(devs)) / np.diff(np.log(dxs))
+        if halving == _MAX_HALVINGS or rates.size > 1 and abs(rates[-1] - rates[-2]) <= _SETTLED:
+            break
+        dxs.append(dxs[-1] / 2)
+        devs.append(deviation(dxs[-1]))
+    slope = math.inf if exact or 0.0 in devs else float(rates[-1])
     return ConsistencyReport(
-        k=k, dx_values=dxs, deviations=devs, slope=slope, exact=exact
+        k=k, dx_values=np.asarray(dxs), deviations=np.asarray(devs), slope=slope, exact=exact
     )
 
 

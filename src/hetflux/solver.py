@@ -82,6 +82,9 @@ class GridState:
     time: float
     step_index: int = 0
 
+    def bounds(self, mesh: Optional[Mesh] = None) -> tuple[float, float]:
+        return (float(np.min(self.u)), float(np.max(self.u)))
+
 
 @dataclass(frozen=True)
 class CflPolicy:
@@ -253,6 +256,11 @@ def _cfl_policy(L: float, mesh: Mesh, safety: float, max_dt: Optional[float]) ->
 
 # ---------------------------------------------------------------------------
 # Initial data
+#
+# A datum answers for itself: datum(x) its values, bounds(mesh) its range on
+# a mesh, support how far from the origin it is non-constant (math.inf when
+# unknown), and map(fn) the datum fn(u) with the same support, so callers
+# ask no datum of its kind.
 
 
 @dataclass(frozen=True)
@@ -276,12 +284,20 @@ class PiecewiseConstantDatum:
     def bounds(self, mesh: Optional[Mesh] = None) -> tuple[float, float]:
         return (float(min(self.values)), float(max(self.values)))
 
+    @property
+    def support(self) -> float:
+        return max(map(abs, self.breakpoints), default=0.0)
+
+    def map(self, fn: Callable) -> "PiecewiseConstantDatum":
+        return replace(self, values=tuple(float(fn(v)) for v in self.values))
+
 
 @dataclass(frozen=True)
 class SmoothDatum:
     """Datum given by a callable; projected by 5-point Gauss quadrature per cell."""
 
     fn: Callable
+    support: float = math.inf
 
     def __call__(self, x):
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
@@ -290,6 +306,9 @@ class SmoothDatum:
         xs = np.linspace(mesh.x_min, mesh.x_max, 16 * mesh.n_cells + 1)
         vals = self(xs)
         return (float(np.min(vals)), float(np.max(vals)))
+
+    def map(self, fn: Callable) -> "SmoothDatum":
+        return replace(self, fn=lambda x: fn(self(x)))
 
 
 def datum_constant(value: float) -> PiecewiseConstantDatum:
@@ -305,7 +324,8 @@ def datum_bump(base: float, amplitude: float, center: float = 0.0, width: float 
 
     if width <= 0:
         raise ConfigError("bump datum needs width > 0")
-    return SmoothDatum(fn=lambda x: base + amplitude * bump((np.asarray(x, dtype=float) - center) / width))
+    return SmoothDatum(fn=lambda x: base + amplitude * bump((np.asarray(x, dtype=float) - center) / width),
+                       support=abs(center) + width)
 
 
 def datum_from_table(xs, us) -> SmoothDatum:
@@ -314,7 +334,8 @@ def datum_from_table(xs, us) -> SmoothDatum:
     us = np.asarray(us, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0):
         raise ConfigError("file datum needs at least two strictly increasing x samples")
-    return SmoothDatum(fn=lambda x: np.interp(np.asarray(x, dtype=float), xs, us))
+    return SmoothDatum(fn=lambda x: np.interp(np.asarray(x, dtype=float), xs, us),
+                       support=float(np.max(np.abs(xs))))
 
 
 def project_initial(datum, mesh: Mesh) -> GridState:
@@ -399,17 +420,13 @@ def run(
     Snapshot times are hit exactly by shortening the step. Each observer gets
     obs.start(scheme, envelope, u0) before the first step and obs.step(u,
     u_new, dt) after each, with the dt used; no one may modify these arrays.
-    A NaN or infinite state raises NumericalError.
+    A NaN or infinite state raises NumericalError. The envelope is taken
+    over datum_bounds, or datum.bounds(mesh) when that is None.
     """
     if t_end < 0:
         raise ConfigError(f"t_end must be >= 0, got {t_end}")
     u = project_initial(datum, mesh).u
-    if datum_bounds is None:
-        if isinstance(datum, GridState):
-            datum_bounds = (float(np.min(u)), float(np.max(u)))
-        else:
-            datum_bounds = datum.bounds(mesh)
-    env = envelope(model, mesh, datum_bounds[0], datum_bounds[1])
+    env = envelope(model, mesh, *(datum.bounds(mesh) if datum_bounds is None else datum_bounds))
     X = model.hetero_radius
     xc = mesh.centers()
     if X == 0.0 or (xc[0] <= -X and xc[-1] >= X):

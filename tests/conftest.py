@@ -65,8 +65,7 @@ class ReferenceEntropyCheck(EntropyCheck):
 
     def start(self, scheme, envelope, u0):
         super().start(scheme, envelope, u0)
-        ks = self._ks = self._given
-        self._order = np.arange(ks.size)
+        ks = self._ks
         shape = (ks.size, scheme.mesh.n_cells)  # (K, N), whatever EntropyCheck's layout
         k_sides = reference_edge_sides(scheme, np.broadcast_to(ks[:, None], shape))
         self._kl, self._kr = k_sides

@@ -204,13 +204,13 @@ def test_datum_constant_and_step():
     d = cfg.build_datum()
     assert isinstance(d, PiecewiseConstantDatum)
     assert d.values == (0.7, 0.7)
-    assert cfg.datum_support_radius() == 0.0
+    assert d.support == 0.0
 
     cfg = make_config({"flux": _flux(), "initial":
                        {"kind": "step", "left": "1", "right": "-1", "location": "-0.5"}})
     d = cfg.build_datum()
     assert d.breakpoints == (-0.5,) and d.values == (1.0, -1.0)
-    assert cfg.datum_support_radius() == 0.5
+    assert d.support == 0.5
 
 
 def test_datum_bump():
@@ -221,7 +221,7 @@ def test_datum_bump():
     assert isinstance(d, SmoothDatum)
     assert float(d(1.0)) == pytest.approx(0.7)
     assert float(d(2.0)) == pytest.approx(0.2)
-    assert cfg.datum_support_radius() == 1.5
+    assert d.support == 1.5
 
 
 def test_datum_from_file(tmp_path):
@@ -234,7 +234,7 @@ def test_datum_from_file(tmp_path):
         assert float(d(x)) == pytest.approx(u)
     assert float(d(-0.5)) == pytest.approx(1.0)  # linear between samples
     assert float(d(5.0)) == pytest.approx(0.25)  # flat extrapolation
-    assert cfg.datum_support_radius() == 2.0
+    assert d.support == 2.0
 
 
 def test_datum_file_errors(tmp_path):
@@ -624,3 +624,43 @@ def test_cli_run_reads_a_file_datum_once(tmp_path, monkeypatch):
                  "--initial-kind=file", f"--initial-path={path}",
                  "--time-t-end=0.1"]) == 0
     assert reads == [str(path)]
+
+
+def test_cli_steady_reads_the_datum_only_for_an_auto_window_or_the_envelope(tmp_path, monkeypatch,
+                                                                            capsys):
+    # An anchored steady state on an explicit window needs no datum, so an
+    # unreadable [initial] file does not stop it; the other two modes read it,
+    # and an auto window is not sized from a datum that cannot be built.
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    argv = ["steady", "--flux-family=quadratic", "--mesh-dx=0.1", "--initial-kind=file",
+            f"--initial-path={tmp_path / 'absent.csv'}"]
+    window = ["--mesh-x-min=-1", "--mesh-x-max=1"]
+    assert main([*argv, *window, "--anchor=1", "--output-directory=a"]) == 0
+    assert main([*argv, "--anchor=1", "--output-directory=b"]) == 2
+    assert main([*argv, *window, "--output-directory=c"]) == 2
+    assert capsys.readouterr().err.count("cannot read") == 2
+    assert main([*argv[:3], "--initial-kind=bump", "--initial-base=0", "--initial-amplitude=1",
+                 "--initial-width=0", "--anchor=1", "--output-directory=d"]) == 2
+    assert "width > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flux", [
+    ["--flux-v-right=0.911", "--flux-rho-right=0.944"], ["--flux-radius=0.205"]])
+def test_cli_diagnose_passes_consistency_on_valid_traffic_parameters(tmp_path, monkeypatch, flux):
+    # Valid lwr parameters whose consistency sweep over 1/50 .. 1/400 is still
+    # pre-asymptotic at the crossing level; a least-squares slope over it
+    # read 0.756 and 0.562 and failed the 0.9 threshold.
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    assert main(["diagnose", "--flux-family=lwr", *flux, "--mesh-dx=0.1",
+                 "--initial-kind=constant", "--initial-value=0.3", "--time-t-end=0.05",
+                 "--output-directory=d"]) == 0
+    report = (tmp_path / "d" / "diagnostics.csv").read_text().splitlines()
+    rows = [row.split(",") for row in report if row.startswith("flux_consistency")]
+    assert len(rows) == 3 and all(row[-1] == "pass" for row in rows)
+
+
+def test_cli_auto_window_refuses_a_datum_of_unknown_support():
+    cfg = make_config({"flux": _flux(), "mesh": {"dx": "0.1"}})
+    for t_end in (0.0, 0.5):
+        with pytest.raises(ConfigError, match="set mesh.x_min and mesh.x_max"):
+            cli._build_mesh(cfg, cfg.build_model(), SmoothDatum(fn=np.cos), t_end)

@@ -36,7 +36,7 @@ from hetflux.diagnostics import (
     riemann_error,
 )
 from hetflux.errors import ConfigError
-from hetflux.families import heterogeneous_quadratic, two_state
+from hetflux.families import heterogeneous_quadratic, lwr, two_state
 from hetflux.riemann import sample, solve_interface
 from hetflux.solver import (
     GridState,
@@ -302,7 +302,7 @@ def test_entropy_check_reused_across_runs_matches_a_fresh_one(pair_model):
 def test_entropy_check_reports_the_first_tied_level_in_the_callers_order(burgers_model):
     # A constant state of a homogeneous flux is a fixed point: every slack is
     # +0.0, so at the first step all levels tie and the worst is the first
-    # level as given, though the check runs the levels sorted.
+    # level as given.
     ks = [0.7, -0.2, 0.3, 1.0, -0.2]
     check, ref = EntropyCheck(k_values=ks), ReferenceEntropyCheck(k_values=ks)
     run(burgers_model, Mesh.make(-1.0, 1.0, 0.05), datum_constant(0.5), t_end=0.1,
@@ -380,6 +380,23 @@ def test_consistency_first_order_across_the_critical_curve(hq_model):
     report = consistency_rate(hq_model, 0.15, dx_values=[0.04, 0.02, 0.01, 0.005])
     assert not report.exact
     assert report.slope >= 0.9
+
+
+@pytest.mark.parametrize("params, finest", [
+    ({"v_right": 0.911, "rho_right": 0.944}, 1.0 / 800), ({"radius": 0.205}, 1.0 / 1600)])
+def test_consistency_refines_a_preasymptotic_sweep_until_its_rate_settles(params, finest):
+    # At the crossing level 90% up the critical band the halving rates of
+    # these lwr sweeps still climb over 1/50 .. 1/400; halving the finest dx
+    # until two successive rates agree to 0.05 reaches first order.
+    model = lwr(**params)
+    curve = model.curve
+    k = curve.alpha_min + 0.9 * (curve.alpha_max - curve.alpha_min)
+    report = consistency_rate(model, k, dx_values=(1 / 50, 1 / 100, 1 / 200, 1 / 400))
+    assert report.dx_values[-1] == finest
+    assert np.all(report.dx_values[4:] == report.dx_values[3:-1] / 2)
+    rates = np.diff(np.log(report.deviations)) / np.diff(np.log(report.dx_values))
+    assert abs(rates[-1] - rates[-2]) <= 0.05 < abs(rates[-2] - rates[-3])
+    assert report.slope == rates[-1] and report.slope >= 0.9
 
 
 def test_consistency_negative_control_two_state(pair_model):

@@ -1,7 +1,7 @@
 """Package surface: the public export list stays in step with the modules,
 no module of the package or of the tests imports a name it never reads, and
-only flux_model asks what a freeze hook can do, and only the CLI's recorder
-touches the output directory."""
+only flux_model asks what a freeze hook can do, only solver asks what kind a
+datum is, and only the CLI's recorder touches the output directory."""
 
 import ast
 import inspect
@@ -72,6 +72,26 @@ def test_only_flux_model_asks_what_an_object_offers():
         and node.func.id == "hasattr"
     ]
     assert calls == []
+
+
+def test_only_the_solver_asks_what_kind_a_datum_is():
+    # A datum carries its support, bounds and map (see solver), so no other
+    # module switches on its type; the CLI flips data with model.to_internal
+    # and reads the orientation only to swap the steady branch.
+    src = Path(hetflux.__file__).parent
+    kinds = {"GridState", "PiecewiseConstantDatum", "SmoothDatum"}
+    asks = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py")) if path.name != "solver.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+        and kinds & {n.id for n in ast.walk(node.args[-1]) if isinstance(n, ast.Name)}
+    ]
+    assert asks == []
+    cli = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    reads = [node.lineno for node in ast.walk(cli)
+             if isinstance(node, ast.Attribute) and node.attr == "orientation"]
+    assert len(reads) == 1
 
 
 def test_only_the_cli_recorder_touches_the_output_directory():

@@ -10,6 +10,7 @@ Numbers frozen below:
 """
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -154,6 +155,39 @@ def test_smooth_datum_bounds_sample_inside_cells():
     lo, hi = d.bounds(mesh)
     assert lo == 0.0
     assert hi > 0.9  # the peak sits between cell centers but sampling finds it
+
+
+def test_every_datum_carries_its_support():
+    assert datum_constant(0.7).support == 0.0
+    assert datum_step(1.0, -1.0, location=-0.5).support == 0.5
+    assert PiecewiseConstantDatum(breakpoints=(-0.3, 1.25), values=(0.0, 1.0, 2.0)).support == 1.25
+    assert datum_bump(0.2, 0.5, center=-1.0, width=0.5).support == 1.5
+    assert datum_from_table([-1.0, 0.0, 2.0], [0.5, 1.5, 0.25]).support == 2.0
+    assert SmoothDatum(fn=np.sin).support == math.inf  # unknown
+
+
+def test_mapped_datum_flips_like_the_old_negation_and_keeps_its_support():
+    flip = lwr().to_internal
+    mesh = Mesh.make(-2.0, 2.0, 0.1)
+    step = datum_step(0.3, 0.7, location=0.4)
+    flipped = step.map(flip)
+    assert flipped.breakpoints == step.breakpoints and flipped.support == step.support
+    assert [repr(v) for v in flipped.values] == [repr(-float(v)) for v in step.values]
+    for datum in (datum_bump(0.3, 0.4, center=0.5, width=0.7),
+                  datum_from_table([-1.3, 0.0, 0.8], [0.2, 0.6, 0.35])):
+        flipped = datum.map(flip)
+        assert flipped.support == datum.support
+        xg = mesh.centers()[:, None] + np.linspace(-0.05, 0.05, 5)
+        assert flipped(xg).tobytes() == (-datum(xg)).tobytes()
+        assert project_initial(flipped, mesh).u.tobytes() == project_initial(
+            SmoothDatum(fn=lambda x, d=datum: -d(x)), mesh).u.tobytes()
+        assert flipped.bounds(mesh) == tuple(-v for v in reversed(datum.bounds(mesh)))
+    assert datum_constant(0.5).map(quadratic().to_internal) == datum_constant(0.5)
+
+
+def test_grid_state_bounds_are_its_range():
+    state = GridState(u=np.array([0.25, -1.5, 3.0]), time=0.0)
+    assert state.bounds() == state.bounds(Mesh.make(0.0, 3.0, 1.0)) == (-1.5, 3.0)
 
 
 # ---------------------------------------------------------------------------
