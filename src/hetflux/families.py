@@ -10,8 +10,10 @@ critical curve alpha = b from them once. The frozen flux forms
 a (u - b)^2 + c in place, in the caller's out= buffer or in one it
 allocates, so the step kernel allocates nothing for it; its du slope
 2 a (u - b) uses the same frozen coefficients, and at(index) slices them,
-so the step kernel evaluates any range of cells of one frozen table. The four
-constructors, each returning a FluxModel:
+so the step kernel evaluates any range of cells of one frozen table. Its
+inverses are closed forms, so a built-in run sets up without a root solve:
+b +- sqrt(max(y - c, 0) / a) on the branches, b + v / (2 a) for the slope.
+The four constructors, each returning a FluxModel:
 
 * quadratic: homogeneous c (u - s)^2 + o, so (a, b, c) = (c, s, o). Covers
   the classic u^2/2 and u^2.
@@ -70,7 +72,8 @@ def _quadratic_form(coefficients, slopes, **fields) -> FluxModel:
 
 
 def _frozen_form(a, b, c):
-    """a (u - b)^2 + c with frozen coefficients; at(index) slices them."""
+    """a (u - b)^2 + c with frozen coefficients and closed-form inverses
+    (see frozen_flux); at(index) slices them."""
 
     def frozen(u, out=None):
         if out is None:
@@ -80,6 +83,9 @@ def _frozen_form(a, b, c):
         return np.add(out, c, out=out)
 
     frozen.du = lambda u: 2.0 * a * (np.asarray(u, dtype=float) - b)
+    frozen.inverse = lambda y, side, alpha: b + (1.0 if side == "plus" else -1.0) * np.sqrt(
+        np.maximum(np.asarray(y, dtype=float) - c, 0.0) / a)
+    frozen.du_inverse = lambda v: b + np.asarray(v, dtype=float) / (2.0 * a)
     # A coefficient constant in x is a scalar and stays one.
     frozen.at = lambda i: _frozen_form(*[z[i] if isinstance(z, np.ndarray) else z
                                          for z in (a, b, c)])

@@ -12,9 +12,10 @@ substituted state, carries orientation "concave", and callers convert states
 at the input/output boundary with to_internal/to_physical.
 
 All callables are expected to broadcast over numpy arrays in both arguments.
-The inversions of H(x, .) below (critical_point, branch_inverse,
-legendre_transform) run one vectorized root solve over all their points; a
-scalar is handled as a 0-d array and comes back as a float.
+The inversions of H(x, .) below (branch_inverse, legendre_transform) take
+the frozen flux's inverses: closed forms where the freeze hook gives them,
+else one vectorized root solve over all their points, as critical_point
+without a hint; a scalar is handled as a 0-d array and comes back as a float.
 
 What depends on the flux alone is computed once per model instance, on
 first use: the critical curve (FluxModel.curve), the Legendre bound
@@ -26,7 +27,7 @@ with none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,7 +58,8 @@ class FluxModel:
         lacks of its contract. None freezes as h(xs, u). An f without
         f.at(index) is frozen again, by a new call of the hook on the
         band's edges, at every step whose band differs from the last one's
-        (see solver.Scheme): a costly hook wants an at that slices.
+        (see solver.Scheme): a costly hook wants an at that slices. f may
+        give its inverses too (see frozen_flux).
 
     The model is immutable, so `curve` and `legendre_sup_1` are cached in
     the instance on first access; a dataclasses.replace copy recomputes them.
@@ -100,17 +102,23 @@ class FluxModel:
 
 def frozen_flux(model: FluxModel, xs) -> Callable:
     """f(u, out=None) = H(xs, u), the flux frozen at the positions xs, with
-    its slope f.du(u) = du_h(xs, u) and f.at(index), the flux frozen at
-    xs[index], for any numpy index (say, a range of columns).
+    its slope f.du(u) = du_h(xs, u), f.at(index), the flux frozen at
+    xs[index], for any numpy index (say, a range of columns), and two
+    inverses, unchecked (their callers bound the residuals): f.inverse(y,
+    side, alpha), s >= alpha ("plus") or <= alpha ("minus") with f(s) = y
+    for levels y >= f(alpha) at the minimizers alpha, and f.du_inverse(v),
+    p with f.du(p) = v.
 
     The one contract: f broadcasts u against xs; given an array out (which
-    may be u itself), f writes the result there and returns out; f.du and
-    f.at are always there, with the same bits as f, and every f.at(index)
-    keeps the contract. A freeze hook evaluates the x-dependent coefficients
-    once; the default freezing is u -> h(xs, u). f wraps the hook, at every
-    level of at, and gives it what it lacks: a result not written into out
-    is copied there, du calls du_h at xs, and at freezes again, unchecked,
-    at xs[index] (positions in the checked xs): a costly freezing wants an at.
+    may be u itself), f writes the result there and returns out; f.du, f.at
+    and the inverses are always there, with the same bits as f, and every
+    f.at(index) keeps the contract. A freeze hook evaluates the x-dependent
+    coefficients once; the default freezing is u -> h(xs, u). f wraps the
+    hook, at every level of at, and gives it what it lacks: a result not
+    written into out is copied there, du calls du_h at xs, at freezes again,
+    unchecked, at xs[index] (positions in the checked xs): a costly freezing
+    wants an at; inverse is a root solve seeded at alpha (_branch_solve),
+    du_inverse one from the bracket [-1, 1].
 
     A dataclasses.replace copy with a new h keeps the old hook, so f is
     checked against h (f.du against du_h) at xs for u = 0 and 1, with and
@@ -150,6 +158,9 @@ def _completed(model: FluxModel, xs: np.ndarray, hook: Callable) -> Callable:
         return out
 
     f.du = getattr(hook, "du", None) or (lambda u: np.asarray(model.du_h(xs, u), dtype=float))
+    f.inverse = getattr(hook, "inverse", None) or partial(_branch_solve, f)
+    f.du_inverse = getattr(hook, "du_inverse", None) or (lambda v: solve_increasing(
+        lambda p: f.du(p) - v, np.broadcast(xs, v).shape, tol_res=np.inf))
     at = getattr(hook, "at", None) or (lambda index: _freeze(model, xs[index]))
     f.at = lambda index: _completed(model, xs[index], at(index))
     return f
@@ -240,17 +251,12 @@ def distinct_span(model: FluxModel, xs: np.ndarray) -> tuple[slice, Callable]:
     return slice(a, b), lambda v: v.take(shift, mode="clip")
 
 
-def invert_branch(f: Callable, df: Callable, alpha, y, side: str):
-    """Solve f(s) = y on one monotone branch of a convex f, elementwise.
+def _branch_solve(f: Callable, y, side: str, alpha) -> np.ndarray:
+    """f.inverse by a root solve: s on one branch of a convex f with
+    f(s) = y; a level below the minimum f(alpha) gives alpha.
 
-    f and df broadcast over arrays; alpha holds the minimizers of f and
-    broadcasts against the levels y. side "plus" returns the solution >= alpha,
-    "minus" the one <= alpha. A level at the minimum returns alpha exactly,
-    and levels slightly below it (within 1e-10) are clamped to it and return
-    alpha too; any level further below raises NumericalError.
-
-    The solve runs along the branch, in x = s on the plus side and x = -s on
-    the minus side, so that x grows away from alpha, on
+    The solve runs along the branch, in x = s on the plus side and x = -s
+    on the minus side, so that x grows away from alpha, on
     phi(x) = sqrt(f(s) - f(alpha)) - sqrt(y - f(alpha)), with each element's
     bracket seeded at its own alpha end, x = +-alpha, where phi <= 0. This is
     the branch coordinate r = |s - alpha| shifted by +-alpha, so the solver's
@@ -260,11 +266,32 @@ def invert_branch(f: Callable, df: Callable, alpha, y, side: str):
     interpolation fails and the solver (see rootfind) bisects; phi has a
     simple root there (linear in r for a quadratic f), so a level 1e-218
     above the minimum takes as few evaluations as any other.
+    """
+    a = np.asarray(alpha, dtype=float)
+    hmin = np.asarray(f(a), dtype=float)
+    sign = 1.0 if side == "plus" else -1.0
+    depth = np.sqrt(np.maximum(y - hmin, 0.0))
+    # f(s) rounds below f(alpha) near alpha; phi is flat there.
+    phi = lambda x: np.sqrt(np.maximum(np.asarray(f(sign * x), dtype=float) - hmin, 0.0)) - depth
+    return sign * solve_increasing(phi, np.broadcast(hmin, y).shape, lo0=sign * a,
+                                   hi0=sign * a + 1.0, tol_res=np.inf)
 
-    The residual |f(s) - y| is checked on f, not phi, and bounded relative to
-    the flux scale, as TOL_ROOT * (1 + |y| + |f(alpha)|) per element: f(s) - y
-    is rounded at that scale, so an absolute bound would reject exact roots of
-    large levels. Three Newton passes on f - y then polish the result.
+
+def invert_branch(f: Callable, df: Callable, alpha, y, side: str):
+    """Solve f(s) = y on one monotone branch of a convex frozen flux f, elementwise.
+
+    f is a frozen flux (see frozen_flux), df its slope; alpha holds the
+    minimizers of f and broadcasts against the levels y. side "plus" returns
+    the solution >= alpha, "minus" the one <= alpha. A level at the minimum
+    returns alpha exactly, and levels slightly below it (within 1e-10) are
+    clamped to it and return alpha too; any level further below raises
+    NumericalError.
+
+    f.inverse finds s. Its residual |f(s) - y| is bounded relative to the
+    flux scale, as TOL_ROOT * (1 + |y| + |f(alpha)|) per element: f(s) - y
+    is rounded at that scale, so an absolute bound would reject exact roots
+    of large levels. Three Newton passes on f - y then polish the result; a
+    pass keeps a value unless its step is strictly better.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
@@ -279,14 +306,9 @@ def invert_branch(f: Callable, df: Callable, alpha, y, side: str):
             f"below flux minimum {float(np.broadcast_to(hmin, deficit.shape)[j]):g}"
         )
     clamped = deficit >= 0.0
-    # Clamped elements target their own minimum, where phi is 0 at the seed.
+    # Clamped elements target their own minimum.
     y_eff = np.maximum(y, hmin)
-    sign = 1.0 if side == "plus" else -1.0
-    start = sign * a
-    depth = np.sqrt(y_eff - hmin)
-    # f(s) rounds below f(alpha) near alpha; phi is flat there.
-    phi = lambda x: np.sqrt(np.maximum(np.asarray(f(sign * x), dtype=float) - hmin, 0.0)) - depth
-    out = sign * solve_increasing(phi, deficit.shape, lo0=start, hi0=start + 1.0, tol_res=np.inf)
+    out = np.asarray(f.inverse(y_eff, side, a), dtype=float)
     check_residual(np.abs(np.asarray(f(out), dtype=float) - y_eff),
                    TOL_ROOT * (1.0 + np.abs(y_eff) + np.abs(hmin)))
     out = np.where(clamped, a, out)
@@ -298,7 +320,7 @@ def invert_branch(f: Callable, df: Callable, alpha, y, side: str):
         safe = np.abs(d) > 1e-8
         upd = out - np.where(safe, res / np.where(safe, d, 1.0), 0.0)
         upd = np.maximum(upd, a) if side == "plus" else np.minimum(upd, a)
-        better = np.abs(np.asarray(f(upd), dtype=float) - y) <= np.abs(res)
+        better = np.abs(np.asarray(f(upd), dtype=float) - y) < np.abs(res)
         out = np.where(better & ~clamped, upd, out)
     return float(out) if out.ndim == 0 else out
 
@@ -321,17 +343,14 @@ def branch_inverse(model: FluxModel, x, y, side: str, alpha=None):
 def legendre_transform(model: FluxModel, x, v):
     """L(x, v) = sup_p (p v - H(x, p)), attained where du_h(x, p) = v.
 
-    Broadcasts over x and v. The slope equation is solved to a residual of
-    1e-12 * (1 + |v|).
+    Broadcasts over x and v. The slope equation is solved by the frozen
+    flux's f.du_inverse, to a residual of 1e-12 * (1 + |v|).
     """
     xs = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     f = frozen_flux(model, xs)
-    ps = solve_increasing(
-        lambda p: f.du(p) - v,
-        np.broadcast(xs, v).shape,
-        tol_res=TOL_ROOT * (1.0 + np.abs(v)),
-    )
+    ps = np.broadcast_to(f.du_inverse(v), np.broadcast(xs, v).shape)
+    check_residual(np.abs(f.du(ps) - v), TOL_ROOT * (1.0 + np.abs(v)))
     val = ps * v - f(ps)
     return float(val) if val.ndim == 0 else val
 

@@ -63,7 +63,8 @@ class FluxSide:
     """One side of the interface: a convex scalar flux with its minimizer.
 
     f and df broadcast over states; alpha and fmin are floats, or arrays
-    with one element per interface."""
+    with one element per interface. f is a frozen flux (see frozen_flux):
+    branch and the fans of riemann.sample take its inverses."""
 
     f: Callable
     df: Callable

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .interface import FluxSide, InterfaceContext, classify_germ, interface_flux, require_finite
-from .rootfind import solve_increasing
+from .rootfind import TOL_ROOT, check_residual
 
 # Jumps at or below this size are treated as no wave at all.
 ZERO_WAVE = 1e-12
@@ -191,12 +191,9 @@ def _invert_rarefaction(sol: RiemannSolution, w: Wave, xi) -> np.ndarray:
     """States inside the fan w at the self-similar points xi: f'(s) = xi."""
     flux = sol.ctx.right if w.side == SIDE_RIGHT else sol.ctx.left
     xi = np.asarray(xi, dtype=float)
-    return solve_increasing(
-        lambda s: np.asarray(flux.df(s), dtype=float) - xi,
-        xi.shape,
-        lo0=w.left_state,
-        hi0=w.right_state,
-    )
+    s = flux.f.du_inverse(xi)
+    check_residual(np.abs(np.asarray(flux.df(s), dtype=float) - xi), TOL_ROOT)
+    return s
 
 
 def sample(sol: RiemannSolution, xi, left_limit: bool = False):

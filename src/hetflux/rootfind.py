@@ -3,7 +3,9 @@
 Everything the package inverts is strictly increasing on the search domain
 (u-derivatives of convex fluxes, flux branches on either side of the critical
 point), so a bracketed search always converges. solve_increasing is the one
-solver: g maps an array of arguments to an array of residuals, each element
+solver, behind a frozen flux's default inverse and du_inverse (see
+flux_model.frozen_flux; the closed forms of the built-in families need no
+solve): g maps an array of arguments to an array of residuals, each element
 is bracketed by geometric expansion from a starting interval, then refined
 by Chandrupatla's method (T. R. Chandrupatla, Adv. Eng. Software 28 (1997)
 145-149): after a first step of linear interpolation between the bracket

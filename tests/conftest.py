@@ -1,14 +1,18 @@
 """Shared fixtures: the canonical two-flux interface and the built-in models,
 plus RecordStates, a run observer for tests that need a whole trajectory,
 cosh_model, a custom flux given by callables only, mirror, the reflected
-model, unfrozen_side, a FluxSide through h, and references written over fresh temporaries: reference_edge_sides
+model, unfrozen_side, a FluxSide through h, solve_calls, a count of root
+solves, and references written over fresh temporaries: reference_edge_sides
 and reference_step for the Scheme's step kernel, ReferenceEntropyCheck for
 the entropy slack."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
+
+from hetflux import rootfind
 
 from hetflux.diagnostics import EntropyCheck
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
@@ -134,14 +138,29 @@ def pair_model():
 
 
 def unfrozen_side(model, x):
-    """The flux H(x, .) at the positions x through h and du_h, not
-    frozen_flux (as FluxSide.from_model is): an oracle independent of the
-    model's freeze hook."""
+    """The flux H(x, .) at the positions x through h and du_h, frozen
+    without the model's freeze hook (FluxSide.from_model uses it), so its
+    inverses are root solves: an oracle independent of the hook."""
     x = np.asarray(x, dtype=float)
     a = critical_point(model, x)
-    f = lambda s: np.asarray(model.h(x, s), dtype=float)
-    df = lambda s: np.asarray(model.du_h(x, s), dtype=float)
-    return FluxSide(f=f, df=df, alpha=a, fmin=f(a)[()])
+    f = frozen_flux(dataclasses.replace(model, freeze=None), x)
+    return FluxSide(f=f, df=f.du, alpha=a, fmin=f(a)[()])
+
+
+@pytest.fixture()
+def solve_calls(monkeypatch):
+    """A list that grows by one at each call of rootfind.solve_increasing,
+    wherever a hetflux module imported it."""
+    calls, solve = [], rootfind.solve_increasing
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hetflux") and getattr(module, "solve_increasing", None) is solve:
+            monkeypatch.setattr(module, "solve_increasing", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -323,6 +323,15 @@ RUN_ARGS = [
 ]
 
 
+def test_cli_runs_and_diagnoses_every_config_without_a_root_solve(
+        tmp_path, monkeypatch, solve_calls):
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        for command in ("run", "diagnose"):
+            assert main([command, "-c", os.path.join(CONFIG_DIR, name)]) == 0, (command, name)
+    assert solve_calls == []
+
+
 def test_cli_run_writes_outputs(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
     assert main(RUN_ARGS) == 0

@@ -8,6 +8,7 @@ families h = c (u - s)^2 + o:
     L(x, v)  = s v + v^2 / (4 c) - o,   sup_{|v| <= 1} L = |s| + 1/(4c) - o.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,11 +21,15 @@ from hetflux.flux_model import (
     FluxModel,
     branch_inverse,
     critical_point,
+    frozen_flux,
     legendre_sup,
     legendre_transform,
     validate_assumptions,
 )
+from hetflux.interface import FluxSide
 from hetflux.profiles import bump
+from hetflux.riemann import solve_classical
+from hetflux.rootfind import TOL_ROOT
 
 S1_HQ = 0.3 + 1.0 / 6.0 + 0.1  # sup_{x,|v|<=1} L for the default heterogeneous quadratic
 
@@ -150,6 +155,81 @@ def test_branch_inverses_clamp_and_error_paths(hq_model):
     # A level below the running minimum of H is unsolvable somewhere.
     with pytest.raises(NumericalError):
         branch_inverse(hq_model, xs, -0.05, "minus")
+
+
+def test_branch_polish_keeps_a_value_unless_a_step_is_strictly_better():
+    # u^2/2 at level 0.25: the closed form gives the correctly rounded
+    # sqrt(0.5). Its Newton step lands one ulp low at the same |f(s) - y|, so
+    # a tie rule of <= flipped the value at each of the three passes.
+    model = two_state()
+    assert branch_inverse(model, -1.0, 0.25, "plus") == 0.7071067811865476
+    assert branch_inverse(model, -1.0, 1.0, "minus") == -math.sqrt(2.0)
+    # The root solve stops one ulp low, at the same |f(s) - y| again, and the
+    # polish keeps that too.
+    generic = dataclasses.replace(model, freeze=None)
+    solved = frozen_flux(generic, -1.0).inverse(np.array(0.25), "plus", np.array(0.0))
+    assert branch_inverse(generic, -1.0, 0.25, "plus") == solved == 0.7071067811865475
+
+
+# ---------------------------------------------------------------------------
+# closed-form inverses of the built-in freeze hook
+
+FAMILIES = {
+    "quadratic": lambda: quadratic(0.7, shift=0.4, offset=-0.2),
+    "two_state": two_state,
+    "heterogeneous_quadratic": heterogeneous_quadratic,
+    "lwr": lwr,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_closed_form_inverses_agree_with_the_root_solves(name, rng):
+    # The same model without its hook inverts by root solves. Both meet the
+    # residual bounds their callers check, on the full table and on slices.
+    model = FAMILIES[name]()
+    xs = np.linspace(-1.6, 1.6, 65)
+    alpha = critical_point(model, xs)
+    fmin = np.asarray(model.h(xs, alpha), dtype=float)
+    closed = frozen_flux(model, xs)
+    generic = frozen_flux(dataclasses.replace(model, freeze=None), xs)
+    for index in (slice(None), slice(10, 40), np.array([3, 31, 60])):
+        a, lo = alpha[index], fmin[index]
+        y = lo + rng.uniform(0.0, 3.0, (4, a.size)) * np.array([[0.0], [1e-9], [1.0], [1.0]])
+        v = rng.uniform(-3.0, 3.0, (3, a.size))
+        for f in (closed.at(index), generic.at(index)):
+            for side, sign in (("plus", 1.0), ("minus", -1.0)):
+                s = f.inverse(y, side, a)
+                assert np.all(sign * (s - a) >= 0.0)
+                assert np.all(np.abs(f(s) - y) <= TOL_ROOT * (1.0 + np.abs(y) + np.abs(lo)))
+            p = f.du_inverse(v)
+            assert np.all(np.abs(f.du(p) - v) <= TOL_ROOT * (1.0 + np.abs(v)))
+        for side in ("plus", "minus"):
+            got = closed.at(index).inverse(y[2:], side, a)
+            assert np.allclose(got, generic.at(index).inverse(y[2:], side, a), rtol=0, atol=1e-12)
+        assert np.allclose(closed.at(index).du_inverse(v), generic.at(index).du_inverse(v),
+                           rtol=0, atol=1e-12)
+    exact = dataclasses.replace(model, freeze=None).legendre_sup_1
+    assert abs(model.legendre_sup_1 - exact) <= 1e-14 * abs(exact)
+
+
+def test_a_wrong_closed_form_fails_its_callers_residual_check():
+    model = heterogeneous_quadratic()
+
+    def off(part):
+        def freeze(xs):
+            f = model.freeze(xs)
+            exact = getattr(f, part)
+            setattr(f, part, lambda *args: exact(*args) + 1e-6)
+            return f
+        return dataclasses.replace(model, freeze=freeze)
+
+    xs = np.linspace(-1.0, 1.0, 11)
+    with pytest.raises(NumericalError, match="residual"):
+        branch_inverse(off("inverse"), xs, 1.0, "plus")
+    with pytest.raises(NumericalError, match="residual"):
+        legendre_transform(off("du_inverse"), xs, 0.5)
+    with pytest.raises(NumericalError, match="residual"):  # the fan of a rarefaction
+        solve_classical(FluxSide.from_model(off("du_inverse"), 0.0), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

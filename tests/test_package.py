@@ -62,16 +62,29 @@ def test_no_module_imports_an_unused_name():
 
 def test_only_flux_model_asks_what_an_object_offers():
     # frozen_flux completes every freeze hook, so no other module needs a
-    # hasattr fork on what a frozen flux (or anything else) can do.
+    # hasattr fork on what a frozen flux (or anything else) can do, nor a
+    # getattr with a default for a part of the hook.
     src = Path(hetflux.__file__).parent
+    parts = {"du", "at", "inverse", "du_inverse"}
+
+    def asks(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            return False
+        if node.func.id == "hasattr":
+            return True
+        return (node.func.id == "getattr" and len(node.args) == 3
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value in parts)
+
     calls = [
         f"{path.name}:{node.lineno}"
         for path in sorted(src.glob("*.py")) if path.name != "flux_model.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id == "hasattr"
+        if asks(node)
     ]
     assert calls == []
+    flux_model = ast.parse((src / "flux_model.py").read_text(encoding="utf-8"))
+    assert {node.args[1].value for node in ast.walk(flux_model) if asks(node)
+            and node.func.id == "getattr"} == parts
 
 
 def test_only_the_solver_asks_what_kind_a_datum_is():

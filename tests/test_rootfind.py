@@ -9,7 +9,7 @@ import pytest
 
 from hetflux import flux_model
 from hetflux.errors import NumericalError
-from hetflux.flux_model import invert_branch
+from hetflux.flux_model import FluxModel, frozen_flux, invert_branch
 from hetflux.rootfind import TOL_ROOT, solve_increasing
 
 
@@ -118,17 +118,24 @@ def test_each_root_has_the_bits_it_has_when_solved_alone():
         assert batch[i].tobytes() == alone.tobytes(), (ci, batch[i], alone)
 
 
+def _centered_square(c, offset, alpha):
+    """c (s - alpha)^2 + offset, frozen from a model with no freeze hook
+    whose minimizer is its position, so its inverses are root solves."""
+    model = FluxModel(h=lambda x, s: c * (s - x) ** 2 + offset,
+                      du_h=lambda x, s: 2.0 * c * (s - x),
+                      dx_h=lambda x, s: -2.0 * c * (s - x), hetero_radius=0.0)
+    return frozen_flux(model, alpha)
+
+
 def test_branch_inversions_have_the_bits_they_have_when_solved_alone():
     alpha = np.array([0.0, 0.3, -1.7, 4.5e-218, 0.0, 0.3])
     gap = np.array([1e-25, 1e-218, 0.7, 1e-218, 0.0, -1e-12])
-    f = lambda s: 1.5 * (s - alpha) ** 2 - 0.2
-    df = lambda s: 3.0 * (s - alpha)
+    f = _centered_square(1.5, -0.2, alpha)
     for side in ("plus", "minus"):
-        batch = invert_branch(f, df, alpha, -0.2 + gap, side)
+        batch = invert_branch(f, f.du, alpha, -0.2 + gap, side)
         for i in range(alpha.size):
-            fi = lambda s, a=alpha[i]: 1.5 * (s - a) ** 2 - 0.2
-            dfi = lambda s, a=alpha[i]: 3.0 * (s - a)
-            alone = invert_branch(fi, dfi, alpha[i], -0.2 + gap[i], side)
+            fi = _centered_square(1.5, -0.2, alpha[i])
+            alone = invert_branch(fi, fi.du, alpha[i], -0.2 + gap[i], side)
             assert np.float64(batch[i]).tobytes() == np.float64(alone).tobytes()
 
 
@@ -148,8 +155,8 @@ def test_branch_inversion_just_above_the_minimum_takes_few_evaluations(monkeypat
 
     monkeypatch.setattr(flux_model, "solve_increasing", counting_solve)
     alpha = np.array([0.0, 0.3, -1.7, 4.5e-218])
-    f = lambda s: 0.5 * (s - alpha) ** 2
-    out = invert_branch(f, lambda s: s - alpha, alpha, gap, side)
+    f = _centered_square(0.5, 0.0, alpha)
+    out = invert_branch(f, f.du, alpha, gap, side)
     assert calls and max(calls) <= 12, calls
     sign = 1.0 if side == "plus" else -1.0
     assert np.all(sign * (out - alpha) >= 0.0)

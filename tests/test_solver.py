@@ -309,6 +309,15 @@ MODELS = {
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
+def test_a_run_solves_for_roots_only_without_closed_forms(name, solve_calls):
+    # The built-in hook inverts the flux in closed form; a model without a
+    # hook has its critical points, bracket and Legendre bound solved for.
+    res = run(MODELS[name](), Mesh.make(-2.0, 2.0, 0.05), datum_step(-0.6, 0.4, 0.3), 0.2)
+    assert res.n_steps > 0
+    assert (len(solve_calls) > 0) == (name == "custom")
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
 def test_edge_fluxes_match_unfrozen_oracle(name, rng):
     model = MODELS[name]()
     mesh = Mesh.make(-2.0, 2.0, 0.05)
