@@ -160,9 +160,8 @@ def _csv_template(header: tuple[str, str], first, precision: int) -> str:
     as _fmt renders it, and the second column left as one %-field per row.
     `template % tuple(second)` completes it, so files that share a first
     column format it once."""
-    field = f"%.{precision - 1}e"
-    rows = [field % x + "," + field + "\n" for x in np.asarray(first, dtype=float).tolist()]
-    return ",".join(header) + "\n" + "".join(rows)
+    xs = tuple(np.asarray(first, dtype=float).tolist())
+    return ",".join(header) + "\n" + (f"%.{precision - 1}e,%%.{precision - 1}e\n" * len(xs)) % xs
 
 
 class _Outputs:

@@ -288,7 +288,7 @@ def consistency_rate(
         return float(np.max(np.abs(f_kk - target)))
 
     devs = [deviation(dx) for dx in dxs]
-    scale = 1.0 + float(np.max(np.abs(model.h(model.curve.xs, k))))
+    scale = 1.0 + float(np.max(np.abs(model.curve.flux(k))))
     exact = all(d <= 1e-14 * scale for d in devs)
     for halving in range(_MAX_HALVINGS + 1):
         if exact or 0.0 in devs:

@@ -18,10 +18,11 @@ else one vectorized root solve over all their points, as critical_point
 without a hint; a scalar is handled as a 0-d array and comes back as a float.
 
 What depends on the flux alone is computed once per model instance, on
-first use: the critical curve (FluxModel.curve), the Legendre bound
-sup L(x, +-1) (FluxModel.legendre_sup_1), and alpha at the cell centers of
-the last mesh asked for (ghost_alphas). A dataclasses.replace copy starts
-with none of them.
+first use: the critical curve and the flux frozen at its samples
+(FluxModel.curve), the Legendre bound sup L(x, +-1) (FluxModel.legendre_sup_1),
+and alpha and the flux frozen at the cell centers of the last mesh asked for
+(ghost_alphas, ghost_flux), O(N + ALPHA_GRID_SAMPLES) values per model. A
+dataclasses.replace copy starts with none of them.
 """
 
 from __future__ import annotations
@@ -188,8 +189,10 @@ def critical_point(model: FluxModel, x):
 
 @dataclass(frozen=True, eq=False)
 class CriticalCurve:
-    """Sampled critical curve alpha(x), its extremes over the line, and the
-    floor max_x H(x, alpha(x)), the lowest flux level every position carries.
+    """Sampled critical curve alpha(x), its extremes over the line, the
+    floor max_x H(x, alpha(x)), the lowest flux level every position
+    carries, and flux = frozen_flux(model, xs), frozen once for the sups
+    over x of lipschitz_bound and envelope_constants.
 
     alpha is constant for |x| >= hetero_radius, so sampling [-X, X] plus the
     boundary captures inf/sup alpha exactly up to grid resolution.
@@ -200,6 +203,7 @@ class CriticalCurve:
     alpha_min: float
     alpha_max: float
     floor: float
+    flux: Callable
 
     @classmethod
     def build(cls, model: FluxModel):
@@ -213,19 +217,22 @@ class CriticalCurve:
         alphas = critical_point(model, xs)
         # Shared by every caller of model.curve.
         xs.flags.writeable = alphas.flags.writeable = False
+        f = frozen_flux(model, xs)
         return cls(
             xs=xs,
             alphas=alphas,
             alpha_min=float(np.min(alphas)),
             alpha_max=float(np.max(alphas)),
-            floor=float(np.max(np.asarray(model.h(xs, alphas), dtype=float))),
+            floor=float(np.max(f(alphas))),
+            flux=f,
         )
 
 
 def ghost_alphas(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray]:
     """Read-only centers of mesh with one ghost cell per side, and alpha at
-    them. The model keeps them for the last mesh asked about, so the steady
-    states and the Scheme of a run share one solve."""
+    them. The model keeps them, and the flux frozen there (ghost_flux), for
+    the last mesh asked about, at most one mesh, so the steady states and
+    the Scheme of a run share one solve and one freeze."""
     memo = model.__dict__.get("_ghost_alphas")
     if memo is None or memo[0] != mesh:
         xc = mesh.centers()
@@ -234,8 +241,14 @@ def ghost_alphas(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray]:
         al_ext = spread(critical_point(model, xc_ext[span]))
         xc_ext.flags.writeable = al_ext.flags.writeable = False
         # Written like a cached_property: the frozen dataclass has a __dict__.
-        memo = model.__dict__["_ghost_alphas"] = (mesh, xc_ext, al_ext)
+        memo = model.__dict__["_ghost_alphas"] = (mesh, xc_ext, al_ext, frozen_flux(model, xc_ext))
     return memo[1], memo[2]
+
+
+def ghost_flux(model: FluxModel, mesh) -> Callable:
+    """The flux frozen at the centers ghost_alphas gives, kept with them."""
+    ghost_alphas(model, mesh)
+    return model.__dict__["_ghost_alphas"][3]
 
 
 def distinct_span(model: FluxModel, xs: np.ndarray) -> tuple[slice, Callable]:
@@ -290,8 +303,10 @@ def invert_branch(f: Callable, df: Callable, alpha, y, side: str):
     f.inverse finds s. Its residual |f(s) - y| is bounded relative to the
     flux scale, as TOL_ROOT * (1 + |y| + |f(alpha)|) per element: f(s) - y
     is rounded at that scale, so an absolute bound would reject exact roots
-    of large levels. Three Newton passes on f - y then polish the result; a
-    pass keeps a value unless its step is strictly better.
+    of large levels. At most three Newton passes on f - y then polish the
+    result; a pass keeps a value unless its step is strictly better, and
+    the polish stops after a pass that takes no element, as every later one
+    would repeat it.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
@@ -309,19 +324,23 @@ def invert_branch(f: Callable, df: Callable, alpha, y, side: str):
     # Clamped elements target their own minimum.
     y_eff = np.maximum(y, hmin)
     out = np.asarray(f.inverse(y_eff, side, a), dtype=float)
-    check_residual(np.abs(np.asarray(f(out), dtype=float) - y_eff),
-                   TOL_ROOT * (1.0 + np.abs(y_eff) + np.abs(hmin)))
+    f_out = np.asarray(f(out), dtype=float)
+    check_residual(np.abs(f_out - y_eff), TOL_ROOT * (1.0 + np.abs(y_eff) + np.abs(hmin)))
     out = np.where(clamped, a, out)
-    # Three vectorized Newton polish passes; near-critical elements keep the
-    # solved value.
-    for _ in range(3):
-        res = np.asarray(f(out), dtype=float) - y
+    # Vectorized Newton polish passes; near-critical elements keep the solved value.
+    # Pass one reuses the checked f(out): only clamped elements, which take no step, moved.
+    res = f_out - y
+    for k in range(3):
+        if k:  # the last pass took a step
+            res = np.asarray(f(out), dtype=float) - y
         d = np.asarray(df(out), dtype=float)
         safe = np.abs(d) > 1e-8
         upd = out - np.where(safe, res / np.where(safe, d, 1.0), 0.0)
         upd = np.maximum(upd, a) if side == "plus" else np.minimum(upd, a)
-        better = np.abs(np.asarray(f(upd), dtype=float) - y) < np.abs(res)
-        out = np.where(better & ~clamped, upd, out)
+        take = (np.abs(np.asarray(f(upd), dtype=float) - y) < np.abs(res)) & ~clamped
+        if not take.any():
+            break
+        out = np.where(take, upd, out)
     return float(out) if out.ndim == 0 else out
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InvariantBreach, NumericalError
-from .flux_model import FluxModel, frozen_flux, ghost_alphas
+from .flux_model import FluxModel, ghost_alphas, ghost_flux
 from .steady import Envelope, SteadyState, bracket, envelope
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -102,14 +102,14 @@ class CflPolicy:
 class Scheme:
     """Per-mesh tables and the step kernel.
 
-    The flux is frozen once at the N+2 ghost-extended centers (ghost_alphas);
-    h_pair is that table over the (N+1, 2) edges, the left cell's flux and
-    the right one's, so one call evaluates both sides of a range of edges
-    (its at, see frozen_flux, kept for the last range: most steps repeat
-    it). step_arrays() allocates only the new state. last_range holds the
-    (min, max) of the state u the last step started from, and last_edges
-    (u, a, b, F) that u with its two edge terms and edge flux at every edge,
-    valid until the next step.
+    The flux is frozen once at the N+2 ghost-extended centers (ghost_flux,
+    kept by the model); h_pair is that table over the (N+1, 2) edges, the left
+    cell's flux and the right one's, so one call evaluates both sides of a
+    range of edges (its at, see frozen_flux, kept for the last range: most
+    steps repeat it). step_arrays() allocates only the new state. last_range
+    holds the (min, max) of the state u the last step started from, and
+    last_edges (u, a, b, F) that u with its two edge terms and edge flux at
+    every edge, valid until the next step.
 
     Band rule: band holds the state u_new the last step returned and the
     span [lo, hi) of its cells with nonzero dF. A step handed that very
@@ -127,7 +127,7 @@ class Scheme:
         self.xc_ext, self.al_ext = ghost_alphas(model, mesh)
         n = mesh.n_cells
         pairs = np.arange(n + 1)[:, None] + np.arange(2)  # edge e joins cells e-1, e
-        self.h_pair = frozen_flux(model, self.xc_ext).at(pairs)
+        self.h_pair = ghost_flux(model, mesh).at(pairs)
         self._window_flux = ((0, n + 1), self.h_pair)  # the last range of edges, its h_pair
         self._u_ext, self._sides = np.empty(n + 2), np.empty((n + 1, 2))
         self._flux, self._dflux, self._moved = np.empty(n + 1), np.zeros(n), np.empty(n, bool)
@@ -219,12 +219,11 @@ def lipschitz_bound(model: FluxModel, lo: float, hi: float) -> float:
     """sup |du_h| over all x and states in [lo, hi].
 
     du_h(x, .) is increasing, so the sup in u sits at the interval endpoints;
-    the sup in x is over the heterogeneity samples (flux frozen outside).
+    the sup in x is over the heterogeneity samples (flux frozen outside), of
+    the slope of model.curve.flux, the flux the model keeps frozen there.
     """
-    xs = model.curve.xs
-    a = np.abs(np.asarray(model.du_h(xs, float(lo)), dtype=float))
-    b = np.abs(np.asarray(model.du_h(xs, float(hi)), dtype=float))
-    return float(max(np.max(a), np.max(b)))
+    du = model.curve.flux.du
+    return float(max(np.max(np.abs(du(float(lo)))), np.max(np.abs(du(float(hi))))))
 
 
 def cfl_dt(

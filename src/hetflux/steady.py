@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError
-from .flux_model import FluxModel, distinct_span, frozen_flux, ghost_alphas, invert_branch
+from .errors import ConfigError, NumericalError
+from .flux_model import FluxModel, distinct_span, ghost_alphas, ghost_flux, invert_branch
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +96,8 @@ def build_steady(
         )
     xc, al = (v[1:-1] for v in ghost_alphas(model, mesh))
     span, spread = distinct_span(model, xc)
-    return _steady(frozen_flux(model, xc[span]), al[span], spread, level, branch)
+    fs = ghost_flux(model, mesh).at(slice(1, -1)).at(span)
+    return _steady(fs, al[span], spread, level, branch)
 
 
 def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
@@ -109,15 +110,21 @@ def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
     lower_j <= min(u_j, alpha_j) and max(u_j, alpha_j) <= upper_j (up to the
     root solve's rounding), and no steady state of either branch with a level
     nearer to the data sandwiches u. Both are fixed points of the scheme
-    while the boundary cells carry the flux of their ghosts.
+    while the boundary cells carry the flux of their ghosts. A level that
+    overflows raises NumericalError naming the data level that carries it.
     """
     xc, al = (v[1:-1] for v in ghost_alphas(model, mesh))
     span, spread = distinct_span(model, xc)
-    f = frozen_flux(model, xc)
-    fs = f.at(span)
-    return tuple(_steady(fs, al[span], spread,
-                         max(float(np.max(f(clamp(u, al)))), model.curve.floor), branch)
-                 for branch, clamp in (("lower", np.minimum), ("upper", np.maximum)))
+    f = ghost_flux(model, mesh).at(slice(1, -1))
+    fs, states = f.at(span), []
+    for branch, clamp in (("lower", np.minimum), ("upper", np.maximum)):
+        fu = f(clamp(u, al))
+        if not np.isfinite(level := float(np.max(fu))):
+            j = int(np.argmin(np.isfinite(fu)))
+            raise NumericalError(f"steady bracket: the flux of the data level "
+                                 f"{float(model.to_physical(u[j])):g} overflows")
+        states.append(_steady(fs, al[span], spread, max(level, model.curve.floor), branch))
+    return tuple(states)
 
 
 @dataclass(frozen=True)
@@ -161,26 +168,27 @@ def envelope_constants(
     With s1 the Legendre sup at slope 1, the upper anchor is
     max_x H(x, M) + s1 and the certified upper constant H(-X, anchor) + s1;
     mirrored with signs flipped below. Both anchors provably clear the
-    critical range, so the steady states built from them always exist.
+    critical range, so the steady states built from them always exist. H is
+    model.curve.flux, the flux the model keeps frozen at xs (xs[0] = -X).
     """
     if not (m <= M):
         raise ConfigError(f"datum bounds out of order: m={m}, M={M}")
     curve = model.curve
     m = min(float(m), curve.alpha_min)
     M = max(float(M), curve.alpha_max)
-    xs = curve.xs
+    f = curve.flux
     s1 = model.legendre_sup_1
-    upper_anchor = float(np.max(np.asarray(model.h(xs, M), dtype=float))) + s1
-    lower_anchor = -float(np.max(np.asarray(model.h(xs, m), dtype=float))) - s1
-    X = model.hetero_radius
+    upper_anchor = float(np.max(f(M))) + s1
+    lower_anchor = -float(np.max(f(m))) - s1
+    edge = f.at(0)
     return EnvelopeConstants(
         m=m,
         M=M,
         legendre_sup_1=s1,
         lower_anchor=lower_anchor,
         upper_anchor=upper_anchor,
-        lower_bound=-float(model.h(-X, lower_anchor)) - s1,
-        upper_bound=float(model.h(-X, upper_anchor)) + s1,
+        lower_bound=-float(edge(lower_anchor)) - s1,
+        upper_bound=float(edge(upper_anchor)) + s1,
     )
 
 

@@ -617,6 +617,34 @@ def test_cli_overflow_prints_one_error_line_and_no_numpy_warning(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("hetflux: "), proc.stderr
 
 
+@pytest.mark.parametrize("level", ["1e200", "1e160"])
+def test_cli_overflowing_data_level_is_named(tmp_path, monkeypatch, capsys, level):
+    # With an explicit window no auto window refuses the data: the bracket's
+    # flux level overflows, and the error names the data level, not a root
+    # search that never ran.
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    argv = ["run", "--flux-family", "quadratic", "--mesh-dx", "0.1", "--mesh-x-min=-2",
+            "--mesh-x-max=2", "--initial-kind", "step", "--initial-left", level,
+            "--initial-right", "1", "--time-t-end", "0.05"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"hetflux: numerical failure: steady bracket: the flux of the data level " \
+                  f"{float(level):g} overflows\n"
+    assert not os.listdir(tmp_path)
+
+
+def test_csv_template_is_the_rowwise_format(rng):
+    # One % over the whole x column gives the bytes of formatting row by row.
+    big = np.finfo(float).max
+    xs = np.concatenate(([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, big, -big],
+                         rng.normal(0.0, 1e3, 40), [1 / 3, 1e-300, 123456789.0]))
+    for precision in (1, 2, 5, 12, 17, 20):
+        field = f"%.{precision - 1}e"
+        want = "x,u\n" + "".join(field % x + "," + field + "\n" for x in xs.tolist())
+        assert cli._csv_template(("x", "u"), xs, precision) == want
+        assert cli._csv_template(("x", "u"), xs[:0], precision) == "x,u\n"
+
+
 def test_cli_run_reads_a_file_datum_once(tmp_path, monkeypatch):
     path = tmp_path / "profile.csv"
     path.write_text("x,u\n-1.0,0.5\n0.0,1.5\n2.0,0.25\n", encoding="utf-8")

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import cosh_model
 
 from hetflux.errors import NumericalError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
@@ -22,6 +23,7 @@ from hetflux.flux_model import (
     branch_inverse,
     critical_point,
     frozen_flux,
+    invert_branch,
     legendre_sup,
     legendre_transform,
     validate_assumptions,
@@ -169,6 +171,62 @@ def test_branch_polish_keeps_a_value_unless_a_step_is_strictly_better():
     generic = dataclasses.replace(model, freeze=None)
     solved = frozen_flux(generic, -1.0).inverse(np.array(0.25), "plus", np.array(0.0))
     assert branch_inverse(generic, -1.0, 0.25, "plus") == solved == 0.7071067811865475
+
+
+def _three_pass_reference(f, df, alpha, y, side):
+    """invert_branch as it was before its polish could stop: the residual
+    check left out, and always three Newton passes."""
+    a, y = np.asarray(alpha, dtype=float), np.asarray(y, dtype=float)
+    hmin = np.asarray(f(a), dtype=float)
+    clamped = hmin - y >= 0.0
+    out = np.asarray(f.inverse(np.maximum(y, hmin), side, a), dtype=float)
+    out = np.where(clamped, a, out)
+    for _ in range(3):
+        res = np.asarray(f(out), dtype=float) - y
+        d = np.asarray(df(out), dtype=float)
+        safe = np.abs(d) > 1e-8
+        upd = out - np.where(safe, res / np.where(safe, d, 1.0), 0.0)
+        upd = np.maximum(upd, a) if side == "plus" else np.minimum(upd, a)
+        better = np.abs(np.asarray(f(upd), dtype=float) - y) < np.abs(res)
+        out = np.where(better & ~clamped, upd, out)
+    return out
+
+
+POLISH_MODELS = {
+    "quadratic": lambda: quadratic(0.7, shift=0.4, offset=-0.2),
+    "two_state": two_state,
+    "heterogeneous_quadratic": heterogeneous_quadratic,
+    "lwr": lwr,
+    "hook-less": cosh_model,  # f.inverse is the generic root solve
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLISH_MODELS))
+def test_a_polish_that_stops_has_the_bits_of_three_passes(name, rng):
+    # Once a pass takes no element, every later pass repeats it; and the first
+    # pass reuses the residual check's f(out), which differs from f of the
+    # polished start only at clamped elements, which take no step.
+    model = POLISH_MODELS[name]()
+    xs = np.linspace(-1.6, 1.6, 65)
+    alpha = critical_point(model, xs)
+    f = frozen_flux(model, xs)
+    lo = f(alpha)
+    n_clamped = []
+    for trial in range(6):
+        scale = rng.choice([1e-12, 1e-6, 1.0, 10.0], xs.size)
+        y = lo + rng.uniform(0.01, 3.0, xs.size) * scale
+        if trial % 2:  # some levels at the minimum, some a hair below it
+            y = np.where(rng.random(xs.size) < 0.3, lo - rng.uniform(0.0, 1e-11, xs.size), y)
+            y[0] = lo[0]
+        n_clamped.append(int(np.sum(y <= lo)))
+        for side in ("plus", "minus"):
+            want = _three_pass_reference(f, f.du, alpha, y, side)
+            assert invert_branch(f, f.du, alpha, y, side).tobytes() == want.tobytes()
+            # one position and one level, as 0-d arrays
+            g = f.at(7)
+            assert invert_branch(g, g.du, alpha[7], y[7], side) == float(
+                _three_pass_reference(g, g.du, alpha[7], y[7], side))
+    assert n_clamped[0::2] == [0, 0, 0] and min(n_clamped[1::2]) > 0
 
 
 # ---------------------------------------------------------------------------

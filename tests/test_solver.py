@@ -865,6 +865,55 @@ def test_model_setup_is_computed_once_per_model(monkeypatch):
     assert shifted.legendre_sup_1 != model.legendre_sup_1
 
 
+def test_a_model_freezes_once_per_mesh_and_once_at_its_curve():
+    base = heterogeneous_quadratic()
+    freezes = []
+
+    def counted(xs):
+        freezes.append(np.size(xs))
+        return base.freeze(xs)
+
+    model = dataclasses.replace(base, freeze=counted)
+    mesh, datum = Mesh.make(-3.0, 3.0, 0.05), datum_step(1.0, -0.5)
+    first = run(model, mesh, datum, t_end=0.2)
+    # One freeze at the ghost-extended centers serves the bracket and the
+    # Scheme, and one at the curve's samples serves L and the envelope.
+    assert freezes.count(mesh.n_cells + 2) == freezes.count(fm.ALPHA_GRID_SAMPLES + 1) == 1
+    assert mesh.n_cells not in freezes
+    del freezes[:]
+    again = run(model, mesh, datum, t_end=0.2)
+    assert freezes == []
+    assert (again.n_steps, again.final.u.tobytes()) == (first.n_steps, first.final.u.tobytes())
+    other = Mesh.make(-3.0, 3.0, 0.04)
+    run(model, other, datum, t_end=0.2)
+    assert freezes == [other.n_cells + 2]
+    # A copy keeps no memo of the original: it freezes for itself, so a copy
+    # with a stale hook is checked again.
+    del freezes[:]
+    run(dataclasses.replace(model), mesh, datum, t_end=0.2)
+    assert freezes.count(mesh.n_cells + 2) == freezes.count(fm.ALPHA_GRID_SAMPLES + 1) == 1
+
+    # Once the curve and the Legendre bound exist, L and the envelope evaluate
+    # the flux the curve keeps frozen: h and du_h are not called, and the
+    # values keep the bits of evaluating them at the samples.
+    calls = []
+
+    def counting(fn):
+        return lambda x, u: calls.append(fn) or fn(x, u)
+
+    model = dataclasses.replace(base, h=counting(base.h), du_h=counting(base.du_h))
+    xs, X, s1 = model.curve.xs, model.hetero_radius, model.legendre_sup_1
+    del calls[:]
+    L = lipschitz_bound(model, -0.7, 1.3)
+    env = steady.envelope_constants(model, -0.5, 1.0)
+    assert calls == []
+    assert L == float(max(np.max(np.abs(base.du_h(xs, -0.7))), np.max(np.abs(base.du_h(xs, 1.3)))))
+    assert env.upper_anchor == float(np.max(base.h(xs, env.M))) + s1
+    assert env.lower_anchor == -float(np.max(base.h(xs, env.m))) - s1
+    assert env.upper_bound == float(base.h(-X, env.upper_anchor)) + s1
+    assert env.lower_bound == -float(base.h(-X, env.lower_anchor)) - s1
+
+
 # ---------------------------------------------------------------------------
 # the bracket: the CFL step and the containment check
 
