@@ -44,7 +44,7 @@ from .errors import ConfigError, InvariantBreach, NumericalError
 from .flux_model import FluxModel, validate_assumptions
 from .interface import InterfaceContext
 from .riemann import sample, solve_interface, wave_census
-from .solver import Mesh, lipschitz_bound, run
+from .solver import MASS_DRIFT_TOL, Mesh, lipschitz_bound, run
 from .steady import build_steady, envelope, envelope_constants
 
 EXIT_OK = 0
@@ -462,7 +462,7 @@ def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
 
     checks.append((
         "conservation", "relative mass drift",
-        result.mass_drift, 1e-10, result.mass_drift <= 1e-10,
+        result.mass_drift, MASS_DRIFT_TOL, result.mass_drift <= MASS_DRIFT_TOL,
     ))
 
     if cfg.diagnostics["consistency"] and cfg.flux["family"] in _SMOOTH_HETEROGENEOUS:

@@ -57,10 +57,10 @@ class FluxModel:
     freeze: optional xs -> f, with f(u, out=None) = H(xs, u), that evaluates
         the x-dependent coefficients once; frozen_flux completes what f
         lacks of its contract. None freezes as h(xs, u). An f without
-        f.at(index) is frozen again, by a new call of the hook on the
-        band's edges, at every step whose band differs from the last one's
-        (see solver.Scheme): a costly hook wants an at that slices. f may
-        give its inverses too (see frozen_flux).
+        f.at(index) is frozen again, by a new call of the hook on a range
+        of whole blocks of edges, whenever the band crosses into another
+        block (see solver.Scheme): a costly hook wants an at that slices.
+        f may give its inverses too (see frozen_flux).
 
     The model is immutable, so `curve` and `legendre_sup_1` are cached in
     the instance on first access; a dataclasses.replace copy recomputes them.

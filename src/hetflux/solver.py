@@ -21,7 +21,7 @@ A step touches only the cells that can change: the 3-point update moves
 information at most one cell per step, and a cell whose two edge fluxes
 did not change has F_{j+1/2} - F_{j-1/2} = +0.0, so u_j' = u_j bit for
 bit. The Scheme keeps the span of cells that changed, and the next step
-evaluates only the edges next to it (the band rule, see Scheme).
+evaluates only the blocks of edges around it (the band rule, see Scheme).
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ _NO_SPEED = 1e-300
 # States may pass the range that set L by this many ulps of its ends: the
 # bracket states are fixed points up to rounding.
 _CONTAIN_ULPS = 16
+# Relative mass drift (initial mass minus boundary outflow against the mass
+# of a snapshot) beyond which run() raises InvariantBreach.
+MASS_DRIFT_TOL = 1e-10
+# A banded step evaluates its edges in whole blocks of this many (see Scheme).
+_EDGE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -105,19 +110,31 @@ class Scheme:
     The flux is frozen once at the N+2 ghost-extended centers (ghost_flux,
     kept by the model); h_pair is that table over the (N+1, 2) edges, the left
     cell's flux and the right one's, so one call evaluates both sides of a
-    range of edges (its at, see frozen_flux, kept for the last range: most
-    steps repeat it). step_arrays() allocates only the new state. last_range
+    range of edges. step_arrays() allocates only the new state. last_range
     holds the (min, max) of the state u the last step started from, and
     last_edges (u, a, b, F) that u with its two edge terms and edge flux at
     every edge, valid until the next step.
 
     Band rule: band holds the state u_new the last step returned and the
     span [lo, hi) of its cells with nonzero dF. A step handed that very
-    array evaluates only the edges [lo, hi], recomputes dF on the cells
+    array evaluates the edges [lo, hi], recomputes dF on the cells
     [lo - 1, hi + 1) (last_window) and trims the span to their nonzero dF.
     Every other edge keeps its terms and flux in the buffers, F[0] and
     F[-1] included, and every other cell dF = +0.0. Any other state takes a
-    full step: the window is every cell.
+    full step: the window is every cell. What a banded step pays for:
+
+    * Edge blocks. The edges are evaluated in whole blocks of _EDGE_BLOCK
+      that contain [lo, hi], with h_pair.at of that block range, kept until
+      the band leaves it, so the band moves for many steps on one frozen
+      form. An edge outside [lo, hi] joins two cells the last step left
+      alone, so it evaluates to the bits it already holds.
+    * Ghosts. The ghost-extended state keeps u between steps; a step copies
+      the window and refreshes a ghost cell only when the window reaches
+      that end of the mesh.
+    * End probe. The band moves at most one cell per step at either end, so
+      its new ends lie next to the window's: the trim reads the two cells at
+      each end of the window, and scans the whole window only when one pair
+      is quiet (a band that shrinks, or none left).
     """
 
     def __init__(self, model: FluxModel, mesh: Mesh, lipschitz: float):
@@ -125,37 +142,31 @@ class Scheme:
         self.mesh = mesh
         self.lipschitz = float(lipschitz)
         self.xc_ext, self.al_ext = ghost_alphas(model, mesh)
-        n = mesh.n_cells
+        n = self._n = mesh.n_cells
+        self._dx = mesh.dx
         pairs = np.arange(n + 1)[:, None] + np.arange(2)  # edge e joins cells e-1, e
         self.h_pair = ghost_flux(model, mesh).at(pairs)
-        self._window_flux = ((0, n + 1), self.h_pair)  # the last range of edges, its h_pair
-        self._u_ext, self._sides = np.empty(n + 2), np.empty((n + 1, 2))
+        self._block_flux = ((0, n + 1), self.h_pair)  # the last block range of edges, its h_pair
+        self._u_ext, self._sides = np.zeros(n + 2), np.empty((n + 1, 2))
         self._flux, self._dflux, self._moved = np.empty(n + 1), np.zeros(n), np.empty(n, bool)
         self.band = (None, 0, n)
         self.last_window = (0, n)
         self.last_range = (math.nan, math.nan)
         self.last_edges = None
 
-    def _edge_terms(self, ue: np.ndarray, out: np.ndarray, e0: int, e1: int) -> None:
-        """The terms h_l(max(u_l, alpha_l)), h_r(min(alpha_r, u_r)) of the
-        interface flux at the edges [e0, e1) of ghost-extended states ue,
-        evaluated in out (..., e1 - e0, 2)."""
-        al = self.al_ext
-        np.maximum(ue[..., e0:e1], al[e0:e1], out=out[..., 0])
-        np.minimum(al[e0 + 1:e1 + 1], ue[..., e0 + 1:e1 + 1], out=out[..., 1])
-        if self._window_flux[0] != (e0, e1):
-            self._window_flux = ((e0, e1), self.h_pair.at(slice(e0, e1)))
-        self._window_flux[1](out, out=out)
-
     def edge_sides(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """The two terms of the interface flux at every edge, for cell states
         u of shape (..., n_cells), into the optional (2, ..., n_cells + 1)
-        array out. Ghost cells replicate the boundary cells."""
+        array out: h_l(max(u_l, alpha_l)) and h_r(min(alpha_r, u_r)). Ghost
+        cells replicate the boundary cells."""
         u = np.asarray(u, dtype=float)
         if out is None:
             out = np.empty((2,) + u.shape[:-1] + (u.shape[-1] + 1,))
         ue = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
-        self._edge_terms(ue, np.moveaxis(out, 0, -1), 0, u.shape[-1] + 1)
+        al, sides = self.al_ext, np.moveaxis(out, 0, -1)
+        np.maximum(ue[..., :-1], al[:-1], out=sides[..., 0])
+        np.minimum(al[1:], ue[..., 1:], out=sides[..., 1])
+        self.h_pair(sides, out=sides)
         return out[0], out[1]
 
     def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
@@ -168,27 +179,42 @@ class Scheme:
         u_new is a new array; u is not modified. Sets last_range,
         last_edges and last_window for u, and band for u_new (see Scheme)."""
         self.last_range = _finite_range(u, "entering step")
-        lam = dt / self.mesh.dx
+        lam = dt / self._dx
         if 2.0 * lam * self.lipschitz > 1.0 + 1e-9:
             raise NumericalError(
                 f"step size violates 2 (dt/dx) L <= 1: dt={dt}, L={self.lipschitz}"
             )
-        n = self.mesh.n_cells
+        n = self._n
         last, lo, hi = self.band
         if u is not last:
             lo, hi = 0, n
         c0, c1 = max(lo - 1, 0), min(hi + 1, n)
-        ue, S, F = self._u_ext, self._sides[lo:hi + 1], self._flux
+        ue, al, F = self._u_ext, self.al_ext, self._flux
         ue[c0 + 1:c1 + 1] = u[c0:c1]
-        ue[0], ue[-1] = u[0], u[-1]
-        self._edge_terms(ue, S, lo, hi + 1)
-        np.maximum(S[:, 0], S[:, 1], out=F[lo:hi + 1])
+        if c0 == 0:
+            ue[0] = u[0]
+        if c1 == n:
+            ue[-1] = u[-1]
+        e0, e1 = lo - lo % _EDGE_BLOCK, min(hi - hi % _EDGE_BLOCK + _EDGE_BLOCK, n + 1)
+        if self._block_flux[0] != (e0, e1):
+            self._block_flux = ((e0, e1), self.h_pair if e1 - e0 == n + 1
+                                else self.h_pair.at(slice(e0, e1)))
+        S = self._sides[e0:e1]
+        np.maximum(ue[e0:e1], al[e0:e1], out=S[:, 0])
+        np.minimum(al[e0 + 1:e1 + 1], ue[e0 + 1:e1 + 1], out=S[:, 1])
+        self._block_flux[1](S, out=S)
+        np.maximum(S[:, 0], S[:, 1], out=F[e0:e1])
         dF = np.subtract(F[c0 + 1:c1 + 1], F[c0:c1], out=self._dflux[c0:c1])
         dF *= lam
-        moved = np.not_equal(dF, 0.0, out=self._moved[c0:c1])
-        first, end = c0 + int(moved.argmax()), c1 - int(moved[::-1].argmax())
+        if c1 - c0 >= 2 and (dF[0] != 0.0 or dF[1] != 0.0) and (dF[-1] != 0.0 or dF[-2] != 0.0):
+            first, end = (c0 if dF[0] != 0.0 else c0 + 1), (c1 if dF[-1] != 0.0 else c1 - 1)
+        else:
+            moved = np.not_equal(dF, 0.0, out=self._moved[c0:c1])
+            first, end = c0 + int(moved.argmax()), c1 - int(moved[::-1].argmax())
+            if not moved[first - c0]:
+                first = end = c0
         u_new = np.subtract(u, self._dflux)
-        self.band = (u_new, first, end) if moved[first - c0] else (u_new, c0, c0)
+        self.band = (u_new, first, end)
         self.last_edges = (u, self._sides[:, 0], self._sides[:, 1], F)
         self.last_window = (c0, c1)
         return u_new, float(F[0]), float(F[-1])
@@ -213,6 +239,22 @@ def _contained(state_range, contain, within: str, where: str) -> tuple[float, fl
             f"[{contain[0]:.17g}, {contain[1]:.17g}]"
         )
     return lo, hi
+
+
+def _mass_balance(u: np.ndarray, dx: float, mass0: float, net_out: float,
+                  t: float) -> tuple[float, float]:
+    """(mass of u, its drift from mass0 - net_out relative to the largest of
+    the two masses and the mass of |u|); raises InvariantBreach when the
+    drift passes MASS_DRIFT_TOL. A non-finite u gives a NaN drift, left to
+    the state checks."""
+    mass = float(np.sum(u)) * dx
+    scale = max(abs(mass0), abs(mass), float(np.sum(np.abs(u))) * dx, 1e-30)
+    drift = abs(mass - (mass0 - net_out)) / scale
+    if drift > MASS_DRIFT_TOL:
+        raise InvariantBreach(
+            f"relative mass drift {drift:.3e} at t={t:.6g} passes {MASS_DRIFT_TOL:g}"
+        )
+    return mass, drift
 
 
 def lipschitz_bound(model: FluxModel, lo: float, hi: float) -> float:
@@ -414,7 +456,10 @@ def run(
     carries another flux and the bracket states need not be fixed points.
     Every state is checked against the range L came from (the envelope
     constants when there is no bracket), to a few ulps, and InvariantBreach
-    is raised when it leaves.
+    is raised when it leaves. The scheme is conservative, so at every
+    snapshot, the last one at t_end, the mass must equal the initial mass
+    minus the boundary outflow to a relative MASS_DRIFT_TOL, or
+    InvariantBreach is raised.
 
     Snapshot times are hit exactly by shortening the step. Each observer gets
     obs.start(scheme, envelope, u0) before the first step and obs.step(u,
@@ -480,14 +525,13 @@ def run(
             u = u_new
         t = target
         snapshots.append(GridState(u=u.copy(), time=target, step_index=n_steps))
+        if target < t_end:
+            _mass_balance(u, mesh.dx, mass0, net_out, target)
     # Every state but the last was checked and measured by the step it entered.
     lo, hi = _contained(_finite_range(u, "at the end of the run"), contain, within,
                         "at the end of the run")
     rmin, rmax = min(rmin, lo), max(rmax, hi)
-
-    mass_final = float(np.sum(u)) * mesh.dx
-    scale = max(abs(mass0), abs(mass_final), float(np.sum(np.abs(snapshots[-1].u))) * mesh.dx, 1e-30)
-    drift = abs(mass_final - (mass0 - net_out)) / scale
+    mass_final, drift = _mass_balance(u, mesh.dx, mass0, net_out, t_end)
     return RunResult(
         mesh=mesh,
         model=model,

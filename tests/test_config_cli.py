@@ -387,6 +387,19 @@ def test_cli_run_exits_4_when_a_state_leaves_the_bracket(tmp_path, monkeypatch, 
     assert "leaves the bracket" in capsys.readouterr().err
 
 
+def test_cli_run_exits_4_when_mass_is_not_conserved(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    step = Scheme.step_arrays
+
+    def misreported(self, u, dt):
+        u_new, f_in, f_out = step(self, u, dt)
+        return u_new, f_in, f_out + 1e-6  # an outflow that never left
+
+    monkeypatch.setattr(Scheme, "step_arrays", misreported)
+    assert main(RUN_ARGS) == 4
+    assert "relative mass drift" in capsys.readouterr().err
+
+
 def test_cli_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 

@@ -525,18 +525,29 @@ class Windows:
         self.windows.append(self.scheme.last_window)
 
 
+def check_step_against_full(sch, u, u_new, dt):
+    """One step's outputs against the allocating reference kernel, which
+    evaluates every cell: u_new, last_range, last_edges, the boundary fluxes
+    and the band, the first and last cells of nonzero dF (an empty band sits
+    at the start of the window)."""
+    want, f_in, f_out = reference_step(sch, u, dt)
+    assert u_new.tobytes() == want.tobytes()
+    assert sch.last_range == (float(np.min(u)), float(np.max(u)))
+    a_ref, b_ref = reference_edge_sides(sch, u)
+    _, a, b, F = sch.last_edges
+    assert [z.tobytes() for z in (a, b)] == [z.tobytes() for z in (a_ref, b_ref)]
+    assert (F.tobytes(), float(F[0]), float(F[-1])) == (np.maximum(a, b).tobytes(), f_in, f_out)
+    moved = np.flatnonzero(np.diff(np.maximum(a_ref, b_ref)) * (dt / sch.mesh.dx))
+    span = (moved[0], moved[-1] + 1) if moved.size else (sch.last_window[0],) * 2
+    assert sch.band[0] is u_new and sch.band[1:] == span
+
+
 class BandAgainstFull(Windows):
-    """Windows, checking each step's outputs against the allocating
-    reference kernel, which evaluates every cell."""
+    """Windows, checking each step against the reference kernel
+    (check_step_against_full)."""
 
     def step(self, u, u_new, dt):
-        sch = self.scheme
-        want, f_in, f_out = reference_step(sch, u, dt)
-        assert u_new.tobytes() == want.tobytes()
-        assert sch.last_range == (float(np.min(u)), float(np.max(u)))
-        _, a, b, F = sch.last_edges
-        assert [z.tobytes() for z in (a, b)] == [z.tobytes() for z in reference_edge_sides(sch, u)]
-        assert (F.tobytes(), float(F[0]), float(F[-1])) == (np.maximum(a, b).tobytes(), f_in, f_out)
+        check_step_against_full(self.scheme, u, u_new, dt)
         super().step(u, u_new, dt)
 
 
@@ -551,15 +562,31 @@ class FullEvaluation:
         self.scheme.band = (None, 0, self.scheme.mesh.n_cells)
 
 
+def _left_end_data(name):
+    """Data whose waves run left: the mirror image (-right, -left) of the
+    model's pair, but lwr's own pair, which already has a state below its
+    alpha (about -0.45) on the left."""
+    left, right = BAND_MODELS[name][1]
+    return (left, right) if name == "lwr" else (-right, -left)
+
+
+# A jump two cells from either end: its waves reach that ghost edge while
+# the other end of the window stays quiet. The cosh model breaks the
+# compactness contract, and its left jump takes the states out of the
+# bracket (InvariantBreach); its band is always full anyway.
+BAND_CASES = [pytest.param(name, 2.9, BAND_MODELS[name][1], id=name)
+              for name in sorted(BAND_MODELS)] + [
+    pytest.param(name, -2.9, _left_end_data(name), id=f"{name}/left end")
+    for name in sorted(BAND_MODELS) if name != "cosh"]
+
+
 @pytest.mark.filterwarnings("ignore:.*influence cone")
-@pytest.mark.parametrize("name", sorted(BAND_MODELS))
-def test_banded_steps_match_full_evaluation_bitwise(name):
-    family, (left, right) = BAND_MODELS[name]
+@pytest.mark.parametrize("name, location, data", BAND_CASES)
+def test_banded_steps_match_full_evaluation_bitwise(name, location, data):
+    family, (left, right) = BAND_MODELS[name][0], data
     model, mesh = family(), Mesh.make(-3.0, 3.0, 0.05)
     n = mesh.n_cells
-    # A jump two cells from the right end: its waves reach the ghost edge
-    # while the left of the window stays quiet.
-    datum = datum_step(left, right, location=2.9)
+    datum = datum_step(left, right, location=location)
     ks = np.array([right, 0.7, left, -0.4, 1.1])  # unsorted, at the data too
     results = []
     for full_eval in ((), (FullEvaluation(),)):
@@ -575,12 +602,49 @@ def test_banded_steps_match_full_evaluation_bitwise(name):
     if name != "cosh":
         partial = [w for w in windows if w != (0, n)]
         assert len(partial) > res.n_steps // 2
-        assert any(c1 == n for _, c1 in partial)  # a band at the ghost edge
+        # a band at the ghost edge of the jump's end
+        assert any((c0 == 0) if location < 0 else (c1 == n) for c0, c1 in partial)
     assert res.final.u.tobytes() == full.final.u.tobytes()
     fields = ("n_steps", "boundary_net_outflow", "mass_drift", "running_min", "running_max")
     assert [repr(getattr(res, f)) for f in fields] == [repr(getattr(full, f)) for f in fields]
     for got, want in zip(reports, full_reports):
         assert_same_entropy_report(got, want)
+
+
+def test_the_band_trim_scans_when_an_end_goes_quiet():
+    # The trim probes the two cells at each end of the window, and scans
+    # the window when a pair is quiet: a band that shrinks by two cells or
+    # more, or empties. Monotone steps seldom make a cell exactly quiet, so
+    # the test quiets cells itself, in place and inside the band, which the
+    # band rule allows: every cell outside it is still the last step's.
+    mesh = Mesh.make(-3.0, 3.0, 0.05)
+    sch, dt, x = Scheme(quadratic(), mesh, lipschitz=1.0), 0.45 * mesh.dx, mesh.centers()
+    # Two shocks running into each other between the states 1 and -1 of
+    # u^2/2, whose fluxes are equal: 1 | -1 is a stationary shock.
+    u = project_initial(PiecewiseConstantDatum((-0.5, 0.5), (1.0, 0.3, -1.0)), mesh).u
+
+    def step(u):
+        u_new = sch.step_arrays(u, dt)[0]
+        check_step_against_full(sch, u, u_new, dt)
+        return u_new
+
+    for _ in range(8):
+        u = step(u)
+    _, lo, hi = sch.band
+    assert 0 < lo and hi - lo > 12 and hi < mesh.n_cells
+    # One end at a time, each to the state next to the band.
+    u[lo:lo + 3] = 1.0
+    u = step(u)
+    _, first, end = sch.band
+    assert first - lo >= 2 and end >= hi
+    u[end - 3:end] = -1.0
+    u = step(u)
+    assert sch.band[1] == first and end - sch.band[2] >= 2
+    _, first, end = sch.band
+    u[first:end] = np.where(x[first:end] < 0.0, 1.0, -1.0)
+    for _ in range(2):
+        u = step(u)
+        assert sch.band[1] == sch.band[2]
 
 
 @pytest.mark.filterwarnings("ignore:.*influence cone")
@@ -660,6 +724,40 @@ def test_band_keeps_quiet_cells_out_of_the_step():
     assert mesh.n_cells == 4000 and res.n_steps == len(band.windows) > 100
     share = np.mean([c1 - c0 for c0, c1 in band.windows]) / mesh.n_cells
     assert share <= 0.05, share
+
+
+def test_a_band_freezes_its_flux_again_only_when_it_leaves_its_blocks():
+    # The same shock: the band moves about 60 cells in 556 steps, and its
+    # range of edges changes 63 times. The kernel evaluates whole blocks of
+    # edges on one frozen form until the band leaves them, so it calls the
+    # hook's at once per range of blocks the band enters, a few times.
+    base, calls = quadratic(), []
+
+    def counted(f):
+        at = f.at
+
+        def counting_at(index):
+            calls.append(index)
+            return counted(at(index))
+
+        f.at = counting_at
+        return f
+
+    class Steps:
+        """Counts only the at calls made once the Scheme is built."""
+
+        def start(self, scheme, envelope, u0):
+            calls.clear()
+
+        def step(self, u, u_new, dt):
+            pass
+
+    model = dataclasses.replace(base, freeze=lambda xs: counted(base.freeze(xs)))
+    res = run(model, Mesh.make(-4.0, 4.0, 0.002), datum_step(1.0, -0.5), t_end=0.5,
+              observers=(Steps(),))
+    assert res.n_steps == 556
+    assert 0 < len(calls) <= 4, calls
+    assert all(i.start % solver._EDGE_BLOCK == 0 for i in calls), calls
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
@@ -747,6 +845,21 @@ def test_run_mass_accounting(pair_model):
     assert res.mass_final == pytest.approx(
         float(np.sum(rec.states[-1])) * mesh.dx, abs=1e-15
     )
+
+
+def test_a_kernel_that_leaks_mass_is_an_invariant_breach(monkeypatch):
+    # The states stay in the bracket, but each step gives cell 0 the state
+    # of the last cell: the run stops at the first snapshot.
+    step = Scheme.step_arrays
+
+    def leaky(self, u, dt):
+        u_new, f_in, f_out = step(self, u, dt)
+        return np.concatenate((u_new[-1:], u_new[1:])), f_in, f_out
+
+    monkeypatch.setattr(Scheme, "step_arrays", leaky)
+    with pytest.raises(InvariantBreach, match="relative mass drift .* at t=0.1 passes 1e-10"):
+        run(quadratic(), Mesh.make(-2.0, 2.0, 0.05), datum_step(1.0, -0.5), t_end=0.3,
+            snapshot_times=(0.1,))
 
 
 def test_run_hands_every_step_to_observers(pair_model):
