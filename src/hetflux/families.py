@@ -5,14 +5,15 @@ Every family is one quadratic form in solver coordinates,
     H(x, u) = a(x) (u - b(x))^2 + c(x),   a > 0,
 
 so each declares only its coefficient profiles x -> (a, b, c) and their
-x-derivatives; _quadratic_form derives h, du_h, dx_h, the freeze hook and the
-critical curve alpha = b from them once. The frozen flux forms
+x-derivatives; _quadratic_form derives h, du_h, dx_h and the freeze hook from
+them once. The frozen flux forms
 a (u - b)^2 + c in place, in the caller's out= buffer or in one it
 allocates, so the step kernel allocates nothing for it; its du slope
 2 a (u - b) uses the same frozen coefficients, and at(index) slices them,
 so the step kernel evaluates any range of cells of one frozen table. Its
-inverses are closed forms, so a built-in run sets up without a root solve:
-b +- sqrt(max(y - c, 0) / a) on the branches, b + v / (2 a) for the slope.
+critical points and inverses are closed forms, so a built-in run sets up
+without a root solve: alpha = b, b +- sqrt(max(y - c, 0) / a) on the
+branches, b + v / (2 a) for the slope.
 The four constructors, each returning a FluxModel:
 
 * quadratic: homogeneous c (u - s)^2 + o, so (a, b, c) = (c, s, o). Covers
@@ -64,16 +65,12 @@ def _quadratic_form(coefficients, slopes, **fields) -> FluxModel:
         w = np.asarray(u, dtype=float) - b
         return a1 * w**2 - 2.0 * a * w * b1 + c1
 
-    def alpha_hint(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(coefficients(x)[1], x.shape)
-
-    return FluxModel(h=h, du_h=du_h, dx_h=dx_h, alpha_hint=alpha_hint, freeze=freeze, **fields)
+    return FluxModel(h=h, du_h=du_h, dx_h=dx_h, freeze=freeze, **fields)
 
 
 def _frozen_form(a, b, c):
-    """a (u - b)^2 + c with frozen coefficients and closed-form inverses
-    (see frozen_flux); at(index) slices them."""
+    """a (u - b)^2 + c with frozen coefficients, its minimizers b and
+    closed-form inverses (see frozen_flux); at(index) slices them."""
 
     def frozen(u, out=None):
         if out is None:
@@ -83,6 +80,7 @@ def _frozen_form(a, b, c):
         return np.add(out, c, out=out)
 
     frozen.du = lambda u: 2.0 * a * (np.asarray(u, dtype=float) - b)
+    frozen.alpha = lambda: b
     frozen.inverse = lambda y, side, alpha: b + (1.0 if side == "plus" else -1.0) * np.sqrt(
         np.maximum(np.asarray(y, dtype=float) - c, 0.0) / a)
     frozen.du_inverse = lambda v: b + np.asarray(v, dtype=float) / (2.0 * a)

@@ -12,10 +12,10 @@ substituted state, carries orientation "concave", and callers convert states
 at the input/output boundary with to_internal/to_physical.
 
 All callables are expected to broadcast over numpy arrays in both arguments.
-The inversions of H(x, .) below (branch_inverse, legendre_transform) take
-the frozen flux's inverses: closed forms where the freeze hook gives them,
-else one vectorized root solve over all their points, as critical_point
-without a hint; a scalar is handled as a 0-d array and comes back as a float.
+The critical point and the inversions of H(x, .) below (critical_point,
+branch_inverse, legendre_transform) take the frozen flux's parts: closed
+forms where the freeze hook gives them, else one vectorized root solve over
+all their points; a scalar is a 0-d array and comes back as a float.
 
 What depends on the flux alone is computed once per model instance, on
 first use: the critical curve and the flux frozen at its samples
@@ -52,15 +52,13 @@ class FluxModel:
         setup's root solves over a mesh run once per exterior side.
     orientation: "convex", or "concave" when h, du_h and dx_h act on the
         substituted state -u of a concave physical flux (see to_internal).
-    alpha_hint: optional analytic critical curve x -> alpha(x); used to seed
-        and cross-check root solves, never trusted blindly.
     freeze: optional xs -> f, with f(u, out=None) = H(xs, u), that evaluates
         the x-dependent coefficients once; frozen_flux completes what f
         lacks of its contract. None freezes as h(xs, u). An f without
         f.at(index) is frozen again, by a new call of the hook on a range
         of whole blocks of edges, whenever the band crosses into another
         block (see solver.Scheme): a costly hook wants an at that slices.
-        f may give its inverses too (see frozen_flux).
+        f may give its critical points and inverses too (see frozen_flux).
 
     The model is immutable, so `curve` and `legendre_sup_1` are cached in
     the instance on first access; a dataclasses.replace copy recomputes them.
@@ -73,7 +71,6 @@ class FluxModel:
     orientation: str = "convex"
     name: str = "custom"
     params: dict = field(default_factory=dict)
-    alpha_hint: Optional[Callable] = None
     freeze: Optional[Callable] = None
 
     def __post_init__(self):
@@ -104,29 +101,32 @@ class FluxModel:
 def frozen_flux(model: FluxModel, xs) -> Callable:
     """f(u, out=None) = H(xs, u), the flux frozen at the positions xs, with
     its slope f.du(u) = du_h(xs, u), f.at(index), the flux frozen at
-    xs[index], for any numpy index (say, a range of columns), and two
-    inverses, unchecked (their callers bound the residuals): f.inverse(y,
-    side, alpha), s >= alpha ("plus") or <= alpha ("minus") with f(s) = y
-    for levels y >= f(alpha) at the minimizers alpha, and f.du_inverse(v),
-    p with f.du(p) = v.
+    xs[index], for any numpy index (say, a range of columns), f.alpha(), the
+    minimizers alpha(xs), and two inverses, unchecked (their callers bound
+    the residuals): f.inverse(y, side, alpha), s >= alpha ("plus") or
+    <= alpha ("minus") with f(s) = y for levels y >= f(alpha), and
+    f.du_inverse(v), p with f.du(p) = v.
 
     The one contract: f broadcasts u against xs; given an array out (which
-    may be u itself), f writes the result there and returns out; f.du, f.at
-    and the inverses are always there, with the same bits as f, and every
-    f.at(index) keeps the contract. A freeze hook evaluates the x-dependent
-    coefficients once; the default freezing is u -> h(xs, u). f wraps the
-    hook, at every level of at, and gives it what it lacks: a result not
-    written into out is copied there, du calls du_h at xs, at freezes again,
-    unchecked, at xs[index] (positions in the checked xs): a costly freezing
-    wants an at; inverse is a root solve seeded at alpha (_branch_solve),
-    du_inverse one from the bracket [-1, 1].
+    may be u itself), f writes the result there and returns out; its parts
+    are always there, with the same bits as f, and every f.at(index) keeps
+    the contract. A freeze hook evaluates the x-dependent coefficients once;
+    the default freezing is u -> h(xs, u). f wraps the hook, at every level
+    of at, and gives it what it lacks: a result not written into out is
+    copied there, du calls du_h at xs, at freezes again, unchecked, at
+    xs[index] (positions in the checked xs): a costly freezing wants an at;
+    alpha is the root solve of f.du (a hook's alpha is broadcast to
+    xs.shape), inverse one seeded at alpha (_branch_solve), du_inverse one
+    from the bracket [-1, 1].
 
     A dataclasses.replace copy with a new h keeps the old hook, so f is
     checked against h (f.du against du_h) at xs for u = 0 and 1, with and
-    without out: a difference, or a hook taking no out=, raises ConfigError.
+    without out, and a hook's alpha by |du_h(xs, alpha)| <= 1e-12: a
+    difference, or a hook taking no out=, raises ConfigError.
     """
     xs = np.asarray(xs, dtype=float)
-    f = _completed(model, xs, _freeze(model, xs))
+    hook = _freeze(model, xs)
+    f = _completed(model, xs, hook)
     if model.freeze is None:
         return f
     probe = np.stack((np.zeros(xs.shape), np.ones(xs.shape)))
@@ -137,9 +137,14 @@ def frozen_flux(model: FluxModel, xs) -> Callable:
         raise ConfigError(
             f"flux model {model.name!r}: freeze hook must return f(u, out=None) ({exc})"
         ) from exc
+    # One du_h call: at the probe, and at the hook's alpha, if it gives one.
+    rows = (probe, f.alpha()[None]) if getattr(hook, "alpha", None) else (probe,)
+    slope = np.asarray(model.du_h(xs, np.concatenate(rows)), dtype=float)
     if not (np.array_equal(f(probe), want) and np.array_equal(into_out, want)
-            and np.array_equal(f.du(probe), model.du_h(xs, probe))):
+            and np.array_equal(f.du(probe), slope[:2])):
         raise ConfigError(f"flux model {model.name!r}: freeze hook disagrees with h")
+    if not np.all(np.abs(slope[2:]) <= TOL_ROOT):
+        raise ConfigError(f"flux model {model.name!r}: freeze hook's alpha is no root of du_h")
     return f
 
 
@@ -159,6 +164,9 @@ def _completed(model: FluxModel, xs: np.ndarray, hook: Callable) -> Callable:
         return out
 
     f.du = getattr(hook, "du", None) or (lambda u: np.asarray(model.du_h(xs, u), dtype=float))
+    alpha = getattr(hook, "alpha", None)
+    f.alpha = (lambda: np.broadcast_to(alpha(), xs.shape).astype(float)) if alpha else (
+        lambda: solve_increasing(f.du, xs.shape))
     f.inverse = getattr(hook, "inverse", None) or partial(_branch_solve, f)
     f.du_inverse = getattr(hook, "du_inverse", None) or (lambda v: solve_increasing(
         lambda p: f.du(p) - v, np.broadcast(xs, v).shape, tol_res=np.inf))
@@ -168,22 +176,9 @@ def _completed(model: FluxModel, xs: np.ndarray, hook: Callable) -> Callable:
 
 
 def critical_point(model: FluxModel, x):
-    """Unique minimizer alpha(x) of H(x, .), the root of du_h(x, .), elementwise.
-
-    The model's alpha_hint is taken when |du_h| <= 1e-9 there at every x;
-    otherwise the root solve runs, to a residual |du_h| <= 1e-12.
-    """
-    xs = np.asarray(x, dtype=float)
-    a = None
-    if model.alpha_hint is not None:
-        hint = np.broadcast_to(
-            np.asarray(model.alpha_hint(xs), dtype=float), xs.shape
-        ).astype(float)
-        # A hint that disagrees with du_h is dropped for the generic solve.
-        if np.all(np.abs(np.asarray(model.du_h(xs, hint), dtype=float)) <= 1e-9):
-            a = hint
-    if a is None:
-        a = solve_increasing(frozen_flux(model, xs).du, xs.shape)
+    """Unique minimizer alpha(x) of H(x, .), the root of du_h(x, .),
+    elementwise: frozen_flux(model, x).alpha()."""
+    a = frozen_flux(model, x).alpha()
     return float(a) if a.ndim == 0 else a
 
 
@@ -214,10 +209,10 @@ class CriticalCurve:
             # Include the center: bump-built coefficient curves peak there and
             # an even linspace count would skip it.
             xs = np.union1d(np.linspace(-X, X, ALPHA_GRID_SAMPLES), [0.0])
-        alphas = critical_point(model, xs)
+        f = frozen_flux(model, xs)
+        alphas = f.alpha()
         # Shared by every caller of model.curve.
         xs.flags.writeable = alphas.flags.writeable = False
-        f = frozen_flux(model, xs)
         return cls(
             xs=xs,
             alphas=alphas,
@@ -238,10 +233,11 @@ def ghost_alphas(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray]:
         xc = mesh.centers()
         xc_ext = np.concatenate(([xc[0] - mesh.dx], xc, [xc[-1] + mesh.dx]))
         span, spread = distinct_span(model, xc_ext)
-        al_ext = spread(critical_point(model, xc_ext[span]))
+        f = frozen_flux(model, xc_ext)
+        al_ext = spread(f.at(span).alpha())
         xc_ext.flags.writeable = al_ext.flags.writeable = False
         # Written like a cached_property: the frozen dataclass has a __dict__.
-        memo = model.__dict__["_ghost_alphas"] = (mesh, xc_ext, al_ext, frozen_flux(model, xc_ext))
+        memo = model.__dict__["_ghost_alphas"] = (mesh, xc_ext, al_ext, f)
     return memo[1], memo[2]
 
 
@@ -290,23 +286,21 @@ def _branch_solve(f: Callable, y, side: str, alpha) -> np.ndarray:
                                    hi0=sign * a + 1.0, tol_res=np.inf)
 
 
-def invert_branch(f: Callable, df: Callable, alpha, y, side: str):
+def invert_branch(f: Callable, alpha, y, side: str):
     """Solve f(s) = y on one monotone branch of a convex frozen flux f, elementwise.
 
-    f is a frozen flux (see frozen_flux), df its slope; alpha holds the
-    minimizers of f and broadcasts against the levels y. side "plus" returns
-    the solution >= alpha, "minus" the one <= alpha. A level at the minimum
-    returns alpha exactly, and levels slightly below it (within 1e-10) are
-    clamped to it and return alpha too; any level further below raises
-    NumericalError.
+    f is a frozen flux (see frozen_flux); alpha holds the minimizers of f and
+    broadcasts against the levels y. side "plus" returns the solution
+    >= alpha, "minus" the one <= alpha. A level at the minimum returns alpha
+    exactly, and levels slightly below it (within 1e-10) are clamped to it
+    and return alpha too; any level further below raises NumericalError.
 
-    f.inverse finds s. Its residual |f(s) - y| is bounded relative to the
-    flux scale, as TOL_ROOT * (1 + |y| + |f(alpha)|) per element: f(s) - y
-    is rounded at that scale, so an absolute bound would reject exact roots
-    of large levels. At most three Newton passes on f - y then polish the
-    result; a pass keeps a value unless its step is strictly better, and
-    the polish stops after a pass that takes no element, as every later one
-    would repeat it.
+    f.inverse finds s, and s is returned as found: a closed form is exact to
+    rounding, and the root solve stops within a few ulps of s. Its residual
+    |f(s) - y| is bounded relative to the flux scale, as
+    TOL_ROOT * (1 + |y| + |f(alpha)|) per element: f(s) - y is rounded at
+    that scale, so an absolute bound would reject exact roots of large
+    levels.
     """
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
@@ -324,23 +318,8 @@ def invert_branch(f: Callable, df: Callable, alpha, y, side: str):
     # Clamped elements target their own minimum.
     y_eff = np.maximum(y, hmin)
     out = np.asarray(f.inverse(y_eff, side, a), dtype=float)
-    f_out = np.asarray(f(out), dtype=float)
-    check_residual(np.abs(f_out - y_eff), TOL_ROOT * (1.0 + np.abs(y_eff) + np.abs(hmin)))
+    check_residual(np.abs(f(out) - y_eff), TOL_ROOT * (1.0 + np.abs(y_eff) + np.abs(hmin)))
     out = np.where(clamped, a, out)
-    # Vectorized Newton polish passes; near-critical elements keep the solved value.
-    # Pass one reuses the checked f(out): only clamped elements, which take no step, moved.
-    res = f_out - y
-    for k in range(3):
-        if k:  # the last pass took a step
-            res = np.asarray(f(out), dtype=float) - y
-        d = np.asarray(df(out), dtype=float)
-        safe = np.abs(d) > 1e-8
-        upd = out - np.where(safe, res / np.where(safe, d, 1.0), 0.0)
-        upd = np.maximum(upd, a) if side == "plus" else np.minimum(upd, a)
-        take = (np.abs(np.asarray(f(upd), dtype=float) - y) < np.abs(res)) & ~clamped
-        if not take.any():
-            break
-        out = np.where(take, upd, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -348,15 +327,13 @@ def branch_inverse(model: FluxModel, x, y, side: str, alpha=None):
     """Solve H(x, s) = y on one monotone branch, elementwise over x and y.
 
     side "plus" returns the solution >= alpha(x), "minus" the one <= alpha(x);
-    alpha defaults to critical_point(model, x). Used by steady-state
-    construction with one level over every cell, so the flux-level invariant
-    cannot drift along the recursion. The flux is frozen at x once for all
-    rounds of the solve. Clamping and errors as in invert_branch.
+    alpha defaults to the minimizers of the flux frozen at x, which is frozen
+    once for the minimizers and all rounds of the solve. One level over
+    every cell is how steady states are built, so the flux-level invariant
+    cannot drift along a recursion. Clamping and errors as in invert_branch.
     """
-    xs = np.asarray(x, dtype=float)
-    a = critical_point(model, xs) if alpha is None else alpha
-    f = frozen_flux(model, xs)
-    return invert_branch(f, f.du, a, y, side)
+    f = frozen_flux(model, x)
+    return invert_branch(f, f.alpha() if alpha is None else alpha, y, side)
 
 
 def legendre_transform(model: FluxModel, x, v):

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .flux_model import FluxModel, critical_point, frozen_flux, invert_branch
+from .flux_model import FluxModel, frozen_flux, invert_branch
 
 # State-space tolerance of germ membership checks.
 GERM_TOL = 1e-9
@@ -74,13 +74,14 @@ class FluxSide:
     @classmethod
     def from_model(cls, model: FluxModel, x):
         """H(x, .) frozen at a position x, or at each of an array of them."""
-        a, f = critical_point(model, x), frozen_flux(model, x)
+        f = frozen_flux(model, x)
+        a = _scalar_or_array(f.alpha())
         return cls(f=f, df=f.du, alpha=a, fmin=_scalar_or_array(f(a)))
 
     def branch(self, y, side: str):
         """Inverse of f on the increasing ("plus") or decreasing ("minus")
         branch, elementwise as in invert_branch."""
-        return invert_branch(self.f, self.df, self.alpha, y, side)
+        return invert_branch(self.f, self.alpha, y, side)
 
 
 @dataclass(frozen=True, eq=False)

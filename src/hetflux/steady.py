@@ -49,7 +49,7 @@ def _steady(fs, alpha, spread, level: float, branch: str) -> SteadyState:
     of the level under fs, the flux frozen on distinct_span, with minimizers
     alpha there, spread to every cell."""
     upper = branch == "upper"
-    values = spread(invert_branch(fs, fs.du, alpha, level, "plus" if upper else "minus"))
+    values = spread(invert_branch(fs, alpha, level, "plus" if upper else "minus"))
     return SteadyState(values=values, flux_level=level,
                        bound=float(np.max(values) if upper else np.min(values)))
 

@@ -118,14 +118,13 @@ def mirror(model):
     (freeze=None): w(t, x) = -u(t, -x) solves w_t + G(x, w)_x = 0 when u
     solves the law of H. G is convex in w, again heterogeneous only on
     [-X, X], and its critical curve is -alpha(-x)."""
-    h, du_h, dx_h, hint = model.h, model.du_h, model.dx_h, model.alpha_hint
+    h, du_h, dx_h = model.h, model.du_h, model.dx_h
     neg = np.negative
     return dataclasses.replace(
         model,
         h=lambda x, w: h(neg(x), neg(w)),
         du_h=lambda x, w: neg(du_h(neg(x), neg(w))),
         dx_h=lambda x, w: neg(dx_h(neg(x), neg(w))),
-        alpha_hint=None if hint is None else (lambda x: neg(hint(neg(x)))),
         freeze=None,
         name=f"mirror({model.name})",
     )

@@ -14,7 +14,7 @@ import pytest
 
 from hetflux.errors import ConfigError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
-from hetflux.flux_model import critical_point
+from hetflux.flux_model import critical_point, frozen_flux
 from hetflux.profiles import bump, bump_prime, smoothstep, smoothstep_prime
 
 
@@ -71,7 +71,7 @@ def test_quadratic_closed_form():
     assert float(m.dx_h(17.0, 3.0)) == 0.0
     assert m.hetero_radius == 0.0
     assert m.orientation == "convex"
-    assert float(m.alpha_hint(np.array([4.0]))[0]) == 1.0
+    assert float(frozen_flux(m, np.array([4.0])).alpha()[0]) == 1.0
 
 
 def test_quadratic_rejects_nonpositive_coefficient():
@@ -102,8 +102,8 @@ def test_two_state_shifted_offsets():
     m = two_state(left_shift=1.0, left_offset=0.25, right_coefficient=2.0, right_offset=-1.0)
     assert float(m.h(-2.0, 1.0)) == 0.25
     assert float(m.h(2.0, 1.0)) == 1.0
-    hint = m.alpha_hint(np.array([-1.0, 1.0]))
-    assert hint[0] == 1.0 and hint[1] == 0.0
+    alpha = frozen_flux(m, np.array([-1.0, 1.0])).alpha()
+    assert alpha[0] == 1.0 and alpha[1] == 0.0
 
 
 def test_two_state_parameter_validation():

@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import cosh_model
 
-from hetflux.errors import NumericalError
+from hetflux.errors import ConfigError, NumericalError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.flux_model import (
     CriticalCurve,
@@ -23,7 +22,6 @@ from hetflux.flux_model import (
     branch_inverse,
     critical_point,
     frozen_flux,
-    invert_branch,
     legendre_sup,
     legendre_transform,
     validate_assumptions,
@@ -68,14 +66,21 @@ def test_critical_points_vectorized_matches_scalar(hq_model):
     assert np.all(np.abs(vec - ell) < 1e-9)
 
 
-def test_wrong_alpha_hint_falls_back_to_the_root_solve():
+def test_a_hook_whose_alpha_is_no_root_of_du_h_is_refused():
+    # A hook's alpha is checked like its flux, by |du_h(x, alpha)| <= 1e-12.
     base = quadratic(0.5)
-    lying = FluxModel(
-        h=base.h, du_h=base.du_h, dx_h=base.dx_h, hetero_radius=0.0,
-        alpha_hint=lambda x: np.ones(np.asarray(x, dtype=float).shape),
-    )
-    a = critical_point(lying, np.array([0.0]))
-    assert abs(float(a[0])) < 1e-9
+
+    def lying(xs):
+        f = base.freeze(xs)
+        f.alpha = lambda: np.ones(np.shape(xs))
+        return f
+
+    model = dataclasses.replace(base, freeze=lying)
+    for x in (0.0, np.linspace(-1.0, 1.0, 5)):
+        with pytest.raises(ConfigError, match="alpha"):
+            critical_point(model, x)
+    with pytest.raises(ConfigError, match="alpha"):
+        FluxSide.from_model(model, 0.0)
 
 
 def test_critical_curve_extremes(hq_model, pair_model):
@@ -161,72 +166,16 @@ def test_branch_inverses_clamp_and_error_paths(hq_model):
 
 def test_branch_polish_keeps_a_value_unless_a_step_is_strictly_better():
     # u^2/2 at level 0.25: the closed form gives the correctly rounded
-    # sqrt(0.5). Its Newton step lands one ulp low at the same |f(s) - y|, so
-    # a tie rule of <= flipped the value at each of the three passes.
+    # sqrt(0.5), and branch_inverse returns it as it is, with no Newton step
+    # (one lands one ulp low at the same |f(s) - y|).
     model = two_state()
     assert branch_inverse(model, -1.0, 0.25, "plus") == 0.7071067811865476
     assert branch_inverse(model, -1.0, 1.0, "minus") == -math.sqrt(2.0)
-    # The root solve stops one ulp low, at the same |f(s) - y| again, and the
-    # polish keeps that too.
+    # The root solve stops one ulp low, at the same |f(s) - y| again, and
+    # that value is returned too.
     generic = dataclasses.replace(model, freeze=None)
     solved = frozen_flux(generic, -1.0).inverse(np.array(0.25), "plus", np.array(0.0))
     assert branch_inverse(generic, -1.0, 0.25, "plus") == solved == 0.7071067811865475
-
-
-def _three_pass_reference(f, df, alpha, y, side):
-    """invert_branch as it was before its polish could stop: the residual
-    check left out, and always three Newton passes."""
-    a, y = np.asarray(alpha, dtype=float), np.asarray(y, dtype=float)
-    hmin = np.asarray(f(a), dtype=float)
-    clamped = hmin - y >= 0.0
-    out = np.asarray(f.inverse(np.maximum(y, hmin), side, a), dtype=float)
-    out = np.where(clamped, a, out)
-    for _ in range(3):
-        res = np.asarray(f(out), dtype=float) - y
-        d = np.asarray(df(out), dtype=float)
-        safe = np.abs(d) > 1e-8
-        upd = out - np.where(safe, res / np.where(safe, d, 1.0), 0.0)
-        upd = np.maximum(upd, a) if side == "plus" else np.minimum(upd, a)
-        better = np.abs(np.asarray(f(upd), dtype=float) - y) < np.abs(res)
-        out = np.where(better & ~clamped, upd, out)
-    return out
-
-
-POLISH_MODELS = {
-    "quadratic": lambda: quadratic(0.7, shift=0.4, offset=-0.2),
-    "two_state": two_state,
-    "heterogeneous_quadratic": heterogeneous_quadratic,
-    "lwr": lwr,
-    "hook-less": cosh_model,  # f.inverse is the generic root solve
-}
-
-
-@pytest.mark.parametrize("name", sorted(POLISH_MODELS))
-def test_a_polish_that_stops_has_the_bits_of_three_passes(name, rng):
-    # Once a pass takes no element, every later pass repeats it; and the first
-    # pass reuses the residual check's f(out), which differs from f of the
-    # polished start only at clamped elements, which take no step.
-    model = POLISH_MODELS[name]()
-    xs = np.linspace(-1.6, 1.6, 65)
-    alpha = critical_point(model, xs)
-    f = frozen_flux(model, xs)
-    lo = f(alpha)
-    n_clamped = []
-    for trial in range(6):
-        scale = rng.choice([1e-12, 1e-6, 1.0, 10.0], xs.size)
-        y = lo + rng.uniform(0.01, 3.0, xs.size) * scale
-        if trial % 2:  # some levels at the minimum, some a hair below it
-            y = np.where(rng.random(xs.size) < 0.3, lo - rng.uniform(0.0, 1e-11, xs.size), y)
-            y[0] = lo[0]
-        n_clamped.append(int(np.sum(y <= lo)))
-        for side in ("plus", "minus"):
-            want = _three_pass_reference(f, f.du, alpha, y, side)
-            assert invert_branch(f, f.du, alpha, y, side).tobytes() == want.tobytes()
-            # one position and one level, as 0-d arrays
-            g = f.at(7)
-            assert invert_branch(g, g.du, alpha[7], y[7], side) == float(
-                _three_pass_reference(g, g.du, alpha[7], y[7], side))
-    assert n_clamped[0::2] == [0, 0, 0] and min(n_clamped[1::2]) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +215,7 @@ def test_closed_form_inverses_agree_with_the_root_solves(name, rng):
             assert np.allclose(got, generic.at(index).inverse(y[2:], side, a), rtol=0, atol=1e-12)
         assert np.allclose(closed.at(index).du_inverse(v), generic.at(index).du_inverse(v),
                            rtol=0, atol=1e-12)
+        assert np.allclose(closed.at(index).alpha(), generic.at(index).alpha(), rtol=0, atol=1e-12)
     exact = dataclasses.replace(model, freeze=None).legendre_sup_1
     assert abs(model.legendre_sup_1 - exact) <= 1e-14 * abs(exact)
 

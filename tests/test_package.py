@@ -65,7 +65,7 @@ def test_only_flux_model_asks_what_an_object_offers():
     # hasattr fork on what a frozen flux (or anything else) can do, nor a
     # getattr with a default for a part of the hook.
     src = Path(hetflux.__file__).parent
-    parts = {"du", "at", "inverse", "du_inverse"}
+    parts = {"du", "at", "alpha", "inverse", "du_inverse"}
 
     def asks(node):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
@@ -85,6 +85,20 @@ def test_only_flux_model_asks_what_an_object_offers():
     flux_model = ast.parse((src / "flux_model.py").read_text(encoding="utf-8"))
     assert {node.args[1].value for node in ast.walk(flux_model) if asks(node)
             and node.func.id == "getattr"} == parts
+
+
+def test_root_solves_run_only_in_the_generic_hook_parts():
+    # frozen_flux completes a freeze hook with root solves for the parts it
+    # lacks, so every other place takes its critical points and inverses
+    # from the frozen flux: one solve site per generic part.
+    src = Path(hetflux.__file__).parent
+    sites = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            sites |= {f"{path.stem}.{getattr(top, 'name', '')}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and ast.unparse(node.func).split(".")[-1] == "solve_increasing"}
+    assert sites == {"flux_model._completed", "flux_model._branch_solve"}
 
 
 def test_only_the_solver_asks_what_kind_a_datum_is():

@@ -365,7 +365,7 @@ def test_stale_freeze_hook_is_rejected_by_steady_state_solves():
     xs = np.linspace(-2.0, 2.0, 41)
     with pytest.raises(ConfigError, match="freeze hook"):
         fm.branch_inverse(stale, xs, 1.0, "plus")
-    assert np.all(fm.branch_inverse(model, xs, 1.0, "plus") >= model.alpha_hint(xs))
+    assert np.all(fm.branch_inverse(model, xs, 1.0, "plus") >= fm.critical_point(model, xs))
 
 
 def test_freeze_hook_out_path_is_checked():
@@ -916,7 +916,7 @@ def test_run_accepts_grid_state_datum(pair_model):
 
 
 def test_model_setup_is_computed_once_per_model(monkeypatch):
-    # Hint-free custom flux, so every critical point is a root solve.
+    # Custom flux without a freeze hook, so every critical point is a root solve.
     a = lambda x: 1.5 + 0.5 * np.clip(x, -1.0, 1.0)
     model = FluxModel(
         h=lambda x, u: a(x) * (np.cosh(u) - 1.0),
@@ -927,7 +927,7 @@ def test_model_setup_is_computed_once_per_model(monkeypatch):
     mesh = Mesh.make(-3.0, 3.0, 0.05)
     calls = {"build": 0, "sup": 0, "lipschitz": 0}
     sizes = []
-    build, sup, crit = fm.CriticalCurve.build.__func__, fm.legendre_sup, fm.critical_point
+    build, sup, solve = fm.CriticalCurve.build.__func__, fm.legendre_sup, fm.solve_increasing
     lip = solver.lipschitz_bound
 
     def counted_build(cls, m):
@@ -938,9 +938,11 @@ def test_model_setup_is_computed_once_per_model(monkeypatch):
         calls["sup"] += 1
         return sup(m, lam, *args, **kwargs)
 
-    def counted_crit(m, x):
-        sizes.append(np.size(x))
-        return crit(m, x)
+    def counted_solve(g, shape=(), **kwargs):
+        # The critical-point solve is the one with the default bracket and tolerance.
+        if not kwargs:
+            sizes.append(int(np.prod(shape)))
+        return solve(g, shape, **kwargs)
 
     def counted_lip(m, lo, hi):
         calls["lipschitz"] += 1
@@ -949,7 +951,7 @@ def test_model_setup_is_computed_once_per_model(monkeypatch):
     monkeypatch.setattr(solver, "lipschitz_bound", counted_lip)
     monkeypatch.setattr(fm.CriticalCurve, "build", classmethod(counted_build))
     monkeypatch.setattr(fm, "legendre_sup", counted_sup)
-    monkeypatch.setattr(fm, "critical_point", counted_crit)
+    monkeypatch.setattr(fm, "solve_increasing", counted_solve)
     mesh_solves = []
     for _ in range(2):
         del sizes[:]
@@ -1089,6 +1091,33 @@ def test_a_state_leaving_the_bracket_is_an_invariant_breach(monkeypatch, last):
         run(model, mesh, datum, t_end=0.3)
 
 
+def test_a_hook_without_alpha_freezes_each_place_once():
+    # Each place solves its critical points on the flux it freezes anyway:
+    # the curve at its samples, the mesh at the span of its ghost-extended
+    # centers through at, which the hook slices.
+    base = heterogeneous_quadratic()
+    freezes = []
+
+    def no_alpha(f):
+        g = lambda u, out=None: f(u, out=out)
+        g.du, g.inverse, g.du_inverse = f.du, f.inverse, f.du_inverse
+        g.at = lambda index: no_alpha(f.at(index))
+        return g
+
+    def counted(xs):
+        freezes.append(np.size(xs))
+        return no_alpha(base.freeze(xs))
+
+    model = FluxModel(h=base.h, du_h=base.du_h, dx_h=base.dx_h,
+                      hetero_radius=base.hetero_radius, freeze=counted)
+    mesh = Mesh.make(-3.0, 3.0, 0.05)
+    run(model, mesh, datum_step(1.0, -0.5), t_end=0.2)
+    xc_ext = fm.ghost_alphas(model, mesh)[0]
+    span = fm.distinct_span(model, xc_ext)[0]
+    assert sorted(set(freezes)) == sorted(freezes)
+    assert mesh.n_cells + 2 in freezes and xc_ext[span].size not in freezes
+
+
 def test_constant_data_at_alpha_takes_the_envelope_step(burgers_model):
     # The bracket is [alpha, alpha] = [0, 0], where the flux has no wave speed.
     mesh = Mesh.make(-1.0, 1.0, 0.1)
@@ -1188,7 +1217,7 @@ def test_compact_solves_match_solves_at_every_cell_bitwise(name, mesh_name, rng)
         for st, side, clamp in zip(steady.bracket(model, mesh, u), ("minus", "plus"),
                                    (np.minimum, np.maximum)):
             level = max(float(np.max(f(clamp(u, al)))), curve.floor)
-            want = fm.invert_branch(f, f.du, al, level, side)
+            want = fm.invert_branch(f, al, level, side)
             assert st.flux_level == level
             assert st.values.tobytes() == want.tobytes()
             assert st.bound == (np.min(want) if side == "minus" else np.max(want))
