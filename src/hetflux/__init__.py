@@ -14,6 +14,7 @@ from .flux_model import (
     critical_point,
     legendre_sup,
     legendre_transform,
+    lipschitz_bound,
     validate_assumptions,
 )
 from .families import heterogeneous_quadratic, lwr, quadratic, two_state
@@ -38,11 +39,9 @@ from .riemann import (
 )
 from .steady import (
     Envelope,
-    EnvelopeConstants,
     SteadyState,
     build_steady,
     envelope,
-    envelope_constants,
     steady_residual,
 )
 from .solver import (
@@ -58,7 +57,6 @@ from .solver import (
     datum_constant,
     datum_from_table,
     datum_step,
-    lipschitz_bound,
     project_initial,
     run,
 )
@@ -80,18 +78,17 @@ __all__ = [
     "HetfluxError", "ConfigError", "NumericalError", "InvariantBreach",
     "FluxModel", "CriticalCurve", "Violation", "ValidationReport",
     "critical_point", "branch_inverse", "legendre_transform", "legendre_sup",
-    "validate_assumptions",
+    "lipschitz_bound", "validate_assumptions",
     "quadratic", "two_state", "heterogeneous_quadratic", "lwr",
     "FluxSide", "InterfaceContext", "GermClass", "entropy_flux",
     "interface_flux", "remainder", "classify_germ",
     "germ_pair", "dissipativity_gap",
     "Wave", "RiemannSolution", "solve_classical", "solve_interface",
     "sample", "wave_census",
-    "SteadyState", "Envelope", "EnvelopeConstants", "build_steady",
-    "envelope", "envelope_constants", "steady_residual",
+    "SteadyState", "Envelope", "build_steady", "envelope", "steady_residual",
     "Mesh", "GridState", "CflPolicy", "Scheme", "PiecewiseConstantDatum",
     "SmoothDatum", "datum_constant", "datum_step", "datum_bump",
-    "datum_from_table", "project_initial", "lipschitz_bound", "cfl_dt",
+    "datum_from_table", "project_initial", "cfl_dt",
     "run", "RunResult",
     "EntropyCheck", "TimeVariation", "EntropyReport", "ConsistencyReport",
     "ConvergenceReport", "consistency_rate", "convergence_study",

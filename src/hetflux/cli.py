@@ -44,8 +44,8 @@ from .errors import ConfigError, InvariantBreach, NumericalError
 from .flux_model import FluxModel, validate_assumptions
 from .interface import InterfaceContext
 from .riemann import sample, solve_interface, wave_census
-from .solver import MASS_DRIFT_TOL, Mesh, lipschitz_bound, run
-from .steady import build_steady, envelope, envelope_constants
+from .solver import MASS_DRIFT_TOL, Mesh, run
+from .steady import build_steady, envelope
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -251,8 +251,7 @@ def _build_mesh(cfg: ExperimentConfig, model: FluxModel, datum=None, t_end: floa
     margin = 0.0
     if t_end > 0 and datum is not None:
         b = datum.bounds(_auto_window((half0 + 1.0) / dx, dx))
-        consts = envelope_constants(model, b[0], b[1])
-        margin = lipschitz_bound(model, consts.lower_bound, consts.upper_bound) * t_end
+        margin = envelope(model, None, b[0], b[1]).lipschitz * t_end
     return _auto_window((half0 + margin) / dx + 2.0, dx)
 
 

@@ -38,10 +38,9 @@ from .solver import (
     _GAUSS_WEIGHTS,
     Mesh,
     Scheme,
-    lipschitz_bound,
     run,
 )
-from .steady import Envelope, envelope_constants
+from .steady import Envelope, envelope
 
 DEFAULT_K_LEVELS = 33
 # consistency_rate: successive rates this close count as settled, and the
@@ -510,9 +509,7 @@ def convergence_study(
         m0, m1 = datum.bounds(probe)
     else:
         m0, m1 = datum_bounds
-    consts = envelope_constants(model, m0, m1)
-    lip = lipschitz_bound(model, consts.lower_bound, consts.upper_bound)
-    margin = lip * t_end
+    margin = envelope(model, None, m0, m1).lipschitz * t_end
 
     def run_level(dx: float) -> tuple[np.ndarray, Mesh, int]:
         lo, hi = _snapped_interval(window[0] - margin - 2 * dx, window[1] + margin + 2 * dx, dx)

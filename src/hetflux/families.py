@@ -46,7 +46,7 @@ def _quadratic_form(coefficients, slopes, **fields) -> FluxModel:
 
     coefficients: x -> (a, b, c); slopes: x -> (a', b', c'), the x-derivatives.
     Both take a float array and return values that broadcast against it.
-    fields are passed on to FluxModel (hetero_radius, name, params, ...).
+    fields are passed on to FluxModel (hetero_radius, name, ...).
     """
 
     def freeze(xs):
@@ -104,7 +104,6 @@ def quadratic(coefficient: float = 0.5, shift: float = 0.0, offset: float = 0.0)
         _flat,
         hetero_radius=0.0,
         name="quadratic",
-        params={"coefficient": c, "shift": s, "offset": o},
     )
 
 
@@ -138,11 +137,6 @@ def two_state(
         _flat,
         hetero_radius=float(radius),
         name="two_state",
-        params={
-            "left_coefficient": cl, "left_shift": sl, "left_offset": ol,
-            "right_coefficient": cr, "right_shift": sr, "right_offset": orr,
-            "radius": float(radius),
-        },
     )
 
 
@@ -184,12 +178,6 @@ def heterogeneous_quadratic(
         slopes,
         hetero_radius=X,
         name="heterogeneous_quadratic",
-        params={
-            "theta_base": tb, "theta_bump": ta,
-            "ell_base": lb, "ell_bump": la,
-            "g_base": gb, "g_bump": ga,
-            "radius": X,
-        },
     )
 
 
@@ -234,9 +222,4 @@ def lwr(
         hetero_radius=X,
         orientation="concave",
         name="lwr",
-        params={
-            "v_left": v1, "v_right": v2,
-            "rho_left": r1, "rho_right": r2,
-            "radius": X,
-        },
     )

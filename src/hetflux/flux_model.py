@@ -20,14 +20,14 @@ all their points; a scalar is a 0-d array and comes back as a float.
 What depends on the flux alone is computed once per model instance, on
 first use: the critical curve and the flux frozen at its samples
 (FluxModel.curve), the Legendre bound sup L(x, +-1) (FluxModel.legendre_sup_1),
-and alpha and the flux frozen at the cell centers of the last mesh asked for
-(ghost_alphas, ghost_flux), O(N + ALPHA_GRID_SAMPLES) values per model. A
-dataclasses.replace copy starts with none of them.
+and the ghost-extended cell centers of the last mesh asked for, with alpha
+and the flux frozen there (ghost_cells), O(N + ALPHA_GRID_SAMPLES) values
+per model. A dataclasses.replace copy starts with none of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Optional
 
@@ -70,7 +70,6 @@ class FluxModel:
     hetero_radius: float
     orientation: str = "convex"
     name: str = "custom"
-    params: dict = field(default_factory=dict)
     freeze: Optional[Callable] = None
 
     def __post_init__(self):
@@ -187,7 +186,7 @@ class CriticalCurve:
     """Sampled critical curve alpha(x), its extremes over the line, the
     floor max_x H(x, alpha(x)), the lowest flux level every position
     carries, and flux = frozen_flux(model, xs), frozen once for the sups
-    over x of lipschitz_bound and envelope_constants.
+    over x of lipschitz_bound and the envelope (steady.envelope).
 
     alpha is constant for |x| >= hetero_radius, so sampling [-X, X] plus the
     boundary captures inf/sup alpha exactly up to grid resolution.
@@ -223,12 +222,23 @@ class CriticalCurve:
         )
 
 
-def ghost_alphas(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only centers of mesh with one ghost cell per side, and alpha at
-    them. The model keeps them, and the flux frozen there (ghost_flux), for
-    the last mesh asked about, at most one mesh, so the steady states and
-    the Scheme of a run share one solve and one freeze."""
-    memo = model.__dict__.get("_ghost_alphas")
+def lipschitz_bound(model: FluxModel, lo: float, hi: float) -> float:
+    """sup |du_h| over all x and states in [lo, hi].
+
+    du_h(x, .) is increasing, so the sup in u sits at the interval endpoints;
+    the sup in x is over the heterogeneity samples (flux frozen outside), of
+    the slope of model.curve.flux, the flux the model keeps frozen there.
+    """
+    du = model.curve.flux.du
+    return float(max(np.max(np.abs(du(float(lo)))), np.max(np.abs(du(float(hi))))))
+
+
+def ghost_cells(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """(xc_ext, al_ext, f): the read-only centers of mesh with one ghost
+    cell per side, alpha at them, and the flux frozen there. The model keeps
+    them for the last mesh asked about, at most one mesh, so the steady
+    states and the Scheme of a run share one solve and one freeze."""
+    memo = model.__dict__.get("_ghost_cells")
     if memo is None or memo[0] != mesh:
         xc = mesh.centers()
         xc_ext = np.concatenate(([xc[0] - mesh.dx], xc, [xc[-1] + mesh.dx]))
@@ -237,14 +247,8 @@ def ghost_alphas(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray]:
         al_ext = spread(f.at(span).alpha())
         xc_ext.flags.writeable = al_ext.flags.writeable = False
         # Written like a cached_property: the frozen dataclass has a __dict__.
-        memo = model.__dict__["_ghost_alphas"] = (mesh, xc_ext, al_ext, f)
-    return memo[1], memo[2]
-
-
-def ghost_flux(model: FluxModel, mesh) -> Callable:
-    """The flux frozen at the centers ghost_alphas gives, kept with them."""
-    ghost_alphas(model, mesh)
-    return model.__dict__["_ghost_alphas"][3]
+        memo = model.__dict__["_ghost_cells"] = (mesh, xc_ext, al_ext, f)
+    return memo[1:]
 
 
 def distinct_span(model: FluxModel, xs: np.ndarray) -> tuple[slice, Callable]:

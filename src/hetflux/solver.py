@@ -34,7 +34,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InvariantBreach, NumericalError
-from .flux_model import FluxModel, ghost_alphas, ghost_flux
+from .flux_model import FluxModel, ghost_cells, lipschitz_bound
+from .profiles import bump
 from .steady import Envelope, SteadyState, bracket, envelope
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -107,7 +108,7 @@ class CflPolicy:
 class Scheme:
     """Per-mesh tables and the step kernel.
 
-    The flux is frozen once at the N+2 ghost-extended centers (ghost_flux,
+    The flux is frozen once at the N+2 ghost-extended centers (ghost_cells,
     kept by the model); h_pair is that table over the (N+1, 2) edges, the left
     cell's flux and the right one's, so one call evaluates both sides of a
     range of edges. step_arrays() allocates only the new state. last_range
@@ -141,11 +142,11 @@ class Scheme:
         self.model = model
         self.mesh = mesh
         self.lipschitz = float(lipschitz)
-        self.xc_ext, self.al_ext = ghost_alphas(model, mesh)
+        self.xc_ext, self.al_ext, f = ghost_cells(model, mesh)
         n = self._n = mesh.n_cells
         self._dx = mesh.dx
         pairs = np.arange(n + 1)[:, None] + np.arange(2)  # edge e joins cells e-1, e
-        self.h_pair = ghost_flux(model, mesh).at(pairs)
+        self.h_pair = f.at(pairs)
         self._block_flux = ((0, n + 1), self.h_pair)  # the last block range of edges, its h_pair
         self._u_ext, self._sides = np.zeros(n + 2), np.empty((n + 1, 2))
         self._flux, self._dflux, self._moved = np.empty(n + 1), np.zeros(n), np.empty(n, bool)
@@ -257,17 +258,6 @@ def _mass_balance(u: np.ndarray, dx: float, mass0: float, net_out: float,
     return mass, drift
 
 
-def lipschitz_bound(model: FluxModel, lo: float, hi: float) -> float:
-    """sup |du_h| over all x and states in [lo, hi].
-
-    du_h(x, .) is increasing, so the sup in u sits at the interval endpoints;
-    the sup in x is over the heterogeneity samples (flux frozen outside), of
-    the slope of model.curve.flux, the flux the model keeps frozen there.
-    """
-    du = model.curve.flux.du
-    return float(max(np.max(np.abs(du(float(lo)))), np.max(np.abs(du(float(hi))))))
-
-
 def cfl_dt(
     model: FluxModel,
     mesh: Mesh,
@@ -361,8 +351,6 @@ def datum_step(left: float, right: float, location: float = 0.0) -> PiecewiseCon
 
 
 def datum_bump(base: float, amplitude: float, center: float = 0.0, width: float = 1.0) -> SmoothDatum:
-    from .profiles import bump
-
     if width <= 0:
         raise ConfigError("bump datum needs width > 0")
     return SmoothDatum(fn=lambda x: base + amplitude * bump((np.asarray(x, dtype=float) - center) / width),
@@ -482,7 +470,7 @@ def run(
     if L > _NO_SPEED:
         policy = replace(_cfl_policy(L, mesh, safety, max_dt), bound="bracket")
     else:
-        policy = cfl_dt(model, mesh, (env.lower_bound, env.upper_bound), safety, max_dt)
+        policy = _cfl_policy(env.lipschitz, mesh, safety, max_dt)
     slack = _CONTAIN_ULPS * np.finfo(float).eps * (1.0 + max(map(abs, contain)))
     contain = (contain[0] - slack, contain[1] + slack)
     influence = policy.lipschitz * t_end

@@ -12,8 +12,9 @@ sequence an exact fixed point of the scheme.
 The envelope takes datum bounds [m, M], widens them to contain the critical
 range, and builds a lower and an upper steady state sandwiching every datum,
 plus outer constants (u_lower, u_upper) bounding those states in turn. By the
-comparison principle the scheme then never leaves [u_lower, u_upper]. The
-constants are computed at once, the two states on first access.
+comparison principle the scheme then never leaves [u_lower, u_upper], where
+L, the sup of |du_h|, bounds every wave speed. The constants are computed at
+once, L and the two states (which need a mesh) on first access.
 
 The bracket of given cell states is the tightest such pair for those states
 alone, with the least flux levels that sandwich them; run() takes its CFL
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .flux_model import FluxModel, distinct_span, ghost_alphas, ghost_flux, invert_branch
+from .flux_model import FluxModel, distinct_span, ghost_cells, invert_branch, lipschitz_bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +69,8 @@ def build_steady(
     as NumericalError. The ConfigErrors give their numbers in physical units
     (FluxModel.to_physical), so they name no internal branch or direction.
     """
+    if mesh is None:
+        raise ConfigError("steady states need a mesh, and none was given")
     if direction not in ("from_left", "from_right"):
         raise ConfigError(f"direction must be from_left/from_right, got {direction!r}")
     if branch not in ("upper", "lower"):
@@ -94,10 +97,9 @@ def build_steady(
             "of the tightest bottleneck; no steady state holds that level across "
             "the whole domain"
         )
-    xc, al = (v[1:-1] for v in ghost_alphas(model, mesh))
-    span, spread = distinct_span(model, xc)
-    fs = ghost_flux(model, mesh).at(slice(1, -1)).at(span)
-    return _steady(fs, al[span], spread, level, branch)
+    xc_ext, al_ext, f = ghost_cells(model, mesh)
+    span, spread = distinct_span(model, xc_ext[1:-1])
+    return _steady(f.at(slice(1, -1)).at(span), al_ext[1:-1][span], spread, level, branch)
 
 
 def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
@@ -113,9 +115,9 @@ def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
     while the boundary cells carry the flux of their ghosts. A level that
     overflows raises NumericalError naming the data level that carries it.
     """
-    xc, al = (v[1:-1] for v in ghost_alphas(model, mesh))
-    span, spread = distinct_span(model, xc)
-    f = ghost_flux(model, mesh).at(slice(1, -1))
+    xc_ext, al_ext, f = ghost_cells(model, mesh)
+    span, spread = distinct_span(model, xc_ext[1:-1])
+    al, f = al_ext[1:-1], f.at(slice(1, -1))
     fs, states = f.at(span), []
     for branch, clamp in (("lower", np.minimum), ("upper", np.maximum)):
         fu = f(clamp(u, al))
@@ -127,27 +129,28 @@ def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
     return tuple(states)
 
 
-@dataclass(frozen=True)
-class EnvelopeConstants:
-    """Mesh-independent part of the envelope: widened bounds, anchors, constants."""
+@dataclass(frozen=True, eq=False)
+class Envelope:
+    """Invariant-region data for datum bounds [m, M] (widened to the
+    critical range): the anchors, the certified constants, L over them and,
+    on a mesh, the two steady states between them. L and each state are
+    computed on first access and then kept; a run reads L only when it
+    takes the envelope step, and none of the states."""
 
+    model: FluxModel
+    mesh: object  # None when only the constants are wanted
     m: float
     M: float
-    legendre_sup_1: float
     lower_anchor: float
     upper_anchor: float
     lower_bound: float  # certified constant below the lower state
     upper_bound: float  # certified constant above the upper state
 
-
-@dataclass(frozen=True, eq=False)
-class Envelope(EnvelopeConstants):
-    """Invariant-region data for datum bounds [m, M] (possibly widened) on a
-    mesh: the constants, and the two steady states between them. Each state
-    is built on first access and then kept; a run reads none of them."""
-
-    model: FluxModel
-    mesh: object
+    @cached_property
+    def lipschitz(self) -> float:
+        """L, the sup of |du_h| over [lower_bound, upper_bound]: every
+        state of a run stays there, so L bounds its wave speeds."""
+        return lipschitz_bound(self.model, self.lower_bound, self.upper_bound)
 
     @cached_property
     def lower_state(self) -> SteadyState:
@@ -158,12 +161,9 @@ class Envelope(EnvelopeConstants):
         return build_steady(self.model, self.mesh, self.upper_anchor, "from_left", "upper")
 
 
-def envelope_constants(
-    model: FluxModel,
-    m: float,
-    M: float,
-) -> EnvelopeConstants:
-    """Certified state bounds for data in [m, M], before any mesh is chosen.
+def envelope(model: FluxModel, mesh, m: float, M: float) -> Envelope:
+    """The envelope of all data in [m, M] on mesh; with mesh None, before
+    any mesh is chosen, it has its constants and L but no states.
 
     With s1 the Legendre sup at slope 1, the upper anchor is
     max_x H(x, M) + s1 and the certified upper constant H(-X, anchor) + s1;
@@ -181,27 +181,16 @@ def envelope_constants(
     upper_anchor = float(np.max(f(M))) + s1
     lower_anchor = -float(np.max(f(m))) - s1
     edge = f.at(0)
-    return EnvelopeConstants(
+    return Envelope(
+        model=model,
+        mesh=mesh,
         m=m,
         M=M,
-        legendre_sup_1=s1,
         lower_anchor=lower_anchor,
         upper_anchor=upper_anchor,
         lower_bound=-float(edge(lower_anchor)) - s1,
         upper_bound=float(edge(upper_anchor)) + s1,
     )
-
-
-def envelope(
-    model: FluxModel,
-    mesh,
-    m: float,
-    M: float,
-) -> Envelope:
-    """Lower/upper steady states enclosing all data in [m, M], plus constants.
-
-    The constants are computed here, each state on its first access."""
-    return Envelope(**vars(envelope_constants(model, m, M)), model=model, mesh=mesh)
 
 
 def steady_residual(state: SteadyState, model: FluxModel, mesh) -> float:

@@ -104,12 +104,16 @@ def assert_same_entropy_report(got, want):
 
 
 def cosh_model():
-    """(1.5 + tanh(x) / 2)(cosh u - 1): a custom flux given by callables only."""
+    """(1.5 + tanh(x) / 2)(cosh u - 1) with x clipped to [-X, X], X = 2.95: a
+    custom flux given by callables only, which varies at every cell of a
+    mesh of [-3, 3] but the one at each end."""
+    X = 2.95
+    a = lambda x: 1.5 + 0.5 * np.tanh(np.clip(x, -X, X))
     return FluxModel(
-        h=lambda x, u: (1.5 + 0.5 * np.tanh(x)) * (np.cosh(u) - 1.0),
-        du_h=lambda x, u: (1.5 + 0.5 * np.tanh(x)) * np.sinh(u),
-        dx_h=lambda x, u: 0.5 / np.cosh(x) ** 2 * (np.cosh(u) - 1.0),
-        hetero_radius=2.0,
+        h=lambda x, u: a(x) * (np.cosh(u) - 1.0),
+        du_h=lambda x, u: a(x) * np.sinh(u),
+        dx_h=lambda x, u: np.where(np.abs(x) < X, 0.5 / np.cosh(x) ** 2, 0.0) * (np.cosh(u) - 1.0),
+        hetero_radius=X,
     )
 
 

@@ -55,7 +55,7 @@ from hetflux.solver import (
     project_initial,
     run,
 )
-from hetflux.steady import envelope, envelope_constants
+from hetflux.steady import envelope
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 GOLDEN_CONFIGS = (
@@ -114,17 +114,16 @@ def test_criterion_02_randomized_data_stay_in_envelope(
     cases = [(hq_model, 0.0, 1.0, 17), (pair_model, -1.0, 1.0, 17),
              (lwr_model, -0.8, 0.0, 16)]
     for model, m, M, n_runs in cases:
-        consts = envelope_constants(model, m, M)
-        lip = lipschitz_bound(model, consts.lower_bound, consts.upper_bound)
+        env = envelope(model, None, m, M)
         t_end, dx = 0.2, 0.05
-        half = math.ceil((model.hetero_radius + lip * t_end) / dx + 2.0) * dx
+        half = math.ceil((model.hetero_radius + env.lipschitz * t_end) / dx + 2.0) * dx
         mesh = Mesh.make(-half, half, dx)
         for _ in range(n_runs):
             u0 = rng.uniform(m, M, mesh.n_cells)
             res = run(model, mesh, GridState(u=u0, time=0.0), t_end,
                       datum_bounds=(m, M))
-            assert res.running_min >= consts.lower_bound - 1e-12
-            assert res.running_max <= consts.upper_bound + 1e-12
+            assert res.running_min >= env.lower_bound - 1e-12
+            assert res.running_max <= env.upper_bound + 1e-12
     assert time.monotonic() - t0 <= 60.0
 
 

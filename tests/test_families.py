@@ -208,23 +208,6 @@ def test_lwr_parameter_validation():
         lwr(radius=0.0)
 
 
-def test_family_params_round_trip():
-    for model in (quadratic(0.75), two_state(radius=0.25), heterogeneous_quadratic(g_bump=-0.2), lwr(v_right=0.3)):
-        # params must rebuild the same flux (used by the config echo)
-        rebuilt = {
-            "quadratic": quadratic,
-            "two_state": two_state,
-            "heterogeneous_quadratic": heterogeneous_quadratic,
-            "lwr": lwr,
-        }[model.name](**model.params)
-        xs = np.linspace(-2.0, 2.0, 9)
-        us = np.linspace(-1.5, 1.5, 9)
-        assert np.array_equal(
-            np.asarray(model.h(xs[:, None], us[None, :]), dtype=float),
-            np.asarray(rebuilt.h(xs[:, None], us[None, :]), dtype=float),
-        )
-
-
 @pytest.mark.parametrize("family", [quadratic, two_state, heterogeneous_quadratic, lwr])
 def test_freeze_hook_fills_out_with_the_same_bits(family, rng):
     xs = np.linspace(-2.0, 2.0, 81)

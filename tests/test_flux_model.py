@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import cosh_model
 
 from hetflux.errors import ConfigError, NumericalError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
@@ -164,7 +165,7 @@ def test_branch_inverses_clamp_and_error_paths(hq_model):
         branch_inverse(hq_model, xs, -0.05, "minus")
 
 
-def test_branch_polish_keeps_a_value_unless_a_step_is_strictly_better():
+def test_branch_inverse_returns_the_closed_form_and_the_root_solve_as_found():
     # u^2/2 at level 0.25: the closed form gives the correctly rounded
     # sqrt(0.5), and branch_inverse returns it as it is, with no Newton step
     # (one lands one ulp low at the same |f(s) - y|).
@@ -307,7 +308,7 @@ def test_double_transform_returns_the_flux(hq_model, lwr_model, pair_model):
 
 
 def test_validate_assumptions_clean_on_smooth_families():
-    for model in (quadratic(0.5), heterogeneous_quadratic(), lwr()):
+    for model in (quadratic(0.5), heterogeneous_quadratic(), lwr(), cosh_model()):
         report = validate_assumptions(model)
         assert report.ok, report.summary()
         assert "hold" in report.summary()

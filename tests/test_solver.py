@@ -511,7 +511,7 @@ BAND_MODELS = {
         (KERNEL_MODELS["heterogeneous_quadratic/bare at"], (0.2, 1.2)),
     "lwr": (lwr, (-0.7, -0.3)),
     "custom": (_custom_model, (-1.0, 0.5)),
-    "cosh": (cosh_model, (-1.0, 0.5)),  # varies at every x: no cell is quiet
+    "cosh": (cosh_model, (-1.0, 0.5)),  # varies at all cells but the end ones: none is quiet
 }
 
 
@@ -571,13 +571,11 @@ def _left_end_data(name):
 
 
 # A jump two cells from either end: its waves reach that ghost edge while
-# the other end of the window stays quiet. The cosh model breaks the
-# compactness contract, and its left jump takes the states out of the
-# bracket (InvariantBreach); its band is always full anyway.
+# the other end of the window stays quiet.
 BAND_CASES = [pytest.param(name, 2.9, BAND_MODELS[name][1], id=name)
               for name in sorted(BAND_MODELS)] + [
     pytest.param(name, -2.9, _left_end_data(name), id=f"{name}/left end")
-    for name in sorted(BAND_MODELS) if name != "cosh"]
+    for name in sorted(BAND_MODELS)]
 
 
 @pytest.mark.filterwarnings("ignore:.*influence cone")
@@ -672,8 +670,7 @@ def test_scheme_contracts_l1_distance(family, lo, hi, rng):
     # an ordered pair (v >= u) the distance is the mass difference, so its
     # relative increase per step is rounding (at most 4.2e-16 measured here).
     model, mesh = family(), Mesh.make(-3.0, 3.0, 0.01)
-    env = steady.envelope_constants(model, lo, hi)
-    L = lipschitz_bound(model, env.lower_bound, env.upper_bound)
+    L = steady.envelope(model, None, lo, hi).lipschitz
     dt, inner = 0.45 * mesh.dx / L, np.abs(mesh.centers()) < 0.75
     for pair in range(5):
         u = rng.uniform(lo, hi, mesh.n_cells)
@@ -1020,7 +1017,7 @@ def test_a_model_freezes_once_per_mesh_and_once_at_its_curve():
     xs, X, s1 = model.curve.xs, model.hetero_radius, model.legendre_sup_1
     del calls[:]
     L = lipschitz_bound(model, -0.7, 1.3)
-    env = steady.envelope_constants(model, -0.5, 1.0)
+    env = steady.envelope(model, None, -0.5, 1.0)
     assert calls == []
     assert L == float(max(np.max(np.abs(base.du_h(xs, -0.7))), np.max(np.abs(base.du_h(xs, 1.3)))))
     assert env.upper_anchor == float(np.max(base.h(xs, env.M))) + s1
@@ -1047,7 +1044,7 @@ def test_bracket_states_are_fixed_points_sandwiching_the_data(name):
     mesh = Mesh.make(-4.0, 4.0, 0.02)
     u0 = project_initial(datum, mesh).u
     lower, upper = steady.bracket(model, mesh, u0)
-    xc, al = mesh.centers(), fm.ghost_alphas(model, mesh)[1][1:-1]
+    xc, al = mesh.centers(), fm.ghost_cells(model, mesh)[1][1:-1]
     floor = float(np.max(model.h(model.curve.xs, model.curve.alphas)))
     # the levels are the least the data and the critical curve allow
     assert upper.flux_level == max(float(np.max(model.h(xc, np.maximum(u0, al)))), floor)
@@ -1112,7 +1109,7 @@ def test_a_hook_without_alpha_freezes_each_place_once():
                       hetero_radius=base.hetero_radius, freeze=counted)
     mesh = Mesh.make(-3.0, 3.0, 0.05)
     run(model, mesh, datum_step(1.0, -0.5), t_end=0.2)
-    xc_ext = fm.ghost_alphas(model, mesh)[0]
+    xc_ext = fm.ghost_cells(model, mesh)[0]
     span = fm.distinct_span(model, xc_ext)[0]
     assert sorted(set(freezes)) == sorted(freezes)
     assert mesh.n_cells + 2 in freezes and xc_ext[span].size not in freezes
@@ -1127,6 +1124,13 @@ def test_constant_data_at_alpha_takes_the_envelope_step(burgers_model):
     env = res.envelope
     assert res.cfl.lipschitz == lipschitz_bound(burgers_model, env.lower_bound, env.upper_bound)
     assert res.n_steps > 0 and np.all(res.final.u == 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_the_envelope_answers_its_own_lipschitz_bound(name):
+    model = MODELS[name]()
+    env = steady.envelope(model, None, -0.5, 1.0)
+    assert env.lipschitz.hex() == lipschitz_bound(model, env.lower_bound, env.upper_bound).hex()
 
 
 def test_window_inside_the_heterogeneity_takes_the_envelope_step(hq_model):
@@ -1209,7 +1213,7 @@ def test_compact_solves_match_solves_at_every_cell_bitwise(name, mesh_name, rng)
     xc_ext = np.concatenate(([xc[0] - mesh.dx], xc, [xc[-1] + mesh.dx]))
     al_ext = fm.critical_point(model, xc_ext)
     al, f = al_ext[1:-1], fm.frozen_flux(model, xc)
-    assert fm.ghost_alphas(model, mesh)[1].tobytes() == al_ext.tobytes()
+    assert fm.ghost_cells(model, mesh)[1].tobytes() == al_ext.tobytes()
 
     curve = model.curve
     for _ in range(3):
@@ -1222,7 +1226,7 @@ def test_compact_solves_match_solves_at_every_cell_bitwise(name, mesh_name, rng)
             assert st.values.tobytes() == want.tobytes()
             assert st.bound == (np.min(want) if side == "minus" else np.max(want))
 
-    env = steady.envelope_constants(model, curve.alpha_min - 1.0, curve.alpha_max + 1.0)
+    env = steady.envelope(model, None, curve.alpha_min - 1.0, curve.alpha_max + 1.0)
     for branch, anchor in (("lower", env.lower_anchor), ("upper", env.upper_anchor)):
         for direction, anchor_x in (("from_left", -X), ("from_right", X)):
             st = steady.build_steady(model, mesh, anchor, direction, branch)

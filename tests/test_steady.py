@@ -30,7 +30,6 @@ from hetflux.steady import (
     SteadyState,
     build_steady,
     envelope,
-    envelope_constants,
     steady_residual,
 )
 
@@ -138,8 +137,9 @@ def test_build_steady_rejects_bad_anchors_and_args(hq_model, lwr_model, hq_mesh)
 
 
 def test_envelope_constants_quadratic():
-    c = envelope_constants(quadratic(0.5), -1.0, 1.0)
-    assert c.legendre_sup_1 == pytest.approx(0.5, abs=1e-8)
+    model = quadratic(0.5)
+    c = envelope(model, None, -1.0, 1.0)
+    assert model.legendre_sup_1 == pytest.approx(0.5, abs=1e-8)
     assert c.upper_anchor == pytest.approx(1.0, abs=1e-8)
     assert c.lower_anchor == pytest.approx(-1.0, abs=1e-8)
     assert c.upper_bound == pytest.approx(1.0, abs=1e-8)
@@ -147,18 +147,19 @@ def test_envelope_constants_quadratic():
 
 
 def test_envelope_constants_two_state():
-    c = envelope_constants(two_state(), -1.0, 1.0)
-    assert c.legendre_sup_1 == pytest.approx(0.5, abs=1e-8)
+    model = two_state()
+    c = envelope(model, None, -1.0, 1.0)
+    assert model.legendre_sup_1 == pytest.approx(0.5, abs=1e-8)
     assert c.upper_anchor == pytest.approx(1.5, abs=1e-8)
     assert c.upper_bound == pytest.approx(1.625, abs=1e-8)
     assert c.lower_bound == pytest.approx(-1.625, abs=1e-8)
 
 
 def test_envelope_constants_heterogeneous(hq_model):
-    c = envelope_constants(hq_model, 0.2, 1.2)
+    c = envelope(hq_model, None, 0.2, 1.2)
     assert c.m == 0.0  # widened to the critical range
     assert c.M == 1.2
-    assert c.legendre_sup_1 == pytest.approx(S1_HQ, abs=1e-8)
+    assert hq_model.legendre_sup_1 == pytest.approx(S1_HQ, abs=1e-8)
     assert c.upper_anchor == pytest.approx(1.44 + S1_HQ, abs=1e-8)
     assert c.lower_anchor == pytest.approx(-0.035 - S1_HQ, abs=1e-8)
     assert c.upper_bound == pytest.approx((1.44 + S1_HQ) ** 2 + S1_HQ, abs=1e-7)
@@ -167,7 +168,14 @@ def test_envelope_constants_heterogeneous(hq_model):
 
 def test_envelope_rejects_unordered_bounds(hq_model):
     with pytest.raises(ConfigError, match="out of order"):
-        envelope_constants(hq_model, 1.0, -1.0)
+        envelope(hq_model, None, 1.0, -1.0)
+
+
+def test_an_envelope_without_a_mesh_has_no_states(hq_model):
+    env = envelope(hq_model, None, 0.2, 1.2)
+    for name in ("lower_state", "upper_state"):
+        with pytest.raises(ConfigError, match="need a mesh"):
+            getattr(env, name)
 
 
 # ---------------------------------------------------------------------------
