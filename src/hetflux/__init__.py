@@ -42,7 +42,6 @@ from .steady import (
     SteadyState,
     build_steady,
     envelope,
-    steady_residual,
 )
 from .solver import (
     CflPolicy,
@@ -52,13 +51,13 @@ from .solver import (
     RunResult,
     Scheme,
     SmoothDatum,
-    cfl_dt,
     datum_bump,
     datum_constant,
     datum_from_table,
     datum_step,
     project_initial,
     run,
+    steady_residual,
 )
 from .diagnostics import (
     ConsistencyReport,
@@ -88,7 +87,7 @@ __all__ = [
     "SteadyState", "Envelope", "build_steady", "envelope", "steady_residual",
     "Mesh", "GridState", "CflPolicy", "Scheme", "PiecewiseConstantDatum",
     "SmoothDatum", "datum_constant", "datum_step", "datum_bump",
-    "datum_from_table", "project_initial", "cfl_dt",
+    "datum_from_table", "project_initial",
     "run", "RunResult",
     "EntropyCheck", "TimeVariation", "EntropyReport", "ConsistencyReport",
     "ConvergenceReport", "consistency_rate", "convergence_study",

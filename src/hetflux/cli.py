@@ -20,7 +20,8 @@ For the concave (traffic) family all file and flag values are in physical
 units. Inputs are flipped into the internal convex formulation here, the
 datum by datum.map(model.to_internal), and every value written or printed
 comes back through _physical. The CLI asks no datum of its kind: the auto
-window reads datum.support and the envelope datum.bounds (see solver).
+window (solver.cone_mesh) reads datum.support and the envelope
+datum.bounds (see solver).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import ConfigError, InvariantBreach, NumericalError
 from .flux_model import FluxModel, validate_assumptions
 from .interface import InterfaceContext
 from .riemann import sample, solve_interface, wave_census
-from .solver import MASS_DRIFT_TOL, Mesh, run
+from .solver import MASS_DRIFT_TOL, Mesh, cone_mesh, run
 from .steady import build_steady, envelope
 
 EXIT_OK = 0
@@ -54,7 +55,6 @@ EXIT_NUMERICAL = 3
 EXIT_BREACH = 4
 
 ENV_OUTPUT_ROOT = "HETFLUX_OUTPUT_ROOT"
-MAX_AUTO_CELLS = 10**6  # the largest window _build_mesh sizes by itself
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,33 +238,20 @@ def _physical(model: FluxModel, *values):
 def _build_mesh(cfg: ExperimentConfig, model: FluxModel, datum=None, t_end: float = 0.0) -> Mesh:
     """Mesh from config; the window is auto-sized when x_min/x_max are absent.
 
-    Auto window = heterogeneity radius + datum support + influence cone
-    L * t_end, padded by two cells and snapped to a multiple of dx, so
-    boundary replication cannot reach anything the run is asked to report.
-    A datum of unknown (infinite) support gets no auto window.
+    Auto window: solver.cone_mesh of [-s, s], s = max(datum support, 1),
+    with reach the envelope L * t_end, the envelope of the datum's bounds on
+    the cone of reach 1. It refuses a datum of unknown (infinite) support.
     """
     mcfg = cfg.mesh
     dx = mcfg["dx"]
     if mcfg["x_min"] is not None:
         return Mesh.make(mcfg["x_min"], mcfg["x_max"], dx)
-    half0 = max(model.hetero_radius, 0.0 if datum is None else datum.support, 1.0)
+    s = max(0.0 if datum is None else datum.support, 1.0)
     margin = 0.0
     if t_end > 0 and datum is not None:
-        b = datum.bounds(_auto_window((half0 + 1.0) / dx, dx))
+        b = datum.bounds(cone_mesh(model, -s, s, 1.0, dx, pad=0))
         margin = envelope(model, None, b[0], b[1]).lipschitz * t_end
-    return _auto_window((half0 + margin) / dx + 2.0, dx)
-
-
-def _auto_window(half_cells: float, dx: float) -> Mesh:
-    """The mesh on [-h, h], h = ceil(half_cells) * dx; one of more than
-    MAX_AUTO_CELLS cells is refused before anything is allocated."""
-    if not half_cells <= MAX_AUTO_CELLS // 2:
-        raise ConfigError(
-            f"the automatic window needs {2 * half_cells:.3g} cells, more than "
-            f"{MAX_AUTO_CELLS}; set mesh.x_min and mesh.x_max"
-        )
-    half = math.ceil(half_cells) * dx
-    return Mesh.make(-half, half, dx)
+    return cone_mesh(model, -s, s, margin, dx)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ a positive slack therefore flags a genuine defect, not a modelling gap.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -38,6 +37,7 @@ from .solver import (
     _GAUSS_WEIGHTS,
     Mesh,
     Scheme,
+    cone_mesh,
     run,
 )
 from .steady import Envelope, envelope
@@ -463,13 +463,6 @@ class ConvergenceReport:
         )
 
 
-def _snapped_interval(lo: float, hi: float, dx: float) -> tuple[float, float]:
-    """Smallest dx-aligned interval containing [lo, hi]."""
-    a = math.floor(lo / dx - 1e-9) * dx
-    b = math.ceil(hi / dx + 1e-9) * dx
-    return a, b
-
-
 def convergence_study(
     model: FluxModel,
     datum,
@@ -483,11 +476,13 @@ def convergence_study(
 ) -> ConvergenceReport:
     """L1 convergence of the scheme on a fixed window under mesh refinement.
 
-    Each level runs on a computational window enlarged by the influence
-    radius L * t_end, so boundary replication cannot pollute the measured
-    window. The time step policy is proportional to dx (same data bounds at
-    every level), so the sweep refines space and time together at fixed
-    ratio.
+    Each level runs on solver.cone_mesh of the window with reach L * t_end,
+    L the envelope's over the data bounds (unless given, the datum's bounds
+    on that mesh with reach 0 at the finest dx). It holds the window and
+    [-X, X], each widened by that reach, so boundary replication cannot
+    pollute the measured window and run() sees its whole influence cone.
+    The time step policy is proportional to dx (same data bounds at every
+    level), so the sweep refines space and time together at fixed ratio.
 
     reference='exact' compares against a supplied Riemann solution, which
     is only meaningful when the model's heterogeneity is the two-flux jump
@@ -505,31 +500,14 @@ def convergence_study(
         raise ConfigError("need at least two mesh sizes")
 
     if datum_bounds is None:
-        probe = Mesh.make(*_snapped_interval(window[0], window[1], dxs[-1]), dxs[-1])
-        m0, m1 = datum.bounds(probe)
+        m0, m1 = datum.bounds(cone_mesh(model, *window, 0.0, dxs[-1]))
     else:
         m0, m1 = datum_bounds
     margin = envelope(model, None, m0, m1).lipschitz * t_end
 
     def run_level(dx: float) -> tuple[np.ndarray, Mesh, int]:
-        lo, hi = _snapped_interval(window[0] - margin - 2 * dx, window[1] + margin + 2 * dx, dx)
-        lo = min(lo, -model.hetero_radius - 2 * dx)
-        hi = max(hi, model.hetero_radius + 2 * dx)
-        lo, hi = _snapped_interval(lo, hi, dx)
-        mesh = Mesh.make(lo, hi, dx)
-        with warnings.catch_warnings():
-            # The level window already carries the influence margin for the
-            # measured window, which is all the error norm sees. run()'s
-            # full-domain cone heuristic does not apply here.
-            warnings.filterwarnings("ignore", message=".*influence cone.*")
-            res = run(
-                model,
-                mesh,
-                datum,
-                t_end,
-                safety=safety,
-                datum_bounds=(m0, m1),
-            )
+        mesh = cone_mesh(model, *window, margin, dx)
+        res = run(model, mesh, datum, t_end, safety=safety, datum_bounds=(m0, m1))
         return res.final.u, mesh, res.n_steps
 
     levels = [run_level(dx) for dx in dxs]

@@ -50,6 +50,8 @@ _CONTAIN_ULPS = 16
 MASS_DRIFT_TOL = 1e-10
 # A banded step evaluates its edges in whole blocks of this many (see Scheme).
 _EDGE_BLOCK = 64
+# The largest mesh cone_mesh sizes by itself.
+MAX_AUTO_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,29 @@ class Mesh:
 
     def edges(self) -> np.ndarray:
         return self.x_min + np.arange(self.n_cells + 1) * self.dx
+
+
+def cone(model: FluxModel, lo: float, hi: float, reach: float) -> tuple[float, float]:
+    """[lo, hi] joined with the heterogeneity [-X, X] and widened by reach on
+    both sides. With reach = L * t_end it holds every cell that data or flux
+    variation on [lo, hi] can influence by t_end, waves moving at most L."""
+    X = model.hetero_radius
+    return min(lo, -X) - reach, max(hi, X) + reach
+
+
+def cone_mesh(model: FluxModel, lo: float, hi: float, reach: float, dx: float,
+              pad: int = 2) -> Mesh:
+    """The mesh of step dx on floor(a/dx - pad) dx ... ceil(b/dx + pad) dx for
+    (a, b) = cone(model, lo, hi, reach); one of more than MAX_AUTO_CELLS
+    cells is refused before anything is allocated."""
+    a, b = cone(model, lo, hi, reach)
+    first, last = a / dx - pad, b / dx + pad
+    if not last - first <= MAX_AUTO_CELLS or math.ceil(last) - math.floor(first) > MAX_AUTO_CELLS:
+        raise ConfigError(
+            f"the automatic window needs {last - first:.3g} cells, more than "
+            f"{MAX_AUTO_CELLS}; set mesh.x_min and mesh.x_max"
+        )
+    return Mesh.make(math.floor(first) * dx, math.ceil(last) * dx, dx)
 
 
 @dataclass
@@ -164,10 +189,7 @@ class Scheme:
         if out is None:
             out = np.empty((2,) + u.shape[:-1] + (u.shape[-1] + 1,))
         ue = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
-        al, sides = self.al_ext, np.moveaxis(out, 0, -1)
-        np.maximum(ue[..., :-1], al[:-1], out=sides[..., 0])
-        np.minimum(al[1:], ue[..., 1:], out=sides[..., 1])
-        self.h_pair(sides, out=sides)
+        _edge_block(ue, self.al_ext, 0, self._n + 1, self.h_pair, np.moveaxis(out, 0, -1))
         return out[0], out[1]
 
     def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
@@ -200,10 +222,7 @@ class Scheme:
         if self._block_flux[0] != (e0, e1):
             self._block_flux = ((e0, e1), self.h_pair if e1 - e0 == n + 1
                                 else self.h_pair.at(slice(e0, e1)))
-        S = self._sides[e0:e1]
-        np.maximum(ue[e0:e1], al[e0:e1], out=S[:, 0])
-        np.minimum(al[e0 + 1:e1 + 1], ue[e0 + 1:e1 + 1], out=S[:, 1])
-        self._block_flux[1](S, out=S)
+        S = _edge_block(ue, al, e0, e1, self._block_flux[1], self._sides[e0:e1])
         np.maximum(S[:, 0], S[:, 1], out=F[e0:e1])
         dF = np.subtract(F[c0 + 1:c1 + 1], F[c0:c1], out=self._dflux[c0:c1])
         dF *= lam
@@ -219,6 +238,23 @@ class Scheme:
         self.last_edges = (u, self._sides[:, 0], self._sides[:, 1], F)
         self.last_window = (c0, c1)
         return u_new, float(F[0]), float(F[-1])
+
+
+def _edge_block(ue: np.ndarray, al: np.ndarray, e0: int, e1: int, h, S: np.ndarray) -> np.ndarray:
+    """The two terms of the interface flux at the edges [e0, e1) into S[..., 0]
+    and S[..., 1]: h_l(max(u_l, alpha_l)) and h_r(min(alpha_r, u_r)), for
+    ghost-extended states ue (..., n_cells + 2), their minimizers al and h the
+    pair flux of those edges. Returns S."""
+    np.maximum(ue[..., e0:e1], al[e0:e1], out=S[..., 0])
+    np.minimum(al[e0 + 1:e1 + 1], ue[..., e0 + 1:e1 + 1], out=S[..., 1])
+    h(S, out=S)
+    return S
+
+
+def steady_residual(state: SteadyState, model: FluxModel, mesh: Mesh) -> float:
+    """Max interface-flux imbalance of the sequence (0 for an exact fixed point)."""
+    F = Scheme(model, mesh, lipschitz=1.0).edge_fluxes(state.values)
+    return float(np.max(np.abs(np.diff(F))))
 
 
 def _finite_range(u: np.ndarray, where: str) -> tuple[float, float]:
@@ -258,19 +294,10 @@ def _mass_balance(u: np.ndarray, dx: float, mass0: float, net_out: float,
     return mass, drift
 
 
-def cfl_dt(
-    model: FluxModel,
-    mesh: Mesh,
-    bounds: tuple[float, float],
-    safety: float = 0.9,
-    max_dt: Optional[float] = None,
-) -> CflPolicy:
-    """Largest safe step: dt = safety * dx / (2 L) for L over `bounds`."""
-    return _cfl_policy(lipschitz_bound(model, bounds[0], bounds[1]), mesh, safety, max_dt)
-
-
 def _cfl_policy(L: float, mesh: Mesh, safety: float, max_dt: Optional[float]) -> CflPolicy:
-    """cfl_dt for a given L."""
+    """The step-size policy for the wave-speed bound L on mesh: dt = safety *
+    dx / (2 L), capped at max_dt. When L counts as no speed the step is
+    unbounded, so dt = max_dt, which must then be given."""
     if not (0 < safety <= 1):
         raise ConfigError(f"safety factor must lie in (0, 1], got {safety}")
     if L <= _NO_SPEED:
@@ -473,11 +500,11 @@ def run(
         policy = _cfl_policy(env.lipschitz, mesh, safety, max_dt)
     slack = _CONTAIN_ULPS * np.finfo(float).eps * (1.0 + max(map(abs, contain)))
     contain = (contain[0] - slack, contain[1] + slack)
-    influence = policy.lipschitz * t_end
-    if mesh.x_min > -X - influence or mesh.x_max < X + influence:
+    a, b = cone(model, 0.0, 0.0, policy.lipschitz * t_end)
+    if mesh.x_min > a or mesh.x_max < b:
         warnings.warn(
             "window does not contain the influence cone of the heterogeneity "
-            f"([-{X + influence:.3g}, {X + influence:.3g}]); boundary replication "
+            f"([-{b:.3g}, {b:.3g}]); boundary replication "
             "may contaminate the solution",
             stacklevel=2,
         )

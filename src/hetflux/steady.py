@@ -192,10 +192,3 @@ def envelope(model: FluxModel, mesh, m: float, M: float) -> Envelope:
         upper_bound=float(edge(upper_anchor)) + s1,
     )
 
-
-def steady_residual(state: SteadyState, model: FluxModel, mesh) -> float:
-    """Max interface-flux imbalance of the sequence (0 for an exact fixed point)."""
-    from .solver import Scheme  # solver imports this module
-
-    F = Scheme(model, mesh, lipschitz=1.0).edge_fluxes(state.values)
-    return float(np.max(np.abs(np.diff(F))))

@@ -49,7 +49,7 @@ from hetflux.solver import (
     GridState,
     Mesh,
     Scheme,
-    cfl_dt,
+    _cfl_policy,
     datum_step,
     lipschitz_bound,
     project_initial,
@@ -92,7 +92,8 @@ def test_criterion_01_steady_states_are_fixed_points(hq_model):
     t0 = time.monotonic()
     mesh = Mesh.make(-2.0, 2.0, 0.01)
     env = envelope(hq_model, mesh, 0.0, 1.0)
-    policy = cfl_dt(hq_model, mesh, (env.lower_bound, env.upper_bound))
+    L = lipschitz_bound(hq_model, env.lower_bound, env.upper_bound)
+    policy = _cfl_policy(L, mesh, 0.9, None)
     scheme = Scheme(hq_model, mesh, policy.lipschitz)
     dt = policy.dt(mesh.dx)
     for state in (env.upper_state, env.lower_state):

@@ -26,7 +26,7 @@ from hetflux.config import make_config, parse_config
 from hetflux.errors import ConfigError, NumericalError
 from hetflux.interface import InterfaceContext
 from hetflux.riemann import sample, solve_interface
-from hetflux.solver import PiecewiseConstantDatum, Scheme, SmoothDatum
+from hetflux.solver import Mesh, PiecewiseConstantDatum, Scheme, SmoothDatum
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -433,6 +433,18 @@ def test_cli_run_auto_window_covers_influence_cone(tmp_path, monkeypatch, recwar
     assert not [w for w in recwarn if "influence cone" in str(w.message)]
 
 
+@pytest.mark.parametrize("name, mesh", [
+    ("demo_heterogeneous_bump", Mesh(x_min=-7.5, x_max=7.5, dx=0.02, n_cells=750)),
+    ("demo_lwr_slowdown", Mesh(x_min=-6.19, x_max=6.19, dx=0.01, n_cells=1238)),
+])
+def test_demo_configs_auto_windows_are_pinned(name, mesh):
+    # Every byte of the demos' CSVs follows their automatic window.
+    cfg = parse_config(os.path.join(CONFIG_DIR, f"{name}.ini"))
+    model = cfg.build_model()
+    datum = cfg.build_datum().map(model.to_internal)
+    assert cli._build_mesh(cfg, model, datum, cfg.time["t_end"]) == mesh
+
+
 def test_cli_output_root_ignored_for_absolute_paths(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path / "root"))
     absolute = tmp_path / "elsewhere"
@@ -714,3 +726,9 @@ def test_cli_auto_window_refuses_a_datum_of_unknown_support():
     for t_end in (0.0, 0.5):
         with pytest.raises(ConfigError, match="set mesh.x_min and mesh.x_max"):
             cli._build_mesh(cfg, cfg.build_model(), SmoothDatum(fn=np.cos), t_end)
+
+
+def test_cli_auto_window_holds_a_heterogeneity_wider_than_the_data():
+    # X = 3 reaches past the floor of 1 (no datum): [-X, X] plus two cells.
+    cfg = make_config({"flux": {"family": "two_state", "radius": "3"}, "mesh": {"dx": "0.1"}})
+    assert cli._build_mesh(cfg, cfg.build_model()) == Mesh(x_min=-3.2, x_max=3.2, dx=0.1, n_cells=64)

@@ -13,9 +13,11 @@ import re
 import pytest
 
 import hetflux.cli as cli
-from hetflux.cli import ENV_OUTPUT_ROOT, MAX_AUTO_CELLS, main
+from hetflux.cli import ENV_OUTPUT_ROOT, main
 from hetflux.config import DATUM_BUILDERS, FAMILY_BUILDERS, config_keys, make_config
 from hetflux.errors import ConfigError
+from hetflux.families import quadratic
+from hetflux.solver import MAX_AUTO_CELLS, cone_mesh
 
 FLAGS = [
     "--flux-family", "--flux-coefficient", "--flux-shift", "--flux-offset",
@@ -141,7 +143,13 @@ def test_oversized_automatic_window_is_refused(tmp_path, monkeypatch, capsys):
 
 
 def test_auto_window_cap_is_inclusive():
-    assert cli._auto_window(MAX_AUTO_CELLS // 2, 0.5).n_cells == MAX_AUTO_CELLS
-    for half_cells in (MAX_AUTO_CELLS // 2 + 0.5, float("inf"), float("nan")):
+    # X = 0, dx = 0.5 and two cells of padding on each side: [-h, h] takes
+    # 4h + 4 cells, MAX_AUTO_CELLS at h = 249999.
+    flat, h = quadratic(), 249999.0
+    assert cone_mesh(flat, -h, h, 0.0, 0.5).n_cells == MAX_AUTO_CELLS
+    # half a cell over the cap, inf and nan; then an interval of fewer than
+    # MAX_AUTO_CELLS cells whose snapped ends hold one more.
+    for lo, hi, reach in ((-h, h, 0.25), (-h, h, float("inf")), (-h, h, float("nan")),
+                          (-249999.1, 249998.85, 0.0)):
         with pytest.raises(ConfigError, match="set mesh.x_min and mesh.x_max"):
-            cli._auto_window(half_cells, 0.5)
+            cone_mesh(flat, lo, hi, reach, 0.5)

@@ -26,6 +26,7 @@ from conftest import (
     cosh_model,
 )
 
+import hetflux.diagnostics as diagnostics
 from hetflux.diagnostics import (
     EntropyCheck,
     TimeVariation,
@@ -43,12 +44,13 @@ from hetflux.solver import (
     Mesh,
     PiecewiseConstantDatum,
     Scheme,
+    cone,
     datum_constant,
     datum_step,
     project_initial,
     run,
 )
-from hetflux.steady import build_steady
+from hetflux.steady import build_steady, envelope
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +542,31 @@ def test_convergence_against_fine_grid(hq_model):
     )
     assert report.errors[1] < report.errors[0]
     assert report.reference.startswith("fine_grid")
+
+
+def test_convergence_study_level_meshes_hold_the_influence_cone(monkeypatch):
+    # X = 1 lies outside the window: every level mesh, the fine-grid
+    # reference's too, must hold the window and [-X, X] widened by the
+    # envelope L * t_end, which covers run()'s own cone, so no run warns.
+    model, t_end, window = heterogeneous_quadratic(), 0.1, (-0.5, 0.5)
+    levels = []
+
+    def recorded_run(model, mesh, *args, **kwargs):
+        res = run(model, mesh, *args, **kwargs)
+        levels.append(res)
+        return res
+
+    monkeypatch.setattr(diagnostics, "run", recorded_run)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        convergence_study(model, datum_step(0.2, 0.8), t_end, window, [0.05, 0.025],
+                          reference="fine_grid")
+    L = envelope(model, None, 0.2, 0.8).lipschitz
+    lo, hi = cone(model, *window, L * t_end)
+    assert (lo, hi) == (-1.0 - L * t_end, 1.0 + L * t_end) and len(levels) == 3
+    for res in levels:
+        assert res.cfl.lipschitz <= L
+        assert res.mesh.x_min <= lo and res.mesh.x_max >= hi, (res.mesh, lo, hi)
 
 
 def test_convergence_study_validation(pair_model, pair_ctx):

@@ -62,8 +62,7 @@ def test_no_module_imports_an_unused_name():
 
 
 def test_function_level_imports_only_break_a_module_cycle():
-    # solver imports steady, so steady_residual, which steps the Scheme,
-    # imports solver when called; every other import sits at the top.
+    # No module cycle forces one today, so every import sits at the top.
     src = Path(hetflux.__file__).parent
     found = {
         f"{path.stem}.{fn.name}"
@@ -72,7 +71,7 @@ def test_function_level_imports_only_break_a_module_cycle():
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(fn))
     }
-    assert found == {"steady.steady_residual"}
+    assert found == set()
 
 
 def test_only_flux_model_asks_what_an_object_offers():

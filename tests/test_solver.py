@@ -41,7 +41,7 @@ from hetflux.solver import (
     PiecewiseConstantDatum,
     Scheme,
     SmoothDatum,
-    cfl_dt,
+    _cfl_policy,
     datum_bump,
     datum_constant,
     datum_from_table,
@@ -196,20 +196,22 @@ def test_grid_state_bounds_are_its_range():
 
 def test_cfl_dt_closed_form(burgers_model):
     mesh = Mesh.make(-1.0, 1.0, 0.01)
-    policy = cfl_dt(burgers_model, mesh, (-1.0, 1.0), safety=1.0)
+    L = lipschitz_bound(burgers_model, -1.0, 1.0)
+    policy = _cfl_policy(L, mesh, 1.0, None)
     assert policy.lipschitz == pytest.approx(1.0)
     assert policy.dt(mesh.dx) == pytest.approx(0.005, abs=1e-15)
-    half = cfl_dt(burgers_model, mesh, (-1.0, 1.0), safety=0.5)
+    half = _cfl_policy(L, mesh, 0.5, None)
     assert half.dt(mesh.dx) == pytest.approx(0.0025, abs=1e-15)
     with pytest.raises(ConfigError, match="safety"):
-        cfl_dt(burgers_model, mesh, (-1.0, 1.0), safety=0.0)
+        _cfl_policy(L, mesh, 0.0, None)
 
 
 def test_cfl_degenerate_state_range_needs_max_dt(burgers_model):
     mesh = Mesh.make(-1.0, 1.0, 0.1)
+    L = lipschitz_bound(burgers_model, 0.0, 0.0)
     with pytest.raises(NumericalError, match="no wave speeds"):
-        cfl_dt(burgers_model, mesh, (0.0, 0.0))
-    policy = cfl_dt(burgers_model, mesh, (0.0, 0.0), max_dt=0.05)
+        _cfl_policy(L, mesh, 0.9, None)
+    policy = _cfl_policy(L, mesh, 0.9, 0.05)
     assert policy.dt(mesh.dx) == pytest.approx(0.05)
 
 
@@ -1050,7 +1052,7 @@ def test_bracket_states_are_fixed_points_sandwiching_the_data(name):
     assert upper.flux_level == max(float(np.max(model.h(xc, np.maximum(u0, al)))), floor)
     assert lower.flux_level == max(float(np.max(model.h(xc, np.minimum(u0, al)))), floor)
     for st in (lower, upper):
-        assert steady.steady_residual(st, model, mesh) <= 1e-12 * (1.0 + abs(st.flux_level))
+        assert solver.steady_residual(st, model, mesh) <= 1e-12 * (1.0 + abs(st.flux_level))
     tol = 1e-12 * (1.0 + np.abs(u0))
     assert np.all(lower.values <= np.minimum(u0, al) + tol)
     assert np.all(np.maximum(u0, al) <= upper.values + tol)

@@ -25,13 +25,9 @@ import pytest
 from hetflux.errors import ConfigError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.interface import GermClass, InterfaceContext, classify_germ
-from hetflux.solver import Mesh, Scheme, cfl_dt, datum_step, run
-from hetflux.steady import (
-    SteadyState,
-    build_steady,
-    envelope,
-    steady_residual,
-)
+from hetflux.flux_model import lipschitz_bound
+from hetflux.solver import Mesh, Scheme, _cfl_policy, datum_step, run, steady_residual
+from hetflux.steady import SteadyState, build_steady, envelope
 
 S1_HQ = 0.3 + 1.0 / 6.0 + 0.1
 
@@ -64,7 +60,7 @@ def test_upper_steady_holds_one_flux_level(hq_model, hq_mesh):
 def test_steady_is_one_step_fixed_point(hq_model, hq_mesh):
     st = build_steady(hq_model, hq_mesh, 1.3, branch="upper")
     lo, hi = float(np.min(st.values)), float(np.max(st.values))
-    policy = cfl_dt(hq_model, hq_mesh, (lo - 0.5, hi + 0.5))
+    policy = _cfl_policy(lipschitz_bound(hq_model, lo - 0.5, hi + 0.5), hq_mesh, 0.9, None)
     scheme = Scheme(hq_model, hq_mesh, policy.lipschitz)
     u = st.values.copy()
     for _ in range(5):
