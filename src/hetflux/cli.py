@@ -55,6 +55,8 @@ EXIT_NUMERICAL = 3
 EXIT_BREACH = 4
 
 ENV_OUTPUT_ROOT = "HETFLUX_OUTPUT_ROOT"
+# The way out of an automatic window too large to allocate.
+_WINDOW_ADVICE = "set mesh.x_min and mesh.x_max"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,9 +251,9 @@ def _build_mesh(cfg: ExperimentConfig, model: FluxModel, datum=None, t_end: floa
     s = max(0.0 if datum is None else datum.support, 1.0)
     margin = 0.0
     if t_end > 0 and datum is not None:
-        b = datum.bounds(cone_mesh(model, -s, s, 1.0, dx, pad=0))
+        b = datum.bounds(cone_mesh(model, -s, s, 1.0, dx, pad=0, advice=_WINDOW_ADVICE))
         margin = envelope(model, None, b[0], b[1]).lipschitz * t_end
-    return cone_mesh(model, -s, s, margin, dx)
+    return cone_mesh(model, -s, s, margin, dx, advice=_WINDOW_ADVICE)
 
 
 # ---------------------------------------------------------------------------

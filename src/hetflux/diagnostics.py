@@ -47,6 +47,8 @@ DEFAULT_K_LEVELS = 33
 # finest dx of a sweep is halved at most this often to get there.
 _SETTLED = 0.05
 _MAX_HALVINGS = 4
+# convergence_study: the way out of a level mesh too large to allocate.
+_STUDY_ADVICE = "narrow the window or use a coarser dx"
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +123,27 @@ class EntropyCheck:
     max_slack_per_k and worst (k, step, cell). The first step, a new dt and
     a step after a NaN slack evaluate every cell.
 
+    last_window holds the cells [c0, c1) the last step evaluated.
+
+    Sign term: d_kk is +-0.0 on every row whose two edges carry the same
+    F(k, k), and there sign(u_new - k) d_kk dt is +-0.0 (NaN where u_new
+    is NaN, whose slack is NaN already). Adding +-0.0 changes no slack but
+    a -0.0 one, and the slack before this term is -0.0 only if both of its
+    terms are: (|u_new - k| - |u - k|) dx, a difference of two numbers
+    >= +0.0, is -0.0 only when a negative difference at the subnormal scale
+    underflows. So start finds the rows [kk0, kk1) holding every nonzero
+    d_kk (the heterogeneity's; none when X = 0), and a step evaluates the
+    term only on its window's rows among them.
+
     Layout: every (cells x levels) table is cell-major, C-contiguous, so the
     window [c0, c1) of a step is one contiguous block of rows. start
-    allocates all of them once: the k edge terms, d_kk, four work arrays
-    and the carried |u - k|, kept since a window overwrites only its rows.
-    A step copies u's terms and states along the levels into the work
-    arrays, so no operand of a (cells x levels) operation is broadcast or
-    strided and numpy runs every one without iteration buffers: step
-    allocates only O(K) and the temporaries of a flux with no freeze hook
-    that fills out.
+    allocates all of them once: the k edge terms, d_kk, the levels along
+    the cells, four work arrays and the carried |u - k|, kept since a
+    window overwrites only its rows. A step copies u's terms and states
+    along the levels into the work arrays, so no operand of a (cells x
+    levels) operation is broadcast or strided and numpy runs every one
+    without iteration buffers: step allocates only O(K) and the
+    temporaries of a flux with no freeze hook that fills out.
     """
 
     def __init__(
@@ -155,6 +169,10 @@ class EntropyCheck:
         f_kk = np.maximum(self._kl, self._kr)
         self._d_kk = np.subtract(f_kk[1:], f_kk[:-1])
         del f_kk
+        # The cells [kk0, kk1) hold every nonzero d_kk: the sign term's rows.
+        rows = np.flatnonzero(np.any(self._d_kk != 0.0, axis=1))
+        self._kk0, self._kk1 = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+        self._k_rows = np.tile(ks, (n, 1))  # the levels along the cells
         self._work, self._abs_old = np.empty((4, n + 1, n_k)), np.empty((n, n_k))
         self._sides = np.empty((2, n + 1))
         self._carried, self._dt = None, None  # the last u_new (|u_new - k| in _abs_old) and dt
@@ -163,31 +181,24 @@ class EntropyCheck:
         self._worst = (-math.inf, 0, 0, 0)  # slack, k index, step, cell
         self._n_steps = 0
 
-    def _edges(self, u: np.ndarray, u_new: np.ndarray, dt: float):
-        """(a, b, (c0, c1)): the edge terms of u and the cells whose slack can
-        differ from last step's."""
+    def step(self, u: np.ndarray, u_new: np.ndarray, dt: float) -> None:
         sch = self._scheme
         last = sch.last_edges
+        # The edge terms of u, and the cells [c0, c1) whose slack can differ
+        # from last step's (see Repeated slack).
         if last is None or last[0] is not u:
-            return (*sch.edge_sides(u, out=self._sides), (0, u.size))
-        banded = (u is self._carried and dt == self._dt and self._clean
-                  and sch.band[0] is u_new)
-        return last[1], last[2], sch.last_window if banded else (0, u.size)
-
-    def _minus_k(self, x: np.ndarray, out: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """x - k into out, a row per cell of x and a column per level. x is
-        copied along the levels into out and the levels along the cells into
-        ks, a work array of out's shape, so the subtraction broadcasts none."""
-        np.copyto(out, x[:, None])
-        np.copyto(ks, self._ks)
-        return np.subtract(out, ks, out=out)
-
-    def step(self, u: np.ndarray, u_new: np.ndarray, dt: float) -> None:
-        a, b, (c0, c1) = self._edges(u, u_new, dt)
+            a, b = sch.edge_sides(u, out=self._sides)
+            c0, c1 = 0, u.size
+        else:
+            a, b = last[1], last[2]
+            if u is self._carried and dt == self._dt and self._clean and sch.band[0] is u_new:
+                c0, c1 = sch.last_window
+            else:
+                c0, c1 = 0, u.size
         # Cells [c0, c1) and their edges [c0, c1], rows of the work arrays.
         m, e = c1 - c0, slice(c0, c1 + 1)
-        p, q, r, s = (work[: m + 1] for work in self._work)
-        kl, kr = self._kl[e], self._kr[e]
+        p, q, r, s = self._work[:, :m + 1]
+        kl, kr, ks = self._kl[e], self._kr[e], self._k_rows[:m]
         # h_l rises on [alpha_l, inf) and h_r falls on (-inf, alpha_r], so the
         # terms of F(max(u, k)) and F(min(u, k)) are maxima/minima of u and k
         # terms: phi = max(max(a, kl), min(b, kr)) - max(min(a, kl), max(b, kr)).
@@ -198,29 +209,38 @@ class EntropyCheck:
         np.subtract(p, q, out=p)
         # slack = (|u_new - k| - |u - k|) dx + (phi_{j+1/2} - phi_{j-1/2}) dt
         #         + sign(u_new - k) d_kk dt
+        abs_old = self._abs_old
         if u is not self._carried:  # a full window: m = n
-            np.abs(self._minus_k(u, self._abs_old, q[:m]), out=self._abs_old)
-        du = self._minus_k(u_new[c0:c1], r[:m], q[:m])
-        new, old = np.abs(du, out=s[:m]), self._abs_old[c0:c1]
+            np.copyto(abs_old, u[:, None])
+            np.abs(np.subtract(abs_old, ks, out=abs_old), out=abs_old)
+        du = r[:m]
+        np.copyto(du, u_new[c0:c1, None])
+        np.subtract(du, ks, out=du)
+        new, old = np.abs(du, out=s[:m]), abs_old[c0:c1]
         slack = np.subtract(new, old, out=old)
-        slack *= self._scheme.mesh.dx
+        slack *= sch.mesh.dx
         dphi = np.subtract(p[1:], p[:-1], out=q[:m])
         dphi *= dt
         slack += dphi
-        np.multiply(np.sign(du, out=du), self._d_kk[c0:c1], out=du)
-        slack += np.multiply(du, dt, out=du)
+        j0, j1 = max(c0, self._kk0) - c0, min(c1, self._kk1) - c0
+        if j0 < j1:  # rows with d_kk = +-0.0 add +-0.0 (see Sign term)
+            d, rows = du[j0:j1], slack[j0:j1]
+            np.multiply(np.sign(d, out=d), self._d_kk[c0 + j0:c0 + j1], out=d)
+            np.add(rows, np.multiply(d, dt, out=d), out=rows)
         # The first level reaching the overall max holds the row-major
         # argmax of the (levels x cells) slack; a NaN level max propagates
         # to max_slack and never beats the worst.
-        level_max = slack.max(axis=0)
+        level_max = np.maximum.reduce(slack, axis=0)
         np.maximum(self._max_slack, level_max, out=self._max_slack)
-        ik = int(np.argmax(level_max))
+        ik = int(level_max.argmax())
         top = float(level_max[ik])
         if top > self._worst[0]:
-            jc = int(np.argmax(slack[:, ik]))
-            self._worst = (float(slack[jc, ik]), ik, self._n_steps, c0 + jc)
-        old[...] = new  # the carry: |u_new - k| is the next step's |u - k|
+            column = slack[:, ik]
+            jc = int(column.argmax())
+            self._worst = (float(column[jc]), ik, self._n_steps, c0 + jc)
+        np.copyto(old, new)  # the carry: |u_new - k| is the next step's |u - k|
         self._carried, self._dt, self._clean = u_new, dt, not math.isnan(top)
+        self.last_window = (c0, c1)
         self._n_steps += 1
 
     def report(self) -> EntropyReport:
@@ -500,13 +520,13 @@ def convergence_study(
         raise ConfigError("need at least two mesh sizes")
 
     if datum_bounds is None:
-        m0, m1 = datum.bounds(cone_mesh(model, *window, 0.0, dxs[-1]))
+        m0, m1 = datum.bounds(cone_mesh(model, *window, 0.0, dxs[-1], advice=_STUDY_ADVICE))
     else:
         m0, m1 = datum_bounds
     margin = envelope(model, None, m0, m1).lipschitz * t_end
 
     def run_level(dx: float) -> tuple[np.ndarray, Mesh, int]:
-        mesh = cone_mesh(model, *window, margin, dx)
+        mesh = cone_mesh(model, *window, margin, dx, advice=_STUDY_ADVICE)
         res = run(model, mesh, datum, t_end, safety=safety, datum_bounds=(m0, m1))
         return res.final.u, mesh, res.n_steps
 

@@ -157,9 +157,10 @@ def _completed(model: FluxModel, xs: np.ndarray, hook: Callable) -> Callable:
 
     def f(u, out=None):
         val = hook(u, out=out)
-        if out is None or val is out:
+        if out is None:
             return np.asarray(val, dtype=float)
-        out[...] = val
+        if val is not out:
+            out[...] = val
         return out
 
     f.du = getattr(hook, "du", None) or (lambda u: np.asarray(model.du_h(xs, u), dtype=float))

@@ -93,16 +93,17 @@ def cone(model: FluxModel, lo: float, hi: float, reach: float) -> tuple[float, f
 
 
 def cone_mesh(model: FluxModel, lo: float, hi: float, reach: float, dx: float,
-              pad: int = 2) -> Mesh:
+              pad: int = 2, *, advice: str) -> Mesh:
     """The mesh of step dx on floor(a/dx - pad) dx ... ceil(b/dx + pad) dx for
     (a, b) = cone(model, lo, hi, reach); one of more than MAX_AUTO_CELLS
-    cells is refused before anything is allocated."""
+    cells is refused before anything is allocated, with the caller's
+    advice on the way out."""
     a, b = cone(model, lo, hi, reach)
     first, last = a / dx - pad, b / dx + pad
     if not last - first <= MAX_AUTO_CELLS or math.ceil(last) - math.floor(first) > MAX_AUTO_CELLS:
         raise ConfigError(
             f"the automatic window needs {last - first:.3g} cells, more than "
-            f"{MAX_AUTO_CELLS}; set mesh.x_min and mesh.x_max"
+            f"{MAX_AUTO_CELLS}; {advice}"
         )
     return Mesh.make(math.floor(first) * dx, math.ceil(last) * dx, dx)
 
@@ -161,6 +162,13 @@ class Scheme:
       its new ends lie next to the window's: the trim reads the two cells at
       each end of the window, and scans the whole window only when one pair
       is quiet (a band that shrinks, or none left).
+    * Block views. All a step reads or writes that depends only on its
+      range of edge blocks (_block_views: the frozen flux, both clamps'
+      operands, the (m, 2) terms, their columns and the block's flux) is
+      built when that range changes, and last_edges' two columns once, so
+      a step slices only its window. It takes the state's range with
+      np.minimum.reduce / np.maximum.reduce, the bits of min / max without
+      numpy's Python wrappers.
     """
 
     def __init__(self, model: FluxModel, mesh: Mesh, lipschitz: float):
@@ -172,9 +180,10 @@ class Scheme:
         self._dx = mesh.dx
         pairs = np.arange(n + 1)[:, None] + np.arange(2)  # edge e joins cells e-1, e
         self.h_pair = f.at(pairs)
-        self._block_flux = ((0, n + 1), self.h_pair)  # the last block range of edges, its h_pair
         self._u_ext, self._sides = np.zeros(n + 2), np.empty((n + 1, 2))
         self._flux, self._dflux, self._moved = np.empty(n + 1), np.zeros(n), np.empty(n, bool)
+        self._columns = (self._sides[:, 0], self._sides[:, 1])
+        self._block = self._block_views(0, n + 1)
         self.band = (None, 0, n)
         self.last_window = (0, n)
         self.last_range = (math.nan, math.nan)
@@ -189,19 +198,37 @@ class Scheme:
         if out is None:
             out = np.empty((2,) + u.shape[:-1] + (u.shape[-1] + 1,))
         ue = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
-        _edge_block(ue, self.al_ext, 0, self._n + 1, self.h_pair, np.moveaxis(out, 0, -1))
+        S = np.moveaxis(out, 0, -1)
+        np.maximum(ue[..., :-1], self.al_ext[:-1], out=S[..., 0])
+        np.minimum(self.al_ext[1:], ue[..., 1:], out=S[..., 1])
+        self.h_pair(S, out=S)
         return out[0], out[1]
 
     def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
         """Interface flux max of the two edge_sides terms at every edge."""
         return np.maximum(*self.edge_sides(u))
 
+    def _block_views(self, e0: int, e1: int) -> tuple:
+        """(e0, e1, h, u_l, al_l, al_r, u_r, S, a, b, F): everything a step
+        on the edges [e0, e1) reads or writes that depends only on that
+        range. h is h_pair frozen there; u_l, al_l and al_r, u_r the ghost-
+        extended state and alpha left and right of each edge; S the (m, 2)
+        terms, a and b its columns; F the edges' slice of the flux."""
+        ue, al, S = self._u_ext, self.al_ext, self._sides[e0:e1]
+        h = self.h_pair if e1 - e0 == self._n + 1 else self.h_pair.at(slice(e0, e1))
+        return (e0, e1, h, ue[e0:e1], al[e0:e1], al[e0 + 1:e1 + 1], ue[e0 + 1:e1 + 1],
+                S, S[:, 0], S[:, 1], self._flux[e0:e1])
+
     def step_arrays(self, u: np.ndarray, dt: float):
         """One update; returns (u_new, boundary fluxes (F_in, F_out)).
 
         u_new is a new array; u is not modified. Sets last_range,
         last_edges and last_window for u, and band for u_new (see Scheme)."""
-        self.last_range = _finite_range(u, "entering step")
+        # NaN propagates through minimum and maximum, so one pass checks both.
+        umin, umax = np.minimum.reduce(u), np.maximum.reduce(u)
+        if not (math.isfinite(umin) and math.isfinite(umax)):
+            raise NumericalError("non-finite state entering step")
+        self.last_range = (float(umin), float(umax))
         lam = dt / self._dx
         if 2.0 * lam * self.lipschitz > 1.0 + 1e-9:
             raise NumericalError(
@@ -212,18 +239,22 @@ class Scheme:
         if u is not last:
             lo, hi = 0, n
         c0, c1 = max(lo - 1, 0), min(hi + 1, n)
-        ue, al, F = self._u_ext, self.al_ext, self._flux
+        ue, F = self._u_ext, self._flux
         ue[c0 + 1:c1 + 1] = u[c0:c1]
         if c0 == 0:
             ue[0] = u[0]
         if c1 == n:
             ue[-1] = u[-1]
         e0, e1 = lo - lo % _EDGE_BLOCK, min(hi - hi % _EDGE_BLOCK + _EDGE_BLOCK, n + 1)
-        if self._block_flux[0] != (e0, e1):
-            self._block_flux = ((e0, e1), self.h_pair if e1 - e0 == n + 1
-                                else self.h_pair.at(slice(e0, e1)))
-        S = _edge_block(ue, al, e0, e1, self._block_flux[1], self._sides[e0:e1])
-        np.maximum(S[:, 0], S[:, 1], out=F[e0:e1])
+        block = self._block
+        if block[0] != e0 or block[1] != e1:
+            block = self._block = self._block_views(e0, e1)
+        _, _, h, u_l, al_l, al_r, u_r, S, a, b, F_block = block
+        # The two terms h_l(max(u_l, alpha_l)) and h_r(min(alpha_r, u_r)).
+        np.maximum(u_l, al_l, out=a)
+        np.minimum(al_r, u_r, out=b)
+        h(S, out=S)
+        np.maximum(a, b, out=F_block)
         dF = np.subtract(F[c0 + 1:c1 + 1], F[c0:c1], out=self._dflux[c0:c1])
         dF *= lam
         if c1 - c0 >= 2 and (dF[0] != 0.0 or dF[1] != 0.0) and (dF[-1] != 0.0 or dF[-2] != 0.0):
@@ -235,20 +266,9 @@ class Scheme:
                 first = end = c0
         u_new = np.subtract(u, self._dflux)
         self.band = (u_new, first, end)
-        self.last_edges = (u, self._sides[:, 0], self._sides[:, 1], F)
+        self.last_edges = (u, *self._columns, F)
         self.last_window = (c0, c1)
         return u_new, float(F[0]), float(F[-1])
-
-
-def _edge_block(ue: np.ndarray, al: np.ndarray, e0: int, e1: int, h, S: np.ndarray) -> np.ndarray:
-    """The two terms of the interface flux at the edges [e0, e1) into S[..., 0]
-    and S[..., 1]: h_l(max(u_l, alpha_l)) and h_r(min(alpha_r, u_r)), for
-    ghost-extended states ue (..., n_cells + 2), their minimizers al and h the
-    pair flux of those edges. Returns S."""
-    np.maximum(ue[..., e0:e1], al[e0:e1], out=S[..., 0])
-    np.minimum(al[e0 + 1:e1 + 1], ue[..., e0 + 1:e1 + 1], out=S[..., 1])
-    h(S, out=S)
-    return S
 
 
 def steady_residual(state: SteadyState, model: FluxModel, mesh: Mesh) -> float:
@@ -257,25 +277,12 @@ def steady_residual(state: SteadyState, model: FluxModel, mesh: Mesh) -> float:
     return float(np.max(np.abs(np.diff(F))))
 
 
-def _finite_range(u: np.ndarray, where: str) -> tuple[float, float]:
-    """(min, max) of u; raises NumericalError if u holds a NaN or an infinity.
-
-    NaN propagates through min and max, so one pass checks both."""
-    lo, hi = float(u.min()), float(u.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NumericalError(f"non-finite state {where}")
-    return lo, hi
-
-
-def _contained(state_range, contain, within: str, where: str) -> tuple[float, float]:
-    """state_range, after checking it lies in contain; raises InvariantBreach."""
-    lo, hi = state_range
-    if lo < contain[0] or hi > contain[1]:
-        raise InvariantBreach(
-            f"state range [{lo:.17g}, {hi:.17g}] {where} leaves the {within} "
-            f"[{contain[0]:.17g}, {contain[1]:.17g}]"
-        )
-    return lo, hi
+def _breach(lo: float, hi: float, contain, within: str, where: str) -> InvariantBreach:
+    """The error for a state range [lo, hi] that leaves contain."""
+    return InvariantBreach(
+        f"state range [{lo:.17g}, {hi:.17g}] {where} leaves the {within} "
+        f"[{contain[0]:.17g}, {contain[1]:.17g}]"
+    )
 
 
 def _mass_balance(u: np.ndarray, dx: float, mass0: float, net_out: float,
@@ -523,6 +530,7 @@ def run(
     mass0 = float(np.sum(u)) * mesh.dx
     net_out = 0.0
     rmin, rmax = math.inf, -math.inf
+    cmin, cmax = contain
     t = 0.0
     n_steps = 0
     tol_t = 1e-12 * max(1.0, t_end)
@@ -530,8 +538,13 @@ def run(
         while t < target - tol_t:
             dt = min(dt_nominal, target - t)
             u_new, f_in, f_out = scheme.step_arrays(u, dt)
-            lo, hi = _contained(scheme.last_range, contain, within, "entering step")
-            rmin, rmax = min(rmin, lo), max(rmax, hi)
+            lo, hi = scheme.last_range
+            if lo < cmin or hi > cmax:
+                raise _breach(lo, hi, contain, within, "entering step")
+            if lo < rmin:
+                rmin = lo
+            if hi > rmax:
+                rmax = hi
             for obs in observers:
                 obs.step(u, u_new, dt)
             net_out += dt * (f_out - f_in)
@@ -543,8 +556,11 @@ def run(
         if target < t_end:
             _mass_balance(u, mesh.dx, mass0, net_out, target)
     # Every state but the last was checked and measured by the step it entered.
-    lo, hi = _contained(_finite_range(u, "at the end of the run"), contain, within,
-                        "at the end of the run")
+    lo, hi = float(u.min()), float(u.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericalError("non-finite state at the end of the run")
+    if lo < cmin or hi > cmax:
+        raise _breach(lo, hi, contain, within, "at the end of the run")
     rmin, rmax = min(rmin, lo), max(rmax, hi)
     mass_final, drift = _mass_balance(u, mesh.dx, mass0, net_out, t_end)
     return RunResult(

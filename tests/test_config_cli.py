@@ -728,6 +728,16 @@ def test_cli_auto_window_refuses_a_datum_of_unknown_support():
             cli._build_mesh(cfg, cfg.build_model(), SmoothDatum(fn=np.cos), t_end)
 
 
+def test_cli_window_refusal_names_the_mesh_keys():
+    # The CLI's way out of an automatic window too large to allocate is an
+    # explicit window, so its refusal names the two config keys.
+    cfg = make_config({"flux": _flux(), "mesh": {"dx": "0.1"}})
+    with pytest.raises(ConfigError) as err:
+        cli._build_mesh(cfg, cfg.build_model(), SmoothDatum(fn=np.cos), 0.5)
+    assert str(err.value) == (
+        "the automatic window needs inf cells, more than 1000000; set mesh.x_min and mesh.x_max")
+
+
 def test_cli_auto_window_holds_a_heterogeneity_wider_than_the_data():
     # X = 3 reaches past the floor of 1 (no datum): [-X, X] plus two cells.
     cfg = make_config({"flux": {"family": "two_state", "radius": "3"}, "mesh": {"dx": "0.1"}})

@@ -146,10 +146,11 @@ def test_auto_window_cap_is_inclusive():
     # X = 0, dx = 0.5 and two cells of padding on each side: [-h, h] takes
     # 4h + 4 cells, MAX_AUTO_CELLS at h = 249999.
     flat, h = quadratic(), 249999.0
-    assert cone_mesh(flat, -h, h, 0.0, 0.5).n_cells == MAX_AUTO_CELLS
+    advice = "set mesh.x_min and mesh.x_max"
+    assert cone_mesh(flat, -h, h, 0.0, 0.5, advice=advice).n_cells == MAX_AUTO_CELLS
     # half a cell over the cap, inf and nan; then an interval of fewer than
     # MAX_AUTO_CELLS cells whose snapped ends hold one more.
     for lo, hi, reach in ((-h, h, 0.25), (-h, h, float("inf")), (-h, h, float("nan")),
                           (-249999.1, 249998.85, 0.0)):
         with pytest.raises(ConfigError, match="set mesh.x_min and mesh.x_max"):
-            cone_mesh(flat, lo, hi, reach, 0.5)
+            cone_mesh(flat, lo, hi, reach, 0.5, advice=advice)

@@ -37,7 +37,7 @@ from hetflux.diagnostics import (
     riemann_error,
 )
 from hetflux.errors import ConfigError
-from hetflux.families import heterogeneous_quadratic, lwr, two_state
+from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.riemann import sample, solve_interface
 from hetflux.solver import (
     GridState,
@@ -189,6 +189,50 @@ def test_entropy_check_levels_at_the_extremes_of_u_new_take_no_sign_term(hq_mode
     assert_same_entropy_report(check.report(), ref.report())
 
 
+@pytest.mark.filterwarnings("ignore:.*influence cone")
+@pytest.mark.parametrize("where, location", [("outside", -3.0), ("left edge", -1.2),
+                                             ("inside", -0.3), ("right edge", 0.9),
+                                             ("X = 0", -0.3)])
+def test_entropy_check_sign_term_rows_match_the_reference_bitwise(where, location):
+    # theta(x) u^2 carries the steady state u = 0 exactly, so once the first
+    # (full) step has passed, the windows follow a pulse alone. Its windows
+    # lie wholly outside the rows of nonzero d_kk, straddle one of their
+    # edges, or lie wholly inside them; a homogeneous flux has no such row.
+    model = quadratic(coefficient=1.0) if where == "X = 0" else heterogeneous_quadratic(
+        theta_bump=0.5, ell_bump=0.0, g_bump=0.0)
+    mesh = Mesh.make(-4.0, 4.0, 0.02)
+    n, windows = mesh.n_cells, []
+    check, ref = EntropyCheck(), ReferenceEntropyCheck()
+
+    class Spy:
+        def start(self, scheme, envelope, u0):
+            pass
+
+        def step(self, u, u_new, dt):
+            windows.append(check.last_window)
+
+    pulse = PiecewiseConstantDatum((location - 0.1, location + 0.1), (0.0, 0.4, 0.0))
+    res = run(model, mesh, pulse, t_end=0.3, observers=(check, ref, Spy()))
+    assert_same_entropy_report(check.report(), ref.report())
+    rows = np.flatnonzero(np.any(ref._d_kk != 0.0, axis=0))  # (K, N) in the reference
+    banded = [(c0, c1) for c0, c1 in windows if (c0, c1) != (0, n)]
+    assert len(banded) >= res.n_steps - 2 and max(c1 - c0 for c0, c1 in banded) < 40
+    if where == "X = 0":
+        assert rows.size == 0
+        return
+    kk0, kk1 = rows[0], rows[-1] + 1
+    assert (kk0, kk1) == (150, 250)  # the cells of [-X, X], where theta varies
+    outside = [c1 <= kk0 for c0, c1 in banded]
+    if where == "outside":
+        assert all(outside)
+    elif where == "inside":
+        assert all(kk0 <= c0 and c1 <= kk1 for c0, c1 in banded)
+    elif where == "left edge":
+        assert any(outside) and any(c0 < kk0 < c1 for c0, c1 in banded)
+    else:
+        assert any(c0 < kk1 < c1 for c0, c1 in banded)
+
+
 def test_entropy_check_reuses_the_edge_terms_of_the_step(monkeypatch, hq_model):
     calls = [0]
     edge_sides = Scheme.edge_sides
@@ -315,19 +359,21 @@ def test_entropy_check_reports_the_first_tied_level_in_the_callers_order(burgers
     assert rep.k_values.tolist() == ks
 
 
-def test_entropy_check_evaluates_only_the_window_of_the_step(monkeypatch, hq_model):
-    windows = []
-    edges = EntropyCheck._edges
+def test_entropy_check_evaluates_only_the_window_of_the_step(hq_model):
+    windows, check = [], EntropyCheck()
 
-    def spy(self, u, u_new, dt):
-        got = edges(self, u, u_new, dt)
-        windows.append((got[-1], self._scheme.last_window))
-        return got
+    class Spy:
+        """Reads the window the check just evaluated, and the kernel's."""
 
-    monkeypatch.setattr(EntropyCheck, "_edges", spy)
+        def start(self, scheme, envelope, u0):
+            self.scheme = scheme
+
+        def step(self, u, u_new, dt):
+            windows.append((check.last_window, self.scheme.last_window))
+
     mesh = Mesh.make(-3.0, 3.0, 0.02)
     res = run(hq_model, mesh, datum_step(0.2, 1.2), t_end=0.3, snapshot_times=(0.1,),
-              observers=(EntropyCheck(),))
+              observers=(check, Spy()))
     full = (0, mesh.n_cells)
     # Full at the first step and at the two steps around the snapshot, when
     # dt changes; every other step takes the Scheme's window.
@@ -567,6 +613,16 @@ def test_convergence_study_level_meshes_hold_the_influence_cone(monkeypatch):
     for res in levels:
         assert res.cfl.lipschitz <= L
         assert res.mesh.x_min <= lo and res.mesh.x_max >= hi, (res.mesh, lo, hi)
+
+
+def test_convergence_study_refuses_an_oversized_level_with_its_own_advice(hq_model):
+    # The study has no mesh keys: its way out is a smaller window or a
+    # coarser dx. The probe at the finest dx refuses before any run.
+    with pytest.raises(ConfigError) as err:
+        convergence_study(hq_model, datum_step(0.2, 0.8), 0.1, (-3e4, 3e4), [0.1, 0.05],
+                          reference="fine_grid")
+    assert str(err.value) == ("the automatic window needs 1.2e+06 cells, more than 1000000; "
+                              "narrow the window or use a coarser dx")
 
 
 def test_convergence_study_validation(pair_model, pair_ctx):

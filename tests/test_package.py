@@ -157,3 +157,46 @@ def test_only_the_cli_recorder_touches_the_output_directory():
     assert {what for what, _, inside in found if inside} == {
         "open", "os.makedirs", "ENV_OUTPUT_ROOT"}
     assert [(what, line) for what, line, inside in found if not inside] == []
+
+
+def test_the_per_step_paths_call_no_numpy_wrapper():
+    # ndarray.min/max, np.argmax and np.clip run through numpy's Python
+    # wrappers, and a ... subscript through the general indexer: a per-step
+    # path takes the ufunc methods (np.minimum.reduce), ndarray.argmax and
+    # plain slices instead. Checked with the module's functions and the
+    # class's methods it calls by name, as those run on every step too.
+    src = Path(hetflux.__file__).parent
+    wrappers = {"np.argmax", "np.clip"}
+
+    def misuses(node):
+        if isinstance(node, ast.Subscript) and any(
+                isinstance(n, ast.Constant) and n.value is Ellipsis for n in ast.walk(node.slice)):
+            return ast.unparse(node)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                node.func.attr in ("min", "max") or ast.unparse(node.func) in wrappers):
+            return ast.unparse(node.func)
+        return None
+
+    found = []
+    for module, cls, method in (("solver", "Scheme", "step_arrays"),
+                                ("diagnostics", "EntropyCheck", "step")):
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+        owner = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == cls)
+        methods = {fn.name: fn for fn in owner.body if isinstance(fn, ast.FunctionDef)}
+        todo, seen = [methods[method]], set()
+        while todo:
+            fn = todo.pop()
+            if fn.name in seen:
+                continue
+            seen.add(fn.name)
+            for node in ast.walk(fn):
+                if (what := misuses(node)):
+                    found.append(f"{module}.{fn.name}: {what}")
+                if isinstance(node, ast.Call):
+                    name = ast.unparse(node.func)
+                    if name in functions:
+                        todo.append(functions[name])
+                    elif name.startswith("self.") and name[5:] in methods:
+                        todo.append(methods[name[5:]])
+    assert found == []

@@ -759,6 +759,53 @@ def test_a_band_freezes_its_flux_again_only_when_it_leaves_its_blocks():
     assert all(i.start % solver._EDGE_BLOCK == 0 for i in calls), calls
 
 
+@pytest.mark.parametrize("name", sorted(BAND_MODELS))
+def test_block_views_follow_the_band_back_and_forth(name, rng):
+    # The kernel keeps its views of one range of edge blocks until the band
+    # leaves it. On the flux's minimizers, steady outside [-X, X], a pulse
+    # below them on its left and above them on its right grows the band a
+    # cell per step each way, across blocks; resetting one end of the band
+    # to the background in place (the band rule allows it) shrinks it back;
+    # a foreign state takes a full step, and the band starts over from it.
+    model, mesh = BAND_MODELS[name][0](), Mesh.make(-4.0, 4.0, 0.02)
+    sch, n, dt = Scheme(model, mesh, lipschitz=1.0), mesh.n_cells, 0.45 * mesh.dx
+    calls, at = [], sch.h_pair.at
+    sch.h_pair.at = lambda index: calls.append(index) or at(index)
+    background = sch.al_ext[1:-1].copy()
+    pulse = np.concatenate((-rng.uniform(0.2, 0.6, 10), rng.uniform(0.2, 0.6, 10)))
+    blocks = [sch._block[:2]]
+
+    def step(u, n_steps):
+        for _ in range(n_steps):
+            u_new = sch.step_arrays(u, dt)[0]
+            check_step_against_full(sch, u, u_new, dt)
+            blocks.append(sch._block[:2])
+            u = u_new
+        return u
+
+    u = background.copy()
+    u[100:120] += pulse
+    u = step(u, 50)  # grow
+    _, lo, hi = sch.band
+    u[lo:lo + 60] = background[lo:lo + 60]  # shrink from the left
+    u = step(u, 10)
+    _, lo, hi = sch.band
+    u[hi - 60:hi] = background[hi - 60:hi]  # and from the right
+    u = step(u, 10)
+    u = background.copy()  # a foreign state
+    u[300:320] += pulse
+    step(u, 10)
+    changes = [b for a, b in zip(blocks, blocks[1:]) if a != b]
+    banded = [b for b in changes if b != (0, n + 1)]
+    assert len(set(blocks)) >= 4 and (0, n + 1) in changes
+    assert all(e0 % solver._EDGE_BLOCK == 0 for e0, _ in banded)
+    pairs = list(zip(banded, banded[1:]))
+    assert any(a[1] - a[0] < b[1] - b[0] for a, b in pairs)  # grown
+    assert any(a[1] - a[0] > b[1] - b[0] for a, b in pairs)  # and shrunk
+    # One frozen form per change of range; the whole range is h_pair itself.
+    assert [(i.start, i.stop) for i in calls] == banded
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 def test_step_rejects_infinities(burgers_model, value):
     scheme = Scheme(burgers_model, Mesh.make(-1.0, 1.0, 0.1), lipschitz=1.0)
