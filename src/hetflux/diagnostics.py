@@ -174,7 +174,7 @@ class EntropyCheck:
         self._kk0, self._kk1 = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
         self._k_rows = np.tile(ks, (n, 1))  # the levels along the cells
         self._work, self._abs_old = np.empty((4, n + 1, n_k)), np.empty((n, n_k))
-        self._sides = np.empty((2, n + 1))
+        self._sides = np.empty((n + 1, 2))  # edge_sides of a u not last stepped from
         self._carried, self._dt = None, None  # the last u_new (|u_new - k| in _abs_old) and dt
         self._clean = True  # no NaN slack in the last step
         self._max_slack = np.full(n_k, -np.inf)

@@ -84,9 +84,8 @@ def _frozen_form(a, b, c):
     frozen.inverse = lambda y, side, alpha: b + (1.0 if side == "plus" else -1.0) * np.sqrt(
         np.maximum(np.asarray(y, dtype=float) - c, 0.0) / a)
     frozen.du_inverse = lambda v: b + np.asarray(v, dtype=float) / (2.0 * a)
-    # A coefficient constant in x is a scalar and stays one.
-    frozen.at = lambda i: _frozen_form(*[z[i] if isinstance(z, np.ndarray) else z
-                                         for z in (a, b, c)])
+    # A coefficient constant in x is a 0-d array and stays one.
+    frozen.at = lambda i: _frozen_form(*[z[i] if np.ndim(z) else z for z in (a, b, c)])
     return frozen
 
 
@@ -99,8 +98,13 @@ def quadratic(coefficient: float = 0.5, shift: float = 0.0, offset: float = 0.0)
     c, s, o = float(coefficient), float(shift), float(offset)
     if c <= 0:
         raise ConfigError(f"quadratic family needs coefficient > 0, got {c}")
+    # Read-only 0-d arrays, not floats: a ufunc takes them without the
+    # conversion it pays for a Python scalar operand on every call.
+    coefficients = tuple(np.array(v) for v in (c, s, o))
+    for z in coefficients:
+        z.flags.writeable = False
     return _quadratic_form(
-        lambda x: (c, s, o),
+        lambda x: coefficients,
         _flat,
         hetero_radius=0.0,
         name="quadratic",

@@ -1,9 +1,7 @@
 """Exact self-similar solutions of Riemann problems, with and without a flux
 discontinuity at x = 0.
 
-For a single convex flux the solution is the textbook one: a shock if the
-left datum exceeds the right, a centered rarefaction otherwise. Across a flux
-discontinuity the construction is:
+Across a flux discontinuity the construction is:
 
 1. compute the interface flux f_int = max{f_l(u_l v a_l), f_r(a_r ^ u_r)};
 2. whichever argument of the max achieves it imposes that side's trace at
@@ -14,6 +12,11 @@ discontinuity the construction is:
    x = 0 whenever the traces differ, classical waves with speeds >= 0 on the
    right. The trace pair always lands in the admissibility germ.
 
+A single convex flux is the case f_l = f_r (solve_classical): the interface
+flux is then its Godunov flux and the patch the textbook solution, a shock if
+the left datum exceeds the right, a centered rarefaction otherwise, one that
+crosses xi = 0 split there into two fans.
+
 Waves and breakpoints live in the self-similar variable xi = x / t. Sampling
 returns the right limit at exact wave speeds. Jumps of size <= 1e-12 are not
 counted as waves.
@@ -21,13 +24,12 @@ counted as waves.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .interface import FluxSide, InterfaceContext, classify_germ, interface_flux, require_finite
+from .interface import FluxSide, InterfaceContext, classify_germ, require_finite
 from .rootfind import TOL_ROOT, check_residual
 
 # Jumps at or below this size are treated as no wave at all.
@@ -59,11 +61,10 @@ class Wave:
 class RiemannSolution:
     """Self-similar solution: ordered waves plus interface traces.
 
-    trace_left/trace_right are the one-sided limits at x = 0; for classical
-    (single-flux) problems they are the values the solution takes there.
-    case_tag is one of "I".."IV" (quadrant of the data relative to the
-    critical points), "germ" (datum already an admissible stationary jump),
-    or "classical".
+    trace_left/trace_right are the one-sided limits at x = 0. case_tag is
+    one of "I".."IV" (quadrant of the data relative to the critical points)
+    or "germ" (datum already an admissible stationary jump); a single-flux
+    problem (solve_classical) is tagged the same way, with alpha_l = alpha_r.
     """
 
     ctx: InterfaceContext
@@ -120,23 +121,10 @@ def _signed(waves: list, side: str) -> list:
 
 
 def solve_classical(flux: FluxSide, u_l: float, u_r: float) -> RiemannSolution:
-    """Riemann solution for a single convex flux (no interface)."""
-    require_finite(u_l=u_l, u_r=u_r)
-    u_l, u_r = float(u_l), float(u_r)
-    ctx = InterfaceContext(left=flux, right=flux)
-    sol = RiemannSolution(
-        ctx=ctx,
-        u_left=u_l,
-        u_right=u_r,
-        waves=tuple(_classical_waves(flux, u_l, u_r, SIDE_LEFT)),
-        trace_left=u_l,
-        trace_right=u_r,
-        case_tag="classical",
-        interface_flux_value=interface_flux(ctx, u_l, u_r),
-    )
-    return dataclasses.replace(
-        sol, trace_left=sample(sol, 0.0, left_limit=True), trace_right=sample(sol, 0.0)
-    )
+    """Riemann solution for a single convex flux: the interface problem with
+    the same flux on both sides. A fan across xi = 0 comes back as two fans
+    meeting there, the left one ending and the right one starting at alpha."""
+    return solve_interface(InterfaceContext(left=flux, right=flux), u_l, u_r)
 
 
 def solve_interface(ctx: InterfaceContext, u_l: float, u_r: float) -> RiemannSolution:

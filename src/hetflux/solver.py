@@ -191,18 +191,19 @@ class Scheme:
 
     def edge_sides(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
         """The two terms of the interface flux at every edge, for cell states
-        u of shape (..., n_cells), into the optional (2, ..., n_cells + 1)
-        array out: h_l(max(u_l, alpha_l)) and h_r(min(alpha_r, u_r)). Ghost
-        cells replicate the boundary cells."""
+        u of shape (..., n_cells): h_l(max(u_l, alpha_l)) and
+        h_r(min(alpha_r, u_r)), the two columns of the optional
+        C-contiguous (..., n_cells + 1, 2) array out, the pair layout of
+        h_pair and of the step kernel. Ghost cells replicate the boundary
+        cells."""
         u = np.asarray(u, dtype=float)
         if out is None:
-            out = np.empty((2,) + u.shape[:-1] + (u.shape[-1] + 1,))
+            out = np.empty(u.shape[:-1] + (u.shape[-1] + 1, 2))
         ue = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
-        S = np.moveaxis(out, 0, -1)
-        np.maximum(ue[..., :-1], self.al_ext[:-1], out=S[..., 0])
-        np.minimum(self.al_ext[1:], ue[..., 1:], out=S[..., 1])
-        self.h_pair(S, out=S)
-        return out[0], out[1]
+        np.maximum(ue[..., :-1], self.al_ext[:-1], out=out[..., 0])
+        np.minimum(self.al_ext[1:], ue[..., 1:], out=out[..., 1])
+        self.h_pair(out, out=out)
+        return out[..., 0], out[..., 1]
 
     def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
         """Interface flux max of the two edge_sides terms at every edge."""

@@ -74,6 +74,19 @@ def test_quadratic_closed_form():
     assert float(frozen_flux(m, np.array([4.0])).alpha()[0]) == 1.0
 
 
+def test_quadratic_keeps_its_constant_coefficients_as_0d_arrays():
+    # A ufunc pays a scalar conversion for a Python-float operand on every
+    # call; read-only 0-d arrays give the same bits without it, and at()
+    # keeps them whole at every level.
+    f = quadratic(coefficient=2.0, shift=1.0).freeze(np.linspace(-1.0, 1.0, 11))
+    g = f.at(slice(2, 5)).at(np.array([0, 2]))
+    for alpha in (f.alpha(), g.alpha()):
+        assert isinstance(alpha, np.ndarray) and alpha.ndim == 0 and alpha == 1.0
+        assert not alpha.flags.writeable
+    u = np.linspace(-2.0, 3.0, 7)
+    assert g(u).tobytes() == (2.0 * (u - 1.0) ** 2).tobytes()
+
+
 def test_quadratic_rejects_nonpositive_coefficient():
     with pytest.raises(ConfigError, match="coefficient"):
         quadratic(coefficient=0.0)

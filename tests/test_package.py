@@ -2,7 +2,8 @@
 no module of the package or of the tests imports a name it never reads, a
 module of the package imports inside a function only to break a cycle, and
 only flux_model asks what a freeze hook can do, only solver asks what kind a
-datum is, and only the CLI's recorder touches the output directory."""
+datum is, only solve_interface builds a Riemann solution, and only the CLI's
+recorder touches the output directory."""
 
 import ast
 import inspect
@@ -113,6 +114,20 @@ def test_root_solves_run_only_in_the_generic_hook_parts():
                       if isinstance(node, ast.Call)
                       and ast.unparse(node.func).split(".")[-1] == "solve_increasing"}
     assert sites == {"flux_model._completed", "flux_model._branch_solve"}
+
+
+def test_only_solve_interface_builds_a_riemann_solution():
+    # A one-flux problem is the interface problem with f_l = f_r, so the
+    # Riemann construction lives in riemann.solve_interface alone.
+    src = Path(hetflux.__file__).parent
+    builders = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for fn in ([top] if not isinstance(top, ast.ClassDef) else top.body):
+                builders |= {f"{path.stem}.{getattr(fn, 'name', '')}" for node in ast.walk(fn)
+                             if isinstance(node, ast.Call)
+                             and ast.unparse(node.func).split(".")[-1] == "RiemannSolution"}
+    assert builders == {"riemann.solve_interface"}
 
 
 def test_only_the_solver_asks_what_kind_a_datum_is():

@@ -64,14 +64,19 @@ def test_classical_shock(burgers_side):
     # at the shock speed: right limit ahead, left limit behind
     assert sample(sol, 0.25) == -0.5
     assert sample(sol, 0.25, left_limit=True) == 1.0
-    assert sol.case_tag == "classical"
+    # solved as the interface problem with one flux: u_l > alpha >= u_r
+    assert sol.case_tag == "III"
 
 
 def test_classical_rarefaction(burgers_side):
     sol = solve_classical(burgers_side, -1.0, 1.0)
-    (w,) = sol.waves
-    assert w.kind == KIND_RAREFACTION
-    assert (w.speed_min, w.speed_max) == (-1.0, 1.0)
+    # The transonic fan comes back as two fans meeting at xi = 0.
+    assert sol.case_tag == "II"
+    left, right = sol.waves
+    assert left.kind == right.kind == KIND_RAREFACTION
+    assert (left.speed_min, left.speed_max) == (-1.0, 0.0)
+    assert (right.speed_min, right.speed_max) == (0.0, 1.0)
+    assert left.right_state == right.left_state == 0.0
     for xi in (-0.5, 0.0, 0.42, 0.99):
         assert abs(sample(sol, xi) - xi) < 1e-11
     assert sample(sol, -3.0) == -1.0

@@ -435,9 +435,29 @@ def test_edge_sides_match_allocating_reference_bitwise(name, rng):
     U = sch.al_ext[1:-1] + rng.uniform(-1.0, 1.0, (5, mesh.n_cells))
     for u in (U, U[2]):
         want = reference_edge_sides(sch, u)
-        buf = np.full((2,) + u.shape[:-1] + (mesh.n_cells + 1,), np.nan)
+        buf = np.full(u.shape[:-1] + (mesh.n_cells + 1, 2), np.nan)
         for got in (sch.edge_sides(u), sch.edge_sides(u, out=buf)):
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("shape", [(), (5,)], ids=["1-D", "(K, N)"])
+def test_edge_sides_hand_the_flux_one_contiguous_pair_array(shape, hq_model):
+    # The terms keep the kernel's (..., N+1, 2) pair layout, so the frozen
+    # flux runs on one C-contiguous array, not on a strided view.
+    mesh = Mesh.make(-2.0, 2.0, 0.05)
+    sch = Scheme(hq_model, mesh, lipschitz=1.0)
+    seen, h_pair = [], sch.h_pair
+
+    def recorded(u, out=None):
+        seen.append((u, out))
+        return h_pair(u, out=out)
+
+    sch.h_pair = recorded
+    a, b = sch.edge_sides(np.zeros(shape + (mesh.n_cells,)))
+    ((u, out),) = seen
+    assert u is out and u.shape == shape + (mesh.n_cells + 1, 2)
+    assert u.flags.c_contiguous
+    assert a.base is u and b.base is u
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
