@@ -47,8 +47,9 @@ DEFAULT_K_LEVELS = 33
 # finest dx of a sweep is halved at most this often to get there.
 _SETTLED = 0.05
 _MAX_HALVINGS = 4
-# convergence_study: the way out of a level mesh too large to allocate.
+# convergence_study, consistency_rate: the way out of a mesh too large to allocate.
 _STUDY_ADVICE = "narrow the window or use a coarser dx"
+_SWEEP_ADVICE = "use coarser dx_values or a narrower heterogeneity"
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +283,10 @@ def consistency_rate(
     """Measure max_j |F_{j+1/2}(k, k) - H(x_{j+1}, k)| across a dx sweep.
 
     The deviation vanishes identically where the flux is frozen in x, so the
-    max is taken over meshes covering the heterogeneous window. For smooth
-    heterogeneity the deviation is first order in dx. The slope is the rate
+    max is taken over solver.cone_mesh of [-X, X] with pad 4, the window rule
+    of every automatic mesh (one of more than MAX_AUTO_CELLS cells is refused
+    before anything is allocated). For smooth heterogeneity the deviation
+    is first order in dx. The slope is the rate
     log(d_i / d_{i-1}) / log(dx_i / dx_{i-1}) of the finest pair; while it
     differs from the rate of the pair before by more than _SETTLED, the
     sweep is still pre-asymptotic and the finest dx is halved again, at
@@ -296,11 +299,9 @@ def consistency_rate(
     dxs = sorted({float(dx) for dx in dx_values}, reverse=True)
     if not dxs or dxs[-1] <= 0:
         raise ConfigError("dx_values must be positive")
-    X = model.hetero_radius
 
     def deviation(dx: float) -> float:
-        half = math.ceil((X + 4 * dx + 1e-12) / dx) * dx
-        mesh = Mesh.make(-half, half, dx)
+        mesh = cone_mesh(model, 0.0, 0.0, 0.0, dx, pad=4, advice=_SWEEP_ADVICE)
         sch = Scheme(model, mesh, lipschitz=1.0)
         f_kk = sch.edge_fluxes(np.full(mesh.n_cells, k))
         target = np.asarray(model.h(sch.xc_ext[1:], k), dtype=float)

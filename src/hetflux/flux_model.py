@@ -453,9 +453,14 @@ def validate_assumptions(model: FluxModel) -> ValidationReport:
     for i, j in bad:
         record("derivative-mismatch-u", xs[i], us[j], err[i, j])
 
-    FDX = (np.asarray(model.h(XX + d, UU), dtype=float) - np.asarray(model.h(XX - d, UU), dtype=float)) / (2 * d)
-    err = np.abs(np.broadcast_to(FDX, (n_x, n_u)) - DX)
-    bad = np.argwhere(err > tol_fd * (1.0 + np.abs(DX)))
+    # A narrow bump's truncation error d^2/6 h_xxx grows like 1/X^3, so an
+    # x-miss counts only if it stays at d/2, where that error is 4x smaller.
+    def miss_x(s):
+        fd = np.asarray(model.h(XX + s, UU), dtype=float) - np.asarray(model.h(XX - s, UU), dtype=float)
+        return np.abs(fd / (2 * s) - DX)
+
+    err, tol = miss_x(d), tol_fd * (1.0 + np.abs(DX))
+    bad = np.argwhere((err > tol) & (miss_x(d / 2) > tol))
     for i, j in bad:
         record("derivative-mismatch-x", xs[i], us[j], err[i, j])
 

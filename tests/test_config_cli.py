@@ -9,6 +9,7 @@ environment variable.
 """
 
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,7 +24,9 @@ import pytest
 import hetflux.cli as cli
 from hetflux.cli import ENV_OUTPUT_ROOT, main
 from hetflux.config import make_config, parse_config
+from hetflux.diagnostics import consistency_rate
 from hetflux.errors import ConfigError, NumericalError
+from hetflux.flux_model import validate_assumptions
 from hetflux.interface import InterfaceContext
 from hetflux.riemann import sample, solve_interface
 from hetflux.solver import Mesh, PiecewiseConstantDatum, Scheme, SmoothDatum
@@ -708,17 +711,78 @@ def test_cli_steady_reads_the_datum_only_for_an_auto_window_or_the_envelope(tmp_
 
 @pytest.mark.parametrize("flux", [
     ["--flux-v-right=0.911", "--flux-rho-right=0.944"], ["--flux-radius=0.205"]])
-def test_cli_diagnose_passes_consistency_on_valid_traffic_parameters(tmp_path, monkeypatch, flux):
+def test_cli_validate_passes_consistency_on_valid_traffic_parameters(flux, capsys):
     # Valid lwr parameters whose consistency sweep over 1/50 .. 1/400 is still
     # pre-asymptotic at the crossing level; a least-squares slope over it
     # read 0.756 and 0.562 and failed the 0.9 threshold.
+    assert main(["validate", "--flux-family=lwr", *flux]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("flux consistency")]
+    kinds = [re.search(r": (exact|slope \S+),", row).group(1) for row in rows]
+    assert len(kinds) == 3, rows
+    assert all(kind == "exact" or float(kind.split()[1]) >= 0.9 for kind in kinds), rows
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return consistency_rate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "consistency_rate", counted)
+    return calls
+
+
+def test_cli_diagnose_checks_the_run_and_leaves_the_sweep_to_validate(tmp_path, monkeypatch):
+    # Flux consistency is a property of the model, so diagnose reports only
+    # what the run's observers and its mass balance saw.
     monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
-    assert main(["diagnose", "--flux-family=lwr", *flux, "--mesh-dx=0.1",
-                 "--initial-kind=constant", "--initial-value=0.3", "--time-t-end=0.05",
-                 "--output-directory=d"]) == 0
+    calls = _count_sweeps(monkeypatch)
+    path = os.path.join(CONFIG_DIR, "demo_heterogeneous_bump.ini")
+    assert main(["diagnose", "-c", path, "--output-directory=d"]) == 0
+    assert calls == []
     report = (tmp_path / "d" / "diagnostics.csv").read_text().splitlines()
-    rows = [row.split(",") for row in report if row.startswith("flux_consistency")]
-    assert len(rows) == 3 and all(row[-1] == "pass" for row in rows)
+    assert [row.split(",")[0] for row in report[1:]] == [
+        "entropy_inequality", "conservation", "time_variation"]
+    assert main(["validate", "-c", path]) == 0
+    assert len(calls) == 3
+
+
+def test_cli_validate_exits_4_naming_a_level_below_first_order(monkeypatch, capsys):
+    model = make_config({"flux": {"family": "lwr"}}).build_model()
+    curve = model.curve
+    middle = curve.alpha_min + 0.9 * (curve.alpha_max - curve.alpha_min)
+
+    def sweep(model, k, dx_values):
+        rep = consistency_rate(model, k, dx_values=dx_values)
+        return dataclasses.replace(rep, slope=0.5) if k == middle else rep
+
+    monkeypatch.setattr(cli, "consistency_rate", sweep)
+    assert main(["validate", "--flux-family=lwr"]) == 4
+    out, err = capsys.readouterr()
+    assert out.count("flux consistency at k=") == 3 and "slope 0.500" in out
+    assert err == (f"hetflux: invariant breach: flux consistency below first order at "
+                   f"k={middle:.6g} (slope 0.500)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-c", os.path.join(CONFIG_DIR, "golden_shock_interface.ini")],
+    ["-c", os.path.join(CONFIG_DIR, "demo_heterogeneous_bump.ini"), "--diagnostics-consistency=no"],
+])
+def test_cli_validate_runs_no_sweep_after_a_failed_check_or_when_it_is_off(argv, monkeypatch,
+                                                                          capsys):
+    # A failing assumptions check keeps its message and exit code, and a
+    # sweep switched off leaves the assumptions line alone.
+    calls = _count_sweeps(monkeypatch)
+    model = parse_config(argv[1]).build_model()
+    report = validate_assumptions(model)
+    assert main(["validate", *argv]) == (0 if report.ok else 4)
+    assert calls == []
+    out, err = capsys.readouterr()
+    assert out == report.summary() + "\n"
+    assert err == ("" if report.ok else "hetflux: invariant breach: flux model violates "
+                   f"assumptions: {len(report.violations)} finding(s)\n")
 
 
 def test_cli_auto_window_refuses_a_datum_of_unknown_support():

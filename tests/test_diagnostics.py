@@ -45,6 +45,7 @@ from hetflux.solver import (
     PiecewiseConstantDatum,
     Scheme,
     cone,
+    cone_mesh,
     datum_constant,
     datum_step,
     project_initial,
@@ -458,6 +459,38 @@ def test_consistency_negative_control_two_state(pair_model):
 def test_consistency_validates_dx(pair_model):
     with pytest.raises(ConfigError, match="positive"):
         consistency_rate(pair_model, 1.0, dx_values=[0.1, -0.05])
+
+
+@pytest.mark.parametrize("name", ["hq_model", "burgers_model"])
+def test_consistency_meshes_follow_the_window_rule(name, request, monkeypatch):
+    # Each sweep mesh is cone_mesh of [-X, X] with pad 4: [-1.08, 1.08] at
+    # dx = 0.02 when X = 1, and [-4 dx, 4 dx] when X = 0.
+    model = request.getfixturevalue(name)
+    meshes = []
+
+    def scheme(model, mesh, **kwargs):
+        meshes.append(mesh)
+        return Scheme(model, mesh, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "Scheme", scheme)
+    report = consistency_rate(model, 1.3, dx_values=[0.04, 0.02])
+    assert meshes == [cone_mesh(model, 0.0, 0.0, 0.0, dx, pad=4, advice="")
+                      for dx in report.dx_values]
+    X = model.hetero_radius
+    assert meshes[1].x_min == pytest.approx(-1.08 if X == 1.0 else -0.08, abs=1e-12)
+    for mesh, dx in zip(meshes, report.dx_values):
+        half = X + 4 * dx
+        assert mesh.x_min == pytest.approx(-half, abs=1e-12)
+        assert mesh.x_max == pytest.approx(half, abs=1e-12)
+        assert mesh.n_cells == round(2 * half / dx)
+
+
+def test_consistency_refuses_a_sweep_mesh_past_the_cell_cap():
+    # Refused before anything is allocated, with advice a caller of the
+    # sweep can follow.
+    model = heterogeneous_quadratic(radius=1e300)
+    with pytest.raises(ConfigError, match="more than 1000000; use coarser dx_values"):
+        consistency_rate(model, 1.3, dx_values=[1.0, 0.5])
 
 
 # ---------------------------------------------------------------------------

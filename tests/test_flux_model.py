@@ -352,3 +352,20 @@ def test_validate_flags_lying_derivative():
     report = validate_assumptions(liar)
     assert any(v.kind == "derivative-mismatch-u" for v in report.violations)
     assert not report.ok
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.05])
+def test_validate_passes_a_correct_narrow_bump_and_flags_a_wrong_dx_h(radius):
+    # A narrow bump's centered difference in x carries a truncation error
+    # d^2/6 h_xxx ~ 1/X^3 beyond the tolerance at step d alone; it shrinks
+    # 4x at d/2, where a wrong dx_h stays off. The magnitude is the miss at d.
+    model = heterogeneous_quadratic(theta_bump=0.8, ell_bump=0.5, g_bump=-0.5, radius=radius)
+    assert validate_assumptions(model).ok
+    for wrong in (lambda x, u: model.dx_h(x, u) + 1e-4 * (np.abs(x) < radius),
+                  lambda x, u: model.dx_h(x, u) * (1 + 1e-5)):
+        report = validate_assumptions(dataclasses.replace(model, dx_h=wrong))
+        found = [v for v in report.violations if v.kind == "derivative-mismatch-x"]
+        assert found
+        for v in found:
+            fd = (model.h(v.x + 1e-5, v.u) - model.h(v.x - 1e-5, v.u)) / 2e-5
+            assert v.magnitude == pytest.approx(abs(fd - wrong(v.x, v.u)), rel=1e-6)

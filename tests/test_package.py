@@ -2,8 +2,9 @@
 no module of the package or of the tests imports a name it never reads, a
 module of the package imports inside a function only to break a cycle, and
 only flux_model asks what a freeze hook can do, only solver asks what kind a
-datum is, only solve_interface builds a Riemann solution, and only the CLI's
-recorder touches the output directory."""
+datum is, only solve_interface builds a Riemann solution, only the window
+rule and an explicit window make a mesh, and only the CLI's recorder touches
+the output directory."""
 
 import ast
 import inspect
@@ -128,6 +129,23 @@ def test_only_solve_interface_builds_a_riemann_solution():
                              if isinstance(node, ast.Call)
                              and ast.unparse(node.func).split(".")[-1] == "RiemannSolution"}
     assert builders == {"riemann.solve_interface"}
+
+
+def test_only_the_window_rule_and_an_explicit_window_make_a_mesh():
+    # solver.cone_mesh sizes every automatic mesh, so Mesh.make is called
+    # there and where the config gives the window itself, nowhere else.
+    src = Path(hetflux.__file__).parent
+    makers = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            guards = {id(call): ast.unparse(branch.test) for branch in ast.walk(top)
+                      if isinstance(branch, ast.If) for node in branch.body
+                      for call in ast.walk(node)}
+            makers |= {(f"{path.stem}.{getattr(top, 'name', '')}", guards.get(id(node)))
+                       for node in ast.walk(top) if isinstance(node, ast.Call)
+                       and ast.unparse(node.func).split(".")[-2:] == ["Mesh", "make"]}
+    assert makers == {("solver.cone_mesh", None),
+                      ("cli._build_mesh", "mcfg['x_min'] is not None")}
 
 
 def test_only_the_solver_asks_what_kind_a_datum_is():
