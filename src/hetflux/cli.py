@@ -280,6 +280,8 @@ def _run_pipeline(cfg: ExperimentConfig, out: _Outputs, observers=()):
         max_dt=cfg.time["max_dt"],
         observers=observers,
     )
+    # The envelope computes its bounds when read: before any write, so a failure writes nothing.
+    lo, hi = _physical(model, result.envelope.lower_bound, result.envelope.upper_bound)
     # Every snapshot shares the x column: format it once.
     template = _csv_template(("x", "u"), mesh.centers(), out.precision)
     labels = []
@@ -288,7 +290,6 @@ def _run_pipeline(cfg: ExperimentConfig, out: _Outputs, observers=()):
         out.text(fname, template % tuple(_physical(model, snap.u).tolist()))
         labels.append((fname, f"t={snap.time:.6g}"))
     out.plot(f"{model.name}: solution snapshots", labels, "steps", "snapshots.png")
-    lo, hi = _physical(model, result.envelope.lower_bound, result.envelope.upper_bound)
     state_min, state_max = _physical(model, result.running_min, result.running_max)
     extra = {
         "mesh": {

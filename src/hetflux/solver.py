@@ -473,13 +473,14 @@ def run(
     u0 that sandwich it (steady.bracket). Constant-level states are fixed
     points of the scheme and the scheme is monotone under the CFL bound, so
     by comparison (Crandall-Majda) u never leaves [min lower, max upper], and
-    L is taken over that range. The Legendre envelope, wider, is the
-    fallback: when the bracket carries no wave speed (constant data at
-    alpha), and when a boundary cell lies inside (-X, X), where its ghost
-    carries another flux and the bracket states need not be fixed points.
-    Every state is checked against the range L came from (the envelope
-    constants when there is no bracket), to a few ulps, and InvariantBreach
-    is raised when it leaves. The scheme is conservative, so at every
+    L is taken over that range, and every state is checked against it, to a
+    few ulps, InvariantBreach raised when one leaves. When a boundary cell
+    lies inside (-X, X), its ghost carries another flux and the bracket
+    states need not be fixed points: the constants of the Legendre envelope,
+    wider, take the bracket's place. A range that carries no wave speed
+    (constant data at alpha) takes the envelope's L. The envelope computes
+    its constants only then, or when an observer or a caller reads them
+    (RunResult.envelope). The scheme is conservative, so at every
     snapshot, the last one at t_end, the mass must equal the initial mass
     minus the boundary outflow to a relative MASS_DRIFT_TOL, or
     InvariantBreach is raised.
@@ -501,11 +502,9 @@ def run(
         within, contain = "bracket", (brk[0].bound, brk[1].bound)
     else:
         brk, within, contain = None, "envelope", (env.lower_bound, env.upper_bound)
-    L = lipschitz_bound(model, *contain) if brk is not None else 0.0
-    if L > _NO_SPEED:
-        policy = replace(_cfl_policy(L, mesh, safety, max_dt), bound="bracket")
-    else:
-        policy = _cfl_policy(env.lipschitz, mesh, safety, max_dt)
+    L = lipschitz_bound(model, *contain)
+    policy = (replace(_cfl_policy(L, mesh, safety, max_dt), bound=within) if L > _NO_SPEED
+              else _cfl_policy(env.lipschitz, mesh, safety, max_dt))
     slack = _CONTAIN_ULPS * np.finfo(float).eps * (1.0 + max(map(abs, contain)))
     contain = (contain[0] - slack, contain[1] + slack)
     a, b = cone(model, 0.0, 0.0, policy.lipschitz * t_end)

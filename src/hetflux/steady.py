@@ -13,8 +13,9 @@ The envelope takes datum bounds [m, M], widens them to contain the critical
 range, and builds a lower and an upper steady state sandwiching every datum,
 plus outer constants (u_lower, u_upper) bounding those states in turn. By the
 comparison principle the scheme then never leaves [u_lower, u_upper], where
-L, the sup of |du_h|, bounds every wave speed. The constants are computed at
-once, L and the two states (which need a mesh) on first access.
+L, the sup of |du_h|, bounds every wave speed. The envelope keeps m and M,
+and computes the constants, L and the two states (the states need a mesh)
+on first access.
 
 The bracket of given cell states is the tightest such pair for those states
 alone, with the least flux levels that sandwich them; run() takes its CFL
@@ -132,19 +133,37 @@ def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
 @dataclass(frozen=True, eq=False)
 class Envelope:
     """Invariant-region data for datum bounds [m, M] (widened to the
-    critical range): the anchors, the certified constants, L over them and,
-    on a mesh, the two steady states between them. L and each state are
-    computed on first access and then kept; a run reads L only when it
-    takes the envelope step, and none of the states."""
+    critical range). All else is derived on first read and then kept: the
+    anchors and the certified constants, L over those and, on a mesh, the
+    two steady states between them. A run on the bracket reads none of it.
+
+    With s1 the Legendre sup at slope 1, the upper anchor is
+    max_x H(x, M) + s1 and the certified upper constant H(-X, anchor) + s1,
+    above the upper state; mirrored with signs flipped below. Both anchors
+    provably clear the critical range, so the steady states built from them
+    always exist. H is model.curve.flux, the flux the model keeps frozen at
+    xs (xs[0] = -X)."""
 
     model: FluxModel
     mesh: object  # None when only the constants are wanted
     m: float
     M: float
-    lower_anchor: float
-    upper_anchor: float
-    lower_bound: float  # certified constant below the lower state
-    upper_bound: float  # certified constant above the upper state
+
+    @cached_property
+    def lower_anchor(self) -> float:
+        return -float(np.max(self.model.curve.flux(self.m))) - self.model.legendre_sup_1
+
+    @cached_property
+    def upper_anchor(self) -> float:
+        return float(np.max(self.model.curve.flux(self.M))) + self.model.legendre_sup_1
+
+    @cached_property
+    def lower_bound(self) -> float:
+        return -float(self.model.curve.flux.at(0)(self.lower_anchor)) - self.model.legendre_sup_1
+
+    @cached_property
+    def upper_bound(self) -> float:
+        return float(self.model.curve.flux.at(0)(self.upper_anchor)) + self.model.legendre_sup_1
 
     @cached_property
     def lipschitz(self) -> float:
@@ -162,33 +181,9 @@ class Envelope:
 
 
 def envelope(model: FluxModel, mesh, m: float, M: float) -> Envelope:
-    """The envelope of all data in [m, M] on mesh; with mesh None, before
-    any mesh is chosen, it has its constants and L but no states.
-
-    With s1 the Legendre sup at slope 1, the upper anchor is
-    max_x H(x, M) + s1 and the certified upper constant H(-X, anchor) + s1;
-    mirrored with signs flipped below. Both anchors provably clear the
-    critical range, so the steady states built from them always exist. H is
-    model.curve.flux, the flux the model keeps frozen at xs (xs[0] = -X).
-    """
+    """The Envelope of all data in [m, M] on mesh; with mesh None, before
+    any mesh is chosen, it has its constants and L but no states."""
     if not (m <= M):
         raise ConfigError(f"datum bounds out of order: m={m}, M={M}")
-    curve = model.curve
-    m = min(float(m), curve.alpha_min)
-    M = max(float(M), curve.alpha_max)
-    f = curve.flux
-    s1 = model.legendre_sup_1
-    upper_anchor = float(np.max(f(M))) + s1
-    lower_anchor = -float(np.max(f(m))) - s1
-    edge = f.at(0)
-    return Envelope(
-        model=model,
-        mesh=mesh,
-        m=m,
-        M=M,
-        lower_anchor=lower_anchor,
-        upper_anchor=upper_anchor,
-        lower_bound=-float(edge(lower_anchor)) - s1,
-        upper_bound=float(edge(upper_anchor)) + s1,
-    )
-
+    c = model.curve
+    return Envelope(model, mesh, min(float(m), c.alpha_min), max(float(M), c.alpha_max))

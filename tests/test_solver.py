@@ -1018,12 +1018,19 @@ def test_model_setup_is_computed_once_per_model(monkeypatch):
     monkeypatch.setattr(fm.CriticalCurve, "build", classmethod(counted_build))
     monkeypatch.setattr(fm, "legendre_sup", counted_sup)
     monkeypatch.setattr(fm, "solve_increasing", counted_solve)
-    mesh_solves = []
+    mesh_solves, results = [], []
     for _ in range(2):
         del sizes[:]
-        res = run(model, mesh, datum_step(-0.5, 0.8), t_end=0.2)
+        results.append(run(model, mesh, datum_step(-0.5, 0.8), t_end=0.2))
         mesh_solves.append([n for n in sizes if n != fm.ALPHA_GRID_SAMPLES + 1])
-    # The bracket's L is taken once per run.
+    # The bracket's L is taken once per run, and nothing reads the envelope.
+    assert calls == {"build": 1, "sup": 0, "lipschitz": 2}
+    first, res = results
+    # The Legendre sup is taken once per model, on the first read of a constant.
+    first.envelope.upper_bound
+    assert calls["sup"] == 1
+    first.envelope.upper_bound
+    res.envelope.lower_bound
     assert calls == {"build": 1, "sup": 1, "lipschitz": 2}
     # One solve on the mesh in the first run, at the centers in (-1, 1) and
     # one per exterior side; the second reuses it.
@@ -1213,6 +1220,22 @@ def test_window_inside_the_heterogeneity_takes_the_envelope_step(hq_model):
     assert res.bracket is None and res.cfl.bound == "envelope"
     assert res.cfl.lipschitz == lipschitz_bound(hq_model, env.lower_bound, env.upper_bound)
     assert env.lower_bound <= res.running_min and res.running_max <= env.upper_bound
+
+
+def test_run_reads_the_envelope_constants_only_on_the_fallback():
+    # The envelope keeps m and M; the rest is derived when read.
+    assert [f.name for f in dataclasses.fields(steady.Envelope)] == ["model", "mesh", "m", "M"]
+    derived = {"lower_anchor", "upper_anchor", "lower_bound", "upper_bound", "lipschitz"}
+    model, datum = heterogeneous_quadratic(), datum_step(0.2, 1.2)
+    res = run(model, Mesh.make(-3.0, 3.0, 0.05), datum, t_end=0.1)
+    assert res.cfl.bound == "bracket"
+    assert not derived & set(vars(res.envelope)) and "legendre_sup_1" not in vars(model)
+    # A window inside (-X, X) steps on the envelope, so the run reads it.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*influence cone.*")
+        res = run(model, Mesh.make(-1.0, 1.0, 0.05), datum, t_end=0.1)
+    assert res.cfl.bound == "envelope"
+    assert {"lower_bound", "upper_bound"} <= set(vars(res.envelope))
 
 
 def test_run_builds_the_envelope_states_only_on_demand(monkeypatch, hq_model):
