@@ -36,6 +36,7 @@ import numpy as np
 from .errors import ConfigError, InvariantBreach, NumericalError
 from .flux_model import FluxModel, ghost_cells, lipschitz_bound
 from .profiles import bump
+from .rootfind import TOL_ROOT
 from .steady import Envelope, SteadyState, bracket, envelope
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -473,17 +474,17 @@ def run(
     u0 that sandwich it (steady.bracket). Constant-level states are fixed
     points of the scheme and the scheme is monotone under the CFL bound, so
     by comparison (Crandall-Majda) u never leaves [min lower, max upper], and
-    L is taken over that range, and every state is checked against it, to a
-    few ulps, InvariantBreach raised when one leaves. When a boundary cell
-    lies inside (-X, X), its ghost carries another flux and the bracket
-    states need not be fixed points: the constants of the Legendre envelope,
-    wider, take the bracket's place. A range that carries no wave speed
-    (constant data at alpha) takes the envelope's L. The envelope computes
-    its constants only then, or when an observer or a caller reads them
-    (RunResult.envelope). The scheme is conservative, so at every
-    snapshot, the last one at t_end, the mass must equal the initial mass
-    minus the boundary outflow to a relative MASS_DRIFT_TOL, or
-    InvariantBreach is raised.
+    L is taken over that range. InvariantBreach is raised when a bracket
+    state is no fixed point of the run's Scheme, and when a state leaves the
+    range (to a few ulps). When a boundary cell lies inside (-X, X), its
+    ghost carries another flux and the bracket states need not be fixed
+    points: the constants of the Legendre envelope, wider, take the
+    bracket's place. A range that carries no wave speed (constant data at
+    alpha) takes the envelope's L. The envelope computes its constants only
+    then, or when an observer or a caller reads them (RunResult.envelope).
+    The scheme is conservative, so at every snapshot, the last one at t_end,
+    the mass must equal the initial mass minus the boundary outflow to a
+    relative MASS_DRIFT_TOL, or InvariantBreach is raised.
 
     Snapshot times are hit exactly by shortening the step. Each observer gets
     obs.start(scheme, envelope, u0) before the first step and obs.step(u,
@@ -517,6 +518,17 @@ def run(
         )
 
     scheme = Scheme(model, mesh, policy.lipschitz)
+    if brk is not None:
+        # Both bracket states must be fixed points of this Scheme. invert_branch leaves each
+        # cell's flux within TOL_ROOT (1 + |level| + |H(x_j, alpha_j)|) of the level, so a
+        # flux difference within twice that: the flux minima set the scale, not the level.
+        _, al_ext, f = ghost_cells(model, mesh)
+        scale = 1.0 + float(np.max(np.abs(f(al_ext))))
+        F = scheme.edge_fluxes(np.stack([s.values for s in brk]))
+        for branch, s, res in zip(("lower", "upper"), brk, np.max(np.abs(np.diff(F)), axis=-1)):
+            if not res <= (tol := 2.0 * TOL_ROOT * (scale + abs(s.flux_level))):
+                raise InvariantBreach(f"the {branch} bracket state of flux level {s.flux_level:.17g} "
+                                      f"is no fixed point of the Scheme: residual {res:.3e} > {tol:.3e}")
     dt_nominal = policy.dt(mesh.dx)
     events = sorted({float(t) for t in snapshot_times if 0.0 < t < t_end})
     events.append(float(t_end))

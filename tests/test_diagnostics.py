@@ -244,11 +244,12 @@ def test_entropy_check_reuses_the_edge_terms_of_the_step(monkeypatch, hq_model):
 
     monkeypatch.setattr(Scheme, "edge_sides", counted)
     mesh, datum = Mesh.make(-3.0, 3.0, 0.05), datum_step(0.2, 1.2)
-    # The steps evaluate their edges in the Scheme's own buffers, without it.
-    assert run(hq_model, mesh, datum, t_end=0.3).n_steps > 0 and calls[0] == 0
+    # One call certifies both bracket states before the first step; the
+    # steps evaluate their edges in the Scheme's own buffers, without it.
+    assert run(hq_model, mesh, datum, t_end=0.3).n_steps > 0 and calls[0] == 1
     run(hq_model, mesh, datum, t_end=0.3, observers=(EntropyCheck(),))
-    # One call, for the levels at start: no step evaluates an edge again.
-    assert calls[0] == 1
+    # One more call, for the levels at start: no step evaluates an edge again.
+    assert calls[0] == 3
 
 
 def _recorded_steps(model, mesh, datum, t_end):

@@ -1164,6 +1164,40 @@ def test_a_state_leaving_the_bracket_is_an_invariant_breach(monkeypatch, last):
         run(model, mesh, datum, t_end=0.3)
 
 
+def test_a_bracket_that_is_no_fixed_point_is_refused_before_the_first_step(monkeypatch):
+    model, mesh = heterogeneous_quadratic(), Mesh.make(-3.0, 3.0, 0.05)
+    make = solver.bracket
+
+    def raised(model, mesh, u):
+        lower, upper = make(model, mesh, u)
+        values = upper.values.copy()
+        values[mesh.n_cells // 2] += 1e-6  # an interior cell, inside (-X, X)
+        return lower, dataclasses.replace(upper, values=values)
+
+    def no_step(self, u, dt):
+        raise AssertionError("stepped on an uncertified bracket")
+
+    monkeypatch.setattr(solver, "bracket", raised)
+    monkeypatch.setattr(Scheme, "step_arrays", no_step)
+    with pytest.raises(InvariantBreach, match="the upper bracket state of flux level .* "
+                       "no fixed point of the Scheme: residual"):
+        run(model, mesh, datum_step(1.0, -0.5), t_end=0.2)
+
+
+def test_the_bracket_certificate_scales_with_the_flux_minima():
+    # Flux minima of -1e6 under an upper level of -0.003356: the root solve
+    # leaves a flux residual of 1.16e-10, far past 1e-12 (1 + |level|) but
+    # at rounding level on the scale of the minima, and the run goes on.
+    model = two_state(left_coefficient=1.0, right_coefficient=2.0,
+                      left_offset=-1e6, right_offset=-1e6)
+    mesh = Mesh.make(-3.0, 3.0, 0.01)
+    res = run(model, mesh, datum_step(999.9999, 707.10678), t_end=1e-4)
+    upper = res.bracket[1]
+    assert res.cfl.bound == "bracket" and res.n_steps > 0
+    assert abs(upper.flux_level) < 0.01
+    assert solver.steady_residual(upper, model, mesh) > 1e-12 * (1.0 + abs(upper.flux_level))
+
+
 def test_a_hook_without_alpha_freezes_each_place_once():
     # Each place solves its critical points on the flux it freezes anyway:
     # the curve at its samples, the mesh at the span of its ghost-extended
