@@ -482,13 +482,16 @@ def cmd_diagnose(args, cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+# validate's consistency sweep, in units of max(X, 1): as many cells across
+# the heterogeneity whatever its size, and X <= 1 keeps these steps.
 _CONSISTENCY_DXS = (1.0 / 50, 1.0 / 100, 1.0 / 200, 1.0 / 400)
 
 
 def cmd_validate(args, cfg: ExperimentConfig) -> int:
     """Assumptions, then (when they hold and diagnostics.consistency is on)
     first-order flux consistency at three levels: below the critical band,
-    90% up it (a crossing at a band edge is degenerate), and above it."""
+    90% up it (a crossing at a band edge is degenerate), and above it, on
+    the steps _CONSISTENCY_DXS scaled by max(X, 1)."""
     model = cfg.build_model()
     report = validate_assumptions(model)
     print(report.summary())
@@ -497,12 +500,12 @@ def cmd_validate(args, cfg: ExperimentConfig) -> int:
             f"flux model violates assumptions: {len(report.violations)} finding(s)"
         )
     if cfg.diagnostics["consistency"]:
-        curve = model.curve
+        curve, dxs = model.curve, [max(model.hetero_radius, 1.0) * dx for dx in _CONSISTENCY_DXS]
         low = []
         for k in (curve.alpha_min - 1.0,
                   curve.alpha_min + 0.9 * (curve.alpha_max - curve.alpha_min),
                   curve.alpha_max + 1.0):
-            rep = consistency_rate(model, k, dx_values=_CONSISTENCY_DXS)
+            rep = consistency_rate(model, k, dx_values=dxs)
             print(rep.summary())
             if not (rep.exact or rep.slope >= 0.9):
                 low.append(f"k={k:.6g} (slope {rep.slope:.3f})")

@@ -716,8 +716,20 @@ def test_cli_validate_passes_consistency_on_valid_traffic_parameters(flux, capsy
     # pre-asymptotic at the crossing level; a least-squares slope over it
     # read 0.756 and 0.562 and failed the 0.9 threshold.
     assert main(["validate", "--flux-family=lwr", *flux]) == 0
-    rows = [line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("flux consistency")]
+    _assert_first_order(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("family", ["heterogeneous_quadratic", "lwr"])
+def test_cli_validate_sweeps_a_wide_heterogeneity_on_steps_scaled_by_its_radius(family, capsys):
+    # The sweep's steps scale with max(X, 1), so it puts as many cells across
+    # the heterogeneity whatever X; on unscaled steps X = 2e4 needs 2e6 cells.
+    assert main(["validate", f"--flux-family={family}", "--flux-radius=2e4"]) == 0
+    _assert_first_order(capsys.readouterr().out)
+
+
+def _assert_first_order(out):
+    """Three consistency lines, each exact or of slope >= 0.9."""
+    rows = [line for line in out.splitlines() if line.startswith("flux consistency")]
     kinds = [re.search(r": (exact|slope \S+),", row).group(1) for row in rows]
     assert len(kinds) == 3, rows
     assert all(kind == "exact" or float(kind.split()[1]) >= 0.9 for kind in kinds), rows
