@@ -504,8 +504,10 @@ def run(
     else:
         brk, within, contain = None, "envelope", (env.lower_bound, env.upper_bound)
     L = lipschitz_bound(model, *contain)
-    policy = (replace(_cfl_policy(L, mesh, safety, max_dt), bound=within) if L > _NO_SPEED
-              else _cfl_policy(env.lipschitz, mesh, safety, max_dt))
+    if L > _NO_SPEED:
+        policy = replace(_cfl_policy(L, mesh, safety, max_dt), bound=within)
+    else:
+        policy = _cfl_policy(env.lipschitz, mesh, safety, max_dt)
     slack = _CONTAIN_ULPS * np.finfo(float).eps * (1.0 + max(map(abs, contain)))
     contain = (contain[0] - slack, contain[1] + slack)
     a, b = cone(model, 0.0, 0.0, policy.lipschitz * t_end)
@@ -520,8 +522,8 @@ def run(
     scheme = Scheme(model, mesh, policy.lipschitz)
     if brk is not None:
         # Both bracket states must be fixed points of this Scheme. invert_branch leaves each
-        # cell's flux within TOL_ROOT (1 + |level| + |H(x_j, alpha_j)|) of the level, so a
-        # flux difference within twice that: the flux minima set the scale, not the level.
+        # cell's flux within TOL_ROOT (1 + |level| + |H(x_j, alpha_j)|) of the level, so each
+        # edge flux difference within twice that: the flux minima set the scale, not the level.
         _, al_ext, f = ghost_cells(model, mesh)
         scale = 1.0 + float(np.max(np.abs(f(al_ext))))
         F = scheme.edge_fluxes(np.stack([s.values for s in brk]))
