@@ -302,8 +302,7 @@ def _run_pipeline(cfg: ExperimentConfig, out: _Outputs, observers=()):
             "lipschitz": result.cfl.lipschitz,
             "safety": result.cfl.safety,
             "bound": result.cfl.bound,
-            "bracket": None if result.bracket is None else list(_physical(
-                model, result.bracket[0].bound, result.bracket[1].bound)),
+            "bracket": list(_physical(model, result.bracket[0].bound, result.bracket[1].bound)),
         },
         "envelope": {"lower": lo, "upper": hi},
         "run": {

@@ -236,16 +236,22 @@ def lipschitz_bound(model: FluxModel, lo: float, hi: float) -> float:
 
 def ghost_cells(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray, Callable]:
     """(xc_ext, al_ext, f): the read-only centers of mesh with one ghost
-    cell per side, alpha at them, and the flux frozen there. The model keeps
-    them for the last mesh asked about, at most one mesh, so the steady
-    states and the Scheme of a run share one solve and one freeze."""
+    cell per side, alpha at them, and the flux frozen there. A ghost sits on
+    its boundary cell's center, so it copies that cell whole: position,
+    alpha and flux (and, in the Scheme, state), and every steady state is a
+    fixed point on any window. The model keeps them for the last mesh asked
+    about, at most one mesh, so the steady states and the Scheme of a run
+    share one solve and one freeze."""
     memo = model.__dict__.get("_ghost_cells")
     if memo is None or memo[0] != mesh:
         xc = mesh.centers()
-        xc_ext = np.concatenate(([xc[0] - mesh.dx], xc, [xc[-1] + mesh.dx]))
-        span, spread = distinct_span(model, xc_ext)
+        xc_ext = np.concatenate((xc[:1], xc, xc[-1:]))
+        # The span of the interior centers: distinct_span needs strictly
+        # increasing positions, which the repeated ends are not.
+        span, spread = distinct_span(model, xc)
         f = frozen_flux(model, xc_ext)
-        al_ext = spread(f.at(span).alpha())
+        al = spread(f.at(slice(1, -1)).at(span).alpha())
+        al_ext = np.concatenate((al[:1], al, al[-1:]))
         xc_ext.flags.writeable = al_ext.flags.writeable = False
         # Written like a cached_property: the frozen dataclass has a __dict__.
         memo = model.__dict__["_ghost_cells"] = (mesh, xc_ext, al_ext, f)

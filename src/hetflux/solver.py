@@ -279,10 +279,10 @@ def steady_residual(state: SteadyState, model: FluxModel, mesh: Mesh) -> float:
     return float(np.max(np.abs(np.diff(F))))
 
 
-def _breach(lo: float, hi: float, contain, within: str, where: str) -> InvariantBreach:
-    """The error for a state range [lo, hi] that leaves contain."""
+def _breach(lo: float, hi: float, contain, where: str) -> InvariantBreach:
+    """The error for a state range [lo, hi] that leaves the bracket contain."""
     return InvariantBreach(
-        f"state range [{lo:.17g}, {hi:.17g}] {where} leaves the {within} "
+        f"state range [{lo:.17g}, {hi:.17g}] {where} leaves the bracket "
         f"[{contain[0]:.17g}, {contain[1]:.17g}]"
     )
 
@@ -443,7 +443,7 @@ class RunResult:
     snapshots: list
     cfl: CflPolicy
     envelope: Envelope
-    bracket: Optional[tuple[SteadyState, SteadyState]]  # (lower, upper), see run
+    bracket: tuple[SteadyState, SteadyState]  # (lower, upper), see run
     n_steps: int
     running_min: float
     running_max: float
@@ -496,16 +496,11 @@ def run(
         raise ConfigError(f"t_end must be >= 0, got {t_end}")
     u = project_initial(datum, mesh).u
     env = envelope(model, mesh, *(datum.bounds(mesh) if datum_bounds is None else datum_bounds))
-    X = model.hetero_radius
-    xc = mesh.centers()
-    if X == 0.0 or (xc[0] <= -X and xc[-1] >= X):
-        brk = bracket(model, mesh, u)
-        within, contain = "bracket", (brk[0].bound, brk[1].bound)
-    else:
-        brk, within, contain = None, "envelope", (env.lower_bound, env.upper_bound)
+    brk = bracket(model, mesh, u)
+    contain = (brk[0].bound, brk[1].bound)
     L = lipschitz_bound(model, *contain)
     if L > _NO_SPEED:
-        policy = replace(_cfl_policy(L, mesh, safety, max_dt), bound=within)
+        policy = replace(_cfl_policy(L, mesh, safety, max_dt), bound="bracket")
     else:
         policy = _cfl_policy(env.lipschitz, mesh, safety, max_dt)
     slack = _CONTAIN_ULPS * np.finfo(float).eps * (1.0 + max(map(abs, contain)))
@@ -520,17 +515,16 @@ def run(
         )
 
     scheme = Scheme(model, mesh, policy.lipschitz)
-    if brk is not None:
-        # Both bracket states must be fixed points of this Scheme. invert_branch leaves each
-        # cell's flux within TOL_ROOT (1 + |level| + |H(x_j, alpha_j)|) of the level, so each
-        # edge flux difference within twice that: the flux minima set the scale, not the level.
-        _, al_ext, f = ghost_cells(model, mesh)
-        scale = 1.0 + float(np.max(np.abs(f(al_ext))))
-        F = scheme.edge_fluxes(np.stack([s.values for s in brk]))
-        for branch, s, res in zip(("lower", "upper"), brk, np.max(np.abs(np.diff(F)), axis=-1)):
-            if not res <= (tol := 2.0 * TOL_ROOT * (scale + abs(s.flux_level))):
-                raise InvariantBreach(f"the {branch} bracket state of flux level {s.flux_level:.17g} "
-                                      f"is no fixed point of the Scheme: residual {res:.3e} > {tol:.3e}")
+    # Both bracket states must be fixed points of this Scheme. invert_branch leaves each
+    # cell's flux within TOL_ROOT (1 + |level| + |H(x_j, alpha_j)|) of the level, so each
+    # edge flux difference within twice that: the flux minima set the scale, not the level.
+    _, al_ext, f = ghost_cells(model, mesh)
+    scale = 1.0 + float(np.max(np.abs(f(al_ext))))
+    F = scheme.edge_fluxes(np.stack([s.values for s in brk]))
+    for branch, s, res in zip(("lower", "upper"), brk, np.max(np.abs(np.diff(F)), axis=-1)):
+        if not res <= (tol := 2.0 * TOL_ROOT * (scale + abs(s.flux_level))):
+            raise InvariantBreach(f"the {branch} bracket state of flux level {s.flux_level:.17g} "
+                                  f"is no fixed point of the Scheme: residual {res:.3e} > {tol:.3e}")
     dt_nominal = policy.dt(mesh.dx)
     events = sorted({float(t) for t in snapshot_times if 0.0 < t < t_end})
     events.append(float(t_end))
@@ -554,7 +548,7 @@ def run(
             u_new, f_in, f_out = scheme.step_arrays(u, dt)
             lo, hi = scheme.last_range
             if lo < cmin or hi > cmax:
-                raise _breach(lo, hi, contain, within, "entering step")
+                raise _breach(lo, hi, contain, "entering step")
             if lo < rmin:
                 rmin = lo
             if hi > rmax:
@@ -574,7 +568,7 @@ def run(
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericalError("non-finite state at the end of the run")
     if lo < cmin or hi > cmax:
-        raise _breach(lo, hi, contain, within, "at the end of the run")
+        raise _breach(lo, hi, contain, "at the end of the run")
     rmin, rmax = min(rmin, lo), max(rmax, hi)
     mass_final, drift = _mass_balance(u, mesh.dx, mass0, net_out, t_end)
     return RunResult(

@@ -761,6 +761,23 @@ def test_cli_diagnose_checks_the_run_and_leaves_the_sweep_to_validate(tmp_path, 
     assert len(calls) == 3
 
 
+def test_cli_diagnose_on_a_window_that_cuts_the_heterogeneity_steps_on_the_bracket(
+        tmp_path, monkeypatch, capsys):
+    # The window [-0.5, 0.5] ends inside (-1, 1): the ghosts copy their
+    # boundary cells, so the bracket still certifies the run.
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    path = os.path.join(CONFIG_DIR, "demo_heterogeneous_bump.ini")
+    with pytest.warns(UserWarning, match="influence cone"):
+        code = main(["diagnose", "-c", path, "--mesh-x-min=-0.5", "--mesh-x-max=0.5",
+                     "--output-directory=d"])
+    assert code == 0
+    assert "diagnose: 3/3 checks passed" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert manifest["cfl"]["bound"] == "bracket"
+    lower, upper = manifest["cfl"]["bracket"]
+    assert lower <= manifest["run"]["state_min"] <= manifest["run"]["state_max"] <= upper
+
+
 def test_cli_validate_exits_4_naming_a_level_below_first_order(monkeypatch, capsys):
     model = make_config({"flux": {"family": "lwr"}}).build_model()
     curve = model.curve

@@ -1243,17 +1243,33 @@ def test_the_envelope_answers_its_own_lipschitz_bound(name):
     assert env.lipschitz.hex() == lipschitz_bound(model, env.lower_bound, env.upper_bound).hex()
 
 
-def test_window_inside_the_heterogeneity_takes_the_envelope_step(hq_model):
-    # The boundary cells lie inside (-X, X), so their ghosts carry other
-    # fluxes and the bracket states need not be fixed points there.
-    mesh = Mesh.make(-1.0, 1.0, 0.05)
+# A window whose boundary cells lie inside (-X, X), and the window of
+# test_compact_solves_match_solves_at_every_cell_bitwise whose first center
+# sits on X = 0, where a span over the ghost-extended centers would be empty.
+CUT_WINDOWS = {
+    "inside (-X, X)": (heterogeneous_quadratic, (-1.0, 1.0, 0.05)),
+    "center on X = 0": (quadratic, (-1.0 / 16.0, 39.0 / 16.0, 1.0 / 8.0)),
+}
+
+
+@pytest.mark.parametrize("window", sorted(CUT_WINDOWS))
+def test_window_inside_the_heterogeneity_steps_on_the_bracket(window):
+    # Each ghost copies its boundary cell, flux included, so the bracket
+    # states are fixed points on any window and certify the run.
+    family, bounds = CUT_WINDOWS[window]
+    model, mesh = family(), Mesh.make(*bounds)
+    xc_ext, al_ext, _ = fm.ghost_cells(model, mesh)
+    for ext in (xc_ext, al_ext):
+        assert ext[0] == ext[1] and ext[-1] == ext[-2]
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*influence cone.*")
-        res = run(hq_model, mesh, datum_step(0.2, 1.2), t_end=0.1)
-    env = res.envelope
-    assert res.bracket is None and res.cfl.bound == "envelope"
-    assert res.cfl.lipschitz == lipschitz_bound(hq_model, env.lower_bound, env.upper_bound)
-    assert env.lower_bound <= res.running_min and res.running_max <= env.upper_bound
+        res = run(model, mesh, datum_step(0.2, 1.2), t_end=0.1)
+    assert res.cfl.bound == "bracket" and res.n_steps > 0
+    for st in res.bracket:
+        assert solver.steady_residual(st, model, mesh) <= 1e-12 * (1.0 + abs(st.flux_level))
+    lower, upper = (st.bound for st in res.bracket)
+    assert res.cfl.lipschitz == lipschitz_bound(model, lower, upper)
+    assert lower <= res.running_min and res.running_max <= upper
 
 
 def test_run_reads_the_envelope_constants_only_on_the_fallback():
@@ -1264,12 +1280,11 @@ def test_run_reads_the_envelope_constants_only_on_the_fallback():
     res = run(model, Mesh.make(-3.0, 3.0, 0.05), datum, t_end=0.1)
     assert res.cfl.bound == "bracket"
     assert not derived & set(vars(res.envelope)) and "legendre_sup_1" not in vars(model)
-    # A window inside (-X, X) steps on the envelope, so the run reads it.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*influence cone.*")
-        res = run(model, Mesh.make(-1.0, 1.0, 0.05), datum, t_end=0.1)
+    # Constant data at alpha: the bracket carries no wave speed, so the run
+    # steps on the envelope's L and reads its constants.
+    res = run(quadratic(), Mesh.make(-1.0, 1.0, 0.05), datum_constant(0.0), t_end=0.1)
     assert res.cfl.bound == "envelope"
-    assert {"lower_bound", "upper_bound"} <= set(vars(res.envelope))
+    assert {"lower_bound", "upper_bound", "lipschitz"} <= set(vars(res.envelope))
 
 
 def test_run_builds_the_envelope_states_only_on_demand(monkeypatch, hq_model):
@@ -1336,7 +1351,7 @@ def test_compact_solves_match_solves_at_every_cell_bitwise(name, mesh_name, rng)
     mesh = Mesh.make(*SPAN_MESHES[mesh_name](X, X or 1.0))
     xc = mesh.centers()
     assert mesh_name != "at -X" or xc[0] == -X
-    xc_ext = np.concatenate(([xc[0] - mesh.dx], xc, [xc[-1] + mesh.dx]))
+    xc_ext = np.concatenate((xc[:1], xc, xc[-1:]))  # each ghost on its boundary center
     al_ext = fm.critical_point(model, xc_ext)
     al, f = al_ext[1:-1], fm.frozen_flux(model, xc)
     assert fm.ghost_cells(model, mesh)[1].tobytes() == al_ext.tobytes()
