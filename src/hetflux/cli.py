@@ -47,7 +47,7 @@ from .errors import ConfigError, InvariantBreach, NumericalError
 from .flux_model import FluxModel, validate_assumptions
 from .interface import InterfaceContext
 from .riemann import sample, solve_interface, wave_census
-from .solver import MASS_DRIFT_TOL, Mesh, cone_mesh, run
+from .solver import MASS_DRIFT_TOL, MAX_AUTO_CELLS, Mesh, cone_mesh, run
 from .steady import build_steady, envelope
 
 EXIT_OK = 0
@@ -245,11 +245,19 @@ def _build_mesh(cfg: ExperimentConfig, model: FluxModel, datum=None, t_end: floa
     Auto window: solver.cone_mesh of [-s, s], s = max(datum support, 1),
     with reach the envelope L * t_end, the envelope of the datum's bounds on
     the cone of reach 1. It refuses a datum of unknown (infinite) support.
+    An explicit window obeys the same cap of MAX_AUTO_CELLS cells, checked
+    before anything is allocated (Mesh.make allocates nothing).
     """
     mcfg = cfg.mesh
     dx = mcfg["dx"]
     if mcfg["x_min"] is not None:
-        return Mesh.make(mcfg["x_min"], mcfg["x_max"], dx)
+        mesh = Mesh.make(mcfg["x_min"], mcfg["x_max"], dx)
+        if mesh.n_cells > MAX_AUTO_CELLS:
+            raise ConfigError(
+                f"the window [{mesh.x_min:g}, {mesh.x_max:g}] at mesh.dx={dx:g} needs "
+                f"{mesh.n_cells:.3g} cells, more than {MAX_AUTO_CELLS}; use a coarser "
+                "mesh.dx or a narrower mesh.x_min, mesh.x_max")
+        return mesh
     s = max(0.0 if datum is None else datum.support, 1.0)
     margin = 0.0
     if t_end > 0 and datum is not None:

@@ -35,6 +35,7 @@ from .riemann import KIND_RAREFACTION, SIDE_RIGHT, RiemannSolution, _invert_rare
 from .solver import (
     _GAUSS_NODES,
     _GAUSS_WEIGHTS,
+    MAX_AUTO_CELLS,
     Mesh,
     Scheme,
     cone_mesh,
@@ -43,6 +44,9 @@ from .solver import (
 from .steady import Envelope, envelope
 
 DEFAULT_K_LEVELS = 33
+# EntropyCheck keeps nine (cells x levels) tables, about 58 B per cell-level:
+# this many let any automatic mesh run the default levels.
+MAX_CELL_LEVELS = MAX_AUTO_CELLS * (DEFAULT_K_LEVELS + 2)
 # consistency_rate: successive rates this close count as settled, and the
 # finest dx of a sweep is halved at most this often to get there.
 _SETTLED = 0.05
@@ -157,11 +161,18 @@ class EntropyCheck:
         self._n_steps = 0
 
     def start(self, scheme: Scheme, envelope: Envelope, u0: np.ndarray) -> None:
-        ks = self.k_values
+        ks, n = self.k_values, scheme.mesh.n_cells
+        # The default levels are at most n_levels and the two data extremes.
+        n_k = self.n_levels + 2 if ks is None else ks.size
+        if n * n_k > MAX_CELL_LEVELS:
+            raise ConfigError(
+                f"the entropy check needs {n_k:.3g} levels on {n} cells, more than "
+                f"{MAX_CELL_LEVELS:.3g} cell-levels; lower diagnostics.k_levels or "
+                "use a coarser mesh.dx")
         if ks is None:
             ks = default_k_levels(envelope, u0, self.n_levels)
         self._scheme, self._ks = scheme, ks
-        n_k, n = ks.size, scheme.mesh.n_cells
+        n_k = ks.size
         # The k edge terms and d_kk, the difference of F(k, k), are time
         # independent. Each level-major temporary is freed once transposed.
         k_sides = scheme.edge_sides(np.broadcast_to(self._ks[:, None], (n_k, n)))

@@ -3,11 +3,13 @@
 hetflux.config.SECTIONS states every section, key and default; parsing, the
 echo and the command-line flags all read it. These tests pin that surface
 (the flag list and the parsed type of every key), the rule that numbers
-are finite, and the cap on the window the CLI sizes by itself.
+are finite, and the caps on what the config sizes: the window, automatic
+or explicit, and the entropy check's (cells x levels) tables.
 """
 
 import inspect
 import itertools
+import os
 import re
 
 import pytest
@@ -18,6 +20,8 @@ from hetflux.config import DATUM_BUILDERS, FAMILY_BUILDERS, config_keys, make_co
 from hetflux.errors import ConfigError
 from hetflux.families import quadratic
 from hetflux.solver import MAX_AUTO_CELLS, cone_mesh
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 FLAGS = [
     "--flux-family", "--flux-coefficient", "--flux-shift", "--flux-offset",
@@ -154,3 +158,29 @@ def test_auto_window_cap_is_inclusive():
                           (-249999.1, 249998.85, 0.0)):
         with pytest.raises(ConfigError, match="set mesh.x_min and mesh.x_max"):
             cone_mesh(flat, lo, hi, reach, 0.5, advice=advice)
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["run", "--mesh-x-min=-1e9", "--mesh-x-max=1e9", "--mesh-dx=0.001"],
+     ("mesh.dx", "mesh.x_min", "mesh.x_max")),
+    (["diagnose", "--diagnostics-k-levels", "1000000000000"], ("diagnostics.k_levels", "mesh.dx")),
+], ids=["explicit window", "entropy table"])
+def test_config_sizes_past_the_budget_are_refused_before_allocation(argv, keys, tmp_path,
+                                                                   monkeypatch, capsys):
+    # numpy would ask for 14.6 TiB of cell centers, or 7.28 TiB of levels.
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    path = os.path.join(CONFIG_DIR, "golden_homogeneous_shock.ini")
+    assert main([argv[0], "-c", path, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("hetflux: configuration error: ")
+    assert all(key in err for key in keys), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_explicit_window_cap_is_inclusive():
+    raw = {"flux": {"family": "quadratic"}, "mesh": {"dx": "0.5", "x_min": "-250000"}}
+    cfg = make_config({**raw, "mesh": {**raw["mesh"], "x_max": "250000"}})
+    assert cli._build_mesh(cfg, cfg.build_model()).n_cells == MAX_AUTO_CELLS
+    cfg = make_config({**raw, "mesh": {**raw["mesh"], "x_max": "250000.5"}})
+    with pytest.raises(ConfigError, match=r"needs 1e\+06 cells, more than 1000000"):
+        cli._build_mesh(cfg, cfg.build_model())

@@ -16,6 +16,7 @@ Frozen numbers:
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from conftest import (
 
 import hetflux.diagnostics as diagnostics
 from hetflux.diagnostics import (
+    DEFAULT_K_LEVELS,
+    MAX_CELL_LEVELS,
     EntropyCheck,
     TimeVariation,
     consistency_rate,
@@ -40,6 +43,7 @@ from hetflux.errors import ConfigError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.riemann import sample, solve_interface
 from hetflux.solver import (
+    MAX_AUTO_CELLS,
     GridState,
     Mesh,
     PiecewiseConstantDatum,
@@ -90,6 +94,27 @@ def test_dei_holds_across_the_interface(pair_model):
 def test_dei_validates_levels():
     with pytest.raises(ConfigError, match="non-empty"):
         EntropyCheck(k_values=[])
+
+
+def test_entropy_check_budgets_its_tables_before_building_a_level(monkeypatch):
+    # start checks cells x levels against MAX_CELL_LEVELS before anything
+    # else: a scheme of stand-ins holds only the cell count.
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(diagnostics, "default_k_levels", reached)
+    on = lambda n: SimpleNamespace(mesh=SimpleNamespace(n_cells=n))
+    with pytest.raises(Reached):  # the cap's mesh runs the default levels
+        EntropyCheck().start(on(MAX_AUTO_CELLS), None, None)
+    refused = [(EntropyCheck(n_levels=DEFAULT_K_LEVELS + 1), MAX_AUTO_CELLS),
+               (EntropyCheck(n_levels=10**12), 400),
+               (EntropyCheck(k_values=np.zeros(MAX_CELL_LEVELS // 1000 + 1)), 1000)]
+    for check, n in refused:
+        with pytest.raises(ConfigError, match="lower diagnostics.k_levels or use a coarser mesh.dx"):
+            check.start(on(n), None, None)
 
 
 def test_dei_report_needs_an_observed_step(pair_model):
