@@ -246,8 +246,7 @@ def ghost_cells(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray, Callabl
     if memo is None or memo[0] != mesh:
         xc = mesh.centers()
         xc_ext = np.concatenate((xc[:1], xc, xc[-1:]))
-        # The span of the interior centers: distinct_span needs strictly
-        # increasing positions, which the repeated ends are not.
+        # The span of the interior centers: xc_ext repeats its ends.
         span, spread = distinct_span(model, xc)
         f = frozen_flux(model, xc_ext)
         al = spread(f.at(slice(1, -1)).at(span).alpha())
@@ -259,11 +258,12 @@ def ghost_cells(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray, Callabl
 
 
 def distinct_span(model: FluxModel, xs: np.ndarray) -> tuple[slice, Callable]:
-    """(span, spread): the slice of the sorted positions xs whose fluxes can
-    differ, every x in (-X, X) and the nearest x with |x| >= X on each side,
-    which carries the flux of the rest of its side; and spread(v), which
-    replicates values at xs[span] onto the rest, as the ghost cells do. An
-    elementwise solve on the span, spread, has the bits of one at all of xs."""
+    """(span, spread): the slice of the strictly increasing positions xs
+    (repeated ones can leave it empty) whose fluxes can differ, every x in
+    (-X, X) and the nearest x with |x| >= X on each side, which carries the
+    flux of the rest of its side; and spread(v), which replicates values at
+    xs[span] onto the rest, as the ghost cells do. An elementwise solve on
+    the span, spread, has the bits of one at all of xs."""
     X = model.hetero_radius
     a = max(int(np.searchsorted(xs, -X, side="right")) - 1, 0)
     b = int(np.searchsorted(xs, X, side="left")) + 1

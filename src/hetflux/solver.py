@@ -12,10 +12,11 @@ The update is the standard conservative explicit Euler step
 monotone under the step-size condition 2 (dt/dx) L <= 1, where L bounds
 |du_h| over the invariant region: run() takes it over the bracket, the
 nearest pair of steady states around the data, and checks every state
-against it. Ghost cells replicate the boundary cell (zero-order
-extrapolation), which is exact while the solution stays constant near the
-window edges; the runner warns when the influence cone of the heterogeneity
-can reach them.
+against it. Ghost cells replicate the boundary cell, position and flux
+included (zero-order extrapolation), so every steady state is a fixed point
+on any window; this is exact while the solution stays constant near the
+window edges, and the runner warns when the influence cone of the
+heterogeneity can reach them.
 
 A step touches only the cells that can change: the 3-point update moves
 information at most one cell per step, and a cell whose two edge fluxes
@@ -126,7 +127,7 @@ class CflPolicy:
     safety: float
     lam: float  # dt / dx
     lipschitz: float  # L
-    bound: str = "envelope"  # the state range L was taken over: "bracket" or "envelope"
+    bound: str = "envelope"  # what L was taken over: "bracket", or "envelope" when it has no speed
 
     def dt(self, dx: float) -> float:
         return self.lam * dx
@@ -136,12 +137,13 @@ class Scheme:
     """Per-mesh tables and the step kernel.
 
     The flux is frozen once at the N+2 ghost-extended centers (ghost_cells,
-    kept by the model); h_pair is that table over the (N+1, 2) edges, the left
-    cell's flux and the right one's, so one call evaluates both sides of a
-    range of edges. step_arrays() allocates only the new state. last_range
-    holds the (min, max) of the state u the last step started from, and
-    last_edges (u, a, b, F) that u with its two edge terms and edge flux at
-    every edge, valid until the next step.
+    kept by the model), each ghost on its boundary cell's center, so it
+    copies that cell's flux; h_pair is that table over the (N+1, 2) edges,
+    the left cell's flux and the right one's, so one call evaluates both
+    sides of a range of edges. step_arrays() allocates only the new state.
+    last_range holds the (min, max) of the state u the last step started
+    from, and last_edges (u, a, b, F) that u with its two edge terms and
+    edge flux at every edge, valid until the next step.
 
     Band rule: band holds the state u_new the last step returned and the
     span [lo, hi) of its cells with nonzero dF. A step handed that very
@@ -474,14 +476,13 @@ def run(
     u0 that sandwich it (steady.bracket). Constant-level states are fixed
     points of the scheme and the scheme is monotone under the CFL bound, so
     by comparison (Crandall-Majda) u never leaves [min lower, max upper], and
-    L is taken over that range. InvariantBreach is raised when a bracket
-    state is no fixed point of the run's Scheme, and when a state leaves the
-    range (to a few ulps). When a boundary cell lies inside (-X, X), its
-    ghost carries another flux and the bracket states need not be fixed
-    points: the constants of the Legendre envelope, wider, take the
-    bracket's place. A range that carries no wave speed (constant data at
-    alpha) takes the envelope's L. The envelope computes its constants only
-    then, or when an observer or a caller reads them (RunResult.envelope).
+    L is taken over that range. The ghost cells copy their boundary cells,
+    flux included, so this holds on every window, one that cuts [-X, X]
+    too. InvariantBreach is raised when a bracket state is no fixed point of
+    the run's Scheme, and when a state leaves the range (to a few ulps). A
+    bracket that carries no wave speed (constant data at alpha) takes the
+    envelope's L. The envelope computes its constants only then, or when an
+    observer or a caller reads them (RunResult.envelope).
     The scheme is conservative, so at every snapshot, the last one at t_end,
     the mass must equal the initial mass minus the boundary outflow to a
     relative MASS_DRIFT_TOL, or InvariantBreach is raised.

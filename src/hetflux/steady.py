@@ -37,8 +37,8 @@ from .flux_model import FluxModel, distinct_span, ghost_cells, invert_branch, li
 class SteadyState:
     """Cellwise steady sequence on a mesh (interior cells only).
 
-    It is constant outside [-X, X], so the solver's edge-replicated ghost
-    cells continue it.
+    The solver's ghost cells copy the boundary cells, flux included, so
+    they continue it on any window.
     """
 
     values: np.ndarray
@@ -112,9 +112,9 @@ def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
     distinct_span), on the upper and the lower branch. Each cell then has
     lower_j <= min(u_j, alpha_j) and max(u_j, alpha_j) <= upper_j (up to the
     root solve's rounding), and no steady state of either branch with a level
-    nearer to the data sandwiches u. Both are fixed points of the scheme
-    while the boundary cells carry the flux of their ghosts. A level that
-    overflows raises NumericalError naming the data level that carries it.
+    nearer to the data sandwiches u. Both are fixed points of the scheme. A
+    level that overflows raises NumericalError naming the data level that
+    carries it.
     """
     xc_ext, al_ext, f = ghost_cells(model, mesh)
     span, spread = distinct_span(model, xc_ext[1:-1])
