@@ -309,7 +309,6 @@ def _run_pipeline(cfg: ExperimentConfig, out: _Outputs, observers=()):
             "lambda": result.cfl.dt(mesh.dx) / mesh.dx,
             "lipschitz": result.cfl.lipschitz,
             "safety": result.cfl.safety,
-            "bound": result.cfl.bound,
             "bracket": list(_physical(model, result.bracket[0].bound, result.bracket[1].bound)),
         },
         "envelope": {"lower": lo, "upper": hi},

@@ -41,7 +41,7 @@ from .solver import (
     cone_mesh,
     run,
 )
-from .steady import Envelope, envelope
+from .steady import envelope
 
 DEFAULT_K_LEVELS = 33
 # EntropyCheck keeps nine (cells x levels) tables, about 58 B per cell-level:
@@ -97,10 +97,11 @@ class EntropyReport:
 
 
 def default_k_levels(
-    envelope: Envelope, u0: np.ndarray, n_levels: int = DEFAULT_K_LEVELS
+    certified: tuple[float, float], u0: np.ndarray, n_levels: int = DEFAULT_K_LEVELS
 ) -> np.ndarray:
-    """Evenly spaced levels across the invariant region, plus the data extremes."""
-    ks = np.linspace(envelope.lower_bound, envelope.upper_bound, n_levels)
+    """Evenly spaced levels across the certified range (lower, upper) that
+    run() hands its observers, plus the data extremes."""
+    ks = np.linspace(*certified, n_levels)
     extra = np.array([float(np.min(u0)), float(np.max(u0))])
     return np.unique(np.concatenate([ks, extra]))
 
@@ -109,7 +110,7 @@ class EntropyCheck:
     """Run observer evaluating the discrete entropy inequality on every step.
 
     Pass it in run(..., observers=...), then read report(). Without k_values
-    the levels are default_k_levels(envelope, u0, n_levels); they run and
+    the levels are default_k_levels(certified, u0, n_levels); they run and
     are reported in the caller's order. When u is the state the run's
     Scheme last stepped from (as run() hands it over), the edge terms come
     from that step (Scheme.last_edges); otherwise they are evaluated here.
@@ -160,7 +161,7 @@ class EntropyCheck:
         self.n_levels = n_levels
         self._n_steps = 0
 
-    def start(self, scheme: Scheme, envelope: Envelope, u0: np.ndarray) -> None:
+    def start(self, scheme: Scheme, certified: tuple[float, float], u0: np.ndarray) -> None:
         ks, n = self.k_values, scheme.mesh.n_cells
         # The default levels are at most n_levels and the two data extremes.
         n_k = self.n_levels + 2 if ks is None else ks.size
@@ -170,7 +171,7 @@ class EntropyCheck:
                 f"{MAX_CELL_LEVELS:.3g} cell-levels; lower diagnostics.k_levels or "
                 "use a coarser mesh.dx")
         if ks is None:
-            ks = default_k_levels(envelope, u0, self.n_levels)
+            ks = default_k_levels(certified, u0, self.n_levels)
         self._scheme, self._ks = scheme, ks
         n_k = ks.size
         # The k edge terms and d_kk, the difference of F(k, k), are time
@@ -595,7 +596,7 @@ class TimeVariation:
         self.window = window
         self._sum = self._dx = 0.0
 
-    def start(self, scheme: Scheme, envelope: Envelope, u0: np.ndarray) -> None:
+    def start(self, scheme: Scheme, certified: tuple[float, float], u0: np.ndarray) -> None:
         self._sum, self._dx, xc = 0.0, scheme.mesh.dx, scheme.mesh.centers()
         w = self.window
         self._cells = slice(None) if w is None else (xc >= w[0]) & (xc <= w[1])

@@ -126,8 +126,7 @@ class CflPolicy:
 
     safety: float
     lam: float  # dt / dx
-    lipschitz: float  # L
-    bound: str = "envelope"  # what L was taken over: "bracket", or "envelope" when it has no speed
+    lipschitz: float  # L, taken over the bracket
 
     def dt(self, dx: float) -> float:
         return self.lam * dx
@@ -305,21 +304,19 @@ def _mass_balance(u: np.ndarray, dx: float, mass0: float, net_out: float,
     return mass, drift
 
 
-def _cfl_policy(L: float, mesh: Mesh, safety: float, max_dt: Optional[float]) -> CflPolicy:
+def _cfl_policy(L: float, mesh: Mesh, safety: float, max_dt: Optional[float],
+                t_end: float) -> CflPolicy:
     """The step-size policy for the wave-speed bound L on mesh: dt = safety *
-    dx / (2 L), capped at max_dt. When L counts as no speed the step is
-    unbounded, so dt = max_dt, which must then be given."""
+    dx / (2 L), capped at max_dt. With no speed no step breaks monotonicity
+    (see run), so dt = max_dt, or t_end when that is None."""
     if not (0 < safety <= 1):
         raise ConfigError(f"safety factor must lie in (0, 1], got {safety}")
     if L <= _NO_SPEED:
-        if max_dt is None:
-            raise NumericalError(
-                "flux carries no wave speeds on the state range; supply max_dt"
-            )
-        return CflPolicy(safety=safety, lam=max_dt / mesh.dx, lipschitz=L)
-    dt = safety * mesh.dx / (2.0 * L)
-    if max_dt is not None:
-        dt = min(dt, max_dt)
+        dt = t_end if max_dt is None else max_dt
+    else:
+        dt = safety * mesh.dx / (2.0 * L)
+        if max_dt is not None:
+            dt = min(dt, max_dt)
     return CflPolicy(safety=safety, lam=dt / mesh.dx, lipschitz=L)
 
 
@@ -480,32 +477,29 @@ def run(
     flux included, so this holds on every window, one that cuts [-X, X]
     too. InvariantBreach is raised when a bracket state is no fixed point of
     the run's Scheme, and when a state leaves the range (to a few ulps). A
-    bracket that carries no wave speed (constant data at alpha) takes the
-    envelope's L. The envelope computes its constants only then, or when an
-    observer or a caller reads them (RunResult.envelope).
+    bracket that carries no wave speed (constant data at alpha) holds every
+    edge flux equal, so the data are a fixed point and each step is max_dt,
+    or the whole time to the next event when that is None. RunResult.envelope
+    (over datum_bounds, or datum.bounds(mesh)) is a report: run() reads none of it.
     The scheme is conservative, so at every snapshot, the last one at t_end,
     the mass must equal the initial mass minus the boundary outflow to a
     relative MASS_DRIFT_TOL, or InvariantBreach is raised.
 
     Snapshot times are hit exactly by shortening the step. Each observer gets
-    obs.start(scheme, envelope, u0) before the first step and obs.step(u,
-    u_new, dt) after each, with the dt used; no one may modify these arrays.
-    A NaN or infinite state raises NumericalError. The envelope is taken
-    over datum_bounds, or datum.bounds(mesh) when that is None.
+    obs.start(scheme, certified, u0) before the first step, certified the
+    bracket's range (min lower, max upper), and obs.step(u, u_new, dt) after
+    each, with the dt used; no one may modify these arrays. A NaN or
+    infinite state raises NumericalError.
     """
     if t_end < 0:
         raise ConfigError(f"t_end must be >= 0, got {t_end}")
     u = project_initial(datum, mesh).u
     env = envelope(model, mesh, *(datum.bounds(mesh) if datum_bounds is None else datum_bounds))
     brk = bracket(model, mesh, u)
-    contain = (brk[0].bound, brk[1].bound)
-    L = lipschitz_bound(model, *contain)
-    if L > _NO_SPEED:
-        policy = replace(_cfl_policy(L, mesh, safety, max_dt), bound="bracket")
-    else:
-        policy = _cfl_policy(env.lipschitz, mesh, safety, max_dt)
-    slack = _CONTAIN_ULPS * np.finfo(float).eps * (1.0 + max(map(abs, contain)))
-    contain = (contain[0] - slack, contain[1] + slack)
+    certified = (brk[0].bound, brk[1].bound)
+    policy = _cfl_policy(lipschitz_bound(model, *certified), mesh, safety, max_dt, t_end)
+    slack = _CONTAIN_ULPS * np.finfo(float).eps * (1.0 + max(map(abs, certified)))
+    contain = (certified[0] - slack, certified[1] + slack)
     a, b = cone(model, 0.0, 0.0, policy.lipschitz * t_end)
     if mesh.x_min > a or mesh.x_max < b:
         warnings.warn(
@@ -534,7 +528,7 @@ def run(
     if t_end > 0 and any(abs(t) <= 1e-14 * max(1.0, t_end) for t in snapshot_times):
         snapshots.append(GridState(u=u.copy(), time=0.0, step_index=0))
     for obs in observers:
-        obs.start(scheme, env, u)
+        obs.start(scheme, certified, u)
 
     mass0 = float(np.sum(u)) * mesh.dx
     net_out = 0.0

@@ -27,7 +27,7 @@ class RecordStates:
     needed. Memory grows with the step count: test use only.
     """
 
-    def start(self, scheme, envelope, u0):
+    def start(self, scheme, certified, u0):
         self.u0 = u0
         self.steps = []
 
@@ -67,8 +67,8 @@ class ReferenceEntropyCheck(EntropyCheck):
     operations in the same order in preallocated buffers, so both must
     agree bit for bit."""
 
-    def start(self, scheme, envelope, u0):
-        super().start(scheme, envelope, u0)
+    def start(self, scheme, certified, u0):
+        super().start(scheme, certified, u0)
         ks = self._ks
         shape = (ks.size, scheme.mesh.n_cells)  # (K, N), whatever EntropyCheck's layout
         k_sides = reference_edge_sides(scheme, np.broadcast_to(ks[:, None], shape))

@@ -93,7 +93,7 @@ def test_criterion_01_steady_states_are_fixed_points(hq_model):
     mesh = Mesh.make(-2.0, 2.0, 0.01)
     env = envelope(hq_model, mesh, 0.0, 1.0)
     L = lipschitz_bound(hq_model, env.lower_bound, env.upper_bound)
-    policy = _cfl_policy(L, mesh, 0.9, None)
+    policy = _cfl_policy(L, mesh, 0.9, None, 1.0)
     scheme = Scheme(hq_model, mesh, policy.lipschitz)
     dt = policy.dt(mesh.dx)
     for state in (env.upper_state, env.lower_state):

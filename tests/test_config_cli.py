@@ -363,7 +363,7 @@ def test_cli_run_manifest_records_the_cfl_bound(tmp_path, monkeypatch):
     cfl = json.loads((outdir / "manifest.json").read_text())["cfl"]
     # u0 = -1 on u^2/2 | u^2: the levels are f_r(-1) = 1 below and the
     # minimum 0 above, so the bracket is [-sqrt 2, 0] and L = 2 sqrt 2.
-    assert cfl["bound"] == "bracket"
+    assert "bound" not in cfl
     assert cfl["bracket"] == pytest.approx([-math.sqrt(2.0), 0.0], abs=1e-12)
     assert cfl["lipschitz"] == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
     # Every snapshot shares the x column and prints both at 17 digits.
@@ -555,6 +555,19 @@ def test_cli_diagnose_reports_traffic_levels_as_densities(tmp_path, monkeypatch,
     assert 0.3 in ks and 0.7 in ks
     worst_k = float(re.search(r"at k=(\S+),", capsys.readouterr().out).group(1))
     assert lo <= worst_k <= hi
+
+
+@pytest.mark.parametrize("name", ["demo_heterogeneous_bump", "demo_lwr_slowdown"])
+def test_cli_diagnose_levels_lie_inside_the_range_the_states_reach(name, tmp_path, monkeypatch):
+    # The default levels span the bracket, not the envelope, so most of them
+    # lie strictly inside the states' range, where the entropy inequality
+    # tests more than conservation (Kruzhkov 1970).
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    assert main(["diagnose", "-c", os.path.join(CONFIG_DIR, f"{name}.ini"),
+                 "--output-directory=d"]) == 0
+    run = json.loads((tmp_path / "d" / "manifest.json").read_text())["run"]
+    ks = np.loadtxt(tmp_path / "d" / "entropy_per_k.csv", delimiter=",", skiprows=1)[:, 0]
+    assert np.count_nonzero((run["state_min"] < ks) & (ks < run["state_max"])) >= 20
 
 
 def test_cli_traffic_outputs_are_in_physical_units(tmp_path, monkeypatch):
@@ -773,7 +786,6 @@ def test_cli_diagnose_on_a_window_that_cuts_the_heterogeneity_steps_on_the_brack
     assert code == 0
     assert "diagnose: 3/3 checks passed" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
-    assert manifest["cfl"]["bound"] == "bracket"
     lower, upper = manifest["cfl"]["bracket"]
     assert lower <= manifest["run"]["state_min"] <= manifest["run"]["state_max"] <= upper
 

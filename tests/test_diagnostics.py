@@ -132,12 +132,30 @@ def test_default_k_levels_cover_bounds_and_data(pair_model):
     datum = datum_step(-1.0, 0.5)
     check = EntropyCheck(n_levels=9)
     res = run(pair_model, mesh, datum, t_end=0.05, observers=(check,))
-    ks = default_k_levels(res.envelope, project_initial(datum, mesh).u, n_levels=9)
+    certified = tuple(st.bound for st in res.bracket)
+    ks = default_k_levels(certified, project_initial(datum, mesh).u, n_levels=9)
     assert np.array_equal(check.report().k_values, ks)
-    assert ks[0] == pytest.approx(res.envelope.lower_bound)
-    assert ks[-1] == pytest.approx(res.envelope.upper_bound)
+    assert (ks[0], ks[-1]) == certified
     for v in (-1.0, 0.5):
         assert np.min(np.abs(ks - v)) < 1e-14
+
+
+@pytest.mark.parametrize("family, datum", [
+    (heterogeneous_quadratic, datum_step(0.2, 1.2)),
+    (lwr, datum_step(-0.3, -0.7)),
+    (two_state, datum_step(-1.0, 1.0)),
+    (quadratic, PiecewiseConstantDatum((-0.5, 0.5), (0.0, 0.4, 0.0))),
+], ids=["heterogeneous_quadratic", "lwr", "two_state", "quadratic"])
+def test_default_levels_lie_within_the_bracket_and_hold_the_data_extremes(family, datum):
+    # run() hands its observers the range it certifies, the bracket's, and
+    # the levels span it: none only tests conservation from outside.
+    mesh = Mesh.make(-3.0, 3.0, 0.05)
+    check = EntropyCheck()
+    res = run(family(), mesh, datum, t_end=0.2, observers=(check,))
+    ks, u0 = check.report().k_values, project_initial(datum, mesh).u
+    lower, upper = (st.bound for st in res.bracket)
+    assert lower <= ks[0] and ks[-1] <= upper
+    assert {float(np.min(u0)), float(np.max(u0))} <= set(ks.tolist())
     assert np.all(np.diff(ks) > 0)
 
 
@@ -228,10 +246,14 @@ def test_entropy_check_sign_term_rows_match_the_reference_bitwise(where, locatio
         theta_bump=0.5, ell_bump=0.0, g_bump=0.0)
     mesh = Mesh.make(-4.0, 4.0, 0.02)
     n, windows = mesh.n_cells, []
-    check, ref = EntropyCheck(), ReferenceEntropyCheck()
+    # Levels of both signs: at levels k >= alpha = 0 alone, row 150's d_kk
+    # is (theta_150 - theta_149) k^2 = 0, as theta_150 rounds to 1.0, and
+    # the rows would start at 151.
+    ks = np.linspace(-0.4, 0.4, 33)
+    check, ref = EntropyCheck(k_values=ks), ReferenceEntropyCheck(k_values=ks)
 
     class Spy:
-        def start(self, scheme, envelope, u0):
+        def start(self, scheme, certified, u0):
             pass
 
         def step(self, u, u_new, dt):
@@ -278,12 +300,13 @@ def test_entropy_check_reuses_the_edge_terms_of_the_step(monkeypatch, hq_model):
 
 
 def _recorded_steps(model, mesh, datum, t_end):
-    """(scheme, envelope, u0, [(u, u_new, dt), ...]) of one run."""
+    """(scheme, certified range, u0, [(u, u_new, dt), ...]) of one run."""
     rec = RecordStates()
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*influence cone.*")
         res = run(model, mesh, datum, t_end, observers=(rec,))
-    return Scheme(model, mesh, res.cfl.lipschitz), res.envelope, rec.u0, rec.steps
+    certified = tuple(st.bound for st in res.bracket)
+    return Scheme(model, mesh, res.cfl.lipschitz), certified, rec.u0, rec.steps
 
 
 def _observe(checks, start, steps):
@@ -294,27 +317,27 @@ def _observe(checks, start, steps):
 
 
 def test_entropy_check_recomputes_when_u_is_not_the_previous_u_new(hq_model):
-    sch, env, u0, steps = _recorded_steps(hq_model, Mesh.make(-3.0, 3.0, 0.05),
-                                          datum_step(0.2, 1.2), 0.3)
+    sch, certified, u0, steps = _recorded_steps(hq_model, Mesh.make(-3.0, 3.0, 0.05),
+                                                datum_step(0.2, 1.2), 0.3)
     # Skipped steps, a copy of u, then a step whose u is the previous u_new.
     u3, u3_new, dt3 = steps[3]
     mixed = [steps[0], steps[2], (u3.copy(), u3_new, dt3), steps[4], steps[7]]
     check, ref = EntropyCheck(), ReferenceEntropyCheck()
-    _observe((check, ref), (sch, env, u0), mixed)
+    _observe((check, ref), (sch, certified, u0), mixed)
     assert_same_entropy_report(check.report(), ref.report())
     # A restart drops the carry although u is the last u_new seen.
-    _observe((check, ref), (sch, env, steps[7][1]), steps[8:12])
+    _observe((check, ref), (sch, certified, steps[7][1]), steps[8:12])
     assert_same_entropy_report(check.report(), ref.report())
 
 
 def test_entropy_check_propagates_nan_like_the_reference(pair_model):
-    sch, env, u0, steps = _recorded_steps(pair_model, Mesh.make(-2.0, 2.0, 0.05),
-                                          datum_step(-1.0, 1.0), 0.2)
+    sch, certified, u0, steps = _recorded_steps(pair_model, Mesh.make(-2.0, 2.0, 0.05),
+                                                datum_step(-1.0, 1.0), 0.2)
     u, u_new, dt = steps[1]
     bad = u_new.copy()
     bad[17] = np.nan
     check, ref = EntropyCheck(), ReferenceEntropyCheck()
-    _observe((check, ref), (sch, env, u0), [steps[0], (u, bad, dt), (bad, steps[2][1], dt)])
+    _observe((check, ref), (sch, certified, u0), [steps[0], (u, bad, dt), (bad, steps[2][1], dt)])
     got = check.report()
     assert np.all(np.isnan(got.max_slack_per_k))
     assert_same_entropy_report(got, ref.report())
@@ -322,9 +345,9 @@ def test_entropy_check_propagates_nan_like_the_reference(pair_model):
 
 def test_entropy_check_step_allocates_less_than_one_level_cell_array():
     mesh = Mesh.make(-2.0, 2.0, 0.01)
-    sch, env, u0, steps = _recorded_steps(two_state(), mesh, datum_step(-1.0, 1.0), 0.05)
+    sch, certified, u0, steps = _recorded_steps(two_state(), mesh, datum_step(-1.0, 1.0), 0.05)
     check = EntropyCheck(k_values=np.linspace(-1.5, 1.5, 35))
-    check.start(sch, env, u0)
+    check.start(sch, certified, u0)
     check.step(*steps[0])
     tracemalloc.start()
     try:
@@ -343,9 +366,9 @@ def test_entropy_check_banded_step_memory_follows_its_window():
     check, peaks = EntropyCheck(k_values=np.linspace(-1.5, 1.5, 35)), []
 
     class Traced:
-        def start(self, scheme, envelope, u0):
+        def start(self, scheme, certified, u0):
             self.scheme = scheme
-            check.start(scheme, envelope, u0)
+            check.start(scheme, certified, u0)
 
         def step(self, u, u_new, dt):
             tracemalloc.start()
@@ -392,7 +415,7 @@ def test_entropy_check_evaluates_only_the_window_of_the_step(hq_model):
     class Spy:
         """Reads the window the check just evaluated, and the kernel's."""
 
-        def start(self, scheme, envelope, u0):
+        def start(self, scheme, certified, u0):
             self.scheme = scheme
 
         def step(self, u, u_new, dt):

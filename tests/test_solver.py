@@ -197,22 +197,23 @@ def test_grid_state_bounds_are_its_range():
 def test_cfl_dt_closed_form(burgers_model):
     mesh = Mesh.make(-1.0, 1.0, 0.01)
     L = lipschitz_bound(burgers_model, -1.0, 1.0)
-    policy = _cfl_policy(L, mesh, 1.0, None)
+    policy = _cfl_policy(L, mesh, 1.0, None, 1.0)
     assert policy.lipschitz == pytest.approx(1.0)
     assert policy.dt(mesh.dx) == pytest.approx(0.005, abs=1e-15)
-    half = _cfl_policy(L, mesh, 0.5, None)
+    half = _cfl_policy(L, mesh, 0.5, None, 1.0)
     assert half.dt(mesh.dx) == pytest.approx(0.0025, abs=1e-15)
     with pytest.raises(ConfigError, match="safety"):
-        _cfl_policy(L, mesh, 0.0, None)
+        _cfl_policy(L, mesh, 0.0, None, 1.0)
 
 
-def test_cfl_degenerate_state_range_needs_max_dt(burgers_model):
+def test_cfl_degenerate_state_range_steps_to_max_dt_or_t_end(burgers_model):
+    # No wave speed bounds no step: dt is max_dt, or t_end without it.
     mesh = Mesh.make(-1.0, 1.0, 0.1)
     L = lipschitz_bound(burgers_model, 0.0, 0.0)
-    with pytest.raises(NumericalError, match="no wave speeds"):
-        _cfl_policy(L, mesh, 0.9, None)
-    policy = _cfl_policy(L, mesh, 0.9, 0.05)
-    assert policy.dt(mesh.dx) == pytest.approx(0.05)
+    assert L == 0.0
+    assert _cfl_policy(L, mesh, 0.9, None, 0.5).dt(mesh.dx) == pytest.approx(0.5)
+    policy = _cfl_policy(L, mesh, 0.9, 0.05, 0.5)
+    assert policy.dt(mesh.dx) == pytest.approx(0.05) and policy.lipschitz == 0.0
 
 
 def test_lipschitz_bound_heterogeneous(hq_model):
@@ -540,7 +541,7 @@ BAND_MODELS = {
 class Windows:
     """Run observer recording the window of cells each step recomputed."""
 
-    def start(self, scheme, envelope, u0):
+    def start(self, scheme, certified, u0):
         self.scheme, self.windows = scheme, []
 
     def step(self, u, u_new, dt):
@@ -577,7 +578,7 @@ class FullEvaluation:
     """Run observer that drops the Scheme's band after each step, so the
     next step and the EntropyChecks after it evaluate every cell."""
 
-    def start(self, scheme, envelope, u0):
+    def start(self, scheme, certified, u0):
         self.scheme = scheme
 
     def step(self, u, u_new, dt):
@@ -765,7 +766,7 @@ def test_a_band_freezes_its_flux_again_only_when_it_leaves_its_blocks():
     class Steps:
         """Counts only the at calls made once the Scheme is built."""
 
-        def start(self, scheme, envelope, u0):
+        def start(self, scheme, certified, u0):
             calls.clear()
 
         def step(self, u, u_new, dt):
@@ -848,7 +849,7 @@ def test_nan_partway_through_a_run_raises(poison_after):
         return np.where(poisoned[0], np.nan, v)
 
     class Poison:
-        def start(self, scheme, envelope, u0):
+        def start(self, scheme, certified, u0):
             self.k = 0
 
         def step(self, u, u_new, dt):
@@ -1133,7 +1134,6 @@ def test_bracket_states_are_fixed_points_sandwiching_the_data(name):
     assert (lower.bound, upper.bound) == (np.min(lower.values), np.max(upper.values))
 
     res = run(model, mesh, datum, t_end=0.5)
-    assert res.cfl.bound == "bracket"
     assert [s.values.tobytes() for s in res.bracket] == [lower.values.tobytes(),
                                                          upper.values.tobytes()]
     assert res.cfl.lipschitz == lipschitz_bound(model, lower.bound, upper.bound)
@@ -1193,7 +1193,7 @@ def test_the_bracket_certificate_scales_with_the_flux_minima():
     mesh = Mesh.make(-3.0, 3.0, 0.01)
     res = run(model, mesh, datum_step(999.9999, 707.10678), t_end=1e-4)
     upper = res.bracket[1]
-    assert res.cfl.bound == "bracket" and res.n_steps > 0
+    assert res.n_steps > 0
     assert abs(upper.flux_level) < 0.01
     assert solver.steady_residual(upper, model, mesh) > 1e-12 * (1.0 + abs(upper.flux_level))
 
@@ -1225,15 +1225,23 @@ def test_a_hook_without_alpha_freezes_each_place_once():
     assert mesh.n_cells + 2 in freezes and xc_ext[span].size not in freezes
 
 
-def test_constant_data_at_alpha_takes_the_envelope_step(burgers_model):
-    # The bracket is [alpha, alpha] = [0, 0], where the flux has no wave speed.
-    mesh = Mesh.make(-1.0, 1.0, 0.1)
-    res = run(burgers_model, mesh, datum_constant(0.0), t_end=0.5)
-    assert [s.bound for s in res.bracket] == [0.0, 0.0]
-    assert res.cfl.bound == "envelope"
-    env = res.envelope
-    assert res.cfl.lipschitz == lipschitz_bound(burgers_model, env.lower_bound, env.upper_bound)
-    assert res.n_steps > 0 and np.all(res.final.u == 0.0)
+# What an Envelope derives when first read (see steady.Envelope).
+ENVELOPE_CONSTANTS = {"lower_anchor", "upper_anchor", "lower_bound", "upper_bound", "lipschitz"}
+
+
+def test_constant_data_at_alpha_take_one_step_per_event():
+    # The bracket is [alpha, alpha] = [0, 0], where the flux has no wave
+    # speed: every edge carries the flux minimum, so the data are a fixed
+    # point and each step runs to the next event, or takes max_dt.
+    mesh, datum = Mesh.make(-1.0, 1.0, 0.1), datum_constant(0.0)
+    u0 = project_initial(datum, mesh).u
+    for max_dt, n_steps in ((None, 2), (0.05, 10)):
+        res = run(quadratic(), mesh, datum, t_end=0.5, snapshot_times=(0.25,), max_dt=max_dt)
+        assert [s.bound for s in res.bracket] == [0.0, 0.0]
+        assert res.cfl.lipschitz == 0.0 and res.n_steps == n_steps
+        assert [s.time for s in res.snapshots] == [0.25, 0.5]
+        assert all(s.u.tobytes() == u0.tobytes() for s in res.snapshots)
+        assert not ENVELOPE_CONSTANTS & set(vars(res.envelope))
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -1264,7 +1272,7 @@ def test_window_inside_the_heterogeneity_steps_on_the_bracket(window):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*influence cone.*")
         res = run(model, mesh, datum_step(0.2, 1.2), t_end=0.1)
-    assert res.cfl.bound == "bracket" and res.n_steps > 0
+    assert res.n_steps > 0
     for st in res.bracket:
         assert solver.steady_residual(st, model, mesh) <= 1e-12 * (1.0 + abs(st.flux_level))
     lower, upper = (st.bound for st in res.bracket)
@@ -1272,19 +1280,13 @@ def test_window_inside_the_heterogeneity_steps_on_the_bracket(window):
     assert lower <= res.running_min and res.running_max <= upper
 
 
-def test_run_reads_the_envelope_constants_only_on_the_fallback():
-    # The envelope keeps m and M; the rest is derived when read.
+def test_run_reads_no_envelope_constant():
+    # The envelope keeps m and M; the rest is derived when read, and run()
+    # and its observers read the bracket's range alone.
     assert [f.name for f in dataclasses.fields(steady.Envelope)] == ["model", "mesh", "m", "M"]
-    derived = {"lower_anchor", "upper_anchor", "lower_bound", "upper_bound", "lipschitz"}
     model, datum = heterogeneous_quadratic(), datum_step(0.2, 1.2)
-    res = run(model, Mesh.make(-3.0, 3.0, 0.05), datum, t_end=0.1)
-    assert res.cfl.bound == "bracket"
-    assert not derived & set(vars(res.envelope)) and "legendre_sup_1" not in vars(model)
-    # Constant data at alpha: the bracket carries no wave speed, so the run
-    # steps on the envelope's L and reads its constants.
-    res = run(quadratic(), Mesh.make(-1.0, 1.0, 0.05), datum_constant(0.0), t_end=0.1)
-    assert res.cfl.bound == "envelope"
-    assert {"lower_bound", "upper_bound", "lipschitz"} <= set(vars(res.envelope))
+    res = run(model, Mesh.make(-3.0, 3.0, 0.05), datum, t_end=0.1, observers=(EntropyCheck(),))
+    assert not ENVELOPE_CONSTANTS & set(vars(res.envelope)) and "legendre_sup_1" not in vars(model)
 
 
 def test_run_builds_the_envelope_states_only_on_demand(monkeypatch, hq_model):

@@ -60,7 +60,7 @@ def test_upper_steady_holds_one_flux_level(hq_model, hq_mesh):
 def test_steady_is_one_step_fixed_point(hq_model, hq_mesh):
     st = build_steady(hq_model, hq_mesh, 1.3, branch="upper")
     lo, hi = float(np.min(st.values)), float(np.max(st.values))
-    policy = _cfl_policy(lipschitz_bound(hq_model, lo - 0.5, hi + 0.5), hq_mesh, 0.9, None)
+    policy = _cfl_policy(lipschitz_bound(hq_model, lo - 0.5, hi + 0.5), hq_mesh, 0.9, None, 1.0)
     scheme = Scheme(hq_model, hq_mesh, policy.lipschitz)
     u = st.values.copy()
     for _ in range(5):
