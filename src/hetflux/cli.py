@@ -341,6 +341,8 @@ def cmd_riemann(args, cfg: ExperimentConfig) -> int:
     out = _Outputs(cfg, "riemann")
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
+    if args.samples > MAX_AUTO_CELLS:
+        raise ConfigError(f"--samples must be at most {MAX_AUTO_CELLS}, got {args.samples}")
     if not args.xi_min < args.xi_max:
         raise ConfigError("--xi-min must be below --xi-max")
     model = cfg.build_model()

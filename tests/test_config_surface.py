@@ -164,10 +164,12 @@ def test_auto_window_cap_is_inclusive():
     (["run", "--mesh-x-min=-1e9", "--mesh-x-max=1e9", "--mesh-dx=0.001"],
      ("mesh.dx", "mesh.x_min", "mesh.x_max")),
     (["diagnose", "--diagnostics-k-levels", "1000000000000"], ("diagnostics.k_levels", "mesh.dx")),
-], ids=["explicit window", "entropy table"])
+    (["riemann", "--left=0.3", "--right=0.7", "--samples", "1000000000000"], ("--samples",)),
+], ids=["explicit window", "entropy table", "riemann samples"])
 def test_config_sizes_past_the_budget_are_refused_before_allocation(argv, keys, tmp_path,
                                                                    monkeypatch, capsys):
-    # numpy would ask for 14.6 TiB of cell centers, or 7.28 TiB of levels.
+    # numpy would ask for 14.6 TiB of cell centers, or 7.28 TiB of levels
+    # or of samples.
     monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
     path = os.path.join(CONFIG_DIR, "golden_homogeneous_shock.ini")
     assert main([argv[0], "-c", path, *argv[1:]]) == 2
