@@ -3,8 +3,9 @@ no module of the package or of the tests imports a name it never reads, a
 module of the package imports inside a function only to break a cycle, and
 only flux_model asks what a freeze hook can do, only solver asks what kind a
 datum is, only solve_interface builds a Riemann solution, only the window
-rule and an explicit window make a mesh, and only the CLI's recorder touches
-the output directory."""
+rule and an explicit window make a mesh, only the window rules and steady
+build an envelope (run() only reports it), and only the CLI's recorder
+touches the output directory."""
 
 import ast
 import inspect
@@ -146,6 +147,29 @@ def test_only_the_window_rule_and_an_explicit_window_make_a_mesh():
                        and ast.unparse(node.func).split(".")[-2:] == ["Mesh", "make"]}
     assert makers == {("solver.cone_mesh", None),
                       ("cli._build_mesh", "mcfg['x_min'] is not None")}
+
+
+def test_only_the_window_rules_and_steady_build_an_envelope_and_run_only_reports_it():
+    # run() steps on the bracket and hands its observers the bracket's
+    # range; it builds the envelope only for RunResult.envelope. The
+    # envelope's L sizes the automatic windows, and steady writes its states.
+    src = Path(hetflux.__file__).parent
+    builders, run_fn = Counter(), None
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = f"{path.stem}.{getattr(top, 'name', '')}"
+            run_fn = top if name == "solver.run" else run_fn
+            builders.update(name for node in ast.walk(top) if isinstance(node, ast.Call)
+                            and ast.unparse(node.func).split(".")[-1] == "envelope")
+    assert builders == {"solver.run": 1, "cli._build_mesh": 1, "cli.cmd_steady": 1,
+                        "diagnostics.convergence_study": 1}
+    built = {target.id for node in ast.walk(run_fn) if isinstance(node, ast.Assign)
+             and ast.unparse(node.value).startswith("envelope(") for target in node.targets}
+    reads = [node for node in ast.walk(run_fn) if isinstance(node, ast.Name)
+             and node.id in built and isinstance(node.ctx, ast.Load)]
+    uses = [(ast.unparse(call.func), kw.arg) for call in ast.walk(run_fn)
+            if isinstance(call, ast.Call) for kw in call.keywords if kw.value in reads]
+    assert len(built) == len(reads) == 1 and uses == [("RunResult", "envelope")]
 
 
 def test_only_the_solver_asks_what_kind_a_datum_is():
