@@ -135,7 +135,7 @@ class Envelope:
     """Invariant-region data for datum bounds [m, M] (widened to the
     critical range). All else is derived on first read and then kept: the
     anchors and the certified constants, L over those and, on a mesh, the
-    two steady states between them. A run on the bracket reads none of it.
+    two steady states between them. run() reads none of it.
 
     With s1 the Legendre sup at slope 1, the upper anchor is
     max_x H(x, M) + s1 and the certified upper constant H(-X, anchor) + s1,
