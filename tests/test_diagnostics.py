@@ -138,6 +138,7 @@ def test_default_k_levels_cover_bounds_and_data(pair_model):
     assert (ks[0], ks[-1]) == certified
     for v in (-1.0, 0.5):
         assert np.min(np.abs(ks - v)) < 1e-14
+    assert np.all(np.diff(ks) > 0)
 
 
 @pytest.mark.parametrize("family, datum", [
@@ -148,7 +149,8 @@ def test_default_k_levels_cover_bounds_and_data(pair_model):
 ], ids=["heterogeneous_quadratic", "lwr", "two_state", "quadratic"])
 def test_default_levels_lie_within_the_bracket_and_hold_the_data_extremes(family, datum):
     # run() hands its observers the range it certifies, the bracket's, and
-    # the levels span it: none only tests conservation from outside.
+    # the levels span it: none lies outside the range the states can
+    # reach, where the inequality tests only conservation.
     mesh = Mesh.make(-3.0, 3.0, 0.05)
     check = EntropyCheck()
     res = run(family(), mesh, datum, t_end=0.2, observers=(check,))
@@ -156,7 +158,6 @@ def test_default_levels_lie_within_the_bracket_and_hold_the_data_extremes(family
     lower, upper = (st.bound for st in res.bracket)
     assert lower <= ks[0] and ks[-1] <= upper
     assert {float(np.min(u0)), float(np.max(u0))} <= set(ks.tolist())
-    assert np.all(np.diff(ks) > 0)
 
 
 def test_dei_matches_direct_edge_flux_evaluation(pair_model, hq_model, lwr_model,
