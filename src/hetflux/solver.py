@@ -307,16 +307,13 @@ def _mass_balance(u: np.ndarray, dx: float, mass0: float, net_out: float,
 def _cfl_policy(L: float, mesh: Mesh, safety: float, max_dt: Optional[float],
                 t_end: float) -> CflPolicy:
     """The step-size policy for the wave-speed bound L on mesh: dt = safety *
-    dx / (2 L), capped at max_dt. With no speed no step breaks monotonicity
-    (see run), so dt = max_dt, or t_end when that is None."""
+    dx / (2 L), or t_end when L counts as no speed (then no step breaks
+    monotonicity, see run), capped at max_dt."""
     if not (0 < safety <= 1):
         raise ConfigError(f"safety factor must lie in (0, 1], got {safety}")
-    if L <= _NO_SPEED:
-        dt = t_end if max_dt is None else max_dt
-    else:
-        dt = safety * mesh.dx / (2.0 * L)
-        if max_dt is not None:
-            dt = min(dt, max_dt)
+    dt = safety * mesh.dx / (2.0 * L) if L > _NO_SPEED else t_end
+    if max_dt is not None:
+        dt = min(dt, max_dt)
     return CflPolicy(safety=safety, lam=dt / mesh.dx, lipschitz=L)
 
 
@@ -478,9 +475,10 @@ def run(
     too. InvariantBreach is raised when a bracket state is no fixed point of
     the run's Scheme, and when a state leaves the range (to a few ulps). A
     bracket that carries no wave speed (constant data at alpha) holds every
-    edge flux equal, so the data are a fixed point and each step is max_dt,
-    or the whole time to the next event when that is None. RunResult.envelope
-    (over datum_bounds, or datum.bounds(mesh)) is a report: run() reads none of it.
+    edge flux equal, so the data are a fixed point and the step is t_end,
+    capped at max_dt: without it each step runs to the next event.
+    RunResult.envelope (over datum_bounds, or datum.bounds(mesh)) is a
+    report: run() reads none of it.
     The scheme is conservative, so at every snapshot, the last one at t_end,
     the mass must equal the initial mass minus the boundary outflow to a
     relative MASS_DRIFT_TOL, or InvariantBreach is raised.

@@ -207,11 +207,12 @@ def test_cfl_dt_closed_form(burgers_model):
 
 
 def test_cfl_degenerate_state_range_steps_to_max_dt_or_t_end(burgers_model):
-    # No wave speed bounds no step: dt is max_dt, or t_end without it.
+    # No wave speed bounds no step: dt is t_end, capped at max_dt.
     mesh = Mesh.make(-1.0, 1.0, 0.1)
     L = lipschitz_bound(burgers_model, 0.0, 0.0)
     assert L == 0.0
-    assert _cfl_policy(L, mesh, 0.9, None, 0.5).dt(mesh.dx) == pytest.approx(0.5)
+    for max_dt in (None, 1.0):
+        assert _cfl_policy(L, mesh, 0.9, max_dt, 0.5).dt(mesh.dx) == pytest.approx(0.5)
     policy = _cfl_policy(L, mesh, 0.9, 0.05, 0.5)
     assert policy.dt(mesh.dx) == pytest.approx(0.05) and policy.lipschitz == 0.0
 
