@@ -278,6 +278,9 @@ def _run_pipeline(cfg: ExperimentConfig, out: _Outputs, observers=()):
     datum = cfg.build_datum().map(model.to_internal)
     t_end = cfg.time["t_end"]
     mesh = _build_mesh(cfg, model, datum, t_end)
+    for obs in observers:
+        if isinstance(obs, EntropyCheck):
+            obs.check_budget(mesh.n_cells)  # before run() builds anything
     result = run(
         model,
         mesh,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -161,15 +161,21 @@ class EntropyCheck:
         self.n_levels = n_levels
         self._n_steps = 0
 
-    def start(self, scheme: Scheme, certified: tuple[float, float], u0: np.ndarray) -> None:
-        ks, n = self.k_values, scheme.mesh.n_cells
+    def check_budget(self, n_cells: int) -> None:
+        """Refuse, with ConfigError, tables of more than MAX_CELL_LEVELS
+        cell-levels on n_cells cells. It needs only the mesh's size, so a
+        caller can ask before anything is built; start asks again."""
         # The default levels are at most n_levels and the two data extremes.
-        n_k = self.n_levels + 2 if ks is None else ks.size
-        if n * n_k > MAX_CELL_LEVELS:
+        n_k = self.n_levels + 2 if self.k_values is None else self.k_values.size
+        if n_cells * n_k > MAX_CELL_LEVELS:
             raise ConfigError(
-                f"the entropy check needs {n_k:.3g} levels on {n} cells, more than "
+                f"the entropy check needs {n_k:.3g} levels on {n_cells} cells, more than "
                 f"{MAX_CELL_LEVELS:.3g} cell-levels; lower diagnostics.k_levels or "
                 "use a coarser mesh.dx")
+
+    def start(self, scheme: Scheme, certified: tuple[float, float], u0: np.ndarray) -> None:
+        ks, n = self.k_values, scheme.mesh.n_cells
+        self.check_budget(n)
         if ks is None:
             ks = default_k_levels(certified, u0, self.n_levels)
         self._scheme, self._ks = scheme, ks
@@ -365,16 +371,12 @@ def _pieces(sol: RiemannSolution, t: float):
     return pieces
 
 
-def _gauss_segments(
-    fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """5-point Gauss integrals of fn over the segments [a_i, b_i].
-
-    fn maps nodes of shape (n, 5), one row per segment, to values.
-    """
+def _gauss_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(half, xs): the half widths of the segments [a_i, b_i] and their
+    5-point Gauss nodes, shape (n, 5), one row per segment. The integral of
+    f over segment i is half[i] * (f(xs[i]) @ _GAUSS_WEIGHTS)."""
     half = 0.5 * (b - a)
-    xs = (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_NODES
-    return half * (fn(xs) @ _GAUSS_WEIGHTS)
+    return half, (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_NODES
 
 
 def riemann_error(
@@ -393,6 +395,12 @@ def riemann_error(
     norm the single sign change the integrand can have inside a fan lands at
     x = t f'(u_j), so the split point is explicit and no quadrature error
     leaks through the kink.
+
+    A fan piece inverts the fan once, at the nodes of both halves of its
+    cells (the halves before and after the split points, the second only
+    where a cell is split), and splits the values before each half's
+    weighted sum, so each sum has the operands, in the order, of an
+    inversion of its half alone.
     """
     if norm not in ("l1", "l2"):
         raise ConfigError(f"unknown norm {norm!r}, expected 'l1' or 'l2'")
@@ -417,23 +425,23 @@ def riemann_error(
         if wave is None:
             total += float(np.sum(np.abs(uj - const) ** power * (s1 - s0)))
             continue
-        flux = sol.ctx.right if wave.side == SIDE_RIGHT else sol.ctx.left
-
-        def err(uv, xs):
-            return uv[:, None] - _invert_rarefaction(sol, wave, xs / t)
-
+        lo, hi, n = s0, s1, s0.size
+        if power == 1:
+            # u_j - fan(x) is monotone in x; it changes sign only where the
+            # characteristic through u_j lands.
+            flux = sol.ctx.right if wave.side == SIDE_RIGHT else sol.ctx.left
+            cross = t * np.asarray(flux.df(uj), dtype=float)
+            split = (s0 < cross) & (cross < s1)
+            mid = np.where(split, cross, s1)
+            lo, hi = np.concatenate((s0, mid[split])), np.concatenate((mid, s1[split]))
+            uj = np.concatenate((uj, uj[split]))
+        half, xs = _gauss_nodes(lo, hi)
+        err = uj[:, None] - _invert_rarefaction(sol, wave, xs / t)
         if power == 2:
-            total += float(np.sum(_gauss_segments(lambda xs: err(uj, xs) ** 2, s0, s1)))
+            total += float(np.sum(half * (err**2 @ _GAUSS_WEIGHTS)))
             continue
-        # u_j - fan(x) is monotone in x; it changes sign only where the
-        # characteristic through u_j lands.
-        cross = t * np.asarray(flux.df(uj), dtype=float)
-        split = (s0 < cross) & (cross < s1)
-        mid = np.where(split, cross, s1)
-        total += float(np.sum(np.abs(_gauss_segments(lambda xs: err(uj, xs), s0, mid))))
-        total += float(np.sum(np.abs(
-            _gauss_segments(lambda xs: err(uj[split], xs), mid[split], s1[split])
-        )))
+        for part in (slice(None, n), slice(n, None)):
+            total += float(np.sum(np.abs(half[part] * (err[part] @ _GAUSS_WEIGHTS))))
     return total if power == 1 else math.sqrt(total)
 
 

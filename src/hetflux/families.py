@@ -12,8 +12,8 @@ allocates, so the step kernel allocates nothing for it; its du slope
 2 a (u - b) uses the same frozen coefficients, and at(index) slices them,
 so the step kernel evaluates any range of cells of one frozen table. Its
 critical points and inverses are closed forms, so a built-in run sets up
-without a root solve: alpha = b, b +- sqrt(max(y - c, 0) / a) on the
-branches, b + v / (2 a) for the slope.
+without a root solve: alpha = b, b + sign sqrt(max(y - c, 0) / a) on the
+branch of sign +-1, b + v / (2 a) for the slope (no seed needed).
 The four constructors, each returning a FluxModel:
 
 * quadratic: homogeneous c (u - s)^2 + o, so (a, b, c) = (c, s, o). Covers
@@ -81,9 +81,9 @@ def _frozen_form(a, b, c):
 
     frozen.du = lambda u: 2.0 * a * (np.asarray(u, dtype=float) - b)
     frozen.alpha = lambda: b
-    frozen.inverse = lambda y, side, alpha: b + (1.0 if side == "plus" else -1.0) * np.sqrt(
+    frozen.inverse = lambda y, sign, alpha: b + sign * np.sqrt(
         np.maximum(np.asarray(y, dtype=float) - c, 0.0) / a)
-    frozen.du_inverse = lambda v: b + np.asarray(v, dtype=float) / (2.0 * a)
+    frozen.du_inverse = lambda v, seed=0.0: b + np.asarray(v, dtype=float) / (2.0 * a)
     # A coefficient constant in x is a 0-d array and stays one.
     frozen.at = lambda i: _frozen_form(*[z[i] if np.ndim(z) else z for z in (a, b, c)])
     return frozen

@@ -15,14 +15,18 @@ All callables are expected to broadcast over numpy arrays in both arguments.
 The critical point and the inversions of H(x, .) below (critical_point,
 branch_inverse, legendre_transform) take the frozen flux's parts: closed
 forms where the freeze hook gives them, else one vectorized root solve over
-all their points; a scalar is a 0-d array and comes back as a float.
+all their points; a scalar is a 0-d array and comes back as a float. A
+branch is a sign, +1 for the plus branch and -1 for the minus one, that
+broadcasts against the levels, so both branches invert in one solve.
 
 What depends on the flux alone is computed once per model instance, on
 first use: the critical curve and the flux frozen at its samples
 (FluxModel.curve), the Legendre bound sup L(x, +-1) (FluxModel.legendre_sup_1),
-and the ghost-extended cell centers of the last mesh asked for, with alpha
-and the flux frozen there (ghost_cells), O(N + ALPHA_GRID_SAMPLES) values
-per model. A dataclasses.replace copy starts with none of them.
+the findings of validate_assumptions (FluxModel.violations), and the
+ghost-extended cell centers of the last mesh asked for, with alpha, the
+flux minima and the flux frozen there (ghost_cells, ghost_minima),
+O(N + ALPHA_GRID_SAMPLES) values per model. A dataclasses.replace copy
+starts with none of them.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ class FluxModel:
         block (see solver.Scheme): a costly hook wants an at that slices.
         f may give its critical points and inverses too (see frozen_flux).
 
-    The model is immutable, so `curve` and `legendre_sup_1` are cached in
-    the instance on first access; a dataclasses.replace copy recomputes them.
+    The model is immutable, so `curve`, `legendre_sup_1` and `violations`
+    are cached in the instance on first access; a dataclasses.replace copy
+    recomputes them.
     """
 
     h: Callable
@@ -88,6 +93,11 @@ class FluxModel:
         """legendre_sup(self, 1.0), the slope-1 bound of the envelope."""
         return legendre_sup(self, 1.0)
 
+    @cached_property
+    def violations(self) -> tuple:
+        """The Violations validate_assumptions reports, found once."""
+        return _find_violations(self)
+
     def to_internal(self, u):
         """Map a physical state to solver coordinates (negation iff concave)."""
         return -np.asarray(u, dtype=float) if self.orientation == "concave" else u
@@ -102,9 +112,10 @@ def frozen_flux(model: FluxModel, xs) -> Callable:
     its slope f.du(u) = du_h(xs, u), f.at(index), the flux frozen at
     xs[index], for any numpy index (say, a range of columns), f.alpha(), the
     minimizers alpha(xs), and two inverses, unchecked (their callers bound
-    the residuals): f.inverse(y, side, alpha), s >= alpha ("plus") or
-    <= alpha ("minus") with f(s) = y for levels y >= f(alpha), and
-    f.du_inverse(v), p with f.du(p) = v.
+    the residuals): f.inverse(y, sign, alpha), s with sign (s - alpha) >= 0
+    and f(s) = y for levels y >= f(alpha), sign +1 (the plus branch) or -1
+    (the minus one), broadcasting against y; and f.du_inverse(v, seed=0.0),
+    p with f.du(p) = v, the seed a guess of p that a closed form ignores.
 
     The one contract: f broadcasts u against xs; given an array out (which
     may be u itself), f writes the result there and returns out; its parts
@@ -116,7 +127,7 @@ def frozen_flux(model: FluxModel, xs) -> Callable:
     xs[index] (positions in the checked xs): a costly freezing wants an at;
     alpha is the root solve of f.du (a hook's alpha is broadcast to
     xs.shape), inverse one seeded at alpha (_branch_solve), du_inverse one
-    from the bracket [-1, 1].
+    from the bracket [seed - 1, seed + 1].
 
     A dataclasses.replace copy with a new h keeps the old hook, so f is
     checked against h (f.du against du_h) at xs for u = 0 and 1, with and
@@ -168,8 +179,9 @@ def _completed(model: FluxModel, xs: np.ndarray, hook: Callable) -> Callable:
     f.alpha = (lambda: np.broadcast_to(alpha(), xs.shape).astype(float)) if alpha else (
         lambda: solve_increasing(f.du, xs.shape))
     f.inverse = getattr(hook, "inverse", None) or partial(_branch_solve, f)
-    f.du_inverse = getattr(hook, "du_inverse", None) or (lambda v: solve_increasing(
-        lambda p: f.du(p) - v, np.broadcast(xs, v).shape, tol_res=np.inf))
+    f.du_inverse = getattr(hook, "du_inverse", None) or (lambda v, seed=0.0: solve_increasing(
+        lambda p: f.du(p) - v, np.broadcast(xs, v).shape, lo0=seed - 1.0, hi0=seed + 1.0,
+        tol_res=np.inf))
     at = getattr(hook, "at", None) or (lambda index: _freeze(model, xs[index]))
     f.at = lambda index: _completed(model, xs[index], at(index))
     return f
@@ -242,6 +254,17 @@ def ghost_cells(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray, Callabl
     fixed point on any window. The model keeps them for the last mesh asked
     about, at most one mesh, so the steady states and the Scheme of a run
     share one solve and one freeze."""
+    return _ghost_memo(model, mesh)[1:4]
+
+
+def ghost_minima(model: FluxModel, mesh) -> np.ndarray:
+    """f(al_ext), the read-only flux minima H(x_j, alpha_j) at the cells of
+    ghost_cells, kept beside them: run() scales its certificate by them."""
+    return _ghost_memo(model, mesh)[4]
+
+
+def _ghost_memo(model: FluxModel, mesh) -> tuple:
+    """(mesh, xc_ext, al_ext, f, f(al_ext)) for the last mesh asked about."""
     memo = model.__dict__.get("_ghost_cells")
     if memo is None or memo[0] != mesh:
         xc = mesh.centers()
@@ -251,10 +274,11 @@ def ghost_cells(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray, Callabl
         f = frozen_flux(model, xc_ext)
         al = spread(f.at(slice(1, -1)).at(span).alpha())
         al_ext = np.concatenate((al[:1], al, al[-1:]))
-        xc_ext.flags.writeable = al_ext.flags.writeable = False
+        fmin_ext = f(al_ext)
+        xc_ext.flags.writeable = al_ext.flags.writeable = fmin_ext.flags.writeable = False
         # Written like a cached_property: the frozen dataclass has a __dict__.
-        memo = model.__dict__["_ghost_cells"] = (mesh, xc_ext, al_ext, f)
-    return memo[1:]
+        memo = model.__dict__["_ghost_cells"] = (mesh, xc_ext, al_ext, f, fmin_ext)
+    return memo
 
 
 def distinct_span(model: FluxModel, xs: np.ndarray) -> tuple[slice, Callable]:
@@ -262,18 +286,20 @@ def distinct_span(model: FluxModel, xs: np.ndarray) -> tuple[slice, Callable]:
     (repeated ones can leave it empty) whose fluxes can differ, every x in
     (-X, X) and the nearest x with |x| >= X on each side, which carries the
     flux of the rest of its side; and spread(v), which replicates values at
-    xs[span] onto the rest, as the ghost cells do. An elementwise solve on
-    the span, spread, has the bits of one at all of xs."""
+    xs[span], along v's last axis, onto the rest, as the ghost cells do. An
+    elementwise solve on the span, spread, has the bits of one at all of xs."""
     X = model.hetero_radius
     a = max(int(np.searchsorted(xs, -X, side="right")) - 1, 0)
     b = int(np.searchsorted(xs, X, side="left")) + 1
     shift = np.arange(len(xs)) - a
-    return slice(a, b), lambda v: v.take(shift, mode="clip")
+    return slice(a, b), lambda v: v.take(shift, axis=-1, mode="clip")
 
 
-def _branch_solve(f: Callable, y, side: str, alpha) -> np.ndarray:
-    """f.inverse by a root solve: s on one branch of a convex f with
-    f(s) = y; a level below the minimum f(alpha) gives alpha.
+def _branch_solve(f: Callable, y, sign, alpha) -> np.ndarray:
+    """f.inverse by a root solve: s on the branch of a convex f that sign
+    (+1 plus, -1 minus, broadcasting against y) names, with f(s) = y; a
+    level below the minimum f(alpha) gives alpha. Every element is one
+    problem of the one solve, both branches too.
 
     The solve runs along the branch, in x = s on the plus side and x = -s
     on the minus side, so that x grows away from alpha, on
@@ -288,23 +314,33 @@ def _branch_solve(f: Callable, y, side: str, alpha) -> np.ndarray:
     above the minimum takes as few evaluations as any other.
     """
     a = np.asarray(alpha, dtype=float)
+    sign = np.asarray(sign, dtype=float)
     hmin = np.asarray(f(a), dtype=float)
-    sign = 1.0 if side == "plus" else -1.0
     depth = np.sqrt(np.maximum(y - hmin, 0.0))
     # f(s) rounds below f(alpha) near alpha; phi is flat there.
     phi = lambda x: np.sqrt(np.maximum(np.asarray(f(sign * x), dtype=float) - hmin, 0.0)) - depth
-    return sign * solve_increasing(phi, np.broadcast(hmin, y).shape, lo0=sign * a,
+    return sign * solve_increasing(phi, np.broadcast(hmin, y, sign).shape, lo0=sign * a,
                                    hi0=sign * a + 1.0, tol_res=np.inf)
 
 
-def invert_branch(f: Callable, alpha, y, side: str):
+def side_sign(side: str) -> float:
+    """The sign of a branch word: +1.0 for "plus", -1.0 for "minus"."""
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    return 1.0 if side == "plus" else -1.0
+
+
+def invert_branch(f: Callable, alpha, y, sign):
     """Solve f(s) = y on one monotone branch of a convex frozen flux f, elementwise.
 
     f is a frozen flux (see frozen_flux); alpha holds the minimizers of f and
-    broadcasts against the levels y. side "plus" returns the solution
-    >= alpha, "minus" the one <= alpha. A level at the minimum returns alpha
-    exactly, and levels slightly below it (within 1e-10) are clamped to it
-    and return alpha too; any level further below raises NumericalError.
+    broadcasts against the levels y and the signs: sign +1 returns the
+    solution >= alpha (the plus branch), -1 the one <= alpha (minus), so
+    levels and signs stacked along a new axis invert both branches in one
+    f.inverse. A level at the minimum returns alpha exactly, and levels
+    slightly below it (within 1e-10) are clamped to it and return alpha
+    too; any level further below raises NumericalError, naming the one
+    furthest below (the first in C order on a tie).
 
     f.inverse finds s, and s is returned as found: a closed form is exact to
     rounding, and the root solve stops within a few ulps of s. Its residual
@@ -313,8 +349,6 @@ def invert_branch(f: Callable, alpha, y, side: str):
     that scale, so an absolute bound would reject exact roots of large
     levels.
     """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     a = np.asarray(alpha, dtype=float)
     y = np.asarray(y, dtype=float)
     hmin = np.asarray(f(a), dtype=float)
@@ -328,7 +362,7 @@ def invert_branch(f: Callable, alpha, y, side: str):
     clamped = deficit >= 0.0
     # Clamped elements target their own minimum.
     y_eff = np.maximum(y, hmin)
-    out = np.asarray(f.inverse(y_eff, side, a), dtype=float)
+    out = np.asarray(f.inverse(y_eff, sign, a), dtype=float)
     check_residual(np.abs(f(out) - y_eff), TOL_ROOT * (1.0 + np.abs(y_eff) + np.abs(hmin)))
     out = np.where(clamped, a, out)
     return float(out) if out.ndim == 0 else out
@@ -343,8 +377,9 @@ def branch_inverse(model: FluxModel, x, y, side: str, alpha=None):
     every cell is how steady states are built, so the flux-level invariant
     cannot drift along a recursion. Clamping and errors as in invert_branch.
     """
+    sign = side_sign(side)
     f = frozen_flux(model, x)
-    return invert_branch(f, f.alpha() if alpha is None else alpha, y, side)
+    return invert_branch(f, f.alpha() if alpha is None else alpha, y, sign)
 
 
 def legendre_transform(model: FluxModel, x, v):
@@ -390,7 +425,7 @@ def legendre_sup(model: FluxModel, lam: float) -> float:
     return prev
 
 
-@dataclass
+@dataclass(frozen=True)
 class Violation:
     kind: str
     x: float
@@ -425,7 +460,15 @@ def validate_assumptions(model: FluxModel) -> ValidationReport:
     Checks, on a sampled grid: strict monotonicity of du_h in u (convexity),
     agreement of du_h / dx_h with centered differences of h, and that the flux
     is literally frozen outside the heterogeneity radius. Never raises.
+    The findings depend on the model alone, so they are found once per
+    instance (FluxModel.violations); each call returns a new report, with
+    a new list, over them.
     """
+    return ValidationReport(violations=list(model.violations))
+
+
+def _find_violations(model: FluxModel) -> tuple:
+    """The Violations of validate_assumptions, per kind in checklist order."""
     n_x, n_u, d, tol_fd, tol_exact, max_records = 41, 33, 1e-5, 1e-6, 1e-12, 200
     X = model.hetero_radius
     span = max(X, 0.5)
@@ -483,4 +526,4 @@ def validate_assumptions(model: FluxModel) -> ValidationReport:
             for j in np.flatnonzero(dxv > tol_exact * (1.0 + np.abs(ref))):
                 record("heterogeneity-compactness", xo, us[j], dxv[j])
 
-    return ValidationReport(violations=violations)
+    return tuple(violations)

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .flux_model import FluxModel, frozen_flux, invert_branch
+from .flux_model import FluxModel, frozen_flux, invert_branch, side_sign
 
 # State-space tolerance of germ membership checks.
 GERM_TOL = 1e-9
@@ -81,7 +81,7 @@ class FluxSide:
     def branch(self, y, side: str):
         """Inverse of f on the increasing ("plus") or decreasing ("minus")
         branch, elementwise as in invert_branch."""
-        return invert_branch(self.f, self.alpha, y, side)
+        return invert_branch(self.f, self.alpha, y, side_sign(side))
 
 
 @dataclass(frozen=True, eq=False)

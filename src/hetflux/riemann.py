@@ -176,10 +176,11 @@ def solve_interface(ctx: InterfaceContext, u_l: float, u_r: float) -> RiemannSol
 
 
 def _invert_rarefaction(sol: RiemannSolution, w: Wave, xi) -> np.ndarray:
-    """States inside the fan w at the self-similar points xi: f'(s) = xi."""
+    """States inside the fan w at the self-similar points xi: f'(s) = xi,
+    solved from the fan's side alpha, where f' = 0."""
     flux = sol.ctx.right if w.side == SIDE_RIGHT else sol.ctx.left
     xi = np.asarray(xi, dtype=float)
-    s = flux.f.du_inverse(xi)
+    s = flux.f.du_inverse(xi, flux.alpha)
     check_residual(np.abs(np.asarray(flux.df(s), dtype=float) - xi), TOL_ROOT)
     return s
 

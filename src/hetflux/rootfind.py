@@ -24,6 +24,12 @@ the working arrays, so each round's bookkeeping runs only on the open ones,
 and an element's iterates, hence its bits, depend on that element alone, not
 on the batch it is solved in.
 
+So batch independent problems into one call: a round costs about 40 numpy
+calls however many elements it carries, and a question split into separate
+solves pays them once per solve. Stacking problems along a new axis (both
+branches of a bracket, both halves of a fan's cells) moves no result, as
+long as g evaluates each element from that element alone.
+
 It raises NumericalError when g is NaN at a bracket end, when some element
 finds no sign change within the expansion budget, and when the final
 residual |g(root)| exceeds tol_res (default 1e-12) at any element. tol_res

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InvariantBreach, NumericalError
-from .flux_model import FluxModel, ghost_cells, lipschitz_bound
+from .flux_model import FluxModel, ghost_cells, ghost_minima, lipschitz_bound
 from .profiles import bump
 from .rootfind import TOL_ROOT
 from .steady import Envelope, SteadyState, bracket, envelope
@@ -511,8 +511,7 @@ def run(
     # Both bracket states must be fixed points of this Scheme. invert_branch leaves each
     # cell's flux within TOL_ROOT (1 + |level| + |H(x_j, alpha_j)|) of the level, so each
     # edge flux difference within twice that: the flux minima set the scale, not the level.
-    _, al_ext, f = ghost_cells(model, mesh)
-    scale = 1.0 + float(np.max(np.abs(f(al_ext))))
+    scale = 1.0 + float(np.max(np.abs(ghost_minima(model, mesh))))
     F = scheme.edge_fluxes(np.stack([s.values for s in brk]))
     for branch, s, res in zip(("lower", "upper"), brk, np.max(np.abs(np.diff(F)), axis=-1)):
         if not res <= (tol := 2.0 * TOL_ROOT * (scale + abs(s.flux_level))):

@@ -46,14 +46,16 @@ class SteadyState:
     bound: float  # max of values (upper branch) or min (lower)
 
 
-def _steady(fs, alpha, spread, level: float, branch: str) -> SteadyState:
-    """The steady state of one flux level on one branch: the branch inverse
-    of the level under fs, the flux frozen on distinct_span, with minimizers
-    alpha there, spread to every cell."""
-    upper = branch == "upper"
-    values = spread(invert_branch(fs, alpha, level, "plus" if upper else "minus"))
-    return SteadyState(values=values, flux_level=level,
-                       bound=float(np.max(values) if upper else np.min(values)))
+def _steady(fs, alpha, spread, levels, signs) -> list[SteadyState]:
+    """The steady states of flux levels, each on the branch of its sign (+1
+    upper, -1 lower): the branch inverses of the levels under fs, the flux
+    frozen on distinct_span, with minimizers alpha there, in one
+    invert_branch call, spread to every cell."""
+    levels, signs = np.asarray(levels, dtype=float), np.asarray(signs, dtype=float)
+    values = spread(invert_branch(fs, alpha, levels[:, None], signs[:, None]))
+    return [SteadyState(values=v, flux_level=float(level),
+                        bound=float(np.max(v) if sign > 0 else np.min(v)))
+            for v, level, sign in zip(values, levels, signs)]
 
 
 def build_steady(
@@ -100,7 +102,8 @@ def build_steady(
         )
     xc_ext, al_ext, f = ghost_cells(model, mesh)
     span, spread = distinct_span(model, xc_ext[1:-1])
-    return _steady(f.at(slice(1, -1)).at(span), al_ext[1:-1][span], spread, level, branch)
+    return _steady(f.at(slice(1, -1)).at(span), al_ext[1:-1][span], spread, [level],
+                   [1.0 if branch == "upper" else -1.0])[0]
 
 
 def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
@@ -112,22 +115,29 @@ def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
     distinct_span), on the upper and the lower branch. Each cell then has
     lower_j <= min(u_j, alpha_j) and max(u_j, alpha_j) <= upper_j (up to the
     root solve's rounding), and no steady state of either branch with a level
-    nearer to the data sandwiches u. Both are fixed points of the scheme. A
-    level that overflows raises NumericalError naming the data level that
-    carries it.
+    nearer to the data sandwiches u. Both are fixed points of the scheme.
+    u may stack several states along leading axes; the levels then hold
+    them all. A level that overflows raises NumericalError naming the data
+    level that carries it, the lower branch's first.
+
+    Both levels come from one flux call on the two clamped copies of u, and
+    both states from one invert_branch call with the levels and their
+    signs stacked: a generic flux then pays one root solve, not two. Every
+    element is its own problem of that solve (see rootfind), so each state
+    has the bits it has when built alone.
     """
     xc_ext, al_ext, f = ghost_cells(model, mesh)
     span, spread = distinct_span(model, xc_ext[1:-1])
     al, f = al_ext[1:-1], f.at(slice(1, -1))
-    fs, states = f.at(span), []
-    for branch, clamp in (("lower", np.minimum), ("upper", np.maximum)):
-        fu = f(clamp(u, al))
-        if not np.isfinite(level := float(np.max(fu))):
-            j = int(np.argmin(np.isfinite(fu)))
+    fu = f(np.stack((np.minimum(u, al), np.maximum(u, al)))).reshape(2, -1)
+    levels = np.max(fu, axis=1)
+    for row, level in zip(fu, levels):
+        if not np.isfinite(level):
+            j = int(np.argmin(np.isfinite(row)))
             raise NumericalError(f"steady bracket: the flux of the data level "
-                                 f"{float(model.to_physical(u[j])):g} overflows")
-        states.append(_steady(fs, al[span], spread, max(level, model.curve.floor), branch))
-    return tuple(states)
+                                 f"{float(model.to_physical(np.ravel(u)[j])):g} overflows")
+    levels = np.maximum(levels, model.curve.floor)
+    return tuple(_steady(f.at(span), al[span], spread, levels, (-1.0, 1.0)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,7 @@ import re
 import pytest
 
 import hetflux.cli as cli
+import hetflux.solver as solver
 from hetflux.cli import ENV_OUTPUT_ROOT, main
 from hetflux.config import DATUM_BUILDERS, FAMILY_BUILDERS, config_keys, make_config
 from hetflux.errors import ConfigError
@@ -176,6 +177,24 @@ def test_config_sizes_past_the_budget_are_refused_before_allocation(argv, keys, 
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and err.startswith("hetflux: configuration error: ")
     assert all(key in err for key in keys), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_oversized_entropy_table_is_refused_before_the_run_builds_anything(
+        tmp_path, monkeypatch, capsys):
+    # 10^6 cells, the explicit-window cap, and 36 + 2 levels: the refusal
+    # comes right after the mesh, so run() builds no bracket.
+    brackets = []
+    monkeypatch.setattr(solver, "bracket", lambda *args: brackets.append(args))
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    path = os.path.join(CONFIG_DIR, "golden_homogeneous_shock.ini")
+    assert main(["diagnose", "-c", path, "--mesh-x-min=-250000", "--mesh-x-max=250000",
+                 "--mesh-dx=0.5", "--diagnostics-k-levels", "36"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "hetflux: configuration error: the entropy check needs 38 levels on 1000000 cells, "
+        "more than 3.5e+07 cell-levels; lower diagnostics.k_levels or use a coarser mesh.dx\n")
+    assert brackets == []
     assert list(tmp_path.iterdir()) == []
 
 

@@ -41,8 +41,11 @@ from hetflux.diagnostics import (
 )
 from hetflux.errors import ConfigError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
-from hetflux.riemann import sample, solve_interface
+from hetflux.interface import InterfaceContext
+from hetflux.riemann import _invert_rarefaction, sample, solve_interface
 from hetflux.solver import (
+    _GAUSS_NODES,
+    _GAUSS_WEIGHTS,
     MAX_AUTO_CELLS,
     GridState,
     Mesh,
@@ -565,6 +568,62 @@ def test_riemann_error_matches_dense_quadrature(pair_ctx, pair_model, rng):
     ):
         got = riemann_error(u, mesh, sol, t, window, norm=norm)
         assert got == pytest.approx(oracle, rel=2e-3)
+
+
+def _per_half_riemann_error(u, mesh, sol, t, window, norm):
+    """riemann_error with each half of a fan's cells (before and after its
+    split points) inverted and summed on its own; and the split count."""
+    edges = mesh.edges()
+    a, b = np.maximum(edges[:-1], window[0]), np.minimum(edges[1:], window[1])
+    power, total, n_split = (1 if norm == "l1" else 2), 0.0, 0
+
+    def gauss(fn, lo, hi):
+        half = 0.5 * (hi - lo)
+        return half * (fn((0.5 * (lo + hi))[:, None] + half[:, None] * _GAUSS_NODES)
+                       @ _GAUSS_WEIGHTS)
+
+    for wlo, whi, wave, const in diagnostics._pieces(sol, t):
+        s0, s1 = np.maximum(a, wlo), np.minimum(b, whi)
+        cut = s1 > s0
+        s0, s1, uj = s0[cut], s1[cut], u[cut]
+        if wave is None:
+            total += float(np.sum(np.abs(uj - const) ** power * (s1 - s0)))
+            continue
+        fan = lambda uv: lambda xs: uv[:, None] - _invert_rarefaction(sol, wave, xs / t)
+        if power == 2:
+            total += float(np.sum(gauss(lambda xs: fan(uj)(xs) ** 2, s0, s1)))
+            continue
+        flux = sol.ctx.right if wave.side == "right_of_interface" else sol.ctx.left
+        cross = t * np.asarray(flux.df(uj), dtype=float)
+        split = (s0 < cross) & (cross < s1)
+        mid = np.where(split, cross, s1)
+        n_split += int(np.count_nonzero(split))
+        total += float(np.sum(np.abs(gauss(fan(uj), s0, mid))))
+        total += float(np.sum(np.abs(gauss(fan(uj[split]), mid[split], s1[split]))))
+    return (total if power == 1 else math.sqrt(total)), n_split
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+@pytest.mark.parametrize("sides", ["hook-less", "closed forms"])
+def test_riemann_error_inverts_each_fan_once_with_the_bits_of_per_half_sums(
+        norm, sides, pair_ctx, pair_model, rng, monkeypatch):
+    ctx = pair_ctx if sides == "hook-less" else InterfaceContext.from_model(pair_model, -1.0, 1.0)
+    calls = []
+    monkeypatch.setattr(diagnostics, "_invert_rarefaction",
+                        lambda *args: calls.append(1) or _invert_rarefaction(*args))
+    mesh, t, window = Mesh.make(-3.0, 3.0, 0.02), 0.5, (-1.3, 1.7)
+    sol = solve_interface(ctx, -1.0, 1.0)
+    fans = sum(wave is not None for _, _, wave, _ in diagnostics._pieces(sol, t))
+    assert fans == 2
+    # Random states split many fan cells; states below every fan state, none.
+    for u, splits in ((rng.uniform(-1.0, 1.0, mesh.n_cells), norm == "l1"),
+                      (np.full(mesh.n_cells, -5.0), False)):
+        want, n_split = _per_half_riemann_error(u, mesh, sol, t, window, norm)
+        assert (n_split > 0) == splits
+        calls.clear()
+        got = riemann_error(u, mesh, sol, t, window, norm=norm)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert len(calls) == fans  # one inversion per fan piece
 
 
 def test_riemann_error_projection_limit(pair_ctx):

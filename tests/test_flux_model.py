@@ -175,7 +175,7 @@ def test_branch_inverse_returns_the_closed_form_and_the_root_solve_as_found():
     # The root solve stops one ulp low, at the same |f(s) - y| again, and
     # that value is returned too.
     generic = dataclasses.replace(model, freeze=None)
-    solved = frozen_flux(generic, -1.0).inverse(np.array(0.25), "plus", np.array(0.0))
+    solved = frozen_flux(generic, -1.0).inverse(np.array(0.25), 1.0, np.array(0.0))
     assert branch_inverse(generic, -1.0, 0.25, "plus") == solved == 0.7071067811865475
 
 
@@ -205,20 +205,41 @@ def test_closed_form_inverses_agree_with_the_root_solves(name, rng):
         y = lo + rng.uniform(0.0, 3.0, (4, a.size)) * np.array([[0.0], [1e-9], [1.0], [1.0]])
         v = rng.uniform(-3.0, 3.0, (3, a.size))
         for f in (closed.at(index), generic.at(index)):
-            for side, sign in (("plus", 1.0), ("minus", -1.0)):
-                s = f.inverse(y, side, a)
+            for sign in (1.0, -1.0):
+                s = f.inverse(y, sign, a)
                 assert np.all(sign * (s - a) >= 0.0)
                 assert np.all(np.abs(f(s) - y) <= TOL_ROOT * (1.0 + np.abs(y) + np.abs(lo)))
             p = f.du_inverse(v)
             assert np.all(np.abs(f.du(p) - v) <= TOL_ROOT * (1.0 + np.abs(v)))
-        for side in ("plus", "minus"):
-            got = closed.at(index).inverse(y[2:], side, a)
-            assert np.allclose(got, generic.at(index).inverse(y[2:], side, a), rtol=0, atol=1e-12)
+        for sign in (1.0, -1.0):
+            got = closed.at(index).inverse(y[2:], sign, a)
+            assert np.allclose(got, generic.at(index).inverse(y[2:], sign, a), rtol=0, atol=1e-12)
         assert np.allclose(closed.at(index).du_inverse(v), generic.at(index).du_inverse(v),
                            rtol=0, atol=1e-12)
         assert np.allclose(closed.at(index).alpha(), generic.at(index).alpha(), rtol=0, atol=1e-12)
     exact = dataclasses.replace(model, freeze=None).legendre_sup_1
     assert abs(model.legendre_sup_1 - exact) <= 1e-14 * abs(exact)
+
+
+def test_a_generic_fan_is_solved_from_its_alpha():
+    # cosh(u - 2) - 1 has alpha = 2, far from the [-1, 1] the slope solve
+    # started from before it took a seed: there, sampling this fan took 27
+    # evaluations of g (of du_h), 20 from [alpha - 1, alpha + 1].
+    calls = []
+
+    def du_h(x, u):
+        calls.append(1)
+        return np.sinh(np.asarray(u, dtype=float) - 2.0)
+
+    model = FluxModel(h=lambda x, u: np.cosh(np.asarray(u, dtype=float) - 2.0) - 1.0,
+                      du_h=du_h, dx_h=lambda x, u: np.zeros(np.shape(u)), hetero_radius=0.0)
+    fan = solve_classical(FluxSide.from_model(model, 0.0), 1.5, 2.5)
+    xi = np.linspace(-1.0, 1.0, 201)
+    del calls[:]
+    s = sample(fan, xi)
+    assert len(calls) <= 20
+    inside = (xi > np.sinh(-0.5)) & (xi < np.sinh(0.5))
+    assert np.all(np.abs(np.sinh(s[inside] - 2.0) - xi[inside]) <= TOL_ROOT)
 
 
 def test_a_wrong_closed_form_fails_its_callers_residual_check():
@@ -324,6 +345,28 @@ def test_validate_reports_two_state_jump_at_origin():
     for v in report.violations:
         assert v.kind == "derivative-mismatch-x"
         assert v.x == 0.0
+
+
+def test_validate_assumptions_is_answered_once_per_model():
+    # The findings depend on the model alone: a second call evaluates no h
+    # and returns equal, frozen violations in a new report and a new list.
+    base = two_state()
+    calls = []
+    model = dataclasses.replace(base, h=lambda x, u: calls.append(1) or base.h(x, u))
+    first = validate_assumptions(model)
+    assert calls and first.violations
+    del calls[:]
+    second = validate_assumptions(model)
+    assert calls == []
+    assert second is not first and second.violations is not first.violations
+    assert second.violations == first.violations
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        second.violations[0].x = 1.0
+    second.violations.clear()
+    assert validate_assumptions(model).violations == first.violations
+    # A dataclasses.replace copy is another model: it validates again.
+    assert validate_assumptions(dataclasses.replace(model)).violations == first.violations
+    assert calls
 
 
 def test_validate_flags_nonconvex_and_noncompact_flux():

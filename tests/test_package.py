@@ -118,6 +118,20 @@ def test_root_solves_run_only_in_the_generic_hook_parts():
     assert sites == {"flux_model._completed", "flux_model._branch_solve"}
 
 
+def test_only_flux_model_imports_the_root_solver():
+    # Every root solve is a part of a frozen flux, so one module imports the
+    # solver; a caller batches its problems into that part's one call.
+    src = Path(hetflux.__file__).parent
+    importers = {
+        path.stem
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module in ("rootfind", "hetflux.rootfind")
+        and any(alias.name == "solve_increasing" for alias in node.names)
+    }
+    assert importers == {"flux_model"}
+
+
 def test_only_solve_interface_builds_a_riemann_solution():
     # A one-flux problem is the interface problem with f_l = f_r, so the
     # Riemann construction lives in riemann.solve_interface alone.

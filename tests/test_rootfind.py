@@ -131,11 +131,11 @@ def test_branch_inversions_have_the_bits_they_have_when_solved_alone():
     alpha = np.array([0.0, 0.3, -1.7, 4.5e-218, 0.0, 0.3])
     gap = np.array([1e-25, 1e-218, 0.7, 1e-218, 0.0, -1e-12])
     f = _centered_square(1.5, -0.2, alpha)
-    for side in ("plus", "minus"):
-        batch = invert_branch(f, alpha, -0.2 + gap, side)
+    for sign in (1.0, -1.0):
+        batch = invert_branch(f, alpha, -0.2 + gap, sign)
         for i in range(alpha.size):
             fi = _centered_square(1.5, -0.2, alpha[i])
-            alone = invert_branch(fi, alpha[i], -0.2 + gap[i], side)
+            alone = invert_branch(fi, alpha[i], -0.2 + gap[i], sign)
             assert np.float64(batch[i]).tobytes() == np.float64(alone).tobytes()
 
 
@@ -156,9 +156,9 @@ def test_branch_inversion_just_above_the_minimum_takes_few_evaluations(monkeypat
     monkeypatch.setattr(flux_model, "solve_increasing", counting_solve)
     alpha = np.array([0.0, 0.3, -1.7, 4.5e-218])
     f = _centered_square(0.5, 0.0, alpha)
-    out = invert_branch(f, alpha, gap, side)
-    assert calls and max(calls) <= 12, calls
     sign = 1.0 if side == "plus" else -1.0
+    out = invert_branch(f, alpha, gap, sign)
+    assert calls and max(calls) <= 12, calls
     assert np.all(sign * (out - alpha) >= 0.0)
     assert np.all(np.abs(f(out) - gap) <= TOL_ROOT)
 

@@ -983,6 +983,32 @@ def test_run_accepts_grid_state_datum(pair_model):
     assert res.envelope.M >= 0.5
 
 
+def test_the_certificate_reads_the_flux_minima_the_model_keeps():
+    # H(x_j, alpha_j) at the N + 2 ghost-extended cells depends on the
+    # model and the mesh alone: kept beside alpha, read-only, with the bits
+    # of f(al_ext), and a second run on them evaluates no flux there.
+    base = cosh_model()
+    ext_calls = []
+    mesh = Mesh.make(-5.0, 5.0, 0.05)
+
+    def h(x, u):
+        if np.shape(x) == (mesh.n_cells + 2,):
+            ext_calls.append(1)
+        return base.h(x, u)
+
+    model = dataclasses.replace(base, h=h)
+    first = run(model, mesh, datum_step(-0.5, 0.8), t_end=0.1)
+    assert ext_calls == [1]
+    _, al_ext, f = fm.ghost_cells(model, mesh)
+    minima = fm.ghost_minima(model, mesh)
+    assert not minima.flags.writeable
+    assert minima.tobytes() == f(al_ext).tobytes()
+    del ext_calls[:]
+    second = run(model, mesh, datum_step(-0.5, 0.8), t_end=0.1)
+    assert ext_calls == []
+    assert second.final.u.tobytes() == first.final.u.tobytes()
+
+
 def test_model_setup_is_computed_once_per_model(monkeypatch):
     # Custom flux without a freeze hook, so every critical point is a root solve.
     a = lambda x: 1.5 + 0.5 * np.clip(x, -1.0, 1.0)
@@ -1362,13 +1388,13 @@ def test_compact_solves_match_solves_at_every_cell_bitwise(name, mesh_name, rng)
     curve = model.curve
     for _ in range(3):
         u = rng.uniform(curve.alpha_min - 1.0, curve.alpha_max + 1.0, mesh.n_cells)
-        for st, side, clamp in zip(steady.bracket(model, mesh, u), ("minus", "plus"),
+        for st, sign, clamp in zip(steady.bracket(model, mesh, u), (-1.0, 1.0),
                                    (np.minimum, np.maximum)):
             level = max(float(np.max(f(clamp(u, al)))), curve.floor)
-            want = fm.invert_branch(f, al, level, side)
+            want = fm.invert_branch(f, al, level, sign)
             assert st.flux_level == level
             assert st.values.tobytes() == want.tobytes()
-            assert st.bound == (np.min(want) if side == "minus" else np.max(want))
+            assert st.bound == (np.min(want) if sign < 0 else np.max(want))
 
     env = steady.envelope(model, None, curve.alpha_min - 1.0, curve.alpha_max + 1.0)
     for branch, anchor in (("lower", env.lower_anchor), ("upper", env.upper_anchor)):

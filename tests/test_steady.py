@@ -21,13 +21,15 @@ import math
 
 import numpy as np
 import pytest
+from conftest import cosh_model
+from test_library_fuzz import _cosh_flux
 
-from hetflux.errors import ConfigError
+from hetflux.errors import ConfigError, NumericalError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.interface import GermClass, InterfaceContext, classify_germ
-from hetflux.flux_model import lipschitz_bound
+from hetflux.flux_model import distinct_span, ghost_cells, invert_branch, lipschitz_bound
 from hetflux.solver import Mesh, Scheme, _cfl_policy, datum_step, run, steady_residual
-from hetflux.steady import SteadyState, build_steady, envelope
+from hetflux.steady import SteadyState, bracket, build_steady, envelope
 
 S1_HQ = 0.3 + 1.0 / 6.0 + 0.1
 
@@ -100,6 +102,51 @@ def test_two_state_branch_values():
     assert st.flux_level == pytest.approx(0.5)
     assert np.max(np.abs(st.values[left] + 1.0)) < 1e-12
     assert np.max(np.abs(st.values[right] + math.sqrt(0.5))) < 1e-10
+
+
+BRACKET_MODELS = {
+    "quadratic": lambda: quadratic(0.7, shift=0.4, offset=-0.2),
+    "two_state": two_state,
+    "heterogeneous_quadratic": heterogeneous_quadratic,
+    "lwr": lwr,
+    "cosh": cosh_model,
+    "fuzz cosh": lambda: _cosh_flux(np.random.default_rng(3), 0.8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_MODELS))
+def test_bracket_solves_both_branches_at_once_with_the_bits_of_two_builds(name, rng,
+                                                                         solve_calls):
+    # Reference: each branch built alone, with its own flux call and its
+    # own invert_branch call.
+    model = BRACKET_MODELS[name]()
+    mesh = Mesh.make(-3.0, 3.0, 0.05)
+    xc_ext, al_ext, f = ghost_cells(model, mesh)
+    span, spread = distinct_span(model, xc_ext[1:-1])
+    al, f = al_ext[1:-1], f.at(slice(1, -1))
+    curve = model.curve
+    for u in (rng.uniform(curve.alpha_min - 1.0, curve.alpha_max + 1.0, mesh.n_cells),
+              np.full(mesh.n_cells, curve.alpha_max + 0.5)):
+        before = len(solve_calls)
+        got = bracket(model, mesh, u)
+        # One root solve for both states, on a model with no closed forms.
+        assert len(solve_calls) - before == (0 if model.freeze else 1)
+        for st, sign, clamp in zip(got, (-1.0, 1.0), (np.minimum, np.maximum)):
+            level = max(float(np.max(f(clamp(u, al)))), curve.floor)
+            want = spread(invert_branch(f.at(span), al[span], level, sign))
+            assert st.flux_level == level
+            assert st.values.tobytes() == want.tobytes()
+            assert st.bound == (np.min(want) if sign < 0 else np.max(want))
+
+
+def test_bracket_names_the_lower_overflow_first():
+    # Both levels overflow; the lower branch's data level is named.
+    model = quadratic()
+    mesh = Mesh.make(-1.0, 1.0, 0.5)
+    u = np.array([1e200, 0.0, -3e200, 0.0])
+    with np.errstate(over="ignore"), pytest.raises(NumericalError,
+                                                   match=r"data level -3e\+200 overflows"):
+        bracket(model, mesh, u)
 
 
 def test_homogeneous_steady_is_constant(burgers_model):
