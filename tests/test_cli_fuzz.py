@@ -44,6 +44,9 @@ SECTION_KEYS = {
     "diagnostics": ("entropy", "k_levels", "consistency", "time_variation"),
 }
 FAULTS = ("foreign key", "non-finite", "not a number", "out of range", "huge window")
+# The CSV files a case may name as initial.path; None is never written.
+CSV_FILES = {"profile.csv": "x,u\n-1.0,0.5\n0.0,1.2\n1.5,0.25\n", "narrow.csv": "x\n1.0\n",
+             "absent.csv": None}
 
 
 def _params(builder):
@@ -116,6 +119,21 @@ def _case(rng, i, csv_paths):
     return argv, fault
 
 
+def cases(csv_dir: str) -> list:
+    """(argv, fault) of every case, naming its CSVs under csv_dir ("" names
+    them relative to the working directory)."""
+    rng = np.random.default_rng(SEED)
+    csv_paths = [os.path.join(csv_dir, name) for name in CSV_FILES]
+    return [_case(rng, i, csv_paths) for i in range(N_CASES)]
+
+
+def write_csvs(directory) -> None:
+    for name, text in CSV_FILES.items():
+        if text is not None:
+            with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+
+
 def _call(argv, root):
     os.environ[ENV_OUTPUT_ROOT] = root
     out, err = io.StringIO(), io.StringIO()
@@ -137,15 +155,9 @@ def _call(argv, root):
 
 def test_seeded_cli_fuzz(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTPUT_ROOT, "")
-    good = tmp_path / "profile.csv"
-    good.write_text("x,u\n-1.0,0.5\n0.0,1.2\n1.5,0.25\n", encoding="utf-8")
-    bad = tmp_path / "narrow.csv"
-    bad.write_text("x\n1.0\n", encoding="utf-8")
-    csv_paths = [str(good), str(bad), str(tmp_path / "absent.csv")]
-    rng = np.random.default_rng(SEED)
+    write_csvs(tmp_path)
     codes = []
-    for i in range(N_CASES):
-        argv, fault = _case(rng, i, csv_paths)
+    for i, (argv, fault) in enumerate(cases(str(tmp_path))):
         root = tmp_path / f"first{i:02d}"
         first = _call(argv, str(root))
         rc, _, err, files = first

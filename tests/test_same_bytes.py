@@ -1,6 +1,8 @@
 """Same bytes: run, diagnose, steady, validate and riemann on every shipped
-config, each reduced to one sha256 and compared with the table in
-same_bytes.json.
+config, and the argvs of the seeded CLI fuzz, each reduced to one sha256 and
+compared with the table in same_bytes.json. The fuzz argvs run from one
+working directory that holds their CSVs, named relative to it, so that no
+digest depends on where the test runs.
 
 An entry's digest covers the exit code, stdout (the output root replaced
 by a placeholder), stderr, the warnings raised (recorded here, so the test
@@ -28,6 +30,7 @@ import warnings
 import numpy as np
 
 from hetflux.cli import ENV_OUTPUT_ROOT, main
+from test_cli_fuzz import cases, write_csvs
 
 HERE = pathlib.Path(__file__).resolve().parent
 TABLE = HERE / "same_bytes.json"
@@ -39,9 +42,11 @@ COMMANDS = {
 
 
 def _entries():
-    """(name, argv) of every entry, in table order."""
-    return [(f"{command} {config.stem}", [command, "-c", str(config), *extra])
-            for config in CONFIGS for command, extra in COMMANDS.items()]
+    """(name, argv, fuzz) of every entry, in table order; fuzz marks the
+    fuzz argvs, which name their CSVs relative to the working directory."""
+    shipped = [(f"{command} {config.stem}", [command, "-c", str(config), *extra], False)
+               for config in CONFIGS for command, extra in COMMANDS.items()]
+    return shipped + [(f"fuzz {i:02d}", argv, True) for i, (argv, _) in enumerate(cases(""))]
 
 
 def _digest(argv, root: str) -> str:
@@ -71,15 +76,21 @@ def _digest(argv, root: str) -> str:
 
 
 def _digests(base) -> dict:
-    return {name: _digest(argv, os.path.join(base, f"entry{i:02d}"))
-            for i, (name, argv) in enumerate(_entries())}
+    work = os.path.join(base, "work")
+    os.mkdir(work)
+    write_csvs(work)
+    digests = {}
+    for i, (name, argv, fuzz) in enumerate(_entries()):
+        with contextlib.chdir(work) if fuzz else contextlib.nullcontext():
+            digests[name] = _digest(argv, os.path.join(base, f"entry{i:02d}"))
+    return digests
 
 
 def test_every_shipped_output_keeps_its_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTPUT_ROOT, "")
     table = json.loads(TABLE.read_text(encoding="utf-8"))
     got = _digests(str(tmp_path))
-    assert len(got) == 25
+    assert len(got) == 25 + 48
     moved = sorted(name for name in got if table["digests"].get(name) != got[name])
     note = "" if table["numpy"] == np.__version__ else (
         f"; the table was written with numpy {table['numpy']}, this is {np.__version__}")
