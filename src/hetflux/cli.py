@@ -22,8 +22,8 @@ For the concave (traffic) family all file and flag values are in physical
 units. Inputs are flipped into the internal convex formulation here, the
 datum by datum.map(model.to_internal), and every value written or printed
 comes back through _physical. The CLI asks no datum of its kind: the auto
-window (solver.cone_mesh) reads datum.support and the envelope
-datum.bounds (see solver).
+window (solver.cone_mesh) reads datum.support, and every data range it
+sizes or reports is that of the datum's projected cells (see solver).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import ConfigError, InvariantBreach, NumericalError
 from .flux_model import FluxModel, validate_assumptions
 from .interface import InterfaceContext
 from .riemann import sample, solve_interface, wave_census
-from .solver import MASS_DRIFT_TOL, MAX_AUTO_CELLS, Mesh, cone_mesh, run
+from .solver import MASS_DRIFT_TOL, MAX_AUTO_CELLS, Mesh, cone_mesh, project_initial, run
 from .steady import build_steady, envelope
 
 EXIT_OK = 0
@@ -243,8 +243,9 @@ def _build_mesh(cfg: ExperimentConfig, model: FluxModel, datum=None, t_end: floa
     """Mesh from config; the window is auto-sized when x_min/x_max are absent.
 
     Auto window: solver.cone_mesh of [-s, s], s = max(datum support, 1),
-    with reach the envelope L * t_end, the envelope of the datum's bounds on
-    the cone of reach 1. It refuses a datum of unknown (infinite) support.
+    with reach the envelope L * t_end, the envelope over the range of the
+    datum's projected cells on the probe mesh, the cone of reach 1 without
+    padding. It refuses a datum of unknown (infinite) support.
     An explicit window obeys the same cap of MAX_AUTO_CELLS cells, checked
     before anything is allocated (Mesh.make allocates nothing).
     """
@@ -261,8 +262,8 @@ def _build_mesh(cfg: ExperimentConfig, model: FluxModel, datum=None, t_end: floa
     s = max(0.0 if datum is None else datum.support, 1.0)
     margin = 0.0
     if t_end > 0 and datum is not None:
-        b = datum.bounds(cone_mesh(model, -s, s, 1.0, dx, pad=0, advice=_WINDOW_ADVICE))
-        margin = envelope(model, None, b[0], b[1]).lipschitz * t_end
+        u0 = project_initial(datum, cone_mesh(model, -s, s, 1.0, dx, pad=0, advice=_WINDOW_ADVICE)).u
+        margin = envelope(model, None, u0.min(), u0.max()).lipschitz * t_end
     return cone_mesh(model, -s, s, margin, dx, advice=_WINDOW_ADVICE)
 
 
@@ -420,7 +421,8 @@ def cmd_steady(args, cfg: ExperimentConfig) -> int:
             f"flux level {level:.12g}; outputs in {out.directory}"
         )
     else:
-        env = envelope(model, mesh, *(datum.bounds(mesh) if datum is not None else (0.0, 0.0)))
+        u0 = project_initial(datum, mesh).u if datum is not None else np.zeros(1)
+        env = envelope(model, mesh, u0.min(), u0.max())
         lower, upper = _physical(model, env.lower_state.values, env.upper_state.values)
         out.csv("steady_lower.csv", ("x", "v"), xs, lower)
         out.csv("steady_upper.csv", ("x", "v"), xs, upper)

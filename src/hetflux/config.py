@@ -17,8 +17,8 @@ library cannot drift apart. A value parses as the type of its default: bool,
 int, tuple of floats, text, and a finite float otherwise. The text keys
 without a default are the selectors and initial.path. Unknown sections or
 keys are hard errors, as are out-of-range values; the error message names
-the offending "section.key". A built datum carries its own support and
-bounds (see solver), so nothing here knows a datum kind's parameters.
+the offending "section.key". A built datum carries its own support and map
+(see solver), so nothing here knows a datum kind's parameters.
 """
 
 from __future__ import annotations
@@ -54,7 +54,10 @@ def _datum_file(path: str):
             "and at least two columns (x, u)"
         )
     cx, cu = table.dtype.names[:2]
-    return datum_from_table(np.atleast_1d(table[cx]), np.atleast_1d(table[cu]))
+    try:
+        return datum_from_table(np.atleast_1d(table[cx]), np.atleast_1d(table[cu]))
+    except ConfigError as exc:
+        raise ConfigError(f"initial.path: {path!r}: {exc}") from exc
 
 
 FAMILY_BUILDERS: dict[str, Callable[..., FluxModel]] = {

@@ -39,6 +39,7 @@ from .solver import (
     Mesh,
     Scheme,
     cone_mesh,
+    project_initial,
     run,
 )
 from .steady import envelope
@@ -513,17 +514,16 @@ def convergence_study(
     reference: str = "exact",
     exact: Optional[RiemannSolution] = None,
     safety: float = 0.9,
-    datum_bounds: Optional[tuple[float, float]] = None,
 ) -> ConvergenceReport:
     """L1 convergence of the scheme on a fixed window under mesh refinement.
 
     Each level runs on solver.cone_mesh of the window with reach L * t_end,
-    L the envelope's over the data bounds (unless given, the datum's bounds
-    on that mesh with reach 0 at the finest dx). It holds the window and
-    [-X, X], each widened by that reach, so boundary replication cannot
-    pollute the measured window and run() sees its whole influence cone.
-    The time step policy is proportional to dx (same data bounds at every
-    level), so the sweep refines space and time together at fixed ratio.
+    L the envelope's over the range of the datum's projected cells on that
+    mesh with reach 0 at the finest dx. It holds the window and [-X, X],
+    each widened by that reach, so boundary replication cannot pollute the
+    measured window and run() sees its whole influence cone. Each level
+    steps at safety dx / (2 L) with L over its own bracket (see run), so
+    the sweep refines space and time together at a near-fixed ratio.
 
     reference='exact' compares against a supplied Riemann solution, which
     is only meaningful when the model's heterogeneity is the two-flux jump
@@ -540,15 +540,12 @@ def convergence_study(
     if dxs.size < 2:
         raise ConfigError("need at least two mesh sizes")
 
-    if datum_bounds is None:
-        m0, m1 = datum.bounds(cone_mesh(model, *window, 0.0, dxs[-1], advice=_STUDY_ADVICE))
-    else:
-        m0, m1 = datum_bounds
-    margin = envelope(model, None, m0, m1).lipschitz * t_end
+    u0 = project_initial(datum, cone_mesh(model, *window, 0.0, dxs[-1], advice=_STUDY_ADVICE)).u
+    margin = envelope(model, None, u0.min(), u0.max()).lipschitz * t_end
 
     def run_level(dx: float) -> tuple[np.ndarray, Mesh, int]:
         mesh = cone_mesh(model, *window, margin, dx, advice=_STUDY_ADVICE)
-        res = run(model, mesh, datum, t_end, safety=safety, datum_bounds=(m0, m1))
+        res = run(model, mesh, datum, t_end, safety=safety)
         return res.final.u, mesh, res.n_steps
 
     levels = [run_level(dx) for dx in dxs]

@@ -116,9 +116,6 @@ class GridState:
     time: float
     step_index: int = 0
 
-    def bounds(self, mesh: Optional[Mesh] = None) -> tuple[float, float]:
-        return (float(np.min(self.u)), float(np.max(self.u)))
-
 
 @dataclass(frozen=True)
 class CflPolicy:
@@ -320,10 +317,11 @@ def _cfl_policy(L: float, mesh: Mesh, safety: float, max_dt: Optional[float],
 # ---------------------------------------------------------------------------
 # Initial data
 #
-# A datum answers for itself: datum(x) its values, bounds(mesh) its range on
-# a mesh, support how far from the origin it is non-constant (math.inf when
-# unknown), and map(fn) the datum fn(u) with the same support, so callers
-# ask no datum of its kind.
+# A datum answers for itself: datum(x) its values, support how far from the
+# origin it is non-constant (math.inf when unknown), and map(fn) the datum
+# fn(u) with the same support, so callers ask no datum of its kind. Its range
+# on a mesh is that of its projected cells (project_initial), the u0 the
+# scheme starts from.
 
 
 @dataclass(frozen=True)
@@ -344,9 +342,6 @@ class PiecewiseConstantDatum:
         idx = np.searchsorted(np.asarray(self.breakpoints), x, side="right")
         return np.asarray(self.values, dtype=float)[idx]
 
-    def bounds(self, mesh: Optional[Mesh] = None) -> tuple[float, float]:
-        return (float(min(self.values)), float(max(self.values)))
-
     @property
     def support(self) -> float:
         return max(map(abs, self.breakpoints), default=0.0)
@@ -364,11 +359,6 @@ class SmoothDatum:
 
     def __call__(self, x):
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def bounds(self, mesh: Mesh) -> tuple[float, float]:
-        xs = np.linspace(mesh.x_min, mesh.x_max, 16 * mesh.n_cells + 1)
-        vals = self(xs)
-        return (float(np.min(vals)), float(np.max(vals)))
 
     def map(self, fn: Callable) -> "SmoothDatum":
         return replace(self, fn=lambda x: fn(self(x)))
@@ -393,6 +383,8 @@ def datum_from_table(xs, us) -> SmoothDatum:
     """Piecewise-linear interpolant through sampled points (flat extrapolation)."""
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(us))):
+        raise ConfigError("file datum needs finite x and u samples")
     if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0):
         raise ConfigError("file datum needs at least two strictly increasing x samples")
     return SmoothDatum(fn=lambda x: np.interp(np.asarray(x, dtype=float), xs, us),
@@ -477,8 +469,8 @@ def run(
     bracket that carries no wave speed (constant data at alpha) holds every
     edge flux equal, so the data are a fixed point and the step is t_end,
     capped at max_dt: without it each step runs to the next event.
-    RunResult.envelope (over datum_bounds, or datum.bounds(mesh)) is a
-    report: run() reads none of it.
+    RunResult.envelope (over datum_bounds, or the range of u0) is a report:
+    run() reads none of it.
     The scheme is conservative, so at every snapshot, the last one at t_end,
     the mass must equal the initial mass minus the boundary outflow to a
     relative MASS_DRIFT_TOL, or InvariantBreach is raised.
@@ -492,7 +484,7 @@ def run(
     if t_end < 0:
         raise ConfigError(f"t_end must be >= 0, got {t_end}")
     u = project_initial(datum, mesh).u
-    env = envelope(model, mesh, *(datum.bounds(mesh) if datum_bounds is None else datum_bounds))
+    env = envelope(model, mesh, *((u.min(), u.max()) if datum_bounds is None else datum_bounds))
     brk = bracket(model, mesh, u)
     certified = (brk[0].bound, brk[1].bound)
     policy = _cfl_policy(lipschitz_bound(model, *certified), mesh, safety, max_dt, t_end)

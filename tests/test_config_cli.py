@@ -437,7 +437,7 @@ def test_cli_run_auto_window_covers_influence_cone(tmp_path, monkeypatch, recwar
 
 
 @pytest.mark.parametrize("name, mesh", [
-    ("demo_heterogeneous_bump", Mesh(x_min=-7.5, x_max=7.5, dx=0.02, n_cells=750)),
+    ("demo_heterogeneous_bump", Mesh(x_min=-7.48, x_max=7.48, dx=0.02, n_cells=748)),
     ("demo_lwr_slowdown", Mesh(x_min=-6.19, x_max=6.19, dx=0.01, n_cells=1238)),
 ])
 def test_demo_configs_auto_windows_are_pinned(name, mesh):
@@ -702,6 +702,37 @@ def test_cli_run_reads_a_file_datum_once(tmp_path, monkeypatch):
                  "--initial-kind=file", f"--initial-path={path}",
                  "--time-t-end=0.1"]) == 0
     assert reads == [str(path)]
+
+
+def test_cli_run_manifest_envelope_holds_a_file_datum_spike(tmp_path, monkeypatch):
+    # A peak on a Gauss node of the cell [0, 0.1], between the points that
+    # sampling 16 per cell reads: the envelope is taken over the projected
+    # cells, so it holds every state of the run.
+    path = tmp_path / "spike.csv"
+    path.write_text("x,u\n-1.0,0.0\n0.003,0.0\n0.004691007703066803,50.0\n0.006,0.0\n1.0,0.0\n",
+                    encoding="utf-8")
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    assert main(["run", "--flux-family=quadratic", "--mesh-x-min=-1", "--mesh-x-max=1",
+                 "--mesh-dx=0.1", "--initial-kind=file", f"--initial-path={path}",
+                 "--time-t-end=0.01", "--output-directory=out"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    env, states = manifest["envelope"], manifest["run"]
+    assert states["state_max"] > 5.9
+    assert env["lower"] <= states["state_min"] <= states["state_max"] <= env["upper"]
+
+
+@pytest.mark.parametrize("command", ["run", "steady"])
+def test_cli_file_datum_with_a_non_numeric_cell_names_its_path(command, tmp_path, monkeypatch,
+                                                               capsys):
+    path = tmp_path / "profile.csv"
+    path.write_text("x,u\n-1.0,0.5\n0.0,abc\n1.5,0.25\n", encoding="utf-8")
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path / "root"))
+    assert main([command, "--flux-family=quadratic", "--mesh-dx=0.1", "--initial-kind=file",
+                 f"--initial-path={path}", "--time-t-end=0.1"]) == 2
+    assert capsys.readouterr().err == (
+        f"hetflux: configuration error: initial.path: {str(path)!r}: "
+        "file datum needs finite x and u samples\n")
+    assert not (tmp_path / "root").exists()
 
 
 def test_cli_steady_reads_the_datum_only_for_an_auto_window_or_the_envelope(tmp_path, monkeypatch,

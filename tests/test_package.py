@@ -187,19 +187,27 @@ def test_only_the_window_rules_and_steady_build_an_envelope_and_run_only_reports
 
 
 def test_only_the_solver_asks_what_kind_a_datum_is():
-    # A datum carries its support, bounds and map (see solver), so no other
-    # module switches on its type; the CLI flips data with model.to_internal
-    # and reads the orientation only to swap the steady branch.
+    # A datum carries its support and map (see solver), so no other module
+    # switches on its type; the CLI flips data with model.to_internal and
+    # reads the orientation only to swap the steady branch. Its range is that
+    # of its projected cells: no kind has bounds, no module reads them and
+    # convergence_study takes none.
     src = Path(hetflux.__file__).parent
     kinds = {"GridState", "PiecewiseConstantDatum", "SmoothDatum"}
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
     asks = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(src.glob("*.py")) if path.name != "solver.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items() if name != "solver.py"
+        for node in ast.walk(tree)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
         and kinds & {n.id for n in ast.walk(node.args[-1]) if isinstance(n, ast.Name)}
     ]
     assert asks == []
+    assert [kind for kind in sorted(kinds) if hasattr(getattr(hetflux.solver, kind), "bounds")] == []
+    assert [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "bounds"] == []
+    assert "datum_bounds" not in inspect.signature(hetflux.convergence_study).parameters
     cli = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
     reads = [node.lineno for node in ast.walk(cli)
              if isinstance(node, ast.Attribute) and node.attr == "orientation"]

@@ -91,7 +91,7 @@ def test_multi_piece_datum_projection():
     state = project_initial(datum, mesh)
     want = [2.0, 2.0, (0.25 * 2.0 + 0.25 * -1.0) / 0.5, -1.0, (0.25 * -1.0 + 0.25 * 0.5) / 0.5, 0.5]
     assert state.u == pytest.approx(want, abs=1e-15)
-    assert datum.bounds() == (-1.0, 2.0)
+    assert (state.u.min(), state.u.max()) == (-1.0, 2.0)  # the data range run() reports
 
 
 def test_piecewise_projection_is_exact_on_uncut_cells_and_stays_in_range(rng):
@@ -141,20 +141,15 @@ def test_datum_constructor_validation():
         datum_bump(0.0, 1.0, width=0.0)
     with pytest.raises(ConfigError, match="strictly increasing"):
         datum_from_table([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+    for xs, us in (([0.0, math.nan, 1.0], [1.0, 2.0, 3.0]), ([0.0, 1.0], [1.0, math.inf])):
+        with pytest.raises(ConfigError, match="finite x and u"):
+            datum_from_table(xs, us)
 
 
 def test_table_datum_interpolates_and_extrapolates_flat():
     d = datum_from_table([0.0, 1.0], [0.0, 2.0])
     assert d(0.5) == 1.0
     assert d(-10.0) == 0.0 and d(10.0) == 2.0
-
-
-def test_smooth_datum_bounds_sample_inside_cells():
-    mesh = Mesh.make(-1.0, 1.0, 0.5)
-    d = datum_bump(0.0, 1.0, center=0.25, width=0.3)
-    lo, hi = d.bounds(mesh)
-    assert lo == 0.0
-    assert hi > 0.9  # the peak sits between cell centers but sampling finds it
 
 
 def test_every_datum_carries_its_support():
@@ -181,13 +176,7 @@ def test_mapped_datum_flips_like_the_old_negation_and_keeps_its_support():
         assert flipped(xg).tobytes() == (-datum(xg)).tobytes()
         assert project_initial(flipped, mesh).u.tobytes() == project_initial(
             SmoothDatum(fn=lambda x, d=datum: -d(x)), mesh).u.tobytes()
-        assert flipped.bounds(mesh) == tuple(-v for v in reversed(datum.bounds(mesh)))
     assert datum_constant(0.5).map(quadratic().to_internal) == datum_constant(0.5)
-
-
-def test_grid_state_bounds_are_its_range():
-    state = GridState(u=np.array([0.25, -1.5, 3.0]), time=0.0)
-    assert state.bounds() == state.bounds(Mesh.make(0.0, 3.0, 1.0)) == (-1.5, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1316,6 +1305,22 @@ def test_run_reads_no_envelope_constant():
     assert not ENVELOPE_CONSTANTS & set(vars(res.envelope)) and "legendre_sup_1" not in vars(model)
 
 
+def test_run_envelope_holds_a_spike_between_sample_points():
+    # The peak sits on a Gauss node of the cell [0, 0.1], between the points
+    # 0 and 0.00625 that sampling 16 points per cell reads: the envelope is
+    # taken over the projected cells, so it holds u0 and every state the
+    # run reaches.
+    model, mesh = quadratic(), Mesh.make(-1.0, 1.0, 0.1)
+    datum = datum_from_table([-1.0, 0.003, 0.004691007703066803, 0.006, 1.0],
+                             [0.0, 0.0, 50.0, 0.0, 0.0])
+    u0 = project_initial(datum, mesh).u
+    res = run(model, mesh, datum, t_end=0.01)
+    env = res.envelope
+    assert u0.max() > 5.9
+    assert env.lower_bound <= min(u0.min(), res.running_min)
+    assert max(u0.max(), res.running_max) <= env.upper_bound
+
+
 def test_run_builds_the_envelope_states_only_on_demand(monkeypatch, hq_model):
     built = []
     build = steady.build_steady
@@ -1331,7 +1336,8 @@ def test_run_builds_the_envelope_states_only_on_demand(monkeypatch, hq_model):
     assert built == []
     want = {"lower": build(hq_model, mesh, env.lower_anchor, "from_left", "lower"),
             "upper": build(hq_model, mesh, env.upper_anchor, "from_left", "upper")}
-    direct = steady.envelope(hq_model, mesh, *datum.bounds(mesh))
+    u0 = project_initial(datum, mesh).u
+    direct = steady.envelope(hq_model, mesh, u0.min(), u0.max())
     for got in (env, direct):
         for branch, st in want.items():
             state = getattr(got, f"{branch}_state")
