@@ -1,8 +1,8 @@
 """Same bytes: run, diagnose, steady, validate and riemann on every shipped
 config, and the argvs of the seeded CLI fuzz, each reduced to one sha256 and
-compared with the table in same_bytes.json. The fuzz argvs run from one
-working directory that holds their CSVs, named relative to it, so that no
-digest depends on where the test runs.
+compared with the table in same_bytes.json. Every entry runs from one
+working directory that holds the fuzz CSVs, which the fuzz argvs name
+relative to it, so that no digest depends on where the test runs.
 
 An entry's digest covers the exit code, stdout (the output root replaced
 by a placeholder), stderr, the warnings raised (recorded here, so the test
@@ -42,11 +42,10 @@ COMMANDS = {
 
 
 def _entries():
-    """(name, argv, fuzz) of every entry, in table order; fuzz marks the
-    fuzz argvs, which name their CSVs relative to the working directory."""
-    shipped = [(f"{command} {config.stem}", [command, "-c", str(config), *extra], False)
+    """(name, argv) of every entry, in table order."""
+    shipped = [(f"{command} {config.stem}", [command, "-c", str(config), *extra])
                for config in CONFIGS for command, extra in COMMANDS.items()]
-    return shipped + [(f"fuzz {i:02d}", argv, True) for i, (argv, _) in enumerate(cases(""))]
+    return shipped + [(f"fuzz {i:02d}", argv) for i, (argv, _) in enumerate(cases(""))]
 
 
 def _digest(argv, root: str) -> str:
@@ -76,14 +75,15 @@ def _digest(argv, root: str) -> str:
 
 
 def _digests(base) -> dict:
-    work = os.path.join(base, "work")
+    work, cwd = os.path.join(base, "work"), os.getcwd()
     os.mkdir(work)
     write_csvs(work)
-    digests = {}
-    for i, (name, argv, fuzz) in enumerate(_entries()):
-        with contextlib.chdir(work) if fuzz else contextlib.nullcontext():
-            digests[name] = _digest(argv, os.path.join(base, f"entry{i:02d}"))
-    return digests
+    os.chdir(work)
+    try:
+        return {name: _digest(argv, os.path.join(base, f"entry{i:02d}"))
+                for i, (name, argv) in enumerate(_entries())}
+    finally:
+        os.chdir(cwd)
 
 
 def test_every_shipped_output_keeps_its_bytes(tmp_path, monkeypatch):
