@@ -7,7 +7,9 @@ then flux consistency). Every config key has a mirroring flag
 whenever the flags supply everything the command needs.
 
 Exit codes: 0 success, 1 usage error, 2 configuration/validation error,
-3 numerical failure, 4 invariant breach.
+3 numerical failure, 4 invariant breach. Every size the config sets is
+refused before allocating (exit 2); a MemoryError that still escapes is
+one "hetflux: out of memory" line and exit 2 as well.
 
 Outputs land in [output].directory, resolved against $HETFLUX_OUTPUT_ROOT
 when that is set and the directory is relative. One recorder per command
@@ -554,6 +556,10 @@ def main(argv=None) -> int:
     except InvariantBreach as exc:
         print(f"hetflux: invariant breach: {exc}", file=sys.stderr)
         return EXIT_BREACH
+    except MemoryError as exc:
+        print(f"hetflux: out of memory: {str(exc) or 'allocation failed'}; use a smaller "
+              "mesh, entropy table or sample count", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

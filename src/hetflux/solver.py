@@ -319,7 +319,10 @@ def _cfl_policy(L: float, mesh: Mesh, safety: float, max_dt: Optional[float],
 #
 # A datum answers for itself: datum(x) its values, support how far from the
 # origin it is non-constant (math.inf when unknown), and map(fn) the datum
-# fn(u) with the same support, so callers ask no datum of its kind. Its range
+# fn(u) with the same support, so callers ask no datum of its kind. Beyond
+# +-support a datum is one constant on each side, bit for bit: datum_bump,
+# datum_from_table and every map of them are, and project_initial evaluates
+# a smooth datum only near [-support, support] on that account. Its range
 # on a mesh is that of its projected cells (project_initial), the u0 the
 # scheme starts from.
 
@@ -352,7 +355,12 @@ class PiecewiseConstantDatum:
 
 @dataclass(frozen=True)
 class SmoothDatum:
-    """Datum given by a callable; projected by 5-point Gauss quadrature per cell."""
+    """Datum given by a callable; projected by 5-point Gauss quadrature per cell.
+
+    A finite support is a promise: fn is one constant, bit for bit, on each
+    side beyond +-support, and project_initial copies it there instead of
+    evaluating fn. A bare callable gets support inf and is evaluated on
+    every cell."""
 
     fn: Callable
     support: float = math.inf
@@ -393,7 +401,11 @@ def datum_from_table(xs, us) -> SmoothDatum:
 
 def project_initial(datum, mesh: Mesh) -> GridState:
     """Cell averages of the datum: exact for piecewise-constant data, 5-point
-    Gauss per cell otherwise."""
+    Gauss per cell otherwise. The Gauss rule runs on the cells meeting
+    [-support - dx, support + dx] and on one cell past each end of them
+    (two cells at least); every cell further out takes the value of the one
+    on its side, so the result is that of the rule on every cell, bit for
+    bit, for a datum constant beyond +-support (see "Initial data")."""
     if isinstance(datum, GridState):
         if datum.u.shape != (mesh.n_cells,):
             raise ConfigError("grid state does not match the mesh")
@@ -414,10 +426,20 @@ def project_initial(datum, mesh: Mesh) -> GridState:
         return GridState(u=np.clip(u, v.min(), v.max(), out=u), time=0.0)
     if not callable(datum):
         raise ConfigError(f"cannot project datum of type {type(datum).__name__}")
-    xg = mesh.centers()[:, None] + 0.5 * mesh.dx * _GAUSS_NODES[None, :]
-    vals = np.asarray(datum(xg), dtype=float)
-    u = vals @ _GAUSS_WEIGHTS / 2.0
-    return GridState(u=u, time=0.0)
+    # Quadrature on the cells meeting [-s - dx, s + dx] and on one cell past
+    # each end of them; every cell beyond takes its side's value, the datum
+    # being one constant there (see "Initial data"). A mesh wholly on one
+    # side still gets two rows: numpy sends a one-row product to dot, not
+    # gemv, and dot rounds differently.
+    edges, n = mesh.edges(), mesh.n_cells
+    reach = getattr(datum, "support", math.inf) + mesh.dx
+    a = max(int(np.searchsorted(edges[1:], -reach, side="left")) - 1, 0)
+    b = min(int(np.searchsorted(edges[:-1], reach, side="right")) + 1, n)
+    if b - a < 2:
+        a, b = max(b - 2, 0), min(a + 2, n)
+    xg = mesh.centers()[a:b, None] + 0.5 * mesh.dx * _GAUSS_NODES[None, :]
+    u = np.asarray(datum(xg), dtype=float) @ _GAUSS_WEIGHTS / 2.0
+    return GridState(u=np.pad(u, (a, n - b), mode="edge"), time=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Flags drawn from config_keys() over every flux family, datum kind and
 subcommand, mostly valid and bounded so that every run stays small, with
 one fault in some cases: a key of another family or kind, a non-finite or
 non-numeric value, a value out of range, or data whose automatic window is
-far too large. Whatever the flags, the CLI must exit 0, 2, 3 or 4; a failure
+far too large. Two fixed cases follow the drawn ones, each asking for a
+size past its cap, which no draw reaches: an entropy table of more than
+MAX_CELL_LEVELS cell-levels and more than MAX_AUTO_CELLS Riemann samples.
+Whatever the flags, the CLI must exit 0, 2, 3 or 4; a failure
 prints exactly one "hetflux:" line to stderr and never raises; a run that
 exits 2 or 3 writes nothing; every directory holding a manifest.json holds
 exactly the files its outputs list; and a second run writes the same bytes,
@@ -21,6 +24,8 @@ import numpy as np
 
 from hetflux.cli import ENV_OUTPUT_ROOT, main
 from hetflux.config import DATUM_BUILDERS, FAMILY_BUILDERS, config_keys
+from hetflux.diagnostics import MAX_CELL_LEVELS
+from hetflux.solver import MAX_AUTO_CELLS
 
 SEED = 15
 N_CASES = 48
@@ -44,6 +49,15 @@ SECTION_KEYS = {
     "diagnostics": ("entropy", "k_levels", "consistency", "time_variation"),
 }
 FAULTS = ("foreign key", "non-finite", "not a number", "out of range", "huge window")
+SIZE_CASES = [
+    (["diagnose", "--flux-family=quadratic", "--mesh-dx=0.1", "--initial-kind=step",
+      "--initial-left=0.2", "--initial-right=0.8", "--time-t-end=0.1",
+      f"--diagnostics-k-levels={MAX_CELL_LEVELS + 1}", f"--output-directory=case{N_CASES:02d}"],
+     "huge table"),
+    (["riemann", "--flux-family=quadratic", "--left=0.3", "--right=0.7",
+      f"--samples={MAX_AUTO_CELLS + 1}", f"--output-directory=case{N_CASES + 1:02d}"],
+     "huge samples"),
+]
 # The CSV files a case may name as initial.path; None is never written.
 CSV_FILES = {"profile.csv": "x,u\n-1.0,0.5\n0.0,1.2\n1.5,0.25\n", "narrow.csv": "x\n1.0\n",
              "absent.csv": None}
@@ -120,11 +134,11 @@ def _case(rng, i, csv_paths):
 
 
 def cases(csv_dir: str) -> list:
-    """(argv, fault) of every case, naming its CSVs under csv_dir ("" names
-    them relative to the working directory)."""
+    """(argv, fault) of every case, the drawn ones then SIZE_CASES, naming
+    its CSVs under csv_dir ("" names them relative to the working directory)."""
     rng = np.random.default_rng(SEED)
     csv_paths = [os.path.join(csv_dir, name) for name in CSV_FILES]
-    return [_case(rng, i, csv_paths) for i in range(N_CASES)]
+    return [_case(rng, i, csv_paths) for i in range(N_CASES)] + SIZE_CASES
 
 
 def write_csvs(directory) -> None:
@@ -176,6 +190,10 @@ def test_seeded_cli_fuzz(tmp_path, monkeypatch):
             assert rc == 2, (argv, first[1:3])
         if fault == "huge window":
             assert rc == 2 and "set mesh.x_min and mesh.x_max" in err, (argv, err)
+        if fault == "huge table":
+            assert rc == 2 and "lower diagnostics.k_levels" in err, (argv, err)
+        if fault == "huge samples":
+            assert rc == 2 and "--samples must be at most" in err, (argv, err)
         assert _call(argv, str(tmp_path / f"second{i:02d}")) == first, argv
         codes.append(rc)
     assert codes.count(0) >= N_CASES // 4, codes

@@ -293,6 +293,30 @@ def test_cli_numerical_error_maps_to_3(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, target", [("run", "run"), ("diagnose", "run"),
+                                             ("riemann", "sample")])
+def test_cli_memory_error_is_one_line_and_exit_2(command, target, tmp_path, monkeypatch, capsys):
+    # A backstop: every size the config sets is refused before allocating,
+    # so a MemoryError is forced here by the callable that would allocate.
+    argv = [command, "-c", os.path.join(CONFIG_DIR, "demo_heterogeneous_bump.ini"),
+            "--output-directory=oom"]
+    if command == "riemann":
+        argv += ["--left=0.3", "--right=0.7"]
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    for exc, shown in ((MemoryError("Unable to allocate 7.45 GiB"), "Unable to allocate 7.45 GiB"),
+                       (MemoryError(), "allocation failed")):
+        def oom(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, target, oom)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"hetflux: out of memory: {shown};")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "oom").exists()
+
+
 def test_cli_validate_exit_codes(capsys):
     assert main(["validate", "--flux-family=lwr"]) == 0
     assert "hold" in capsys.readouterr().out

@@ -122,6 +122,59 @@ def test_gauss_projection_is_exact_for_polynomials():
         assert np.max(np.abs(state.u - exact)) < 1e-14
 
 
+def _full_gauss(datum, mesh):
+    """The 5-point Gauss rule on every cell: the reference project_initial
+    must match bit for bit, though it evaluates only where the datum varies."""
+    xg = mesh.centers()[:, None] + 0.5 * mesh.dx * solver._GAUSS_NODES[None, :]
+    return np.asarray(datum(xg), dtype=float) @ solver._GAUSS_WEIGHTS / 2.0
+
+
+SMOOTH_DATA = [
+    datum_bump(0.2, 0.6, width=1.0),
+    datum_bump(0.5, -0.7, center=0.3, width=0.45),
+    datum_bump(0.2, 0.6, width=1.0).map(lambda u: -u),
+    datum_from_table([-0.5, 0.2, 0.7], [1.0, -0.3, 2.5]),
+    datum_from_table([0.0, 1e-3], [0.4, -0.9]),
+    SmoothDatum(fn=lambda x: np.where(x < 0.0, 0.3, -0.4), support=0.0),
+    datum_bump(0.1, 0.9, width=50.0),  # covers the whole mesh
+    SmoothDatum(fn=np.sin),  # support inf
+]
+# Edges on -1, 0 and 1 (the supports 0 and 1 and the table's ends at a
+# multiple of 0.1), edges that miss every support, and meshes that lie
+# wholly on one side of it.
+PROJECTION_MESHES = [
+    Mesh.make(-2.0, 2.0, 0.25), Mesh.make(-1.0, 1.0, 0.1), Mesh.make(-3.0, 3.0, 0.01),
+    Mesh.make(-1.037, 2.963, 0.125), Mesh.make(-2.31, 1.69, 0.002),
+    Mesh.make(1.5, 4.5, 0.1), Mesh.make(-9.0, -6.0, 0.3),
+]
+
+
+@pytest.mark.parametrize("datum", SMOOTH_DATA)
+def test_smooth_projection_matches_the_full_gauss_rule_bitwise(datum):
+    for mesh in PROJECTION_MESHES:
+        u = project_initial(datum, mesh).u
+        assert u.shape == (mesh.n_cells,)
+        assert u.tobytes() == _full_gauss(datum, mesh).tobytes(), (datum, mesh)
+
+
+@pytest.mark.parametrize("datum", [d for d in SMOOTH_DATA if d.support < math.inf])
+def test_smooth_projection_evaluates_the_datum_only_where_it_varies(datum):
+    """At most 5 nodes for each cell meeting [-s - dx, s + dx] and for one
+    cell past each end of them; the full rule evaluates 5 per cell."""
+    nodes = []
+
+    def counted(x):
+        nodes.append(np.size(x))
+        return datum(x)
+
+    for mesh in PROJECTION_MESHES:
+        nodes.clear()
+        project_initial(SmoothDatum(fn=counted, support=datum.support), mesh)
+        edges, reach = mesh.edges(), datum.support + mesh.dx
+        meeting = np.count_nonzero((edges[:-1] <= reach) & (edges[1:] >= -reach))
+        assert sum(nodes) <= 5 * (meeting + 2), (datum, mesh, sum(nodes), meeting)
+
+
 def test_grid_state_passthrough_and_shape_check():
     mesh = Mesh.make(0.0, 1.0, 0.25)
     src = GridState(u=np.array([1.0, 2.0, 3.0, 4.0]), time=0.7, step_index=9)
