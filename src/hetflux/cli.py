@@ -306,10 +306,7 @@ def _run_pipeline(cfg: ExperimentConfig, out: _Outputs, observers=()):
     out.plot(f"{model.name}: solution snapshots", labels, "steps", "snapshots.png")
     state_min, state_max = _physical(model, result.running_min, result.running_max)
     extra = {
-        "mesh": {
-            "dx": mesh.dx, "x_min": mesh.x_min, "x_max": mesh.x_max,
-            "n_cells": mesh.n_cells,
-        },
+        "mesh": dataclasses.asdict(mesh),
         "cfl": {
             "dt_nominal": result.cfl.dt(mesh.dx),
             "lambda": result.cfl.dt(mesh.dx) / mesh.dx,
@@ -374,14 +371,8 @@ def cmd_riemann(args, cfg: ExperimentConfig) -> int:
             "trace_right": tr,
             "interface_flux": f_int,
             "waves": [
-                {
-                    "kind": w.kind,
-                    "side": w.side,
-                    "speed_min": w.speed_min,
-                    "speed_max": w.speed_max,
-                    "left_state": _physical(model, w.left_state),
-                    "right_state": _physical(model, w.right_state),
-                }
+                {**dataclasses.asdict(w), "left_state": _physical(model, w.left_state),
+                 "right_state": _physical(model, w.right_state)}
                 for w in sol.waves
             ],
         }
@@ -405,8 +396,7 @@ def cmd_steady(args, cfg: ExperimentConfig) -> int:
         datum = cfg.build_datum().map(model.to_internal)
     mesh = _build_mesh(cfg, model, datum)
     xs = mesh.centers()
-    extra: dict = {"mesh": {"dx": mesh.dx, "x_min": mesh.x_min,
-                            "x_max": mesh.x_max, "n_cells": mesh.n_cells}}
+    extra: dict = {"mesh": dataclasses.asdict(mesh)}
     if args.anchor is not None:
         branch = args.branch
         if model.orientation == "concave":

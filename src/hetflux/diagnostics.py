@@ -31,10 +31,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .flux_model import FluxModel
-from .riemann import KIND_RAREFACTION, SIDE_RIGHT, RiemannSolution, _invert_rarefaction
+from .riemann import RiemannSolution, fan_flux, invert_fan, pieces
 from .solver import (
-    _GAUSS_NODES,
-    _GAUSS_WEIGHTS,
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
     MAX_AUTO_CELLS,
     Mesh,
     Scheme,
@@ -347,37 +347,12 @@ def consistency_rate(
 # error against an exact Riemann solution
 
 
-def _pieces(sol: RiemannSolution, t: float):
-    """Decompose the exact profile at time t into intervals.
-
-    Returns a list of (lo, hi, wave_or_none, constant). Constant pieces carry
-    the state value; fan pieces carry the rarefaction wave to invert. Wave
-    speeds are nondecreasing across the solution, so the intervals tile the
-    line in order.
-    """
-    pieces = []
-    pos = -math.inf
-    cur = sol.u_left
-    for w in sol.waves:
-        lo = w.speed_min * t
-        hi = w.speed_max * t
-        if lo > pos:
-            pieces.append((pos, lo, None, cur))
-            pos = lo
-        if w.kind == KIND_RAREFACTION and hi > pos:
-            pieces.append((pos, hi, w, 0.0))
-            pos = hi
-        cur = w.right_state
-    pieces.append((pos, math.inf, None, cur))
-    return pieces
-
-
 def _gauss_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(half, xs): the half widths of the segments [a_i, b_i] and their
     5-point Gauss nodes, shape (n, 5), one row per segment. The integral of
-    f over segment i is half[i] * (f(xs[i]) @ _GAUSS_WEIGHTS)."""
+    f over segment i is half[i] * (f(xs[i]) @ GAUSS_WEIGHTS)."""
     half = 0.5 * (b - a)
-    return half, (0.5 * (a + b))[:, None] + half[:, None] * _GAUSS_NODES
+    return half, (0.5 * (a + b))[:, None] + half[:, None] * GAUSS_NODES
 
 
 def riemann_error(
@@ -390,12 +365,12 @@ def riemann_error(
 ) -> float:
     """Norm of (numerical - exact) over a window at time t.
 
-    The integral is evaluated piece by piece of the self-similar exact
-    profile, over all cells at once: constant pieces contribute in closed
-    form, rarefaction pieces via 5-point Gauss segments per cell. For the L1
-    norm the single sign change the integrand can have inside a fan lands at
-    x = t f'(u_j), so the split point is explicit and no quadrature error
-    leaks through the kink.
+    The integral is evaluated over riemann.pieces(sol, t), the exact
+    profile's intervals, over all cells at once: constant pieces contribute
+    in closed form, fan pieces via 5-point Gauss segments per cell. For the
+    L1 norm the single sign change the integrand can have inside a fan lands
+    at x = t f'(u_j), f the fan's flux (riemann.fan_flux), so the split point
+    is explicit and no quadrature error leaks through the kink.
 
     A fan piece inverts the fan once, at the nodes of both halves of its
     cells (the halves before and after the split points, the second only
@@ -418,7 +393,7 @@ def riemann_error(
     b = np.minimum(edges[1:], hi_w)
     power = 1 if norm == "l1" else 2
     total = 0.0
-    for wlo, whi, wave, const in _pieces(sol, t):
+    for wlo, whi, wave, const in pieces(sol, t):
         s0 = np.maximum(a, wlo)
         s1 = np.minimum(b, whi)
         cut = s1 > s0
@@ -430,19 +405,18 @@ def riemann_error(
         if power == 1:
             # u_j - fan(x) is monotone in x; it changes sign only where the
             # characteristic through u_j lands.
-            flux = sol.ctx.right if wave.side == SIDE_RIGHT else sol.ctx.left
-            cross = t * np.asarray(flux.df(uj), dtype=float)
+            cross = t * np.asarray(fan_flux(sol, wave).df(uj), dtype=float)
             split = (s0 < cross) & (cross < s1)
             mid = np.where(split, cross, s1)
             lo, hi = np.concatenate((s0, mid[split])), np.concatenate((mid, s1[split]))
             uj = np.concatenate((uj, uj[split]))
         half, xs = _gauss_nodes(lo, hi)
-        err = uj[:, None] - _invert_rarefaction(sol, wave, xs / t)
+        err = uj[:, None] - invert_fan(sol, wave, xs / t)
         if power == 2:
-            total += float(np.sum(half * (err**2 @ _GAUSS_WEIGHTS)))
+            total += float(np.sum(half * (err**2 @ GAUSS_WEIGHTS)))
             continue
         for part in (slice(None, n), slice(n, None)):
-            total += float(np.sum(np.abs(half[part] * (err[part] @ _GAUSS_WEIGHTS))))
+            total += float(np.sum(np.abs(half[part] * (err[part] @ GAUSS_WEIGHTS))))
     return total if power == 1 else math.sqrt(total)
 
 

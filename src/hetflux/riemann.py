@@ -17,13 +17,17 @@ flux is then its Godunov flux and the patch the textbook solution, a shock if
 the left datum exceeds the right, a centered rarefaction otherwise, one that
 crosses xi = 0 split there into two fans.
 
-Waves and breakpoints live in the self-similar variable xi = x / t. Sampling
-returns the right limit at exact wave speeds. Jumps of size <= 1e-12 are not
-counted as waves.
+Waves and breakpoints live in the self-similar variable xi = x / t. Jumps of
+size <= 1e-12 are not counted as waves. pieces is the profile's one
+decomposition, into constant intervals and fans in order; sample reads it in
+xi (at t = 1), returning the right limit at exact wave speeds, and
+diagnostics.riemann_error reads it in x. A fan's states are invert_fan's, on
+the side fan_flux picks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,47 +81,26 @@ class RiemannSolution:
     interface_flux_value: float
 
 
-def _classical_waves(flux: FluxSide, u_l: float, u_r: float, side: str) -> list:
+def _wave(flux: FluxSide, u_l: float, u_r: float, side: str) -> tuple:
+    """The classical wave from u_l to u_r on one side of the interface, none
+    for a jump <= ZERO_WAVE. Its speeds are clamped to that side: a
+    rounding-level sign violation is set to 0, a real one raises."""
     if abs(u_l - u_r) <= ZERO_WAVE:
-        return []
+        return ()
     if u_l > u_r:
-        sigma = (float(flux.f(u_l)) - float(flux.f(u_r))) / (u_l - u_r)
-        return [Wave(KIND_SHOCK, u_l, u_r, sigma, sigma, side)]
-    return [
-        Wave(
-            KIND_RAREFACTION,
-            u_l,
-            u_r,
-            float(flux.df(u_l)),
-            float(flux.df(u_r)),
-            side,
-        )
-    ]
-
-
-def _signed(waves: list, side: str) -> list:
-    """Clamp rounding-level speed-sign violations, reject real ones."""
-    out = []
-    for w in waves:
-        if side == SIDE_LEFT:
-            if w.speed_max > SPEED_SIGN_TOL:
-                raise NumericalError(
-                    f"left-going wave with speed {w.speed_max!r}: trace branch selection failed"
-                )
-            out.append(
-                Wave(w.kind, w.left_state, w.right_state,
-                     min(w.speed_min, 0.0), min(w.speed_max, 0.0), w.side)
-            )
-        else:
-            if w.speed_min < -SPEED_SIGN_TOL:
-                raise NumericalError(
-                    f"right-going wave with speed {w.speed_min!r}: trace branch selection failed"
-                )
-            out.append(
-                Wave(w.kind, w.left_state, w.right_state,
-                     max(w.speed_min, 0.0), max(w.speed_max, 0.0), w.side)
-            )
-    return out
+        kind = KIND_SHOCK
+        lo = hi = (float(flux.f(u_l)) - float(flux.f(u_r))) / (u_l - u_r)
+    else:
+        kind, lo, hi = KIND_RAREFACTION, float(flux.df(u_l)), float(flux.df(u_r))
+    if side == SIDE_LEFT:
+        if hi > SPEED_SIGN_TOL:
+            raise NumericalError(f"left-going wave with speed {hi!r}: trace branch selection failed")
+        lo, hi = min(lo, 0.0), min(hi, 0.0)
+    else:
+        if lo < -SPEED_SIGN_TOL:
+            raise NumericalError(f"right-going wave with speed {lo!r}: trace branch selection failed")
+        lo, hi = max(lo, 0.0), max(hi, 0.0)
+    return (Wave(kind, u_l, u_r, lo, hi, side),)
 
 
 def solve_classical(flux: FluxSide, u_l: float, u_r: float) -> RiemannSolution:
@@ -147,14 +130,9 @@ def solve_interface(ctx: InterfaceContext, u_l: float, u_r: float) -> RiemannSol
         gr = min(ar, u_r)
         gl = ctx.left.branch(y, "minus")
 
-    left_waves = _signed(_classical_waves(ctx.left, u_l, gl, SIDE_LEFT), SIDE_LEFT)
-    right_waves = _signed(_classical_waves(ctx.right, gr, u_r, SIDE_RIGHT), SIDE_RIGHT)
-    mid = (
-        []
-        if abs(gl - gr) <= ZERO_WAVE
-        else [Wave(KIND_STATIONARY_JUMP, gl, gr, 0.0, 0.0, SIDE_INTERFACE)]
-    )
-    waves = tuple(left_waves + mid + right_waves)
+    mid = () if abs(gl - gr) <= ZERO_WAVE else (
+        Wave(KIND_STATIONARY_JUMP, gl, gr, 0.0, 0.0, SIDE_INTERFACE),)
+    waves = _wave(ctx.left, u_l, gl, SIDE_LEFT) + mid + _wave(ctx.right, gr, u_r, SIDE_RIGHT)
 
     if classify_germ(ctx, u_l, u_r).is_member:
         tag = "germ"
@@ -175,10 +153,40 @@ def solve_interface(ctx: InterfaceContext, u_l: float, u_r: float) -> RiemannSol
     )
 
 
-def _invert_rarefaction(sol: RiemannSolution, w: Wave, xi) -> np.ndarray:
+def pieces(sol: RiemannSolution, t: float):
+    """Decompose the exact profile at time t into intervals.
+
+    Returns a list of (lo, hi, wave_or_none, constant). Constant pieces carry
+    the state value; fan pieces carry the rarefaction wave to invert. Wave
+    speeds are nondecreasing across the solution, so the intervals tile the
+    line in order.
+    """
+    out = []
+    pos = -math.inf
+    cur = sol.u_left
+    for w in sol.waves:
+        lo, hi = w.speed_min * t, w.speed_max * t
+        if lo > pos:
+            out.append((pos, lo, None, cur))
+            pos = lo
+        if w.kind == KIND_RAREFACTION and hi > pos:
+            out.append((pos, hi, w, 0.0))
+            pos = hi
+        cur = w.right_state
+    out.append((pos, math.inf, None, cur))
+    return out
+
+
+def fan_flux(sol: RiemannSolution, w: Wave) -> FluxSide:
+    """The flux whose derivative spans the fan w: the right side's for a fan
+    right of the interface, the left side's otherwise."""
+    return sol.ctx.right if w.side == SIDE_RIGHT else sol.ctx.left
+
+
+def invert_fan(sol: RiemannSolution, w: Wave, xi) -> np.ndarray:
     """States inside the fan w at the self-similar points xi: f'(s) = xi,
     solved from the fan's side alpha, where f' = 0."""
-    flux = sol.ctx.right if w.side == SIDE_RIGHT else sol.ctx.left
+    flux = fan_flux(sol, w)
     xi = np.asarray(xi, dtype=float)
     s = flux.f.du_inverse(xi, flux.alpha)
     check_residual(np.abs(np.asarray(flux.df(s), dtype=float) - xi), TOL_ROOT)
@@ -193,21 +201,13 @@ def sample(sol: RiemannSolution, xi, left_limit: bool = False):
     """
     z = np.asarray(xi, dtype=float)
     flat = z.ravel()
-    # Wave speeds are nondecreasing along the solution and a fan ends where
-    # the next wave starts, so only the last wave a point has passed can hold
-    # that point inside its fan.
-    starts = np.array([w.speed_min for w in sol.waves], dtype=float)
-    states = np.array([sol.u_left] + [w.right_state for w in sol.waves])
-    passed = np.searchsorted(starts, flat, side="left" if left_limit else "right")
-    out = states[passed]
-    for i, w in enumerate(sol.waves):
-        if w.kind != KIND_RAREFACTION:
-            continue
-        inside = (passed == i + 1) & (
-            (flat <= w.speed_max) if left_limit else (flat < w.speed_max)
-        )
-        if inside.any():
-            out[inside] = _invert_rarefaction(sol, w, flat[inside])
+    walk = pieces(sol, 1.0)
+    ends = np.array([hi for _, hi, _, _ in walk[:-1]], dtype=float)
+    at = np.searchsorted(ends, flat, side="left" if left_limit else "right")
+    out = np.array([const for _, _, _, const in walk])[at]
+    for k, (_, _, w, _) in enumerate(walk):
+        if w is not None and (inside := at == k).any():
+            out[inside] = invert_fan(sol, w, flat[inside])
     return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 

@@ -40,7 +40,7 @@ from .profiles import bump
 from .rootfind import TOL_ROOT
 from .steady import Envelope, SteadyState, bracket, envelope
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 # Wave speeds up to this count as none (the step would be unbounded).
 _NO_SPEED = 1e-300
@@ -437,8 +437,8 @@ def project_initial(datum, mesh: Mesh) -> GridState:
     b = min(int(np.searchsorted(edges[:-1], reach, side="right")) + 1, n)
     if b - a < 2:
         a, b = max(b - 2, 0), min(a + 2, n)
-    xg = mesh.centers()[a:b, None] + 0.5 * mesh.dx * _GAUSS_NODES[None, :]
-    u = np.asarray(datum(xg), dtype=float) @ _GAUSS_WEIGHTS / 2.0
+    xg = mesh.centers()[a:b, None] + 0.5 * mesh.dx * GAUSS_NODES[None, :]
+    u = np.asarray(datum(xg), dtype=float) @ GAUSS_WEIGHTS / 2.0
     return GridState(u=np.pad(u, (a, n - b), mode="edge"), time=0.0)
 
 

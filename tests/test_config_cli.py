@@ -24,7 +24,7 @@ import pytest
 import hetflux.cli as cli
 from hetflux.cli import ENV_OUTPUT_ROOT, main
 from hetflux.config import make_config, parse_config
-from hetflux.diagnostics import consistency_rate
+from hetflux.diagnostics import EntropyReport, consistency_rate
 from hetflux.errors import ConfigError, NumericalError
 from hetflux.flux_model import validate_assumptions
 from hetflux.interface import InterfaceContext
@@ -636,6 +636,41 @@ def test_cli_failed_steady_leaves_no_directory(tmp_path, monkeypatch, capsys):
                  "--branch=upper", "--output-directory=s1"]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "s1").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--samples=1"], "--samples must be at least 2"),
+    (["--xi-min=1", "--xi-max=1"], "--xi-min must be below --xi-max"),
+    (["--xi-min=2", "--xi-max=-2"], "--xi-min must be below --xi-max"),
+])
+def test_cli_riemann_refuses_a_bad_sample_grid(tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    assert main(["riemann", "--flux-family=two_state", "--left=-1", "--right=1",
+                 "--output-directory=rie", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"hetflux: configuration error: {message}"]
+    assert captured.out == ""
+    assert not (tmp_path / "rie").exists()
+
+
+def test_cli_diagnose_reports_a_failed_check_and_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    monkeypatch.setattr(EntropyReport, "ok", lambda self, tol=0.0: False)
+    assert main([
+        "diagnose", "--flux-family=two_state",
+        "--mesh-dx=0.05", "--mesh-x-min=-2", "--mesh-x-max=2",
+        "--initial-kind=step", "--initial-left=-1", "--initial-right=-1",
+        "--time-t-end=0.1", "--diagnostics-k-levels=9",
+        "--output-directory=diag",
+    ]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "hetflux: invariant breach: diagnostics failed: entropy_inequality"]
+    outdir = tmp_path / "diag"
+    rows = (outdir / "diagnostics.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows].count("fail") == 1
+    assert rows[0].startswith("entropy_inequality,") and rows[0].endswith(",fail")
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["diagnostics"]["failures"] == 1
 
 
 @pytest.mark.parametrize("anchor, number", [("0.9", "0.9"), ("0.2", "0.16")])

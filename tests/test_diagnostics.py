@@ -42,10 +42,10 @@ from hetflux.diagnostics import (
 from hetflux.errors import ConfigError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.interface import InterfaceContext
-from hetflux.riemann import _invert_rarefaction, sample, solve_interface
+from hetflux.riemann import invert_fan, pieces, sample, solve_interface
 from hetflux.solver import (
-    _GAUSS_NODES,
-    _GAUSS_WEIGHTS,
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
     MAX_AUTO_CELLS,
     GridState,
     Mesh,
@@ -579,17 +579,17 @@ def _per_half_riemann_error(u, mesh, sol, t, window, norm):
 
     def gauss(fn, lo, hi):
         half = 0.5 * (hi - lo)
-        return half * (fn((0.5 * (lo + hi))[:, None] + half[:, None] * _GAUSS_NODES)
-                       @ _GAUSS_WEIGHTS)
+        return half * (fn((0.5 * (lo + hi))[:, None] + half[:, None] * GAUSS_NODES)
+                       @ GAUSS_WEIGHTS)
 
-    for wlo, whi, wave, const in diagnostics._pieces(sol, t):
+    for wlo, whi, wave, const in pieces(sol, t):
         s0, s1 = np.maximum(a, wlo), np.minimum(b, whi)
         cut = s1 > s0
         s0, s1, uj = s0[cut], s1[cut], u[cut]
         if wave is None:
             total += float(np.sum(np.abs(uj - const) ** power * (s1 - s0)))
             continue
-        fan = lambda uv: lambda xs: uv[:, None] - _invert_rarefaction(sol, wave, xs / t)
+        fan = lambda uv: lambda xs: uv[:, None] - invert_fan(sol, wave, xs / t)
         if power == 2:
             total += float(np.sum(gauss(lambda xs: fan(uj)(xs) ** 2, s0, s1)))
             continue
@@ -609,11 +609,11 @@ def test_riemann_error_inverts_each_fan_once_with_the_bits_of_per_half_sums(
         norm, sides, pair_ctx, pair_model, rng, monkeypatch):
     ctx = pair_ctx if sides == "hook-less" else InterfaceContext.from_model(pair_model, -1.0, 1.0)
     calls = []
-    monkeypatch.setattr(diagnostics, "_invert_rarefaction",
-                        lambda *args: calls.append(1) or _invert_rarefaction(*args))
+    monkeypatch.setattr(diagnostics, "invert_fan",
+                        lambda *args: calls.append(1) or invert_fan(*args))
     mesh, t, window = Mesh.make(-3.0, 3.0, 0.02), 0.5, (-1.3, 1.7)
     sol = solve_interface(ctx, -1.0, 1.0)
-    fans = sum(wave is not None for _, _, wave, _ in diagnostics._pieces(sol, t))
+    fans = sum(wave is not None for _, _, wave, _ in pieces(sol, t))
     assert fans == 2
     # Random states split many fan cells; states below every fan state, none.
     for u, splits in ((rng.uniform(-1.0, 1.0, mesh.n_cells), norm == "l1"),

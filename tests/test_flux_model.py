@@ -135,6 +135,14 @@ def test_branch_inverse_clamps_rounding_below_minimum():
         branch_inverse(m, 0.0, 0.25 - 1e-9, "minus")
 
 
+def test_flux_model_rejects_a_negative_radius_and_an_unknown_orientation():
+    m = quadratic(0.5)
+    with pytest.raises(ValueError, match=r"^hetero_radius must be >= 0$"):
+        dataclasses.replace(m, hetero_radius=-0.1)
+    with pytest.raises(ValueError, match=r"^unknown orientation 'sideways'$"):
+        dataclasses.replace(m, orientation="sideways")
+
+
 def test_branch_inverse_rejects_bad_side():
     with pytest.raises(ValueError):
         branch_inverse(quadratic(0.5), 0.0, 1.0, "upward")

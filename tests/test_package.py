@@ -1,11 +1,12 @@
 """Package surface: the public export list stays in step with the modules,
 no module of the package or of the tests imports a name it never reads, a
-module of the package imports inside a function only to break a cycle, and
-only flux_model asks what a freeze hook can do, only solver asks what kind a
-datum is, only solve_interface builds a Riemann solution, only the window
-rule and an explicit window make a mesh, only the window rules and steady
-build an envelope (run() only reports it), and only the CLI's recorder
-touches the output directory."""
+module of the package imports inside a function only to break a cycle and
+imports no other module's private name, and only flux_model asks what a
+freeze hook can do, only solver asks what kind a datum is, only
+solve_interface builds a Riemann solution, only the window rule and an
+explicit window make a mesh, only the window rules and steady build an
+envelope (run() only reports it), and only the CLI's recorder touches the
+output directory."""
 
 import ast
 import inspect
@@ -62,6 +63,28 @@ def test_no_module_imports_an_unused_name():
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def test_no_module_imports_another_modules_private_name():
+    # A name with a leading underscore belongs to its module: a caller that
+    # needs it gets a public name, by import or as module.attribute.
+    src = Path(hetflux.__file__).parent
+    modules = {path.stem for path in src.glob("*.py")}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+                 for alias in node.names if alias.name in modules}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level == 1 or (node.module or "").split(".")[0] == "hetflux"):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in bound and node.attr.startswith("_")):
+                found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert found == []
 
 
 def test_function_level_imports_only_break_a_module_cycle():

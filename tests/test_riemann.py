@@ -17,8 +17,9 @@ import math
 import numpy as np
 import pytest
 
-from hetflux.errors import ConfigError
+from hetflux.errors import ConfigError, NumericalError
 from hetflux.families import two_state
+from hetflux.flux_model import invert_branch, side_sign
 from hetflux.interface import FluxSide, GermClass, InterfaceContext, classify_germ
 from hetflux.riemann import (
     KIND_RAREFACTION,
@@ -26,6 +27,7 @@ from hetflux.riemann import (
     KIND_STATIONARY_JUMP,
     SIDE_LEFT,
     SIDE_RIGHT,
+    invert_fan,
     sample,
     solve_classical,
     solve_interface,
@@ -244,3 +246,73 @@ def test_solvers_reject_non_finite_data(pair_ctx, burgers_side):
         solve_interface(pair_ctx, 0.0, float("-inf"))
     with pytest.raises(ConfigError, match="finite"):
         solve_classical(burgers_side, float("nan"), 1.0)
+
+
+@pytest.mark.parametrize("datum, side, wrong", [
+    # f_l = u^2/2 | f_r = u^2. (-1, -1): f_r imposes -1 and the left trace
+    # takes the minus branch; the plus one opens a fan up to speed sqrt 2.
+    ((-1.0, -1.0), "left", "plus"),
+    # (1, 1): f_l imposes 1 and the right trace takes the plus branch; the
+    # minus one opens a fan down from speed -sqrt 2.
+    ((1.0, 1.0), "right", "minus"),
+])
+def test_a_wave_on_the_wrong_side_of_the_interface_is_a_numerical_error(
+        pair_model, monkeypatch, datum, side, wrong):
+    ctx = InterfaceContext.from_model(pair_model, -1.0, 1.0)
+    flux = getattr(ctx, side)
+    trace = float(flux.branch(1.0 if side == "left" else 0.5, wrong))
+    speed = float(flux.df(trace))
+    monkeypatch.setattr(FluxSide, "branch", lambda self, y, _: invert_branch(
+        self.f, self.alpha, y, side_sign(wrong)))
+    want = f"{side}-going wave with speed {speed!r}: trace branch selection failed"
+    with pytest.raises(NumericalError) as err:
+        solve_interface(ctx, *datum)
+    assert str(err.value) == want
+    assert abs(speed) == pytest.approx(SQRT2, rel=1e-12)
+
+
+def _speed_start_sample(sol, xi, left_limit=False):
+    """sample as a walk over the wave start speeds: the state behind the
+    last wave a point has passed, unless that wave is a fan still holding
+    the point."""
+    z = np.asarray(xi, dtype=float)
+    flat = z.ravel()
+    starts = np.array([w.speed_min for w in sol.waves], dtype=float)
+    states = np.array([sol.u_left] + [w.right_state for w in sol.waves])
+    passed = np.searchsorted(starts, flat, side="left" if left_limit else "right")
+    out = states[passed]
+    for i, w in enumerate(sol.waves):
+        if w.kind != KIND_RAREFACTION:
+            continue
+        inside = (passed == i + 1) & (
+            (flat <= w.speed_max) if left_limit else (flat < w.speed_max)
+        )
+        if inside.any():
+            out[inside] = invert_fan(sol, w, flat[inside])
+    return float(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+
+
+@pytest.mark.parametrize("sides", ["hook-less", "closed forms"])
+def test_sample_matches_the_speed_start_walk_bit_for_bit(sides, pair_ctx, pair_model, rng):
+    ctx = pair_ctx if sides == "hook-less" else InterfaceContext.from_model(pair_model, -1.0, 1.0)
+    offset = InterfaceContext.from_model(two_state(right_offset=0.5), -1.0, 1.0)
+    sols = [solve_interface(ctx, ul, ur) for ul, ur in
+            ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0), (SQRT2, 1.0))]
+    sols += [solve_interface(ctx, *rng.uniform(-2.5, 2.5, 2)) for _ in range(40)]
+    sols += [solve_interface(offset, 0.5, 1.0), solve_classical(ctx.left, -1.0, 1.0),
+             solve_classical(ctx.right, 1.0, -0.5), solve_classical(ctx.left, 0.7, 0.7)]
+    assert {sol.case_tag for sol in sols} == {"I", "II", "III", "IV", "germ"}
+    for sol in sols:
+        speeds = np.array([s for w in sol.waves for s in (w.speed_min, w.speed_max)])
+        xi = np.concatenate((speeds, np.nextafter(speeds, -np.inf), np.nextafter(speeds, np.inf),
+                             rng.uniform(-3.0, 3.0, 64), [-np.inf, np.inf, 0.0, -0.0]))
+        for left_limit in (False, True):
+            got = sample(sol, xi, left_limit=left_limit)
+            want = _speed_start_sample(sol, xi, left_limit=left_limit)
+            assert got.tobytes() == want.tobytes()
+            assert sample(sol, xi.reshape(2, -1), left_limit).tobytes() == want.tobytes()
+            for z in xi[::7]:
+                one = sample(sol, z, left_limit=left_limit)
+                assert isinstance(one, float)
+                assert np.float64(one).tobytes() == np.float64(
+                    _speed_start_sample(sol, z, left_limit=left_limit)).tobytes()

@@ -125,8 +125,8 @@ def test_gauss_projection_is_exact_for_polynomials():
 def _full_gauss(datum, mesh):
     """The 5-point Gauss rule on every cell: the reference project_initial
     must match bit for bit, though it evaluates only where the datum varies."""
-    xg = mesh.centers()[:, None] + 0.5 * mesh.dx * solver._GAUSS_NODES[None, :]
-    return np.asarray(datum(xg), dtype=float) @ solver._GAUSS_WEIGHTS / 2.0
+    xg = mesh.centers()[:, None] + 0.5 * mesh.dx * solver.GAUSS_NODES[None, :]
+    return np.asarray(datum(xg), dtype=float) @ solver.GAUSS_WEIGHTS / 2.0
 
 
 SMOOTH_DATA = [
@@ -183,6 +183,12 @@ def test_grid_state_passthrough_and_shape_check():
     assert out.time == 0.7 and out.step_index == 9
     with pytest.raises(ConfigError, match="does not match"):
         project_initial(GridState(u=np.zeros(5), time=0.0), mesh)
+
+
+@pytest.mark.parametrize("datum", [0.5, (0.0, 1.0), None])
+def test_project_initial_refuses_a_datum_it_cannot_evaluate(datum):
+    with pytest.raises(ConfigError, match=rf"^cannot project datum of type {type(datum).__name__}$"):
+        project_initial(datum, Mesh.make(0.0, 1.0, 0.25))
 
 
 def test_datum_constructor_validation():
