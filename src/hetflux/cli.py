@@ -346,6 +346,8 @@ def cmd_riemann(args, cfg: ExperimentConfig) -> int:
         raise ConfigError("--samples must be at least 2")
     if args.samples > MAX_AUTO_CELLS:
         raise ConfigError(f"--samples must be at most {MAX_AUTO_CELLS}, got {args.samples}")
+    if not (math.isfinite(args.xi_min) and math.isfinite(args.xi_max)):
+        raise ConfigError("--xi-min and --xi-max must be finite")
     if not args.xi_min < args.xi_max:
         raise ConfigError("--xi-min must be below --xi-max")
     model = cfg.build_model()

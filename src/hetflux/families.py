@@ -6,7 +6,8 @@ Every family is one quadratic form in solver coordinates,
 
 so each declares only its coefficient profiles x -> (a, b, c) and their
 x-derivatives; _quadratic_form derives h, du_h, dx_h and the freeze hook from
-them once. The frozen flux forms
+them once, and marks h and du_h as the hook's own (frozen_by), so that
+frozen_flux evaluates the coefficients once per call. The frozen flux forms
 a (u - b)^2 + c in place, in the caller's out= buffer or in one it
 allocates, so the step kernel allocates nothing for it; its du slope
 2 a (u - b) uses the same frozen coefficients, and at(index) slices them,
@@ -57,6 +58,9 @@ def _quadratic_form(coefficients, slopes, **fields) -> FluxModel:
 
     def du_h(x, u):
         return freeze(x).du(u)
+
+    # h and du_h are this hook's own, so frozen_flux need not compare them with it.
+    h.frozen_by = du_h.frozen_by = freeze
 
     def dx_h(x, u):
         x = np.asarray(x, dtype=float)

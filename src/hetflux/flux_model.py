@@ -63,6 +63,8 @@ class FluxModel:
         of whole blocks of edges, whenever the band crosses into another
         block (see solver.Scheme): a costly hook wants an at that slices.
         f may give its critical points and inverses too (see frozen_flux).
+        Each freezing compares f with h and du_h, unless both carry
+        frozen_by naming this hook (see frozen_flux).
 
     The model is immutable, so `curve`, `legendre_sup_1` and `violations`
     are cached in the instance on first access; a dataclasses.replace copy
@@ -132,7 +134,11 @@ def frozen_flux(model: FluxModel, xs) -> Callable:
     A dataclasses.replace copy with a new h keeps the old hook, so f is
     checked against h (f.du against du_h) at xs for u = 0 and 1, with and
     without out, and a hook's alpha by |du_h(xs, alpha)| <= 1e-12: a
-    difference, or a hook taking no out=, raises ConfigError.
+    difference, or a hook taking no out=, raises ConfigError. The check is
+    skipped when h and du_h both carry frozen_by naming model.freeze (the
+    built-in families, whose h and du_h evaluate that hook): then only a
+    non-finite f.du at u = 0, 1 or alpha, an overflowing coefficient,
+    raises ConfigError.
     """
     xs = np.asarray(xs, dtype=float)
     hook = _freeze(model, xs)
@@ -140,6 +146,11 @@ def frozen_flux(model: FluxModel, xs) -> Callable:
     if model.freeze is None:
         return f
     probe = np.stack((np.zeros(xs.shape), np.ones(xs.shape)))
+    if getattr(model.h, "frozen_by", None) is getattr(model.du_h, "frozen_by", None) is model.freeze:
+        if not np.all(np.isfinite(f.du(np.concatenate((probe, f.alpha()[None]))))):
+            raise ConfigError(f"flux model {model.name!r}: du_h is not finite at u = 0, 1 "
+                              "or alpha (a coefficient overflows)")
+        return f
     want = model.h(xs, probe)
     try:
         into_out = f(probe, out=np.empty_like(probe))

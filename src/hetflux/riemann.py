@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .interface import FluxSide, InterfaceContext, classify_germ, require_finite
 from .rootfind import TOL_ROOT, check_residual
 
@@ -197,10 +197,13 @@ def sample(sol: RiemannSolution, xi, left_limit: bool = False):
     """Value of the self-similar solution at xi = x / t.
 
     At exact wave speeds the right limit is returned; left_limit=True flips
-    the convention (used for interface traces). Accepts scalars or arrays.
+    the convention (used for interface traces). Accepts scalars or arrays;
+    xi = -inf and +inf give the far-field states, a NaN raises ConfigError.
     """
     z = np.asarray(xi, dtype=float)
     flat = z.ravel()
+    if np.isnan(flat).any():
+        raise ConfigError("Riemann sample points xi = x / t must not be NaN")
     walk = pieces(sol, 1.0)
     ends = np.array([hi for _, hi, _, _ in walk[:-1]], dtype=float)
     at = np.searchsorted(ends, flat, side="left" if left_limit else "right")

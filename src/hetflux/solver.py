@@ -54,6 +54,8 @@ MASS_DRIFT_TOL = 1e-10
 _EDGE_BLOCK = 64
 # The largest mesh cone_mesh sizes by itself.
 MAX_AUTO_CELLS = 10**6
+# The most steps run() takes: a longer march is refused before its first step.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -501,7 +503,9 @@ def run(
     obs.start(scheme, certified, u0) before the first step, certified the
     bracket's range (min lower, max upper), and obs.step(u, u_new, dt) after
     each, with the dt used; no one may modify these arrays. A NaN or
-    infinite state raises NumericalError.
+    infinite state raises NumericalError. Before the first step, a
+    non-finite L, or more than MAX_STEPS steps of the nominal dt to t_end,
+    raises ConfigError.
     """
     if t_end < 0:
         raise ConfigError(f"t_end must be >= 0, got {t_end}")
@@ -510,6 +514,12 @@ def run(
     brk = bracket(model, mesh, u)
     certified = (brk[0].bound, brk[1].bound)
     policy = _cfl_policy(lipschitz_bound(model, *certified), mesh, safety, max_dt, t_end)
+    dt_nominal = policy.dt(mesh.dx)
+    if not math.isfinite(policy.lipschitz):
+        raise ConfigError(f"the wave-speed bound L = {policy.lipschitz} is not finite")
+    if t_end > MAX_STEPS * dt_nominal:
+        raise ConfigError(f"dt = {dt_nominal:.3g} (wave-speed bound L = {policy.lipschitz:.3g}) "
+                          f"takes more than MAX_STEPS = {MAX_STEPS} steps to t_end = {t_end:g}")
     slack = _CONTAIN_ULPS * np.finfo(float).eps * (1.0 + max(map(abs, certified)))
     contain = (certified[0] - slack, certified[1] + slack)
     a, b = cone(model, 0.0, 0.0, policy.lipschitz * t_end)
@@ -531,7 +541,6 @@ def run(
         if not res <= (tol := 2.0 * TOL_ROOT * (scale + abs(s.flux_level))):
             raise InvariantBreach(f"the {branch} bracket state of flux level {s.flux_level:.17g} "
                                   f"is no fixed point of the Scheme: residual {res:.3e} > {tol:.3e}")
-    dt_nominal = policy.dt(mesh.dx)
     events = sorted({float(t) for t in snapshot_times if 0.0 < t < t_end})
     events.append(float(t_end))
 

@@ -7,6 +7,9 @@ non-numeric value, a value out of range, or data whose automatic window is
 far too large. Two fixed cases follow the drawn ones, each asking for a
 size past its cap, which no draw reaches: an entropy table of more than
 MAX_CELL_LEVELS cell-levels and more than MAX_AUTO_CELLS Riemann samples.
+Four more follow them, each refused before its first step: two flux
+coefficients of 1e308, whose slope overflows; an offset of 1e100, whose
+run would take more than MAX_STEPS steps; and --xi-min=-inf.
 Whatever the flags, the CLI must exit 0, 2, 3 or 4; a failure
 prints exactly one "hetflux:" line to stderr and never raises; a run that
 exits 2 or 3 writes nothing; every directory holding a manifest.json holds
@@ -57,6 +60,21 @@ SIZE_CASES = [
     (["riemann", "--flux-family=quadratic", "--left=0.3", "--right=0.7",
       f"--samples={MAX_AUTO_CELLS + 1}", f"--output-directory=case{N_CASES + 1:02d}"],
      "huge samples"),
+]
+# Four more fixed cases, each refused before its first step: a built-in
+# coefficient whose slope overflows, an offset that asks for about 2e52
+# steps, and an infinite end of the Riemann sample grid.
+_STEP = ["--mesh-dx=0.1", "--mesh-x-min=-2.5", "--mesh-x-max=2.5", "--initial-kind=step",
+         "--initial-left=-1", "--initial-right=-1", "--time-t-end=0.5"]
+REFUSED_CASES = [
+    (["run", "--flux-family=heterogeneous_quadratic", "--flux-theta-base=1e308", *_STEP,
+      f"--output-directory=case{N_CASES + 2:02d}"], "overflowing coefficient"),
+    (["run", "--flux-family=two_state", "--flux-left-coefficient=1e308", *_STEP,
+      f"--output-directory=case{N_CASES + 3:02d}"], "overflowing coefficient"),
+    (["run", "--flux-family=two_state", "--flux-left-offset=1e100", *_STEP,
+      f"--output-directory=case{N_CASES + 4:02d}"], "huge offset"),
+    (["riemann", "--flux-family=two_state", "--left=0.3", "--right=0.7", "--xi-min=-inf",
+      f"--output-directory=case{N_CASES + 5:02d}"], "infinite xi"),
 ]
 # The CSV files a case may name as initial.path; None is never written.
 CSV_FILES = {"profile.csv": "x,u\n-1.0,0.5\n0.0,1.2\n1.5,0.25\n", "narrow.csv": "x\n1.0\n",
@@ -134,11 +152,12 @@ def _case(rng, i, csv_paths):
 
 
 def cases(csv_dir: str) -> list:
-    """(argv, fault) of every case, the drawn ones then SIZE_CASES, naming
-    its CSVs under csv_dir ("" names them relative to the working directory)."""
+    """(argv, fault) of every case, the drawn ones, SIZE_CASES, then
+    REFUSED_CASES, naming its CSVs under csv_dir ("" names them relative to
+    the working directory)."""
     rng = np.random.default_rng(SEED)
     csv_paths = [os.path.join(csv_dir, name) for name in CSV_FILES]
-    return [_case(rng, i, csv_paths) for i in range(N_CASES)] + SIZE_CASES
+    return [_case(rng, i, csv_paths) for i in range(N_CASES)] + SIZE_CASES + REFUSED_CASES
 
 
 def write_csvs(directory) -> None:
@@ -194,6 +213,12 @@ def test_seeded_cli_fuzz(tmp_path, monkeypatch):
             assert rc == 2 and "lower diagnostics.k_levels" in err, (argv, err)
         if fault == "huge samples":
             assert rc == 2 and "--samples must be at most" in err, (argv, err)
+        if fault == "overflowing coefficient":
+            assert rc == 2 and "(a coefficient overflows)" in err, (argv, err)
+        if fault == "huge offset":
+            assert rc == 2 and "more than MAX_STEPS" in err, (argv, err)
+        if fault == "infinite xi":
+            assert rc == 2 and "--xi-min and --xi-max must be finite" in err, (argv, err)
         assert _call(argv, str(tmp_path / f"second{i:02d}")) == first, argv
         codes.append(rc)
     assert codes.count(0) >= N_CASES // 4, codes

@@ -642,6 +642,8 @@ def test_cli_failed_steady_leaves_no_directory(tmp_path, monkeypatch, capsys):
     (["--samples=1"], "--samples must be at least 2"),
     (["--xi-min=1", "--xi-max=1"], "--xi-min must be below --xi-max"),
     (["--xi-min=2", "--xi-max=-2"], "--xi-min must be below --xi-max"),
+    (["--xi-min=-inf"], "--xi-min and --xi-max must be finite"),
+    (["--xi-max=inf"], "--xi-min and --xi-max must be finite"),
 ])
 def test_cli_riemann_refuses_a_bad_sample_grid(tmp_path, monkeypatch, capsys, flags, message):
     monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
@@ -730,6 +732,47 @@ def test_cli_overflowing_data_level_is_named(tmp_path, monkeypatch, capsys, leve
     err = capsys.readouterr().err
     assert err == f"hetflux: numerical failure: steady bracket: the flux of the data level " \
                   f"{float(level):g} overflows\n"
+    assert not os.listdir(tmp_path)
+
+
+OVERFLOWS = [("demo_heterogeneous_bump", "--flux-theta-base=1e308"),
+             ("demo_heterogeneous_bump", "--flux-theta-bump=1e308"),
+             ("golden_shock_interface", "--flux-left-coefficient=1e308")]
+
+
+# riemann freezes the flux only outside the bump, and validate's report of
+# the bump comes first (exit 4), so they meet theta_bump's overflow nowhere.
+@pytest.mark.parametrize("command, config, flag", [
+    ("run", *OVERFLOWS[0]), ("run", *OVERFLOWS[1]), ("run", *OVERFLOWS[2]),
+    ("steady", *OVERFLOWS[1]),
+    *((command, *case) for command in ("riemann", "steady", "validate")
+      for case in (OVERFLOWS[0], OVERFLOWS[2])),
+])
+def test_cli_overflowing_coefficient_exits_2(tmp_path, monkeypatch, capsys, command, config, flag):
+    # The slope 2 a (u - b) of a built-in flux overflows: refused when frozen.
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+    extra = ["--left=0.3", "--right=0.7"] if command == "riemann" else []
+    with np.errstate(all="ignore"):
+        rc = main([command, "-c", os.path.join(CONFIG_DIR, f"{config}.ini"), flag, *extra])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("(a coefficient overflows)"), lines
+    assert not os.listdir(tmp_path)
+
+
+def test_cli_run_past_the_step_budget_exits_2_before_its_first_step(tmp_path, monkeypatch, capsys):
+    # An offset of 1e100 makes L = 2e50, so dt = 2.25e-53: about 2e52 steps.
+    monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path))
+
+    def no_step(self, u, dt):
+        raise AssertionError("no step may run")
+
+    monkeypatch.setattr(Scheme, "step_arrays", no_step)
+    rc = main(["run", "-c", os.path.join(CONFIG_DIR, "golden_shock_interface.ini"),
+               "--flux-left-offset=1e100"])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "more than MAX_STEPS = 10000000 steps" in lines[0], lines
     assert not os.listdir(tmp_path)
 
 

@@ -9,11 +9,13 @@ Closed-form anchors used below, all hand-checkable:
   ell = 0.3, g = -0.1, hence h(0, 1) = 1.5 * 0.49 - 0.1 = 0.635.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hetflux.errors import ConfigError
-from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
+from hetflux.families import _quadratic_form, heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.flux_model import critical_point, frozen_flux
 from hetflux.profiles import bump, bump_prime, smoothstep, smoothstep_prime
 
@@ -234,3 +236,65 @@ def test_freeze_hook_fills_out_with_the_same_bits(family, rng):
     v = u.copy()
     assert f(v, out=v) is v
     assert v.tobytes() == want.tobytes()
+
+
+def test_frozen_flux_evaluates_the_coefficients_once():
+    # h and du_h are the hook's own, so nothing freezes again to compare them.
+    calls = []
+
+    def coefficients(x):
+        calls.append(x.shape)
+        return 1.0 + 0.5 * bump(x), 0.3 * bump(x), -0.1 * bump(x)
+
+    model = _quadratic_form(coefficients, lambda x: (0.0, 0.0, 0.0), hetero_radius=1.0)
+    xs = np.linspace(-2.0, 2.0, 41)
+    f = frozen_flux(model, xs)
+    assert calls == [xs.shape]
+    assert f(0.5).tobytes() == np.asarray(model.h(xs, 0.5)).tobytes()
+
+
+# (family, the same family with another du_h), per built-in family; the
+# changes reach inside the bump of heterogeneous_quadratic.
+OTHERS = [
+    (quadratic, dict(coefficient=0.7)),
+    (two_state, dict(left_coefficient=0.7)),
+    (heterogeneous_quadratic, dict(theta_bump=0.2)),
+    (lwr, dict(v_left=1.2)),
+]
+
+
+@pytest.mark.parametrize("family, other", OTHERS, ids=[f.__name__ for f, _ in OTHERS])
+def test_a_stale_or_sloppy_piece_of_a_built_in_model_is_still_refused(family, other):
+    model, xs = family(), np.linspace(-2.0, 2.0, 41)
+    stranger = family(**other)
+
+    def sloppy(xs):
+        f = model.freeze(xs)
+        return lambda u, out=None: f(u) if out is None else 1.5 * f(u, out=out)
+
+    for bad in (dataclasses.replace(model, h=stranger.h),
+                dataclasses.replace(model, du_h=stranger.du_h),
+                dataclasses.replace(model, freeze=sloppy)):
+        with pytest.raises(ConfigError, match="freeze hook"):
+            frozen_flux(bad, xs)
+    # a wrapper around the same h (say, a call counter) is probed, and agrees
+    calls = []
+
+    def wrapped(x, u):
+        calls.append(1)
+        return model.h(x, u)
+
+    f = frozen_flux(dataclasses.replace(model, h=wrapped), xs)
+    assert calls == [1]
+    assert f(0.5).tobytes() == frozen_flux(model, xs)(0.5).tobytes()
+
+
+@pytest.mark.parametrize("family, key", [(quadratic, "coefficient"),
+                                         (two_state, "left_coefficient"),
+                                         (heterogeneous_quadratic, "theta_base"),
+                                         (heterogeneous_quadratic, "theta_bump"),
+                                         (lwr, "v_left")])
+def test_an_overflowing_coefficient_is_refused_when_frozen(family, key):
+    # 2 a overflows, so the slope 2 a (u - b) is inf, and nan at alpha = b.
+    with np.errstate(all="ignore"), pytest.raises(ConfigError, match="a coefficient overflows"):
+        frozen_flux(family(**{key: 1e308}), np.linspace(-2.0, 2.0, 41))

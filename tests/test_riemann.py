@@ -248,6 +248,15 @@ def test_solvers_reject_non_finite_data(pair_ctx, burgers_side):
         solve_classical(burgers_side, float("nan"), 1.0)
 
 
+def test_sample_refuses_nan_and_reads_the_far_field_at_infinity(pair_ctx):
+    sol = solve_interface(pair_ctx, -1.0, 1.0)
+    for xi in (float("nan"), np.array([0.5, np.nan])):
+        for left_limit in (False, True):
+            with pytest.raises(ConfigError, match="NaN"):
+                sample(sol, xi, left_limit=left_limit)
+    assert sample(sol, np.array([-np.inf, np.inf])).tolist() == [-1.0, 1.0]
+
+
 @pytest.mark.parametrize("datum, side, wrong", [
     # f_l = u^2/2 | f_r = u^2. (-1, -1): f_r imposes -1 and the left trace
     # takes the minus branch; the plus one opens a fan up to speed sqrt 2.

@@ -90,7 +90,7 @@ def test_every_shipped_output_keeps_its_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTPUT_ROOT, "")
     table = json.loads(TABLE.read_text(encoding="utf-8"))
     got = _digests(str(tmp_path))
-    assert len(got) == 25 + 48 + 2
+    assert len(got) == 25 + 48 + 2 + 4
     moved = sorted(name for name in got if table["digests"].get(name) != got[name])
     note = "" if table["numpy"] == np.__version__ else (
         f"; the table was written with numpy {table['numpy']}, this is {np.__version__}")

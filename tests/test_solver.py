@@ -254,6 +254,21 @@ def test_cfl_dt_closed_form(burgers_model):
         _cfl_policy(L, mesh, 0.0, None, 1.0)
 
 
+@pytest.mark.parametrize("L", [math.inf, math.nan, None])
+def test_run_refuses_a_non_finite_bound_or_too_many_steps_before_the_first(L, monkeypatch):
+    def no_step(self, u, dt):
+        raise AssertionError("no step may run")
+
+    monkeypatch.setattr(Scheme, "step_arrays", no_step)
+    if L is not None:
+        monkeypatch.setattr(solver, "lipschitz_bound", lambda *args: L)
+    mesh, datum = Mesh.make(-1.0, 1.0, 0.1), datum_step(0.2, 0.8)
+    # max_dt = t_end / (MAX_STEPS + 1) asks for one step too many
+    max_dt = None if L is not None else 1.0 / (solver.MAX_STEPS + 1)
+    with pytest.raises(ConfigError, match="not finite" if L is not None else "MAX_STEPS"):
+        run(quadratic(), mesh, datum, t_end=1.0, max_dt=max_dt)
+
+
 def test_cfl_degenerate_state_range_steps_to_max_dt_or_t_end(burgers_model):
     # No wave speed bounds no step: dt is t_end, capped at max_dt.
     mesh = Mesh.make(-1.0, 1.0, 0.1)
