@@ -23,10 +23,10 @@ What depends on the flux alone is computed once per model instance, on
 first use: the critical curve and the flux frozen at its samples
 (FluxModel.curve), the Legendre bound sup L(x, +-1) (FluxModel.legendre_sup_1),
 the findings of validate_assumptions (FluxModel.violations), and the
-ghost-extended cell centers of the last mesh asked for, with alpha, the
-flux minima and the flux frozen there (ghost_cells, ghost_minima),
-O(N + ALPHA_GRID_SAMPLES) values per model. A dataclasses.replace copy
-starts with none of them.
+MeshTables of the last mesh asked for (mesh_tables): the ghost-extended
+cell centers with alpha and the flux frozen there, and the Scheme's
+edge-pair table, O(N + ALPHA_GRID_SAMPLES) values per model. A
+dataclasses.replace copy starts with none of them.
 """
 
 from __future__ import annotations
@@ -66,9 +66,10 @@ class FluxModel:
         Each freezing compares f with h and du_h, unless both carry
         frozen_by naming this hook (see frozen_flux).
 
-    The model is immutable, so `curve`, `legendre_sup_1` and `violations`
-    are cached in the instance on first access; a dataclasses.replace copy
-    recomputes them.
+    The model is immutable, so `curve`, `legendre_sup_1`, `violations` and
+    the MeshTables of its last mesh (mesh_tables; after a run, up to 64 B
+    per cell for a built-in family's pair table) are cached in the instance
+    on first access; a dataclasses.replace copy recomputes them.
     """
 
     h: Callable
@@ -257,39 +258,46 @@ def lipschitz_bound(model: FluxModel, lo: float, hi: float) -> float:
     return float(max(np.max(np.abs(du(float(lo)))), np.max(np.abs(du(float(hi))))))
 
 
-def ghost_cells(model: FluxModel, mesh) -> tuple[np.ndarray, np.ndarray, Callable]:
-    """(xc_ext, al_ext, f): the read-only centers of mesh with one ghost
-    cell per side, alpha at them, and the flux frozen there. A ghost sits on
-    its boundary cell's center, so it copies that cell whole: position,
-    alpha and flux (and, in the Scheme, state), and every steady state is a
-    fixed point on any window. The model keeps them for the last mesh asked
-    about, at most one mesh, so the steady states and the Scheme of a run
-    share one solve and one freeze."""
-    return _ghost_memo(model, mesh)[1:4]
+@dataclass(frozen=True, eq=False)
+class MeshTables:
+    """What a model keeps for one mesh (mesh_tables): the read-only centers
+    xc_ext with a ghost cell per side on its boundary cell's center, alpha
+    (al_ext) and the flux (flux) there, scale = 1 + max |flux(al_ext)| for
+    run()'s certificate, the flux on the interior distinct_span (span_flux),
+    span, spread, and h_pair, flux at the (N+1, 2) edges, when a Scheme asks."""
+
+    mesh: object
+    xc_ext: np.ndarray
+    al_ext: np.ndarray
+    flux: Callable
+    scale: float
+    span_flux: Callable
+    span: slice
+    spread: Callable
+
+    @cached_property
+    def h_pair(self) -> Callable:
+        return self.flux.at(np.arange(self.mesh.n_cells + 1)[:, None] + np.arange(2))
 
 
-def ghost_minima(model: FluxModel, mesh) -> np.ndarray:
-    """f(al_ext), the read-only flux minima H(x_j, alpha_j) at the cells of
-    ghost_cells, kept beside them: run() scales its certificate by them."""
-    return _ghost_memo(model, mesh)[4]
-
-
-def _ghost_memo(model: FluxModel, mesh) -> tuple:
-    """(mesh, xc_ext, al_ext, f, f(al_ext)) for the last mesh asked about."""
-    memo = model.__dict__.get("_ghost_cells")
-    if memo is None or memo[0] != mesh:
+def mesh_tables(model: FluxModel, mesh) -> MeshTables:
+    """The MeshTables of mesh, kept in the model for the last mesh asked about:
+    a run's steady states, bracket and Schemes share one solve, freeze and table."""
+    tables = model.__dict__.get("_mesh_tables")
+    if tables is None or tables.mesh != mesh:
         xc = mesh.centers()
         xc_ext = np.concatenate((xc[:1], xc, xc[-1:]))
         # The span of the interior centers: xc_ext repeats its ends.
         span, spread = distinct_span(model, xc)
         f = frozen_flux(model, xc_ext)
-        al = spread(f.at(slice(1, -1)).at(span).alpha())
+        fs = f.at(slice(1, -1)).at(span)
+        al = spread(fs.alpha())
         al_ext = np.concatenate((al[:1], al, al[-1:]))
-        fmin_ext = f(al_ext)
-        xc_ext.flags.writeable = al_ext.flags.writeable = fmin_ext.flags.writeable = False
+        xc_ext.flags.writeable = al_ext.flags.writeable = False
         # Written like a cached_property: the frozen dataclass has a __dict__.
-        memo = model.__dict__["_ghost_cells"] = (mesh, xc_ext, al_ext, f, fmin_ext)
-    return memo
+        tables = model.__dict__["_mesh_tables"] = MeshTables(
+            mesh, xc_ext, al_ext, f, 1.0 + float(np.max(np.abs(f(al_ext)))), fs, span, spread)
+    return tables
 
 
 def distinct_span(model: FluxModel, xs: np.ndarray) -> tuple[slice, Callable]:
@@ -497,20 +505,24 @@ def _find_violations(model: FluxModel) -> tuple:
             per_kind[kind] = per_kind.get(kind, 0) + 1
             violations.append(Violation(kind, float(xi), float(ui), float(mag)))
 
-    DU = np.broadcast_to(np.asarray(model.du_h(XX, UU), dtype=float), (n_x, n_u))
-    DX = np.broadcast_to(np.asarray(model.dx_h(XX, UU), dtype=float), (n_x, n_u))
+    H, DU, DX = (np.broadcast_to(np.asarray(fn(XX, UU), dtype=float), (n_x, n_u))
+                 for fn in (model.h, model.du_h, model.dx_h))
+    # NaN or inf in h, du_h or dx_h; the later checks, whose comparisons a
+    # NaN passes, read only the finite points (ok).
+    mag = np.max(np.abs((H, DU, DX)), axis=0)
+    ok = np.isfinite(mag)
+    for i, j in np.argwhere(~ok):
+        record("non-finite", xs[i], us[j], mag[i, j])
 
     # (CVX): du_h strictly increasing along u.
     diffs = np.diff(DU, axis=1)
-    bad = np.argwhere(diffs <= 0.0)
-    for i, j in bad:
+    for i, j in np.argwhere(ok[:, 1:] & ok[:, :-1] & (diffs <= 0.0)):
         record("convexity", xs[i], us[j], diffs[i, j])
 
     # Derivative consistency, centered differences in u and in x.
     FDU = (np.asarray(model.h(XX, UU + d), dtype=float) - np.asarray(model.h(XX, UU - d), dtype=float)) / (2 * d)
     err = np.abs(np.broadcast_to(FDU, (n_x, n_u)) - DU)
-    bad = np.argwhere(err > tol_fd * (1.0 + np.abs(DU)))
-    for i, j in bad:
+    for i, j in np.argwhere(ok & (err > tol_fd * (1.0 + np.abs(DU)))):
         record("derivative-mismatch-u", xs[i], us[j], err[i, j])
 
     # A narrow bump's truncation error d^2/6 h_xxx grows like 1/X^3, so an
@@ -520,8 +532,7 @@ def _find_violations(model: FluxModel) -> tuple:
         return np.abs(fd / (2 * s) - DX)
 
     err, tol = miss_x(d), tol_fd * (1.0 + np.abs(DX))
-    bad = np.argwhere((err > tol) & (miss_x(d / 2) > tol))
-    for i, j in bad:
+    for i, j in np.argwhere(ok & (err > tol) & (miss_x(d / 2) > tol)):
         record("derivative-mismatch-x", xs[i], us[j], err[i, j])
 
     # (CH): frozen flux outside the radius.

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InvariantBreach, NumericalError
-from .flux_model import FluxModel, ghost_cells, ghost_minima, lipschitz_bound
+from .flux_model import FluxModel, lipschitz_bound, mesh_tables
 from .profiles import bump
 from .rootfind import TOL_ROOT
 from .steady import Envelope, SteadyState, bracket, envelope
@@ -134,11 +134,12 @@ class CflPolicy:
 class Scheme:
     """Per-mesh tables and the step kernel.
 
-    The flux is frozen once at the N+2 ghost-extended centers (ghost_cells,
-    kept by the model), each ghost on its boundary cell's center, so it
-    copies that cell's flux; h_pair is that table over the (N+1, 2) edges,
-    the left cell's flux and the right one's, so one call evaluates both
-    sides of a range of edges. step_arrays() allocates only the new state.
+    The flux is frozen once at the N+2 ghost-extended centers, each ghost
+    on its boundary cell's center, so it copies that cell's flux; h_pair,
+    which the model keeps for the mesh (mesh_tables), is that table over
+    the (N+1, 2) edges, the left cell's flux and the right one's, so one
+    call evaluates both sides of a range of edges. step_arrays() allocates
+    only the new state.
     last_range holds the (min, max) of the state u the last step started
     from, and last_edges (u, a, b, F) that u with its two edge terms and
     edge flux at every edge, valid until the next step.
@@ -176,11 +177,10 @@ class Scheme:
         self.model = model
         self.mesh = mesh
         self.lipschitz = float(lipschitz)
-        self.xc_ext, self.al_ext, f = ghost_cells(model, mesh)
+        tables = mesh_tables(model, mesh)
+        self.xc_ext, self.al_ext, self.h_pair = tables.xc_ext, tables.al_ext, tables.h_pair
         n = self._n = mesh.n_cells
         self._dx = mesh.dx
-        pairs = np.arange(n + 1)[:, None] + np.arange(2)  # edge e joins cells e-1, e
-        self.h_pair = f.at(pairs)
         self._u_ext, self._sides = np.zeros(n + 2), np.empty((n + 1, 2))
         self._flux, self._dflux, self._moved = np.empty(n + 1), np.zeros(n), np.empty(n, bool)
         self._columns = (self._sides[:, 0], self._sides[:, 1])
@@ -339,6 +339,8 @@ class PiecewiseConstantDatum:
     def __post_init__(self):
         if len(self.values) != len(self.breakpoints) + 1:
             raise ConfigError("piecewise datum needs one more value than breakpoints")
+        if not np.all(np.isfinite(np.asarray([*self.breakpoints, *self.values], dtype=float))):
+            raise ConfigError("piecewise datum needs finite breakpoints and values")
         if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
             raise ConfigError("piecewise datum breakpoints must be strictly increasing")
 
@@ -383,8 +385,8 @@ def datum_step(left: float, right: float, location: float = 0.0) -> PiecewiseCon
 
 
 def datum_bump(base: float, amplitude: float, center: float = 0.0, width: float = 1.0) -> SmoothDatum:
-    if width <= 0:
-        raise ConfigError("bump datum needs width > 0")
+    if not (np.all(np.isfinite([base, amplitude, center, width])) and width > 0):
+        raise ConfigError("bump datum needs a finite base, amplitude, center and width > 0")
     return SmoothDatum(fn=lambda x: base + amplitude * bump((np.asarray(x, dtype=float) - center) / width),
                        support=abs(center) + width)
 
@@ -535,7 +537,7 @@ def run(
     # Both bracket states must be fixed points of this Scheme. invert_branch leaves each
     # cell's flux within TOL_ROOT (1 + |level| + |H(x_j, alpha_j)|) of the level, so each
     # edge flux difference within twice that: the flux minima set the scale, not the level.
-    scale = 1.0 + float(np.max(np.abs(ghost_minima(model, mesh))))
+    scale = mesh_tables(model, mesh).scale
     F = scheme.edge_fluxes(np.stack([s.values for s in brk]))
     for branch, s, res in zip(("lower", "upper"), brk, np.max(np.abs(np.diff(F)), axis=-1)):
         if not res <= (tol := 2.0 * TOL_ROOT * (scale + abs(s.flux_level))):

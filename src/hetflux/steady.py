@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .flux_model import FluxModel, distinct_span, ghost_cells, invert_branch, lipschitz_bound
+from .flux_model import FluxModel, MeshTables, invert_branch, lipschitz_bound, mesh_tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,13 +46,14 @@ class SteadyState:
     bound: float  # max of values (upper branch) or min (lower)
 
 
-def _steady(fs, alpha, spread, levels, signs) -> list[SteadyState]:
+def _steady(tables: MeshTables, levels, signs) -> list[SteadyState]:
     """The steady states of flux levels, each on the branch of its sign (+1
-    upper, -1 lower): the branch inverses of the levels under fs, the flux
-    frozen on distinct_span, with minimizers alpha there, in one
-    invert_branch call, spread to every cell."""
+    upper, -1 lower): the branch inverses of the levels under the flux
+    frozen on the mesh's distinct_span, in one invert_branch call, spread
+    to every cell."""
     levels, signs = np.asarray(levels, dtype=float), np.asarray(signs, dtype=float)
-    values = spread(invert_branch(fs, alpha, levels[:, None], signs[:, None]))
+    alpha = tables.al_ext[1:-1][tables.span]
+    values = tables.spread(invert_branch(tables.span_flux, alpha, levels[:, None], signs[:, None]))
     return [SteadyState(values=v, flux_level=float(level),
                         bound=float(np.max(v) if sign > 0 else np.min(v)))
             for v, level, sign in zip(values, levels, signs)]
@@ -100,10 +101,7 @@ def build_steady(
             "of the tightest bottleneck; no steady state holds that level across "
             "the whole domain"
         )
-    xc_ext, al_ext, f = ghost_cells(model, mesh)
-    span, spread = distinct_span(model, xc_ext[1:-1])
-    return _steady(f.at(slice(1, -1)).at(span), al_ext[1:-1][span], spread, [level],
-                   [1.0 if branch == "upper" else -1.0])[0]
+    return _steady(mesh_tables(model, mesh), [level], [1.0 if branch == "upper" else -1.0])[0]
 
 
 def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
@@ -126,9 +124,8 @@ def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
     element is its own problem of that solve (see rootfind), so each state
     has the bits it has when built alone.
     """
-    xc_ext, al_ext, f = ghost_cells(model, mesh)
-    span, spread = distinct_span(model, xc_ext[1:-1])
-    al, f = al_ext[1:-1], f.at(slice(1, -1))
+    tables = mesh_tables(model, mesh)
+    al, f = tables.al_ext[1:-1], tables.flux.at(slice(1, -1))
     fu = f(np.stack((np.minimum(u, al), np.maximum(u, al)))).reshape(2, -1)
     levels = np.max(fu, axis=1)
     for row, level in zip(fu, levels):
@@ -137,7 +134,7 @@ def bracket(model: FluxModel, mesh, u) -> tuple[SteadyState, SteadyState]:
             raise NumericalError(f"steady bracket: the flux of the data level "
                                  f"{float(model.to_physical(np.ravel(u)[j])):g} overflows")
     levels = np.maximum(levels, model.curve.floor)
-    return tuple(_steady(f.at(span), al[span], spread, levels, (-1.0, 1.0)))
+    return tuple(_steady(tables, levels, (-1.0, 1.0)))
 
 
 @dataclass(frozen=True, eq=False)

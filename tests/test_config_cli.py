@@ -740,11 +740,12 @@ OVERFLOWS = [("demo_heterogeneous_bump", "--flux-theta-base=1e308"),
              ("golden_shock_interface", "--flux-left-coefficient=1e308")]
 
 
-# riemann freezes the flux only outside the bump, and validate's report of
-# the bump comes first (exit 4), so they meet theta_bump's overflow nowhere.
+# riemann freezes the flux only outside the bump, so it meets theta_bump's
+# overflow nowhere. validate screens the flux before it freezes it: its
+# report names the non-finite flux and exits 4, as a failing screen does.
 @pytest.mark.parametrize("command, config, flag", [
     ("run", *OVERFLOWS[0]), ("run", *OVERFLOWS[1]), ("run", *OVERFLOWS[2]),
-    ("steady", *OVERFLOWS[1]),
+    ("steady", *OVERFLOWS[1]), ("validate", *OVERFLOWS[1]),
     *((command, *case) for command in ("riemann", "steady", "validate")
       for case in (OVERFLOWS[0], OVERFLOWS[2])),
 ])
@@ -754,9 +755,15 @@ def test_cli_overflowing_coefficient_exits_2(tmp_path, monkeypatch, capsys, comm
     extra = ["--left=0.3", "--right=0.7"] if command == "riemann" else []
     with np.errstate(all="ignore"):
         rc = main([command, "-c", os.path.join(CONFIG_DIR, f"{config}.ini"), flag, *extra])
-    assert rc == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].endswith("(a coefficient overflows)"), lines
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    if command == "validate":
+        assert rc == 4
+        assert out.splitlines()[1].startswith("  non-finite at x="), out
+        assert len(lines) == 1 and "flux model violates assumptions" in lines[0], lines
+    else:
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].endswith("(a coefficient overflows)"), lines
     assert not os.listdir(tmp_path)
 
 

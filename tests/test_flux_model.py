@@ -377,6 +377,26 @@ def test_validate_assumptions_is_answered_once_per_model():
     assert calls
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("part", ["h", "du_h", "dx_h"])
+def test_validate_names_a_non_finite_flux_and_screens_only_finite_points(part, value):
+    # Every other check compares, and a comparison with NaN is false: a flux
+    # NaN on part of the grid passed the screen. Now each such point is a
+    # non-finite finding, and no other finding reads it. The hole, inside
+    # X = 1, keeps clear of the finite points' differences in x.
+    base = heterogeneous_quadratic()
+    fn = getattr(base, part)
+    hole = lambda x: (np.asarray(x) > 0.5) & (np.asarray(x) < 1.16)
+    holed = dataclasses.replace(base, **{part: lambda x, u: np.where(hole(x), value, fn(x, u))})
+    with np.errstate(invalid="ignore"):  # inf - inf in the differences
+        report = validate_assumptions(holed)
+    assert not report.ok and report.summary().splitlines()[1].startswith("  non-finite at x=")
+    assert {v.kind for v in report.violations} == {"non-finite"}
+    assert all(hole(v.x) and not np.isfinite(v.magnitude) for v in report.violations)
+    # 9 x 33 points, capped per kind, as every kind is.
+    assert len(report.violations) == 200
+
+
 def test_validate_flags_nonconvex_and_noncompact_flux():
     # h = sin(x) u: linear in u (no convexity) and x-varying everywhere.
     bad = FluxModel(

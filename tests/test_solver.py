@@ -205,6 +205,27 @@ def test_datum_constructor_validation():
             datum_from_table(xs, us)
 
 
+NON_FINITE_DATA = {
+    "step location": lambda v: datum_step(0.0, 1.0, v),
+    "step value": lambda v: datum_step(v, 1.0),
+    "constant": datum_constant,
+    "breakpoint": lambda v: PiecewiseConstantDatum((v, 0.5), (0.0, 1.0, 2.0)),
+    "bump base": lambda v: datum_bump(v, 1.0),
+    "bump amplitude": lambda v: datum_bump(0.2, v),
+    "bump center": lambda v: datum_bump(0.2, 1.0, center=v),
+    "bump width": lambda v: datum_bump(0.2, 1.0, width=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_DATA))
+def test_datum_constructors_refuse_a_non_finite_number(name, value):
+    # Every check of order passes NaN: a NaN breakpoint ran to a state of
+    # zeros, and a NaN bump center or width projected to the constant base.
+    with pytest.raises(ConfigError, match="datum needs (finite|a finite)"):
+        NON_FINITE_DATA[name](value)
+
+
 def test_table_datum_interpolates_and_extrapolates_flat():
     d = datum_from_table([0.0, 1.0], [0.0, 2.0])
     assert d(0.5) == 1.0
@@ -1048,8 +1069,8 @@ def test_run_accepts_grid_state_datum(pair_model):
 
 def test_the_certificate_reads_the_flux_minima_the_model_keeps():
     # H(x_j, alpha_j) at the N + 2 ghost-extended cells depends on the
-    # model and the mesh alone: kept beside alpha, read-only, with the bits
-    # of f(al_ext), and a second run on them evaluates no flux there.
+    # model and the mesh alone: the certificate's scale 1 + max |f(al_ext)|
+    # is kept beside alpha, and a second run evaluates no flux there.
     base = cosh_model()
     ext_calls = []
     mesh = Mesh.make(-5.0, 5.0, 0.05)
@@ -1062,14 +1083,67 @@ def test_the_certificate_reads_the_flux_minima_the_model_keeps():
     model = dataclasses.replace(base, h=h)
     first = run(model, mesh, datum_step(-0.5, 0.8), t_end=0.1)
     assert ext_calls == [1]
-    _, al_ext, f = fm.ghost_cells(model, mesh)
-    minima = fm.ghost_minima(model, mesh)
-    assert not minima.flags.writeable
-    assert minima.tobytes() == f(al_ext).tobytes()
+    tables = fm.mesh_tables(model, mesh)
+    assert tables.scale == 1.0 + float(np.max(np.abs(tables.flux(tables.al_ext))))
     del ext_calls[:]
     second = run(model, mesh, datum_step(-0.5, 0.8), t_end=0.1)
     assert ext_calls == []
     assert second.final.u.tobytes() == first.final.u.tobytes()
+
+
+def test_schemes_on_one_mesh_share_the_pair_table_the_model_keeps():
+    # The (N+1, 2) table depends on the model and the mesh alone: gathered
+    # when a Scheme first asks, not by the steady states or the bracket.
+    model, mesh = heterogeneous_quadratic(), Mesh.make(-3.0, 3.0, 0.05)
+    steady.build_steady(model, mesh, 2.0)
+    steady.bracket(model, mesh, np.full(mesh.n_cells, 0.5))
+    assert "h_pair" not in vars(fm.mesh_tables(model, mesh))
+    first = Scheme(model, mesh, lipschitz=1.0)
+    assert Scheme(model, mesh, lipschitz=2.0).h_pair is first.h_pair
+    assert first.h_pair is fm.mesh_tables(model, mesh).h_pair
+
+
+def test_a_model_keeps_the_tables_of_one_mesh():
+    model, mesh, other = two_state(), Mesh.make(-3.0, 3.0, 0.05), Mesh.make(-3.0, 3.0, 0.1)
+    tables, pair = fm.mesh_tables(model, mesh), Scheme(model, mesh, 1.0).h_pair
+    assert Scheme(model, other, 1.0).h_pair is not pair
+    assert fm.mesh_tables(model, other).mesh == other
+    again = fm.mesh_tables(model, mesh)
+    assert again is not tables and Scheme(model, mesh, 1.0).h_pair is not pair
+    assert again.al_ext.tobytes() == tables.al_ext.tobytes()
+
+
+def test_a_replaced_copy_builds_its_own_pair_table():
+    model, mesh = lwr(), Mesh.make(-3.0, 3.0, 0.05)
+    pair = Scheme(model, mesh, 1.0).h_pair
+    assert Scheme(model, mesh, 1.0).h_pair is pair
+    copy = Scheme(dataclasses.replace(model), mesh, 1.0)
+    assert copy.h_pair is not pair
+    u = np.linspace(-0.9, -0.1, mesh.n_cells)
+    assert copy.edge_fluxes(u).tobytes() == Scheme(model, mesh, 1.0).edge_fluxes(u).tobytes()
+
+
+WARM_MODELS = {**MODELS, "cosh": cosh_model,
+               "hook without at": lambda: _bare_hook(heterogeneous_quadratic())}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_MODELS))
+def test_a_warm_model_runs_to_the_bytes_of_a_cold_one(name):
+    # A warm run steps on the tables a cold one builds: one run on a fresh
+    # model agrees bitwise with each run of a model warmed on the mesh, and
+    # with one after a run on another mesh took the tables.
+    mesh, other, datum = Mesh.make(-3.0, 3.0, 0.05), Mesh.make(-2.0, 2.0, 0.1), datum_step(0.3, 1.2)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*influence cone.*")
+        cold = run(WARM_MODELS[name](), mesh, datum, t_end=0.3)
+        warm_model = WARM_MODELS[name]()
+        warm = [run(warm_model, m, datum, t_end=0.3) for m in (mesh, mesh, other, mesh)]
+    assert cold.n_steps > 0
+    for res in warm[:2] + warm[3:]:
+        assert res.n_steps == cold.n_steps
+        assert res.final.u.tobytes() == cold.final.u.tobytes()
+        for w, c in zip(res.bracket, cold.bracket):
+            assert w.values.tobytes() == c.values.tobytes() and w.flux_level == c.flux_level
 
 
 def test_model_setup_is_computed_once_per_model(monkeypatch):
@@ -1211,7 +1285,7 @@ def test_bracket_states_are_fixed_points_sandwiching_the_data(name):
     mesh = Mesh.make(-4.0, 4.0, 0.02)
     u0 = project_initial(datum, mesh).u
     lower, upper = steady.bracket(model, mesh, u0)
-    xc, al = mesh.centers(), fm.ghost_cells(model, mesh)[1][1:-1]
+    xc, al = mesh.centers(), fm.mesh_tables(model, mesh).al_ext[1:-1]
     floor = float(np.max(model.h(model.curve.xs, model.curve.alphas)))
     # the levels are the least the data and the critical curve allow
     assert upper.flux_level == max(float(np.max(model.h(xc, np.maximum(u0, al)))), floor)
@@ -1309,7 +1383,7 @@ def test_a_hook_without_alpha_freezes_each_place_once():
                       hetero_radius=base.hetero_radius, freeze=counted)
     mesh = Mesh.make(-3.0, 3.0, 0.05)
     run(model, mesh, datum_step(1.0, -0.5), t_end=0.2)
-    xc_ext = fm.ghost_cells(model, mesh)[0]
+    xc_ext = fm.mesh_tables(model, mesh).xc_ext
     span = fm.distinct_span(model, xc_ext)[0]
     assert sorted(set(freezes)) == sorted(freezes)
     assert mesh.n_cells + 2 in freezes and xc_ext[span].size not in freezes
@@ -1356,8 +1430,8 @@ def test_window_inside_the_heterogeneity_steps_on_the_bracket(window):
     # states are fixed points on any window and certify the run.
     family, bounds = CUT_WINDOWS[window]
     model, mesh = family(), Mesh.make(*bounds)
-    xc_ext, al_ext, _ = fm.ghost_cells(model, mesh)
-    for ext in (xc_ext, al_ext):
+    tables = fm.mesh_tables(model, mesh)
+    for ext in (tables.xc_ext, tables.al_ext):
         assert ext[0] == ext[1] and ext[-1] == ext[-2]
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*influence cone.*")
@@ -1463,7 +1537,7 @@ def test_compact_solves_match_solves_at_every_cell_bitwise(name, mesh_name, rng)
     xc_ext = np.concatenate((xc[:1], xc, xc[-1:]))  # each ghost on its boundary center
     al_ext = fm.critical_point(model, xc_ext)
     al, f = al_ext[1:-1], fm.frozen_flux(model, xc)
-    assert fm.ghost_cells(model, mesh)[1].tobytes() == al_ext.tobytes()
+    assert fm.mesh_tables(model, mesh).al_ext.tobytes() == al_ext.tobytes()
 
     curve = model.curve
     for _ in range(3):

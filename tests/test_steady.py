@@ -27,7 +27,7 @@ from test_library_fuzz import _cosh_flux
 from hetflux.errors import ConfigError, NumericalError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.interface import GermClass, InterfaceContext, classify_germ
-from hetflux.flux_model import distinct_span, ghost_cells, invert_branch, lipschitz_bound
+from hetflux.flux_model import distinct_span, invert_branch, lipschitz_bound, mesh_tables
 from hetflux.solver import Mesh, Scheme, _cfl_policy, datum_step, run, steady_residual
 from hetflux.steady import SteadyState, bracket, build_steady, envelope
 
@@ -121,9 +121,9 @@ def test_bracket_solves_both_branches_at_once_with_the_bits_of_two_builds(name, 
     # own invert_branch call.
     model = BRACKET_MODELS[name]()
     mesh = Mesh.make(-3.0, 3.0, 0.05)
-    xc_ext, al_ext, f = ghost_cells(model, mesh)
-    span, spread = distinct_span(model, xc_ext[1:-1])
-    al, f = al_ext[1:-1], f.at(slice(1, -1))
+    tables = mesh_tables(model, mesh)
+    span, spread = distinct_span(model, tables.xc_ext[1:-1])
+    al, f = tables.al_ext[1:-1], tables.flux.at(slice(1, -1))
     curve = model.curve
     for u in (rng.uniform(curve.alpha_min - 1.0, curve.alpha_max + 1.0, mesh.n_cells),
               np.full(mesh.n_cells, curve.alpha_max + 0.5)):
