@@ -10,8 +10,6 @@ from .flux_model import (
     FluxModel,
     ValidationReport,
     Violation,
-    branch_inverse,
-    critical_point,
     legendre_sup,
     legendre_transform,
     lipschitz_bound,
@@ -76,8 +74,7 @@ __all__ = [
     "__version__",
     "HetfluxError", "ConfigError", "NumericalError", "InvariantBreach",
     "FluxModel", "CriticalCurve", "Violation", "ValidationReport",
-    "critical_point", "branch_inverse", "legendre_transform", "legendre_sup",
-    "lipschitz_bound", "validate_assumptions",
+    "legendre_transform", "legendre_sup", "lipschitz_bound", "validate_assumptions",
     "quadratic", "two_state", "heterogeneous_quadratic", "lwr",
     "FluxSide", "InterfaceContext", "GermClass", "entropy_flux",
     "interface_flux", "remainder", "classify_germ",

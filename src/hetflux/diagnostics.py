@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .flux_model import FluxModel
+from .flux_model import FluxModel, mesh_tables
 from .riemann import RiemannSolution, fan_flux, invert_fan, pieces
 from .solver import (
     GAUSS_NODES,
@@ -183,7 +183,7 @@ class EntropyCheck:
         n_k = ks.size
         # The k edge terms and d_kk, the difference of F(k, k), are time
         # independent. Each level-major temporary is freed once transposed.
-        k_sides = scheme.edge_sides(np.broadcast_to(self._ks[:, None], (n_k, n)))
+        k_sides = scheme.tables.edge_sides(np.broadcast_to(self._ks[:, None], (n_k, n)))
         self._kl, self._kr = (np.ascontiguousarray(side.T) for side in k_sides)
         del k_sides
         f_kk = np.maximum(self._kl, self._kr)
@@ -194,7 +194,7 @@ class EntropyCheck:
         self._kk0, self._kk1 = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
         self._k_rows = np.tile(ks, (n, 1))  # the levels along the cells
         self._work, self._abs_old = np.empty((4, n + 1, n_k)), np.empty((n, n_k))
-        self._sides = np.empty((n + 1, 2))  # edge_sides of a u not last stepped from
+        self._sides = np.empty((n + 1, 2))  # the edge terms of a u not last stepped from
         self._carried, self._dt = None, None  # the last u_new (|u_new - k| in _abs_old) and dt
         self._clean = True  # no NaN slack in the last step
         self._max_slack = np.full(n_k, -np.inf)
@@ -207,7 +207,7 @@ class EntropyCheck:
         # The edge terms of u, and the cells [c0, c1) whose slack can differ
         # from last step's (see Repeated slack).
         if last is None or last[0] is not u:
-            a, b = sch.edge_sides(u, out=self._sides)
+            a, b = sch.tables.edge_sides(u, out=self._sides)
             c0, c1 = 0, u.size
         else:
             a, b = last[1], last[2]
@@ -321,9 +321,9 @@ def consistency_rate(
 
     def deviation(dx: float) -> float:
         mesh = cone_mesh(model, 0.0, 0.0, 0.0, dx, pad=4, advice=_SWEEP_ADVICE)
-        sch = Scheme(model, mesh, lipschitz=1.0)
-        f_kk = sch.edge_fluxes(np.full(mesh.n_cells, k))
-        target = np.asarray(model.h(sch.xc_ext[1:], k), dtype=float)
+        tables = mesh_tables(model, mesh)
+        f_kk = tables.edge_fluxes(np.full(mesh.n_cells, k))
+        target = np.asarray(model.h(tables.xc_ext[1:], k), dtype=float)
         return float(np.max(np.abs(f_kk - target)))
 
     devs = [deviation(dx) for dx in dxs]

@@ -12,21 +12,23 @@ substituted state, carries orientation "concave", and callers convert states
 at the input/output boundary with to_internal/to_physical.
 
 All callables are expected to broadcast over numpy arrays in both arguments.
-The critical point and the inversions of H(x, .) below (critical_point,
-branch_inverse, legendre_transform) take the frozen flux's parts: closed
-forms where the freeze hook gives them, else one vectorized root solve over
-all their points; a scalar is a 0-d array and comes back as a float. A
-branch is a sign, +1 for the plus branch and -1 for the minus one, that
-broadcasts against the levels, so both branches invert in one solve.
+The critical point and the inversions of H(x, .) are parts of the frozen
+flux (frozen_flux): closed forms where the freeze hook gives them, else one
+vectorized root solve over all their points. invert_branch and
+legendre_transform check their residuals, and a scalar comes back from
+them as a float; interface.FluxSide.from_model(model, x) gives alpha(x)
+and the branch inverses at the positions x. A branch is a sign, +1 for the
+plus branch and -1 for the minus one, that broadcasts against the levels,
+so both branches invert in one solve.
 
 What depends on the flux alone is computed once per model instance, on
 first use: the critical curve and the flux frozen at its samples
 (FluxModel.curve), the Legendre bound sup L(x, +-1) (FluxModel.legendre_sup_1),
 the findings of validate_assumptions (FluxModel.violations), and the
 MeshTables of the last mesh asked for (mesh_tables): the ghost-extended
-cell centers with alpha and the flux frozen there, and the Scheme's
-edge-pair table, O(N + ALPHA_GRID_SAMPLES) values per model. A
-dataclasses.replace copy starts with none of them.
+cell centers with alpha and the flux frozen there, and the edge-pair
+table the edge fluxes and the Scheme read, O(N + ALPHA_GRID_SAMPLES) values
+per model. A dataclasses.replace copy starts with none of them.
 """
 
 from __future__ import annotations
@@ -102,12 +104,11 @@ class FluxModel:
         return _find_violations(self)
 
     def to_internal(self, u):
-        """Map a physical state to solver coordinates (negation iff concave)."""
+        """Map a physical state to solver coordinates (negation iff concave).
+        The map is its own inverse, so to_physical is the same map."""
         return -np.asarray(u, dtype=float) if self.orientation == "concave" else u
 
-    def to_physical(self, u):
-        """Inverse of to_internal (its own inverse)."""
-        return -np.asarray(u, dtype=float) if self.orientation == "concave" else u
+    to_physical = to_internal
 
 
 def frozen_flux(model: FluxModel, xs) -> Callable:
@@ -199,13 +200,6 @@ def _completed(model: FluxModel, xs: np.ndarray, hook: Callable) -> Callable:
     return f
 
 
-def critical_point(model: FluxModel, x):
-    """Unique minimizer alpha(x) of H(x, .), the root of du_h(x, .),
-    elementwise: frozen_flux(model, x).alpha()."""
-    a = frozen_flux(model, x).alpha()
-    return float(a) if a.ndim == 0 else a
-
-
 @dataclass(frozen=True, eq=False)
 class CriticalCurve:
     """Sampled critical curve alpha(x), its extremes over the line, the
@@ -264,7 +258,8 @@ class MeshTables:
     xc_ext with a ghost cell per side on its boundary cell's center, alpha
     (al_ext) and the flux (flux) there, scale = 1 + max |flux(al_ext)| for
     run()'s certificate, the flux on the interior distinct_span (span_flux),
-    span, spread, and h_pair, flux at the (N+1, 2) edges, when a Scheme asks."""
+    span, spread, and h_pair, flux at the (N+1, 2) edges, when the edge
+    fluxes or a Scheme first ask."""
 
     mesh: object
     xc_ext: np.ndarray
@@ -278,6 +273,26 @@ class MeshTables:
     @cached_property
     def h_pair(self) -> Callable:
         return self.flux.at(np.arange(self.mesh.n_cells + 1)[:, None] + np.arange(2))
+
+    def edge_sides(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """The two terms of the interface flux at every edge, for cell states
+        u of shape (..., n_cells): h_l(max(u_l, alpha_l)) and
+        h_r(min(alpha_r, u_r)), the two columns of the optional
+        C-contiguous (..., n_cells + 1, 2) array out, the pair layout of
+        h_pair and of the Scheme's step kernel. Ghost cells replicate the
+        boundary cells."""
+        u = np.asarray(u, dtype=float)
+        if out is None:
+            out = np.empty(u.shape[:-1] + (u.shape[-1] + 1, 2))
+        ue = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
+        np.maximum(ue[..., :-1], self.al_ext[:-1], out=out[..., 0])
+        np.minimum(self.al_ext[1:], ue[..., 1:], out=out[..., 1])
+        self.h_pair(out, out=out)
+        return out[..., 0], out[..., 1]
+
+    def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
+        """Interface flux max of the two edge_sides terms at every edge."""
+        return np.maximum(*self.edge_sides(u))
 
 
 def mesh_tables(model: FluxModel, mesh) -> MeshTables:
@@ -387,20 +402,6 @@ def invert_branch(f: Callable, alpha, y, sign):
     return float(out) if out.ndim == 0 else out
 
 
-def branch_inverse(model: FluxModel, x, y, side: str, alpha=None):
-    """Solve H(x, s) = y on one monotone branch, elementwise over x and y.
-
-    side "plus" returns the solution >= alpha(x), "minus" the one <= alpha(x);
-    alpha defaults to the minimizers of the flux frozen at x, which is frozen
-    once for the minimizers and all rounds of the solve. One level over
-    every cell is how steady states are built, so the flux-level invariant
-    cannot drift along a recursion. Clamping and errors as in invert_branch.
-    """
-    sign = side_sign(side)
-    f = frozen_flux(model, x)
-    return invert_branch(f, f.alpha() if alpha is None else alpha, y, sign)
-
-
 def legendre_transform(model: FluxModel, x, v):
     """L(x, v) = sup_p (p v - H(x, p)), attained where du_h(x, p) = v.
 
@@ -486,6 +487,7 @@ def validate_assumptions(model: FluxModel) -> ValidationReport:
     return ValidationReport(violations=list(model.violations))
 
 
+@np.errstate(invalid="ignore")  # inf - inf in the differences: only finite points are read
 def _find_violations(model: FluxModel) -> tuple:
     """The Violations of validate_assumptions, per kind in checklist order."""
     n_x, n_u, d, tol_fd, tol_exact, max_records = 41, 33, 1e-5, 1e-6, 1e-12, 200
@@ -535,17 +537,16 @@ def _find_violations(model: FluxModel) -> tuple:
     for i, j in np.argwhere(ok & (err > tol) & (miss_x(d / 2) > tol)):
         record("derivative-mismatch-x", xs[i], us[j], err[i, j])
 
-    # (CH): frozen flux outside the radius.
+    # (CH): frozen flux outside the radius, against a finite h(+-X, u). Most
+    # points lie off the grid, so a NaN fails not miss <= tol, as +inf does.
     for sgn in (-1.0, 1.0):
         ref = np.asarray(model.h(sgn * X, us), dtype=float)
+        tol = tol_exact * (1.0 + np.abs(ref))
         for off in (0.5 * span, 2.0 * span, 16.0 * span):
             xo = sgn * (X + off)
-            hvals = np.asarray(model.h(xo, us), dtype=float)
-            err = np.abs(hvals - ref)
-            for j in np.flatnonzero(err > tol_exact * (1.0 + np.abs(ref))):
-                record("heterogeneity-compactness", xo, us[j], err[j])
-            dxv = np.abs(np.asarray(model.dx_h(xo, us), dtype=float))
-            for j in np.flatnonzero(dxv > tol_exact * (1.0 + np.abs(ref))):
-                record("heterogeneity-compactness", xo, us[j], dxv[j])
+            err = np.abs(np.asarray(model.h(xo, us), dtype=float) - ref)
+            for miss in (err, np.abs(np.asarray(model.dx_h(xo, us), dtype=float))):
+                for j in np.flatnonzero(np.isfinite(ref) & ~(miss <= tol)):
+                    record("heterogeneity-compactness", xo, us[j], miss[j])
 
     return tuple(violations)

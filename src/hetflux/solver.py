@@ -132,14 +132,14 @@ class CflPolicy:
 
 
 class Scheme:
-    """Per-mesh tables and the step kernel.
+    """The step kernel on the tables the model keeps for the mesh.
 
-    The flux is frozen once at the N+2 ghost-extended centers, each ghost
-    on its boundary cell's center, so it copies that cell's flux; h_pair,
-    which the model keeps for the mesh (mesh_tables), is that table over
-    the (N+1, 2) edges, the left cell's flux and the right one's, so one
-    call evaluates both sides of a range of edges. step_arrays() allocates
-    only the new state.
+    tables is mesh_tables(model, mesh): the flux frozen once at the N+2
+    ghost-extended centers, each ghost on its boundary cell's center, so it
+    copies that cell's flux, and h_pair, that table over the (N+1, 2)
+    edges, the left cell's flux and the right one's, so one call evaluates
+    both sides of a range of edges; tables.edge_fluxes evaluates any state
+    without a step. step_arrays() allocates only the new state.
     last_range holds the (min, max) of the state u the last step started
     from, and last_edges (u, a, b, F) that u with its two edge terms and
     edge flux at every edge, valid until the next step.
@@ -177,8 +177,8 @@ class Scheme:
         self.model = model
         self.mesh = mesh
         self.lipschitz = float(lipschitz)
-        tables = mesh_tables(model, mesh)
-        self.xc_ext, self.al_ext, self.h_pair = tables.xc_ext, tables.al_ext, tables.h_pair
+        tables = self.tables = mesh_tables(model, mesh)
+        self.al_ext, self.h_pair = tables.al_ext, tables.h_pair
         n = self._n = mesh.n_cells
         self._dx = mesh.dx
         self._u_ext, self._sides = np.zeros(n + 2), np.empty((n + 1, 2))
@@ -189,26 +189,6 @@ class Scheme:
         self.last_window = (0, n)
         self.last_range = (math.nan, math.nan)
         self.last_edges = None
-
-    def edge_sides(self, u: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """The two terms of the interface flux at every edge, for cell states
-        u of shape (..., n_cells): h_l(max(u_l, alpha_l)) and
-        h_r(min(alpha_r, u_r)), the two columns of the optional
-        C-contiguous (..., n_cells + 1, 2) array out, the pair layout of
-        h_pair and of the step kernel. Ghost cells replicate the boundary
-        cells."""
-        u = np.asarray(u, dtype=float)
-        if out is None:
-            out = np.empty(u.shape[:-1] + (u.shape[-1] + 1, 2))
-        ue = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
-        np.maximum(ue[..., :-1], self.al_ext[:-1], out=out[..., 0])
-        np.minimum(self.al_ext[1:], ue[..., 1:], out=out[..., 1])
-        self.h_pair(out, out=out)
-        return out[..., 0], out[..., 1]
-
-    def edge_fluxes(self, u: np.ndarray) -> np.ndarray:
-        """Interface flux max of the two edge_sides terms at every edge."""
-        return np.maximum(*self.edge_sides(u))
 
     def _block_views(self, e0: int, e1: int) -> tuple:
         """(e0, e1, h, u_l, al_l, al_r, u_r, S, a, b, F): everything a step
@@ -275,7 +255,7 @@ class Scheme:
 
 def steady_residual(state: SteadyState, model: FluxModel, mesh: Mesh) -> float:
     """Max interface-flux imbalance of the sequence (0 for an exact fixed point)."""
-    F = Scheme(model, mesh, lipschitz=1.0).edge_fluxes(state.values)
+    F = mesh_tables(model, mesh).edge_fluxes(state.values)
     return float(np.max(np.abs(np.diff(F))))
 
 
@@ -537,10 +517,10 @@ def run(
     # Both bracket states must be fixed points of this Scheme. invert_branch leaves each
     # cell's flux within TOL_ROOT (1 + |level| + |H(x_j, alpha_j)|) of the level, so each
     # edge flux difference within twice that: the flux minima set the scale, not the level.
-    scale = mesh_tables(model, mesh).scale
-    F = scheme.edge_fluxes(np.stack([s.values for s in brk]))
+    tables = scheme.tables
+    F = tables.edge_fluxes(np.stack([s.values for s in brk]))
     for branch, s, res in zip(("lower", "upper"), brk, np.max(np.abs(np.diff(F)), axis=-1)):
-        if not res <= (tol := 2.0 * TOL_ROOT * (scale + abs(s.flux_level))):
+        if not res <= (tol := 2.0 * TOL_ROOT * (tables.scale + abs(s.flux_level))):
             raise InvariantBreach(f"the {branch} bracket state of flux level {s.flux_level:.17g} "
                                   f"is no fixed point of the Scheme: residual {res:.3e} > {tol:.3e}")
     events = sorted({float(t) for t in snapshot_times if 0.0 < t < t_end})

@@ -16,7 +16,7 @@ from hetflux import rootfind
 
 from hetflux.diagnostics import EntropyCheck
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
-from hetflux.flux_model import FluxModel, critical_point, frozen_flux
+from hetflux.flux_model import FluxModel, frozen_flux
 from hetflux.interface import FluxSide, InterfaceContext, germ_pair
 
 
@@ -40,22 +40,22 @@ class RecordStates:
         return [self.u0] + [u_new for _, u_new, _ in self.steps]
 
 
-def reference_edge_sides(scheme, u):
-    """Scheme.edge_sides as one allocating expression over ghost-extended u,
-    with the left and right cell fluxes frozen apart from the Scheme's table."""
+def reference_edge_sides(model, tables, u):
+    """MeshTables.edge_sides of model's tables as one allocating expression
+    over ghost-extended u, with the left and right cell fluxes frozen apart
+    from the tables' pair table."""
     u = np.asarray(u, dtype=float)
     u_ext = np.concatenate((u[..., :1], u, u[..., -1:]), axis=-1)
-    h_left, h_right = (frozen_flux(scheme.model, xc)
-                       for xc in (scheme.xc_ext[:-1], scheme.xc_ext[1:]))
-    return (h_left(np.maximum(u_ext[..., :-1], scheme.al_ext[:-1])),
-            h_right(np.minimum(scheme.al_ext[1:], u_ext[..., 1:])))
+    h_left, h_right = (frozen_flux(model, xc) for xc in (tables.xc_ext[:-1], tables.xc_ext[1:]))
+    return (h_left(np.maximum(u_ext[..., :-1], tables.al_ext[:-1])),
+            h_right(np.minimum(tables.al_ext[1:], u_ext[..., 1:])))
 
 
 def reference_step(scheme, u, dt):
     """Scheme.step_arrays over fresh temporaries, without its guards. The
     Scheme evaluates the same operations in the same order in its buffers,
     so both must agree bit for bit."""
-    F = np.maximum(*reference_edge_sides(scheme, u))
+    F = np.maximum(*reference_edge_sides(scheme.model, scheme.tables, u))
     lam = dt / scheme.mesh.dx
     return u - lam * np.diff(F), float(F[0]), float(F[-1])
 
@@ -71,13 +71,14 @@ class ReferenceEntropyCheck(EntropyCheck):
         super().start(scheme, certified, u0)
         ks = self._ks
         shape = (ks.size, scheme.mesh.n_cells)  # (K, N), whatever EntropyCheck's layout
-        k_sides = reference_edge_sides(scheme, np.broadcast_to(ks[:, None], shape))
+        k_sides = reference_edge_sides(scheme.model, scheme.tables,
+                                       np.broadcast_to(ks[:, None], shape))
         self._kl, self._kr = k_sides
         self._d_kk = np.diff(np.maximum(*k_sides))
 
     def step(self, u, u_new, dt):
         kcol, kl, kr = self._ks[:, None], self._kl, self._kr
-        a, b = reference_edge_sides(self._scheme, u)
+        a, b = reference_edge_sides(self._scheme.model, self._scheme.tables, u)
         phi = (np.maximum(np.maximum(a, kl), np.minimum(b, kr))
                - np.maximum(np.minimum(a, kl), np.maximum(b, kr)))
         du1 = u_new[None, :] - kcol
@@ -145,7 +146,7 @@ def unfrozen_side(model, x):
     without the model's freeze hook (FluxSide.from_model uses it), so its
     inverses are root solves: an oracle independent of the hook."""
     x = np.asarray(x, dtype=float)
-    a = critical_point(model, x)
+    a = FluxSide.from_model(model, x).alpha
     f = frozen_flux(dataclasses.replace(model, freeze=None), x)
     return FluxSide(f=f, df=f.du, alpha=a, fmin=f(a)[()])
 

@@ -41,6 +41,7 @@ from hetflux.diagnostics import (
 )
 from hetflux.errors import ConfigError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
+from hetflux.flux_model import MeshTables, mesh_tables
 from hetflux.interface import InterfaceContext
 from hetflux.riemann import invert_fan, pieces, sample, solve_interface
 from hetflux.solver import (
@@ -180,11 +181,11 @@ def test_dei_matches_direct_edge_flux_evaluation(pair_model, hq_model, lwr_model
             warnings.filterwarnings("ignore", message=".*influence cone.*")
             res = run(model, mesh, datum_step(left, right), t_end=0.3, observers=(rec, check))
         rep = check.report()
-        sch, kcol = Scheme(model, mesh, res.cfl.lipschitz), rep.k_values[:, None]
-        d_kk = np.diff(sch.edge_fluxes(np.broadcast_to(kcol, (kcol.size, mesh.n_cells))))
+        tables, kcol = mesh_tables(model, mesh), rep.k_values[:, None]
+        d_kk = np.diff(tables.edge_fluxes(np.broadcast_to(kcol, (kcol.size, mesh.n_cells))))
         want = np.full(kcol.size, -np.inf)
         for u, u_new, dt in rec.steps:
-            phi = sch.edge_fluxes(np.maximum(u, kcol)) - sch.edge_fluxes(np.minimum(u, kcol))
+            phi = tables.edge_fluxes(np.maximum(u, kcol)) - tables.edge_fluxes(np.minimum(u, kcol))
             slack = ((np.abs(u_new - kcol) - np.abs(u - kcol)) * mesh.dx
                      + np.diff(phi) * dt + np.sign(u_new - kcol) * d_kk * dt)
             want = np.maximum(want, slack.max(axis=1))
@@ -225,7 +226,7 @@ def test_entropy_check_levels_at_the_extremes_of_u_new_take_no_sign_term(hq_mode
     mesh = Mesh.make(-2.0, 2.0, 0.1)
     sch = Scheme(hq_model, mesh, lipschitz=1.0)
     u = np.full(mesh.n_cells, 0.5)
-    dF = np.diff(sch.edge_fluxes(u))
+    dF = np.diff(sch.tables.edge_fluxes(u))
     lo_cell, hi_cell = int(np.argmax(dF)), int(np.argmin(dF))
     assert dF[lo_cell] > 0.0 > dF[hi_cell]
     u_new = u.copy()
@@ -287,13 +288,13 @@ def test_entropy_check_sign_term_rows_match_the_reference_bitwise(where, locatio
 
 def test_entropy_check_reuses_the_edge_terms_of_the_step(monkeypatch, hq_model):
     calls = [0]
-    edge_sides = Scheme.edge_sides
+    edge_sides = MeshTables.edge_sides
 
     def counted(self, u, out=None):
         calls[0] += 1
         return edge_sides(self, u, out=out)
 
-    monkeypatch.setattr(Scheme, "edge_sides", counted)
+    monkeypatch.setattr(MeshTables, "edge_sides", counted)
     mesh, datum = Mesh.make(-3.0, 3.0, 0.05), datum_step(0.2, 1.2)
     # One call certifies both bracket states before the first step; the
     # steps evaluate their edges in the Scheme's own buffers, without it.
@@ -521,11 +522,11 @@ def test_consistency_meshes_follow_the_window_rule(name, request, monkeypatch):
     model = request.getfixturevalue(name)
     meshes = []
 
-    def scheme(model, mesh, **kwargs):
+    def tables(model, mesh):
         meshes.append(mesh)
-        return Scheme(model, mesh, **kwargs)
+        return mesh_tables(model, mesh)
 
-    monkeypatch.setattr(diagnostics, "Scheme", scheme)
+    monkeypatch.setattr(diagnostics, "mesh_tables", tables)
     report = consistency_rate(model, 1.3, dx_values=[0.04, 0.02])
     assert meshes == [cone_mesh(model, 0.0, 0.0, 0.0, dx, pad=4, advice="")
                       for dx in report.dx_values]

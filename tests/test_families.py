@@ -16,7 +16,8 @@ import pytest
 
 from hetflux.errors import ConfigError
 from hetflux.families import _quadratic_form, heterogeneous_quadratic, lwr, quadratic, two_state
-from hetflux.flux_model import critical_point, frozen_flux
+from hetflux.flux_model import frozen_flux
+from hetflux.interface import FluxSide
 from hetflux.profiles import bump, bump_prime, smoothstep, smoothstep_prime
 
 
@@ -200,7 +201,7 @@ def test_lwr_state_maps_are_involutions(lwr_model):
 
 def test_lwr_critical_curve_and_minima(lwr_model):
     # internal alpha = -rho(x)/2; internal min = -(V rho / 4)
-    a = critical_point(lwr_model, np.array([-2.0, 2.0]))
+    a = FluxSide.from_model(lwr_model, np.array([-2.0, 2.0])).alpha
     assert abs(a[0] + 0.5) < 1e-10
     assert abs(a[1] + 0.4) < 1e-10
     assert abs(float(lwr_model.h(-2.0, -0.5)) + 0.25) < 1e-14

@@ -20,8 +20,6 @@ from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
 from hetflux.flux_model import (
     CriticalCurve,
     FluxModel,
-    branch_inverse,
-    critical_point,
     frozen_flux,
     legendre_sup,
     legendre_transform,
@@ -40,16 +38,16 @@ S1_HQ = 0.3 + 1.0 / 6.0 + 0.1  # sup_{x,|v|<=1} L for the default heterogeneous 
 
 
 def test_critical_point_homogeneous_parabolas():
-    assert abs(critical_point(quadratic(0.5), 0.7)) < 1e-12
-    assert abs(critical_point(quadratic(1.0), -3.0)) < 1e-12
-    assert abs(critical_point(quadratic(1.0, shift=2.5), 0.0) - 2.5) < 1e-12
+    assert abs(FluxSide.from_model(quadratic(0.5), 0.7).alpha) < 1e-12
+    assert abs(FluxSide.from_model(quadratic(1.0), -3.0).alpha) < 1e-12
+    assert abs(FluxSide.from_model(quadratic(1.0, shift=2.5), 0.0).alpha - 2.5) < 1e-12
 
 
 def test_critical_point_follows_the_coefficient_curve(hq_model):
     for x in (-1.5, -0.5, 0.0, 0.25, 1.0):
-        expected = 0.3 * float(bump(x / 1.0))
-        assert abs(critical_point(hq_model, x) - expected) < 1e-9
-        assert abs(float(hq_model.du_h(x, critical_point(hq_model, x)))) <= 1e-12
+        expected, alpha = 0.3 * float(bump(x / 1.0)), FluxSide.from_model(hq_model, x).alpha
+        assert abs(alpha - expected) < 1e-9
+        assert abs(float(hq_model.du_h(x, alpha))) <= 1e-12
 
 
 def _hq_coefficients(x):
@@ -61,7 +59,7 @@ def _hq_coefficients(x):
 def test_critical_points_vectorized_matches_scalar(hq_model):
     # Array in, array out, against the closed form alpha = ell(x).
     xs = np.linspace(-1.2, 1.2, 17)
-    vec = critical_point(hq_model, xs)
+    vec = FluxSide.from_model(hq_model, xs).alpha
     assert vec.shape == xs.shape
     _, ell, _ = _hq_coefficients(xs)
     assert np.all(np.abs(vec - ell) < 1e-9)
@@ -79,16 +77,14 @@ def test_a_hook_whose_alpha_is_no_root_of_du_h_is_refused():
     model = dataclasses.replace(base, freeze=lying)
     for x in (0.0, np.linspace(-1.0, 1.0, 5)):
         with pytest.raises(ConfigError, match="alpha"):
-            critical_point(model, x)
-    with pytest.raises(ConfigError, match="alpha"):
-        FluxSide.from_model(model, 0.0)
+            FluxSide.from_model(model, x)
 
 
 def test_critical_curve_extremes(hq_model, pair_model):
     curve = CriticalCurve.build(hq_model)
     assert abs(curve.alpha_min - 0.0) < 1e-9
     assert abs(curve.alpha_max - 0.3) < 1e-9  # bump peak sits on the grid
-    assert abs(float(hq_model.h(0.0, critical_point(hq_model, 0.0))) - (-0.1)) < 1e-9
+    assert abs(FluxSide.from_model(hq_model, 0.0).fmin - (-0.1)) < 1e-9
 
     flat = CriticalCurve.build(pair_model)
     assert abs(flat.alpha_min) < 1e-9 and abs(flat.alpha_max) < 1e-9
@@ -96,7 +92,7 @@ def test_critical_curve_extremes(hq_model, pair_model):
 
 def test_critical_curve_constant_outside_radius(hq_model):
     for x in (1.0, 2.0, 50.0, -17.0):
-        assert abs(float(critical_point(hq_model, x))) < 1e-9
+        assert abs(FluxSide.from_model(hq_model, x).alpha) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -104,35 +100,36 @@ def test_critical_curve_constant_outside_radius(hq_model):
 
 
 def test_branch_inverse_golden_values():
-    assert abs(branch_inverse(quadratic(1.0), 0.0, 1.0, "plus") - 1.0) < 1e-12
-    assert abs(branch_inverse(quadratic(1.0), 0.0, 1.0, "minus") + 1.0) < 1e-12
+    unit, half = FluxSide.from_model(quadratic(1.0), 0.0), FluxSide.from_model(quadratic(0.5), 0.0)
+    assert abs(unit.branch(1.0, "plus") - 1.0) < 1e-12
+    assert abs(unit.branch(1.0, "minus") + 1.0) < 1e-12
     # The worked interface example inverts f = u^2/2 at level 1 on the minus side.
-    assert abs(branch_inverse(quadratic(0.5), 0.0, 1.0, "minus") + math.sqrt(2.0)) < 1e-12
-    assert abs(branch_inverse(quadratic(0.5), 0.0, 0.0, "plus")) < 1e-12
+    assert abs(half.branch(1.0, "minus") + math.sqrt(2.0)) < 1e-12
+    assert abs(half.branch(0.0, "plus")) < 1e-12
 
 
 def test_branch_round_trip_ordering_and_monotonicity(hq_model, rng):
     curve = CriticalCurve.build(hq_model)
     draws = np.array([(rng.uniform(-1.5, 1.5), rng.uniform(0.0, 4.0)) for _ in range(200)])
     x = draws[:, 0]
-    a = critical_point(hq_model, x)
+    side = FluxSide.from_model(hq_model, x)
+    a = side.alpha
     y = np.asarray(hq_model.h(x, a), dtype=float) + draws[:, 1]
-    sp = branch_inverse(hq_model, x, y, "plus", alpha=a)
-    sm = branch_inverse(hq_model, x, y, "minus", alpha=a)
+    sp, sm = side.branch(y, "plus"), side.branch(y, "minus")
     assert np.all((sm <= a) & (a <= sp))
     assert np.all(np.abs(np.asarray(hq_model.h(x, sp), dtype=float) - y) <= 1e-12)
     assert np.all(np.abs(np.asarray(hq_model.h(x, sm), dtype=float) - y) <= 1e-12)
     y2 = y + 0.5
-    assert np.all(branch_inverse(hq_model, x, y2, "plus", alpha=a) >= sp - 1e-12)
-    assert np.all(branch_inverse(hq_model, x, y2, "minus", alpha=a) <= sm + 1e-12)
+    assert np.all(side.branch(y2, "plus") >= sp - 1e-12)
+    assert np.all(side.branch(y2, "minus") <= sm + 1e-12)
     assert curve.alpha_min <= curve.alpha_max
 
 
 def test_branch_inverse_clamps_rounding_below_minimum():
-    m = quadratic(0.5, offset=0.25)
-    assert branch_inverse(m, 0.0, 0.25 - 1e-11, "plus") == pytest.approx(0.0, abs=1e-12)
+    side = FluxSide.from_model(quadratic(0.5, offset=0.25), 0.0)
+    assert side.branch(0.25 - 1e-11, "plus") == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(NumericalError):
-        branch_inverse(m, 0.0, 0.25 - 1e-9, "minus")
+        side.branch(0.25 - 1e-9, "minus")
 
 
 def test_flux_model_rejects_a_negative_radius_and_an_unknown_orientation():
@@ -145,16 +142,16 @@ def test_flux_model_rejects_a_negative_radius_and_an_unknown_orientation():
 
 def test_branch_inverse_rejects_bad_side():
     with pytest.raises(ValueError):
-        branch_inverse(quadratic(0.5), 0.0, 1.0, "upward")
+        FluxSide.from_model(quadratic(0.5), 0.0).branch(1.0, "upward")
 
 
 def test_branch_inverses_matches_scalar_loop(hq_model):
     # Array in, array out, against the closed form S+/- = ell +- sqrt((y - g) / theta).
     xs = np.linspace(-1.3, 1.3, 41)
     theta, ell, g = _hq_coefficients(xs)
-    root = np.sqrt((1.5 - g) / theta)
+    root, flux = np.sqrt((1.5 - g) / theta), FluxSide.from_model(hq_model, xs)
     for side, want in (("plus", ell + root), ("minus", ell - root)):
-        vec = branch_inverse(hq_model, xs, 1.5, side)
+        vec = flux.branch(1.5, side)
         assert vec.shape == xs.shape
         assert np.all(np.abs(vec - want) < 1e-10)
 
@@ -163,28 +160,29 @@ def test_branch_inverses_clamp_and_error_paths(hq_model):
     xs = np.linspace(-1.5, 1.5, 21)
     # hmin ranges over [-0.1, 0]; a level a hair below 0 clamps the outer cells
     # to alpha instead of failing.
-    vals = branch_inverse(hq_model, xs, -1e-12, "plus")
-    alphas = critical_point(hq_model, xs)
-    assert np.all(vals >= alphas - 1e-12)
+    side = FluxSide.from_model(hq_model, xs)
+    vals = side.branch(-1e-12, "plus")
+    assert np.all(vals >= side.alpha - 1e-12)
     resid = np.abs(np.asarray(hq_model.h(xs, vals), dtype=float) - (-1e-12))
     assert float(np.max(resid)) <= 2e-10
     # A level below the running minimum of H is unsolvable somewhere.
     with pytest.raises(NumericalError):
-        branch_inverse(hq_model, xs, -0.05, "minus")
+        side.branch(-0.05, "minus")
 
 
 def test_branch_inverse_returns_the_closed_form_and_the_root_solve_as_found():
     # u^2/2 at level 0.25: the closed form gives the correctly rounded
-    # sqrt(0.5), and branch_inverse returns it as it is, with no Newton step
+    # sqrt(0.5), and FluxSide.branch returns it as it is, with no Newton step
     # (one lands one ulp low at the same |f(s) - y|).
     model = two_state()
-    assert branch_inverse(model, -1.0, 0.25, "plus") == 0.7071067811865476
-    assert branch_inverse(model, -1.0, 1.0, "minus") == -math.sqrt(2.0)
+    side = FluxSide.from_model(model, -1.0)
+    assert side.branch(0.25, "plus") == 0.7071067811865476
+    assert side.branch(1.0, "minus") == -math.sqrt(2.0)
     # The root solve stops one ulp low, at the same |f(s) - y| again, and
     # that value is returned too.
     generic = dataclasses.replace(model, freeze=None)
     solved = frozen_flux(generic, -1.0).inverse(np.array(0.25), 1.0, np.array(0.0))
-    assert branch_inverse(generic, -1.0, 0.25, "plus") == solved == 0.7071067811865475
+    assert FluxSide.from_model(generic, -1.0).branch(0.25, "plus") == solved == 0.7071067811865475
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +202,7 @@ def test_closed_form_inverses_agree_with_the_root_solves(name, rng):
     # residual bounds their callers check, on the full table and on slices.
     model = FAMILIES[name]()
     xs = np.linspace(-1.6, 1.6, 65)
-    alpha = critical_point(model, xs)
+    alpha = FluxSide.from_model(model, xs).alpha
     fmin = np.asarray(model.h(xs, alpha), dtype=float)
     closed = frozen_flux(model, xs)
     generic = frozen_flux(dataclasses.replace(model, freeze=None), xs)
@@ -263,7 +261,7 @@ def test_a_wrong_closed_form_fails_its_callers_residual_check():
 
     xs = np.linspace(-1.0, 1.0, 11)
     with pytest.raises(NumericalError, match="residual"):
-        branch_inverse(off("inverse"), xs, 1.0, "plus")
+        FluxSide.from_model(off("inverse"), xs).branch(1.0, "plus")
     with pytest.raises(NumericalError, match="residual"):
         legendre_transform(off("du_inverse"), xs, 0.5)
     fan = solve_classical(FluxSide.from_model(off("du_inverse"), 0.0), -1.0, 1.0)
@@ -377,6 +375,7 @@ def test_validate_assumptions_is_answered_once_per_model():
     assert calls
 
 
+@pytest.mark.filterwarnings("error")  # the screen's own inf - inf warns no caller
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("part", ["h", "du_h", "dx_h"])
 def test_validate_names_a_non_finite_flux_and_screens_only_finite_points(part, value):
@@ -388,13 +387,18 @@ def test_validate_names_a_non_finite_flux_and_screens_only_finite_points(part, v
     fn = getattr(base, part)
     hole = lambda x: (np.asarray(x) > 0.5) & (np.asarray(x) < 1.16)
     holed = dataclasses.replace(base, **{part: lambda x, u: np.where(hole(x), value, fn(x, u))})
-    with np.errstate(invalid="ignore"):  # inf - inf in the differences
-        report = validate_assumptions(holed)
+    report = validate_assumptions(holed)
     assert not report.ok and report.summary().splitlines()[1].startswith("  non-finite at x=")
     assert {v.kind for v in report.violations} == {"non-finite"}
     assert all(hole(v.x) and not np.isfinite(v.magnitude) for v in report.violations)
     # 9 x 33 points, capped per kind, as every kind is.
     assert len(report.violations) == 200
+    # Beyond the grid only the compactness check reads h and dx_h, at
+    # |x| = 3 and 17, 4 x 33 points: NaN there is a finding, as +inf is.
+    far = dataclasses.replace(base, **{part: lambda x, u: np.where(np.abs(x) > 2.0, value, fn(x, u))})
+    found = validate_assumptions(far).violations
+    assert len(found) == (0 if part == "du_h" else 4 * 33)
+    assert {v.kind for v in found} <= {"heterogeneity-compactness"}
 
 
 def test_validate_flags_nonconvex_and_noncompact_flux():

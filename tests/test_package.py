@@ -3,10 +3,10 @@ no module of the package or of the tests imports a name it never reads, a
 module of the package imports inside a function only to break a cycle and
 imports no other module's private name, and only flux_model asks what a
 freeze hook can do, only solver asks what kind a datum is, only
-solve_interface builds a Riemann solution, only the window rule and an
-explicit window make a mesh, only the window rules and steady build an
-envelope (run() only reports it), and only the CLI's recorder touches the
-output directory."""
+solve_interface builds a Riemann solution, only run builds a Scheme, only
+the window rule and an explicit window make a mesh, only the window rules
+and steady build an envelope (run() only reports it), and only the CLI's
+recorder touches the output directory."""
 
 import ast
 import inspect
@@ -167,6 +167,20 @@ def test_only_solve_interface_builds_a_riemann_solution():
                              if isinstance(node, ast.Call)
                              and ast.unparse(node.func).split(".")[-1] == "RiemannSolution"}
     assert builders == {"riemann.solve_interface"}
+
+
+def test_only_run_builds_a_scheme():
+    # The edge fluxes of any state come from the tables the model keeps for
+    # a mesh (flux_model.MeshTables), so only the march builds a Scheme.
+    src = Path(hetflux.__file__).parent
+    builders = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for fn in ([top] if not isinstance(top, ast.ClassDef) else top.body):
+                builders |= {f"{path.stem}.{getattr(fn, 'name', '')}" for node in ast.walk(fn)
+                             if isinstance(node, ast.Call)
+                             and ast.unparse(node.func).split(".")[-1] == "Scheme"}
+    assert builders == {"solver.run"}
 
 
 def test_only_the_window_rule_and_an_explicit_window_make_a_mesh():

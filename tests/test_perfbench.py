@@ -2,8 +2,10 @@
 perfbench/workloads.py sets up to its first time step, runs one pass and
 passes its full correctness gate. A library rename that would stop the
 benchmark's runs (say, of Scheme.step_arrays, which stop_at_first_step
-replaces) fails here first."""
+replaces) fails here first, and so does one that would unhook a tracer
+target of perfbench/tracing.py, whose per-layer metric would read zero."""
 
+import importlib
 import os
 import sys
 
@@ -12,7 +14,27 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # perfbench's scripts import workloads from their own directory, as here.
 sys.path.append(os.path.join(ROOT, "perfbench"))
+import tracing  # noqa: E402
 import workloads  # noqa: E402
+
+# Tracer targets that name no hetflux function today; their layers read zero.
+UNRESOLVED_TARGETS = {"solver.cfl_dt", "steady.envelope_constants",
+                      "interface.interface_flux_profile", "diagnostics.check_dei",
+                      "diagnostics.time_variation_sum"}
+
+
+def test_every_tracer_target_but_the_known_ones_resolves():
+    # The rule of Tracer.install: the dotted path from hetflux.<module>, its
+    # last part found in the holder's own namespace.
+    unresolved = set()
+    for _, modname, path, _ in tracing.TARGETS:
+        holder = importlib.import_module(f"hetflux.{modname}")
+        *outer, attr = path.split(".")
+        for part in outer:
+            holder = getattr(holder, part, None)
+        if holder is None or attr not in vars(holder):
+            unresolved.add(f"{modname}.{path}")
+    assert unresolved == UNRESOLVED_TARGETS
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

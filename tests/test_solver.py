@@ -409,17 +409,17 @@ def test_a_run_solves_for_roots_only_without_closed_forms(name, solve_calls):
 def test_edge_fluxes_match_unfrozen_oracle(name, rng):
     model = MODELS[name]()
     mesh = Mesh.make(-2.0, 2.0, 0.05)
-    sch = Scheme(model, mesh, lipschitz=1.0)
-    xl, xr = sch.xc_ext[:-1], sch.xc_ext[1:]
+    tables = fm.mesh_tables(model, mesh)
+    xl, xr = tables.xc_ext[:-1], tables.xc_ext[1:]
     # one interface per edge, its fluxes evaluated through h, not frozen
     edges = InterfaceContext(unfrozen_side(model, xl), unfrozen_side(model, xr))
     # states on both sides of the critical curve, one row per level as in EntropyCheck
-    U = sch.al_ext[1:-1] + rng.uniform(-1.0, 1.0, (4, mesh.n_cells))
+    U = tables.al_ext[1:-1] + rng.uniform(-1.0, 1.0, (4, mesh.n_cells))
     ext = np.concatenate((U[:, :1], U, U[:, -1:]), axis=1)
-    assert np.array_equal(sch.edge_fluxes(U), interface_flux(edges, ext[:, :-1], ext[:, 1:]))
+    assert np.array_equal(tables.edge_fluxes(U), interface_flux(edges, ext[:, :-1], ext[:, 1:]))
     for row in range(U.shape[0]):
         want_1d = interface_flux(edges, ext[row, :-1], ext[row, 1:])
-        assert np.array_equal(sch.edge_fluxes(U[row]), want_1d)
+        assert np.array_equal(tables.edge_fluxes(U[row]), want_1d)
 
 
 @pytest.mark.filterwarnings("ignore:.*influence cone")
@@ -447,13 +447,14 @@ def test_stale_freeze_hook_is_rejected():
 
 
 def test_stale_freeze_hook_is_rejected_by_steady_state_solves():
-    # branch_inverse freezes the flux, so a stale hook must not reach it silently
+    # FluxSide freezes the flux, so a stale hook must not reach its branches silently
     model = heterogeneous_quadratic()
     stale = dataclasses.replace(model, h=heterogeneous_quadratic(g_bump=0.2).h)
     xs = np.linspace(-2.0, 2.0, 41)
     with pytest.raises(ConfigError, match="freeze hook"):
-        fm.branch_inverse(stale, xs, 1.0, "plus")
-    assert np.all(fm.branch_inverse(model, xs, 1.0, "plus") >= fm.critical_point(model, xs))
+        FluxSide.from_model(stale, xs).branch(1.0, "plus")
+    side = FluxSide.from_model(model, xs)
+    assert np.all(side.branch(1.0, "plus") >= side.alpha)
 
 
 def test_freeze_hook_out_path_is_checked():
@@ -478,7 +479,7 @@ def test_freeze_hook_without_out_is_a_config_error():
     with pytest.raises(ConfigError, match="out=None"):
         Scheme(stale, Mesh.make(-2.0, 2.0, 0.05), 1.0)
     with pytest.raises(ConfigError, match="out=None"):
-        fm.branch_inverse(stale, np.array([0.0]), np.array([1.0]), "plus")
+        FluxSide.from_model(stale, np.array([0.0])).branch(np.array([1.0]), "plus")
 
 
 def test_frozen_flux_keeps_the_at_of_a_hook_that_ignores_out():
@@ -516,30 +517,30 @@ KERNEL_MODELS = {
 def test_edge_sides_match_allocating_reference_bitwise(name, rng):
     model = KERNEL_MODELS[name]()
     mesh = Mesh.make(-2.0, 2.0, 0.05)
-    sch = Scheme(model, mesh, lipschitz=1.0)
+    tables = fm.mesh_tables(model, mesh)
     # one row per level, as EntropyCheck passes them, and a single state
-    U = sch.al_ext[1:-1] + rng.uniform(-1.0, 1.0, (5, mesh.n_cells))
+    U = tables.al_ext[1:-1] + rng.uniform(-1.0, 1.0, (5, mesh.n_cells))
     for u in (U, U[2]):
-        want = reference_edge_sides(sch, u)
+        want = reference_edge_sides(model, tables, u)
         buf = np.full(u.shape[:-1] + (mesh.n_cells + 1, 2), np.nan)
-        for got in (sch.edge_sides(u), sch.edge_sides(u, out=buf)):
+        for got in (tables.edge_sides(u), tables.edge_sides(u, out=buf)):
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 @pytest.mark.parametrize("shape", [(), (5,)], ids=["1-D", "(K, N)"])
-def test_edge_sides_hand_the_flux_one_contiguous_pair_array(shape, hq_model):
+def test_edge_sides_hand_the_flux_one_contiguous_pair_array(shape, hq_model, monkeypatch):
     # The terms keep the kernel's (..., N+1, 2) pair layout, so the frozen
     # flux runs on one C-contiguous array, not on a strided view.
     mesh = Mesh.make(-2.0, 2.0, 0.05)
-    sch = Scheme(hq_model, mesh, lipschitz=1.0)
-    seen, h_pair = [], sch.h_pair
+    tables = fm.mesh_tables(hq_model, mesh)
+    seen, h_pair = [], tables.h_pair
 
     def recorded(u, out=None):
         seen.append((u, out))
         return h_pair(u, out=out)
 
-    sch.h_pair = recorded
-    a, b = sch.edge_sides(np.zeros(shape + (mesh.n_cells,)))
+    monkeypatch.setitem(vars(tables), "h_pair", recorded)
+    a, b = tables.edge_sides(np.zeros(shape + (mesh.n_cells,)))
     ((u, out),) = seen
     assert u is out and u.shape == shape + (mesh.n_cells + 1, 2)
     assert u.flags.c_contiguous
@@ -641,7 +642,7 @@ def check_step_against_full(sch, u, u_new, dt):
     want, f_in, f_out = reference_step(sch, u, dt)
     assert u_new.tobytes() == want.tobytes()
     assert sch.last_range == (float(np.min(u)), float(np.max(u)))
-    a_ref, b_ref = reference_edge_sides(sch, u)
+    a_ref, b_ref = reference_edge_sides(sch.model, sch.tables, u)
     _, a, b, F = sch.last_edges
     assert [z.tobytes() for z in (a, b)] == [z.tobytes() for z in (a_ref, b_ref)]
     assert (F.tobytes(), float(F[0]), float(F[-1])) == (np.maximum(a, b).tobytes(), f_in, f_out)
@@ -801,7 +802,7 @@ def test_a_banded_step_evaluates_the_flux_of_its_own_edges(hq_model, rng):
     mesh = Mesh.make(-3.0, 3.0, 0.05)
     sch = Scheme(hq_model, mesh, lipschitz=1.0)
     u = sch.al_ext[1:-1] + rng.uniform(-1.0, 1.0, mesh.n_cells)
-    want = np.maximum(*reference_edge_sides(sch, u))
+    want = np.maximum(*reference_edge_sides(hq_model, sch.tables, u))
     for lo in (30, 50, 50, 70):
         sch.band = (u, lo, lo + 10)
         sch.step_arrays(u, 0.1 * mesh.dx)
@@ -1120,7 +1121,8 @@ def test_a_replaced_copy_builds_its_own_pair_table():
     copy = Scheme(dataclasses.replace(model), mesh, 1.0)
     assert copy.h_pair is not pair
     u = np.linspace(-0.9, -0.1, mesh.n_cells)
-    assert copy.edge_fluxes(u).tobytes() == Scheme(model, mesh, 1.0).edge_fluxes(u).tobytes()
+    want = fm.mesh_tables(model, mesh).edge_fluxes(u)
+    assert copy.tables.edge_fluxes(u).tobytes() == want.tobytes()
 
 
 WARM_MODELS = {**MODELS, "cosh": cosh_model,
@@ -1535,7 +1537,7 @@ def test_compact_solves_match_solves_at_every_cell_bitwise(name, mesh_name, rng)
     xc = mesh.centers()
     assert mesh_name != "at -X" or xc[0] == -X
     xc_ext = np.concatenate((xc[:1], xc, xc[-1:]))  # each ghost on its boundary center
-    al_ext = fm.critical_point(model, xc_ext)
+    al_ext = FluxSide.from_model(model, xc_ext).alpha
     al, f = al_ext[1:-1], fm.frozen_flux(model, xc)
     assert fm.mesh_tables(model, mesh).al_ext.tobytes() == al_ext.tobytes()
 
@@ -1555,8 +1557,7 @@ def test_compact_solves_match_solves_at_every_cell_bitwise(name, mesh_name, rng)
         for direction, anchor_x in (("from_left", -X), ("from_right", X)):
             st = steady.build_steady(model, mesh, anchor, direction, branch)
             level = float(model.h(anchor_x, anchor))
-            want = fm.branch_inverse(model, xc, level, "plus" if branch == "upper" else "minus",
-                                     alpha=al)
+            want = fm.invert_branch(f, al, level, 1.0 if branch == "upper" else -1.0)
             assert st.flux_level == level
             assert st.values.tobytes() == want.tobytes()
 

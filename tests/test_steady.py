@@ -26,7 +26,7 @@ from test_library_fuzz import _cosh_flux
 
 from hetflux.errors import ConfigError, NumericalError
 from hetflux.families import heterogeneous_quadratic, lwr, quadratic, two_state
-from hetflux.interface import GermClass, InterfaceContext, classify_germ
+from hetflux.interface import FluxSide, GermClass, InterfaceContext, classify_germ
 from hetflux.flux_model import distinct_span, invert_branch, lipschitz_bound, mesh_tables
 from hetflux.solver import Mesh, Scheme, _cfl_policy, datum_step, run, steady_residual
 from hetflux.steady import SteadyState, bracket, build_steady, envelope
@@ -49,9 +49,7 @@ def test_upper_steady_holds_one_flux_level(hq_model, hq_mesh):
     xc = hq_mesh.centers()
     levels = np.asarray(hq_model.h(xc, st.values), dtype=float)
     assert np.max(np.abs(levels - st.flux_level)) < 1e-9
-    from hetflux.flux_model import critical_point
-
-    assert np.all(st.values >= critical_point(hq_model, xc) - 1e-12)
+    assert np.all(st.values >= FluxSide.from_model(hq_model, xc).alpha - 1e-12)
     # constant and equal to the anchor outside the heterogeneity
     outside = np.abs(xc) > 1.0
     assert np.max(np.abs(st.values[outside] - 1.3)) < 1e-10
